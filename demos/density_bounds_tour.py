@@ -22,9 +22,8 @@ print()
 
 # off the axis there is no closed form; the pair bound sigma still
 # gives a certified floor, and rho_bounds a ceiling.  The two floor
-# columns are different evaluation routes (elliptic integrals vs agm
-# pairs) to the same envelope, so their agreement is a cross-check,
-# not a coincidence.
+# columns are one number: the best pair density is exactly the best
+# h(m)/|z-a| over punctures, so sigma_lower reads rho's lower end.
 dom3 = PuncturedDomain((0.0, 1.0, 1.0j))
 print("C \\ {0,1,i}: certified floor and ceiling")
 print(f"{'z':>12} {'sigma_lower':>12} {'rho lower':>12} {'rho upper':>12}")

@@ -8,8 +8,8 @@ Two families of certified estimates:
   choices it improves on (``baseline_bounds``);
 * a two-sided sandwich for the density of a finitely punctured plane,
   driven by the log-distance from z to the nearest puncture circle
-  (``rho_bounds``), and the pairwise sup of two-puncture densities
-  (``sigma_lower``).
+  (``rho_bounds``); its lower end is also the pairwise sup of
+  two-puncture densities (``sigma_lower``).
 
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
@@ -18,6 +18,7 @@ err on the safe side.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -51,16 +52,22 @@ class PuncturedDomain:
             raise DomainError(
                 "need at least two punctures for a hyperbolic domain, "
                 f"got {len(pts)}")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise DomainError(
-                        f"punctures must be pairwise distinct; "
-                        f"index {i} and {j} are both {pts[i]!r}")
+        first: dict[complex, int] = {}
+        for j, p in enumerate(pts):
+            if not cmath.isfinite(p):
+                raise DomainError(
+                    f"punctures must be finite; index {j} is {p!r}")
+            i = first.setdefault(p, j)
+            if i != j:
+                raise DomainError(
+                    f"punctures must be pairwise distinct; "
+                    f"index {i} and {j} are both {p!r}")
         object.__setattr__(self, "punctures", pts)
 
     def _check_interior(self, z: complex) -> complex:
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"z must be finite, got {z!r}")
         if z in self.punctures:
             raise DomainError(f"z = {z!r} is a puncture of the domain")
         return z
@@ -186,10 +193,10 @@ def _log_gap(dom: PuncturedDomain, a: complex, s: float) -> float:
     return best
 
 
-# Certified intervals must absorb their own rounding: h and lambda01 go
-# through agm/log chains that are only good to a few ulps, and on the
-# negative axis the lower bound coincides with the exact density, so
-# without one-sided slack the ordering lower <= rho would be a coin flip.
+# Certified intervals must absorb their own rounding: h goes through
+# agm/log chains that are only good to a few ulps, and on the negative
+# axis the lower bound coincides with the exact density, so without
+# one-sided slack the ordering lower <= rho would be a coin flip.
 _EVAL_SLACK = 4e-15
 
 
@@ -209,7 +216,10 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
         d = abs(z - a)
         s = math.log(d)
         m = _log_gap(dom, a, s)
-        lower = max(lower, metric.h(m) / d)
+        # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
+        # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
+        hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
+        lower = max(lower, hm / d)
         if m > 0.0:
             upper = min(upper, math.pi / (4.0 * m * d))
     lower *= 1.0 - _EVAL_SLACK
@@ -224,14 +234,13 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     Every ordered pair (a, b) of punctures gives the density of the
     plane punctured at a and b alone, pulled back through the affine
     map sending them to 0 and 1; the sup over pairs minorizes the
-    density of the full domain.
+    density of the full domain.  With w = (z-a)/(b-a) the pair's
+    negative-axis floor is
+
+        lambda01(-|w|)/|b-a| = h(log|z-a| - log|b-a|)/|z-a|,
+
+    and h is even and decreasing in |t|, so for each a the best b is
+    the one whose log-distance is nearest log|z-a|.  The sup over pairs
+    is therefore exactly the lower end of ``rho_bounds``.
     """
-    z = dom._check_interior(z)
-    best = 0.0
-    for a in dom.punctures:
-        for b in dom.punctures:
-            if b == a:
-                continue
-            w = (z - a) / (b - a)
-            best = max(best, metric.lambda01_lower(w) / abs(b - a))
-    return best * (1.0 - _EVAL_SLACK)
+    return rho_bounds(dom, z).lower

@@ -11,9 +11,9 @@ and the distance between negative-axis points is driven by
     d01(-x, -y) = |Phi(x) - Phi(y)|.
 
 The whole-axis behaviour is captured by h(t) = e^t lambda01(-e^t), its
-reciprocal H = 1/h, and phi(t) = 2 Phi(e^{t/2}).  h and H are computed
-through the AGM on complement-stable moduli, so they stay accurate for
-|t| up to 700 where the direct K(r) route would have lost r' entirely.
+reciprocal H = 1/h, and phi(t) = 2 Phi(e^{t/2}).  h is the one density
+kernel (lambda01_neg is h(log x)/x): its AGMs run on complement-stable
+moduli, accurate for |t| up to 700 where the K(r) route loses r'.
 For complex arguments only one-sided bounds are available: the density
 and distance on the negative axis minorize their values anywhere on the
 circle of the same modulus, which is what lambda01_lower and d01_lower
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from . import pqfun
-from .elliptic import agm, ellip_k
+from .elliptic import agm
 from .errors import DomainError, RangeError
 
 # Largest |t| accepted by h / big_h; e^700 is still finite and the
@@ -45,11 +45,6 @@ def _check_positive_x(x: float) -> float:
     return x
 
 
-def _moduli(x: float) -> tuple[float, float]:
-    """(r, r') for the point -x: r = sqrt(x/(1+x)), r' = sqrt(1/(1+x))."""
-    return math.sqrt(x / (1.0 + x)), math.sqrt(1.0 / (1.0 + x))
-
-
 def c0() -> float:
     """The constant C0 = Gamma(1/4)^4 / (4 pi^2) = 1/(2 lambda01(-1))."""
     return _C0
@@ -58,14 +53,12 @@ def c0() -> float:
 def lambda01_neg(x: float) -> float:
     """Density of the hyperbolic metric of C \\ {0,1} at the point -x, x > 0.
 
-    lambda01(-x) = pi / (8 x K(r) K(r')) with r = sqrt(x/(1+x)).  Extreme
-    x (beyond ~5e11 or below its reciprocal) push a modulus past what
-    ellip_k accepts and raise its range error; h covers that regime on
-    the t = log x scale.
+    lambda01(-x) = pi / (8 x K(r) K(r')) with r = sqrt(x/(1+x)), evaluated
+    as h(log x)/x so that both moduli stay exact at extreme x.  The only
+    range limit is that of h: |log x| must not exceed T_CAP.
     """
     x = _check_positive_x(x)
-    r, r_comp = _moduli(x)
-    return math.pi / (8.0 * x * ellip_k(r) * ellip_k(r_comp))
+    return h(math.log(x)) / x
 
 
 def phi_func(x: float) -> float:
@@ -77,7 +70,7 @@ def phi_func(x: float) -> float:
     accuracy once r is within ~1e-9 of 1 (x beyond ~1e9).
     """
     x = _check_positive_x(x)
-    r, r_comp = _moduli(x)
+    r, r_comp = math.sqrt(x / (1.0 + x)), math.sqrt(1.0 / (1.0 + x))
     return 0.5 * math.log(agm(1.0, r) / agm(1.0, r_comp))
 
 

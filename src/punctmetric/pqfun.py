@@ -89,6 +89,22 @@ def _v_pair(pr: ZeroBalancedPair, s: float) -> tuple[float, float, float, float]
     return lo, hi, v_lo, v_hi
 
 
+def _vw_pair(p: HypParams, lo: float, ell: float,
+             same: bool) -> tuple[float, float, float, float]:
+    """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.).
+
+    hi = 1-lo is reached from lo and ell = -log(lo) only; ``same`` marks
+    lo == hi.
+    """
+    v_lo = hyp2f1.f21(p, lo).value
+    w_lo = hyp2f1.f21(HypParams(p.a, p.b, p.c + 1.0), lo).value
+    if same:
+        return v_lo, w_lo, v_lo, w_lo
+    v_hi = hyp2f1.zb_from_complement(p.a, p.b, lo, ell).value
+    w_hi = hyp2f1.zb_shifted_from_complement(p.a, p.b, lo, ell).value
+    return v_lo, w_lo, v_hi, w_hi
+
+
 def p_func(pr: ZeroBalancedPair, t: float) -> float:
     """P(t) = F(a,b;a+b;x) F(a,b;a+b;1-x), x = e^t/(1+e^t).  Even in t."""
     _require_product_pair(pr)
@@ -106,13 +122,7 @@ def p_prime(pr: ZeroBalancedPair, t: float) -> float:
     tf = float(t)
     s = _abs_t(t)
     lo, hi, ell = _split(s)
-    v_lo = hyp2f1.f21(pr.params(), lo).value
-    w_lo = hyp2f1.f21(pr.params(1.0), lo).value
-    if s > 0.0:
-        v_hi = hyp2f1.zb_from_complement(pr.a, pr.b, lo, ell).value
-        w_hi = hyp2f1.zb_shifted_from_complement(pr.a, pr.b, lo, ell).value
-    else:
-        v_hi, w_hi = v_lo, w_lo
+    v_lo, w_lo, v_hi, w_hi = _vw_pair(pr.params(), lo, ell, s == 0.0)
     l_hi = hi * v_lo * w_hi
     l_lo = lo * v_hi * w_lo
     value = pr.a * pr.b / pr.c * (l_hi - l_lo)
@@ -190,13 +200,7 @@ def q_log_prime(pr: ZeroBalancedPair, t: float) -> float:
     """q'(t) = N(x) at x = e^t/(1+e^t); even, positive, peak at t = 0."""
     s = _abs_t(t)
     lo, hi, ell = _split(s)
-    v_lo = hyp2f1.f21(pr.params(), lo).value
-    w_lo = hyp2f1.f21(pr.params(1.0), lo).value
-    if s > 0.0:
-        v_hi = hyp2f1.zb_from_complement(pr.a, pr.b, lo, ell).value
-        w_hi = hyp2f1.zb_shifted_from_complement(pr.a, pr.b, lo, ell).value
-    else:
-        v_hi, w_hi = v_lo, w_lo
+    v_lo, w_lo, v_hi, w_hi = _vw_pair(pr.params(), lo, ell, s == 0.0)
     return pr.a * pr.b / pr.c * (hi * w_hi / v_hi + lo * w_lo / v_lo)
 
 
@@ -223,14 +227,7 @@ def n_func(a: float, b: float, c: float, x: float) -> float:
         )
     lo, hi = (x, 1.0 - x) if x <= 0.5 else (1.0 - x, x)
     if p.balanced_sign == 0:
-        ell = -math.log(lo)
-        v_lo = hyp2f1.f21(p, lo).value
-        w_lo = hyp2f1.f21(HypParams(p.a, p.b, p.c + 1.0), lo).value
-        if hi > lo:
-            v_hi = hyp2f1.zb_from_complement(p.a, p.b, lo, ell).value
-            w_hi = hyp2f1.zb_shifted_from_complement(p.a, p.b, lo, ell).value
-        else:
-            v_hi, w_hi = v_lo, w_lo
+        v_lo, w_lo, v_hi, w_hi = _vw_pair(p, lo, -math.log(lo), hi == lo)
         return p.a * p.b / p.c * (hi * w_hi / v_hi + lo * w_lo / v_lo)
     ratio_lo = hyp2f1.f21_derivative(p, lo) / hyp2f1.f21(p, lo).value
     ratio_hi = hyp2f1.f21_derivative(p, hi) / hyp2f1.f21(p, hi).value
@@ -248,14 +245,7 @@ def m_func(a: float, b: float, c: float, x: float) -> float:
     x = _check_unit_interval(x)
     lo, hi = (x, 1.0 - x) if x <= 0.5 else (1.0 - x, x)
     if p.balanced_sign == 0:
-        ell = -math.log(lo)
-        v_lo = hyp2f1.f21(p, lo).value
-        w_lo = hyp2f1.f21(HypParams(p.a, p.b, p.c + 1.0), lo).value
-        if hi > lo:
-            v_hi = hyp2f1.zb_from_complement(p.a, p.b, lo, ell).value
-            w_hi = hyp2f1.zb_shifted_from_complement(p.a, p.b, lo, ell).value
-        else:
-            v_hi, w_hi = v_lo, w_lo
+        v_lo, w_lo, v_hi, w_hi = _vw_pair(p, lo, -math.log(lo), hi == lo)
         return p.a * p.b / p.c * (hi * v_lo * w_hi + lo * v_hi * w_lo)
     d_lo = hyp2f1.f21_derivative(p, lo)
     d_hi = hyp2f1.f21_derivative(p, hi)

@@ -10,7 +10,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from punctmetric import bounds, metric
@@ -104,8 +104,12 @@ def test_ring_lower_bound_monotone_in_outer_radius(c, r1, factor):
 def test_domain_validation():
     with pytest.raises(DomainError):
         bounds.PuncturedDomain((0.0,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="index 1 and 2"):
         bounds.PuncturedDomain((0.0, 1.0, 1.0))
+    # NaN != NaN, so distinctness alone would let these through
+    for bad in (math.nan, complex(1.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(DomainError):
+            bounds.PuncturedDomain((0.0, bad))
     dom = bounds.PuncturedDomain((0.0, 1.0))
     assert dom.punctures == (0.0 + 0.0j, 1.0 + 0.0j)
 
@@ -145,6 +149,8 @@ def test_rho_rejects_punctures():
         bounds.rho_bounds(dom, 1.0)
     with pytest.raises(DomainError):
         bounds.sigma_lower(dom, 0.0)
+    with pytest.raises(DomainError):
+        bounds.rho_bounds(dom, complex(math.nan, 0.0))
 
 
 def test_sigma_lower_two_punctures_is_exact():
@@ -189,6 +195,39 @@ def test_sigma_is_a_valid_lower_bound_on_axis():
         sig = bounds.sigma_lower(dom, -x)
         # removing the extra puncture only shrinks the density
         assert sig >= metric.lambda01_neg(x) * (1.0 - 1e-12)
+
+
+def test_sigma_lower_far_out_on_the_axis(lambda01_ref):
+    # at |w| = 1e9 a K(r) evaluation in floats loses ~9 digits, which
+    # is enough to push a certified floor above the density
+    dom = bounds.PuncturedDomain((0.0, 1.0))
+    assert bounds.sigma_lower(dom, -1e9) <= lambda01_ref(1e9)
+
+
+def test_rho_bounds_past_the_range_of_h(lambda01_ref):
+    # the log-gap m = log(1e10/1e-300) exceeds metric.T_CAP, where h
+    # itself raises; the lower bound h(m)/d must stay finite and valid
+    mpmath = pytest.importorskip("mpmath")
+    dom = bounds.PuncturedDomain((0.0, 1e-300))
+    rb = bounds.rho_bounds(dom, 1e10)
+    with mpmath.workdps(400):
+        # h(m)/d = lambda01(-|w|)/|b-a| with |w| = d/|b-a|
+        exact = lambda01_ref(mpmath.mpf(1e10) / 1e-300) / 1e-300
+        assert 0.0 < rb.lower <= exact
+        assert rb.lower >= exact * (1 - 1e-14)
+    assert math.isfinite(rb.upper)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.complex_numbers(max_magnitude=100.0, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=2, max_size=6, unique=True),
+       st.complex_numbers(max_magnitude=200.0, allow_nan=False,
+                          allow_infinity=False))
+def test_sigma_lower_is_the_rho_lower_bound(pts, z):
+    dom = bounds.PuncturedDomain(pts)
+    assume(complex(z) not in dom.punctures)
+    assert bounds.sigma_lower(dom, z) == bounds.rho_bounds(dom, z).lower
 
 
 def test_rho_lower_regression_matches_oracle_route():

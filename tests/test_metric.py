@@ -32,6 +32,14 @@ def test_lambda01_neg_references():
         1.0 / (2.0 * metric.c0()), rel=1e-14)
 
 
+def test_lambda01_neg_against_mpmath(lambda01_ref):
+    # these x put one modulus r within 1e-9 of 1 or 0, where K(r) from
+    # floats loses digits; the density must keep full precision anyway
+    for x in (1e-12, 1e9, 3.7e11, 1e12, 1e300):
+        want = lambda01_ref(x)
+        assert abs(metric.lambda01_neg(x) - want) <= 1e-14 * want
+
+
 def test_lambda01_neg_decreasing():
     xs = [0.05 * k for k in range(1, 200)]
     vals = [metric.lambda01_neg(x) for x in xs]
