@@ -11,6 +11,10 @@ Two families of certified estimates:
   (``rho_bounds``); its lower end is also the pairwise sup of
   two-puncture densities (``sigma_lower``).
 
+A density query searches the N x N puncture distances as numpy
+arrays, a fixed-size block of rows at a time, so it costs O(N^2)
+array work, one block of scratch memory and N scalar ``h`` calls.
+
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
 err on the safe side.
@@ -22,6 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import metric
 from .errors import DomainError
@@ -40,6 +46,12 @@ __all__ = [
 ]
 
 
+def _check_finite(pts: Sequence[complex]) -> None:
+    for j, p in enumerate(pts):
+        if not cmath.isfinite(p):
+            raise DomainError(f"punctures must be finite; index {j} is {p!r}")
+
+
 @dataclass(frozen=True)
 class PuncturedDomain:
     """The complement of a finite set of at least two distinct points."""
@@ -52,11 +64,9 @@ class PuncturedDomain:
             raise DomainError(
                 "need at least two punctures for a hyperbolic domain, "
                 f"got {len(pts)}")
+        _check_finite(pts)
         first: dict[complex, int] = {}
         for j, p in enumerate(pts):
-            if not cmath.isfinite(p):
-                raise DomainError(
-                    f"punctures must be finite; index {j} is {p!r}")
             i = first.setdefault(p, j)
             if i != j:
                 raise DomainError(
@@ -113,6 +123,7 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
     pts = [complex(p) for p in punctures]
     if len(pts) < 2:
         raise DomainError("need at least the punctures a0 = 0 and a1")
+    _check_finite(pts)
     if pts[0] != 0:
         raise DomainError(f"the sequence must start at 0, got {pts[0]!r}")
     moduli = [abs(p) for p in pts]
@@ -130,6 +141,8 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
         c = max(c, math.log(moduli[n + 1]) - math.log(moduli[n]))
     if r1 is not None:
         r1 = float(r1)
+        if not math.isfinite(r1):
+            raise DomainError(f"r1 must be finite, got {r1!r}")
         # the theorem covers |z1| down to e^{-c/2}|a1| only
         if math.exp(-0.5 * c) * moduli[1] > r1:
             raise DomainError(
@@ -157,8 +170,9 @@ def ring_lower_bound(c: float, r1: float, r2: float) -> float:
     c = _check_gap(c)
     r1 = float(r1)
     r2 = float(r2)
-    if not (0.0 < r1 <= r2):
-        raise DomainError(f"need 0 < r1 <= r2, got r1={r1!r}, r2={r2!r}")
+    if not (0.0 < r1 <= r2 < math.inf):
+        raise DomainError(
+            f"need 0 < r1 <= r2 < inf, got r1={r1!r}, r2={r2!r}")
     params = ring_coefficients(c)
     raw = params.A * (math.log(r2) - math.log(r1)) - params.B
     return max(0.0, raw)
@@ -179,18 +193,33 @@ def baseline_bounds(c: float) -> BaselineBounds:
     )
 
 
-def _log_gap(dom: PuncturedDomain, a: complex, s: float) -> float:
-    # m(a, s): distance from s to the log-moduli of the other punctures,
-    # as seen from a
-    best = math.inf
-    for b in dom.punctures:
-        if b == a:
-            continue
-        r = abs(b - a)
-        if r == 0.0:
-            continue
-        best = min(best, abs(s - math.log(r)))
-    return best
+# Rows of the distance matrix are searched this many elements at a
+# time, so a query's scratch memory does not grow with N.
+_BLOCK = 8192
+
+
+def _neighbours(x: np.ndarray, y: np.ndarray,
+                d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per puncture a, the distances to the other punctures nearest d_a.
+
+    Returns (below, above): the largest |b-a| <= d_a and the smallest
+    |b-a| >= d_a, NaN where no other puncture is on that side.  A
+    distance that overflows comes back as inf.
+    """
+    n = len(x)
+    rows = max(1, _BLOCK // n)
+    below = np.empty(n)
+    above = np.empty(n)
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        # np.hypot is the libm hypot that abs(complex) calls, so each
+        # r equals the scalar abs(b - a) bit for bit (np.abs does not)
+        r = np.hypot(x - x[i:j, None], y - y[i:j, None])
+        r.flat[i::n + 1] = np.nan  # the diagonal: a is not its own neighbour
+        dj = d[i:j, None]
+        below[i:j] = np.fmax.reduce(np.where(r <= dj, r, np.nan), axis=1)
+        above[i:j] = np.fmin.reduce(np.where(r >= dj, r, np.nan), axis=1)
+    return below, above
 
 
 # Certified intervals must absorb their own rounding: h goes through
@@ -203,25 +232,43 @@ _EVAL_SLACK = 4e-15
 def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     """Two-sided bounds for the hyperbolic density at z.
 
-    For each puncture a the quantity m = m(a, log|z-a|) sandwiches
-    |z-a| rho(z) between h(m) and pi/(4m).  The lower bound takes the
-    best puncture; the upper bound takes the best finite candidate and
-    is +inf when every m vanishes (z on a critical circle of every
-    puncture).
+    For each puncture a, with d = |z-a|, the log-gap
+    m = min_b |log d - log|b-a|| sandwiches d rho(z) between h(m) and
+    pi/(4m).  The lower bound takes the best puncture; the upper bound
+    takes the best finite candidate and is +inf when every m vanishes
+    (z on a critical circle of every puncture).  A candidate whose
+    distances overflowed gives no upper bound: its m or d is then
+    larger than the true one.
+
+    log is monotone, so m comes from just two other punctures: the
+    one with the largest |b-a| <= d and the one with the smallest
+    |b-a| >= d.  Those are found with array reductions over all the
+    pairwise distances, a fixed block of rows at a time, and only
+    they go through ``math.log``.  A query costs O(N^2) array work,
+    scratch memory for one block, and N calls of ``metric.h``.
     """
     z = dom._check_interior(z)
+    pts = np.array(dom.punctures)
+    x, y = pts.real, pts.imag
+    with np.errstate(over="ignore"):
+        dists = np.hypot(z.real - x, z.imag - y)
+        below, above = _neighbours(x, y, dists)
     lower = 0.0
     upper = math.inf
-    for a in dom.punctures:
-        d = abs(z - a)
+    for d, lo, hi in zip(dists.tolist(), below.tolist(), above.tolist()):
         s = math.log(d)
-        m = _log_gap(dom, a, s)
+        # min passes over NaN: a missing neighbour, or inf - inf once d
+        # and a distance have both overflowed
+        m = min(math.inf, s - math.log(lo), math.log(hi) - s)
         # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
         # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
         hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
         lower = max(lower, hm / d)
-        if m > 0.0:
-            upper = min(upper, math.pi / (4.0 * m * d))
+        q = 4.0 * m * d
+        # hi = inf is a distance that overflowed: its true log-gap is
+        # finite, unknown and may be below m
+        if 0.0 < q < math.inf and hi != math.inf:
+            upper = min(upper, math.pi / q)
     lower *= 1.0 - _EVAL_SLACK
     if math.isfinite(upper):
         upper *= 1.0 + _EVAL_SLACK

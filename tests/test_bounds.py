@@ -8,6 +8,7 @@ not against the oracle.
 
 import cmath
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -69,6 +70,16 @@ def test_ring_gap_validation():
     with pytest.raises(DomainError):
         bounds.ring_gap((0.0, 1.0, 2.0), r1=0.5)
     assert bounds.ring_gap((0.0, 1.0, 2.0), r1=0.8) == pytest.approx(LN2)
+    # NaN compares false, so without a finiteness check these slipped
+    # through the ordering and floor checks
+    for bad in (math.nan, math.inf, complex(2.0, math.nan)):
+        with pytest.raises(DomainError):
+            bounds.ring_gap((0.0, 1.0, bad))
+    for r1 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bounds.ring_gap((0.0, 1.0, 2.0), r1=r1)
+    with pytest.raises(DomainError):
+        bounds.ring_lower_bound(1.0, 1.0, math.inf)
 
 
 @given(st.floats(min_value=1e-3, max_value=20.0))
@@ -141,6 +152,31 @@ def test_rho_upper_infinite_on_the_unit_circle_median():
     rb = bounds.rho_bounds(dom, z)
     assert rb.upper == math.inf
     assert 0.0 < rb.lower < math.inf
+
+
+def test_rho_upper_survives_overflowing_distances():
+    # |z-a| = inf makes pi/(4 m d) = 0, which no density is below
+    dom = bounds.PuncturedDomain((0.0, 1e308))
+    rb = bounds.rho_bounds(dom, -1.7e308)
+    assert 0.0 < rb.lower <= rb.upper
+    rb = bounds.rho_bounds(bounds.PuncturedDomain((-1e308, 1e308)), 0.0)
+    assert rb.upper > 0.0
+    # finite components whose modulus overflows: abs() raises on these
+    big = complex(1.5e308, 1.5e308)
+    rb = bounds.rho_bounds(bounds.PuncturedDomain((0.0, big)), 1.0)
+    assert rb.lower <= rb.upper
+    # |b-a| overflows for b = -0.9e308 only: the finite m = log(d/|c-a|)
+    # then overstates a's true log-gap log(|b-a|/d).  Scaling by 2^-10
+    # is exact and scales the density by 2^10, so the small domain's
+    # lower bound certifies a floor the big domain's upper bound must
+    # clear.
+    a, b, c = 0.9e308, -0.9e308, 0.9e308 + 6.7e301
+    z = a - 4e306
+    k = 2.0 ** 10
+    big = bounds.rho_bounds(bounds.PuncturedDomain((a, b, c)), z)
+    small = bounds.rho_bounds(
+        bounds.PuncturedDomain((a / k, b / k, c / k)), z / k)
+    assert big.upper >= small.lower / k
 
 
 def test_rho_rejects_punctures():
@@ -241,3 +277,101 @@ def test_rho_lower_regression_matches_oracle_route():
                 for b in dom.punctures if b != a]
         best = max(best, metric.h(min(gaps)) / d)
     assert bounds.rho_bounds(dom, z).lower == pytest.approx(best, rel=1e-14)
+
+
+# -- the array search against the pair loop it replaced ---------------------
+
+def _pair_loop_rho_bounds(dom, z):
+    """rho_bounds as the O(N^2) scalar loop over ordered pairs: the
+    reference the block search must reproduce bit for bit."""
+    lower, upper = 0.0, math.inf
+    for a in dom.punctures:
+        d = abs(z - a)
+        s = math.log(d)
+        m = math.inf
+        for b in dom.punctures:
+            if b != a:
+                m = min(m, abs(s - math.log(abs(b - a))))
+        hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
+        lower = max(lower, hm / d)
+        if m > 0.0:
+            upper = min(upper, math.pi / (4.0 * m * d))
+    lower *= 1.0 - bounds._EVAL_SLACK
+    if math.isfinite(upper):
+        upper *= 1.0 + bounds._EVAL_SLACK
+    return bounds.RhoBounds(lower, upper)
+
+
+def _assert_matches_pair_loop(pts, z, block=bounds._BLOCK):
+    dom = bounds.PuncturedDomain(pts)
+    with mock.patch.object(bounds, "_BLOCK", block):
+        got = bounds.rho_bounds(dom, z)
+    assert got == _pair_loop_rho_bounds(dom, complex(z))
+    return got
+
+
+_coords = st.floats(min_value=-100.0, max_value=100.0, allow_subnormal=False)
+_points = st.builds(complex, _coords, _coords)
+_quarter_turns = st.sampled_from((1.0, 1j, -1.0, -1j))
+
+
+@given(st.lists(_points, min_size=2, max_size=2, unique=True), _points)
+def test_rho_two_punctures_match_the_pair_loop(pts, z):
+    assume(z not in pts)
+    _assert_matches_pair_loop(pts, z)
+
+
+@given(_points, _points, _quarter_turns,
+       st.lists(st.tuples(st.integers(-4, 4), _quarter_turns),
+                min_size=1, max_size=8, unique=True),
+       st.lists(_points, max_size=3))
+def test_rho_near_ties_match_the_pair_loop(a, w, turn, offsets, extra):
+    # punctures on or a few ulps off the circle |b-a| = |z-a|, turned by
+    # quarter turns, so the two neighbours of log|z-a| are near-ties
+    assume(w != 0.0)
+    ring = [a + w * turn * rot * (1.0 + k * 2.0 ** -52)
+            for k, rot in offsets]
+    pts = list(dict.fromkeys([a] + ring + extra))
+    assume(len(pts) >= 2 and a + w not in pts)
+    _assert_matches_pair_loop(pts, a + w)
+
+
+@given(st.integers(-40, 40), _quarter_turns, st.booleans(),
+       st.lists(st.builds(complex, st.floats(1e3, 1e4), st.floats(1e3, 1e4)),
+                max_size=3, unique=True))
+def test_rho_critical_circle_matches_the_pair_loop(k, turn, flip, far):
+    # z at distance exactly |b-a| from both punctures: every log-gap of
+    # the pair is 0; far punctures keep m = 0 on those two rows only
+    w = complex(0.5, math.sqrt(3.0) / 2.0)
+    scale = 2.0 ** k * turn
+    z = (w.conjugate() if flip else w) * scale
+    got = _assert_matches_pair_loop([0.0, scale] + [f * 2.0 ** k for f in far],
+                                    z)
+    if not far:
+        assert got.upper == math.inf
+
+
+@given(st.floats(1.0, 10.0), st.floats(1.0, 10.0), _quarter_turns,
+       st.lists(_points, max_size=3))
+def test_rho_past_t_cap_matches_the_pair_loop(t, u, turn, extra):
+    # log-gap log(1e10 u / 1e-300 t) > T_CAP takes the H(m) branch
+    pts = list(dict.fromkeys([0.0, 1e-300 * t * turn] + extra))
+    _assert_matches_pair_loop(pts, 1e10 * u)
+
+
+@settings(max_examples=50)
+@given(st.lists(_points, min_size=2, max_size=30, unique=True), _points,
+       st.sampled_from((1, 2, 7, 64)))
+def test_rho_blocks_match_the_pair_loop(pts, z, block):
+    # small blocks split the rows unevenly, down to one row at a time
+    assume(z not in pts)
+    _assert_matches_pair_loop(pts, z, block)
+
+
+def test_rho_default_blocks_match_the_pair_loop():
+    # N = 350 at the default block: 23 rows a block, 5 in the last
+    pts = [complex(math.cos(j) * j, math.sin(1.7 * j) * 0.5 * j)
+           for j in range(1, 351)]
+    assert len(pts) % (bounds._BLOCK // len(pts)) != 0
+    for z in (0.0, 3.0 + 4.0j, 1e3 - 20.0j, 1e-6j):
+        _assert_matches_pair_loop(pts, z)
