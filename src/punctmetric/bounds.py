@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -126,7 +127,10 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
     _check_finite(pts)
     if pts[0] != 0:
         raise DomainError(f"the sequence must start at 0, got {pts[0]!r}")
-    moduli = [abs(p) for p in pts]
+    # hypot gives inf where abs(complex) raises OverflowError
+    moduli = [math.hypot(p.real, p.imag) for p in pts]
+    if math.inf in moduli:
+        raise DomainError(f"|a{moduli.index(math.inf)}| overflows a float")
     if not moduli[1] > 0.0:
         raise DomainError("a1 must be nonzero")
     for n in range(1, len(moduli) - 1):
@@ -269,7 +273,9 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
         # finite, unknown and may be below m
         if 0.0 < q < math.inf and hi != math.inf:
             upper = min(upper, math.pi / q)
-    lower *= 1.0 - _EVAL_SLACK
+    # within ~1e-309 of a puncture h(m)/d overflows, but the density is
+    # finite: the largest float is still below it
+    lower = min(lower, sys.float_info.max) * (1.0 - _EVAL_SLACK)
     if math.isfinite(upper):
         upper *= 1.0 + _EVAL_SLACK
     return RhoBounds(lower, upper)

@@ -7,6 +7,12 @@ at that sample iff the margin is positive (strict claims) or at least
 -tolerance (approximate claims).  A report is evidence at a stated grid
 resolution, not a proof.
 
+A check holds its margins as numpy arrays next to their sample points,
+one (points, margins) part per sub-claim.  ``_worst`` reduces the parts
+to the first smallest margin in part order, the tie rule of a strict
+running minimum.  A NaN margin counts as -inf: a sample that evaluates
+to NaN fails its check and is reported as the worst point.
+
 Margin conventions, used consistently below:
 
 * strict monotonicity / convexity: consecutive differences (or chord
@@ -27,6 +33,7 @@ record of their sampling and say so in their notes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -89,15 +96,19 @@ class PropertyReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite margin becomes "inf"/"-inf"."""
         point = self.worst_point
         if isinstance(point, tuple):
             point = list(point)
+        margin = self.worst_margin
+        if not math.isfinite(margin):
+            margin = "inf" if margin > 0 else "-inf"
         return {
             "name": self.name,
             "passed": self.passed,
             "grid": self.grid.to_dict(),
             "worst_point": point,
-            "worst_margin": self.worst_margin,
+            "worst_margin": margin,
             "tolerance": self.tolerance,
             "notes": self.notes,
         }
@@ -115,59 +126,92 @@ class ExtremumResult(NamedTuple):
     max_value: float
 
 
-class _Worst:
-    """Running minimum of (point, margin) samples."""
+# One sub-claim's samples: their points and, in the same order, margins.
+Part = tuple[Sequence, np.ndarray]
 
-    def __init__(self) -> None:
-        self.point: object = None
-        self.margin = math.inf
 
-    def add(self, point: object, margin: float) -> None:
-        if margin < self.margin:
-            self.margin = margin
-            self.point = point
+def _worst(*parts: Part) -> tuple[object, float]:
+    """First smallest margin across the parts, in part order.
 
-    def merge(self, other: "_Worst") -> None:
-        self.add(other.point, other.margin)
+    A NaN margin counts as -inf, so its sample fails.  With no samples
+    at all the result is (None, inf).
+    """
+    margins = np.concatenate(
+        [np.empty(0)] + [np.asarray(m, dtype=float) for _, m in parts])
+    if margins.size == 0:
+        return None, math.inf
+    margins[np.isnan(margins)] = -math.inf
+    i = int(np.argmin(margins))  # argmin returns the first minimum
+    point = [p for pts, _ in parts for p in pts][i]
+    if isinstance(point, np.generic):
+        point = point.item()
+    return point, float(margins[i])
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".3e")
 
 
-def _monotone_worst(xs: Sequence[float], ys: Sequence[float],
-                    increasing: bool) -> _Worst:
+def _steps(xs: np.ndarray, ys: Sequence[float], increasing: bool) -> Part:
     """Strict-monotonicity margins between consecutive samples."""
+    ys = np.asarray(ys, dtype=float)
     sign = 1.0 if increasing else -1.0
-    w = _Worst()
-    for i in range(len(xs) - 1):
-        w.add(float(xs[i]), sign * (ys[i + 1] - ys[i]) - STRICT_FLOOR)
-    return w
+    return xs[:-1], sign * (ys[1:] - ys[:-1]) - STRICT_FLOOR
 
 
-def _chord_worst(xs: Sequence[float], ys: Sequence[float],
-                 convex: bool) -> _Worst:
+def _chord(xs: np.ndarray, ys: Sequence[float], convex: bool) -> Part:
     """Strict convexity (or concavity) via chord slack on triples.
 
     Works on uneven grids; reduces to the midpoint inequality when the
     spacing is uniform.
     """
-    w = _Worst()
-    for i in range(len(xs) - 2):
-        x1, x2, x3 = xs[i], xs[i + 1], xs[i + 2]
-        chord = ys[i] + (ys[i + 2] - ys[i]) * ((x2 - x1) / (x3 - x1))
-        slack = chord - ys[i + 1] if convex else ys[i + 1] - chord
-        w.add(float(x2), slack - STRICT_FLOOR)
-    return w
+    x1, x2, x3 = xs[:-2], xs[1:-1], xs[2:]
+    ys = np.asarray(ys, dtype=float)
+    chord = ys[:-2] + (ys[2:] - ys[:-2]) * ((x2 - x1) / (x3 - x1))
+    slack = chord - ys[1:-1] if convex else ys[1:-1] - chord
+    return x2, slack - STRICT_FLOOR
 
 
-def _deviation_worst(points: Sequence[object],
-                     devs: Sequence[float]) -> _Worst:
+def _deviations(points: Sequence, devs: Sequence[float]) -> Part:
     """Equality-type margins: minus the absolute deviation."""
-    w = _Worst()
-    for p, d in zip(points, devs):
-        w.add(p, -abs(d))
-    return w
+    return points, -np.abs(np.asarray(devs, dtype=float))
+
+
+def _floor(points: Sequence, values: Sequence[float]) -> Part:
+    """Strict-positivity margins: the values minus STRICT_FLOOR."""
+    return points, np.asarray(values, dtype=float) - STRICT_FLOOR
+
+
+def _mirror(xs: np.ndarray, ys: Sequence[float], sign: float) -> Part:
+    """Deviations y_i + sign*y_(n-1-i) over the first half of the grid.
+
+    sign = +1 checks oddness, -1 evenness, about the grid's midpoint.
+    """
+    half = len(xs) // 2
+    ys = np.asarray(ys, dtype=float)
+    return _deviations(xs[:half], ys[:half] + sign * ys[::-1][:half])
+
+
+def _increasing_capped(ts: np.ndarray, ys: Sequence[float],
+                       cap: float) -> tuple[Part, Part]:
+    """Parts for "y strictly increasing with |y| < cap"."""
+    return _steps(ts, ys, True), _floor(ts, cap - np.abs(ys))
+
+
+def _subadditive(f: Callable[[float], float], params: dict) -> Part:
+    """Margins f(s) + f(t) - f(s+t) on seeded random pairs (s, t)."""
+    rng = np.random.default_rng(params["seed"])
+    pairs = [tuple(rng.uniform(params["s_lo"], params["s_hi"], size=2).tolist())
+             for _ in range(params["pairs"])]
+    return _floor(pairs, [f(s) + f(t) - f(s + t) for s, t in pairs])
+
+
+def _points_inside(grid: GridSpec, hi: float) -> np.ndarray:
+    """The grid's points, which must lie inside (0, hi)."""
+    xs = grid.points()
+    if not (0.0 < xs[0] and xs[-1] < hi):
+        raise DomainError(f"grid must lie inside (0, {hi:g})")
+    return xs
 
 
 def _abs_midpoint_parts(s: float, t: float) -> tuple[float, float]:
@@ -213,17 +257,18 @@ def _make_vaman_runner(expected: str):
         xs = grid.points()
         if not (0.0 <= xs[0] and xs[-1] < 1.0):
             raise DomainError("grid for (1-x)F(x) must lie inside [0, 1)")
-        ys = [(1.0 - x) * hyp2f1.f21(p, float(x)).value for x in xs]
+        ys = np.array([(1.0 - x) * hyp2f1.f21(p, x).value
+                       for x in xs.tolist()])
         if expected == "constant":
-            w = _deviation_worst([float(x) for x in xs],
-                                 [y - 1.0 for y in ys])
-            notes = (f"(1-x)F = 1 on the grid to {_fmt(-w.margin)}; "
+            point, margin = _worst(_deviations(xs, ys - 1.0))
+            notes = (f"(1-x)F = 1 on the grid to {_fmt(-margin)}; "
                      "ab = c and a+b = c+1 force the constant case")
         else:
-            w = _monotone_worst(xs, ys, increasing=(expected == "increasing"))
+            point, margin = _worst(
+                _steps(xs, ys, increasing=(expected == "increasing")))
             notes = (f"(1-x)F strictly {expected}; "
-                     f"min consecutive step {_fmt(w.margin + STRICT_FLOOR)}")
-        return w.point, w.margin, notes
+                     f"min consecutive step {_fmt(margin + STRICT_FLOOR)}")
+        return point, margin, notes
 
     return run
 
@@ -236,13 +281,12 @@ def _run_concave_coeffs(params: dict, grid: GridSpec) -> tuple[object, float, st
     depth = grid.count - 1
     ratio = hyp2f1.ratio_coeffs(hyp2f1.HypParams(a, b, c), depth)
     coeff = (a * b / c) * ratio  # Maclaurin coefficients of v'/v
-    w = _Worst()
-    for n in range(1, depth + 1):
-        # x(1-x)v'/v has x^{n+1} coefficient coeff[n] - coeff[n-1] <= 0
-        w.add(float(n), float(coeff[n - 1] - coeff[n]))
+    # x(1-x)v'/v has x^{n+1} coefficient coeff[n] - coeff[n-1] <= 0
+    point, margin = _worst((np.arange(1.0, depth + 1),
+                            coeff[:depth] - coeff[1:depth + 1]))
     notes = (f"coefficient drops a_(n-1) - a_n of v'/v for n = 1..{depth}; "
-             f"min {_fmt(w.margin)} (grid count sets the depth)")
-    return w.point, w.margin, notes
+             f"min {_fmt(margin)} (grid count sets the depth)")
+    return point, margin, notes
 
 
 def _run_concave_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
@@ -251,42 +295,28 @@ def _run_concave_shape(params: dict, grid: GridSpec) -> tuple[object, float, str
         raise HypothesisError(
             f"shape claim needs max(a,b) < c (max = c degenerates to a "
             f"constant), got ({a},{b},{c})")
-    xs = grid.points()
-    if not (0.0 < xs[0] and xs[-1] < 1.0):
-        raise DomainError("grid must lie inside (0, 1)")
-    ys = [pqfun.n_func(a, b, c, float(x)) for x in xs]
-    n = len(xs)
-    w = _Worst()
-    pos = _Worst()
-    for x, y in zip(xs, ys):
-        pos.add(float(x), y - STRICT_FLOOR)
-    w.merge(pos)
-    sym = _deviation_worst(
-        [float(xs[i]) for i in range(n // 2)],
-        [ys[i] - ys[n - 1 - i] for i in range(n // 2)])
-    w.merge(sym)
-    left = [i for i in range(n) if xs[i] <= 0.5]
-    right = [i for i in range(n) if xs[i] >= 0.5]
-    up = _monotone_worst([xs[i] for i in left], [ys[i] for i in left], True)
-    down = _monotone_worst([xs[i] for i in right], [ys[i] for i in right], False)
-    w.merge(up)
-    w.merge(down)
-    conc = _chord_worst(xs, ys, convex=False)
-    w.merge(conc)
-    notes = (f"positive >= {_fmt(pos.margin + STRICT_FLOOR)}; symmetry dev "
-             f"{_fmt(-sym.margin)}; increasing then decreasing about 1/2 "
-             f"(steps {_fmt(up.margin + STRICT_FLOOR)}/"
-             f"{_fmt(down.margin + STRICT_FLOOR)}); concavity slack "
-             f"{_fmt(conc.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+    xs = _points_inside(grid, 1.0)
+    ys = np.array([pqfun.n_func(a, b, c, x) for x in xs.tolist()])
+    left = xs <= 0.5
+    right = xs >= 0.5
+    pos = _floor(xs, ys)
+    sym = _mirror(xs, ys, -1.0)
+    up = _steps(xs[left], ys[left], True)
+    down = _steps(xs[right], ys[right], False)
+    conc = _chord(xs, ys, convex=False)
+    point, margin = _worst(pos, sym, up, down, conc)
+    notes = (f"positive >= {_fmt(_worst(pos)[1] + STRICT_FLOOR)}; symmetry dev "
+             f"{_fmt(-_worst(sym)[1])}; increasing then decreasing about 1/2 "
+             f"(steps {_fmt(_worst(up)[1] + STRICT_FLOOR)}/"
+             f"{_fmt(_worst(down)[1] + STRICT_FLOOR)}); concavity slack "
+             f"{_fmt(_worst(conc)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 def _run_hlvv_sign(params: dict, grid: GridSpec) -> tuple[object, float, str]:
-    xs = grid.points()
-    if not (0.0 < xs[0] and xs[-1] < 1.0):
-        raise DomainError("grid must lie inside (0, 1)")
-    w = _Worst()
+    xs = _points_inside(grid, 1.0)
     parts = []
+    notes = []
     for a, b, c, label in params["cases"]:
         sgn = (a + b - 1.0) * (c - b)
         expected = "constant" if sgn == 0.0 else (
@@ -295,19 +325,18 @@ def _run_hlvv_sign(params: dict, grid: GridSpec) -> tuple[object, float, str]:
             raise HypothesisError(
                 f"(a+b-1)(c-b) = {sgn} makes ({a},{b},{c}) {expected}, "
                 f"case is labelled {label!r}")
-        ys = [pqfun.m_func(a, b, c, float(x)) for x in xs]
+        ys = np.array([pqfun.m_func(a, b, c, x) for x in xs.tolist()])
         if label == "constant":
             mid = ys[len(ys) // 2]
-            part = _deviation_worst([(float(x)) for x in xs],
-                                    [y - mid for y in ys])
-            parts.append(f"constant ({a},{b},{c}): value {mid:.12g}, "
-                         f"dev {_fmt(-part.margin)}")
+            parts.append(_deviations(xs, ys - mid))
+            notes.append(f"constant ({a},{b},{c}): value {mid:.12g}, "
+                         f"dev {_fmt(-_worst(parts[-1])[1])}")
         else:
-            part = _chord_worst(xs, ys, convex=(label == "convex"))
-            parts.append(f"{label} ({a},{b},{c}): chord slack "
-                         f"{_fmt(part.margin + STRICT_FLOOR)}")
-        w.merge(part)
-    return w.point, w.margin, "; ".join(parts)
+            parts.append(_chord(xs, ys, convex=(label == "convex")))
+            notes.append(f"{label} ({a},{b},{c}): chord slack "
+                         f"{_fmt(_worst(parts[-1])[1] + STRICT_FLOOR)}")
+    point, margin = _worst(*parts)
+    return point, margin, "; ".join(notes)
 
 
 def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
@@ -316,42 +345,38 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float,
         raise HypothesisError(
             f"log-convexity needs ab/(a+b+1) < c, got ({a},{b},{c})")
     p = hyp2f1.HypParams(a, b, c)
-    xs = grid.points()
-    if not (0.0 < xs[0] and xs[-1] < 1.0):
-        raise DomainError("grid must lie inside (0, 1)")
+    xs = _points_inside(grid, 1.0)
 
     def log_l(x: float) -> float:
         return hyp2f1.f21_derivative(p, x) / hyp2f1.f21(p, x).value
 
-    ratio = [log_l(float(x)) - log_l(float(1.0 - x)) for x in xs]
-    logf = [math.log(hyp2f1.f21(p, float(x)).value)
-            + math.log(hyp2f1.f21(p, float(1.0 - x)).value) for x in xs]
-    w = _Worst()
-    up = _monotone_worst(xs, ratio, True)
-    w.merge(up)
-    conv = _chord_worst(xs, logf, convex=True)
-    w.merge(conv)
-    mid = [i for i in range(len(xs)) if xs[i] == 0.5]
+    ratio = np.array([log_l(x) - log_l(1.0 - x) for x in xs.tolist()])
+    logf = np.array([math.log(hyp2f1.f21(p, x).value)
+                     + math.log(hyp2f1.f21(p, 1.0 - x).value)
+                     for x in xs.tolist()])
+    up = _steps(xs, ratio, True)
+    conv = _chord(xs, logf, convex=True)
+    parts = [up, conv]
+    half = np.flatnonzero(xs == 0.5)
     zero_note = ""
-    if mid:
-        w.add(0.5, -abs(ratio[mid[0]]))
-        zero_note = f"; f'/f at 1/2 = {_fmt(abs(ratio[mid[0]]))}"
-    fmin = _Worst()
+    if half.size:
+        parts.append(_deviations([0.5], ratio[half[:1]]))
+        zero_note = f"; f'/f at 1/2 = {_fmt(abs(ratio[half[0]]))}"
     fmid = math.log(hyp2f1.f21(p, 0.5).value) * 2.0
-    for x, lf in zip(xs, logf):
-        if x != 0.5:
-            fmin.add(float(x), (lf - fmid) - STRICT_FLOOR)
-    w.merge(fmin)
+    off = xs != 0.5
+    fmin = _floor(xs[off], logf[off] - fmid)
+    point, margin = _worst(*parts, fmin)
     notes = (f"f(x) = F(x)F(1-x): f'/f increasing (step "
-             f"{_fmt(up.margin + STRICT_FLOOR)}), log f midpoint-convex "
-             f"(slack {_fmt(conv.margin + STRICT_FLOOR)}), interior minimum "
-             f"at 1/2 (gap {_fmt(fmin.margin + STRICT_FLOOR)}){zero_note}")
-    return w.point, w.margin, notes
+             f"{_fmt(_worst(up)[1] + STRICT_FLOOR)}), log f midpoint-convex "
+             f"(slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)}), interior minimum "
+             f"at 1/2 (gap {_fmt(_worst(fmin)[1] + STRICT_FLOOR)}){zero_note}")
+    return point, margin, notes
 
 
 def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, str]:
-    w = _Worst()
-    parts = []
+    points = []
+    margins = []
+    notes = []
     for case in params["cases"]:
         a, b = case["a"], case["b"]
         kind = case["kind"]
@@ -359,50 +384,48 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
             c = case["c"]
             if not a + b < c:
                 raise HypothesisError(f"gauss limit needs a+b < c, got ({a},{b},{c})")
-            x = case["x"]
+            point = case["x"]
             lim = hyp2f1.f21_at_one(hyp2f1.HypParams(a, b, c))
-            val = hyp2f1.f21(hyp2f1.HypParams(a, b, c), x).value
-            dev = abs(val - lim)
-            point = x
+            val = hyp2f1.f21(hyp2f1.HypParams(a, b, c), point).value
         elif kind == "zb":
             u = case["u"]
             ell = -math.log(u)
             val = hyp2f1.zb_from_complement(a, b, u, ell).value
             lim = (ell + specfun.ramanujan_r(a, b)) / specfun.beta(a, b)
-            dev = abs(val - lim)
             point = 1.0 - u
         elif kind == "power":
             c = case["c"]
             if not a + b > c:
                 raise HypothesisError(f"power limit needs a+b > c, got ({a},{b},{c})")
-            x = case["x"]
-            val = hyp2f1.f21(hyp2f1.HypParams(a, b, c), x).value
-            val *= (1.0 - x) ** (a + b - c)
+            point = case["x"]
+            val = hyp2f1.f21(hyp2f1.HypParams(a, b, c), point).value
+            val *= (1.0 - point) ** (a + b - c)
             lim = (specfun.gamma(c) * specfun.gamma(a + b - c)
                    / (specfun.gamma(a) * specfun.gamma(b)))
-            dev = abs(val - lim)
-            point = x
         else:
             raise DomainError(f"unknown limit kind {kind!r}")
+        dev = abs(val - lim)
         # normalize: each case carries the tolerance its O(.) term implies
-        w.add(point, 1.0 - dev / case["tol"])
-        parts.append(f"{kind} ({a},{b}): |dev| {_fmt(dev)} vs {_fmt(case['tol'])}")
+        points.append(point)
+        margins.append(1.0 - dev / case["tol"])
+        notes.append(f"{kind} ({a},{b}): |dev| {_fmt(dev)} vs {_fmt(case['tol'])}")
+    point, margin = _worst((points, margins))
     notes = ("boundary limits, margins normalized to 1 - dev/tol; grid is "
-             "nominal, cases pin their own points; " + "; ".join(parts))
-    return w.point, w.margin, notes
+             "nominal, cases pin their own points; " + "; ".join(notes))
+    return point, margin, notes
 
 
 def _run_main_parity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
-    w = _Worst()
-    for t in ts:
-        tf = float(t)
-        w.add(tf, -abs(pqfun.p_func(pr, tf) - pqfun.p_func(pr, -tf)))
-        w.add(tf, -abs(pqfun.p_prime(pr, tf) + pqfun.p_prime(pr, -tf)))
+    # both deviations of each t, in sampling order
+    devs = [d for t in ts.tolist()
+            for d in (pqfun.p_func(pr, t) - pqfun.p_func(pr, -t),
+                      pqfun.p_prime(pr, t) + pqfun.p_prime(pr, -t))]
+    point, margin = _worst(_deviations(np.repeat(ts, 2), devs))
     notes = ("P even and P' odd; both are enforced by |t| reduction "
              "inside the evaluators, so this is a regression guard")
-    return w.point, w.margin, notes
+    return point, margin, notes
 
 
 def _p_midpoint_slack(pr: pqfun.ZeroBalancedPair, inv_beta: float,
@@ -422,35 +445,23 @@ def _p_midpoint_slack(pr: pqfun.ZeroBalancedPair, inv_beta: float,
 def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     inv_beta = 1.0 / specfun.beta(pr.a, pr.b)
-    cache: dict[float, float] = {}
-
-    def pe(s: float) -> float:
-        if s not in cache:
-            cache[s] = pqfun.p_excess(pr, s)
-        return cache[s]
+    pe = functools.cache(functools.partial(pqfun.p_excess, pr))
 
     rng = np.random.default_rng(params["seed"])
     span = params["t_span"]
     gap = params["min_gap"]
-    w = _Worst()
-    rand = _Worst()
-    n_pairs = 0
-    while n_pairs < params["pairs"]:
-        s, t = rng.uniform(-span, span, size=2)
-        if abs(s - t) < gap:
-            continue  # midpoint slack below noise scale, redraw
-        n_pairs += 1
-        m, slack = _p_midpoint_slack(pr, inv_beta, pe, float(s), float(t))
-        rand.add((float(s), float(t)), slack - STRICT_FLOOR)
-    w.merge(rand)
+    pairs = []
+    while len(pairs) < params["pairs"]:
+        s, t = rng.uniform(-span, span, size=2).tolist()
+        if abs(s - t) >= gap:  # below it the slack is noise scale: redraw
+            pairs.append((s, t))
+    rand = _floor(pairs, [_p_midpoint_slack(pr, inv_beta, pe, s, t)[1]
+                          for s, t in pairs])
 
     ts = grid.points()
-    tri = _Worst()
-    for i in range(len(ts) - 2):
-        s, t = float(ts[i]), float(ts[i + 2])
-        m, slack = _p_midpoint_slack(pr, inv_beta, pe, s, t)
-        tri.add(m, slack - STRICT_FLOOR)
-    w.merge(tri)
+    tl = ts.tolist()
+    tri = _floor(*zip(*(_p_midpoint_slack(pr, inv_beta, pe, s, t)
+                        for s, t in zip(tl[:-2], tl[2:]))))
 
     # P -+ t/B through the same excess split; branch values are O(1)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
@@ -461,49 +472,41 @@ def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
             return big_r * inv_beta + pe(t)
         return (2.0 * -t + big_r) * inv_beta + pe(-t)
 
-    down = [shifted_down(float(t)) for t in ts]
-    up = [shifted_down(float(-t)) for t in ts]  # P(t) + t/B by symmetry
-    mono_d = _monotone_worst(ts, down, increasing=False)
-    mono_u = _monotone_worst(ts, up, increasing=True)
-    conv_d = _chord_worst(ts, down, convex=True)
-    conv_u = _chord_worst(ts, up, convex=True)
-    for part in (mono_d, mono_u, conv_d, conv_u):
-        w.merge(part)
+    down = [shifted_down(t) for t in tl]
+    up = [shifted_down(-t) for t in tl]  # P(t) + t/B by symmetry
 
-    # R/B < P - |t|/B <= P(0), strict off t = 0
-    bound = _Worst()
-    pe0 = pe(0.0)
-    for t in ts:
-        tf = float(t)
-        bound.add(tf, pe(abs(tf)) - STRICT_FLOOR)
-        if tf != 0.0:
-            bound.add(tf, (pe0 - pe(abs(tf))) - STRICT_FLOOR)
-    w.merge(bound)
+    # R/B < P - |t|/B <= P(0), strict off t = 0: per t the lower margin,
+    # then the upper one where it applies
+    ex = np.array([pe(abs(t)) for t in tl])
+    keep = np.repeat(ts != 0.0, 2)
+    keep[::2] = True
+    bound = _floor(np.repeat(ts, 2)[keep],
+                   np.column_stack((ex, pe(0.0) - ex)).ravel()[keep])
 
+    point, margin = _worst(
+        rand, tri, _steps(ts, down, increasing=False),
+        _steps(ts, up, increasing=True), _chord(ts, down, convex=True),
+        _chord(ts, up, convex=True), bound)
     notes = (f"{params['pairs']} seeded midpoint pairs (gap >= {gap}), "
-             f"min slack {_fmt(rand.margin + STRICT_FLOOR)}; grid triples "
-             f"{_fmt(tri.margin + STRICT_FLOOR)}; P-t/B and P+t/B monotone "
-             f"and convex; excess bounds {_fmt(bound.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+             f"min slack {_fmt(_worst(rand)[1] + STRICT_FLOOR)}; grid triples "
+             f"{_fmt(_worst(tri)[1] + STRICT_FLOOR)}; P-t/B and P+t/B monotone "
+             f"and convex; excess bounds {_fmt(_worst(bound)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 def _run_pprime_bounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = grid.points()
-    w = _Worst()
     parts = []
+    notes = []
     for a, b in params["pairs"]:
         pr = pqfun.ZeroBalancedPair(a, b)
-        cap = 1.0 / specfun.beta(a, b)
-        ys = [pqfun.p_prime(pr, float(t)) for t in ts]
-        mono = _monotone_worst(ts, ys, True)
-        sharp = _Worst()
-        for t, y in zip(ts, ys):
-            sharp.add(float(t), (cap - abs(y)) - STRICT_FLOOR)
-        w.merge(mono)
-        w.merge(sharp)
-        parts.append(f"({a},{b}): step {_fmt(mono.margin + STRICT_FLOOR)}, "
-                     f"1/B - |P'| >= {_fmt(sharp.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, "P' strictly increasing, |P'| < 1/B; " + "; ".join(parts)
+        ys = [pqfun.p_prime(pr, t) for t in ts.tolist()]
+        mono, sharp = _increasing_capped(ts, ys, 1.0 / specfun.beta(a, b))
+        parts += [mono, sharp]
+        notes.append(f"({a},{b}): step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}, "
+                     f"1/B - |P'| >= {_fmt(_worst(sharp)[1] + STRICT_FLOOR)}")
+    point, margin = _worst(*parts)
+    return point, margin, "P' strictly increasing, |P'| < 1/B; " + "; ".join(notes)
 
 
 def _run_main_slopes(params: dict, grid: GridSpec) -> tuple[object, float, str]:
@@ -512,66 +515,42 @@ def _run_main_slopes(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = grid.points()
     if 0.0 in ts:
         raise DomainError("slope grid must not contain t = 0")
-    ys = [pqfun.slope_g(pr, float(t)) for t in ts]
-    n = len(ts)
-    w = _Worst()
-    mono = _monotone_worst(ts, ys, True)
-    w.merge(mono)
-    rng_m = _Worst()
-    for t, y in zip(ts, ys):
-        rng_m.add(float(t), (cap - abs(y)) - STRICT_FLOOR)
-    w.merge(rng_m)
-    odd = _deviation_worst([float(ts[i]) for i in range(n // 2)],
-                           [ys[i] + ys[n - 1 - i] for i in range(n // 2)])
-    w.merge(odd)
-    notes = (f"G odd (dev {_fmt(-odd.margin)}), strictly increasing (step "
-             f"{_fmt(mono.margin + STRICT_FLOOR)}), range inside "
-             f"(-1/B, 1/B) by {_fmt(rng_m.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+    ys = [pqfun.slope_g(pr, t) for t in ts.tolist()]
+    mono, rng_m = _increasing_capped(ts, ys, cap)
+    odd = _mirror(ts, ys, 1.0)
+    point, margin = _worst(mono, rng_m, odd)
+    notes = (f"G odd (dev {_fmt(-_worst(odd)[1])}), strictly increasing (step "
+             f"{_fmt(_worst(mono)[1] + STRICT_FLOOR)}), range inside "
+             f"(-1/B, 1/B) by {_fmt(_worst(rng_m)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
-    w = _Worst()
-    for t in ts:
-        tf = float(t)
-        w.add(tf, -abs(pqfun.q_func(pr, tf) * pqfun.q_func(pr, -tf) - 1.0))
+    point, margin = _worst(_deviations(
+        ts, [pqfun.q_func(pr, t) * pqfun.q_func(pr, -t) - 1.0
+             for t in ts.tolist()]))
     notes = ("Q(t)Q(-t) = 1; the two sides reuse one ratio and its "
              "reciprocal, so deviations are pure rounding")
-    return w.point, w.margin, notes
+    return point, margin, notes
 
 
 def _run_subadd(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
-    ts = grid.points()
-    if ts[0] <= 0.0:
-        raise DomainError("q(t)/t grid must be positive")
-    qs = [pqfun.q_log(pr, float(t)) for t in ts]
-    w = _Worst()
-    ratio = _monotone_worst(ts, [q / float(t) for q, t in zip(qs, ts)], False)
-    w.merge(ratio)
-    inc = _monotone_worst(ts, qs, True)
-    w.merge(inc)
-    conc = _chord_worst(ts, qs, convex=False)
-    w.merge(conc)
-    odd = _Worst()
-    for t, q in zip(ts, qs):
-        odd.add(float(t), -abs(q + pqfun.q_log(pr, -float(t))))
-    w.merge(odd)
-    rng = np.random.default_rng(params["seed"])
-    sub = _Worst()
-    for _ in range(params["pairs"]):
-        s, t = rng.uniform(params["s_lo"], params["s_hi"], size=2)
-        margin = (pqfun.q_log(pr, float(s)) + pqfun.q_log(pr, float(t))
-                  - pqfun.q_log(pr, float(s + t)))
-        sub.add((float(s), float(t)), margin - STRICT_FLOOR)
-    w.merge(sub)
-    notes = (f"q(t)/t decreasing (step {_fmt(ratio.margin + STRICT_FLOOR)}); "
-             f"q increasing, concave, odd (dev {_fmt(-odd.margin)}); "
+    ts = _points_inside(grid, math.inf)
+    q_log = functools.partial(pqfun.q_log, pr)
+    qs = np.array([q_log(t) for t in ts.tolist()])
+    ratio = _steps(ts, qs / ts, False)
+    odd = _deviations(ts, qs + np.array([q_log(-t) for t in ts.tolist()]))
+    sub = _subadditive(q_log, params)
+    point, margin = _worst(ratio, _steps(ts, qs, True),
+                           _chord(ts, qs, convex=False), odd, sub)
+    notes = (f"q(t)/t decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
+             f"q increasing, concave, odd (dev {_fmt(-_worst(odd)[1])}); "
              f"{params['pairs']} seeded subadditivity pairs, min slack "
-             f"{_fmt(sub.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+             f"{_fmt(_worst(sub)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
@@ -579,171 +558,123 @@ def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     if not pr.a + pr.b >= 1.0:
         raise HypothesisError(
             f"Q bound claims need a+b >= 1, got ({pr.a},{pr.b})")
-    ts = grid.points()
-    if ts[0] <= 0.0:
-        raise DomainError("Q bound grid must be positive (equality at 0)")
-    qe = [pqfun.q_excess(pr, float(t)) for t in ts]
-    qe0 = pqfun.q_excess(pr, 0.0)
-    w = _Worst()
+    ts = _points_inside(grid, math.inf)
+    qe = np.array([pqfun.q_excess(pr, t) for t in ts.tolist()])
     # Q - t/B = R/B + excess: monotone/convex in the excess alone
-    mono = _monotone_worst(ts, qe, increasing=False)
-    conv = _chord_worst(ts, qe, convex=True)
-    w.merge(mono)
-    w.merge(conv)
-    low = _Worst()
-    high = _Worst()
-    for t, e in zip(ts, qe):
-        low.add(float(t), e)           # Q > (R+t)/B, margin ~e^{-t}: raw
-        high.add(float(t), qe0 - e - STRICT_FLOOR)  # Q < 1 + t/B
-    w.merge(low)
-    w.merge(high)
-    notes = (f"Q - t/B decreasing (step {_fmt(mono.margin + STRICT_FLOOR)}) "
-             f"and convex (slack {_fmt(conv.margin + STRICT_FLOOR)}); "
-             f"(R+t)/B < Q by {_fmt(low.margin)} (raw, decays like e^-t); "
-             f"Q < 1 + t/B by {_fmt(high.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+    mono = _steps(ts, qe, increasing=False)
+    conv = _chord(ts, qe, convex=True)
+    low = (ts, qe)                                   # Q > (R+t)/B, ~e^{-t}: raw
+    high = _floor(ts, pqfun.q_excess(pr, 0.0) - qe)  # Q < 1 + t/B
+    point, margin = _worst(mono, conv, low, high)
+    notes = (f"Q - t/B decreasing (step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}) "
+             f"and convex (slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)}); "
+             f"(R+t)/B < Q by {_fmt(_worst(low)[1])} (raw, decays like e^-t); "
+             f"Q < 1 + t/B by {_fmt(_worst(high)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 def _run_th_increasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
-    ts = grid.points()
-    if ts[0] <= 0.0:
-        raise DomainError("t h(t) grid must be positive")
-    ys = [float(t) * metric.h(float(t)) for t in ts]
-    w = _Worst()
-    mono = _monotone_worst(ts, ys, True)
-    w.merge(mono)
-    band = _Worst()
-    for t, y in zip(ts, ys):
-        band.add(float(t), y - STRICT_FLOOR)
-        band.add(float(t), (0.5 - y) - STRICT_FLOOR)
-    w.merge(band)
-    notes = (f"t h(t) strictly increasing (step {_fmt(mono.margin + STRICT_FLOOR)}) "
-             f"with values in (0, 1/2), band margin {_fmt(band.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+    ts = _points_inside(grid, math.inf)
+    ys = ts * np.array([metric.h(t) for t in ts.tolist()])
+    mono = _steps(ts, ys, True)
+    # both band margins of each t, in sampling order
+    band = _floor(np.repeat(ts, 2), np.column_stack((ys, 0.5 - ys)).ravel())
+    point, margin = _worst(mono, band)
+    notes = (f"t h(t) strictly increasing (step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}) "
+             f"with values in (0, 1/2), band margin {_fmt(_worst(band)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
+    tl = ts.tolist()
     two_c0 = 2.0 * metric.c0()
-    cache: dict[float, float] = {}
+    pe = functools.cache(functools.partial(pqfun.p_excess, pr))
 
-    def pe(s: float) -> float:
-        if s not in cache:
-            cache[s] = pqfun.p_excess(pr, s)
-        return cache[s]
-
-    w = _Worst()
-    ident = _Worst()
-    even = _Worst()
-    for t in ts:
-        tf = float(t)
-        ident.add(tf, -abs(metric.big_h(tf) * metric.h(tf) - 1.0))
-        even.add(tf, -abs(metric.big_h(tf) - metric.big_h(-tf)))
-    w.merge(ident)
-    w.merge(even)
+    ident = _deviations(ts, [metric.big_h(t) * metric.h(t) - 1.0 for t in tl])
+    even = _deviations(ts, [metric.big_h(t) - metric.big_h(-t) for t in tl])
     h0_dev = metric.big_h(0.0) / two_c0 - 1.0
-    w.add(0.0, -abs(h0_dev))
 
     # fold to |t| and collapse mirror points that agree to a few ulps:
     # asymmetric grids produce pairs whose gap is pure rounding, and a
     # growth step across such a gap is noise, not evidence
-    raw = sorted(abs(float(t)) for t in ts)
     pos: list[float] = []
-    for s in raw:
+    for s in sorted(abs(t) for t in tl):
         if not pos or s - pos[-1] > 1e-12 * (1.0 + s):
             pos.append(s)
-    grow = _Worst()
-    for s1, s2 in zip(pos[:-1], pos[1:]):
-        # H = 2(|t| + log 16) + 2 pi excess: difference without cancellation
-        step = 2.0 * (s2 - s1) + 2.0 * math.pi * (pe(s2) - pe(s1))
-        grow.add(s1, step - STRICT_FLOOR)
-    w.merge(grow)
+    ps = np.array(pos)
+    ex = np.array([pe(s) for s in pos])
+    # H = 2(|t| + log 16) + 2 pi excess: difference without cancellation
+    grow = _floor(ps[:-1], 2.0 * (ps[1:] - ps[:-1])
+                  + 2.0 * math.pi * (ex[1:] - ex[:-1]))
 
-    conv = _Worst()
-    for i in range(len(ts) - 2):
-        s, t = float(ts[i]), float(ts[i + 2])
+    def midpoint_slack(s: float, t: float) -> tuple[float, float]:
         m, lin = _abs_midpoint_parts(s, t)
-        slack = 2.0 * lin + 2.0 * math.pi * (
+        return m, 2.0 * lin + 2.0 * math.pi * (
             0.5 * (pe(abs(s)) + pe(abs(t))) - pe(abs(m)))
-        conv.add(m, slack - STRICT_FLOOR)
-    w.merge(conv)
 
-    notes = (f"H h = 1 (dev {_fmt(-ident.margin)}); H(0)/2C0 - 1 = "
-             f"{_fmt(h0_dev)}; even (dev {_fmt(-even.margin)}); increasing "
-             f"in |t| (step {_fmt(grow.margin + STRICT_FLOOR)}); midpoint "
-             f"convex via the excess split (slack {_fmt(conv.margin + STRICT_FLOOR)})")
-    return w.point, w.margin, notes
+    conv = _floor(*zip(*(midpoint_slack(s, t)
+                         for s, t in zip(tl[:-2], tl[2:]))))
+
+    point, margin = _worst(ident, even, _deviations([0.0], [h0_dev]), grow, conv)
+    notes = (f"H h = 1 (dev {_fmt(-_worst(ident)[1])}); H(0)/2C0 - 1 = "
+             f"{_fmt(h0_dev)}; even (dev {_fmt(-_worst(even)[1])}); increasing "
+             f"in |t| (step {_fmt(_worst(grow)[1] + STRICT_FLOOR)}); midpoint "
+             f"convex via the excess split (slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)})")
+    return point, margin, notes
 
 
 def _run_big_h_prime(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = grid.points()
-    ys = [metric.big_h_prime(float(t)) for t in ts]
-    n = len(ts)
-    w = _Worst()
-    mono = _monotone_worst(ts, ys, True)
-    w.merge(mono)
-    band = _Worst()
-    for t, y in zip(ts, ys):
-        band.add(float(t), (2.0 - abs(y)) - STRICT_FLOOR)
-    w.merge(band)
-    odd = _deviation_worst([float(ts[i]) for i in range(n // 2)],
-                           [ys[i] + ys[n - 1 - i] for i in range(n // 2)])
-    w.merge(odd)
-    notes = (f"H' odd (dev {_fmt(-odd.margin)}), strictly increasing (step "
-             f"{_fmt(mono.margin + STRICT_FLOOR)}); |H'| < 2 by "
-             f"{_fmt(band.margin + STRICT_FLOOR)}, sup |H'| = {max(abs(y) for y in ys):.12f}")
-    return w.point, w.margin, notes
+    ys = np.array([metric.big_h_prime(t) for t in ts.tolist()])
+    mono, band = _increasing_capped(ts, ys, 2.0)
+    odd = _mirror(ts, ys, 1.0)
+    point, margin = _worst(mono, band, odd)
+    notes = (f"H' odd (dev {_fmt(-_worst(odd)[1])}), strictly increasing (step "
+             f"{_fmt(_worst(mono)[1] + STRICT_FLOOR)}); |H'| < 2 by "
+             f"{_fmt(_worst(band)[1] + STRICT_FLOOR)}, sup |H'| = {np.abs(ys).max():.12f}")
+    return point, margin, notes
 
 
 def _run_weighted_extremum(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ext = max_weighted_h()
     c0 = metric.c0()
     ts = grid.points()
-    grid_best_t = 0.0
-    grid_max = -math.inf
-    for t in ts:
-        val = 2.0 * (float(t) + c0) * metric.h(float(t))
-        if val > grid_max:
-            grid_max = val
-            grid_best_t = float(t)
+    vals = 2.0 * (ts + c0) * np.array([metric.h(t) for t in ts.tolist()])
+    best = int(np.argmax(vals))  # the first maximum
+    grid_best_t = float(ts[best])
+    grid_max = float(vals[best])
     t_ref = 2.56
     g_ref = (metric.big_h(t_ref)
              - (t_ref + c0) * metric.big_h_prime(t_ref))
-    w = _Worst()
-    w.add(ext.t0, 1.25 - ext.max_value)
-    w.add(grid_best_t, 1e-4 - abs(grid_max - ext.max_value))
-    w.add(grid_best_t, ext.max_value + 1e-6 - grid_max)
-    w.add(ext.t0, 5e-4 - abs(ext.t0 - 2.56944))
-    w.add(ext.t0, 5e-4 - abs(ext.max_value - 1.24477))
-    w.add(t_ref, g_ref - 0.02)
+    point, margin = _worst((
+        [ext.t0, grid_best_t, grid_best_t, ext.t0, ext.t0, t_ref],
+        [1.25 - ext.max_value,
+         1e-4 - abs(grid_max - ext.max_value),
+         ext.max_value + 1e-6 - grid_max,
+         5e-4 - abs(ext.t0 - 2.56944),
+         5e-4 - abs(ext.max_value - 1.24477),
+         g_ref - 0.02]))
     notes = (f"t0 = {ext.t0:.12f}; max = 2/H'(t0) = {ext.max_value:.12f} "
              f"< 1.25; grid max {grid_max:.12f} at t = {grid_best_t:.6f}; "
              f"g(2.56) = {g_ref:.8f} > 0.02")
-    return w.point, w.margin, notes
+    return point, margin, notes
 
 
 def _run_hempel_sandwich(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     gap = metric.c0() - math.log(16.0)
-    ts = grid.points()
-    if ts[0] <= 0.0:
-        raise DomainError("sandwich grid must be positive (equality at 0)")
-    w = _Worst()
-    lo_w = _Worst()
-    hi_w = _Worst()
-    for t in ts:
-        tf = float(t)
-        pe = pqfun.p_excess(pr, tf)
-        lo_w.add(tf, 2.0 * math.pi * pe)          # H - 2(t + log 16) > 0
-        hi_w.add(tf, 2.0 * (gap - math.pi * pe))  # 2(t + C0) - H > 0
-    w.merge(lo_w)
-    w.merge(hi_w)
+    ts = _points_inside(grid, math.inf)
+    pe = np.array([pqfun.p_excess(pr, t) for t in ts.tolist()])
+    lo = (ts, 2.0 * math.pi * pe)          # H - 2(t + log 16) > 0
+    hi = (ts, 2.0 * (gap - math.pi * pe))  # 2(t + C0) - H > 0
+    point, margin = _worst(lo, hi)
     notes = (f"1/(t+C0) < 2h(t) < 1/(t+log 16) as H between 2(t+log 16) "
-             f"and 2(t+C0); min lower margin {_fmt(lo_w.margin)} (decays "
+             f"and 2(t+C0); min lower margin {_fmt(_worst(lo)[1])} (decays "
              f"like t e^-t, computed cancellation-free), min upper margin "
-             f"{_fmt(hi_w.margin)}")
-    return w.point, w.margin, notes
+             f"{_fmt(_worst(hi)[1])}")
+    return point, margin, notes
 
 
 def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
@@ -755,41 +686,28 @@ def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     k_max = params["k_max"]
     n_max = int(round(grid.hi))
     ratio = hyp2f1.ratio_coeffs(hyp2f1.HypParams(a, b, c), n_max + k_max)
-    table = hyp2f1.finite_difference_table(ratio, k_max)
-    w = _Worst()
-    first_strict: Optional[int] = None
-    for k, row in enumerate(table):
-        for n in range(min(n_max + 1, row.size)):
-            w.add((k, n), float(row[n]))
-            if k == 1 and first_strict is None and row[n] > 1e-12:
-                first_strict = n
+    table = [row[:n_max + 1]
+             for row in hyp2f1.finite_difference_table(ratio, k_max)]
+    point, margin = _worst(*(([(k, n) for n in range(row.size)], row)
+                             for k, row in enumerate(table)))
+    strict = np.flatnonzero(table[1] > 1e-12) if k_max >= 1 else []
+    first_strict = int(strict[0]) if len(strict) else None
     notes = (f"Delta^k a_n >= 0 for k <= {k_max}, n <= {n_max} "
-             f"(grid hi sets the n range); min entry {_fmt(w.margin)} at "
-             f"(k,n) = {w.point}; first strict first difference at n = "
+             f"(grid hi sets the n range); min entry {_fmt(margin)} at "
+             f"(k,n) = {point}; first strict first difference at n = "
              f"{first_strict}")
-    return w.point, w.margin, notes
+    return point, margin, notes
 
 
 def _run_phi_decreasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
-    ts = grid.points()
-    if ts[0] <= 0.0:
-        raise DomainError("phi(t)/t grid must be positive")
-    ys = [metric.varphi(float(t)) / float(t) for t in ts]
-    w = _Worst()
-    ratio = _monotone_worst(ts, ys, False)
-    w.merge(ratio)
-    rng = np.random.default_rng(params["seed"])
-    sub = _Worst()
-    for _ in range(params["pairs"]):
-        s, t = rng.uniform(params["s_lo"], params["s_hi"], size=2)
-        margin = (metric.varphi(float(s)) + metric.varphi(float(t))
-                  - metric.varphi(float(s + t)))
-        sub.add((float(s), float(t)), margin - STRICT_FLOOR)
-    w.merge(sub)
-    notes = (f"phi(t)/t strictly decreasing (step {_fmt(ratio.margin + STRICT_FLOOR)}); "
+    ts = _points_inside(grid, math.inf)
+    ratio = _steps(ts, [metric.varphi(t) / t for t in ts.tolist()], False)
+    sub = _subadditive(metric.varphi, params)
+    point, margin = _worst(ratio, sub)
+    notes = (f"phi(t)/t strictly decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
              f"{params['pairs']} seeded subadditivity pairs, min slack "
-             f"{_fmt(sub.margin + STRICT_FLOOR)}")
-    return w.point, w.margin, notes
+             f"{_fmt(_worst(sub)[1] + STRICT_FLOOR)}")
+    return point, margin, notes
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +871,6 @@ def run_suite(tol_profile: str = "default") -> list[PropertyReport]:
 
     Failures are reported, not raised; reports come back sorted by name.
     """
-    if tol_profile not in ("default", "strict"):
-        raise DomainError(
-            f"tol_profile must be 'default' or 'strict', got {tol_profile!r}")
     return [run_check(name, tol_profile=tol_profile)
             for name in sorted(_REGISTRY)]
 

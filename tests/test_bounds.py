@@ -72,7 +72,9 @@ def test_ring_gap_validation():
     assert bounds.ring_gap((0.0, 1.0, 2.0), r1=0.8) == pytest.approx(LN2)
     # NaN compares false, so without a finiteness check these slipped
     # through the ordering and floor checks
-    for bad in (math.nan, math.inf, complex(2.0, math.nan)):
+    # the last one is finite, but its modulus overflows
+    for bad in (math.nan, math.inf, complex(2.0, math.nan),
+                complex(1.5e308, 1.5e308)):
         with pytest.raises(DomainError):
             bounds.ring_gap((0.0, 1.0, bad))
     for r1 in (math.nan, math.inf):
@@ -177,6 +179,17 @@ def test_rho_upper_survives_overflowing_distances():
     small = bounds.rho_bounds(
         bounds.PuncturedDomain((a / k, b / k, c / k)), z / k)
     assert big.upper >= small.lower / k
+
+
+def test_rho_lower_stays_finite_next_to_a_puncture(lambda01_ref):
+    # within ~1e-309 of a puncture h(m)/d overflows, yet the density
+    # (~1.3e320 here) is finite, so an infinite lower bound exceeds it
+    dom = bounds.PuncturedDomain((0.0, 1.0))
+    for z in (5e-324, -5e-324, complex(0.0, 1e-320)):
+        rb = bounds.rho_bounds(dom, z)
+        assert 1e308 < rb.lower < math.inf
+        assert rb.lower <= rb.upper
+    assert bounds.rho_bounds(dom, -5e-324).lower <= lambda01_ref(5e-324)
 
 
 def test_rho_rejects_punctures():

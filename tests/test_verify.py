@@ -4,10 +4,14 @@ rather than silently reinterpreted.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from punctmetric import verify
+from punctmetric import metric, pqfun, verify
 from punctmetric.errors import DomainError, HypothesisError, UnknownCheckError
 
 EXPECTED_CHECKS = {
@@ -165,3 +169,132 @@ def test_check_single_report_notes_carry_diagnostics():
     r = verify.run_check("thm_c212_4")
     assert "t0" in r.notes and "1.25" in r.notes
     assert r.passed
+
+
+def test_nan_samples_fail_their_check(monkeypatch):
+    # a running minimum with a strict "<" skips NaN margins, so a kernel
+    # returning NaN everywhere used to pass with margin +inf
+    monkeypatch.setattr(pqfun, "q_func", lambda pr, t: math.nan)
+    r = verify.run_check("thm_main2_qq")
+    assert not r.passed
+    assert r.worst_margin == -math.inf
+    assert r.worst_point == -10.0
+    d = r.to_dict()
+    assert d["worst_margin"] == "-inf"
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
+
+
+def test_partly_nan_samples_fail_their_check(monkeypatch):
+    h = metric.h
+    monkeypatch.setattr(metric, "h", lambda t: math.nan if t > 10.0 else h(t))
+    r = verify.run_check("thm_c212_1")
+    assert not r.passed
+    assert r.worst_margin == -math.inf
+
+
+# The reduction before margins became arrays, kept as the oracle: a
+# strict running minimum fed one sample at a time.
+
+class _Worst:
+    def __init__(self):
+        self.point = None
+        self.margin = math.inf
+
+    def add(self, point, margin):
+        if margin < self.margin:
+            self.margin = margin
+            self.point = point
+
+    def merge(self, other):
+        self.add(other.point, other.margin)
+
+
+def _monotone_worst(xs, ys, increasing):
+    sign = 1.0 if increasing else -1.0
+    w = _Worst()
+    for i in range(len(xs) - 1):
+        w.add(float(xs[i]), sign * (ys[i + 1] - ys[i]) - verify.STRICT_FLOOR)
+    return w
+
+
+def _chord_worst(xs, ys, convex):
+    w = _Worst()
+    for i in range(len(xs) - 2):
+        x1, x2, x3 = xs[i], xs[i + 1], xs[i + 2]
+        chord = ys[i] + (ys[i + 2] - ys[i]) * ((x2 - x1) / (x3 - x1))
+        slack = chord - ys[i + 1] if convex else ys[i + 1] - chord
+        w.add(float(x2), slack - verify.STRICT_FLOOR)
+    return w
+
+
+def _deviation_worst(points, devs):
+    w = _Worst()
+    for p, d in zip(points, devs):
+        w.add(p, -abs(d))
+    return w
+
+
+def _floor_worst(points, values):
+    w = _Worst()
+    for p, v in zip(points, values):
+        w.add(p, v - verify.STRICT_FLOOR)
+    return w
+
+
+def _same(new, old):
+    point, margin = new
+    assert point == old.point
+    assert margin == old.margin
+    assert math.copysign(1.0, margin) == math.copysign(1.0, old.margin)
+
+
+# repeated values and signed zeros make exact ties among the margins
+_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-12, -1e-12, 2e-12]),
+    st.floats(-10.0, 10.0))
+_samples = st.integers(3, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-3, 5.0), min_size=n, max_size=n),
+    st.lists(_values, min_size=n, max_size=n)))
+
+
+def _grid(gaps):
+    # uneven, strictly increasing, starting at a signed zero
+    return np.cumsum([-0.0] + gaps[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples, st.booleans())
+def test_part_builders_match_the_loops(sample, flag):
+    gaps, ys = sample
+    xs = _grid(gaps)
+    _same(verify._worst(verify._steps(xs, ys, flag)),
+          _monotone_worst(list(xs), ys, flag))
+    _same(verify._worst(verify._chord(xs, ys, flag)),
+          _chord_worst(list(xs), ys, flag))
+    _same(verify._worst(verify._deviations(xs, ys)),
+          _deviation_worst(xs.tolist(), ys))
+    _same(verify._worst(verify._floor(xs, ys)),
+          _floor_worst(xs.tolist(), ys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_samples, st.integers(0, 3), st.booleans()),
+                max_size=5))
+def test_worst_merges_parts_in_order(specs):
+    new = []
+    old = _Worst()
+    for (gaps, ys), kind, flag in specs:
+        xs = _grid(gaps)
+        if kind == 0:
+            new.append(verify._steps(xs, ys, flag))
+            old.merge(_monotone_worst(list(xs), ys, flag))
+        elif kind == 1:
+            new.append(verify._chord(xs, ys, flag))
+            old.merge(_chord_worst(list(xs), ys, flag))
+        elif kind == 2:
+            new.append(verify._deviations(xs, ys))
+            old.merge(_deviation_worst(xs.tolist(), ys))
+        else:
+            new.append(verify._floor(xs, ys))
+            old.merge(_floor_worst(xs.tolist(), ys))
+    _same(verify._worst(*new), old)
