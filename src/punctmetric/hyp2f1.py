@@ -18,7 +18,20 @@ Evaluation strategy
       F(a,b;a+b+1;x) = ((a+b)/(ab*B(a,b))) * sum_n c_n (1 - n(d_n + log(1/u))) u^n.
 
   The direct series decays only like n^{-2} here, far too slow near x = 1.
-* any other c with x > 1/2: the direct series with an extended term cap.
+* x > 1/2 and s = c-a-b not an integer: the connection formula DLMF
+  15.8.4 in u = 1-x,
+
+      F = A F(a,b;1-s;u) + B u^s F(c-a,c-b;1+s;u),
+      A = G(c)G(s)/(G(c-a)G(c-b)),   B = G(c)G(-s)/(G(a)G(b)),
+
+  two direct series at u < 1/2 in place of one that needs ~35/u terms.
+  A and B come from log-gamma with signs; A = 0 when c-a or c-b is a
+  pole of G.  The error estimate counts the rounding of |A F1| + |B u^s F2|,
+  so the cancellation of the two parts for s near an integer shows; past
+  CONNECTION_MAX_CANCEL, or when A or B overflows, the direct series
+  serves instead.
+* any other c with x > 1/2 (s an integer other than 0 and 1): the direct
+  series with an extended term cap.
 
 The `*_from_complement` entry points take u = 1-x and -log(u) explicitly,
 so callers that know the complement exactly (logistic parameterizations
@@ -31,20 +44,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 
 SERIES_RTOL = 1e-15
 MAX_TERMS_DIRECT = 1_000_000
 MAX_TERMS_LOG = 200
 X_SWITCH = 0.5
+# DLMF 15.8.4 hands over to the direct series when its two parts cancel
+# by more than this factor (s = c-a-b close to an integer).
+CONNECTION_MAX_CANCEL = 1e3
+# rounding allowance of DLMF 15.8.4 per unit of |A F1| + |B u^s F2|
+CONNECTION_ROUNDING = 1e-14
+_EPS = 2.0 ** -53
 
 METHOD_DIRECT = "direct_series"
 METHOD_ZB_LOG = "zb_log_series"
+METHOD_CONNECTION = "connection_series"
 METHOD_GAUSS_LIMIT = "gauss_limit"
 
 
@@ -127,6 +147,9 @@ def _direct_series(a: float, b: float, c: float, x: float) -> EvalResult:
             f"within {MAX_TERMS_DIRECT} terms"
         )
     total += comp
+    if not math.isfinite(total):
+        raise RangeError(
+            f"direct series for F({a},{b};{c};{x}) overflows a float")
     err = abs(term) * r / (1.0 - r) + 4e-16 * abs(total)
     return EvalResult(total, err, n + 1, METHOD_DIRECT)
 
@@ -276,8 +299,60 @@ def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
     )
 
 
+def _connection(a: float, b: float, c: float, s: float,
+                u: float) -> Optional[EvalResult]:
+    """F(a,b;c;1-u) by DLMF 15.8.4 (see the module docstring) for
+    s = c-a-b not an integer and u < 1/2.
+
+    Returns None, for the caller to sum the direct series, when a
+    prefactor or a series overflows or the parts cancel by more than
+    CONNECTION_MAX_CANCEL.
+    """
+    a, b = min(a, b), max(a, b)  # so F(a,b;..) and F(b,a;..) agree to the bit
+    log_u = math.log(u)
+    part_a = err_a = 0.0
+    terms = 0
+    try:
+        lg_c = math.lgamma(c)
+        lg_s, sg_s = specfun.log_abs_gamma(s)
+        lg_ms, sg_ms = specfun.log_abs_gamma(-s)
+        lg_ca, sg_ca = specfun.log_abs_gamma(c - a)
+        lg_cb, sg_cb = specfun.log_abs_gamma(c - b)
+        lg_a, lg_b = math.lgamma(a), math.lgamma(b)
+        coef_b = sg_ms * math.exp(lg_c + lg_ms - lg_a - lg_b + s * log_u)
+        coef_a = 0.0
+        if sg_ca and sg_cb:
+            coef_a = sg_s * sg_ca * sg_cb * math.exp(
+                lg_c + lg_s - lg_ca - lg_cb)
+            f1 = _direct_series(a, b, 1.0 - s, u)
+            part_a = coef_a * f1.value
+            err_a = abs(coef_a) * f1.abs_err_estimate
+            terms = f1.terms_used
+        f2 = _direct_series(c - a, c - b, 1.0 + s, u)
+    except (OverflowError, RangeError):
+        return None
+    part_b = coef_b * f2.value
+    value = part_a + part_b
+    size = abs(part_a) + abs(part_b)
+    # exp() turns the rounding of its (log-gamma) argument into relative
+    # error of A and B, and u^s scales the rounding of s = c-(a+b) by log u
+    lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
+    if coef_a:
+        lg_sum += abs(lg_ca) + abs(lg_cb)
+    rounding = CONNECTION_ROUNDING + _EPS * (
+        lg_sum + (a + b + 2.0 * abs(s)) * abs(log_u))
+    err = err_a + abs(coef_b) * f2.abs_err_estimate + rounding * size
+    if not (size <= CONNECTION_MAX_CANCEL * abs(value) and math.isfinite(err)):
+        return None
+    return EvalResult(value, err, terms + f2.terms_used, METHOD_CONNECTION)
+
+
 def f21(p: HypParams, x: float) -> EvalResult:
-    """Evaluate F(a,b;c;x) for 0 <= x < 1."""
+    """Evaluate F(a,b;c;x) for 0 <= x < 1.
+
+    Raises RangeError when the value overflows a float, and
+    ConvergenceError when a series exhausts its term cap.
+    """
     x = _check_x(x)
     if x <= X_SWITCH:
         return _direct_series(p.a, p.b, p.c, x)
@@ -286,6 +361,11 @@ def f21(p: HypParams, x: float) -> EvalResult:
         return zb_from_complement(p.a, p.b, u, -math.log(u))
     if p.c == (p.a + p.b) + 1.0:
         return zb_shifted_from_complement(p.a, p.b, u, -math.log(u))
+    s = p.c - (p.a + p.b)
+    if math.isfinite(s) and not s.is_integer():
+        r = _connection(p.a, p.b, p.c, s, u)
+        if r is not None:
+            return r
     return _direct_series(p.a, p.b, p.c, x)
 
 

@@ -46,6 +46,23 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def log_abs_gamma(x: float) -> tuple[float, int]:
+    """(log|Gamma(x)|, sign of Gamma(x)) for any finite real x.
+
+    At the poles x = 0, -1, -2, ... the pair is (inf, 0), so that
+    sign * exp(-log) reads 1/Gamma(x) = 0 there.  Like math.lgamma this
+    raises OverflowError past x ~ 2.5e305.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if x <= 0.0 and x.is_integer():
+        return math.inf, 0
+    # Gamma alternates in sign between the poles: negative on (-1, 0)
+    sign = 1 if x > 0.0 or math.floor(x) % 2 == 0 else -1
+    return math.lgamma(x), sign
+
+
 def gamma(x: float) -> float:
     """Gamma(x) for x > 0."""
     x = _require_positive(x, "x")

@@ -346,14 +346,13 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float,
             f"log-convexity needs ab/(a+b+1) < c, got ({a},{b},{c})")
     p = hyp2f1.HypParams(a, b, c)
     xs = _points_inside(grid, 1.0)
-
-    def log_l(x: float) -> float:
-        return hyp2f1.f21_derivative(p, x) / hyp2f1.f21(p, x).value
-
-    ratio = np.array([log_l(x) - log_l(1.0 - x) for x in xs.tolist()])
-    logf = np.array([math.log(hyp2f1.f21(p, x).value)
-                     + math.log(hyp2f1.f21(p, 1.0 - x).value)
-                     for x in xs.tolist()])
+    # F and F' at x and at 1-x, each evaluated once per grid point
+    pairs = [(x, hyp2f1.f21(p, x).value, hyp2f1.f21(p, 1.0 - x).value)
+             for x in xs.tolist()]
+    ratio = np.array([hyp2f1.f21_derivative(p, x) / fx
+                      - hyp2f1.f21_derivative(p, 1.0 - x) / fy
+                      for x, fx, fy in pairs])
+    logf = np.array([math.log(fx) + math.log(fy) for _, fx, fy in pairs])
     up = _steps(xs, ratio, True)
     conv = _chord(xs, logf, convex=True)
     parts = [up, conv]
@@ -833,7 +832,8 @@ def run_check(name: str, params: Optional[dict] = None,
     The 'strict' profile densifies the grid 4x and divides the tolerance
     by 10, each only where no explicit override is given.  Raises
     UnknownCheckError for names outside the registry and HypothesisError
-    when the parameters violate the claim's hypothesis.
+    when the parameters violate the claim's hypothesis, and DomainError
+    for a tol that is negative, NaN or infinite.
     """
     if tol_profile not in ("default", "strict"):
         raise DomainError(
@@ -849,6 +849,8 @@ def run_check(name: str, params: Optional[dict] = None,
         merged.update(params)
     g = cd.grid if grid is None else grid
     tolerance = cd.tol if tol is None else float(tol)
+    if not (0.0 <= tolerance < math.inf):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     if tol_profile == "strict":
         if grid is None:
             g = dataclasses.replace(g, count=4 * g.count)

@@ -47,6 +47,15 @@ def test_eval_f21_carries_the_result_fields(capsys):
     assert doc["terms_used"] >= 1
 
 
+def test_eval_f21_near_one_off_balance(capsys):
+    # c - a - b = 0.1: the direct series needs over a million terms here
+    rc, doc = run_json(capsys, "eval", "f21", "--a", "0.5", "--b", "0.7",
+                       "--c", "1.3", "--x", "0.99999")
+    assert rc == 0
+    assert doc["method"] == "connection_series"
+    assert doc["value"] == pytest.approx(3.6064266633194704, rel=1e-13)
+
+
 def test_eval_matches_library(capsys):
     rc, doc = run_json(capsys, "eval", "K", "--r", "0.5")
     assert rc == 0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric.errors import ConvergenceError, DomainError
+from punctmetric.errors import ConvergenceError, DomainError, RangeError
 from punctmetric.hyp2f1 import (
     HypParams,
     f21,
@@ -69,11 +69,14 @@ def test_method_routing():
     assert f21(HALF, 0.3).method == "direct_series"
     assert f21(HALF, 0.99).method == "zb_log_series"          # c = a+b
     assert f21(HypParams(0.5, 0.5, 2.0), 0.99).method == "zb_log_series"
-    assert f21(HypParams(0.3, 0.7, 1.1), 0.99).method == "direct_series"
+    # c-a-b = 0.1: the 1-x connection formula
+    assert f21(HypParams(0.3, 0.7, 1.1), 0.99).method == "connection_series"
+    # c-a-b = -3, an integer other than 0 and 1: still the direct series
+    assert f21(HypParams(2.0, 2.0, 1.0), 0.9).method == "direct_series"
 
 
 def test_value_continuous_across_switch():
-    for p in (HALF, HypParams(0.5, 0.5, 2.0)):
+    for p in (HALF, HypParams(0.5, 0.5, 2.0), HypParams(0.3, 0.7, 1.1)):
         lo = f21(p, 0.5).value
         hi = f21(p, math.nextafter(0.5, 1.0)).value
         assert hi == pytest.approx(lo, rel=1e-13)
@@ -205,3 +208,63 @@ def test_error_estimate_is_honest():
     r = f21(HypParams(0.3, 0.7, 1.1), 0.35)
     assert r.abs_err_estimate < 1e-13
     assert r.terms_used > 3
+
+
+# x > 1/2 with c-a-b not an integer: (a, b, c-a-b, x), c-a-b = +-0.01 close
+# to the integers where the connection formula's two parts cancel
+_OFF_BALANCE = [
+    (a, b, s, x)
+    for a, b in ((0.3, 1.7), (1.5, 0.6), (2.5, 2.5))
+    for s in (-2.2, -0.7, -0.01, 0.01, 0.5, 2.5)
+    for x in (math.nextafter(0.5, 1.0), 0.9, 0.99, 1.0 - 1e-5, 1.0 - 1e-10)
+    if a + b + s > 0.0
+]
+
+
+def _mp_f21(a, b, c, x):
+    mpmath = pytest.importorskip("mpmath")
+    # 60 digits keep mpmath's own cancellation at large a, b out of the
+    # reference
+    with mpmath.workdps(60):
+        return mpmath.hyp2f1(a, b, c, mpmath.mpf(x))
+
+
+def _assert_estimate_holds(p, x):
+    r = f21(p, x)
+    ref = _mp_f21(p.a, p.b, p.c, x)
+    assert abs(r.value - ref) <= r.abs_err_estimate
+    return r, ref
+
+
+@pytest.mark.parametrize("a,b,s,x", _OFF_BALANCE)
+def test_off_balance_near_one_against_mpmath(a, b, s, x):
+    r, ref = _assert_estimate_holds(HypParams(a, b, a + b + s), x)
+    assert r.abs_err_estimate <= 1e-11 * abs(ref)
+
+
+def test_off_balance_seed_defect_against_mpmath():
+    # the direct series raised ConvergenceError here (a million terms)
+    r, _ = _assert_estimate_holds(HypParams(0.5, 0.7, 1.3), 0.99999)
+    assert r.method == "connection_series"
+    assert r.terms_used < 100
+
+
+@pytest.mark.parametrize("x", [0.9, 0.99, 1.0 - 1e-10])
+def test_gamma_pole_closed_form(x):
+    # F(a,b;b;x) = (1-x)^(-a): c-b = 0 is a pole of Gamma, so the first
+    # connection term vanishes and the second is a polynomial
+    r, ref = _assert_estimate_holds(HypParams(0.7, 1.3, 1.3), x)
+    assert r.method == "connection_series"
+    assert r.value == pytest.approx((1.0 - x) ** -0.7, rel=1e-13)
+    # F(1,2;2;x) = 1/(1-x) has c-a-b = -1, an integer: direct series
+    if x < 0.999:
+        _assert_estimate_holds(HypParams(1.0, 2.0, 2.0), x)
+
+
+def test_large_parameters_give_a_value_or_a_typed_error():
+    # log-gamma prefactors near 1e3 in size, and their rounding
+    _assert_estimate_holds(HypParams(300.3, 200.7, 520.1), 0.9999)
+    # F ~ (1-x)^(-170.75) ~ 1e512: B u^s overflows, and so does the
+    # direct series it falls back to
+    with pytest.raises(RangeError):
+        f21(HypParams(150.5, 120.25, 100.0), 0.999)

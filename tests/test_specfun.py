@@ -24,6 +24,24 @@ def test_gamma_reference(x, want):
     assert specfun.gamma(x) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("x", [0.3, 2.5, 171.2, -0.5, -1.5, -2.5, -7.25])
+def test_log_abs_gamma_matches_gamma(x):
+    log_abs, sign = specfun.log_abs_gamma(x)
+    assert sign * math.exp(log_abs) == pytest.approx(math.gamma(x), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, -4.0, -1e300])
+def test_log_abs_gamma_poles(x):
+    # sign 0: the reciprocal gamma vanishes at the poles
+    assert specfun.log_abs_gamma(x) == (math.inf, 0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_log_abs_gamma_rejects_non_finite(x):
+    with pytest.raises(DomainError):
+        specfun.log_abs_gamma(x)
+
+
 def test_gamma_half():
     assert specfun.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
 

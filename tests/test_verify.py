@@ -92,6 +92,12 @@ def test_bad_profile():
         verify.run_check("thm_main_parity", tol_profile="loose")
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_bad_tolerance(tol):
+    with pytest.raises(DomainError):
+        verify.run_check("thm_main2_qq", tol=tol)
+
+
 def test_param_override_and_hypothesis_guards():
     # vaman case needs one of the three lemma parameter patterns
     with pytest.raises(HypothesisError):
