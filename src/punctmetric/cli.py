@@ -282,9 +282,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        rc = args.func(parser, args)
+        sys.stdout.flush()
+        return rc
     except PunctMetricError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): nothing more can go there,
+        # and the interpreter's flush at exit must not fail on it again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
         return 1
     except OSError as exc:
         _emit({"error": {"type": "OSError", "message": str(exc)}})

@@ -32,6 +32,14 @@ Evaluation strategy
   serves instead.
 * any other c with x > 1/2 (s an integer other than 0 and 1): the direct
   series with an extended term cap.
+* array evaluation: ``f21_many(p, xs)`` and the other ``*_many`` forms
+  take one parameter triple and a 1-d array of points, and run the
+  routes above on all points in lockstep.  Each numpy step adds a block
+  of terms to every point still summing; the per-term factors do not
+  depend on x, so they are built once per block in the scalar order; and
+  each point stops by its scalar kernel's rule.  Every point gets the
+  bits of its scalar call (value, estimate, term count, method).
+  Batches below MIN_LOCKSTEP points run the scalar loop.
 
 The `*_from_complement` entry points take u = 1-x and -log(u) explicitly,
 so callers that know the complement exactly (logistic parameterizations
@@ -49,7 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, PunctMetricError, RangeError
 
 SERIES_RTOL = 1e-15
 MAX_TERMS_DIRECT = 1_000_000
@@ -379,10 +387,12 @@ def f21_at_one(p: HypParams) -> float:
         raise DomainError(
             f"F(a,b;c;1) finite only for c > a+b; got c-(a+b) = {s!r}"
         )
-    return math.exp(
-        specfun.log_gamma(p.c) + specfun.log_gamma(s)
-        - specfun.log_gamma(p.c - p.a) - specfun.log_gamma(p.c - p.b)
-    )
+    log_value = (specfun.log_gamma(p.c) + specfun.log_gamma(s)
+                 - specfun.log_gamma(p.c - p.a) - specfun.log_gamma(p.c - p.b))
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise RangeError(f"F({p.a},{p.b};{p.c};1) overflows a float") from None
 
 
 def zb_near_one(a: float, b: float, x: float) -> EvalResult:
@@ -415,6 +425,19 @@ def zb_derivative(a: float, b: float, x: float) -> float:
     return a * b / (a + b) * w / u
 
 
+def _count(value, name: str) -> int:
+    """value as an int; NaN, inf and non-integral counts are rejected."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        count = float(value)
+    except (TypeError, ValueError):
+        count = math.nan
+    if not count.is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(count)
+
+
 def ratio_coeffs(p: HypParams, n_max: int) -> np.ndarray:
     """Maclaurin coefficients 0..n_max of F(a+1,b+1;c+1;x) / F(a,b;c;x).
 
@@ -425,7 +448,7 @@ def ratio_coeffs(p: HypParams, n_max: int) -> np.ndarray:
         raise DomainError(
             f"ratio_coeffs requires a <= c and b <= c, got {p!r}"
         )
-    n_max = int(n_max)
+    n_max = _count(n_max, "n_max")
     if not (0 <= n_max <= 200):
         raise DomainError(f"n_max must lie in [0, 200], got {n_max!r}")
     a, b, c = p.a, p.b, p.c
@@ -449,7 +472,7 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
     is nonnegative (to all depths; finite depth here).
     """
     row = np.asarray(seq, dtype=float)
-    k_max = int(k_max)
+    k_max = _count(k_max, "k_max")
     if row.ndim != 1 or row.size == 0:
         raise DomainError("seq must be a nonempty 1-d sequence")
     if not (0 <= k_max < row.size):
@@ -462,3 +485,468 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
         row = row[:-1] - row[1:]
         table.append(row)
     return table
+
+
+# ---------------------------------------------------------------------------
+# array evaluation
+#
+# Each *_many form runs one scalar kernel at every point of a 1-d array
+# for one parameter triple, in lockstep: one numpy step adds a block of
+# terms to every point still summing, and a point stops where the scalar
+# kernel's own rule stops it.  The per-term factors depend on the triple
+# alone, so they stay Python floats built in the scalar order; the
+# running products and sums along a block are ufunc accumulations, which
+# apply their operation in sequence as the scalar loop does; numpy's
+# + - * / round as Python's do; and log and exp come from math point by
+# point (specfun.pointwise).  So every point's value, estimate, term
+# count and method are those of its scalar call, to the bit, and a batch
+# raises what a loop of scalar calls would raise first.
+
+# A lockstep block costs a few dozen numpy calls: for a short series
+# (x <= 1/2, or past 1/2 on the log and connection routes) the scalar
+# loop costs as much at 12-16 points and less below.  Smaller batches
+# run the scalar loop.
+MIN_LOCKSTEP = 16
+# Terms per block: BLOCK_MIN, or as many as the series has summed if
+# more, but at most BLOCK_CELLS over all points, so memory stays
+# O(points) and the long tail of a few points costs a few numpy calls
+# per thousand terms.
+BLOCK_MIN = 16
+BLOCK_CELLS = 4096
+
+# per-point status of a lockstep series: its scalar form returns, raises
+# RangeError on overflow, or raises some other error
+_OK, _OVERFLOW, _RAISES = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class EvalResults:
+    """The EvalResult fields of a batch of points, one array each."""
+
+    value: np.ndarray
+    abs_err_estimate: np.ndarray
+    terms_used: np.ndarray
+    method: np.ndarray
+
+
+class _Lanes:
+    """Per-point value, estimate, term count and status of a batch."""
+
+    def __init__(self, size: int) -> None:
+        self.value = np.zeros(size)
+        self.err = np.zeros(size)
+        self.terms = np.zeros(size, dtype=np.int64)
+        self.status = np.full(size, _OK, dtype=np.int8)
+
+    def put(self, at, res: EvalResult) -> None:
+        self.value[at] = res.value
+        self.err[at] = res.abs_err_estimate
+        self.terms[at] = res.terms_used
+
+    def take(self, at, other: "_Lanes") -> None:
+        self.value[at] = other.value
+        self.err[at] = other.err
+        self.terms[at] = other.terms
+        self.status[at] = other.status
+
+    def results(self, method: str) -> EvalResults:
+        return EvalResults(self.value, self.err, self.terms,
+                           np.full(self.value.size, method, dtype=object))
+
+
+def _block(n: int, points: int, cap: int) -> int:
+    """Terms in the next block of a series that has summed n of its cap."""
+    return max(1, min(max(BLOCK_MIN, n), BLOCK_CELLS // points, cap - n))
+
+
+def _prepend(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The column first before the columns of rest."""
+    return np.concatenate((first[:, None], rest), axis=1)
+
+
+def _running(ufunc: np.ufunc, start: np.ndarray,
+             steps: np.ndarray) -> np.ndarray:
+    """Row i: start[i] combined with steps[i, 0], then with steps[i, 1], ..."""
+    return ufunc.accumulate(_prepend(start, steps), axis=1)[:, 1:]
+
+
+def _runs_of_three(cond: np.ndarray,
+                   small: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A block of the stop rule "the test passed at three steps in a row".
+
+    cond[i, j] is point i's test at step j of the block, small[i] its run
+    of passed tests before the block.  Returns the points that stop in
+    the block, the step at which each stops, and each point's run at the
+    end of the block.
+    """
+    ext = _prepend(small >= 2, _prepend(small >= 1, cond))
+    hit = ext[:, 2:] & ext[:, 1:-1] & ext[:, :-2]
+    run = np.where(ext[:, -1], np.where(ext[:, -2], 2, 1), 0)
+    return hit.any(axis=1), hit.argmax(axis=1), run
+
+
+def _zb_coefficients(a: float, b: float, n: int, k: int, c_n: float,
+                     d_n: float) -> tuple[np.ndarray, np.ndarray]:
+    """c and d of the zero-balanced expansion at terms n+1 .. n+k, from
+    c_n and d_n, by the scalar loops' recurrences."""
+    cs, ds = np.empty(k), np.empty(k)
+    for j in range(k):
+        m = n + j
+        c_n *= (a + m) * (b + m) / ((m + 1.0) * (m + 1.0))
+        d_n += 2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m)
+        cs[j], ds[j] = c_n, d_n
+    return cs, ds
+
+
+def _direct_many(a: float, b: float, c: float, xs: np.ndarray) -> _Lanes:
+    """_direct_series at every point of xs."""
+    out = _Lanes(xs.size)
+    if xs.size < MIN_LOCKSTEP:
+        for i, xi in enumerate(xs.tolist()):
+            try:
+                out.put(i, _direct_series(a, b, c, xi))
+            except RangeError:
+                out.status[i] = _OVERFLOW
+            except ConvergenceError:
+                out.status[i] = _RAISES
+        return out
+    idx = np.arange(xs.size)
+    x = xs[:, None]
+    term, total, comp = np.ones(xs.size), np.ones(xs.size), np.zeros(xs.size)
+    small = np.zeros(xs.size, dtype=np.int8)
+    n = 0
+    with np.errstate(all="ignore"):
+        while idx.size and n < MAX_TERMS_DIRECT:
+            k = _block(n, idx.size, MAX_TERMS_DIRECT)
+            # term n+j takes factor j, and its stop test the ratio factor j+1
+            mult = np.array([(a + m) * (b + m) / ((c + m) * (m + 1.0))
+                             for m in range(n, n + k + 1)]) * x
+            terms = _running(np.multiply, term, mult[:, :k])
+            sums = _running(np.add, total, terms)
+            prev = _prepend(total, sums[:, :-1])
+            abs_terms = np.abs(terms)
+            comps = _running(np.add, comp, np.where(
+                np.abs(prev) >= abs_terms,
+                (prev - sums) + terms, (terms - sums) + prev))
+            r = np.maximum(np.abs(mult[:, 1:]), x)
+            stop, at, small = _runs_of_three(
+                (r < 1.0)
+                & (abs_terms * r <= SERIES_RTOL * np.abs(sums) * (1.0 - r)),
+                small)
+            if stop.any():
+                rows = np.flatnonzero(stop)
+                j = at[rows]
+                i = idx[rows]
+                fin = sums[rows, j] + comps[rows, j]
+                r_fin = r[rows, j]
+                out.value[i] = fin
+                out.err[i] = (np.abs(terms[rows, j]) * r_fin / (1.0 - r_fin)
+                              + 4e-16 * np.abs(fin))
+                out.terms[i] = n + j + 2
+                out.status[i] = np.where(np.isfinite(fin), _OK, _OVERFLOW)
+            n += k
+            keep = ~stop
+            idx, x, small = idx[keep], x[keep], small[keep]
+            term, total, comp = (v[keep, -1] for v in (terms, sums, comps))
+    out.status[idx] = _RAISES  # ConvergenceError: out of terms
+    return out
+
+
+def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
+                 shifted: bool) -> _Lanes:
+    """zb_from_complement (or, shifted, zb_shifted_from_complement) at
+    every (u, ell) pair, the pairs already checked."""
+    out = _Lanes(u.size)
+    if u.size < MIN_LOCKSTEP:
+        scalar = zb_shifted_from_complement if shifted else zb_from_complement
+        for i, (ui, li) in enumerate(zip(u.tolist(), ell.tolist())):
+            try:
+                out.put(i, scalar(a, b, ui, li))
+            except PunctMetricError:
+                out.status[i] = _RAISES
+        return out
+    fin_total = np.zeros(u.size)
+    fin_term = np.zeros(u.size)
+    idx = np.arange(u.size)
+    uu, ll = u[:, None], ell[:, None]
+    c_n = 1.0
+    d_n = specfun.ramanujan_r(a, b)
+    u_pow = np.ones(u.size)
+    total = np.ones(u.size) if shifted else d_n + ell
+    small = np.zeros(u.size, dtype=np.int8)
+    n = 0
+    with np.errstate(all="ignore"):
+        while idx.size and n < MAX_TERMS_LOG:
+            k = _block(n, idx.size, MAX_TERMS_LOG)
+            cs, ds = _zb_coefficients(a, b, n, k, c_n, d_n)
+            c_n, d_n = float(cs[-1]), float(ds[-1])
+            u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
+            if shifted:
+                m = np.arange(n + 1.0, n + k + 1.0)
+                terms = cs * (1.0 - m * (ds + ll)) * u_pows
+            else:
+                terms = cs * (ds + ll) * u_pows
+            sums = _running(np.add, total, terms)
+            stop, at, small = _runs_of_three(
+                np.abs(terms) <= SERIES_RTOL * np.abs(sums), small)
+            if stop.any():
+                rows = np.flatnonzero(stop)
+                j = at[rows]
+                i = idx[rows]
+                fin_total[i] = sums[rows, j]
+                fin_term[i] = terms[rows, j]
+                out.terms[i] = n + j + 2
+            n += k
+            keep = ~stop
+            idx, uu, ll, small = idx[keep], uu[keep], ll[keep], small[keep]
+            u_pow, total = u_pows[keep, -1], sums[keep, -1]
+        out.status[idx] = _RAISES  # ConvergenceError: out of terms
+        try:
+            if shifted:
+                scale = (a + b) / (a * b * specfun.beta(a, b))
+            else:
+                scale = 1.0 / specfun.beta(a, b)
+        except RangeError:
+            out.status[:] = _RAISES
+            return out
+        out.value = scale * fin_total
+        r = np.maximum(u, 1e-300)
+        if shifted:
+            out.err = (abs(scale) * np.abs(fin_term) * (r / (1.0 - r) + 1.0)
+                       * (ell + 2.0) + 4e-16 * np.abs(out.value))
+        else:
+            out.err = (abs(scale) * np.abs(fin_term) * r / (1.0 - r)
+                       + 4e-16 * np.abs(out.value))
+    return out
+
+
+def _exp_each(arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """math.exp at every point: the values, and where it overflowed."""
+    vals = np.zeros(arg.size)
+    over = np.zeros(arg.size, dtype=bool)
+    for i, v in enumerate(arg.tolist()):
+        try:
+            vals[i] = math.exp(v)
+        except OverflowError:
+            over[i] = True
+    return vals, over
+
+
+def _connection_many(a: float, b: float, c: float, s: float,
+                     u: np.ndarray) -> tuple[_Lanes, np.ndarray]:
+    """_connection at every point of u: the lanes, and where _connection
+    returns None (the caller sums the direct series there)."""
+    out = _Lanes(u.size)
+    a, b = min(a, b), max(a, b)
+    log_u = specfun.pointwise(math.log, u)
+    try:
+        lg_c = math.lgamma(c)
+        lg_s, sg_s = specfun.log_abs_gamma(s)
+        lg_ms, sg_ms = specfun.log_abs_gamma(-s)
+        lg_ca, sg_ca = specfun.log_abs_gamma(c - a)
+        lg_cb, sg_cb = specfun.log_abs_gamma(c - b)
+        lg_a, lg_b = math.lgamma(a), math.lgamma(b)
+        coef_a = 0.0
+        if sg_ca and sg_cb:
+            coef_a = sg_s * sg_ca * sg_cb * math.exp(
+                lg_c + lg_s - lg_ca - lg_cb)
+    except OverflowError:
+        return out, np.ones(u.size, dtype=bool)
+    exp_b, none = _exp_each(lg_c + lg_ms - lg_a - lg_b + s * log_u)
+    live = np.flatnonzero(~none)
+    uu, log_uu, coef_b = u[live], log_u[live], sg_ms * exp_b[live]
+    part_a = err_a = np.zeros(live.size)
+    terms = np.zeros(live.size, dtype=np.int64)
+    # a point's scalar call stops at the first series that fails
+    fails = np.zeros(live.size, dtype=bool)
+    raises = np.zeros(live.size, dtype=bool)
+    pending = np.ones(live.size, dtype=bool)
+    if sg_ca and sg_cb:
+        f1 = _direct_many(a, b, 1.0 - s, uu)
+        part_a = coef_a * f1.value
+        err_a = abs(coef_a) * f1.err
+        terms = f1.terms
+        fails |= f1.status == _OVERFLOW
+        raises |= f1.status == _RAISES
+        pending = f1.status == _OK
+    f2 = _direct_many(c - a, c - b, 1.0 + s, uu)
+    fails |= pending & (f2.status == _OVERFLOW)
+    raises |= pending & (f2.status == _RAISES)
+    with np.errstate(all="ignore"):
+        part_b = coef_b * f2.value
+        value = part_a + part_b
+        size = np.abs(part_a) + np.abs(part_b)
+        lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
+        if coef_a:
+            lg_sum += abs(lg_ca) + abs(lg_cb)
+        rounding = CONNECTION_ROUNDING + _EPS * (
+            lg_sum + (a + b + 2.0 * abs(s)) * np.abs(log_uu))
+        err = err_a + np.abs(coef_b) * f2.err + rounding * size
+        fails |= ~((size <= CONNECTION_MAX_CANCEL * np.abs(value))
+                   & np.isfinite(err))
+    out.value[live] = value
+    out.err[live] = err
+    out.terms[live] = terms + f2.terms
+    out.status[live] = np.where(raises, _RAISES, _OK)
+    none[live] = fails & ~raises
+    return out, none
+
+
+def f21_many(p: HypParams, xs) -> EvalResults:
+    """f21 at every point of the 1-d array xs, in lockstep.
+
+    Each point gets the value, estimate, term count and method of its
+    f21 call, to the bit.  An x outside [0, 1) raises the DomainError of
+    the first such point; otherwise the batch raises what the first
+    point whose f21 call raises would.
+    """
+    xs = specfun.as_points(xs)
+    specfun.reject_first(~((0.0 <= xs) & (xs < 1.0)),
+                         lambda i: _check_x(xs[i]))
+    out = _Lanes(xs.size)
+    method = np.full(xs.size, METHOD_DIRECT, dtype=object)
+    direct = xs <= X_SWITCH
+    near = np.flatnonzero(~direct)
+    if near.size:
+        u = 1.0 - xs[near]  # exact: x >= 1/2
+        s = p.c - (p.a + p.b)
+        if p.balanced_sign == 0 or p.c == (p.a + p.b) + 1.0:
+            ell = -specfun.pointwise(math.log, u)
+            out.take(near, _zb_log_many(p.a, p.b, u, ell,
+                                        shifted=p.balanced_sign != 0))
+            method[near] = METHOD_ZB_LOG
+        elif math.isfinite(s) and not s.is_integer():
+            lanes, none = _connection_many(p.a, p.b, p.c, s, u)
+            out.take(near, lanes)
+            method[near] = METHOD_CONNECTION
+            method[near[none]] = METHOD_DIRECT
+            direct[near[none]] = True
+        else:
+            direct[near] = True
+    if direct.any():
+        out.take(direct, _direct_many(p.a, p.b, p.c, xs[direct]))
+    specfun.reject_first(out.status != _OK, lambda i: f21(p, xs[i]))
+    return EvalResults(out.value, out.err, out.terms, method)
+
+
+def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
+    """f21_derivative at every point of the 1-d array xs, to the bit."""
+    shifted = HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0)
+    return p.a * p.b / p.c * f21_many(shifted, xs).value
+
+
+def _complements(us, minus_log_us) -> tuple[np.ndarray, np.ndarray]:
+    u = specfun.as_points(us)
+    ell = specfun.as_points(minus_log_us)
+    if u.shape != ell.shape:
+        raise DomainError(
+            f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
+    specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
+                         lambda i: _check_complement(u[i], ell[i]))
+    return u, ell
+
+
+def zb_from_complement_many(a: float, b: float, us,
+                            minus_log_us) -> EvalResults:
+    """zb_from_complement at every (u, -log u) pair, to the bit."""
+    u, ell = _complements(us, minus_log_us)
+    out = _zb_log_many(a, b, u, ell, shifted=False)
+    specfun.reject_first(out.status != _OK,
+                         lambda i: zb_from_complement(a, b, u[i], ell[i]))
+    return out.results(METHOD_ZB_LOG)
+
+
+def zb_shifted_from_complement_many(a: float, b: float, us,
+                                    minus_log_us) -> EvalResults:
+    """zb_shifted_from_complement at every (u, -log u) pair, to the bit."""
+    u, ell = _complements(us, minus_log_us)
+    out = _zb_log_many(a, b, u, ell, shifted=True)
+    specfun.reject_first(
+        out.status != _OK,
+        lambda i: zb_shifted_from_complement(a, b, u[i], ell[i]))
+    return out.results(METHOD_ZB_LOG)
+
+
+def zb_complement_sums_many(a: float, b: float,
+                            us) -> tuple[np.ndarray, np.ndarray]:
+    """zb_complement_sums at every point of us, to the bit: (C-1, D1)."""
+    u = specfun.as_points(us)
+    specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
+                         lambda i: zb_complement_sums(a, b, u[i]))
+    if u.size < MIN_LOCKSTEP:
+        pairs = [zb_complement_sums(a, b, ui) for ui in u.tolist()]
+        return (np.array([cm for cm, _ in pairs], dtype=float),
+                np.array([d1 for _, d1 in pairs], dtype=float))
+    c_out = np.zeros(u.size)
+    d_out = np.zeros(u.size)
+    idx = np.arange(u.size)
+    uu = u[:, None]
+    c_n = 1.0
+    d_n = specfun.ramanujan_r(a, b)
+    u_pow = np.ones(u.size)
+    c_total = np.zeros(u.size)
+    d_total = np.zeros(u.size)
+    n = 0
+    with np.errstate(all="ignore"):
+        while idx.size and n < MAX_TERMS_LOG:
+            k = _block(n, idx.size, MAX_TERMS_LOG)
+            cs, ds = _zb_coefficients(a, b, n, k, c_n, d_n)
+            c_n, d_n = float(cs[-1]), float(ds[-1])
+            u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
+            c_terms = cs * u_pows
+            c_sums = _running(np.add, c_total, c_terms)
+            d_sums = _running(np.add, d_total, c_terms * ds)
+            tiny = (c_terms * (np.abs(ds) + 1.0)
+                    <= 1e-18 * (np.abs(c_sums) + np.abs(d_sums)))
+            stop = tiny.any(axis=1)  # the scalar loop stops at the first
+            if stop.any():
+                rows = np.flatnonzero(stop)
+                j = tiny[rows].argmax(axis=1)
+                c_out[idx[rows]] = c_sums[rows, j]
+                d_out[idx[rows]] = d_sums[rows, j]
+            n += k
+            keep = ~stop
+            idx, uu = idx[keep], uu[keep]
+            u_pow, c_total, d_total = (
+                v[keep, -1] for v in (u_pows, c_sums, d_sums))
+    stalled = np.zeros(u.size, dtype=bool)
+    stalled[idx] = True
+    specfun.reject_first(stalled, lambda i: zb_complement_sums(a, b, u[i]))
+    return c_out, d_out
+
+
+def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
+    """f21_minus_one at every point of xs, to the bit."""
+    x = specfun.as_points(xs)
+    specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
+                         lambda i: f21_minus_one(a, b, c, x[i]))
+    if x.size < MIN_LOCKSTEP:
+        return np.array([f21_minus_one(a, b, c, xi) for xi in x.tolist()],
+                        dtype=float)
+    out = np.zeros(x.size)
+    idx = np.arange(x.size)
+    xx = x[:, None]
+    term = np.ones(x.size)
+    total = np.zeros(x.size)
+    small = np.zeros(x.size, dtype=np.int8)
+    n = 0
+    with np.errstate(all="ignore"):
+        while idx.size and n < MAX_TERMS_DIRECT:
+            k = _block(n, idx.size, MAX_TERMS_DIRECT)
+            terms = _running(np.multiply, term, np.array(
+                [(a + m) * (b + m) / ((c + m) * (m + 1.0))
+                 for m in range(n, n + k)]) * xx)
+            sums = _running(np.add, total, terms)
+            stop, at, small = _runs_of_three(
+                np.abs(terms) <= SERIES_RTOL * (np.abs(sums) + 1e-300), small)
+            if stop.any():
+                rows = np.flatnonzero(stop)
+                out[idx[rows]] = sums[rows, at[rows]]
+            n += k
+            keep = ~stop
+            idx, xx, small = idx[keep], xx[keep], small[keep]
+            term, total = terms[keep, -1], sums[keep, -1]
+    stalled = np.zeros(x.size, dtype=bool)
+    stalled[idx] = True
+    specfun.reject_first(stalled, lambda i: f21_minus_one(a, b, c, x[i]))
+    return out

@@ -18,15 +18,21 @@ For complex arguments only one-sided bounds are available: the density
 and distance on the negative axis minorize their values anywhere on the
 circle of the same modulus, which is what lambda01_lower and d01_lower
 return.
+
+h, H, H' and varphi have array forms (``*_many``) that give every point
+of a 1-d array the bits of its float call; h's runs both AGMs as masked
+numpy loops.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import pqfun
-from .elliptic import agm
-from .errors import DomainError, RangeError
+import numpy as np
+
+from . import pqfun, specfun
+from .elliptic import AGM_MAX_ITER, AGM_RTOL, agm
+from .errors import ConvergenceError, DomainError, RangeError
 
 # Largest |t| accepted by h / big_h; e^700 is still finite and the
 # complement modulus e^{-350} is a healthy normal float.
@@ -110,6 +116,35 @@ def h(t: float) -> float:
     return agm(1.0, m_small) * agm(1.0, m_large) / (2.0 * math.pi)
 
 
+def _agm_from_one(m: np.ndarray) -> np.ndarray:
+    """agm(1, m) at every point of m, 0 < m <= 1, by elliptic.agm's steps."""
+    out = np.empty(m.size)
+    idx = np.arange(m.size)
+    a = np.ones(m.size)
+    b = m
+    for _ in range(AGM_MAX_ITER):
+        done = a - b <= AGM_RTOL * a
+        out[idx[done]] = 0.5 * (a[done] + b[done])
+        keep = ~done
+        idx, a, b = idx[keep], a[keep], b[keep]
+        if not idx.size:
+            return out
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    raise ConvergenceError(
+        f"agm did not converge within {AGM_MAX_ITER} iterations")
+
+
+def h_many(ts) -> np.ndarray:
+    """h at every point of the 1-d array ts, to the bit."""
+    ts = specfun.as_points(ts)
+    specfun.reject_first(~(np.abs(ts) <= T_CAP), lambda i: _check_t(ts[i]))
+    w = specfun.pointwise(math.exp, -np.abs(ts))
+    root = np.sqrt(1.0 + w)
+    m_small = np.sqrt(w) / root  # 1/sqrt(1+e^{|t|})
+    m_large = 1.0 / root           # 1/sqrt(1+e^{-|t|})
+    return _agm_from_one(m_small) * _agm_from_one(m_large) / (2.0 * math.pi)
+
+
 def big_h(t: float) -> float:
     """H(t) = 1/h(t); even, strictly convex, H(0) = 2 C0.
 
@@ -130,6 +165,16 @@ def big_h_prime(t: float) -> float:
     return 2.0 * math.pi * pqfun.p_prime(_HALF, t)
 
 
+def big_h_many(ts) -> np.ndarray:
+    """big_h at every point of the 1-d array ts, to the bit."""
+    return 1.0 / h_many(ts)
+
+
+def big_h_prime_many(ts) -> np.ndarray:
+    """big_h_prime at every point of the 1-d array ts, to the bit."""
+    return 2.0 * math.pi * pqfun.p_prime_many(_HALF, ts)
+
+
 def varphi(t: float) -> float:
     """phi(t) = 2 Phi(e^{t/2}) for t > 0.
 
@@ -143,6 +188,14 @@ def varphi(t: float) -> float:
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"varphi requires t > 0, got {t!r}")
     return pqfun.q_log(_HALF, 0.5 * t)
+
+
+def varphi_many(ts) -> np.ndarray:
+    """varphi at every point of the 1-d array ts, to the bit."""
+    ts = specfun.as_points(ts)
+    specfun.reject_first(~(np.isfinite(ts) & (ts > 0.0)),
+                         lambda i: varphi(ts[i]))
+    return pqfun.q_log_many(_HALF, 0.5 * ts)
 
 
 def _check_not_puncture(z: complex, name: str) -> complex:

@@ -19,12 +19,19 @@ resolution of the linear part).
 x and 1-x are never produced by subtraction: both come straight from
 e^{-|t|}, so the evaluations stay exact for |t| far beyond the point
 where 1-x underflows.
+
+Every quantity has an array form, ``*_many``, taking a 1-d array of t
+(or x).  Both forms run the same code: the helpers below act on a float
+or pointwise on an array, calling the hyp2f1 array kernels for arrays,
+so each point comes out as its float call would, to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import hyp2f1, specfun
 from .errors import DomainError
@@ -55,11 +62,26 @@ class ZeroBalancedPair:
         return HypParams(self.a, self.b, self.a + self.b + c_shift)
 
 
-def _abs_t(t: float) -> float:
+def _is_array(x) -> bool:
+    return isinstance(x, np.ndarray)
+
+
+def _where(cond, yes, no):
+    """yes where cond holds, else no: for a bool, or pointwise."""
+    if _is_array(cond):
+        return np.where(cond, yes, no)
+    return yes if cond else no
+
+
+def _finite_t(t):
+    """t as a float, or the float array t, with every point finite."""
+    if _is_array(t):
+        specfun.reject_first(~np.isfinite(t), lambda i: _finite_t(t[i]))
+        return t
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    return abs(t)
+    return t
 
 
 def _require_product_pair(pr: ZeroBalancedPair) -> None:
@@ -70,34 +92,54 @@ def _require_product_pair(pr: ZeroBalancedPair) -> None:
         )
 
 
-def _split(s: float) -> tuple[float, float, float]:
+def _split(s):
     """For s >= 0 return (lo, hi, ell): lo = e^{-s}/(1+e^{-s}) = 1-x,
     hi = 1/(1+e^{-s}) = x, ell = -log(lo), all computed without
     cancellation."""
-    e = math.exp(-s)
-    return e / (1.0 + e), 1.0 / (1.0 + e), s + math.log1p(e)
+    e = specfun.pointwise(math.exp, -s)
+    ell = s + specfun.pointwise(math.log1p, e)
+    return e / (1.0 + e), 1.0 / (1.0 + e), ell
 
 
-def _v_pair(pr: ZeroBalancedPair, s: float) -> tuple[float, float, float, float]:
+def _f21(p: HypParams, x):
+    """F(p; x).value at a float x, or at every point of an array."""
+    if _is_array(x):
+        return hyp2f1.f21_many(p, x).value
+    return hyp2f1.f21(p, x).value
+
+
+def _v_pair(pr: ZeroBalancedPair, s):
     """(lo, hi, v(lo), v(hi)) at s = |t|."""
     lo, hi, ell = _split(s)
-    v_lo = hyp2f1.f21(pr.params(), lo).value
-    if s > 0.0:
+    v_lo = _f21(pr.params(), lo)
+    if _is_array(s):
+        v_hi = v_lo.copy()
+        far = s > 0.0
+        v_hi[far] = hyp2f1.zb_from_complement_many(
+            pr.a, pr.b, lo[far], ell[far]).value
+    elif s > 0.0:
         v_hi = hyp2f1.zb_from_complement(pr.a, pr.b, lo, ell).value
     else:
         v_hi = v_lo
     return lo, hi, v_lo, v_hi
 
 
-def _vw_pair(p: HypParams, lo: float, ell: float,
-             same: bool) -> tuple[float, float, float, float]:
+def _vw_pair(p: HypParams, lo, ell, same):
     """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.).
 
     hi = 1-lo is reached from lo and ell = -log(lo) only; ``same`` marks
     lo == hi.
     """
-    v_lo = hyp2f1.f21(p, lo).value
-    w_lo = hyp2f1.f21(HypParams(p.a, p.b, p.c + 1.0), lo).value
+    v_lo = _f21(p, lo)
+    w_lo = _f21(HypParams(p.a, p.b, p.c + 1.0), lo)
+    if _is_array(lo):
+        v_hi, w_hi = v_lo.copy(), w_lo.copy()
+        d = ~same
+        v_hi[d] = hyp2f1.zb_from_complement_many(
+            p.a, p.b, lo[d], ell[d]).value
+        w_hi[d] = hyp2f1.zb_shifted_from_complement_many(
+            p.a, p.b, lo[d], ell[d]).value
+        return v_lo, w_lo, v_hi, w_hi
     if same:
         return v_lo, w_lo, v_lo, w_lo
     v_hi = hyp2f1.zb_from_complement(p.a, p.b, lo, ell).value
@@ -105,11 +147,30 @@ def _vw_pair(p: HypParams, lo: float, ell: float,
     return v_lo, w_lo, v_hi, w_hi
 
 
+def _complement_sums(pr: ZeroBalancedPair, t):
+    """(lam, C-1, D1, v-1) at u = e^{-t}/(1+e^{-t}), lam = log(1+e^{-t}),
+    for t >= 0."""
+    e = specfun.pointwise(math.exp, -t)
+    u = e / (1.0 + e)
+    lam = specfun.pointwise(math.log1p, e)
+    if _is_array(t):
+        cm1, d1 = hyp2f1.zb_complement_sums_many(pr.a, pr.b, u)
+        vm1 = hyp2f1.f21_minus_one_many(pr.a, pr.b, pr.c, u)
+    else:
+        cm1, d1 = hyp2f1.zb_complement_sums(pr.a, pr.b, u)
+        vm1 = hyp2f1.f21_minus_one(pr.a, pr.b, pr.c, u)
+    return lam, cm1, d1, vm1
+
+
+def _n_zb(p, lo, hi, v_lo, w_lo, v_hi, w_hi):
+    """N from (v, w) at lo and hi, zero-balanced p."""
+    return p.a * p.b / p.c * (hi * w_hi / v_hi + lo * w_lo / v_lo)
+
+
 def p_func(pr: ZeroBalancedPair, t: float) -> float:
     """P(t) = F(a,b;a+b;x) F(a,b;a+b;1-x), x = e^t/(1+e^t).  Even in t."""
     _require_product_pair(pr)
-    s = _abs_t(t)
-    _, _, v_lo, v_hi = _v_pair(pr, s)
+    _, _, v_lo, v_hi = _v_pair(pr, abs(_finite_t(t)))
     return v_hi * v_lo
 
 
@@ -119,20 +180,20 @@ def p_prime(pr: ZeroBalancedPair, t: float) -> float:
     Odd in t, |P'| < 1/B(a,b).
     """
     _require_product_pair(pr)
-    tf = float(t)
-    s = _abs_t(t)
+    t = _finite_t(t)
+    s = abs(t)
     lo, hi, ell = _split(s)
     v_lo, w_lo, v_hi, w_hi = _vw_pair(pr.params(), lo, ell, s == 0.0)
     l_hi = hi * v_lo * w_hi
     l_lo = lo * v_hi * w_lo
     value = pr.a * pr.b / pr.c * (l_hi - l_lo)
-    return value if tf >= 0.0 else -value
+    return _where(t >= 0.0, value, -value)
 
 
 def slope_g(pr: ZeroBalancedPair, t: float) -> float:
     """G(t) = (P(t) - P(0))/t; odd, strictly increasing, |G| < 1/B(a,b)."""
-    tf = float(t)
-    if tf == 0.0:
+    tf = t if _is_array(t) else float(t)
+    if np.any(tf == 0.0):
         raise DomainError("slope function is undefined at t = 0")
     return (p_func(pr, tf) - p_func(pr, 0.0)) / tf
 
@@ -146,12 +207,8 @@ def p_excess(pr: ZeroBalancedPair, t: float) -> float:
     so the result keeps relative accuracy even when it is ~1e-300.
     """
     _require_product_pair(pr)
-    s = _abs_t(t)
-    e = math.exp(-s)
-    u = e / (1.0 + e)
-    lam = math.log1p(e)
-    cm1, d1 = hyp2f1.zb_complement_sums(pr.a, pr.b, u)
-    vm1 = hyp2f1.f21_minus_one(pr.a, pr.b, pr.c, u)
+    s = abs(_finite_t(t))
+    lam, cm1, d1, vm1 = _complement_sums(pr, s)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
     cv_m1 = cm1 + vm1 + cm1 * vm1  # C(u) v(u) - 1
     inner = (
@@ -165,15 +222,14 @@ def p_excess(pr: ZeroBalancedPair, t: float) -> float:
 
 def q_func(pr: ZeroBalancedPair, t: float) -> float:
     """Q(t) = F(a,b;a+b;x) / F(a,b;a+b;1-x); positive, strictly increasing."""
-    tf = float(t)
-    s = _abs_t(t)
-    _, _, v_lo, v_hi = _v_pair(pr, s)
-    return v_hi / v_lo if tf >= 0.0 else v_lo / v_hi
+    t = _finite_t(t)
+    _, _, v_lo, v_hi = _v_pair(pr, abs(t))
+    return _where(t >= 0.0, v_hi / v_lo, v_lo / v_hi)
 
 
 def q_log(pr: ZeroBalancedPair, t: float) -> float:
     """q(t) = log Q(t); odd, strictly increasing, concave on (0, oo)."""
-    return math.log(q_func(pr, t))
+    return specfun.pointwise(math.log, q_func(pr, t))
 
 
 def q_excess(pr: ZeroBalancedPair, t: float) -> float:
@@ -183,14 +239,15 @@ def q_excess(pr: ZeroBalancedPair, t: float) -> float:
     half of the sharp bound (R+t)/B < Q(t) at t where the naive
     difference would round to zero.
     """
-    tf = float(t)
-    if not (math.isfinite(tf) and tf >= 0.0):
-        raise DomainError(f"q_excess requires t >= 0, got {t!r}")
-    e = math.exp(-tf)
-    u = e / (1.0 + e)
-    lam = math.log1p(e)
-    cm1, d1 = hyp2f1.zb_complement_sums(pr.a, pr.b, u)
-    vm1 = hyp2f1.f21_minus_one(pr.a, pr.b, pr.c, u)
+    if _is_array(t):
+        specfun.reject_first(~(np.isfinite(t) & (t >= 0.0)),
+                             lambda i: q_excess(pr, float(t[i])))
+        tf = t
+    else:
+        tf = float(t)
+        if not (math.isfinite(tf) and tf >= 0.0):
+            raise DomainError(f"q_excess requires t >= 0, got {t!r}")
+    lam, cm1, d1, vm1 = _complement_sums(pr, tf)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
     inner = tf * (cm1 - vm1) + d1 - big_r * vm1 + lam * (1.0 + cm1)
     return inner / ((1.0 + vm1) * specfun.beta(pr.a, pr.b))
@@ -198,17 +255,35 @@ def q_excess(pr: ZeroBalancedPair, t: float) -> float:
 
 def q_log_prime(pr: ZeroBalancedPair, t: float) -> float:
     """q'(t) = N(x) at x = e^t/(1+e^t); even, positive, peak at t = 0."""
-    s = _abs_t(t)
+    s = abs(_finite_t(t))
     lo, hi, ell = _split(s)
-    v_lo, w_lo, v_hi, w_hi = _vw_pair(pr.params(), lo, ell, s == 0.0)
-    return pr.a * pr.b / pr.c * (hi * w_hi / v_hi + lo * w_lo / v_lo)
+    p = pr.params()
+    return _n_zb(p, lo, hi, *_vw_pair(p, lo, ell, s == 0.0))
 
 
-def _check_unit_interval(x: float) -> float:
+def _unit_interval(x):
+    """x as a float, or the float array x, every point inside (0, 1)."""
+    if _is_array(x):
+        specfun.reject_first(~((0.0 < x) & (x < 1.0)),
+                             lambda i: _unit_interval(x[i]))
+        return x
     x = float(x)
     if not (0.0 < x < 1.0):
         raise DomainError(f"x must lie in (0, 1), got {x!r}")
     return x
+
+
+def _halves(x):
+    """(lo, hi) = the smaller and the larger of x and 1-x."""
+    below = x <= 0.5
+    return _where(below, x, 1.0 - x), _where(below, 1.0 - x, x)
+
+
+def _f21_derivative(p: HypParams, x):
+    """dF(p; x)/dx at a float x, or at every point of an array."""
+    if _is_array(x):
+        return hyp2f1.f21_derivative_many(p, x)
+    return hyp2f1.f21_derivative(p, x)
 
 
 def n_func(a: float, b: float, c: float, x: float) -> float:
@@ -220,17 +295,17 @@ def n_func(a: float, b: float, c: float, x: float) -> float:
     so the evaluation stays accurate arbitrarily close to the endpoints.
     """
     p = HypParams(a, b, c)
-    x = _check_unit_interval(x)
+    x = _unit_interval(x)
     if max(p.a, p.b) > p.c:
         raise DomainError(
             f"n_func requires max(a,b) <= c, got a={a}, b={b}, c={c}"
         )
-    lo, hi = (x, 1.0 - x) if x <= 0.5 else (1.0 - x, x)
+    lo, hi = _halves(x)
     if p.balanced_sign == 0:
-        v_lo, w_lo, v_hi, w_hi = _vw_pair(p, lo, -math.log(lo), hi == lo)
-        return p.a * p.b / p.c * (hi * w_hi / v_hi + lo * w_lo / v_lo)
-    ratio_lo = hyp2f1.f21_derivative(p, lo) / hyp2f1.f21(p, lo).value
-    ratio_hi = hyp2f1.f21_derivative(p, hi) / hyp2f1.f21(p, hi).value
+        ell = -specfun.pointwise(math.log, lo)
+        return _n_zb(p, lo, hi, *_vw_pair(p, lo, ell, hi == lo))
+    ratio_lo = _f21_derivative(p, lo) / _f21(p, lo)
+    ratio_hi = _f21_derivative(p, hi) / _f21(p, hi)
     return lo * hi * (ratio_lo + ratio_hi)
 
 
@@ -242,13 +317,63 @@ def m_func(a: float, b: float, c: float, x: float) -> float:
     n_func.
     """
     p = HypParams(a, b, c)
-    x = _check_unit_interval(x)
-    lo, hi = (x, 1.0 - x) if x <= 0.5 else (1.0 - x, x)
+    x = _unit_interval(x)
+    lo, hi = _halves(x)
     if p.balanced_sign == 0:
-        v_lo, w_lo, v_hi, w_hi = _vw_pair(p, lo, -math.log(lo), hi == lo)
+        ell = -specfun.pointwise(math.log, lo)
+        v_lo, w_lo, v_hi, w_hi = _vw_pair(p, lo, ell, hi == lo)
         return p.a * p.b / p.c * (hi * v_lo * w_hi + lo * v_hi * w_lo)
-    d_lo = hyp2f1.f21_derivative(p, lo)
-    d_hi = hyp2f1.f21_derivative(p, hi)
-    v_lo = hyp2f1.f21(p, lo).value
-    v_hi = hyp2f1.f21(p, hi).value
+    d_lo = _f21_derivative(p, lo)
+    d_hi = _f21_derivative(p, hi)
+    v_lo = _f21(p, lo)
+    v_hi = _f21(p, hi)
     return lo * hi * (d_lo * v_hi + v_lo * d_hi)
+
+
+# Array forms: the function above at every point of a 1-d array, each
+# point to the bit of its float call.  A batch raises the error of its
+# first point that raises.
+
+def p_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """p_func at every point of ts."""
+    return p_func(pr, specfun.as_points(ts))
+
+
+def p_prime_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """p_prime at every point of ts."""
+    return p_prime(pr, specfun.as_points(ts))
+
+
+def slope_g_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """slope_g at every point of ts."""
+    return slope_g(pr, specfun.as_points(ts))
+
+
+def p_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """p_excess at every point of ts."""
+    return p_excess(pr, specfun.as_points(ts))
+
+
+def q_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """q_func at every point of ts."""
+    return q_func(pr, specfun.as_points(ts))
+
+
+def q_log_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """q_log at every point of ts."""
+    return q_log(pr, specfun.as_points(ts))
+
+
+def q_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
+    """q_excess at every point of ts."""
+    return q_excess(pr, specfun.as_points(ts))
+
+
+def n_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
+    """n_func at every point of xs."""
+    return n_func(a, b, c, specfun.as_points(xs))
+
+
+def m_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
+    """m_func at every point of xs."""
+    return m_func(a, b, c, specfun.as_points(xs))

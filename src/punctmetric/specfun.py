@@ -7,13 +7,21 @@ the beta function, and the Ramanujan constant
 
 which is the additive constant in the logarithmic expansion of zero-balanced
 hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.
+
+It also holds the helpers the array forms of the other modules share:
+``pointwise`` takes log, exp and log1p from ``math`` point by point,
+because numpy's vectorised versions may round differently by an ulp,
+and an array form must match its scalar form to the bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, RangeError
 
 # Euler-Mascheroni constant, -psi(1).
 EULER_GAMMA = 0.57721566490153286
@@ -40,10 +48,17 @@ def _require_positive(x: float, name: str) -> float:
     return x
 
 
+def _overflow(what: str) -> RangeError:
+    return RangeError(f"{what} overflows a float")
+
+
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
+    """Natural log of Gamma(x) for x > 0; RangeError past x ~ 2.5e305."""
     x = _require_positive(x, "x")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise _overflow(f"log Gamma({x!r})") from None
 
 
 def log_abs_gamma(x: float) -> tuple[float, int]:
@@ -64,9 +79,12 @@ def log_abs_gamma(x: float) -> tuple[float, int]:
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for x > 0."""
+    """Gamma(x) for x > 0; RangeError where it overflows (x > ~171.6)."""
     x = _require_positive(x, "x")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise _overflow(f"Gamma({x!r})") from None
 
 
 def digamma(x: float) -> float:
@@ -91,12 +109,49 @@ def digamma(x: float) -> float:
 
 
 def beta(a: float, b: float) -> float:
-    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0."""
+    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0.
+
+    RangeError where B or one of its log-gammas overflows.
+    """
     a = _require_positive(a, "a")
     b = _require_positive(b, "b")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    try:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    except OverflowError:
+        raise _overflow(f"B({a!r}, {b!r})") from None
 
 
 def ramanujan_r(a: float, b: float) -> float:
     """R(a, b) = -2*gamma_E - psi(a) - psi(b) for a, b > 0."""
     return -2.0 * EULER_GAMMA - digamma(a) - digamma(b)
+
+
+def pointwise(fn: Callable[[float], float], x):
+    """fn, a ``math`` function, at the float x, or at every point of the
+    float array x (then an array comes back)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
+def as_points(xs) -> np.ndarray:
+    """xs as a 1-d float array, the input of every array form."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(
+            f"points must form a 1-d array, got shape {arr.shape}")
+    return arr
+
+
+def reject_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:
+    """Raise what ``scalar(i)`` raises for the first point i flagged bad.
+
+    An array form flags the points whose scalar form raises, then calls
+    it on the first of them, so it raises what a loop of scalar calls
+    would raise first.
+    """
+    if bad.any():
+        i = int(np.argmax(bad))
+        scalar(i)
+        raise AssertionError(
+            f"point {i} was flagged, but its scalar form returned")

@@ -198,12 +198,15 @@ def _increasing_capped(ts: np.ndarray, ys: Sequence[float],
     return _steps(ts, ys, True), _floor(ts, cap - np.abs(ys))
 
 
-def _subadditive(f: Callable[[float], float], params: dict) -> Part:
-    """Margins f(s) + f(t) - f(s+t) on seeded random pairs (s, t)."""
+def _subadditive(f_many: Callable[[np.ndarray], np.ndarray],
+                 params: dict) -> Part:
+    """Margins f(s) + f(t) - f(s+t) on seeded random pairs (s, t); f_many
+    is f's array form."""
     rng = np.random.default_rng(params["seed"])
     pairs = [tuple(rng.uniform(params["s_lo"], params["s_hi"], size=2).tolist())
              for _ in range(params["pairs"])]
-    return _floor(pairs, [f(s) + f(t) - f(s + t) for s, t in pairs])
+    s, t = np.array(pairs).reshape(-1, 2).T
+    return _floor(pairs, f_many(s) + f_many(t) - f_many(s + t))
 
 
 def _points_inside(grid: GridSpec, hi: float) -> np.ndarray:
@@ -214,17 +217,20 @@ def _points_inside(grid: GridSpec, hi: float) -> np.ndarray:
     return xs
 
 
-def _abs_midpoint_parts(s: float, t: float) -> tuple[float, float]:
-    """Midpoint m of (s, t) and (|s|+|t|)/2 - |m| without cancellation.
+def _excess_midpoints(pr: pqfun.ZeroBalancedPair, s: np.ndarray,
+                      t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the pairs (s[i], t[i]): the midpoints m, (|s|+|t|)/2 - |m|
+    without cancellation, and P's excess at s, t and m.
 
     The second value is identically 0 when s and t share a sign and
     min(|s|, |t|) otherwise; computing it that way keeps midpoint
     convexity margins of |t|-linear functions exact.
     """
     m = 0.5 * (s + t)
-    if (s >= 0.0) == (t >= 0.0):
-        return m, 0.0
-    return m, min(abs(s), abs(t))
+    lin = np.where((s >= 0.0) == (t >= 0.0), 0.0,
+                   np.minimum(np.abs(s), np.abs(t)))
+    ex = pqfun.p_excess_many(pr, np.concatenate((s, t, m)))
+    return (m, lin, *np.split(ex, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +263,7 @@ def _make_vaman_runner(expected: str):
         xs = grid.points()
         if not (0.0 <= xs[0] and xs[-1] < 1.0):
             raise DomainError("grid for (1-x)F(x) must lie inside [0, 1)")
-        ys = np.array([(1.0 - x) * hyp2f1.f21(p, x).value
-                       for x in xs.tolist()])
+        ys = (1.0 - xs) * hyp2f1.f21_many(p, xs).value
         if expected == "constant":
             point, margin = _worst(_deviations(xs, ys - 1.0))
             notes = (f"(1-x)F = 1 on the grid to {_fmt(-margin)}; "
@@ -296,7 +301,7 @@ def _run_concave_shape(params: dict, grid: GridSpec) -> tuple[object, float, str
             f"shape claim needs max(a,b) < c (max = c degenerates to a "
             f"constant), got ({a},{b},{c})")
     xs = _points_inside(grid, 1.0)
-    ys = np.array([pqfun.n_func(a, b, c, x) for x in xs.tolist()])
+    ys = pqfun.n_func_many(a, b, c, xs)
     left = xs <= 0.5
     right = xs >= 0.5
     pos = _floor(xs, ys)
@@ -325,7 +330,7 @@ def _run_hlvv_sign(params: dict, grid: GridSpec) -> tuple[object, float, str]:
             raise HypothesisError(
                 f"(a+b-1)(c-b) = {sgn} makes ({a},{b},{c}) {expected}, "
                 f"case is labelled {label!r}")
-        ys = np.array([pqfun.m_func(a, b, c, x) for x in xs.tolist()])
+        ys = pqfun.m_func_many(a, b, c, xs)
         if label == "constant":
             mid = ys[len(ys) // 2]
             parts.append(_deviations(xs, ys - mid))
@@ -347,12 +352,11 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float,
     p = hyp2f1.HypParams(a, b, c)
     xs = _points_inside(grid, 1.0)
     # F and F' at x and at 1-x, each evaluated once per grid point
-    pairs = [(x, hyp2f1.f21(p, x).value, hyp2f1.f21(p, 1.0 - x).value)
-             for x in xs.tolist()]
-    ratio = np.array([hyp2f1.f21_derivative(p, x) / fx
-                      - hyp2f1.f21_derivative(p, 1.0 - x) / fy
-                      for x, fx, fy in pairs])
-    logf = np.array([math.log(fx) + math.log(fy) for _, fx, fy in pairs])
+    fx = hyp2f1.f21_many(p, xs).value
+    fy = hyp2f1.f21_many(p, 1.0 - xs).value
+    ratio = (hyp2f1.f21_derivative_many(p, xs) / fx
+             - hyp2f1.f21_derivative_many(p, 1.0 - xs) / fy)
+    logf = specfun.pointwise(math.log, fx) + specfun.pointwise(math.log, fy)
     up = _steps(xs, ratio, True)
     conv = _chord(xs, logf, convex=True)
     parts = [up, conv]
@@ -418,33 +422,24 @@ def _run_main_parity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
     # both deviations of each t, in sampling order
-    devs = [d for t in ts.tolist()
-            for d in (pqfun.p_func(pr, t) - pqfun.p_func(pr, -t),
-                      pqfun.p_prime(pr, t) + pqfun.p_prime(pr, -t))]
+    devs = np.column_stack((
+        pqfun.p_func_many(pr, ts) - pqfun.p_func_many(pr, -ts),
+        pqfun.p_prime_many(pr, ts) + pqfun.p_prime_many(pr, -ts))).ravel()
     point, margin = _worst(_deviations(np.repeat(ts, 2), devs))
     notes = ("P even and P' odd; both are enforced by |t| reduction "
              "inside the evaluators, so this is a regression guard")
     return point, margin, notes
 
 
-def _p_midpoint_slack(pr: pqfun.ZeroBalancedPair, inv_beta: float,
-                      pe: Callable[[float], float],
-                      s: float, t: float) -> tuple[float, float]:
-    """Midpoint convexity slack of P at ((s+t)/2, between s and t).
-
-    Splits P = (|t| + R)/B + excess so the linear part contributes
-    exactly; the excess terms keep relative accuracy at any |t|.
-    """
-    m, lin = _abs_midpoint_parts(s, t)
-    slack = (lin * inv_beta
-             + 0.5 * (pe(abs(s)) + pe(abs(t))) - pe(abs(m)))
-    return m, slack
-
-
 def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     inv_beta = 1.0 / specfun.beta(pr.a, pr.b)
-    pe = functools.cache(functools.partial(pqfun.p_excess, pr))
+
+    def midpoint_slack(s: np.ndarray, t: np.ndarray) -> Part:
+        # P = (|t| + R)/B + excess: the linear part contributes exactly,
+        # the excess keeps relative accuracy at any |t|
+        m, lin, pe_s, pe_t, pe_m = _excess_midpoints(pr, s, t)
+        return m, lin * inv_beta + 0.5 * (pe_s + pe_t) - pe_m
 
     rng = np.random.default_rng(params["seed"])
     span = params["t_span"]
@@ -454,33 +449,31 @@ def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
         s, t = rng.uniform(-span, span, size=2).tolist()
         if abs(s - t) >= gap:  # below it the slack is noise scale: redraw
             pairs.append((s, t))
-    rand = _floor(pairs, [_p_midpoint_slack(pr, inv_beta, pe, s, t)[1]
-                          for s, t in pairs])
+    s, t = np.array(pairs).reshape(-1, 2).T
+    rand = _floor(pairs, midpoint_slack(s, t)[1])
 
     ts = grid.points()
-    tl = ts.tolist()
-    tri = _floor(*zip(*(_p_midpoint_slack(pr, inv_beta, pe, s, t)
-                        for s, t in zip(tl[:-2], tl[2:]))))
+    tri = _floor(*midpoint_slack(ts[:-2], ts[2:]))
 
     # P -+ t/B through the same excess split; branch values are O(1)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
+    ex = pqfun.p_excess_many(pr, ts)  # even in t
 
-    def shifted_down(t: float) -> float:
+    def shifted_down(t: np.ndarray) -> np.ndarray:
         # P(t) - t/B
-        if t >= 0.0:
-            return big_r * inv_beta + pe(t)
-        return (2.0 * -t + big_r) * inv_beta + pe(-t)
+        return np.where(t >= 0.0, big_r * inv_beta,
+                        (2.0 * -t + big_r) * inv_beta) + ex
 
-    down = [shifted_down(t) for t in tl]
-    up = [shifted_down(-t) for t in tl]  # P(t) + t/B by symmetry
+    down = shifted_down(ts)
+    up = shifted_down(-ts)  # P(t) + t/B by symmetry
 
     # R/B < P - |t|/B <= P(0), strict off t = 0: per t the lower margin,
     # then the upper one where it applies
-    ex = np.array([pe(abs(t)) for t in tl])
     keep = np.repeat(ts != 0.0, 2)
     keep[::2] = True
     bound = _floor(np.repeat(ts, 2)[keep],
-                   np.column_stack((ex, pe(0.0) - ex)).ravel()[keep])
+                   np.column_stack(
+                       (ex, pqfun.p_excess(pr, 0.0) - ex)).ravel()[keep])
 
     point, margin = _worst(
         rand, tri, _steps(ts, down, increasing=False),
@@ -499,7 +492,7 @@ def _run_pprime_bounds(params: dict, grid: GridSpec) -> tuple[object, float, str
     notes = []
     for a, b in params["pairs"]:
         pr = pqfun.ZeroBalancedPair(a, b)
-        ys = [pqfun.p_prime(pr, t) for t in ts.tolist()]
+        ys = pqfun.p_prime_many(pr, ts)
         mono, sharp = _increasing_capped(ts, ys, 1.0 / specfun.beta(a, b))
         parts += [mono, sharp]
         notes.append(f"({a},{b}): step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}, "
@@ -514,7 +507,7 @@ def _run_main_slopes(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = grid.points()
     if 0.0 in ts:
         raise DomainError("slope grid must not contain t = 0")
-    ys = [pqfun.slope_g(pr, t) for t in ts.tolist()]
+    ys = pqfun.slope_g_many(pr, ts)
     mono, rng_m = _increasing_capped(ts, ys, cap)
     odd = _mirror(ts, ys, 1.0)
     point, margin = _worst(mono, rng_m, odd)
@@ -528,8 +521,7 @@ def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
     point, margin = _worst(_deviations(
-        ts, [pqfun.q_func(pr, t) * pqfun.q_func(pr, -t) - 1.0
-             for t in ts.tolist()]))
+        ts, pqfun.q_func_many(pr, ts) * pqfun.q_func_many(pr, -ts) - 1.0))
     notes = ("Q(t)Q(-t) = 1; the two sides reuse one ratio and its "
              "reciprocal, so deviations are pure rounding")
     return point, margin, notes
@@ -538,10 +530,10 @@ def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 def _run_subadd(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = _points_inside(grid, math.inf)
-    q_log = functools.partial(pqfun.q_log, pr)
-    qs = np.array([q_log(t) for t in ts.tolist()])
+    q_log = functools.partial(pqfun.q_log_many, pr)
+    qs = q_log(ts)
     ratio = _steps(ts, qs / ts, False)
-    odd = _deviations(ts, qs + np.array([q_log(-t) for t in ts.tolist()]))
+    odd = _deviations(ts, qs + q_log(-ts))
     sub = _subadditive(q_log, params)
     point, margin = _worst(ratio, _steps(ts, qs, True),
                            _chord(ts, qs, convex=False), odd, sub)
@@ -558,7 +550,7 @@ def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
         raise HypothesisError(
             f"Q bound claims need a+b >= 1, got ({pr.a},{pr.b})")
     ts = _points_inside(grid, math.inf)
-    qe = np.array([pqfun.q_excess(pr, t) for t in ts.tolist()])
+    qe = pqfun.q_excess_many(pr, ts)
     # Q - t/B = R/B + excess: monotone/convex in the excess alone
     mono = _steps(ts, qe, increasing=False)
     conv = _chord(ts, qe, convex=True)
@@ -574,7 +566,7 @@ def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 
 def _run_th_increasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = _points_inside(grid, math.inf)
-    ys = ts * np.array([metric.h(t) for t in ts.tolist()])
+    ys = ts * metric.h_many(ts)
     mono = _steps(ts, ys, True)
     # both band margins of each t, in sampling order
     band = _floor(np.repeat(ts, 2), np.column_stack((ys, 0.5 - ys)).ravel())
@@ -587,34 +579,28 @@ def _run_th_increasing(params: dict, grid: GridSpec) -> tuple[object, float, str
 def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
-    tl = ts.tolist()
     two_c0 = 2.0 * metric.c0()
-    pe = functools.cache(functools.partial(pqfun.p_excess, pr))
 
-    ident = _deviations(ts, [metric.big_h(t) * metric.h(t) - 1.0 for t in tl])
-    even = _deviations(ts, [metric.big_h(t) - metric.big_h(-t) for t in tl])
+    big_h = metric.big_h_many(ts)
+    ident = _deviations(ts, big_h * metric.h_many(ts) - 1.0)
+    even = _deviations(ts, big_h - metric.big_h_many(-ts))
     h0_dev = metric.big_h(0.0) / two_c0 - 1.0
 
     # fold to |t| and collapse mirror points that agree to a few ulps:
     # asymmetric grids produce pairs whose gap is pure rounding, and a
     # growth step across such a gap is noise, not evidence
     pos: list[float] = []
-    for s in sorted(abs(t) for t in tl):
+    for s in sorted(abs(t) for t in ts.tolist()):
         if not pos or s - pos[-1] > 1e-12 * (1.0 + s):
             pos.append(s)
     ps = np.array(pos)
-    ex = np.array([pe(s) for s in pos])
+    ex = pqfun.p_excess_many(pr, ps)
     # H = 2(|t| + log 16) + 2 pi excess: difference without cancellation
     grow = _floor(ps[:-1], 2.0 * (ps[1:] - ps[:-1])
                   + 2.0 * math.pi * (ex[1:] - ex[:-1]))
 
-    def midpoint_slack(s: float, t: float) -> tuple[float, float]:
-        m, lin = _abs_midpoint_parts(s, t)
-        return m, 2.0 * lin + 2.0 * math.pi * (
-            0.5 * (pe(abs(s)) + pe(abs(t))) - pe(abs(m)))
-
-    conv = _floor(*zip(*(midpoint_slack(s, t)
-                         for s, t in zip(tl[:-2], tl[2:]))))
+    m, lin, pe_s, pe_t, pe_m = _excess_midpoints(pr, ts[:-2], ts[2:])
+    conv = _floor(m, 2.0 * lin + 2.0 * math.pi * (0.5 * (pe_s + pe_t) - pe_m))
 
     point, margin = _worst(ident, even, _deviations([0.0], [h0_dev]), grow, conv)
     notes = (f"H h = 1 (dev {_fmt(-_worst(ident)[1])}); H(0)/2C0 - 1 = "
@@ -626,7 +612,7 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 
 def _run_big_h_prime(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = grid.points()
-    ys = np.array([metric.big_h_prime(t) for t in ts.tolist()])
+    ys = metric.big_h_prime_many(ts)
     mono, band = _increasing_capped(ts, ys, 2.0)
     odd = _mirror(ts, ys, 1.0)
     point, margin = _worst(mono, band, odd)
@@ -640,7 +626,7 @@ def _run_weighted_extremum(params: dict, grid: GridSpec) -> tuple[object, float,
     ext = max_weighted_h()
     c0 = metric.c0()
     ts = grid.points()
-    vals = 2.0 * (ts + c0) * np.array([metric.h(t) for t in ts.tolist()])
+    vals = 2.0 * (ts + c0) * metric.h_many(ts)
     best = int(np.argmax(vals))  # the first maximum
     grid_best_t = float(ts[best])
     grid_max = float(vals[best])
@@ -665,7 +651,7 @@ def _run_hempel_sandwich(params: dict, grid: GridSpec) -> tuple[object, float, s
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     gap = metric.c0() - math.log(16.0)
     ts = _points_inside(grid, math.inf)
-    pe = np.array([pqfun.p_excess(pr, t) for t in ts.tolist()])
+    pe = pqfun.p_excess_many(pr, ts)
     lo = (ts, 2.0 * math.pi * pe)          # H - 2(t + log 16) > 0
     hi = (ts, 2.0 * (gap - math.pi * pe))  # 2(t + C0) - H > 0
     point, margin = _worst(lo, hi)
@@ -700,8 +686,8 @@ def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 
 def _run_phi_decreasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = _points_inside(grid, math.inf)
-    ratio = _steps(ts, [metric.varphi(t) / t for t in ts.tolist()], False)
-    sub = _subadditive(metric.varphi, params)
+    ratio = _steps(ts, metric.varphi_many(ts) / ts, False)
+    sub = _subadditive(metric.varphi_many, params)
     point, margin = _worst(ratio, sub)
     notes = (f"phi(t)/t strictly decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
              f"{params['pairs']} seeded subadditivity pairs, min slack "

@@ -6,10 +6,16 @@ failure, 2 usage errors (argparse exits via SystemExit).
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from punctmetric import bounds, cli, elliptic, metric, verify
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +91,32 @@ def test_eval_range_error_rc1(capsys):
     assert "error" in doc
 
 
+def test_eval_overflow_is_a_json_error(capsys):
+    rc, doc = run_json(capsys, "eval", "f21", "--a", "1e306", "--b", "1.5",
+                       "--c", "1e306", "--x", "0.9")
+    assert rc == 1
+    assert doc["error"]["type"] == "RangeError"
+
+
+def test_closed_reader_gets_no_traceback():
+    # the reader goes away after a few bytes, as with ``| head -c 10``;
+    # the CSV is long enough that later writes meet the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "punctmetric.cli", "figure1", "--count",
+         "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC})
+    try:
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        rc = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err and "Error" not in err, err
+    assert rc == 1
+
+
 def test_eval_unknown_function_rc2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "frobnicate", "--t", "1"])
@@ -115,6 +147,27 @@ def test_verify_full_suite(capsys):
     assert len(lines) == len(verify.check_names())
     assert all(d["passed"] for d in lines)
     assert [d["name"] for d in lines] == sorted(verify.check_names())
+
+
+@pytest.mark.parametrize("suite", ["default", "strict"])
+def test_verify_output_is_golden(capsys, suite):
+    """``punctmetric verify --suite SUITE`` prints tests/data/verify_SUITE.jsonl
+    byte for byte, so every worst margin is pinned to its last bit.
+
+    A change that moves a margin on purpose regenerates the file from the
+    repository root,
+
+        PYTHONPATH=src python -m punctmetric.cli verify --suite default \
+            > tests/data/verify_default.jsonl
+        PYTHONPATH=src python -m punctmetric.cli verify --suite strict \
+            > tests/data/verify_strict.jsonl
+
+    and the diff shows what moved.
+    """
+    rc, out = run_cli(capsys, "verify", "--suite", suite)
+    assert rc == 0
+    with open(os.path.join(DATA, f"verify_{suite}.jsonl"), "rb") as fh:
+        assert out.encode() == fh.read()
 
 
 def test_verify_unknown_check_rc2(capsys):

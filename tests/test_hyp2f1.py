@@ -169,10 +169,10 @@ def test_ratio_coeffs_reference():
 def test_ratio_coeffs_validation():
     with pytest.raises(DomainError):
         ratio_coeffs(HypParams(1.5, 0.5, 1.0), 5)   # a > c
-    with pytest.raises(DomainError):
-        ratio_coeffs(HALF, 201)
-    with pytest.raises(DomainError):
-        ratio_coeffs(HALF, -1)
+    for n_max in (201, -1, math.nan, math.inf, 2.7):
+        with pytest.raises(DomainError):
+            ratio_coeffs(HALF, n_max)
+    assert ratio_coeffs(HALF, 6.0).size == 7
 
 
 def test_finite_difference_table_convention():
@@ -186,6 +186,9 @@ def test_finite_difference_table_validation():
         finite_difference_table([1.0, 0.5], 2)
     with pytest.raises(DomainError):
         finite_difference_table([], 0)
+    for k_max in (math.nan, -math.inf, 1.5):
+        with pytest.raises(DomainError):
+            finite_difference_table([1.0, 0.5, 0.25], k_max)
 
 
 @given(st.floats(-0.5, 1.5).filter(lambda x: x < 0.0 or x >= 1.0))
@@ -268,3 +271,8 @@ def test_large_parameters_give_a_value_or_a_typed_error():
     # direct series it falls back to
     with pytest.raises(RangeError):
         f21(HypParams(150.5, 120.25, 100.0), 0.999)
+    # c-(a+b) rounds to 0 and B(a, b) overflows: no untyped OverflowError
+    with pytest.raises(RangeError):
+        f21(HypParams(1e306, 1.5, 1e306), 0.9)
+    with pytest.raises(RangeError):
+        f21_at_one(HypParams(1e306, 1.5, 3e306))

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from punctmetric import pqfun, specfun
-from punctmetric.errors import DomainError
+from punctmetric.errors import DomainError, RangeError
 
 HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
 B_HALF = math.pi          # B(1/2, 1/2)
@@ -201,3 +201,10 @@ def test_domain_validation():
         pqfun.n_func(0.5, 0.5, 1.0, 0.0)
     with pytest.raises(DomainError):
         pqfun.p_func(HALF, math.inf)
+
+
+def test_overflowing_beta_is_a_range_error():
+    with pytest.raises(RangeError):
+        pqfun.p_func(pqfun.ZeroBalancedPair(1e306, 0.5), 1.0)
+    with pytest.raises(RangeError):
+        pqfun.q_excess(pqfun.ZeroBalancedPair(1e306, 1.0), 1.0)

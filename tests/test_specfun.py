@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from punctmetric import specfun
-from punctmetric.errors import DomainError
+from punctmetric.errors import DomainError, RangeError
 
 
 @pytest.mark.parametrize("x,want", [
@@ -113,3 +113,14 @@ def test_positive_domain_enforced(bad):
         specfun.beta(bad, 1.0)
     with pytest.raises(DomainError):
         specfun.ramanujan_r(1.0, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: specfun.gamma(172.0),
+    lambda: specfun.log_gamma(1e307),
+    lambda: specfun.beta(1e306, 1.5),    # lgamma(1e306) overflows
+    lambda: specfun.beta(1e-310, 1.0),   # B ~ 1e310
+])
+def test_overflow_is_a_range_error(call):
+    with pytest.raises(RangeError):
+        call()

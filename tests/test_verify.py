@@ -180,7 +180,8 @@ def test_check_single_report_notes_carry_diagnostics():
 def test_nan_samples_fail_their_check(monkeypatch):
     # a running minimum with a strict "<" skips NaN margins, so a kernel
     # returning NaN everywhere used to pass with margin +inf
-    monkeypatch.setattr(pqfun, "q_func", lambda pr, t: math.nan)
+    monkeypatch.setattr(pqfun, "q_func_many",
+                        lambda pr, ts: np.full(len(ts), math.nan))
     r = verify.run_check("thm_main2_qq")
     assert not r.passed
     assert r.worst_margin == -math.inf
@@ -191,8 +192,9 @@ def test_nan_samples_fail_their_check(monkeypatch):
 
 
 def test_partly_nan_samples_fail_their_check(monkeypatch):
-    h = metric.h
-    monkeypatch.setattr(metric, "h", lambda t: math.nan if t > 10.0 else h(t))
+    h_many = metric.h_many
+    monkeypatch.setattr(metric, "h_many",
+                        lambda ts: np.where(ts > 10.0, math.nan, h_many(ts)))
     r = verify.run_check("thm_c212_1")
     assert not r.passed
     assert r.worst_margin == -math.inf
