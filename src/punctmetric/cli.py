@@ -278,26 +278,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """The subcommand's exit code; a typed or I/O error goes to stdout as
+    a JSON error line with exit code 1."""
+    try:
+        return args.func(parser, args)
+    except PunctMetricError as exc:
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _emit({"error": {"type": "OSError", "message": str(exc)}})
+    return 1
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's flush
+    at exit does not meet a closed pipe again."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+    except OSError:
+        return
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (OSError, ValueError):
+        pass
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        rc = args.func(parser, args)
+        rc = _run(parser, args)
         sys.stdout.flush()
         return rc
-    except PunctMetricError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 1
     except BrokenPipeError:
         # the reader closed stdout (``| head``): nothing more can go there,
-        # and the interpreter's flush at exit must not fail on it again
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):
-            pass
-        return 1
-    except OSError as exc:
-        _emit({"error": {"type": "OSError", "message": str(exc)}})
+        # not even an error line
+        _silence_stdout()
         return 1
 
 

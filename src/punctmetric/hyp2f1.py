@@ -39,7 +39,6 @@ Evaluation strategy
   depend on x, so they are built once per block in the scalar order; and
   each point stops by its scalar kernel's rule.  Every point gets the
   bits of its scalar call (value, estimate, term count, method).
-  Batches below MIN_LOCKSTEP points run the scalar loop.
 
 The `*_from_complement` entry points take u = 1-x and -log(u) explicitly,
 so callers that know the complement exactly (logistic parameterizations
@@ -57,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError, PunctMetricError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError
 
 SERIES_RTOL = 1e-15
 MAX_TERMS_DIRECT = 1_000_000
@@ -502,11 +501,6 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # count and method are those of its scalar call, to the bit, and a batch
 # raises what a loop of scalar calls would raise first.
 
-# A lockstep block costs a few dozen numpy calls: for a short series
-# (x <= 1/2, or past 1/2 on the log and connection routes) the scalar
-# loop costs as much at 12-16 points and less below.  Smaller batches
-# run the scalar loop.
-MIN_LOCKSTEP = 16
 # Terms per block: BLOCK_MIN, or as many as the series has summed if
 # more, but at most BLOCK_CELLS over all points, so memory stays
 # O(points) and the long tail of a few points costs a few numpy calls
@@ -537,11 +531,6 @@ class _Lanes:
         self.err = np.zeros(size)
         self.terms = np.zeros(size, dtype=np.int64)
         self.status = np.full(size, _OK, dtype=np.int8)
-
-    def put(self, at, res: EvalResult) -> None:
-        self.value[at] = res.value
-        self.err[at] = res.abs_err_estimate
-        self.terms[at] = res.terms_used
 
     def take(self, at, other: "_Lanes") -> None:
         self.value[at] = other.value
@@ -585,70 +574,109 @@ def _runs_of_three(cond: np.ndarray,
     return hit.any(axis=1), hit.argmax(axis=1), run
 
 
-def _zb_coefficients(a: float, b: float, n: int, k: int, c_n: float,
-                     d_n: float) -> tuple[np.ndarray, np.ndarray]:
-    """c and d of the zero-balanced expansion at terms n+1 .. n+k, from
-    c_n and d_n, by the scalar loops' recurrences."""
-    cs, ds = np.empty(k), np.empty(k)
-    for j in range(k):
-        m = n + j
-        c_n *= (a + m) * (b + m) / ((m + 1.0) * (m + 1.0))
-        d_n += 2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m)
-        cs[j], ds[j] = c_n, d_n
-    return cs, ds
+def _lockstep(step, fixed: tuple[np.ndarray, ...],
+              state: tuple[np.ndarray, ...], cap: int,
+              three_in_a_row: bool = True):
+    """Sum a series at every point of a batch in lockstep, by blocks.
 
+    ``fixed`` holds each point's inputs as (points, 1) columns, ``state``
+    the values a term reads from the terms before it or the caller wants
+    at the stop.  ``step(n, k, fixed, state)`` adds terms n+1 .. n+k and
+    returns the state after each of them, as (points, k) arrays, with
+    the stop test at each, a (points, k) bool array.  A point stops at
+    its third passed test in a row, or at its first if not
+    ``three_in_a_row``, and its active set shrinks block by block.
 
-def _direct_many(a: float, b: float, c: float, xs: np.ndarray) -> _Lanes:
-    """_direct_series at every point of xs."""
-    out = _Lanes(xs.size)
-    if xs.size < MIN_LOCKSTEP:
-        for i, xi in enumerate(xs.tolist()):
-            try:
-                out.put(i, _direct_series(a, b, c, xi))
-            except RangeError:
-                out.status[i] = _OVERFLOW
-            except ConvergenceError:
-                out.status[i] = _RAISES
-        return out
-    idx = np.arange(xs.size)
-    x = xs[:, None]
-    term, total, comp = np.ones(xs.size), np.ones(xs.size), np.zeros(xs.size)
-    small = np.zeros(xs.size, dtype=np.int8)
+    Returns the state at each point's stop, the terms each point summed
+    after the first, and the points still summing after ``cap`` terms.
+    """
+    size = state[0].size
+    final = tuple(np.zeros(size) for _ in state)
+    summed = np.zeros(size, dtype=np.int64)
+    idx = np.arange(size)
+    small = np.zeros(size, dtype=np.int8)
     n = 0
     with np.errstate(all="ignore"):
-        while idx.size and n < MAX_TERMS_DIRECT:
-            k = _block(n, idx.size, MAX_TERMS_DIRECT)
-            # term n+j takes factor j, and its stop test the ratio factor j+1
-            mult = np.array([(a + m) * (b + m) / ((c + m) * (m + 1.0))
-                             for m in range(n, n + k + 1)]) * x
-            terms = _running(np.multiply, term, mult[:, :k])
-            sums = _running(np.add, total, terms)
-            prev = _prepend(total, sums[:, :-1])
-            abs_terms = np.abs(terms)
-            comps = _running(np.add, comp, np.where(
-                np.abs(prev) >= abs_terms,
-                (prev - sums) + terms, (terms - sums) + prev))
-            r = np.maximum(np.abs(mult[:, 1:]), x)
-            stop, at, small = _runs_of_three(
-                (r < 1.0)
-                & (abs_terms * r <= SERIES_RTOL * np.abs(sums) * (1.0 - r)),
-                small)
+        while idx.size and n < cap:
+            k = _block(n, idx.size, cap)
+            cols, passed = step(n, k, fixed, state)
+            if three_in_a_row:
+                stop, at, small = _runs_of_three(passed, small)
+            else:
+                stop, at = passed.any(axis=1), passed.argmax(axis=1)
             if stop.any():
                 rows = np.flatnonzero(stop)
                 j = at[rows]
                 i = idx[rows]
-                fin = sums[rows, j] + comps[rows, j]
-                r_fin = r[rows, j]
-                out.value[i] = fin
-                out.err[i] = (np.abs(terms[rows, j]) * r_fin / (1.0 - r_fin)
-                              + 4e-16 * np.abs(fin))
-                out.terms[i] = n + j + 2
-                out.status[i] = np.where(np.isfinite(fin), _OK, _OVERFLOW)
+                for out, col in zip(final, cols):
+                    out[i] = col[rows, j]
+                summed[i] = n + j + 1
             n += k
             keep = ~stop
-            idx, x, small = idx[keep], x[keep], small[keep]
-            term, total, comp = (v[keep, -1] for v in (terms, sums, comps))
-    out.status[idx] = _RAISES  # ConvergenceError: out of terms
+            idx, small = idx[keep], small[keep]
+            fixed = tuple(v[keep] for v in fixed)
+            state = tuple(col[keep, -1] for col in cols)
+    stalled = np.zeros(size, dtype=bool)
+    stalled[idx] = True
+    return final, summed, stalled
+
+
+def _factors(a: float, b: float, c: float, n: int, k: int) -> np.ndarray:
+    """(a+m)(b+m)/((c+m)(m+1)) for m = n .. n+k-1, as the scalar loops
+    form them."""
+    return np.array([(a + m) * (b + m) / ((c + m) * (m + 1.0))
+                     for m in range(n, n + k)])
+
+
+def _zb_coefficients(a: float, b: float):
+    """c_n and d_n of the zero-balanced expansion for n = 0, 1, ..., by
+    the scalar loops' recurrences."""
+    c_n = 1.0
+    d_n = specfun.ramanujan_r(a, b)
+    m = 0
+    while True:
+        yield c_n, d_n
+        c_n *= (a + m) * (b + m) / ((m + 1.0) * (m + 1.0))
+        d_n += 2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m)
+        m += 1
+
+
+def _next_coefficients(coefs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next k (c_n, d_n) of coefs, as two arrays."""
+    cd = np.array([next(coefs) for _ in range(k)])
+    return cd[:, 0], cd[:, 1]
+
+
+def _direct_many(a: float, b: float, c: float, xs: np.ndarray) -> _Lanes:
+    """_direct_series at every point of xs."""
+    def step(n, k, fixed, state):
+        (x,) = fixed
+        term, total, comp, _ = state
+        # term n+j takes factor j, and its stop test the ratio factor j+1
+        mult = _factors(a, b, c, n, k + 1) * x
+        terms = _running(np.multiply, term, mult[:, :k])
+        sums = _running(np.add, total, terms)
+        prev = _prepend(total, sums[:, :-1])
+        abs_terms = np.abs(terms)
+        comps = _running(np.add, comp, np.where(
+            np.abs(prev) >= abs_terms,
+            (prev - sums) + terms, (terms - sums) + prev))
+        r = np.maximum(np.abs(mult[:, 1:]), x)
+        passed = (r < 1.0) & (abs_terms * r
+                              <= SERIES_RTOL * np.abs(sums) * (1.0 - r))
+        return (terms, sums, comps, r), passed
+
+    ones = np.ones(xs.size)
+    (term, total, comp, r), summed, stalled = _lockstep(
+        step, (xs[:, None],), (ones, ones, np.zeros(xs.size), ones),
+        MAX_TERMS_DIRECT)
+    out = _Lanes(xs.size)
+    with np.errstate(all="ignore"):
+        out.value = total + comp
+        out.err = np.abs(term) * r / (1.0 - r) + 4e-16 * np.abs(out.value)
+    out.terms = summed + 1
+    out.status[~np.isfinite(out.value)] = _OVERFLOW
+    out.status[stalled] = _RAISES  # ConvergenceError: out of terms
     return out
 
 
@@ -656,66 +684,46 @@ def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
                  shifted: bool) -> _Lanes:
     """zb_from_complement (or, shifted, zb_shifted_from_complement) at
     every (u, ell) pair, the pairs already checked."""
+    coefs = _zb_coefficients(a, b)
+    _, d_0 = next(coefs)
+
+    def step(n, k, fixed, state):
+        uu, ll = fixed
+        u_pow, total, _ = state
+        cs, ds = _next_coefficients(coefs, k)
+        u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
+        if shifted:
+            m = np.arange(n + 1.0, n + k + 1.0)
+            terms = cs * (1.0 - m * (ds + ll)) * u_pows
+        else:
+            terms = cs * (ds + ll) * u_pows
+        sums = _running(np.add, total, terms)
+        return (u_pows, sums, terms), \
+            np.abs(terms) <= SERIES_RTOL * np.abs(sums)
+
+    start = np.ones(u.size) if shifted else d_0 + ell
+    (_, total, term), summed, stalled = _lockstep(
+        step, (u[:, None], ell[:, None]), (np.ones(u.size), start, start),
+        MAX_TERMS_LOG)
     out = _Lanes(u.size)
-    if u.size < MIN_LOCKSTEP:
-        scalar = zb_shifted_from_complement if shifted else zb_from_complement
-        for i, (ui, li) in enumerate(zip(u.tolist(), ell.tolist())):
-            try:
-                out.put(i, scalar(a, b, ui, li))
-            except PunctMetricError:
-                out.status[i] = _RAISES
+    out.terms = summed + 1
+    out.status[stalled] = _RAISES  # ConvergenceError: out of terms
+    try:
+        if shifted:
+            scale = (a + b) / (a * b * specfun.beta(a, b))
+        else:
+            scale = 1.0 / specfun.beta(a, b)
+    except RangeError:
+        out.status[:] = _RAISES
         return out
-    fin_total = np.zeros(u.size)
-    fin_term = np.zeros(u.size)
-    idx = np.arange(u.size)
-    uu, ll = u[:, None], ell[:, None]
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
-    u_pow = np.ones(u.size)
-    total = np.ones(u.size) if shifted else d_n + ell
-    small = np.zeros(u.size, dtype=np.int8)
-    n = 0
     with np.errstate(all="ignore"):
-        while idx.size and n < MAX_TERMS_LOG:
-            k = _block(n, idx.size, MAX_TERMS_LOG)
-            cs, ds = _zb_coefficients(a, b, n, k, c_n, d_n)
-            c_n, d_n = float(cs[-1]), float(ds[-1])
-            u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
-            if shifted:
-                m = np.arange(n + 1.0, n + k + 1.0)
-                terms = cs * (1.0 - m * (ds + ll)) * u_pows
-            else:
-                terms = cs * (ds + ll) * u_pows
-            sums = _running(np.add, total, terms)
-            stop, at, small = _runs_of_three(
-                np.abs(terms) <= SERIES_RTOL * np.abs(sums), small)
-            if stop.any():
-                rows = np.flatnonzero(stop)
-                j = at[rows]
-                i = idx[rows]
-                fin_total[i] = sums[rows, j]
-                fin_term[i] = terms[rows, j]
-                out.terms[i] = n + j + 2
-            n += k
-            keep = ~stop
-            idx, uu, ll, small = idx[keep], uu[keep], ll[keep], small[keep]
-            u_pow, total = u_pows[keep, -1], sums[keep, -1]
-        out.status[idx] = _RAISES  # ConvergenceError: out of terms
-        try:
-            if shifted:
-                scale = (a + b) / (a * b * specfun.beta(a, b))
-            else:
-                scale = 1.0 / specfun.beta(a, b)
-        except RangeError:
-            out.status[:] = _RAISES
-            return out
-        out.value = scale * fin_total
+        out.value = scale * total
         r = np.maximum(u, 1e-300)
         if shifted:
-            out.err = (abs(scale) * np.abs(fin_term) * (r / (1.0 - r) + 1.0)
+            out.err = (abs(scale) * np.abs(term) * (r / (1.0 - r) + 1.0)
                        * (ell + 2.0) + 4e-16 * np.abs(out.value))
         else:
-            out.err = (abs(scale) * np.abs(fin_term) * r / (1.0 - r)
+            out.err = (abs(scale) * np.abs(term) * r / (1.0 - r)
                        + 4e-16 * np.abs(out.value))
     return out
 
@@ -873,44 +881,25 @@ def zb_complement_sums_many(a: float, b: float,
     u = specfun.as_points(us)
     specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
                          lambda i: zb_complement_sums(a, b, u[i]))
-    if u.size < MIN_LOCKSTEP:
-        pairs = [zb_complement_sums(a, b, ui) for ui in u.tolist()]
-        return (np.array([cm for cm, _ in pairs], dtype=float),
-                np.array([d1 for _, d1 in pairs], dtype=float))
-    c_out = np.zeros(u.size)
-    d_out = np.zeros(u.size)
-    idx = np.arange(u.size)
-    uu = u[:, None]
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
-    u_pow = np.ones(u.size)
-    c_total = np.zeros(u.size)
-    d_total = np.zeros(u.size)
-    n = 0
-    with np.errstate(all="ignore"):
-        while idx.size and n < MAX_TERMS_LOG:
-            k = _block(n, idx.size, MAX_TERMS_LOG)
-            cs, ds = _zb_coefficients(a, b, n, k, c_n, d_n)
-            c_n, d_n = float(cs[-1]), float(ds[-1])
-            u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
-            c_terms = cs * u_pows
-            c_sums = _running(np.add, c_total, c_terms)
-            d_sums = _running(np.add, d_total, c_terms * ds)
-            tiny = (c_terms * (np.abs(ds) + 1.0)
-                    <= 1e-18 * (np.abs(c_sums) + np.abs(d_sums)))
-            stop = tiny.any(axis=1)  # the scalar loop stops at the first
-            if stop.any():
-                rows = np.flatnonzero(stop)
-                j = tiny[rows].argmax(axis=1)
-                c_out[idx[rows]] = c_sums[rows, j]
-                d_out[idx[rows]] = d_sums[rows, j]
-            n += k
-            keep = ~stop
-            idx, uu = idx[keep], uu[keep]
-            u_pow, c_total, d_total = (
-                v[keep, -1] for v in (u_pows, c_sums, d_sums))
-    stalled = np.zeros(u.size, dtype=bool)
-    stalled[idx] = True
+    coefs = _zb_coefficients(a, b)
+    next(coefs)
+
+    def step(n, k, fixed, state):
+        (uu,) = fixed
+        u_pow, c_total, d_total = state
+        cs, ds = _next_coefficients(coefs, k)
+        u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
+        c_terms = cs * u_pows
+        c_sums = _running(np.add, c_total, c_terms)
+        d_sums = _running(np.add, d_total, c_terms * ds)
+        tiny = (c_terms * (np.abs(ds) + 1.0)
+                <= 1e-18 * (np.abs(c_sums) + np.abs(d_sums)))
+        return (u_pows, c_sums, d_sums), tiny
+
+    zeros = np.zeros(u.size)
+    (_, c_out, d_out), _, stalled = _lockstep(
+        step, (u[:, None],), (np.ones(u.size), zeros, zeros), MAX_TERMS_LOG,
+        three_in_a_row=False)
     specfun.reject_first(stalled, lambda i: zb_complement_sums(a, b, u[i]))
     return c_out, d_out
 
@@ -920,33 +909,17 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     x = specfun.as_points(xs)
     specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
                          lambda i: f21_minus_one(a, b, c, x[i]))
-    if x.size < MIN_LOCKSTEP:
-        return np.array([f21_minus_one(a, b, c, xi) for xi in x.tolist()],
-                        dtype=float)
-    out = np.zeros(x.size)
-    idx = np.arange(x.size)
-    xx = x[:, None]
-    term = np.ones(x.size)
-    total = np.zeros(x.size)
-    small = np.zeros(x.size, dtype=np.int8)
-    n = 0
-    with np.errstate(all="ignore"):
-        while idx.size and n < MAX_TERMS_DIRECT:
-            k = _block(n, idx.size, MAX_TERMS_DIRECT)
-            terms = _running(np.multiply, term, np.array(
-                [(a + m) * (b + m) / ((c + m) * (m + 1.0))
-                 for m in range(n, n + k)]) * xx)
-            sums = _running(np.add, total, terms)
-            stop, at, small = _runs_of_three(
-                np.abs(terms) <= SERIES_RTOL * (np.abs(sums) + 1e-300), small)
-            if stop.any():
-                rows = np.flatnonzero(stop)
-                out[idx[rows]] = sums[rows, at[rows]]
-            n += k
-            keep = ~stop
-            idx, xx, small = idx[keep], xx[keep], small[keep]
-            term, total = terms[keep, -1], sums[keep, -1]
-    stalled = np.zeros(x.size, dtype=bool)
-    stalled[idx] = True
+
+    def step(n, k, fixed, state):
+        (xx,) = fixed
+        term, total = state
+        terms = _running(np.multiply, term, _factors(a, b, c, n, k) * xx)
+        sums = _running(np.add, total, terms)
+        return (terms, sums), \
+            np.abs(terms) <= SERIES_RTOL * (np.abs(sums) + 1e-300)
+
+    (_, out), _, stalled = _lockstep(
+        step, (x[:, None],), (np.ones(x.size), np.zeros(x.size)),
+        MAX_TERMS_DIRECT)
     specfun.reject_first(stalled, lambda i: f21_minus_one(a, b, c, x[i]))
     return out

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyp2f1, specfun
-from .errors import DomainError
+from .errors import DomainError, PunctMetricError
 from .hyp2f1 import HypParams
 
 
@@ -63,7 +63,8 @@ class ZeroBalancedPair:
 
 
 def _is_array(x) -> bool:
-    return isinstance(x, np.ndarray)
+    """Whether x is a batch of points; a 0-d array is a float."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
 
 
 def _where(cond, yes, no):
@@ -334,46 +335,63 @@ def m_func(a: float, b: float, c: float, x: float) -> float:
 # point to the bit of its float call.  A batch raises the error of its
 # first point that raises.
 
+def _each(fn, args: tuple, points) -> np.ndarray:
+    """fn(*args, point) at every point of the 1-d array points.
+
+    The array path runs each kernel over the whole batch before the
+    next, so where several points fail it may meet another point's
+    error first; then the float calls run in order, up to the first
+    point that fails, and raise its error.
+    """
+    arr = specfun.as_points(points)
+    try:
+        return fn(*args, arr)
+    except PunctMetricError:
+        for point in arr.tolist():
+            fn(*args, point)
+        raise
+
+
 def p_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """p_func at every point of ts."""
-    return p_func(pr, specfun.as_points(ts))
+    return _each(p_func, (pr,), ts)
 
 
 def p_prime_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """p_prime at every point of ts."""
-    return p_prime(pr, specfun.as_points(ts))
+    return _each(p_prime, (pr,), ts)
 
 
 def slope_g_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """slope_g at every point of ts."""
-    return slope_g(pr, specfun.as_points(ts))
+    return _each(slope_g, (pr,), ts)
 
 
 def p_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """p_excess at every point of ts."""
-    return p_excess(pr, specfun.as_points(ts))
+    return _each(p_excess, (pr,), ts)
 
 
 def q_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """q_func at every point of ts."""
-    return q_func(pr, specfun.as_points(ts))
+    return _each(q_func, (pr,), ts)
 
 
 def q_log_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """q_log at every point of ts."""
-    return q_log(pr, specfun.as_points(ts))
+    return _each(q_log, (pr,), ts)
 
 
 def q_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """q_excess at every point of ts."""
-    return q_excess(pr, specfun.as_points(ts))
+    return _each(q_excess, (pr,), ts)
 
 
 def n_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
     """n_func at every point of xs."""
-    return n_func(a, b, c, specfun.as_points(xs))
+    return _each(n_func, (a, b, c), xs)
 
 
 def m_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
     """m_func at every point of xs."""
-    return m_func(a, b, c, specfun.as_points(xs))
+    return _each(m_func, (a, b, c), xs)

@@ -3,9 +3,8 @@
 Every ``*_many`` form must give each point the value, error estimate,
 term count and method of its scalar call, to the bit (compared by bit
 pattern, so the sign of zero counts), and a batch must raise what a
-loop of scalar calls raises first.  Batches below ``hyp2f1.MIN_LOCKSTEP``
-points run the scalar loop, larger ones the lockstep kernels: the
-generated batches are mostly large, and small ones are tested too.
+loop of scalar calls raises first.  Batches of every size run the
+lockstep kernels, down to a single point.
 """
 
 import math
@@ -65,9 +64,9 @@ def _assert_f21_many(p, xs):
 
 
 _SPECIAL_X = [0.0, 0.5, ABOVE_HALF]
-# more than MIN_LOCKSTEP points on either side of x = 1/2
+# dozens of points on either side of x = 1/2
 _GRID_X = _SPECIAL_X + np.linspace(0.01, 0.95, 80).tolist()
-_BATCH = {"min_size": hyp2f1.MIN_LOCKSTEP, "max_size": 60}
+_BATCH = {"min_size": 1, "max_size": 60}
 
 
 # (parameters, the methods f21 reports past x = 1/2)
@@ -85,7 +84,9 @@ _BATCH = {"min_size": hyp2f1.MIN_LOCKSTEP, "max_size": 60}
 ])
 def test_f21_many_matches_f21_on_every_route(p, methods):
     _assert_f21_many(p, _GRID_X)
-    _assert_f21_many(p, _SPECIAL_X)  # a batch below MIN_LOCKSTEP
+    _assert_f21_many(p, _SPECIAL_X)
+    for x in _SPECIAL_X:
+        _assert_f21_many(p, [x])
     got = hyp2f1.f21_many(p, _GRID_X).method
     assert set(got[np.array(_GRID_X) <= 0.5]) == {"direct_series"}
     assert set(got[np.array(_GRID_X) > 0.5]) == methods
@@ -214,7 +215,9 @@ def test_pq_many_match(pr, ts):
         _assert_pointwise(many, scalar, ts)
 
 
-@pytest.mark.parametrize("pr", _PAIRS)
+# ab >= a+b for (3, 3): the P-functions raise at every point, G after
+# its t = 0 check
+@pytest.mark.parametrize("pr", _PAIRS + [pqfun.ZeroBalancedPair(3.0, 3.0)])
 def test_pq_many_at_zero_and_errors(pr):
     grid = _T_SPECIAL * 8 + [0.5, -2.0]
     for many, scalar in _pq_forms(pr):
@@ -222,10 +225,25 @@ def test_pq_many_at_zero_and_errors(pr):
         _assert_pointwise(many, scalar, grid)
         _assert_pointwise(many, scalar, [1.0] * 30 + [math.nan])
         _assert_pointwise(many, scalar, np.abs(grid).tolist())
+        # several failing points: the first one's error, whatever its kind
+        _assert_pointwise(many, scalar, [0.5, math.nan, 0.0, -1.0])
+        _assert_pointwise(many, scalar, [0.5, -1.0, 0.0, math.nan])
     _assert_pointwise(metric.big_h_prime_many, metric.big_h_prime, grid)
     _assert_pointwise(metric.varphi_many, metric.varphi, [1e-300] + grid)
     _assert_pointwise(metric.varphi_many, metric.varphi,
                       [0.25] * 30 + [3.0, 7.5])
+
+
+def test_zero_dimensional_arrays_are_floats():
+    for pr in _PAIRS:
+        for _, scalar in _pq_forms(pr):
+            got = scalar(np.array(1.0))
+            assert type(got) is float
+            assert _bits([got]) == _bits([scalar(1.0)])
+    for fn in (pqfun.n_func, pqfun.m_func):
+        got = fn(0.5, 0.5, 1.0, np.array(0.3))
+        assert type(got) is float
+        assert _bits([got]) == _bits([fn(0.5, 0.5, 1.0, 0.3)])
 
 
 _x = st.one_of(st.sampled_from([1e-300, 0.5, ABOVE_HALF, 1.0 - 1e-16]),

@@ -117,6 +117,29 @@ def test_closed_reader_gets_no_traceback():
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants"],                                        # success
+    ["eval", "f21", "--a", "1e306", "--b", "1.5", "--c", "1e306",
+     "--x", "0.9"],                                       # typed error
+    ["bounds", "rho", "--domain", "no-such-file.json", "--z", "0,0"],
+])                                                        # OSError
+def test_reader_gone_before_any_output(argv, tmp_path):
+    # stdout is a pipe whose read end is closed before the CLI starts, so
+    # its first write or flush fails, on the success and the error paths
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "punctmetric.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "Error" not in err, err
+    assert proc.returncode == 1
+
+
 def test_eval_unknown_function_rc2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "frobnicate", "--t", "1"])
