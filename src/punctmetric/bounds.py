@@ -11,9 +11,13 @@ Two families of certified estimates:
   (``rho_bounds``); its lower end is also the pairwise sup of
   two-puncture densities (``sigma_lower``).
 
-A density query searches the N x N puncture distances as numpy
-arrays, a fixed-size block of rows at a time, so it costs O(N^2)
-array work, one block of scratch memory and N scalar ``h`` calls.
+``rho_bounds`` searches the N(N-1)/2 pairwise puncture distances as
+numpy arrays, one fixed-size block at a time, so it costs O(N^2) array
+work and one block of scratch memory.  Both queries find the lower end
+by walking the punctures outward from z until no farther one can raise
+it, so each makes a few scalar ``h`` calls, not N; ``sigma_lower``
+needs nothing else, and scans only the visited punctures' rows of
+distances, O(N) array work each after an O(N log N) sort.
 
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
@@ -23,6 +27,7 @@ err on the safe side.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -158,9 +163,8 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
 def ring_coefficients(c: float) -> RingBoundParams:
     """Slope and offset of the log-modulus distance bound for gap c."""
     c = _check_gap(c)
-    a = metric.varphi(c) / c
-    b = metric.varphi(c) - metric.varphi(0.5 * c)
-    return RingBoundParams(c, a, b)
+    v = metric.varphi(c)
+    return RingBoundParams(c, v / c, v - metric.varphi(0.5 * c))
 
 
 def ring_lower_bound(c: float, r1: float, r2: float) -> float:
@@ -197,9 +201,26 @@ def baseline_bounds(c: float) -> BaselineBounds:
     )
 
 
-# Rows of the distance matrix are searched this many elements at a
-# time, so a query's scratch memory does not grow with N.
+# A block of the distance matrix holds at most this many elements (one
+# row, if a row is longer), so a query's scratch memory stays small.
 _BLOCK = 8192
+
+
+def _bracket(r: np.ndarray, d, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Along axis of r, the largest entry <= d and the smallest >= d, NaN
+    where there is none (NaN entries never qualify)."""
+    return (np.fmax.reduce(np.where(r <= d, r, np.nan), axis=axis),
+            np.fmin.reduce(np.where(r >= d, r, np.nan), axis=axis))
+
+
+def _pair_block(x: np.ndarray, y: np.ndarray, i: int, j: int) -> np.ndarray:
+    """|b-a| for the punctures a in rows i:j and b in columns i:n, NaN
+    where b = a (a is not its own neighbour)."""
+    # np.hypot is the libm hypot that abs(complex) calls, so each r
+    # equals the scalar abs(b - a) bit for bit (np.abs does not)
+    r = np.hypot(x[i:] - x[i:j, None], y[i:] - y[i:j, None])
+    r.flat[::len(x) - i + 1] = np.nan
+    return r
 
 
 def _neighbours(x: np.ndarray, y: np.ndarray,
@@ -209,21 +230,47 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     Returns (below, above): the largest |b-a| <= d_a and the smallest
     |b-a| >= d_a, NaN where no other puncture is on that side.  A
     distance that overflows comes back as inf.
+
+    hypot is even in each argument, so |b-a| and |a-b| are the same
+    bits and each unordered pair is measured once: the block of rows
+    i:j holds the columns i:n only, and serves the search of its own
+    rows along axis 1 and that of the later columns j:n along axis 0.
     """
     n = len(x)
-    rows = max(1, _BLOCK // n)
-    below = np.empty(n)
-    above = np.empty(n)
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        # np.hypot is the libm hypot that abs(complex) calls, so each
-        # r equals the scalar abs(b - a) bit for bit (np.abs does not)
-        r = np.hypot(x - x[i:j, None], y - y[i:j, None])
-        r.flat[i::n + 1] = np.nan  # the diagonal: a is not its own neighbour
-        dj = d[i:j, None]
-        below[i:j] = np.fmax.reduce(np.where(r <= dj, r, np.nan), axis=1)
-        above[i:j] = np.fmin.reduce(np.where(r >= dj, r, np.nan), axis=1)
+    if n * n <= _BLOCK:  # the whole matrix is one block
+        return _bracket(_pair_block(x, y, 0, n), d[:, None], axis=1)
+    below = np.full(n, np.nan)
+    above = np.full(n, np.nan)
+    i = 0
+    while i < n:
+        j = min(n, i + max(1, _BLOCK // (n - i)))
+        r = _pair_block(x, y, i, j)
+        lo, hi = _bracket(r, d[i:j, None], axis=1)
+        np.fmax(below[i:j], lo, out=below[i:j])
+        np.fmin(above[i:j], hi, out=above[i:j])
+        if j < n:
+            lo, hi = _bracket(r[:, j - i:], d[j:], axis=0)
+            np.fmax(below[j:], lo, out=below[j:])
+            np.fmin(above[j:], hi, out=above[j:])
+        i = j
     return below, above
+
+
+def _log_gap(d: float, lo: float, hi: float) -> float:
+    """m = min |log d - log r| over the bracketing distances r = lo, hi."""
+    s = math.log(d)
+    # min passes over NaN: a missing neighbour, or inf - inf once d
+    # and a distance have both overflowed
+    return min(math.inf, s - math.log(lo), math.log(hi) - s)
+
+
+def _row_gap(x: np.ndarray, y: np.ndarray, d: np.ndarray, a: int) -> float:
+    """Puncture a's log-gap m, its neighbours found by one scan of its
+    row of distances rather than by _neighbours."""
+    r = np.hypot(x - x[a], y - y[a])
+    r[a] = np.nan
+    lo, hi = _bracket(r, d[a], axis=0)
+    return _log_gap(float(d[a]), float(lo), float(hi))
 
 
 # Certified intervals must absorb their own rounding: h goes through
@@ -231,6 +278,45 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
 # axis the lower bound coincides with the exact density, so without
 # one-sided slack the ordering lower <= rho would be a coin flip.
 _EVAL_SLACK = 4e-15
+
+# No computed h(m) exceeds this: h is even and decreasing in |m|, and
+# the factor covers the few ulps of rounding in h's agm chain.
+_H_CEILING = metric.h(0.0) * (1.0 + 1e-12)
+
+
+def _lower_end(d: np.ndarray, gap) -> float:
+    """max over punctures a of h(m_a)/d_a, with m_a = gap(a), lowered by
+    the evaluation slack.
+
+    The punctures are visited in increasing d, and the walk stops at the
+    first whose ceiling _H_CEILING/d is below the best value so far: no
+    later one can beat it, as division rounds monotonically.  So only
+    the one or few punctures that decide the answer pay for gap and h,
+    and the result is that of the full max to the bit.  No puncture is
+    skipped that could raise: h does not, for m in [0, T_CAP].
+    """
+    dl = d.tolist()
+    best = 0.0
+    for a in sorted(range(len(dl)), key=dl.__getitem__):
+        if _H_CEILING / dl[a] < best:
+            break
+        m = gap(a)
+        # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
+        # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
+        hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
+        best = max(best, hm / dl[a])
+    # within ~1e-309 of a puncture h(m)/d overflows, but the density is
+    # finite: the largest float is still below it
+    return min(best, sys.float_info.max) * (1.0 - _EVAL_SLACK)
+
+
+def _coordinates(dom: PuncturedDomain,
+                 z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The punctures' coordinates x, y and their distances |z-a|, inf
+    where one overflows (under np.errstate(over="ignore"))."""
+    pts = np.array(dom.punctures)
+    x, y = pts.real, pts.imag
+    return x, y, np.hypot(z.real - x, z.imag - y)
 
 
 def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
@@ -246,39 +332,31 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
 
     log is monotone, so m comes from just two other punctures: the
     one with the largest |b-a| <= d and the one with the smallest
-    |b-a| >= d.  Those are found with array reductions over all the
-    pairwise distances, a fixed block of rows at a time, and only
-    they go through ``math.log``.  A query costs O(N^2) array work,
-    scratch memory for one block, and N calls of ``metric.h``.
+    |b-a| >= d.  Those are found with array reductions over the
+    N(N-1)/2 pairwise distances, a block at a time, and only they go
+    through ``math.log``.  The upper end needs every m; the lower end
+    walks the punctures outward from z and stops once no farther one
+    can raise it, so ``metric.h`` runs on typically one to three of
+    them.  A query costs O(N^2) array work, N(N-1)/2 hypots and one
+    block of scratch memory.
     """
     z = dom._check_interior(z)
-    pts = np.array(dom.punctures)
-    x, y = pts.real, pts.imag
     with np.errstate(over="ignore"):
-        dists = np.hypot(z.real - x, z.imag - y)
+        x, y, dists = _coordinates(dom, z)
         below, above = _neighbours(x, y, dists)
-    lower = 0.0
+    gaps = []
     upper = math.inf
     for d, lo, hi in zip(dists.tolist(), below.tolist(), above.tolist()):
-        s = math.log(d)
-        # min passes over NaN: a missing neighbour, or inf - inf once d
-        # and a distance have both overflowed
-        m = min(math.inf, s - math.log(lo), math.log(hi) - s)
-        # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
-        # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
-        hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
-        lower = max(lower, hm / d)
+        m = _log_gap(d, lo, hi)
+        gaps.append(m)
         q = 4.0 * m * d
         # hi = inf is a distance that overflowed: its true log-gap is
         # finite, unknown and may be below m
         if 0.0 < q < math.inf and hi != math.inf:
             upper = min(upper, math.pi / q)
-    # within ~1e-309 of a puncture h(m)/d overflows, but the density is
-    # finite: the largest float is still below it
-    lower = min(lower, sys.float_info.max) * (1.0 - _EVAL_SLACK)
     if math.isfinite(upper):
         upper *= 1.0 + _EVAL_SLACK
-    return RhoBounds(lower, upper)
+    return RhoBounds(_lower_end(dists, gaps.__getitem__), upper)
 
 
 def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
@@ -294,6 +372,14 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
 
     and h is even and decreasing in |t|, so for each a the best b is
     the one whose log-distance is nearest log|z-a|.  The sup over pairs
-    is therefore exactly the lower end of ``rho_bounds``.
+    is therefore exactly the lower end of ``rho_bounds``, and it is
+    found by the same outward walk.  Only the punctures the walk visits
+    need their m, so each of those scans its own row of distances, and
+    the pairwise search never runs: a query costs an O(N log N) sort,
+    plus O(N) array work and one ``metric.h`` call for each visited
+    puncture, typically one to three.
     """
-    return rho_bounds(dom, z).lower
+    z = dom._check_interior(z)
+    with np.errstate(over="ignore"):
+        x, y, dists = _coordinates(dom, z)
+        return _lower_end(dists, functools.partial(_row_gap, x, y, dists))

@@ -14,6 +14,7 @@ no infinity, so an infinite upper bound is emitted as the string
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -212,6 +213,9 @@ def _cmd_figure1(parser: argparse.ArgumentParser,
     return 0
 
 
+# Built on the first main() call and kept: a build costs more than many
+# subcommands, and a parse leaves the parser as it found it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="punctmetric",

@@ -171,6 +171,26 @@ def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
     return u, minus_log_u
 
 
+def _log_series_scale(a: float, b: float, shifted: bool) -> float:
+    """The factor 1/B(a,b), or (a+b)/(ab B(a,b)) if shifted, before the
+    sum of a zero-balanced log series; RangeError where it overflows."""
+    den = a * b * specfun.beta(a, b) if shifted else specfun.beta(a, b)
+    if den == 0.0:  # B(a,b) underflows for large a, b
+        raise RangeError(
+            f"the log series' factor {'(a+b)/(ab B)' if shifted else '1/B'}"
+            f" at a={a!r}, b={b!r} overflows a float")
+    return (a + b) / den if shifted else 1.0 / den
+
+
+def _check_log_series(a: float, b: float, c: float, u: float,
+                      value: float) -> float:
+    """value, unless a term or the sum overflowed on the way to it."""
+    if not math.isfinite(value):
+        raise RangeError(
+            f"log series for F({a},{b};{c};1-{u}) overflows a float")
+    return value
+
+
 def zb_from_complement(a: float, b: float, u: float,
                        minus_log_u: float) -> EvalResult:
     """F(a,b;a+b;1-u) via the logarithmic expansion, u and -log(u) given."""
@@ -200,8 +220,8 @@ def zb_from_complement(a: float, b: float, u: float,
             f"zero-balanced log series for F({a},{b};{a+b};1-{u}) did not "
             f"converge within {MAX_TERMS_LOG} terms"
         )
-    inv_beta = 1.0 / specfun.beta(a, b)
-    value = inv_beta * total
+    inv_beta = _log_series_scale(a, b, shifted=False)
+    value = _check_log_series(a, b, a + b, u, inv_beta * total)
     r = max(u, 1e-300)
     err = abs(inv_beta) * abs(term) * r / (1.0 - r) + 4e-16 * abs(value)
     return EvalResult(value, err, n + 1, METHOD_ZB_LOG)
@@ -236,8 +256,8 @@ def zb_shifted_from_complement(a: float, b: float, u: float,
             f"log series for F({a},{b};{a+b+1};1-{u}) did not converge "
             f"within {MAX_TERMS_LOG} terms"
         )
-    scale = (a + b) / (a * b * specfun.beta(a, b))
-    value = scale * total
+    scale = _log_series_scale(a, b, shifted=True)
+    value = _check_log_series(a, b, a + b + 1.0, u, scale * total)
     r = max(u, 1e-300)
     err = abs(scale) * abs(term) * (r / (1.0 - r) + 1.0) * (ell + 2.0) \
         + 4e-16 * abs(value)
@@ -709,15 +729,13 @@ def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
     out.terms = summed + 1
     out.status[stalled] = _RAISES  # ConvergenceError: out of terms
     try:
-        if shifted:
-            scale = (a + b) / (a * b * specfun.beta(a, b))
-        else:
-            scale = 1.0 / specfun.beta(a, b)
+        scale = _log_series_scale(a, b, shifted)
     except RangeError:
         out.status[:] = _RAISES
         return out
     with np.errstate(all="ignore"):
         out.value = scale * total
+        out.status[(out.status == _OK) & ~np.isfinite(out.value)] = _OVERFLOW
         r = np.maximum(u, 1e-300)
         if shifted:
             out.err = (abs(scale) * np.abs(term) * (r / (1.0 - r) + 1.0)

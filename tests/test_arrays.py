@@ -139,6 +139,12 @@ def test_f21_many_raises_the_first_typed_error():
     _assert_f21_many(big, [0.1] * 30 + [0.999] + [0.2] * 5)
     _assert_f21_many(HALF.params(), [0.1] * 30 + [1.0, math.nan])
     _assert_f21_many(HALF.params(), [0.1, math.nan])
+    # zero-balanced log series whose terms overflow, or whose B(a, b)
+    # underflows: every point past 1/2 raises the scalar RangeError
+    for a in (400.0, 1e4):
+        for c in (2.0 * a, 2.0 * a + 1.0):
+            _assert_f21_many(HypParams(a, a, c), [0.9, 0.95])
+            _assert_f21_many(HypParams(a, a, c), [0.05, 0.9])
     u = [0.1] * 30 + [0.999]  # 200 log-series terms are too few at u = 0.999
     _assert_pointwise(
         lambda arr: hyp2f1.zb_from_complement_many(0.5, 0.5, arr, -np.log(arr)),

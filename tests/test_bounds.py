@@ -8,10 +8,12 @@ not against the oracle.
 
 import cmath
 import math
+import sys
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from punctmetric import bounds, metric
@@ -309,7 +311,8 @@ def _pair_loop_rho_bounds(dom, z):
         lower = max(lower, hm / d)
         if m > 0.0:
             upper = min(upper, math.pi / (4.0 * m * d))
-    lower *= 1.0 - bounds._EVAL_SLACK
+    # rho_bounds clamps an overflowing h(m)/d to the largest float
+    lower = min(lower, sys.float_info.max) * (1.0 - bounds._EVAL_SLACK)
     if math.isfinite(upper):
         upper *= 1.0 + bounds._EVAL_SLACK
     return bounds.RhoBounds(lower, upper)
@@ -319,7 +322,9 @@ def _assert_matches_pair_loop(pts, z, block=bounds._BLOCK):
     dom = bounds.PuncturedDomain(pts)
     with mock.patch.object(bounds, "_BLOCK", block):
         got = bounds.rho_bounds(dom, z)
-    assert got == _pair_loop_rho_bounds(dom, complex(z))
+    want = _pair_loop_rho_bounds(dom, complex(z))
+    assert got == want
+    assert bounds.sigma_lower(dom, z) == want.lower
     return got
 
 
@@ -338,6 +343,8 @@ def test_rho_two_punctures_match_the_pair_loop(pts, z):
        st.lists(st.tuples(st.integers(-4, 4), _quarter_turns),
                 min_size=1, max_size=8, unique=True),
        st.lists(_points, max_size=3))
+# z one ulp from a puncture: h(m)/d overflows and the lower end clamps
+@example(0j, 1e-300j, 1.0, [(1, 1.0)], [])
 def test_rho_near_ties_match_the_pair_loop(a, w, turn, offsets, extra):
     # punctures on or a few ulps off the circle |b-a| = |z-a|, turned by
     # quarter turns, so the two neighbours of log|z-a| are near-ties
@@ -381,10 +388,35 @@ def test_rho_blocks_match_the_pair_loop(pts, z, block):
     _assert_matches_pair_loop(pts, z, block)
 
 
-def test_rho_default_blocks_match_the_pair_loop():
-    # N = 350 at the default block: 23 rows a block, 5 in the last
-    pts = [complex(math.cos(j) * j, math.sin(1.7 * j) * 0.5 * j)
+_SPREAD = [complex(math.cos(j) * j, math.sin(1.7 * j) * 0.5 * j)
            for j in range(1, 351)]
-    assert len(pts) % (bounds._BLOCK // len(pts)) != 0
-    for z in (0.0, 3.0 + 4.0j, 1e3 - 20.0j, 1e-6j):
-        _assert_matches_pair_loop(pts, z)
+_SPREAD_Z = (0.0, 3.0 + 4.0j, 1e3 - 20.0j, 1e-6j)
+
+
+def test_rho_default_blocks_match_the_pair_loop():
+    # N = 350 at the default block: nine blocks, from 23 rows to 66, as
+    # the columns left of the diagonal drop out
+    for z in _SPREAD_Z:
+        _assert_matches_pair_loop(_SPREAD, z)
+
+
+def test_h_stays_below_the_walk_ceiling():
+    # the lower end's walk stops on h(m) <= _H_CEILING for every m
+    ts = np.concatenate((np.linspace(0.0, 2.0, 20001),
+                         np.geomspace(1e-300, metric.T_CAP, 20001)))
+    assert np.all(metric.h_many(ts) <= bounds._H_CEILING)
+    assert metric.h(0.0) <= bounds._H_CEILING
+    assert max(metric.h(t) for t in ts[::97].tolist()) <= bounds._H_CEILING
+
+
+def test_sigma_visits_only_the_punctures_it_needs():
+    # sigma never searches all N^2 distances, and calls h on the few
+    # punctures whose ceiling h(0)/d can still beat the best so far
+    dom = bounds.PuncturedDomain(_SPREAD)
+    for z in _SPREAD_Z:
+        want = _pair_loop_rho_bounds(dom, complex(z)).lower
+        with mock.patch.object(bounds, "_neighbours",
+                               side_effect=AssertionError), \
+                mock.patch.object(metric, "h", wraps=metric.h) as h:
+            assert bounds.sigma_lower(dom, z) == want
+        assert 1 <= h.call_count < len(_SPREAD)

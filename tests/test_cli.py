@@ -381,3 +381,40 @@ def test_no_arguments_prints_usage_rc2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_a_run_of_commands(capsys, tmp_path):
+    # main() keeps its parser across calls; each command, usage errors
+    # included, must print what a freshly built parser prints
+    dom = tmp_path / "dom.json"
+    dom.write_text("[[0, 0], [1, 0], [0, 1]]")
+    runs = (["eval", "h", "--t", "0.5"],
+            ["eval", "frobnicate", "--t", "1"],
+            ["bounds", "rho", "--domain", str(dom), "--z=-1,0"],
+            ["eval", "f21", "--a", "1"],
+            ["figure1", "--count", "1"],
+            ["bounds", "sigma", "--domain", str(dom), "--z", "3,2"],
+            ["bounds", "rho", "--domain", str(dom), "--z", "x"],
+            [],
+            ["figure1", "--count", "3"],
+            ["verify", "--check", "thm_c212_4"],
+            ["eval", "--help"],
+            ["constants"])
+
+    def outcome(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    cli._build_parser.cache_clear()
+    kept = [outcome(argv) for argv in runs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert kept == fresh
+    assert [rc for rc, _, _ in kept] == [0, 2, 0, 2, 2, 0, 2, 2, 0, 0, 0, 0]

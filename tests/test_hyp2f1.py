@@ -276,3 +276,10 @@ def test_large_parameters_give_a_value_or_a_typed_error():
         f21(HypParams(1e306, 1.5, 1e306), 0.9)
     with pytest.raises(RangeError):
         f21_at_one(HypParams(1e306, 1.5, 3e306))
+    # zero balanced: the log series' coefficients overflow near a = 400,
+    # and B(a, b) underflows to 0 near a = 1e4; neither may come back as
+    # +-inf with estimate inf, or as an untyped ZeroDivisionError
+    for a in (400.0, 1e4):
+        for c in (2.0 * a, 2.0 * a + 1.0):
+            with pytest.raises(RangeError):
+                f21(HypParams(a, a, c), 0.9)
