@@ -237,7 +237,9 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     rows along axis 1 and that of the later columns j:n along axis 0.
     """
     n = len(x)
-    if n * n <= _BLOCK:  # the whole matrix is one block
+    # one block holds the whole matrix: the loop below would give the
+    # same bits, but its fold arrays cost ~10 us of a ~40 us N = 2 query
+    if n * n <= _BLOCK:
         return _bracket(_pair_block(x, y, 0, n), d[:, None], axis=1)
     below = np.full(n, np.nan)
     above = np.full(n, np.nan)

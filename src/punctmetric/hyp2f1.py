@@ -173,12 +173,14 @@ def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
 
 def _log_series_scale(a: float, b: float, shifted: bool) -> float:
     """The factor 1/B(a,b), or (a+b)/(ab B(a,b)) if shifted, before the
-    sum of a zero-balanced log series; RangeError where it overflows."""
+    sum of a zero-balanced log series; RangeError where the divisor
+    underflows to 0 (B(a,b) at large a, b; a*b at tiny a, b)."""
     den = a * b * specfun.beta(a, b) if shifted else specfun.beta(a, b)
-    if den == 0.0:  # B(a,b) underflows for large a, b
+    if den == 0.0:
         raise RangeError(
             f"the log series' factor {'(a+b)/(ab B)' if shifted else '1/B'}"
-            f" at a={a!r}, b={b!r} overflows a float")
+            f" at a={a!r}, b={b!r} is out of float range "
+            f"({'B(a,b) or a*b' if shifted else 'B(a,b)'} underflows)")
     return (a + b) / den if shifted else 1.0 / den
 
 
