@@ -94,6 +94,12 @@ class RingBoundParams(NamedTuple):
     A: float
     B: float
 
+    def lower_bound(self, r1: float, r2: float) -> float:
+        """``ring_lower_bound(c, r1, r2)`` from coefficients that
+        ``ring_coefficients(c)`` returned, without evaluating them
+        again."""
+        return _ring_lower(self, *_check_radii(r1, r2))
+
 
 class BaselineBounds(NamedTuple):
     sv512_A: float
@@ -161,10 +167,46 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
 
 
 def ring_coefficients(c: float) -> RingBoundParams:
-    """Slope and offset of the log-modulus distance bound for gap c."""
+    """Slope and offset of the log-modulus distance bound for gap c:
+    A = varphi(c)/c and B = varphi(c) - varphi(c/2)."""
     c = _check_gap(c)
     v = metric.varphi(c)
     return RingBoundParams(c, v / c, v - metric.varphi(0.5 * c))
+
+
+def _check_radii(r1: float, r2: float) -> tuple[float, float]:
+    r1 = float(r1)
+    r2 = float(r2)
+    if not (0.0 < r1 <= r2 < math.inf):
+        raise DomainError(
+            f"need 0 < r1 <= r2 < inf, got r1={r1!r}, r2={r2!r}")
+    return r1, r2
+
+
+_EPS = sys.float_info.epsilon
+
+
+def _ring_lower(p: RingBoundParams, r1: float, r2: float) -> float:
+    """max(0, A L - B), L = log r2 - log r1, rounded to the safe side.
+
+    varphi(c) is A c and varphi(c/2) is A c - B, to an ulp or so, each
+    within metric.varphi_error of the truth (whose margin absorbs those
+    ulps).  So A is lowered by the first error over c and B raised by
+    both, each also by its own rounding.  Each log is good to an ulp,
+    at most eps |log r|, and their difference to half an ulp more, so
+    L is lowered by 4 eps (|log r1| + |log r2|).  The few roundings
+    after that are each at most eps/2 of a_lo L or |b_hi|, and
+    4 eps (a_lo L + |b_hi|) covers them.
+    """
+    c, a, b = p
+    phi = a * c
+    err = metric.varphi_error(phi)
+    a_lo = max(0.0, a * (1.0 - _EPS) - err / c)
+    b_hi = b + _EPS * abs(b) + err + metric.varphi_error(phi - b)
+    l1, l2 = math.log(r1), math.log(r2)
+    gap = max(0.0, (l2 - l1) - 4.0 * _EPS * (abs(l1) + abs(l2)))
+    raw = a_lo * gap - b_hi
+    return max(0.0, raw - 4.0 * _EPS * (a_lo * gap + abs(b_hi)))
 
 
 def ring_lower_bound(c: float, r1: float, r2: float) -> float:
@@ -174,16 +216,19 @@ def ring_lower_bound(c: float, r1: float, r2: float) -> float:
     ``ring_gap`` at this c, provided r1 clears the e^{-c/2}|a1| floor
     (the caller's duty, or use ring_gap with r1).  Clamped at 0: a
     negative raw value just means the bound says nothing there.
+
+    The bound is A log(r2/r1) - B with the coefficients of
+    ``ring_coefficients``.  It is certified: A is taken from below and
+    B from above by varphi's error bound (``metric.varphi_error``), the
+    log gap from below by the rounding of its two logs, and the last
+    steps' rounding is subtracted too, so the result is never above the
+    exact value of the formula.  The slack is about
+    varphi_error(varphi(c)) log(r2/r1)/c, which is small relative to
+    the bound unless varphi(c) nears the rounding, for c below ~1e-2.
     """
     c = _check_gap(c)
-    r1 = float(r1)
-    r2 = float(r2)
-    if not (0.0 < r1 <= r2 < math.inf):
-        raise DomainError(
-            f"need 0 < r1 <= r2 < inf, got r1={r1!r}, r2={r2!r}")
-    params = ring_coefficients(c)
-    raw = params.A * (math.log(r2) - math.log(r1)) - params.B
-    return max(0.0, raw)
+    r1, r2 = _check_radii(r1, r2)
+    return _ring_lower(ring_coefficients(c), r1, r2)
 
 
 def baseline_bounds(c: float) -> BaselineBounds:

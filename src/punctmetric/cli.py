@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds, elliptic, metric, pqfun, specfun, verify
 from .errors import PunctMetricError, UnknownCheckError
 from .hyp2f1 import HypParams, f21
@@ -155,7 +157,7 @@ def _cmd_verify(parser: argparse.ArgumentParser,
 def _ring_payload(c: float, r1: float, r2: float, compare: bool) -> dict:
     params = bounds.ring_coefficients(c)
     out: dict = {"c": params.c, "A": params.A, "B": params.B,
-                 "lower_bound": bounds.ring_lower_bound(c, r1, r2)}
+                 "lower_bound": params.lower_bound(r1, r2)}
     if compare:
         bl = bounds.baseline_bounds(c)
         gap = math.log(r2) - math.log(r1)
@@ -198,18 +200,30 @@ def _cmd_constants(parser: argparse.ArgumentParser,
     return 0
 
 
+# figure1 evaluates its rows this many at a time: whole arrays for the
+# kernels, a bounded amount of memory for any --count
+_FIGURE1_ROWS = 4096
+
+
 def _cmd_figure1(parser: argparse.ArgumentParser,
                  args: argparse.Namespace) -> int:
     lo, hi, count = args.lo, args.hi, args.count
-    if not (0.0 < lo < hi) or count < 2:
-        parser.error("need 0 < --lo < --hi and --count >= 2")
+    if not (0.0 < lo < hi < math.inf) or count < 2:
+        parser.error("need 0 < --lo < --hi < inf and --count >= 2")
+    two_c0 = 2.0 * metric.c0()
     w = sys.stdout
     w.write("c,phi_over_c,h_half,bp_log\n")
-    for i in range(count):
-        c = lo + (hi - lo) * i / (count - 1)
-        rc = bounds.ring_coefficients(c)
-        bl = bounds.baseline_bounds(c)
-        w.write(f"{c:.17g},{rc.A:.17g},{bl.sv512_A:.17g},{bl.bp_A:.17g}\n")
+    for start in range(0, count, _FIGURE1_ROWS):
+        i = np.arange(start, min(count, start + _FIGURE1_ROWS))
+        cs = lo + (hi - lo) * i / (count - 1)
+        # ring_coefficients(c).A and baseline_bounds(c)'s sv512_A and bp_A,
+        # to the bit, without the columns that are not printed
+        phi_over_c = metric.varphi_many(cs) / cs
+        h_half = metric.h_many(0.5 * cs)
+        for c, a, sv in zip(cs.tolist(), phi_over_c.tolist(),
+                            h_half.tolist()):
+            w.write(f"{c:.17g},{a:.17g},{sv:.17g},"
+                    f"{math.log1p(c / two_c0) / c:.17g}\n")
     return 0
 
 

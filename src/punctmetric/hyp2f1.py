@@ -173,15 +173,24 @@ def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
 
 def _log_series_scale(a: float, b: float, shifted: bool) -> float:
     """The factor 1/B(a,b), or (a+b)/(ab B(a,b)) if shifted, before the
-    sum of a zero-balanced log series; RangeError where the divisor
-    underflows to 0 (B(a,b) at large a, b; a*b at tiny a, b)."""
-    den = a * b * specfun.beta(a, b) if shifted else specfun.beta(a, b)
+    sum of a zero-balanced log series; RangeError where B(a,b)
+    underflows to 0 (at large a, b)."""
+    beta = specfun.beta(a, b)
+    if not shifted:
+        num, den = 1.0, beta
+    elif a * b * beta != 0.0:
+        num, den = a + b, a * b * beta
+    else:
+        # a*b underflows at tiny a, b, where B ~ (a+b)/(ab) is huge and
+        # the factor near 1: divide by a first (only here, so that other
+        # inputs keep their bits)
+        num, den = (a + b) / a, b * beta
     if den == 0.0:
         raise RangeError(
             f"the log series' factor {'(a+b)/(ab B)' if shifted else '1/B'}"
             f" at a={a!r}, b={b!r} is out of float range "
-            f"({'B(a,b) or a*b' if shifted else 'B(a,b)'} underflows)")
-    return (a + b) / den if shifted else 1.0 / den
+            f"(B(a,b) underflows)")
+    return num / den
 
 
 def _check_log_series(a: float, b: float, c: float, u: float,

@@ -17,3 +17,20 @@ def lambda01_ref():
             return mpmath.pi / (8 * x * k)
 
     return ref
+
+
+@pytest.fixture
+def varphi_ref():
+    """varphi(t) = log(agm(1, m_L)/agm(1, m_S)) from mpmath at 50 digits,
+    as an mpf, the moduli formed from e^{-t/4} so that none underflows.
+    Skips the test without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def ref(t):
+        with mpmath.workdps(50):
+            w = mpmath.exp(-mpmath.mpf(t) / 4)
+            root = mpmath.sqrt(1 + w * w)
+            return +mpmath.log(mpmath.agm(1, 1 / root)
+                               / mpmath.agm(1, w / root))
+
+    return ref

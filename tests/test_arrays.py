@@ -238,6 +238,13 @@ def test_pq_many_at_zero_and_errors(pr):
     _assert_pointwise(metric.varphi_many, metric.varphi, [1e-300] + grid)
     _assert_pointwise(metric.varphi_many, metric.varphi,
                       [0.25] * 30 + [3.0, 7.5])
+    # both sides of the closed-form switch at t = 2 VARPHI_CLOSED_S, the
+    # t ~ 1489 where e^{-t/2} is subnormal, and t far past it
+    switch = 2.0 * metric.VARPHI_CLOSED_S
+    _assert_pointwise(metric.varphi_many, metric.varphi,
+                      [math.nextafter(switch, 0.0), switch, 149.0, 151.0,
+                       1488.7, 1489.0, 1489.3, 2833.0, 1e5, 1e300, 0.25])
+    _assert_pointwise(metric.varphi_many, metric.varphi, [1e300, 2.0])
 
 
 def test_zero_dimensional_arrays_are_floats():

@@ -44,6 +44,33 @@ def test_ring_lower_bound_dyadic_annulus():
         bounds.ring_lower_bound(LN2, 0.0, 1.0)
 
 
+def test_ring_lower_bound_is_certified(varphi_ref):
+    # A L - B from mpmath's varphi at the float inputs: the bound may not
+    # exceed it, and for c >= 0.05 it is within 1e-12 of it
+    mpmath = pytest.importorskip("mpmath")
+    cs = [10.0 ** (k / 2.0) for k in range(-18, 3)]
+    for c in cs:
+        phi, phi_half = varphi_ref(c), varphi_ref(0.5 * c)
+        for r1 in (1e-3, 0.7, 1.0, 5e4):
+            for ratio in (1.0, 1.0 + 1e-12, 1.5, 10.0, 1e3, 1e8):
+                r2 = r1 * ratio
+                got = bounds.ring_lower_bound(c, r1, r2)
+                with mpmath.workdps(50):
+                    gap = mpmath.log(r2) - mpmath.log(r1)
+                    exact = max(0, phi / c * gap - (phi - phi_half))
+                assert got <= exact, (c, r1, r2)
+                if c >= 0.05:
+                    assert exact - got <= 1e-12 * exact, (c, r1, r2)
+
+
+def test_ring_params_lower_bound_is_ring_lower_bound():
+    for c, r1, r2 in ((LN2, 1.0, 1024.0), (1e-3, 0.5, 1e7), (7.0, 2.0, 2.0)):
+        params = bounds.ring_coefficients(c)
+        assert params.lower_bound(r1, r2) == bounds.ring_lower_bound(c, r1, r2)
+    with pytest.raises(DomainError):
+        bounds.ring_coefficients(LN2).lower_bound(2.0, 1.0)
+
+
 def test_baseline_bounds():
     bl = bounds.baseline_bounds(1.0)
     assert bl.sv512_A == pytest.approx(metric.h(0.5), rel=1e-15)

@@ -263,6 +263,26 @@ def test_bounds_ring_nonpositive_gap_rc1(capsys):
     assert "error" in doc
 
 
+def test_bounds_ring_evaluates_varphi_once_per_argument(capsys,
+                                                        monkeypatch):
+    calls = []
+    varphi = metric.varphi
+    monkeypatch.setattr(metric, "varphi",
+                        lambda t: calls.append(t) or varphi(t))
+    rc, doc = run_json(capsys, "bounds", "ring", "--c", "0.5",
+                       "--r1", "1", "--r2", "8", "--compare")
+    assert rc == 0
+    assert calls == [0.5, 0.25]
+    assert doc["lower_bound"] == bounds.ring_lower_bound(0.5, 1.0, 8.0)
+    # a bad gap is reported before bad radii, as before
+    for argv, word in ((["--c", "0", "--r1", "2", "--r2", "1"], "gap"),
+                       (["--c", "1", "--r1", "2", "--r2", "1"], "r1")):
+        rc, doc = run_json(capsys, "bounds", "ring", *argv)
+        assert rc == 1
+        assert doc["error"]["type"] == "DomainError"
+        assert word in doc["error"]["message"]
+
+
 def test_bounds_rho(capsys, tmp_path):
     path = _write_domain(tmp_path, [0.0, 1.0])
     rc, doc = run_json(capsys, "bounds", "rho", "--domain", path,
@@ -357,6 +377,24 @@ def test_figure1_table(capsys):
         assert r[3] == pytest.approx(bl.bp_A, rel=1e-12)
 
 
+@pytest.mark.parametrize("lo,hi,count", [(0.05, 10.0, 200),
+                                          (0.3, 7.1, 40),
+                                          (1e-9, 1399.0, 5000)])
+def test_figure1_is_the_scalar_formulas_to_the_byte(capsys, lo, hi, count):
+    # the array kernels give every row the bits of the scalar calls,
+    # across more than one block of rows
+    want = ["c,phi_over_c,h_half,bp_log\n"]
+    for i in range(count):
+        c = lo + (hi - lo) * i / (count - 1)
+        bl = bounds.baseline_bounds(c)
+        want.append(f"{c:.17g},{bounds.ring_coefficients(c).A:.17g},"
+                    f"{bl.sv512_A:.17g},{bl.bp_A:.17g}\n")
+    rc, out = run_cli(capsys, "figure1", "--lo", repr(lo), "--hi", repr(hi),
+                      "--count", str(count))
+    assert rc == 0
+    assert out == "".join(want)
+
+
 def test_figure1_two_point_grid(capsys):
     rc, out = run_cli(capsys, "figure1", "--lo", "0.5", "--hi", "1.0",
                       "--count", "2")
@@ -371,7 +409,8 @@ def test_figure1_two_point_grid(capsys):
 def test_figure1_bad_grid_rc2(capsys):
     for argv in (["figure1", "--lo", "0", "--hi", "1"],
                  ["figure1", "--lo", "2", "--hi", "1"],
-                 ["figure1", "--count", "1"]):
+                 ["figure1", "--count", "1"],
+                 ["figure1", "--lo", "1", "--hi", "inf"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

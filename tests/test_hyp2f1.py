@@ -18,6 +18,7 @@ from punctmetric.hyp2f1 import (
     f21,
     f21_at_one,
     f21_derivative,
+    f21_many,
     f21_minus_one,
     finite_difference_table,
     ratio_coeffs,
@@ -262,6 +263,24 @@ def test_gamma_pole_closed_form(x):
     # F(1,2;2;x) = 1/(1-x) has c-a-b = -1, an integer: direct series
     if x < 0.999:
         _assert_estimate_holds(HypParams(1.0, 2.0, 2.0), x)
+
+
+@pytest.mark.parametrize("a,b", [(1e-200, 1e-200), (1e-170, 1e-160),
+                                 (1e-300, 1e-30)])
+def test_shifted_log_series_at_tiny_parameters(a, b):
+    # c = a+b+1 rounds to 1, and a*b underflows in the prefactor
+    # (a+b)/(ab B(a,b)), whose true value is near 1
+    p = HypParams(a, b, a + b + 1.0)
+    xs = [0.9, 0.999]
+    many = f21_many(p, xs)
+    for x, value in zip(xs, many.value.tolist()):
+        r = f21(p, x)
+        assert r.method == "zb_log_series"
+        assert value == r.value
+        # B(a, b) from log-gammas of several hundred carries ~1e-13 of
+        # rounding, which the error estimate does not count yet
+        assert r.value == pytest.approx(float(_mp_f21(a, b, p.c, x)),
+                                        rel=1e-12)
 
 
 def test_large_parameters_give_a_value_or_a_typed_error():

@@ -139,6 +139,22 @@ def test_varphi_reference_and_identity():
         assert metric.varphi(t) == pytest.approx(want, rel=1e-12)
 
 
+def test_varphi_within_its_error_bound(varphi_ref):
+    switch = 2.0 * metric.VARPHI_CLOSED_S
+    ts = [10.0 ** (k / 8.0) for k in range(-13 * 8, 4 * 8 + 1)]
+    ts += [math.nextafter(switch, 0.0), switch, math.nextafter(switch, 1e3),
+           1488.5, 1489.0, 1489.5, 1e5, 1e300]
+    worst = 0.0
+    for t in ts:
+        got = metric.varphi(t)
+        err = abs(got - varphi_ref(t))
+        assert err <= metric.varphi_error(got), t
+        worst = max(worst, float(err) / metric.varphi_error(got))
+    # the largest error seen was 1.6 eps (1 + |phi|): the bound keeps a
+    # fourfold margin
+    assert worst <= 0.25
+
+
 def test_varphi_asymptote():
     # varphi(t) - log t -> -log(2 pi)
     t = 1e6
