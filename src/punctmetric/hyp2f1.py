@@ -32,13 +32,13 @@ Evaluation strategy
   serves instead.
 * any other c with x > 1/2 (s an integer other than 0 and 1): the direct
   series with an extended term cap.
-* array evaluation: ``f21_many(p, xs)`` and the other ``*_many`` forms
-  take one parameter triple and a 1-d array of points, and run the
-  routes above on all points in lockstep.  Each numpy step adds a block
-  of terms to every point still summing; the per-term factors do not
-  depend on x, so they are built once per block in the scalar order; and
-  each point stops by its scalar kernel's rule.  Every point gets the
-  bits of its scalar call (value, estimate, term count, method).
+* float and array forms: ``f21_many`` and the other ``*_many`` forms take
+  one parameter triple and a 1-d array of points, and give each point
+  the bits of its float call.  Only the summation loops are per form (a
+  Python loop at one point, ``_lockstep`` over a batch; a one-point
+  ``f21_many`` call costs 7-13 ``f21`` calls).  The route choice, the
+  error estimates, and the prefactors and closing step of the connection
+  formula are shared functions of a float or an array.
 
 The `*_from_complement` entry points take u = 1-x and -log(u) explicitly,
 so callers that know the complement exactly (logistic parameterizations
@@ -49,6 +49,7 @@ finite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -117,6 +118,24 @@ def _check_x(x: float) -> float:
     return x
 
 
+def _route(p: HypParams) -> str:
+    """How F(p; x) is summed at x > 1/2: "zb" (c = a+b), "shifted"
+    (c = a+b+1), "connection" (c-a-b not an integer) or "direct"."""
+    s = p.c - (p.a + p.b)
+    if s == 0.0:
+        return "zb"
+    if p.c == (p.a + p.b) + 1.0:
+        return "shifted"
+    if math.isfinite(s) and not s.is_integer():
+        return "connection"
+    return "direct"
+
+
+def _direct_estimate(term, r, total):
+    """The direct series' tail |T_n| r/(1-r) plus the sum's rounding."""
+    return abs(term) * r / (1.0 - r) + 4e-16 * abs(total)
+
+
 def _direct_series(a: float, b: float, c: float, x: float) -> EvalResult:
     # Neumaier-compensated accumulation: near x = 1 the sum runs to thousands
     # of terms and a bare += loses ~n*eps of the total.
@@ -157,8 +176,8 @@ def _direct_series(a: float, b: float, c: float, x: float) -> EvalResult:
     if not math.isfinite(total):
         raise RangeError(
             f"direct series for F({a},{b};{c};{x}) overflows a float")
-    err = abs(term) * r / (1.0 - r) + 4e-16 * abs(total)
-    return EvalResult(total, err, n + 1, METHOD_DIRECT)
+    return EvalResult(total, _direct_estimate(term, r, total), n + 1,
+                      METHOD_DIRECT)
 
 
 def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
@@ -193,86 +212,85 @@ def _log_series_scale(a: float, b: float, shifted: bool) -> float:
     return num / den
 
 
-def _check_log_series(a: float, b: float, c: float, u: float,
-                      value: float) -> float:
-    """value, unless a term or the sum overflowed on the way to it."""
+def _log_series_result(a: float, b: float, shifted: bool, total, term,
+                       u, ell):
+    """(value, estimate) of a zero-balanced log series from its sum and
+    last term, at a float u or an array.  The estimate counts the tail,
+    and the rounding of the sum and of B(a,b), whose three log-gammas'
+    rounding exp() turns into relative error."""
+    scale = _log_series_scale(a, b, shifted)
+    value = scale * total
+    if shifted:
+        tail = abs(scale) * abs(term) * (u / (1.0 - u) + 1.0) * (ell + 2.0)
+    else:
+        tail = abs(scale) * abs(term) * u / (1.0 - u)
+    lg = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
+    return value, tail + (4e-16 + _EPS * lg) * abs(value)
+
+
+def _zb_log(a: float, b: float, u: float, ell: float,
+            shifted: bool) -> EvalResult:
+    """F(a,b;a+b;1-u), or F(a,b;a+b+1;1-u) if shifted, by the log series
+    (see the module docstring), u and ell = -log(u) checked."""
+    c = a + b + 1.0 if shifted else a + b
+    c_n = 1.0
+    d_n = specfun.ramanujan_r(a, b)
+    u_pow = 1.0
+    total = 1.0 if shifted else d_n + ell  # the n = 0 term
+    term = total
+    n = 0
+    small_count = 0
+    while n < MAX_TERMS_LOG:
+        c_n *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
+        d_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
+        u_pow *= u
+        n += 1
+        if shifted:
+            term = c_n * (1.0 - n * (d_n + ell)) * u_pow
+        else:
+            term = c_n * (d_n + ell) * u_pow
+        total += term
+        if abs(term) <= SERIES_RTOL * abs(total):
+            small_count += 1
+            if small_count == 3:
+                break
+        else:
+            small_count = 0
+    else:
+        raise ConvergenceError(
+            f"{'log series' if shifted else 'zero-balanced log series'} for "
+            f"F({a},{b};{c};1-{u}) did not converge within {MAX_TERMS_LOG} "
+            f"terms")
+    value, err = _log_series_result(a, b, shifted, total, term, u, ell)
     if not math.isfinite(value):
         raise RangeError(
             f"log series for F({a},{b};{c};1-{u}) overflows a float")
-    return value
+    return EvalResult(value, err, n + 1, METHOD_ZB_LOG)
 
 
 def zb_from_complement(a: float, b: float, u: float,
                        minus_log_u: float) -> EvalResult:
     """F(a,b;a+b;1-u) via the logarithmic expansion, u and -log(u) given."""
-    u, ell = _check_complement(u, minus_log_u)
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
-    u_pow = 1.0
-    total = d_n + ell
-    term = total
-    n = 0
-    small_count = 0
-    while n < MAX_TERMS_LOG:
-        c_n *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
-        d_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-        u_pow *= u
-        n += 1
-        term = c_n * (d_n + ell) * u_pow
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            small_count += 1
-            if small_count == 3:
-                break
-        else:
-            small_count = 0
-    else:
-        raise ConvergenceError(
-            f"zero-balanced log series for F({a},{b};{a+b};1-{u}) did not "
-            f"converge within {MAX_TERMS_LOG} terms"
-        )
-    inv_beta = _log_series_scale(a, b, shifted=False)
-    value = _check_log_series(a, b, a + b, u, inv_beta * total)
-    r = max(u, 1e-300)
-    err = abs(inv_beta) * abs(term) * r / (1.0 - r) + 4e-16 * abs(value)
-    return EvalResult(value, err, n + 1, METHOD_ZB_LOG)
+    return _zb_log(a, b, *_check_complement(u, minus_log_u), shifted=False)
 
 
 def zb_shifted_from_complement(a: float, b: float, u: float,
                                minus_log_u: float) -> EvalResult:
     """F(a,b;a+b+1;1-u) via the differentiated logarithmic expansion."""
-    u, ell = _check_complement(u, minus_log_u)
+    return _zb_log(a, b, *_check_complement(u, minus_log_u), shifted=True)
+
+
+def _zb_coefficients(a: float, b: float):
+    """c_n and d_n of the zero-balanced expansion for n = 0, 1, ..., by
+    the recurrence of the scalar log-series loop."""
     c_n = 1.0
     d_n = specfun.ramanujan_r(a, b)
-    u_pow = 1.0
-    total = 1.0  # n = 0 term: c_0 * (1 - 0)
-    term = total
-    n = 0
-    small_count = 0
-    while n < MAX_TERMS_LOG:
-        c_n *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
-        d_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-        u_pow *= u
-        n += 1
-        term = c_n * (1.0 - n * (d_n + ell)) * u_pow
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            small_count += 1
-            if small_count == 3:
-                break
-        else:
-            small_count = 0
-    else:
-        raise ConvergenceError(
-            f"log series for F({a},{b};{a+b+1};1-{u}) did not converge "
-            f"within {MAX_TERMS_LOG} terms"
-        )
-    scale = _log_series_scale(a, b, shifted=True)
-    value = _check_log_series(a, b, a + b + 1.0, u, scale * total)
-    r = max(u, 1e-300)
-    err = abs(scale) * abs(term) * (r / (1.0 - r) + 1.0) * (ell + 2.0) \
-        + 4e-16 * abs(value)
-    return EvalResult(value, err, n + 1, METHOD_ZB_LOG)
+    m = 0
+    while True:
+        yield c_n, d_n
+        c_n *= (a + m) * (b + m) / ((m + 1.0) * (m + 1.0))
+        d_n += 2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m)
+        m += 1
 
 
 def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
@@ -288,14 +306,11 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     u = float(u)
     if not (0.0 <= u <= 0.75):
         raise DomainError(f"complement u must lie in [0, 0.75], got {u!r}")
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
     u_pow = 1.0
     c_total = 0.0
     d_total = 0.0
-    for n in range(MAX_TERMS_LOG):
-        c_n *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
-        d_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
+    for c_n, d_n in itertools.islice(_zb_coefficients(a, b), 1,
+                                     MAX_TERMS_LOG + 1):
         u_pow *= u
         c_term = c_n * u_pow
         c_total += c_term
@@ -313,8 +328,9 @@ def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
     For x far below the float resolution of 1 the difference f21(...) - 1
     would lose every digit; summing from n = 1 keeps full relative
     accuracy (the result is ~ (ab/c) x).  Restricted to x <= 3/4 so the
-    series stays fast; parameters are the caller's responsibility.
+    series stays fast; a, b and c must be positive and finite.
     """
+    HypParams(a, b, c)  # DomainError for a bad parameter
     x = float(x)
     if not (0.0 <= x <= 0.75):
         raise DomainError(f"f21_minus_one requires 0 <= x <= 3/4, got {x!r}")
@@ -337,7 +353,43 @@ def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
     )
 
 
-def _connection(a: float, b: float, c: float, s: float,
+def _connection_prefactors(a: float, b: float, c: float, s: float):
+    """For DLMF 15.8.4 at a <= b: A (None at a pole of G(c-a) G(c-b)), the
+    sign and log of B/u^s, and the sum of |log G| in A and B; OverflowError
+    where a log-gamma or A overflows."""
+    lg_c = math.lgamma(c)
+    lg_s, sg_s = specfun.log_abs_gamma(s)
+    lg_ms, sg_ms = specfun.log_abs_gamma(-s)
+    lg_ca, sg_ca = specfun.log_abs_gamma(c - a)
+    lg_cb, sg_cb = specfun.log_abs_gamma(c - b)
+    lg_a, lg_b = math.lgamma(a), math.lgamma(b)
+    coef_a = None
+    lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
+    if sg_ca and sg_cb:
+        coef_a = sg_s * sg_ca * sg_cb * math.exp(lg_c + lg_s - lg_ca - lg_cb)
+        if coef_a:
+            lg_sum += abs(lg_ca) + abs(lg_cb)
+    return coef_a, sg_ms, lg_c + lg_ms - lg_a - lg_b, lg_sum
+
+
+def _connection_result(a: float, b: float, s: float, log_u, lg_sum: float,
+                       part_a, err_a, coef_b, f2, err_2):
+    """(value, estimate, whether DLMF 15.8.4 serves) from A F1, B u^s and
+    F2 and their errors, at a float u or an array."""
+    part_b = coef_b * f2
+    value = part_a + part_b
+    size = abs(part_a) + abs(part_b)
+    # exp() turns the rounding of its (log-gamma) argument into relative
+    # error of A and B, and u^s scales the rounding of s = c-(a+b) by log u
+    rounding = CONNECTION_ROUNDING + _EPS * (
+        lg_sum + (a + b + 2.0 * abs(s)) * abs(log_u))
+    err = err_a + abs(coef_b) * err_2 + rounding * size
+    serves = ((size <= CONNECTION_MAX_CANCEL * abs(value))
+              & (abs(err) < math.inf))
+    return value, err, serves
+
+
+def _connection(a: float, b: float, c: float,
                 u: float) -> Optional[EvalResult]:
     """F(a,b;c;1-u) by DLMF 15.8.4 (see the module docstring) for
     s = c-a-b not an integer and u < 1/2.
@@ -347,21 +399,14 @@ def _connection(a: float, b: float, c: float, s: float,
     CONNECTION_MAX_CANCEL.
     """
     a, b = min(a, b), max(a, b)  # so F(a,b;..) and F(b,a;..) agree to the bit
+    s = c - (a + b)
     log_u = math.log(u)
     part_a = err_a = 0.0
     terms = 0
     try:
-        lg_c = math.lgamma(c)
-        lg_s, sg_s = specfun.log_abs_gamma(s)
-        lg_ms, sg_ms = specfun.log_abs_gamma(-s)
-        lg_ca, sg_ca = specfun.log_abs_gamma(c - a)
-        lg_cb, sg_cb = specfun.log_abs_gamma(c - b)
-        lg_a, lg_b = math.lgamma(a), math.lgamma(b)
-        coef_b = sg_ms * math.exp(lg_c + lg_ms - lg_a - lg_b + s * log_u)
-        coef_a = 0.0
-        if sg_ca and sg_cb:
-            coef_a = sg_s * sg_ca * sg_cb * math.exp(
-                lg_c + lg_s - lg_ca - lg_cb)
+        coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, c, s)
+        coef_b = sg_ms * math.exp(log_b + s * log_u)
+        if coef_a is not None:
             f1 = _direct_series(a, b, 1.0 - s, u)
             part_a = coef_a * f1.value
             err_a = abs(coef_a) * f1.abs_err_estimate
@@ -369,18 +414,10 @@ def _connection(a: float, b: float, c: float, s: float,
         f2 = _direct_series(c - a, c - b, 1.0 + s, u)
     except (OverflowError, RangeError):
         return None
-    part_b = coef_b * f2.value
-    value = part_a + part_b
-    size = abs(part_a) + abs(part_b)
-    # exp() turns the rounding of its (log-gamma) argument into relative
-    # error of A and B, and u^s scales the rounding of s = c-(a+b) by log u
-    lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
-    if coef_a:
-        lg_sum += abs(lg_ca) + abs(lg_cb)
-    rounding = CONNECTION_ROUNDING + _EPS * (
-        lg_sum + (a + b + 2.0 * abs(s)) * abs(log_u))
-    err = err_a + abs(coef_b) * f2.abs_err_estimate + rounding * size
-    if not (size <= CONNECTION_MAX_CANCEL * abs(value) and math.isfinite(err)):
+    value, err, serves = _connection_result(
+        a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
+        f2.abs_err_estimate)
+    if not serves:
         return None
     return EvalResult(value, err, terms + f2.terms_used, METHOD_CONNECTION)
 
@@ -392,18 +429,16 @@ def f21(p: HypParams, x: float) -> EvalResult:
     ConvergenceError when a series exhausts its term cap.
     """
     x = _check_x(x)
-    if x <= X_SWITCH:
-        return _direct_series(p.a, p.b, p.c, x)
-    u = 1.0 - x  # exact: x >= 1/2
-    if p.balanced_sign == 0:
-        return zb_from_complement(p.a, p.b, u, -math.log(u))
-    if p.c == (p.a + p.b) + 1.0:
-        return zb_shifted_from_complement(p.a, p.b, u, -math.log(u))
-    s = p.c - (p.a + p.b)
-    if math.isfinite(s) and not s.is_integer():
-        r = _connection(p.a, p.b, p.c, s, u)
-        if r is not None:
-            return r
+    if x > X_SWITCH:
+        route = _route(p)
+        u = 1.0 - x  # exact: x >= 1/2
+        if route == "connection":
+            r = _connection(p.a, p.b, p.c, u)
+            if r is not None:
+                return r
+        elif route != "direct":
+            return _zb_log(p.a, p.b, u, -math.log(u),
+                           shifted=route == "shifted")
     return _direct_series(p.a, p.b, p.c, x)
 
 
@@ -438,21 +473,26 @@ def zb_near_one(a: float, b: float, x: float) -> EvalResult:
     return zb_from_complement(a, b, u, -math.log(u))
 
 
+def _derivative(p: HypParams, x, value):
+    """dF(p; x)/dx from value(q, x) = F(q; x), at a float x or an array."""
+    if p.balanced_sign:
+        return p.a * p.b / p.c * value(
+            HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0), x)
+    # (1-x) F'(x) = (ab/(a+b)) F(a,b;a+b+1;x), a log series past 1/2;
+    # F(a+1,b+1;a+b+1) has c-a-b = -1 and only the direct series there
+    w = value(HypParams(p.a, p.b, p.c + 1.0), x)
+    return p.a * p.b / p.c * w / (1.0 - x)
+
+
 def f21_derivative(p: HypParams, x: float) -> float:
-    """dF(a,b;c;x)/dx = (ab/c) F(a+1,b+1;c+1;x)."""
-    shifted = HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0)
-    return p.a * p.b / p.c * f21(shifted, x).value
+    """dF(a,b;c;x)/dx = (ab/c) F(a+1,b+1;c+1;x), or for c = a+b
+    (ab/(a+b)) F(a,b;a+b+1;x)/(1-x)."""
+    return _derivative(p, _check_x(x), lambda q, y: f21(q, y).value)
 
 
 def zb_derivative(a: float, b: float, x: float) -> float:
     """dF(a,b;a+b;x)/dx via (ab/(a+b)) F(a,b;a+b+1;x) / (1-x)."""
-    x = _check_x(x)
-    u = 1.0 - x
-    if x > X_SWITCH:
-        w = zb_shifted_from_complement(a, b, u, -math.log(u)).value
-    else:
-        w = _direct_series(a, b, a + b + 1.0, x).value
-    return a * b / (a + b) * w / u
+    return f21_derivative(HypParams(a, b, a + b), x)
 
 
 def _count(value, name: str) -> int:
@@ -520,17 +560,18 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 # array evaluation
 #
-# Each *_many form runs one scalar kernel at every point of a 1-d array
-# for one parameter triple, in lockstep: one numpy step adds a block of
-# terms to every point still summing, and a point stops where the scalar
-# kernel's own rule stops it.  The per-term factors depend on the triple
-# alone, so they stay Python floats built in the scalar order; the
-# running products and sums along a block are ufunc accumulations, which
-# apply their operation in sequence as the scalar loop does; numpy's
-# + - * / round as Python's do; and log and exp come from math point by
-# point (specfun.pointwise).  So every point's value, estimate, term
-# count and method are those of its scalar call, to the bit, and a batch
-# raises what a loop of scalar calls would raise first.
+# The loops of the *_many forms; what they share with the float forms is
+# listed in the module docstring.  Each runs a scalar kernel's loop at
+# every point of a 1-d array for one parameter triple, in lockstep: one
+# numpy step adds a block of terms to every point still summing, and a
+# point stops where the scalar kernel's own rule stops it.  The per-term
+# factors depend on the triple alone, so they stay Python floats built in
+# the scalar order; the running products and sums along a block are ufunc
+# accumulations, which apply their operation in sequence as the scalar
+# loop does; numpy's + - * / round as Python's do; and log and exp come
+# from math point by point (specfun.pointwise).  So every point's value,
+# estimate, term count and method are those of its scalar call, to the
+# bit, and a batch raises what a loop of scalar calls would raise first.
 
 # Terms per block: BLOCK_MIN, or as many as the series has summed if
 # more, but at most BLOCK_CELLS over all points, so memory stays
@@ -568,10 +609,6 @@ class _Lanes:
         self.err[at] = other.err
         self.terms[at] = other.terms
         self.status[at] = other.status
-
-    def results(self, method: str) -> EvalResults:
-        return EvalResults(self.value, self.err, self.terms,
-                           np.full(self.value.size, method, dtype=object))
 
 
 def _block(n: int, points: int, cap: int) -> int:
@@ -659,19 +696,6 @@ def _factors(a: float, b: float, c: float, n: int, k: int) -> np.ndarray:
                      for m in range(n, n + k)])
 
 
-def _zb_coefficients(a: float, b: float):
-    """c_n and d_n of the zero-balanced expansion for n = 0, 1, ..., by
-    the scalar loops' recurrences."""
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
-    m = 0
-    while True:
-        yield c_n, d_n
-        c_n *= (a + m) * (b + m) / ((m + 1.0) * (m + 1.0))
-        d_n += 2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m)
-        m += 1
-
-
 def _next_coefficients(coefs, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The next k (c_n, d_n) of coefs, as two arrays."""
     cd = np.array([next(coefs) for _ in range(k)])
@@ -704,7 +728,7 @@ def _direct_many(a: float, b: float, c: float, xs: np.ndarray) -> _Lanes:
     out = _Lanes(xs.size)
     with np.errstate(all="ignore"):
         out.value = total + comp
-        out.err = np.abs(term) * r / (1.0 - r) + 4e-16 * np.abs(out.value)
+        out.err = _direct_estimate(term, r, out.value)
     out.terms = summed + 1
     out.status[~np.isfinite(out.value)] = _OVERFLOW
     out.status[stalled] = _RAISES  # ConvergenceError: out of terms
@@ -740,92 +764,62 @@ def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
     out.terms = summed + 1
     out.status[stalled] = _RAISES  # ConvergenceError: out of terms
     try:
-        scale = _log_series_scale(a, b, shifted)
+        with np.errstate(all="ignore"):
+            out.value, out.err = _log_series_result(a, b, shifted, total,
+                                                    term, u, ell)
     except RangeError:
         out.status[:] = _RAISES
         return out
-    with np.errstate(all="ignore"):
-        out.value = scale * total
-        out.status[(out.status == _OK) & ~np.isfinite(out.value)] = _OVERFLOW
-        r = np.maximum(u, 1e-300)
-        if shifted:
-            out.err = (abs(scale) * np.abs(term) * (r / (1.0 - r) + 1.0)
-                       * (ell + 2.0) + 4e-16 * np.abs(out.value))
-        else:
-            out.err = (abs(scale) * np.abs(term) * r / (1.0 - r)
-                       + 4e-16 * np.abs(out.value))
+    out.status[(out.status == _OK) & ~np.isfinite(out.value)] = _OVERFLOW
     return out
 
 
-def _exp_each(arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """math.exp at every point: the values, and where it overflowed."""
-    vals = np.zeros(arg.size)
-    over = np.zeros(arg.size, dtype=bool)
-    for i, v in enumerate(arg.tolist()):
-        try:
-            vals[i] = math.exp(v)
-        except OverflowError:
-            over[i] = True
-    return vals, over
+def _exp_or_inf(v: float) -> float:
+    """math.exp, or inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
-def _connection_many(a: float, b: float, c: float, s: float,
+def _connection_many(a: float, b: float, c: float,
                      u: np.ndarray) -> tuple[_Lanes, np.ndarray]:
     """_connection at every point of u: the lanes, and where _connection
     returns None (the caller sums the direct series there)."""
     out = _Lanes(u.size)
     a, b = min(a, b), max(a, b)
+    s = c - (a + b)
     log_u = specfun.pointwise(math.log, u)
     try:
-        lg_c = math.lgamma(c)
-        lg_s, sg_s = specfun.log_abs_gamma(s)
-        lg_ms, sg_ms = specfun.log_abs_gamma(-s)
-        lg_ca, sg_ca = specfun.log_abs_gamma(c - a)
-        lg_cb, sg_cb = specfun.log_abs_gamma(c - b)
-        lg_a, lg_b = math.lgamma(a), math.lgamma(b)
-        coef_a = 0.0
-        if sg_ca and sg_cb:
-            coef_a = sg_s * sg_ca * sg_cb * math.exp(
-                lg_c + lg_s - lg_ca - lg_cb)
+        coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, c, s)
     except OverflowError:
         return out, np.ones(u.size, dtype=bool)
-    exp_b, none = _exp_each(lg_c + lg_ms - lg_a - lg_b + s * log_u)
+    exp_b = specfun.pointwise(_exp_or_inf, log_b + s * log_u)
+    none = np.isinf(exp_b)  # the scalar call's exp overflows
     live = np.flatnonzero(~none)
-    uu, log_uu, coef_b = u[live], log_u[live], sg_ms * exp_b[live]
+    uu, coef_b = u[live], sg_ms * exp_b[live]
     part_a = err_a = np.zeros(live.size)
     terms = np.zeros(live.size, dtype=np.int64)
-    # a point's scalar call stops at the first series that fails
-    fails = np.zeros(live.size, dtype=bool)
-    raises = np.zeros(live.size, dtype=bool)
-    pending = np.ones(live.size, dtype=bool)
-    if sg_ca and sg_cb:
+    status = np.full(live.size, _OK, dtype=np.int8)
+    if coef_a is not None:
         f1 = _direct_many(a, b, 1.0 - s, uu)
         part_a = coef_a * f1.value
         err_a = abs(coef_a) * f1.err
         terms = f1.terms
-        fails |= f1.status == _OVERFLOW
-        raises |= f1.status == _RAISES
-        pending = f1.status == _OK
+        status = f1.status
     f2 = _direct_many(c - a, c - b, 1.0 + s, uu)
-    fails |= pending & (f2.status == _OVERFLOW)
-    raises |= pending & (f2.status == _RAISES)
+    # a point's scalar call stops at the first series that fails
+    status = np.where(status == _OK, f2.status, status)
     with np.errstate(all="ignore"):
-        part_b = coef_b * f2.value
-        value = part_a + part_b
-        size = np.abs(part_a) + np.abs(part_b)
-        lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
-        if coef_a:
-            lg_sum += abs(lg_ca) + abs(lg_cb)
-        rounding = CONNECTION_ROUNDING + _EPS * (
-            lg_sum + (a + b + 2.0 * abs(s)) * np.abs(log_uu))
-        err = err_a + np.abs(coef_b) * f2.err + rounding * size
-        fails |= ~((size <= CONNECTION_MAX_CANCEL * np.abs(value))
-                   & np.isfinite(err))
+        value, err, serves = _connection_result(
+            a, b, s, log_u[live], lg_sum, part_a, err_a, coef_b, f2.value,
+            f2.err)
+    raises = status == _RAISES
     out.value[live] = value
     out.err[live] = err
     out.terms[live] = terms + f2.terms
     out.status[live] = np.where(raises, _RAISES, _OK)
-    none[live] = fails & ~raises
+    none[live] = ~raises & ((status == _OVERFLOW) | ~serves)
     return out, none
 
 
@@ -846,14 +840,14 @@ def f21_many(p: HypParams, xs) -> EvalResults:
     near = np.flatnonzero(~direct)
     if near.size:
         u = 1.0 - xs[near]  # exact: x >= 1/2
-        s = p.c - (p.a + p.b)
-        if p.balanced_sign == 0 or p.c == (p.a + p.b) + 1.0:
+        route = _route(p)
+        if route in ("zb", "shifted"):
             ell = -specfun.pointwise(math.log, u)
             out.take(near, _zb_log_many(p.a, p.b, u, ell,
-                                        shifted=p.balanced_sign != 0))
+                                        shifted=route == "shifted"))
             method[near] = METHOD_ZB_LOG
-        elif math.isfinite(s) and not s.is_integer():
-            lanes, none = _connection_many(p.a, p.b, p.c, s, u)
+        elif route == "connection":
+            lanes, none = _connection_many(p.a, p.b, p.c, u)
             out.take(near, lanes)
             method[near] = METHOD_CONNECTION
             method[near[none]] = METHOD_DIRECT
@@ -868,11 +862,13 @@ def f21_many(p: HypParams, xs) -> EvalResults:
 
 def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
     """f21_derivative at every point of the 1-d array xs, to the bit."""
-    shifted = HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0)
-    return p.a * p.b / p.c * f21_many(shifted, xs).value
+    return _derivative(p, specfun.as_points(xs),
+                       lambda q, y: f21_many(q, y).value)
 
 
-def _complements(us, minus_log_us) -> tuple[np.ndarray, np.ndarray]:
+def _complement_log_many(a: float, b: float, us, minus_log_us,
+                         shifted: bool) -> EvalResults:
+    """_zb_log at every (u, -log u) pair, to the bit."""
     u = specfun.as_points(us)
     ell = specfun.as_points(minus_log_us)
     if u.shape != ell.shape:
@@ -880,28 +876,24 @@ def _complements(us, minus_log_us) -> tuple[np.ndarray, np.ndarray]:
             f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
     specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
                          lambda i: _check_complement(u[i], ell[i]))
-    return u, ell
+    out = _zb_log_many(a, b, u, ell, shifted)
+    specfun.reject_first(out.status != _OK,
+                         lambda i: _zb_log(
+                             a, b, *_check_complement(u[i], ell[i]), shifted))
+    return EvalResults(out.value, out.err, out.terms,
+                       np.full(u.size, METHOD_ZB_LOG, dtype=object))
 
 
 def zb_from_complement_many(a: float, b: float, us,
                             minus_log_us) -> EvalResults:
     """zb_from_complement at every (u, -log u) pair, to the bit."""
-    u, ell = _complements(us, minus_log_us)
-    out = _zb_log_many(a, b, u, ell, shifted=False)
-    specfun.reject_first(out.status != _OK,
-                         lambda i: zb_from_complement(a, b, u[i], ell[i]))
-    return out.results(METHOD_ZB_LOG)
+    return _complement_log_many(a, b, us, minus_log_us, shifted=False)
 
 
 def zb_shifted_from_complement_many(a: float, b: float, us,
                                     minus_log_us) -> EvalResults:
     """zb_shifted_from_complement at every (u, -log u) pair, to the bit."""
-    u, ell = _complements(us, minus_log_us)
-    out = _zb_log_many(a, b, u, ell, shifted=True)
-    specfun.reject_first(
-        out.status != _OK,
-        lambda i: zb_shifted_from_complement(a, b, u[i], ell[i]))
-    return out.results(METHOD_ZB_LOG)
+    return _complement_log_many(a, b, us, minus_log_us, shifted=True)
 
 
 def zb_complement_sums_many(a: float, b: float,
@@ -910,8 +902,7 @@ def zb_complement_sums_many(a: float, b: float,
     u = specfun.as_points(us)
     specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
                          lambda i: zb_complement_sums(a, b, u[i]))
-    coefs = _zb_coefficients(a, b)
-    next(coefs)
+    coefs = itertools.islice(_zb_coefficients(a, b), 1, None)
 
     def step(n, k, fixed, state):
         (uu,) = fixed
@@ -935,6 +926,7 @@ def zb_complement_sums_many(a: float, b: float,
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     """f21_minus_one at every point of xs, to the bit."""
+    HypParams(a, b, c)  # DomainError for a bad parameter
     x = specfun.as_points(xs)
     specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
                          lambda i: f21_minus_one(a, b, c, x[i]))

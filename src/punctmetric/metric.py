@@ -26,8 +26,8 @@ circle of the same modulus, which is what lambda01_lower and d01_lower
 return.
 
 h, H, H' and varphi have array forms (``*_many``) that give every point
-of a 1-d array the bits of its float call; h's runs both AGMs as masked
-numpy loops.
+of a 1-d array the bits of its float call: both forms run one formula,
+and only the AGM loop is per form, a masked numpy loop at an array.
 """
 
 from __future__ import annotations
@@ -128,19 +128,14 @@ def h(t: float) -> float:
 
     Strictly decreasing in |t| from h(0) = 1/(2 C0) to 0;  t h(t) < 1/2.
     """
-    t = _check_t(t)
-    w = math.exp(-abs(t))
-    root = math.sqrt(1.0 + w)
-    m_small = math.sqrt(w) / root  # 1/sqrt(1+e^{|t|})
-    m_large = 1.0 / root           # 1/sqrt(1+e^{-|t|})
-    return agm(1.0, m_small) * agm(1.0, m_large) / (2.0 * math.pi)
+    return _h(_check_t(t), math.sqrt, agm)
 
 
-def _agm_from_one(m: np.ndarray) -> np.ndarray:
-    """agm(1, m) at every point of m, 0 < m <= 1, by elliptic.agm's steps."""
+def _agm_many(x: float, m: np.ndarray) -> np.ndarray:
+    """agm(x, m) at every point of m, 0 < m <= x, by elliptic.agm's steps."""
     out = np.empty(m.size)
     idx = np.arange(m.size)
-    a = np.ones(m.size)
+    a = np.full(m.size, x)
     b = m
     for _ in range(AGM_MAX_ITER):
         done = a - b <= AGM_RTOL * a
@@ -154,15 +149,21 @@ def _agm_from_one(m: np.ndarray) -> np.ndarray:
         f"agm did not converge within {AGM_MAX_ITER} iterations")
 
 
+def _h(t, sqrt, agm):
+    """h at a checked float t by math.sqrt and elliptic.agm, or at every
+    point of a checked array by np.sqrt and _agm_many (the square roots
+    of both round correctly)."""
+    w = specfun.pointwise(math.exp, -abs(t))
+    root = sqrt(1.0 + w)
+    # the moduli 1/sqrt(1+e^{|t|}) and 1/sqrt(1+e^{-|t|})
+    return agm(1.0, sqrt(w) / root) * agm(1.0, 1.0 / root) / (2.0 * math.pi)
+
+
 def h_many(ts) -> np.ndarray:
     """h at every point of the 1-d array ts, to the bit."""
     ts = specfun.as_points(ts)
     specfun.reject_first(~(np.abs(ts) <= T_CAP), lambda i: _check_t(ts[i]))
-    w = specfun.pointwise(math.exp, -np.abs(ts))
-    root = np.sqrt(1.0 + w)
-    m_small = np.sqrt(w) / root  # 1/sqrt(1+e^{|t|})
-    m_large = 1.0 / root           # 1/sqrt(1+e^{-|t|})
-    return _agm_from_one(m_small) * _agm_from_one(m_large) / (2.0 * math.pi)
+    return _h(ts, np.sqrt, _agm_many)
 
 
 def big_h(t: float) -> float:
@@ -223,10 +224,22 @@ def varphi(t: float) -> float:
         raise DomainError(f"varphi requires t > 0, got {t!r}")
     s = 0.5 * t
     if s >= VARPHI_CLOSED_S:
-        return math.log((t + _LOG256) / _TWO_PI)
-    w = math.exp(-0.5 * s)
-    root = math.sqrt(1.0 + w * w)
-    return math.log(agm(1.0, 1.0 / root) / agm(1.0, w / root))
+        return _varphi_closed(t)
+    return _varphi_agm(s, math.sqrt, agm)
+
+
+def _varphi_closed(t):
+    """varphi at a float t or an array, from s = VARPHI_CLOSED_S on."""
+    return specfun.pointwise(math.log, (t + _LOG256) / _TWO_PI)
+
+
+def _varphi_agm(s, sqrt, agm):
+    """varphi at s = t/2 below VARPHI_CLOSED_S, a float or an array (with
+    the sqrt and agm of _h)."""
+    w = specfun.pointwise(math.exp, -0.5 * s)
+    root = sqrt(1.0 + w * w)
+    return specfun.pointwise(math.log,
+                             agm(1.0, 1.0 / root) / agm(1.0, w / root))
 
 
 def varphi_many(ts) -> np.ndarray:
@@ -237,11 +250,8 @@ def varphi_many(ts) -> np.ndarray:
     s = 0.5 * ts
     closed = s >= VARPHI_CLOSED_S
     out = np.empty(ts.size)
-    out[closed] = specfun.pointwise(math.log, (ts[closed] + _LOG256) / _TWO_PI)
-    w = specfun.pointwise(math.exp, -0.5 * s[~closed])
-    root = np.sqrt(1.0 + w * w)
-    out[~closed] = specfun.pointwise(
-        math.log, _agm_from_one(1.0 / root) / _agm_from_one(w / root))
+    out[closed] = _varphi_closed(ts[closed])
+    out[~closed] = _varphi_agm(s[~closed], np.sqrt, _agm_many)
     return out
 
 

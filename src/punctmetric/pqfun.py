@@ -109,43 +109,36 @@ def _f21(p: HypParams, x):
     return hyp2f1.f21(p, x).value
 
 
+def _at_hi(p, lo, ell, same, at_lo, shifted: bool):
+    """v(hi), or w(hi) if shifted, at hi = 1-lo for zero-balanced p from
+    lo and ell = -log(lo); at_lo, the value at lo, where lo == hi (same)."""
+    if _is_array(lo):
+        kernel = (hyp2f1.zb_shifted_from_complement_many if shifted
+                  else hyp2f1.zb_from_complement_many)
+        out = at_lo.copy()
+        out[~same] = kernel(p.a, p.b, lo[~same], ell[~same]).value
+        return out
+    if same:
+        return at_lo
+    kernel = (hyp2f1.zb_shifted_from_complement if shifted
+              else hyp2f1.zb_from_complement)
+    return kernel(p.a, p.b, lo, ell).value
+
+
 def _v_pair(pr: ZeroBalancedPair, s):
     """(lo, hi, v(lo), v(hi)) at s = |t|."""
     lo, hi, ell = _split(s)
     v_lo = _f21(pr.params(), lo)
-    if _is_array(s):
-        v_hi = v_lo.copy()
-        far = s > 0.0
-        v_hi[far] = hyp2f1.zb_from_complement_many(
-            pr.a, pr.b, lo[far], ell[far]).value
-    elif s > 0.0:
-        v_hi = hyp2f1.zb_from_complement(pr.a, pr.b, lo, ell).value
-    else:
-        v_hi = v_lo
-    return lo, hi, v_lo, v_hi
+    return lo, hi, v_lo, _at_hi(pr, lo, ell, s == 0.0, v_lo, False)
 
 
 def _vw_pair(p: HypParams, lo, ell, same):
-    """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.).
-
-    hi = 1-lo is reached from lo and ell = -log(lo) only; ``same`` marks
-    lo == hi.
-    """
+    """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.),
+    and hi = 1-lo reached as in _at_hi."""
     v_lo = _f21(p, lo)
     w_lo = _f21(HypParams(p.a, p.b, p.c + 1.0), lo)
-    if _is_array(lo):
-        v_hi, w_hi = v_lo.copy(), w_lo.copy()
-        d = ~same
-        v_hi[d] = hyp2f1.zb_from_complement_many(
-            p.a, p.b, lo[d], ell[d]).value
-        w_hi[d] = hyp2f1.zb_shifted_from_complement_many(
-            p.a, p.b, lo[d], ell[d]).value
-        return v_lo, w_lo, v_hi, w_hi
-    if same:
-        return v_lo, w_lo, v_lo, w_lo
-    v_hi = hyp2f1.zb_from_complement(p.a, p.b, lo, ell).value
-    w_hi = hyp2f1.zb_shifted_from_complement(p.a, p.b, lo, ell).value
-    return v_lo, w_lo, v_hi, w_hi
+    return (v_lo, w_lo, _at_hi(p, lo, ell, same, v_lo, False),
+            _at_hi(p, lo, ell, same, w_lo, True))
 
 
 def _complement_sums(pr: ZeroBalancedPair, t):
