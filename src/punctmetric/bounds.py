@@ -223,8 +223,9 @@ def ring_lower_bound(c: float, r1: float, r2: float) -> float:
     log gap from below by the rounding of its two logs, and the last
     steps' rounding is subtracted too, so the result is never above the
     exact value of the formula.  The slack is about
-    varphi_error(varphi(c)) log(r2/r1)/c, which is small relative to
-    the bound unless varphi(c) nears the rounding, for c below ~1e-2.
+    varphi_error(varphi(c)) log(r2/r1)/c: a few eps of the bound for c
+    below metric.VARPHI_TAYLOR_T, where that error bound is relative,
+    and at most ~2e-13 of it above.
     """
     c = _check_gap(c)
     r1, r2 = _check_radii(r1, r2)

@@ -1,55 +1,51 @@
 """Gauss hypergeometric function F(a,b;c;x) on the real interval [0, 1).
 
-Evaluation strategy
--------------------
-* x <= 1/2: the defining Maclaurin series, term recurrence
-  T_{n+1} = T_n (a+n)(b+n) / ((c+n)(n+1)) x.
-* x > 1/2 and c == a+b (zero balanced): the logarithmic expansion in
-  u = 1-x,
+Two term families, each summed by one loop per form:
 
-      F = (1/B(a,b)) * sum_n c_n (d_n + log(1/u)) u^n,
-      c_n = (a)_n (b)_n / (n!)^2,
-      d_n = 2 psi(n+1) - psi(a+n) - psi(b+n),   d_0 = R(a,b),
+* the ratio family T_0 = 1, T_{n+1} = T_n (a+n)(b+n)/((c+n)(n+1)) x, the
+  Maclaurin series, compensated by Knuth's TwoSum (near x = 1 it runs to
+  thousands of terms);
+* the zero-balanced family c_n = (a)_n (b)_n/(n!)^2, d_n = 2 psi(n+1) -
+  psi(a+n) - psi(b+n), d_0 = R(a,b), in u = 1-x and ell = -log(u):
 
-  which converges geometrically for u < 1.
-* x > 1/2 and c == a+b+1: term-differentiating the expansion above and
-  using (1-x) dF(a,b;a+b;x)/dx = (ab/(a+b)) F(a,b;a+b+1;x) gives
+      F(a,b;a+b;1-u)   = (1/B(a,b)) sum_n c_n (d_n + ell) u^n,
+      F(a,b;a+b+1;1-u) = ((a+b)/(ab B(a,b))) sum_n c_n (1 - n(d_n + ell)) u^n,
 
-      F(a,b;a+b+1;x) = ((a+b)/(ab*B(a,b))) * sum_n c_n (1 - n(d_n + log(1/u))) u^n.
+  the second by (1-x) dF(a,b;a+b;x)/dx = (ab/(a+b)) F(a,b;a+b+1;x).
 
-  The direct series decays only like n^{-2} here, far too slow near x = 1.
-* x > 1/2 and s = c-a-b not an integer: the connection formula DLMF
-  15.8.4 in u = 1-x,
+Sums from n = 1 are views of the same loops: ``f21_minus_one`` gives
+F - 1, ``zb_complement_sums`` the family's sum at ell = 0 and, beside
+it, C - 1 = sum_{n>=1} c_n u^n.
 
-      F = A F(a,b;1-s;u) + B u^s F(c-a,c-b;1+s;u),
-      A = G(c)G(s)/(G(c-a)G(c-b)),   B = G(c)G(-s)/(G(a)G(b)),
+One running error bound (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed.): each loop reports its tail bound plus eps
+(SERIES_ROUNDINGS sum_n n T~_n + m |S|), T~_n the term with each part in
+absolute value (|T_n|; c_n (|d_n| + ell) u^n; c_n (1 + n(|d_n| + ell))
+u^n), m 1 for the compensated sum and the term count for the plain one:
+cancellation shows, inside a term and between terms.  At a rounded x =
+fl(1-u) the direct series adds x_err sum n |T_n| >= |x F'(x)| x_err.
 
-  two direct series at u < 1/2 in place of one that needs ~35/u terms.
-  A and B come from log-gamma with signs; A = 0 when c-a or c-b is a
-  pole of G.  The error estimate counts the rounding of |A F1| + |B u^s F2|,
-  so the cancellation of the two parts for s near an integer shows; past
-  CONNECTION_MAX_CANCEL, or when A or B overflows, the direct series
-  serves instead.
-* any other c with x > 1/2 (s an integer other than 0 and 1): the direct
-  series with an extended term cap.
-* float and array forms: ``f21_many`` and the other ``*_many`` forms take
-  one parameter triple and a 1-d array of points, and give each point
-  the bits of its float call.  Only the summation loops are per form (a
-  Python loop at one point, ``_lockstep`` over a batch; a one-point
-  ``f21_many`` call costs 7-13 ``f21`` calls).  The route choice, the
-  error estimates, and the prefactors and closing step of the connection
-  formula are shared functions of a float or an array.
+x <= 1/2 sums the direct series; x > 1/2 is ``f21_from_complement`` at
+u = 1-x, exact there.  By c-a-b, 0 takes the log series, 1 the shifted
+one, and s not an integer the connection formula DLMF 15.8.4,
 
-The `*_from_complement` entry points take u = 1-x and -log(u) explicitly,
-so callers that know the complement exactly (logistic parameterizations
-with u = e^{-t}/(1+e^{-t})) lose nothing to cancellation; they remain
-correct even when u has underflowed to zero provided -log(u) is supplied
-finite.
+    F = A F(a,b;1-s;u) + B u^s F(c-a,c-b;1+s;u),
+    A = G(c)G(s)/(G(c-a)G(c-b)),   B = G(c)G(-s)/(G(a)G(b)),
+
+two direct series at u < 1/2 (A and B from log-gamma with signs, A = 0
+at a pole of G(c-a) or G(c-b)).  One hand-over rule serves all three:
+where a part overflows or runs out of terms, or the parts cancel by
+more than MAX_CANCEL (sum T~_n/|S|, or (|A F1| + |B u^s F2|)/|F|), the
+direct series serves at x = 1-u.  Other integer s go to it at once.  A
+caller that knows u exactly (u = e^{-t}/(1+e^{-t})) loses nothing to
+cancellation, even where u underflows to 0, given -log(u) finite.
+
+The ``*_many`` forms give each point of a 1-d array the bits of its
+float call; only the summation loops are per form, the rest is shared.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -63,17 +59,19 @@ SERIES_RTOL = 1e-15
 MAX_TERMS_DIRECT = 1_000_000
 MAX_TERMS_LOG = 200
 X_SWITCH = 0.5
-# DLMF 15.8.4 hands over to the direct series when its two parts cancel
-# by more than this factor (s = c-a-b close to an integer).
-CONNECTION_MAX_CANCEL = 1e3
+# past x = 1/2 a route hands over where its parts cancel by more than this
+MAX_CANCEL = 1e3
 # rounding allowance of DLMF 15.8.4 per unit of |A F1| + |B u^s F2|
 CONNECTION_ROUNDING = 1e-14
+# Roundings per step of a term recurrence, relative to T~_n: 8 in the
+# ratio family's; in the zero-balanced one's 6 for c_n u^n and up to 10
+# for d_n + ell, relative to |d_n| + ell, and the products.
+SERIES_ROUNDINGS = 16
 _EPS = 2.0 ** -53
 
 METHOD_DIRECT = "direct_series"
 METHOD_ZB_LOG = "zb_log_series"
 METHOD_CONNECTION = "connection_series"
-METHOD_GAUSS_LIMIT = "gauss_limit"
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def _check_x(x: float) -> float:
 
 
 def _route(p: HypParams) -> str:
-    """How F(p; x) is summed at x > 1/2: "zb" (c = a+b), "shifted"
+    """How F(p; 1-u) is summed at u < 1/2: "zb" (c = a+b), "shifted"
     (c = a+b+1), "connection" (c-a-b not an integer) or "direct"."""
     s = p.c - (p.a + p.b)
     if s == 0.0:
@@ -131,226 +129,192 @@ def _route(p: HypParams) -> str:
     return "direct"
 
 
-def _direct_estimate(term, r, total):
-    """The direct series' tail |T_n| r/(1-r) plus the sum's rounding."""
-    return abs(term) * r / (1.0 - r) + 4e-16 * abs(total)
-
-
-def _direct_series(a: float, b: float, c: float, x: float) -> EvalResult:
-    # Neumaier-compensated accumulation: near x = 1 the sum runs to thousands
-    # of terms and a bare += loses ~n*eps of the total.
+def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
+    """The ratio family at x summed onto ``total`` (1.0 holds T_0, 0.0
+    starts at n = 1): (sum, last term, tail ratio r, sum of n |T_n|,
+    terms after T_0), or None when out of terms."""
     term = 1.0
-    total = 1.0
-    comp = 0.0
+    comp = weighted = 0.0
     n = 0
-    r = x
+    ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
     small_count = 0
     while n < MAX_TERMS_DIRECT:
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        term *= ratio
+        # Knuth's TwoSum: comp gathers each addition's exact error
         t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
+        back = t - total
+        comp += (total - (t - back)) + (term - back)
         total = t
+        size = abs(term)
         n += 1
-        # Stop on the geometric tail, not the bare term: the step ratio tends
-        # to x (it crosses x at most once, since their difference has sign
-        # (a+b-c-1)n + ab-c), so past the hump the tail after T_n is at most
-        # |T_n| r/(1-r) with r = max(ratio, x).  The 3-in-a-row guard rides
-        # out the hump itself.
+        weighted += n * size
+        # Stop on the geometric tail: the step ratio crosses x at most once
+        # (their difference has sign (a+b-c-1)n + ab-c), so past the hump
+        # the tail is at most |T_n| r/(1-r), r = max(ratio, x); the
+        # 3-in-a-row guard rides out the hump itself.
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
         r = max(abs(ratio), x)
-        if r < 1.0 and abs(term) * r <= SERIES_RTOL * abs(total) * (1.0 - r):
+        if r < 1.0 and size * r <= SERIES_RTOL * abs(total) * (1.0 - r):
             small_count += 1
             if small_count == 3:
-                break
+                return total + comp, term, r, weighted, n
         else:
             small_count = 0
-    else:
+    return None
+
+
+def _ratio_estimate(term, r, weighted, total, x_err):
+    """The direct series' bound, at a float or arrays."""
+    return (abs(term) * r / (1.0 - r)
+            + _EPS * (SERIES_ROUNDINGS * weighted + abs(total))
+            + x_err * weighted)
+
+
+def _direct_series(a: float, b: float, c: float, x: float,
+                   x_err: float = 0.0) -> EvalResult:
+    """F(a,b;c;x) by its Maclaurin series, x_err bounding the relative
+    rounding of x."""
+    s = _ratio_sum(a, b, c, x, 1.0)
+    if s is None:
         raise ConvergenceError(
             f"direct series for F({a},{b};{c};{x}) did not converge "
             f"within {MAX_TERMS_DIRECT} terms"
         )
-    total += comp
+    total, term, r, weighted, n = s
     if not math.isfinite(total):
         raise RangeError(
             f"direct series for F({a},{b};{c};{x}) overflows a float")
-    return EvalResult(total, _direct_estimate(term, r, total), n + 1,
-                      METHOD_DIRECT)
+    return EvalResult(total, _ratio_estimate(term, r, weighted, total, x_err),
+                      n + 1, METHOD_DIRECT)
 
 
-def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
-    u = float(u)
-    minus_log_u = float(minus_log_u)
-    if not (0.0 <= u < 1.0):
-        raise DomainError(f"complement u must lie in [0, 1), got {u!r}")
-    if not math.isfinite(minus_log_u):
-        raise DomainError(f"-log(u) must be finite, got {minus_log_u!r}")
-    return u, minus_log_u
+def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
+    """F(a,b;c;x) - 1 as a direct sum starting at the linear term, so
+    with full relative accuracy (~ (ab/c) x) where f21(...) - 1 would
+    lose every digit.  Requires x <= 3/4 and positive finite a, b, c."""
+    HypParams(a, b, c)  # DomainError for a bad parameter
+    x = float(x)
+    if not (0.0 <= x <= 0.75):
+        raise DomainError(f"f21_minus_one requires 0 <= x <= 3/4, got {x!r}")
+    s = _ratio_sum(a, b, c, x, 0.0)
+    if s is None:
+        raise ConvergenceError(
+            f"series for F({a},{b};{c};{x}) - 1 did not converge"
+        )
+    return s[0]
+
+
+def _zb_sum(a: float, b: float, u: float, ell: float, shifted: bool,
+            from_one: bool = False):
+    """The zero-balanced family c_n (d_n + ell) u^n, or if shifted
+    c_n (1 - n(d_n + ell)) u^n, summed from n = 0 (from n = 1 if
+    from_one, where the stop rule waits for C - 1 too): (sum, last term,
+    sum of T~_n, sum of n T~_n, C - 1, terms after the first), or None
+    when out of terms."""
+    c_n = 1.0
+    d_n = specfun.ramanujan_r(a, b)
+    u_pow = 1.0
+    if from_one:
+        total = size = 0.0
+    elif shifted:
+        total = size = 1.0
+    else:
+        total, size = d_n + ell, abs(d_n) + ell
+    term = total
+    weighted = plain = 0.0
+    n = 0
+    small_count = 0
+    while n < MAX_TERMS_LOG:
+        a_n, b_n, n_1 = a + n, b + n, n + 1.0
+        c_n *= a_n * b_n / (n_1 * n_1)
+        d_n += 2.0 / n_1 - 1.0 / a_n - 1.0 / b_n
+        u_pow *= u
+        n += 1
+        c_u = c_n * u_pow
+        g = d_n + ell
+        h = abs(d_n) + ell  # T~_n has h where T_n has g
+        term = c_n * (1.0 - n * g if shifted else g) * u_pow
+        part = c_u * (1.0 + n * h if shifted else h)
+        total += term
+        size += part
+        weighted += n * part
+        plain += c_u
+        if abs(term) <= SERIES_RTOL * abs(total) and (
+                not from_one or c_u <= SERIES_RTOL * plain):
+            small_count += 1
+            if small_count == 3:
+                return total, term, size, weighted, plain, n
+        else:
+            small_count = 0
+    return None
 
 
 def _log_series_scale(a: float, b: float, shifted: bool) -> float:
     """The factor 1/B(a,b), or (a+b)/(ab B(a,b)) if shifted, before the
-    sum of a zero-balanced log series; RangeError where B(a,b)
-    underflows to 0 (at large a, b)."""
+    sum of a zero-balanced log series; inf where B(a,b) underflows to 0
+    (at large a, b)."""
     beta = specfun.beta(a, b)
     if not shifted:
         num, den = 1.0, beta
     elif a * b * beta != 0.0:
         num, den = a + b, a * b * beta
     else:
-        # a*b underflows at tiny a, b, where B ~ (a+b)/(ab) is huge and
-        # the factor near 1: divide by a first (only here, so that other
-        # inputs keep their bits)
+        # a*b underflows at tiny a, b, where the factor is near 1: divide
+        # by a first (only here, so that other inputs keep their bits)
         num, den = (a + b) / a, b * beta
-    if den == 0.0:
-        raise RangeError(
-            f"the log series' factor {'(a+b)/(ab B)' if shifted else '1/B'}"
-            f" at a={a!r}, b={b!r} is out of float range "
-            f"(B(a,b) underflows)")
-    return num / den
+    return num / den if den else math.inf
 
 
-def _log_series_result(a: float, b: float, shifted: bool, total, term,
-                       u, ell):
-    """(value, estimate) of a zero-balanced log series from its sum and
-    last term, at a float u or an array.  The estimate counts the tail,
-    and the rounding of the sum and of B(a,b), whose three log-gammas'
-    rounding exp() turns into relative error."""
+def _log_series_result(a: float, b: float, shifted: bool, sums, u, ell):
+    """(value, estimate, whether it serves) of a log series from the sums
+    of _zb_sum, at a float u or arrays.  math.lgamma erred against mpmath
+    (x from 1e-4 to 1e5) by at most 18 eps where |lgamma| < 4, else 4.1
+    eps |lgamma|: B's three by 5 (|lgamma| + 4) eps at most; their sum,
+    exp(), the factor and the product add eps lg + 4 eps."""
+    total, term, size, weighted, _, terms = sums
     scale = _log_series_scale(a, b, shifted)
     value = scale * total
     if shifted:
-        tail = abs(scale) * abs(term) * (u / (1.0 - u) + 1.0) * (ell + 2.0)
+        tail = abs(term) * (u / (1.0 - u) + 1.0) * (ell + 2.0)
     else:
-        tail = abs(scale) * abs(term) * u / (1.0 - u)
+        tail = abs(term) * u / (1.0 - u)
     lg = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
-    return value, tail + (4e-16 + _EPS * lg) * abs(value)
+    err = (abs(scale) * (tail + _EPS * (SERIES_ROUNDINGS * weighted
+                                        + terms * abs(total)))
+           + _EPS * (6.0 * lg + 64.0) * abs(value))
+    serves = (size <= MAX_CANCEL * abs(total)) & (err < math.inf)
+    return value, err, serves
 
 
 def _zb_log(a: float, b: float, u: float, ell: float,
-            shifted: bool) -> EvalResult:
-    """F(a,b;a+b;1-u), or F(a,b;a+b+1;1-u) if shifted, by the log series
-    (see the module docstring), u and ell = -log(u) checked."""
-    c = a + b + 1.0 if shifted else a + b
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
-    u_pow = 1.0
-    total = 1.0 if shifted else d_n + ell  # the n = 0 term
-    term = total
-    n = 0
-    small_count = 0
-    while n < MAX_TERMS_LOG:
-        c_n *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
-        d_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-        u_pow *= u
-        n += 1
-        if shifted:
-            term = c_n * (1.0 - n * (d_n + ell)) * u_pow
-        else:
-            term = c_n * (d_n + ell) * u_pow
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            small_count += 1
-            if small_count == 3:
-                break
-        else:
-            small_count = 0
-    else:
-        raise ConvergenceError(
-            f"{'log series' if shifted else 'zero-balanced log series'} for "
-            f"F({a},{b};{c};1-{u}) did not converge within {MAX_TERMS_LOG} "
-            f"terms")
-    value, err = _log_series_result(a, b, shifted, total, term, u, ell)
-    if not math.isfinite(value):
-        raise RangeError(
-            f"log series for F({a},{b};{c};1-{u}) overflows a float")
-    return EvalResult(value, err, n + 1, METHOD_ZB_LOG)
-
-
-def zb_from_complement(a: float, b: float, u: float,
-                       minus_log_u: float) -> EvalResult:
-    """F(a,b;a+b;1-u) via the logarithmic expansion, u and -log(u) given."""
-    return _zb_log(a, b, *_check_complement(u, minus_log_u), shifted=False)
-
-
-def zb_shifted_from_complement(a: float, b: float, u: float,
-                               minus_log_u: float) -> EvalResult:
-    """F(a,b;a+b+1;1-u) via the differentiated logarithmic expansion."""
-    return _zb_log(a, b, *_check_complement(u, minus_log_u), shifted=True)
-
-
-def _zb_coefficients(a: float, b: float):
-    """c_n and d_n of the zero-balanced expansion for n = 0, 1, ..., by
-    the recurrence of the scalar log-series loop."""
-    c_n = 1.0
-    d_n = specfun.ramanujan_r(a, b)
-    m = 0
-    while True:
-        yield c_n, d_n
-        c_n *= (a + m) * (b + m) / ((m + 1.0) * (m + 1.0))
-        d_n += 2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m)
-        m += 1
+            shifted: bool) -> Optional[EvalResult]:
+    """F(a,b;a+b;1-u), or F(a,b;a+b+1;1-u) if shifted, by the log series,
+    or None where it hands over to the direct series."""
+    sums = _zb_sum(a, b, u, ell, shifted)
+    if sums is None:
+        return None
+    value, err, serves = _log_series_result(a, b, shifted, sums, u, ell)
+    return EvalResult(value, err, sums[-1] + 1, METHOD_ZB_LOG) if serves \
+        else None
 
 
 def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     """Return (C-1, D1): C = sum c_n u^n, D1 = sum_{n>=1} c_n d_n u^n.
 
-    These are the log-free and log-coefficient parts of the zero-balanced
-    expansion, with the leading 1 of C left off so both sums vanish like
-    u as u -> 0.  Callers recombining them against exactly known linear
-    terms (the asymptotic-defect functions) keep full relative accuracy
-    that way; C-1 formed by subtraction would have none once u is below
-    the float resolution of 1.
+    The log-free and log-coefficient parts of the zero-balanced
+    expansion, both vanishing like u, so that callers recombining them
+    against exactly known linear terms (the asymptotic-defect functions)
+    keep full relative accuracy where C-1 formed by subtraction has none.
     """
     u = float(u)
     if not (0.0 <= u <= 0.75):
         raise DomainError(f"complement u must lie in [0, 0.75], got {u!r}")
-    u_pow = 1.0
-    c_total = 0.0
-    d_total = 0.0
-    for c_n, d_n in itertools.islice(_zb_coefficients(a, b), 1,
-                                     MAX_TERMS_LOG + 1):
-        u_pow *= u
-        c_term = c_n * u_pow
-        c_total += c_term
-        d_total += c_term * d_n
-        if c_term * (abs(d_n) + 1.0) <= 1e-18 * (abs(c_total) + abs(d_total)):
-            return c_total, d_total
-    raise ConvergenceError(
-        f"zero-balanced coefficient sums at u={u} did not converge"
-    )
-
-
-def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
-    """F(a,b;c;x) - 1 as a direct sum starting at the linear term.
-
-    For x far below the float resolution of 1 the difference f21(...) - 1
-    would lose every digit; summing from n = 1 keeps full relative
-    accuracy (the result is ~ (ab/c) x).  Restricted to x <= 3/4 so the
-    series stays fast; a, b and c must be positive and finite.
-    """
-    HypParams(a, b, c)  # DomainError for a bad parameter
-    x = float(x)
-    if not (0.0 <= x <= 0.75):
-        raise DomainError(f"f21_minus_one requires 0 <= x <= 3/4, got {x!r}")
-    term = 1.0
-    total = 0.0
-    n = 0
-    small_count = 0
-    while n < MAX_TERMS_DIRECT:
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        total += term
-        n += 1
-        if abs(term) <= SERIES_RTOL * (abs(total) + 1e-300):
-            small_count += 1
-            if small_count == 3:
-                return total
-        else:
-            small_count = 0
-    raise ConvergenceError(
-        f"series for F({a},{b};{c};{x}) - 1 did not converge"
-    )
+    sums = _zb_sum(a, b, u, 0.0, False, from_one=True)
+    if sums is None:
+        raise ConvergenceError(
+            f"zero-balanced coefficient sums at u={u} did not converge"
+        )
+    return sums[4], sums[0]
 
 
 def _connection_prefactors(a: float, b: float, c: float, s: float):
@@ -384,23 +348,16 @@ def _connection_result(a: float, b: float, s: float, log_u, lg_sum: float,
     rounding = CONNECTION_ROUNDING + _EPS * (
         lg_sum + (a + b + 2.0 * abs(s)) * abs(log_u))
     err = err_a + abs(coef_b) * err_2 + rounding * size
-    serves = ((size <= CONNECTION_MAX_CANCEL * abs(value))
-              & (abs(err) < math.inf))
+    serves = (size <= MAX_CANCEL * abs(value)) & (abs(err) < math.inf)
     return value, err, serves
 
 
-def _connection(a: float, b: float, c: float,
-                u: float) -> Optional[EvalResult]:
-    """F(a,b;c;1-u) by DLMF 15.8.4 (see the module docstring) for
-    s = c-a-b not an integer and u < 1/2.
-
-    Returns None, for the caller to sum the direct series, when a
-    prefactor or a series overflows or the parts cancel by more than
-    CONNECTION_MAX_CANCEL.
-    """
+def _connection(a: float, b: float, c: float, u: float,
+                log_u: float) -> Optional[EvalResult]:
+    """F(a,b;c;1-u) by DLMF 15.8.4 for s = c-a-b not an integer and
+    u < 1/2, or None where it hands over to the direct series."""
     a, b = min(a, b), max(a, b)  # so F(a,b;..) and F(b,a;..) agree to the bit
     s = c - (a + b)
-    log_u = math.log(u)
     part_a = err_a = 0.0
     terms = 0
     try:
@@ -422,6 +379,46 @@ def _connection(a: float, b: float, c: float,
     return EvalResult(value, err, terms + f2.terms_used, METHOD_CONNECTION)
 
 
+def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
+    u = float(u)
+    minus_log_u = float(minus_log_u)
+    if not (0.0 <= u < 1.0):
+        raise DomainError(f"complement u must lie in [0, 1), got {u!r}")
+    if not math.isfinite(minus_log_u):
+        raise DomainError(f"-log(u) must be finite, got {minus_log_u!r}")
+    return u, minus_log_u
+
+
+def _x_err(x, u):
+    """The relative rounding of x = fl(1-u), at a float or an array: 1-x
+    is exact for x >= 1/2, and so is (1-x) - u wherever u > 2 eps."""
+    return abs((1.0 - x) - u) / x
+
+
+def f21_from_complement(p: HypParams, u: float,
+                        minus_log_u: float) -> EvalResult:
+    """F(p; 1-u) for 0 <= u < 1, with u and -log(u) given: below u = 1/2
+    by a complement route or its hand-over, else by the direct series.
+    Raises RangeError when the value overflows or the direct series would
+    run where 1-u rounds to 1, ConvergenceError when out of terms."""
+    u, ell = _check_complement(u, minus_log_u)
+    if u < X_SWITCH:
+        route = _route(p)
+        r = None
+        if route == "connection":
+            r = _connection(p.a, p.b, p.c, u, -ell)
+        elif route != "direct":
+            r = _zb_log(p.a, p.b, u, ell, shifted=route == "shifted")
+        if r is not None:
+            return r
+    x = 1.0 - u
+    if x == 1.0:
+        raise RangeError(
+            f"F({p.a},{p.b};{p.c};1-u) at u={u!r}: the direct series would "
+            f"run at 1-u, which rounds to 1")
+    return _direct_series(p.a, p.b, p.c, x, _x_err(x, u))
+
+
 def f21(p: HypParams, x: float) -> EvalResult:
     """Evaluate F(a,b;c;x) for 0 <= x < 1.
 
@@ -430,16 +427,21 @@ def f21(p: HypParams, x: float) -> EvalResult:
     """
     x = _check_x(x)
     if x > X_SWITCH:
-        route = _route(p)
         u = 1.0 - x  # exact: x >= 1/2
-        if route == "connection":
-            r = _connection(p.a, p.b, p.c, u)
-            if r is not None:
-                return r
-        elif route != "direct":
-            return _zb_log(p.a, p.b, u, -math.log(u),
-                           shifted=route == "shifted")
+        return f21_from_complement(p, u, -math.log(u))
     return _direct_series(p.a, p.b, p.c, x)
+
+
+def zb_from_complement(a: float, b: float, u: float,
+                       minus_log_u: float) -> EvalResult:
+    """F(a,b;a+b;1-u), u and -log(u) given."""
+    return f21_from_complement(HypParams(a, b, a + b), u, minus_log_u)
+
+
+def zb_shifted_from_complement(a: float, b: float, u: float,
+                               minus_log_u: float) -> EvalResult:
+    """F(a,b;a+b+1;1-u), u and -log(u) given."""
+    return f21_from_complement(HypParams(a, b, a + b + 1.0), u, minus_log_u)
 
 
 def f21_at_one(p: HypParams) -> float:
@@ -461,16 +463,10 @@ def f21_at_one(p: HypParams) -> float:
 
 
 def zb_near_one(a: float, b: float, x: float) -> EvalResult:
-    """F(a,b;a+b;x) by the logarithmic expansion around x = 1.
-
-    Intended for x > 1/2; converges for any x in (0, 1).  For x >= 1/2
-    the complement 1-x is exact in floating point.
-    """
-    x = _check_x(x)
-    if x == 0.0:
+    """F(a,b;a+b;x) for 0 < x < 1, as f21 (past 1/2 the log series)."""
+    if _check_x(x) == 0.0:
         raise DomainError("zb_near_one requires 0 < x < 1")
-    u = 1.0 - x
-    return zb_from_complement(a, b, u, -math.log(u))
+    return f21(HypParams(a, b, a + b), x)
 
 
 def _derivative(p: HypParams, x, value):
@@ -560,25 +556,21 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 # array evaluation
 #
-# The loops of the *_many forms; what they share with the float forms is
-# listed in the module docstring.  Each runs a scalar kernel's loop at
-# every point of a 1-d array for one parameter triple, in lockstep: one
+# A family's loop runs at every point of a 1-d array in lockstep: each
 # numpy step adds a block of terms to every point still summing, and a
-# point stops where the scalar kernel's own rule stops it.  The per-term
-# factors depend on the triple alone, so they stay Python floats built in
-# the scalar order; the running products and sums along a block are ufunc
-# accumulations, which apply their operation in sequence as the scalar
-# loop does; numpy's + - * / round as Python's do; and log and exp come
-# from math point by point (specfun.pointwise).  So every point's value,
-# estimate, term count and method are those of its scalar call, to the
-# bit, and a batch raises what a loop of scalar calls would raise first.
+# point stops where the scalar rule stops it.  Running products and sums
+# are ufunc accumulations, applied in sequence as the scalar loop does;
+# numpy's + - * / round as Python's do; log and exp come from math point
+# by point.  So each point gets its scalar call's bits, and a batch
+# raises what a loop of scalar calls would raise first.
 
-# Terms per block: BLOCK_MIN, or as many as the series has summed if
-# more, but at most BLOCK_CELLS over all points, so memory stays
-# O(points) and the long tail of a few points costs a few numpy calls
-# per thousand terms.
+# Terms per block: BLOCK_MIN, or as many as already summed, but at most
+# BLOCK_CELLS over all points.
 BLOCK_MIN = 16
-BLOCK_CELLS = 4096
+BLOCK_CELLS = 16384
+# Batches of fewer points run the scalar loop point by point: one
+# lockstep run costs about as much as 4 to 8 scalar calls.
+SCALAR_BELOW = 4
 
 # per-point status of a lockstep series: its scalar form returns, raises
 # RangeError on overflow, or raises some other error
@@ -611,53 +603,50 @@ class _Lanes:
         self.status[at] = other.status
 
 
-def _block(n: int, points: int, cap: int) -> int:
-    """Terms in the next block of a series that has summed n of its cap."""
-    return max(1, min(max(BLOCK_MIN, n), BLOCK_CELLS // points, cap - n))
+def _running(ufunc: np.ufunc, start, steps: np.ndarray) -> np.ndarray:
+    """Row i: start[i] combined with steps[i, 0], then with steps[i, 1],
+    ..."""
+    start = np.asarray(start)
+    out = np.empty(start.shape + (steps.shape[-1] + 1,))
+    out[..., 0] = start
+    out[..., 1:] = steps
+    return ufunc.accumulate(out, axis=-1, out=out)[..., 1:]
 
 
-def _prepend(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """The column first before the columns of rest."""
-    return np.concatenate((first[:, None], rest), axis=1)
-
-
-def _running(ufunc: np.ufunc, start: np.ndarray,
-             steps: np.ndarray) -> np.ndarray:
-    """Row i: start[i] combined with steps[i, 0], then with steps[i, 1], ..."""
-    return ufunc.accumulate(_prepend(start, steps), axis=1)[:, 1:]
+def _running_pair(starts, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Two running sums, _running(np.add, starts[i], steps[i]), for the
+    cost of one: as the parts of a complex array, which numpy adds as
+    floats of their own, so each keeps its own bits."""
+    out = np.empty((steps[0].shape[0], steps[0].shape[1] + 1), dtype=complex)
+    for part, start, step in zip((out.real, out.imag), starts, steps):
+        part[:, 0] = start
+        part[:, 1:] = step
+    np.add.accumulate(out, axis=1, out=out)
+    return out.real[:, 1:], out.imag[:, 1:]
 
 
 def _runs_of_three(cond: np.ndarray,
                    small: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A block of the stop rule "the test passed at three steps in a row".
-
-    cond[i, j] is point i's test at step j of the block, small[i] its run
-    of passed tests before the block.  Returns the points that stop in
-    the block, the step at which each stops, and each point's run at the
-    end of the block.
-    """
-    ext = _prepend(small >= 2, _prepend(small >= 1, cond))
+    """A block of the stop rule "passed three times in a row": from the
+    tests cond[i, :] and the runs small[i] before the block, the points
+    that stop, the step at which each does, and the runs after it."""
+    ext = np.concatenate(((small >= 2)[:, None], (small >= 1)[:, None],
+                          cond), axis=1)
     hit = ext[:, 2:] & ext[:, 1:-1] & ext[:, :-2]
     run = np.where(ext[:, -1], np.where(ext[:, -2], 2, 1), 0)
     return hit.any(axis=1), hit.argmax(axis=1), run
 
 
 def _lockstep(step, fixed: tuple[np.ndarray, ...],
-              state: tuple[np.ndarray, ...], cap: int,
-              three_in_a_row: bool = True):
+              state: tuple[np.ndarray, ...], cap: int):
     """Sum a series at every point of a batch in lockstep, by blocks.
 
     ``fixed`` holds each point's inputs as (points, 1) columns, ``state``
-    the values a term reads from the terms before it or the caller wants
-    at the stop.  ``step(n, k, fixed, state)`` adds terms n+1 .. n+k and
-    returns the state after each of them, as (points, k) arrays, with
-    the stop test at each, a (points, k) bool array.  A point stops at
-    its third passed test in a row, or at its first if not
-    ``three_in_a_row``, and its active set shrinks block by block.
-
-    Returns the state at each point's stop, the terms each point summed
-    after the first, and the points still summing after ``cap`` terms.
-    """
+    what the next term reads or the caller wants.  ``step(n, k, fixed,
+    state)`` adds terms n+1 .. n+k and returns the state after each, as
+    (points, k) arrays, and the stop test at each.  Returns the state at
+    each point's stop, its terms after the first, and where ``cap`` terms
+    were not enough."""
     size = state[0].size
     final = tuple(np.zeros(size) for _ in state)
     summed = np.zeros(size, dtype=np.int64)
@@ -666,20 +655,20 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
     n = 0
     with np.errstate(all="ignore"):
         while idx.size and n < cap:
-            k = _block(n, idx.size, cap)
+            k = max(1, min(max(BLOCK_MIN, n), BLOCK_CELLS // idx.size,
+                           cap - n))
             cols, passed = step(n, k, fixed, state)
-            if three_in_a_row:
-                stop, at, small = _runs_of_three(passed, small)
-            else:
-                stop, at = passed.any(axis=1), passed.argmax(axis=1)
-            if stop.any():
-                rows = np.flatnonzero(stop)
-                j = at[rows]
-                i = idx[rows]
-                for out, col in zip(final, cols):
-                    out[i] = col[rows, j]
-                summed[i] = n + j + 1
+            stop, at, small = _runs_of_three(passed, small)
             n += k
+            if not stop.any():
+                state = tuple(col[:, -1] for col in cols)
+                continue
+            rows = np.flatnonzero(stop)
+            j = at[rows]
+            i = idx[rows]
+            for out, col in zip(final, cols):
+                out[i] = col[rows, j]
+            summed[i] = n - k + j + 1
             keep = ~stop
             idx, small = idx[keep], small[keep]
             fixed = tuple(v[keep] for v in fixed)
@@ -689,89 +678,130 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
     return final, summed, stalled
 
 
-def _factors(a: float, b: float, c: float, n: int, k: int) -> np.ndarray:
-    """(a+m)(b+m)/((c+m)(m+1)) for m = n .. n+k-1, as the scalar loops
-    form them."""
-    return np.array([(a + m) * (b + m) / ((c + m) * (m + 1.0))
-                     for m in range(n, n + k)])
+def _scalar_batch(sum_at, count: int, fields: int):
+    """A lockstep run's result by the scalar loop at a few points:
+    sum_at(i) gives point i's sums, the term count last, or None."""
+    sums = [sum_at(i) for i in range(count)]
+    out = np.array([s or (0.0,) * fields for s in sums],
+                   float).reshape(count, fields).T
+    return ((*out[:-1], out[-1].astype(np.int64)),
+            np.array([s is None for s in sums], dtype=bool))
 
 
-def _next_coefficients(coefs, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next k (c_n, d_n) of coefs, as two arrays."""
-    cd = np.array([next(coefs) for _ in range(k)])
-    return cd[:, 0], cd[:, 1]
+def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
+                total: np.ndarray):
+    """_ratio_sum at every point of xs onto the sums ``total``, laid out
+    as its result (arrays), and the points out of terms."""
+    if xs.size < SCALAR_BELOW:
+        return _scalar_batch(lambda i: _ratio_sum(
+            a, b, c, float(xs[i]), float(total[i])), xs.size, 5)
 
-
-def _direct_many(a: float, b: float, c: float, xs: np.ndarray) -> _Lanes:
-    """_direct_series at every point of xs."""
     def step(n, k, fixed, state):
         (x,) = fixed
-        term, total, comp, _ = state
+        term, total, weighted, comp, _ = state
         # term n+j takes factor j, and its stop test the ratio factor j+1
-        mult = _factors(a, b, c, n, k + 1) * x
+        m = np.arange(n, n + k + 1.0)  # a + m rounds as the scalar a + n
+        mult = (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x
         terms = _running(np.multiply, term, mult[:, :k])
-        sums = _running(np.add, total, terms)
-        prev = _prepend(total, sums[:, :-1])
-        abs_terms = np.abs(terms)
-        comps = _running(np.add, comp, np.where(
-            np.abs(prev) >= abs_terms,
-            (prev - sums) + terms, (terms - sums) + prev))
+        sizes = np.abs(terms)
+        sums, weights = _running_pair((total, weighted),
+                                      (terms, m[1:] * sizes))
+        prev = np.concatenate((total[:, None], sums[:, :-1]), axis=1)
+        back = sums - prev
+        comps = _running(np.add, comp,
+                         (prev - (sums - back)) + (terms - back))
         r = np.maximum(np.abs(mult[:, 1:]), x)
-        passed = (r < 1.0) & (abs_terms * r
+        passed = (r < 1.0) & (sizes * r
                               <= SERIES_RTOL * np.abs(sums) * (1.0 - r))
-        return (terms, sums, comps, r), passed
+        return (terms, sums, weights, comps, r), passed
 
-    ones = np.ones(xs.size)
-    (term, total, comp, r), summed, stalled = _lockstep(
-        step, (xs[:, None],), (ones, ones, np.zeros(xs.size), ones),
+    ones, zeros = np.ones(xs.size), np.zeros(xs.size)
+    (term, total, weighted, comp, r), summed, stalled = _lockstep(
+        step, (xs[:, None],), (ones, total, zeros, zeros, ones),
         MAX_TERMS_DIRECT)
-    out = _Lanes(xs.size)
     with np.errstate(all="ignore"):
-        out.value = total + comp
-        out.err = _direct_estimate(term, r, out.value)
+        return (total + comp, term, r, weighted, summed), stalled
+
+
+def _direct_many(a: float, b: float, c: float, xs: np.ndarray,
+                 x_err=0.0) -> _Lanes:
+    """_direct_series at every point of xs."""
+    (total, term, r, weighted, summed), stalled = _ratio_many(
+        a, b, c, xs, np.ones(xs.size))
+    out = _Lanes(xs.size)
+    out.value = total
+    with np.errstate(all="ignore"):
+        out.err = _ratio_estimate(term, r, weighted, total, x_err)
     out.terms = summed + 1
-    out.status[~np.isfinite(out.value)] = _OVERFLOW
+    out.status[~np.isfinite(total)] = _OVERFLOW
     out.status[stalled] = _RAISES  # ConvergenceError: out of terms
     return out
 
 
-def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
-                 shifted: bool) -> _Lanes:
-    """zb_from_complement (or, shifted, zb_shifted_from_complement) at
-    every (u, ell) pair, the pairs already checked."""
-    coefs = _zb_coefficients(a, b)
-    _, d_0 = next(coefs)
+def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
+             shifted: bool, from_one: bool = False):
+    """_zb_sum at every (u, ell) pair, laid out as its result (arrays),
+    and the points out of terms; C - 1 is left out (as 0) of the log
+    series, and the last term and the sums of T~_n of the view."""
+    if u.size < SCALAR_BELOW:
+        return _scalar_batch(lambda i: _zb_sum(
+            a, b, float(u[i]), float(ell[i]), shifted, from_one), u.size, 6)
+    # c_n and d_n for n = 1 .. MAX_TERMS_LOG, by the scalar recurrence
+    d_0 = specfun.ramanujan_r(a, b)
+    m = np.arange(float(MAX_TERMS_LOG))
+    with np.errstate(all="ignore"):
+        c_all = _running(np.multiply, 1.0,
+                         (a + m) * (b + m) / ((m + 1.0) * (m + 1.0)))
+        d_all = _running(np.add, d_0,
+                         2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m))
+    m += 1.0
 
     def step(n, k, fixed, state):
         uu, ll = fixed
-        u_pow, total, _ = state
-        cs, ds = _next_coefficients(coefs, k)
-        u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
-        if shifted:
-            m = np.arange(n + 1.0, n + k + 1.0)
-            terms = cs * (1.0 - m * (ds + ll)) * u_pows
-        else:
-            terms = cs * (ds + ll) * u_pows
-        sums = _running(np.add, total, terms)
-        return (u_pows, sums, terms), \
-            np.abs(terms) <= SERIES_RTOL * np.abs(sums)
+        cs, ds, j = c_all[n:n + k], d_all[n:n + k], m[n:n + k]
+        u_pows = _running(np.multiply, state[0], np.repeat(uu, k, axis=1))
+        g = ds + ll
+        terms = cs * (1.0 - j * g if shifted else g) * u_pows
+        c_u = cs * u_pows
+        if from_one:  # beside the sum, C - 1, which the stop waits for too
+            sums, plains = _running_pair(state[1:3], (terms, c_u))
+            return (u_pows, sums, plains), (
+                (np.abs(terms) <= SERIES_RTOL * np.abs(sums))
+                & (c_u <= SERIES_RTOL * plains))
+        h = np.abs(ds) + ll
+        parts = c_u * (1.0 + j * h if shifted else h)  # T~_n
+        sums, sizes = _running_pair(state[1:3], (terms, parts))
+        weights = _running(np.add, state[3], j * parts)
+        return ((u_pows, sums, sizes, weights, terms),
+                np.abs(terms) <= SERIES_RTOL * np.abs(sums))
 
-    start = np.ones(u.size) if shifted else d_0 + ell
-    (_, total, term), summed, stalled = _lockstep(
-        step, (u[:, None], ell[:, None]), (np.ones(u.size), start, start),
-        MAX_TERMS_LOG)
+    ones, zeros = np.ones(u.size), np.zeros(u.size)
+    fixed = (u[:, None], ell[:, None])
+    if from_one:
+        (_, total, plain), summed, stalled = _lockstep(
+            step, fixed, (ones, zeros, zeros), MAX_TERMS_LOG)
+        return (total, zeros, zeros, zeros, plain, summed), stalled
+    start, size = (ones, ones) if shifted else (d_0 + ell, abs(d_0) + ell)
+    (_, total, size, weighted, term), summed, stalled = _lockstep(
+        step, fixed, (ones, start, size, zeros, start), MAX_TERMS_LOG)
+    return (total, term, size, weighted, zeros, summed), stalled
+
+
+def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
+                 shifted: bool) -> tuple[_Lanes, np.ndarray]:
+    """_zb_log at every (u, ell) pair: the lanes, and where it hands
+    over to the direct series."""
+    sums, stalled = _zb_many(a, b, u, ell, shifted)
     out = _Lanes(u.size)
-    out.terms = summed + 1
-    out.status[stalled] = _RAISES  # ConvergenceError: out of terms
+    out.terms = sums[-1] + 1
     try:
         with np.errstate(all="ignore"):
-            out.value, out.err = _log_series_result(a, b, shifted, total,
-                                                    term, u, ell)
-    except RangeError:
+            out.value, out.err, serves = _log_series_result(
+                a, b, shifted, sums, u, ell)
+    except RangeError:  # B(a, b) overflows: every scalar call raises
         out.status[:] = _RAISES
-        return out
-    out.status[(out.status == _OK) & ~np.isfinite(out.value)] = _OVERFLOW
-    return out
+        return out, np.zeros(u.size, dtype=bool)
+    return out, stalled | ~serves
 
 
 def _exp_or_inf(v: float) -> float:
@@ -782,81 +812,95 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
-def _connection_many(a: float, b: float, c: float,
-                     u: np.ndarray) -> tuple[_Lanes, np.ndarray]:
-    """_connection at every point of u: the lanes, and where _connection
-    returns None (the caller sums the direct series there)."""
+def _connection_many(a: float, b: float, c: float, u: np.ndarray,
+                     log_u: np.ndarray) -> tuple[_Lanes, np.ndarray]:
+    """_connection at every point of u: the lanes, and where it hands
+    over to the direct series."""
     out = _Lanes(u.size)
     a, b = min(a, b), max(a, b)
     s = c - (a + b)
-    log_u = specfun.pointwise(math.log, u)
     try:
         coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, c, s)
     except OverflowError:
         return out, np.ones(u.size, dtype=bool)
-    exp_b = specfun.pointwise(_exp_or_inf, log_b + s * log_u)
-    none = np.isinf(exp_b)  # the scalar call's exp overflows
-    live = np.flatnonzero(~none)
-    uu, coef_b = u[live], sg_ms * exp_b[live]
-    part_a = err_a = np.zeros(live.size)
-    terms = np.zeros(live.size, dtype=np.int64)
-    status = np.full(live.size, _OK, dtype=np.int8)
-    if coef_a is not None:
-        f1 = _direct_many(a, b, 1.0 - s, uu)
-        part_a = coef_a * f1.value
-        err_a = abs(coef_a) * f1.err
-        terms = f1.terms
-        status = f1.status
-    f2 = _direct_many(c - a, c - b, 1.0 + s, uu)
-    # a point's scalar call stops at the first series that fails
-    status = np.where(status == _OK, f2.status, status)
+    coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
+    f2 = _direct_many(c - a, c - b, 1.0 + s, u)
+    f1 = f2 if coef_a is None else _direct_many(a, b, 1.0 - s, u)
     with np.errstate(all="ignore"):
-        value, err, serves = _connection_result(
-            a, b, s, log_u[live], lg_sum, part_a, err_a, coef_b, f2.value,
-            f2.err)
-    raises = status == _RAISES
-    out.value[live] = value
-    out.err[live] = err
-    out.terms[live] = terms + f2.terms
-    out.status[live] = np.where(raises, _RAISES, _OK)
-    none[live] = ~raises & ((status == _OVERFLOW) | ~serves)
-    return out, none
+        part_a, err_a = ((0.0, 0.0) if coef_a is None
+                         else (coef_a * f1.value, abs(coef_a) * f1.err))
+        out.value, out.err, serves = _connection_result(
+            a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value, f2.err)
+    out.terms = f2.terms + (0 if coef_a is None else f1.terms)
+    # a scalar call stops at an overflowing B, or at its first failing series
+    status = np.where(f1.status == _OK, f2.status, f1.status)
+    raises = (status == _RAISES) & np.isfinite(coef_b)
+    out.status[raises] = _RAISES
+    return out, ~raises & ((status == _OVERFLOW) | ~serves)
+
+
+def _from_complement_many(p: HypParams, u: np.ndarray,
+                          ell: np.ndarray) -> tuple[_Lanes, np.ndarray]:
+    """f21_from_complement at every checked (u, ell) pair: the lanes and
+    the methods."""
+    out = _Lanes(u.size)
+    method = np.full(u.size, METHOD_DIRECT, dtype=object)
+    route = _route(p)
+    direct = (u >= X_SWITCH) | (route == "direct")
+    near = np.flatnonzero(~direct)
+    if near.size:
+        if route == "connection":
+            lanes, none = _connection_many(p.a, p.b, p.c, u[near], -ell[near])
+            method[near] = METHOD_CONNECTION
+        else:
+            lanes, none = _zb_log_many(p.a, p.b, u[near], ell[near],
+                                       shifted=route == "shifted")
+            method[near] = METHOD_ZB_LOG
+        out.take(near, lanes)
+        direct[near[none]] = True
+        method[near[none]] = METHOD_DIRECT
+    at = np.flatnonzero(direct)
+    x = 1.0 - u[at]
+    out.status[at[x == 1.0]] = _RAISES
+    at, x = at[x < 1.0], x[x < 1.0]
+    if at.size:
+        out.take(at, _direct_many(p.a, p.b, p.c, x, _x_err(x, u[at])))
+    return out, method
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
-    """f21 at every point of the 1-d array xs, in lockstep.
-
-    Each point gets the value, estimate, term count and method of its
-    f21 call, to the bit.  An x outside [0, 1) raises the DomainError of
-    the first such point; otherwise the batch raises what the first
-    point whose f21 call raises would.
-    """
+    """f21 at every point of the 1-d array xs, in lockstep: each point
+    gets the value, estimate, term count and method of its f21 call, to
+    the bit, and the batch raises what the first failing point would."""
     xs = specfun.as_points(xs)
     specfun.reject_first(~((0.0 <= xs) & (xs < 1.0)),
                          lambda i: _check_x(xs[i]))
     out = _Lanes(xs.size)
     method = np.full(xs.size, METHOD_DIRECT, dtype=object)
-    direct = xs <= X_SWITCH
-    near = np.flatnonzero(~direct)
-    if near.size:
+    near = xs > X_SWITCH
+    if near.any():
         u = 1.0 - xs[near]  # exact: x >= 1/2
-        route = _route(p)
-        if route in ("zb", "shifted"):
-            ell = -specfun.pointwise(math.log, u)
-            out.take(near, _zb_log_many(p.a, p.b, u, ell,
-                                        shifted=route == "shifted"))
-            method[near] = METHOD_ZB_LOG
-        elif route == "connection":
-            lanes, none = _connection_many(p.a, p.b, p.c, u)
-            out.take(near, lanes)
-            method[near] = METHOD_CONNECTION
-            method[near[none]] = METHOD_DIRECT
-            direct[near[none]] = True
-        else:
-            direct[near] = True
-    if direct.any():
-        out.take(direct, _direct_many(p.a, p.b, p.c, xs[direct]))
+        lanes, method[near] = _from_complement_many(
+            p, u, -specfun.pointwise(math.log, u))
+        out.take(near, lanes)
+    if not near.all():
+        out.take(~near, _direct_many(p.a, p.b, p.c, xs[~near]))
     specfun.reject_first(out.status != _OK, lambda i: f21(p, xs[i]))
+    return EvalResults(out.value, out.err, out.terms, method)
+
+
+def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
+    """f21_from_complement at every (u, -log u) pair, to the bit."""
+    u = specfun.as_points(us)
+    ell = specfun.as_points(minus_log_us)
+    if u.shape != ell.shape:
+        raise DomainError(
+            f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
+    specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
+                         lambda i: _check_complement(u[i], ell[i]))
+    out, method = _from_complement_many(p, u, ell)
+    specfun.reject_first(out.status != _OK,
+                         lambda i: f21_from_complement(p, u[i], ell[i]))
     return EvalResults(out.value, out.err, out.terms, method)
 
 
@@ -866,34 +910,17 @@ def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
                        lambda q, y: f21_many(q, y).value)
 
 
-def _complement_log_many(a: float, b: float, us, minus_log_us,
-                         shifted: bool) -> EvalResults:
-    """_zb_log at every (u, -log u) pair, to the bit."""
-    u = specfun.as_points(us)
-    ell = specfun.as_points(minus_log_us)
-    if u.shape != ell.shape:
-        raise DomainError(
-            f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
-    specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
-                         lambda i: _check_complement(u[i], ell[i]))
-    out = _zb_log_many(a, b, u, ell, shifted)
-    specfun.reject_first(out.status != _OK,
-                         lambda i: _zb_log(
-                             a, b, *_check_complement(u[i], ell[i]), shifted))
-    return EvalResults(out.value, out.err, out.terms,
-                       np.full(u.size, METHOD_ZB_LOG, dtype=object))
-
-
 def zb_from_complement_many(a: float, b: float, us,
                             minus_log_us) -> EvalResults:
     """zb_from_complement at every (u, -log u) pair, to the bit."""
-    return _complement_log_many(a, b, us, minus_log_us, shifted=False)
+    return f21_from_complement_many(HypParams(a, b, a + b), us, minus_log_us)
 
 
 def zb_shifted_from_complement_many(a: float, b: float, us,
                                     minus_log_us) -> EvalResults:
     """zb_shifted_from_complement at every (u, -log u) pair, to the bit."""
-    return _complement_log_many(a, b, us, minus_log_us, shifted=True)
+    return f21_from_complement_many(HypParams(a, b, a + b + 1.0), us,
+                                    minus_log_us)
 
 
 def zb_complement_sums_many(a: float, b: float,
@@ -902,26 +929,9 @@ def zb_complement_sums_many(a: float, b: float,
     u = specfun.as_points(us)
     specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
                          lambda i: zb_complement_sums(a, b, u[i]))
-    coefs = itertools.islice(_zb_coefficients(a, b), 1, None)
-
-    def step(n, k, fixed, state):
-        (uu,) = fixed
-        u_pow, c_total, d_total = state
-        cs, ds = _next_coefficients(coefs, k)
-        u_pows = _running(np.multiply, u_pow, np.repeat(uu, k, axis=1))
-        c_terms = cs * u_pows
-        c_sums = _running(np.add, c_total, c_terms)
-        d_sums = _running(np.add, d_total, c_terms * ds)
-        tiny = (c_terms * (np.abs(ds) + 1.0)
-                <= 1e-18 * (np.abs(c_sums) + np.abs(d_sums)))
-        return (u_pows, c_sums, d_sums), tiny
-
-    zeros = np.zeros(u.size)
-    (_, c_out, d_out), _, stalled = _lockstep(
-        step, (u[:, None],), (np.ones(u.size), zeros, zeros), MAX_TERMS_LOG,
-        three_in_a_row=False)
+    sums, stalled = _zb_many(a, b, u, np.zeros(u.size), False, from_one=True)
     specfun.reject_first(stalled, lambda i: zb_complement_sums(a, b, u[i]))
-    return c_out, d_out
+    return sums[4], sums[0]
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
@@ -930,17 +940,6 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     x = specfun.as_points(xs)
     specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
                          lambda i: f21_minus_one(a, b, c, x[i]))
-
-    def step(n, k, fixed, state):
-        (xx,) = fixed
-        term, total = state
-        terms = _running(np.multiply, term, _factors(a, b, c, n, k) * xx)
-        sums = _running(np.add, total, terms)
-        return (terms, sums), \
-            np.abs(terms) <= SERIES_RTOL * (np.abs(sums) + 1e-300)
-
-    (_, out), _, stalled = _lockstep(
-        step, (x[:, None],), (np.ones(x.size), np.zeros(x.size)),
-        MAX_TERMS_DIRECT)
+    (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
     specfun.reject_first(stalled, lambda i: f21_minus_one(a, b, c, x[i]))
-    return out
+    return total

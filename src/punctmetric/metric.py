@@ -56,9 +56,24 @@ _HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
 VARPHI_CLOSED_S = 75.0
 _LOG256 = math.log(256.0)
 _TWO_PI = 2.0 * math.pi
+_TINY = math.ulp(0.0)
 
-# varphi's absolute error is below VARPHI_ERR_K eps (1 + |phi|).
+# Below t = VARPHI_TAYLOR_T varphi is its odd Taylor polynomial
+# c1 t + c3 t^3 + c5 t^5 + c7 t^7 (coefficients from mpmath; c1 = h(0)):
+# there the AGM quotient is 1 + O(t) and its log would keep only an
+# absolute ~eps.  The next term, c9 t^9 with c9 = 1.66e-9, is below 1e-19
+# of phi there.  The switch stays under 0.05, the smallest t of the
+# verify grids and of figure1's default rows.
+VARPHI_TAYLOR_T = 0.04
+_VARPHI_TAYLOR = (0.1142366452611159, -4.7075006981599705e-4,
+                  5.7393346856980370e-6, -9.1749818561049076e-8)
+
+# varphi's error is below VARPHI_ERR_K eps (1 + |phi|), and below
+# VARPHI_ERR_K eps |phi| (plus the smallest subnormal) for values under
+# _VARPHI_RELATIVE_BELOW, which only the Taylor polynomial gives: the
+# AGM route's values start near phi(VARPHI_TAYLOR_T), ~5e-6 higher.
 VARPHI_ERR_K = 8.0
+_VARPHI_RELATIVE_BELOW = 0.999 * _VARPHI_TAYLOR[0] * VARPHI_TAYLOR_T
 
 # Gamma(1/4)^4 / (4 pi^2), evaluated once.
 _C0 = math.gamma(0.25) ** 4 / (4.0 * math.pi * math.pi)
@@ -213,7 +228,8 @@ def varphi(t: float) -> float:
     s = VARPHI_CLOSED_S on, both AGMs have closed forms exact to far
     below the rounding, and phi(t) = log((t + log 256)/(2 pi)) (see the
     note at VARPHI_CLOSED_S), so every finite t > 0 is served and no
-    modulus near underflow reaches agm.  The absolute error is below
+    modulus near underflow reaches agm.  Below VARPHI_TAYLOR_T, the odd
+    Taylor polynomial keeps full relative accuracy.  The error is below
     varphi_error(value).
 
     Strictly increasing and concave, phi(t) ~ log(t + log 256) - log(2 pi)
@@ -222,10 +238,19 @@ def varphi(t: float) -> float:
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"varphi requires t > 0, got {t!r}")
+    if t < VARPHI_TAYLOR_T:
+        return _varphi_taylor(t)
     s = 0.5 * t
     if s >= VARPHI_CLOSED_S:
         return _varphi_closed(t)
     return _varphi_agm(s, math.sqrt, agm)
+
+
+def _varphi_taylor(t):
+    """varphi below VARPHI_TAYLOR_T, at a float t or an array."""
+    c1, c3, c5, c7 = _VARPHI_TAYLOR
+    t2 = t * t
+    return t * (c1 + t2 * (c3 + t2 * (c5 + t2 * c7)))
 
 
 def _varphi_closed(t):
@@ -248,27 +273,34 @@ def varphi_many(ts) -> np.ndarray:
     specfun.reject_first(~(np.isfinite(ts) & (ts > 0.0)),
                          lambda i: varphi(ts[i]))
     s = 0.5 * ts
+    taylor = ts < VARPHI_TAYLOR_T
     closed = s >= VARPHI_CLOSED_S
+    agm_route = ~(taylor | closed)
     out = np.empty(ts.size)
+    out[taylor] = _varphi_taylor(ts[taylor])
     out[closed] = _varphi_closed(ts[closed])
-    out[~closed] = _varphi_agm(s[~closed], np.sqrt, _agm_many)
+    out[agm_route] = _varphi_agm(s[agm_route], np.sqrt, _agm_many)
     return out
 
 
 def varphi_error(value: float) -> float:
     """Bound on the absolute error of varphi's result ``value``:
-    VARPHI_ERR_K eps (1 + |value|).
+    VARPHI_ERR_K eps (1 + |value|), or for a value of the Taylor
+    polynomial (t below VARPHI_TAYLOR_T) the relative VARPHI_ERR_K eps
+    |value|, plus the smallest subnormal for values that underflow.
 
     Each AGM, their quotient and the closing log add a few roundings
     relative to the size of their results, and the quotient is near 1
     for small t, so the error is absolute there and relative to phi at
-    large t.  Against mpmath the largest error seen was 1.6 eps
-    (1 + |phi|), for t from 1e-13 to 1e4 and at 1e300; the factor
-    VARPHI_ERR_K leaves a fivefold margin.  Near 0, phi(t) ~ h(0) t, so
-    below t ~ 1e-3 the bound exceeds 1e-12 phi: small-t relative
-    accuracy is not claimed.
+    large t.  The polynomial's Horner steps add under 2 eps relative.
+    Against mpmath the largest error seen was 1.6 eps (1 + |phi|), for
+    t from 1e-13 to 1e4 and at 1e300; the factor VARPHI_ERR_K leaves a
+    fivefold margin.
     """
-    return VARPHI_ERR_K * sys.float_info.epsilon * (1.0 + abs(value))
+    size = abs(value)
+    if size >= _VARPHI_RELATIVE_BELOW:
+        size += 1.0
+    return VARPHI_ERR_K * sys.float_info.epsilon * size + _TINY
 
 
 def _check_not_puncture(z: complex, name: str) -> complex:

@@ -109,41 +109,37 @@ def _f21(p: HypParams, x):
     return hyp2f1.f21(p, x).value
 
 
-def _at_hi(p, lo, ell, same, at_lo, shifted: bool):
-    """v(hi), or w(hi) if shifted, at hi = 1-lo for zero-balanced p from
-    lo and ell = -log(lo); at_lo, the value at lo, where lo == hi (same)."""
+def _at_hi(p: HypParams, lo, ell):
+    """F(p; hi) at hi = 1-lo, from lo and ell = -log(lo), at a float lo
+    or at every point of an array."""
     if _is_array(lo):
-        kernel = (hyp2f1.zb_shifted_from_complement_many if shifted
-                  else hyp2f1.zb_from_complement_many)
-        out = at_lo.copy()
-        out[~same] = kernel(p.a, p.b, lo[~same], ell[~same]).value
-        return out
-    if same:
-        return at_lo
-    kernel = (hyp2f1.zb_shifted_from_complement if shifted
-              else hyp2f1.zb_from_complement)
-    return kernel(p.a, p.b, lo, ell).value
+        return hyp2f1.f21_from_complement_many(p, lo, ell).value
+    return hyp2f1.f21_from_complement(p, lo, ell).value
 
 
 def _v_pair(pr: ZeroBalancedPair, s):
     """(lo, hi, v(lo), v(hi)) at s = |t|."""
     lo, hi, ell = _split(s)
-    v_lo = _f21(pr.params(), lo)
-    return lo, hi, v_lo, _at_hi(pr, lo, ell, s == 0.0, v_lo, False)
+    p = pr.params()
+    return lo, hi, _f21(p, lo), _at_hi(p, lo, ell)
 
 
-def _vw_pair(p: HypParams, lo, ell, same):
-    """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.),
-    and hi = 1-lo reached as in _at_hi."""
-    v_lo = _f21(p, lo)
-    w_lo = _f21(HypParams(p.a, p.b, p.c + 1.0), lo)
-    return (v_lo, w_lo, _at_hi(p, lo, ell, same, v_lo, False),
-            _at_hi(p, lo, ell, same, w_lo, True))
+def _two_pairs(p: HypParams, q: HypParams, lo, ell):
+    """(F(p; lo), F(q; lo), F(p; hi), F(q; hi)), hi = 1-lo reached from
+    lo as in _at_hi."""
+    return _f21(p, lo), _f21(q, lo), _at_hi(p, lo, ell), _at_hi(q, lo, ell)
+
+
+def _vw_pair(p: HypParams, lo, ell):
+    """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.)."""
+    return _two_pairs(p, HypParams(p.a, p.b, p.c + 1.0), lo, ell)
 
 
 def _complement_sums(pr: ZeroBalancedPair, t):
-    """(lam, C-1, D1, v-1) at u = e^{-t}/(1+e^{-t}), lam = log(1+e^{-t}),
-    for t >= 0."""
+    """(B(a,b), lam, C-1, D1, v-1) at u = e^{-t}/(1+e^{-t}), lam =
+    log(1+e^{-t}), for t >= 0; B first, so that its RangeError comes
+    before the sums meet overflowing terms."""
+    beta = specfun.beta(pr.a, pr.b)
     e = specfun.pointwise(math.exp, -t)
     u = e / (1.0 + e)
     lam = specfun.pointwise(math.log1p, e)
@@ -153,7 +149,7 @@ def _complement_sums(pr: ZeroBalancedPair, t):
     else:
         cm1, d1 = hyp2f1.zb_complement_sums(pr.a, pr.b, u)
         vm1 = hyp2f1.f21_minus_one(pr.a, pr.b, pr.c, u)
-    return lam, cm1, d1, vm1
+    return beta, lam, cm1, d1, vm1
 
 
 def _n_zb(p, lo, hi, v_lo, w_lo, v_hi, w_hi):
@@ -177,7 +173,7 @@ def p_prime(pr: ZeroBalancedPair, t: float) -> float:
     t = _finite_t(t)
     s = abs(t)
     lo, hi, ell = _split(s)
-    v_lo, w_lo, v_hi, w_hi = _vw_pair(pr.params(), lo, ell, s == 0.0)
+    v_lo, w_lo, v_hi, w_hi = _vw_pair(pr.params(), lo, ell)
     l_hi = hi * v_lo * w_hi
     l_lo = lo * v_hi * w_lo
     value = pr.a * pr.b / pr.c * (l_hi - l_lo)
@@ -202,7 +198,7 @@ def p_excess(pr: ZeroBalancedPair, t: float) -> float:
     """
     _require_product_pair(pr)
     s = abs(_finite_t(t))
-    lam, cm1, d1, vm1 = _complement_sums(pr, s)
+    beta, lam, cm1, d1, vm1 = _complement_sums(pr, s)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
     cv_m1 = cm1 + vm1 + cm1 * vm1  # C(u) v(u) - 1
     inner = (
@@ -211,7 +207,7 @@ def p_excess(pr: ZeroBalancedPair, t: float) -> float:
         + d1 * (1.0 + vm1)
         + lam * (1.0 + cm1) * (1.0 + vm1)
     )
-    return inner / specfun.beta(pr.a, pr.b)
+    return inner / beta
 
 
 def q_func(pr: ZeroBalancedPair, t: float) -> float:
@@ -241,10 +237,10 @@ def q_excess(pr: ZeroBalancedPair, t: float) -> float:
         tf = float(t)
         if not (math.isfinite(tf) and tf >= 0.0):
             raise DomainError(f"q_excess requires t >= 0, got {t!r}")
-    lam, cm1, d1, vm1 = _complement_sums(pr, tf)
+    beta, lam, cm1, d1, vm1 = _complement_sums(pr, tf)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
     inner = tf * (cm1 - vm1) + d1 - big_r * vm1 + lam * (1.0 + cm1)
-    return inner / ((1.0 + vm1) * specfun.beta(pr.a, pr.b))
+    return inner / ((1.0 + vm1) * beta)
 
 
 def q_log_prime(pr: ZeroBalancedPair, t: float) -> float:
@@ -252,7 +248,7 @@ def q_log_prime(pr: ZeroBalancedPair, t: float) -> float:
     s = abs(_finite_t(t))
     lo, hi, ell = _split(s)
     p = pr.params()
-    return _n_zb(p, lo, hi, *_vw_pair(p, lo, ell, s == 0.0))
+    return _n_zb(p, lo, hi, *_vw_pair(p, lo, ell))
 
 
 def _unit_interval(x):
@@ -273,11 +269,17 @@ def _halves(x):
     return _where(below, x, 1.0 - x), _where(below, 1.0 - x, x)
 
 
-def _f21_derivative(p: HypParams, x):
-    """dF(p; x)/dx at a float x, or at every point of an array."""
-    if _is_array(x):
-        return hyp2f1.f21_derivative_many(p, x)
-    return hyp2f1.f21_derivative(p, x)
+def _halves_and_pairs(p: HypParams, x):
+    """(lo, hi, v(lo), e(lo), v(hi), e(hi)) with lo, hi as in _halves,
+    for v = F(p; .) and e = w = F(a,b;c+1;.) at c = a+b, else e =
+    F(a+1,b+1;c+1;.) = v'/(ab/c); hi = 1-lo is reached from lo as in
+    _at_hi, so that 1-x is never formed."""
+    lo, hi = _halves(x)
+    ell = -specfun.pointwise(math.log, lo)
+    if p.balanced_sign == 0:
+        return (lo, hi, *_vw_pair(p, lo, ell))
+    q = HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0)
+    return (lo, hi, *_two_pairs(p, q, lo, ell))
 
 
 def n_func(a: float, b: float, c: float, x: float) -> float:
@@ -287,6 +289,8 @@ def n_func(a: float, b: float, c: float, x: float) -> float:
     (equal to min(a,b)) when max(a,b) = c.  For c = a+b the derivative
     identity (1-y) v'(y) = (ab/(a+b)) w(y) removes the 1/(1-x) blow-up,
     so the evaluation stays accurate arbitrarily close to the endpoints.
+    Either way v and v' at 1-x come from x itself (hyp2f1's complement
+    routes); where none serves c-a-b and 1-x rounds to 1, RangeError.
     """
     p = HypParams(a, b, c)
     x = _unit_interval(x)
@@ -294,13 +298,11 @@ def n_func(a: float, b: float, c: float, x: float) -> float:
         raise DomainError(
             f"n_func requires max(a,b) <= c, got a={a}, b={b}, c={c}"
         )
-    lo, hi = _halves(x)
+    lo, hi, v_lo, e_lo, v_hi, e_hi = _halves_and_pairs(p, x)
     if p.balanced_sign == 0:
-        ell = -specfun.pointwise(math.log, lo)
-        return _n_zb(p, lo, hi, *_vw_pair(p, lo, ell, hi == lo))
-    ratio_lo = _f21_derivative(p, lo) / _f21(p, lo)
-    ratio_hi = _f21_derivative(p, hi) / _f21(p, hi)
-    return lo * hi * (ratio_lo + ratio_hi)
+        return _n_zb(p, lo, hi, v_lo, e_lo, v_hi, e_hi)
+    k = p.a * p.b / p.c
+    return lo * hi * (k * e_lo / v_lo + k * e_hi / v_hi)
 
 
 def m_func(a: float, b: float, c: float, x: float) -> float:
@@ -312,16 +314,11 @@ def m_func(a: float, b: float, c: float, x: float) -> float:
     """
     p = HypParams(a, b, c)
     x = _unit_interval(x)
-    lo, hi = _halves(x)
+    lo, hi, v_lo, e_lo, v_hi, e_hi = _halves_and_pairs(p, x)
+    k = p.a * p.b / p.c
     if p.balanced_sign == 0:
-        ell = -specfun.pointwise(math.log, lo)
-        v_lo, w_lo, v_hi, w_hi = _vw_pair(p, lo, ell, hi == lo)
-        return p.a * p.b / p.c * (hi * v_lo * w_hi + lo * v_hi * w_lo)
-    d_lo = _f21_derivative(p, lo)
-    d_hi = _f21_derivative(p, hi)
-    v_lo = _f21(p, lo)
-    v_hi = _f21(p, hi)
-    return lo * hi * (d_lo * v_hi + v_lo * d_hi)
+        return k * (hi * v_lo * e_hi + lo * v_hi * e_lo)
+    return lo * hi * (k * e_lo * v_hi + v_lo * (k * e_hi))
 
 
 # Array forms: the function above at every point of a 1-d array, each

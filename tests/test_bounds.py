@@ -63,6 +63,22 @@ def test_ring_lower_bound_is_certified(varphi_ref):
                     assert exact - got <= 1e-12 * exact, (c, r1, r2)
 
 
+def test_ring_lower_bound_slack_is_relative_at_small_c(varphi_ref):
+    # below metric.VARPHI_TAYLOR_T varphi's error bound is relative, so
+    # the certified slack is a few eps of the bound, not varphi_error/c
+    # (1.6e-5 of it at c = 1e-9 when the bound was absolute)
+    mpmath = pytest.importorskip("mpmath")
+    for c in [10.0 ** (k / 2.0) for k in range(-18, -2)]:
+        phi, phi_half = varphi_ref(c), varphi_ref(0.5 * c)
+        for r1 in (1e-3, 0.7, 1.0, 5e4):
+            for ratio in (1.5, 10.0, 1e3, 1e8):
+                got = bounds.ring_lower_bound(c, r1, r1 * ratio)
+                with mpmath.workdps(60):
+                    gap = mpmath.log(r1 * ratio) - mpmath.log(r1)
+                    exact = phi / c * gap - (phi - phi_half)
+                assert exact - 1e-12 * exact <= got <= exact, (c, r1, ratio)
+
+
 def test_ring_params_lower_bound_is_ring_lower_bound():
     for c, r1, r2 in ((LN2, 1.0, 1024.0), (1e-3, 0.5, 1e7), (7.0, 2.0, 2.0)):
         params = bounds.ring_coefficients(c)

@@ -6,6 +6,7 @@ Frozen literals are 17-digit truncations of 50-digit evaluations.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from punctmetric.hyp2f1 import (
     HypParams,
     f21,
     f21_at_one,
+    f21_from_complement,
     f21_derivative,
     f21_derivative_many,
     f21_many,
@@ -304,19 +306,23 @@ def test_large_parameters_give_a_value_or_a_typed_error():
     with pytest.raises(RangeError):
         f21_at_one(HypParams(1e306, 1.5, 3e306))
     # zero balanced: the log series' coefficients overflow near a = 400,
-    # and B(a, b) underflows to 0 near a = 1e4; neither may come back as
-    # +-inf with estimate inf, or as an untyped ZeroDivisionError
-    for a in (400.0, 1e4):
-        for c in (2.0 * a, 2.0 * a + 1.0):
-            with pytest.raises(RangeError):
-                f21(HypParams(a, a, c), 0.9)
+    # where the direct series serves in their place, and B(a, b)
+    # underflows to 0 near a = 1e4, where the direct series overflows
+    # too; neither may come back as +-inf with estimate inf, or as an
+    # untyped ZeroDivisionError
+    for c in (800.0, 801.0):
+        r, _ = _assert_estimate_holds(HypParams(400.0, 400.0, c), 0.9)
+        assert r.method == "direct_series"
+    for c in (2e4, 2e4 + 1.0):
+        with pytest.raises(RangeError):
+            f21(HypParams(1e4, 1e4, c), 0.9)
 
 
 # (a, b, relative tolerance): past x = 1/2 the log series of
 # F(a,b;a+b+1) cancels as a and b grow, 6e-11 at (3, 5) and x just above
-# 1/2, a loss its error estimate does not count yet
+# 1/2, where it hands over to the direct series
 @pytest.mark.parametrize("a,b,rtol", [(0.5, 0.5, 1e-13), (1.2, 0.8, 1e-13),
-                                      (3.0, 5.0, 1e-9)])
+                                      (3.0, 5.0, 1e-13)])
 def test_zero_balanced_derivative_against_mpmath(a, b, rtol):
     # F(a+1,b+1;a+b+1) has c-a-b = -1, an integer: its direct series took
     # 23 ms at x = 0.999 and ran out of terms at x = 0.99999
@@ -339,3 +345,76 @@ def test_zero_balanced_derivative_against_mpmath(a, b, rtol):
 def test_zb_derivative_rejects_bad_parameters(a, b):
     with pytest.raises(DomainError):
         zb_derivative(a, b, 0.3)
+
+
+def _sweep_cases(route, rng, count):
+    """(a, b, c, x) with a, b log-uniform in [0.05, 200] on one route."""
+    cases = []
+    while len(cases) < count:
+        a, b = (math.exp(rng.uniform(math.log(0.05), math.log(200.0)))
+                for _ in range(2))
+        s = {"direct": rng.uniform(-3.0, 3.0), "zb": 0.0, "shifted": 1.0,
+             "connection": rng.choice([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
+             + rng.uniform(-0.45, 0.45),
+             "near_integer": rng.choice([-1.0, 1.0, 2.0])
+             + rng.choice([-1e-9, 1e-7, 1e-4]),
+             "integer": rng.choice([-2.0, 2.0, 3.0])}[route]
+        c = a + b + s
+        if c <= 0.0:
+            continue
+        if route == "direct":
+            x = rng.uniform(0.0, 0.5)
+        elif route in ("near_integer", "integer"):
+            # the direct series needs ~35/(1-x) terms there
+            x = 1.0 - 10.0 ** rng.uniform(-1.3, math.log10(0.5))
+        else:
+            x = 1.0 - 10.0 ** rng.uniform(-10.0, math.log10(0.5))
+        cases.append((a, b, c, x))
+    return cases
+
+
+@pytest.mark.parametrize("route", ["direct", "zb", "shifted", "connection",
+                                   "near_integer", "integer"])
+def test_estimate_bounds_the_error_on_every_route(route):
+    # mpmath at 60 digits; past x = 1/2 the large a, b hand the log series
+    # and the connection formula over to the direct series
+    rng = random.Random(f"sweep-{route}")
+    methods = set()
+    for a, b, c, x in _sweep_cases(route, rng, 25):
+        r, _ = _assert_estimate_holds(HypParams(a, b, c), x)
+        methods.add(r.method)
+    if route in ("zb", "shifted", "connection"):
+        assert "direct_series" in methods and len(methods) == 2
+
+
+def test_estimate_bounds_the_error_from_a_complement():
+    # u = e^-t/(1+e^-t) is not formed from x, so the direct series that
+    # the log series hands over to runs at a rounded x = 1-u
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20081005)
+    methods = set()
+    for a, b, c, _ in _sweep_cases("zb", rng, 25) + _sweep_cases(
+            "connection", rng, 10):
+        t = rng.uniform(0.0, 30.0)
+        e = math.exp(-t)
+        r = f21_from_complement(HypParams(a, b, c), e / (1.0 + e),
+                                t + math.log1p(e))
+        with mpmath.workdps(60):
+            ref = mpmath.hyp2f1(a, b, c, 1 / (1 + mpmath.exp(-t)))
+        assert abs(r.value - ref) <= r.abs_err_estimate
+        methods.add(r.method)
+    assert methods == {"direct_series", "zb_log_series", "connection_series"}
+
+
+@pytest.mark.parametrize("a,b,c,x", [
+    (10.0, 10.0, 20.0, 0.7), (5.0, 5.0, 10.0, 0.55),
+    (3.0, 5.0, 9.0, math.nextafter(0.5, 1.0)), (65.46, 64.60, 129.07, 0.985),
+    (20.0, 20.0, 40.0, 0.6), (50.0, 50.0, 100.0, math.nextafter(0.5, 1.0)),
+])
+def test_cancelling_series_hand_over(a, b, c, x):
+    # the log series (zero balanced or shifted) and the connection formula
+    # cancel here by far more than MAX_CANCEL; the direct series serves,
+    # within its estimate, and F(50,50;100) no longer runs out of terms
+    r, ref = _assert_estimate_holds(HypParams(a, b, c), x)
+    assert r.method == "direct_series"
+    assert abs(r.value - ref) <= 1e-13 * abs(ref)

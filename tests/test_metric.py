@@ -5,6 +5,7 @@ the elliptic-integral formulas.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -153,6 +154,44 @@ def test_varphi_within_its_error_bound(varphi_ref):
     # the largest error seen was 1.6 eps (1 + |phi|): the bound keeps a
     # fourfold margin
     assert worst <= 0.25
+
+
+def test_varphi_taylor_coefficients_against_mpmath():
+    # below VARPHI_TAYLOR_T varphi is c1 t + c3 t^3 + c5 t^5 + c7 t^7,
+    # c1 = h(0) = 2 pi^2 / Gamma(1/4)^4
+    mpmath = pytest.importorskip("mpmath")
+
+    def phi(t):
+        w = mpmath.exp(-t / 4)
+        root = mpmath.sqrt(1 + w * w)
+        return mpmath.log(mpmath.agm(1, 1 / root) / mpmath.agm(1, w / root))
+
+    with mpmath.workdps(50):
+        coeffs = mpmath.taylor(phi, 0, 7)
+        h0 = 2 * mpmath.pi ** 2 / mpmath.gamma(0.25) ** 4
+    assert metric._VARPHI_TAYLOR == tuple(float(c) for c in coeffs[1::2])
+    assert metric._VARPHI_TAYLOR[0] == float(h0)
+    assert metric.VARPHI_TAYLOR_T < 0.05  # below the verify and figure1 grids
+
+
+def test_varphi_relative_accuracy_at_small_t():
+    # the log of an AGM quotient near 1 kept only ~eps absolute: varphi
+    # had relative error 1e-3 at t = 1e-12 and was 0.0 at t = 1e-300
+    mpmath = pytest.importorskip("mpmath")
+    ts = [10.0 ** (-k / 4.0) for k in range(6, 1201, 7)] + [1e-300, 5e-324]
+    ts += [math.nextafter(metric.VARPHI_TAYLOR_T, 0.0),
+           metric.VARPHI_TAYLOR_T]
+    many = metric.varphi_many(ts)
+    for t, got_many in zip(ts, many.tolist()):
+        got = metric.varphi(t)
+        assert got == got_many
+        with mpmath.workdps(40 + int(-math.log10(t))):
+            w = mpmath.exp(-mpmath.mpf(t) / 4)
+            root = mpmath.sqrt(1 + w * w)
+            ref = mpmath.log(mpmath.agm(1, 1 / root) / mpmath.agm(1, w / root))
+        assert abs(got - ref) <= metric.varphi_error(got), t
+        if t < metric.VARPHI_TAYLOR_T and got > 1e-300:
+            assert abs(got - ref) <= 4.0 * sys.float_info.epsilon * ref, t
 
 
 def test_varphi_asymptote():

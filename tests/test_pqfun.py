@@ -208,3 +208,58 @@ def test_overflowing_beta_is_a_range_error():
         pqfun.p_func(pqfun.ZeroBalancedPair(1e306, 0.5), 1.0)
     with pytest.raises(RangeError):
         pqfun.q_excess(pqfun.ZeroBalancedPair(1e306, 1.0), 1.0)
+
+
+def _mp_n_and_m(a, b, c, x):
+    """N(x) and M(x) from mpmath, with enough digits that 1 - x is exact."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(-math.log10(x))):
+        x = mpmath.mpf(x)
+        y = 1 - x
+
+        def v(z):
+            return mpmath.hyp2f1(a, b, c, z)
+
+        def dv(z):
+            return mpmath.mpf(a) * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+
+        return (x * y * (dv(x) / v(x) + dv(y) / v(y)),
+                x * y * (dv(x) * v(y) + v(x) * dv(y)))
+
+
+@pytest.mark.parametrize("abc,k_max", [((0.9, 1.1, 2.6), 300),
+                                       ((1.0, 1.0, 1.5), 100)])
+def test_n_and_m_at_tiny_x_against_mpmath(abc, k_max):
+    # c != a+b: v and v' at 1-x come from x itself through the complement
+    # routes, never from 1-x (2e-9 relative error at x = 1e-8 when they
+    # did, and a DomainError naming 1.0 once 1-x rounded to 1); at
+    # (1, 1, 1.5) v' at 1-x overflows below x ~ 1e-205
+    xs = [10.0 ** -k for k in (4, 8, 13, 16, 17, 30, 100, 300) if k <= k_max]
+    ns, ms = pqfun.n_func_many(*abc, xs), pqfun.m_func_many(*abc, xs)
+    for x, n_many, m_many in zip(xs, ns.tolist(), ms.tolist()):
+        n, m = pqfun.n_func(*abc, x), pqfun.m_func(*abc, x)
+        assert (n, m) == (n_many, m_many)
+        n_ref, m_ref = _mp_n_and_m(*abc, x)
+        assert abs(n - n_ref) <= 2e-13 * abs(n_ref)
+        assert abs(m - m_ref) <= 2e-13 * abs(m_ref)
+
+
+@pytest.mark.parametrize("x", [1e-17, 1e-300])
+def test_n_and_m_name_the_callers_x_where_no_route_serves(x):
+    # c-a-b = 2: only the direct series sums v(1-x), and 1-x rounds to 1
+    for fn in (pqfun.n_func, pqfun.m_func, pqfun.n_func_many,
+               pqfun.m_func_many):
+        with pytest.raises(RangeError, match=f"u={x!r}"):
+            fn(1.0, 1.0, 4.0, [x] if fn.__name__.endswith("many") else x)
+
+
+def test_q_func_at_large_parameters_against_mpmath():
+    # the log series of v(1-x) cancels by ~1e24 at a = b = 50 and hands
+    # over to the direct series; it returned -1.6e24 where Q ~ +1.37e21
+    mpmath = pytest.importorskip("mpmath")
+    got = pqfun.q_func(pqfun.ZeroBalancedPair(50.0, 50.0), 3.0)
+    with mpmath.workdps(60):
+        lo = 1 / (1 + mpmath.exp(3))
+        want = mpmath.hyp2f1(50, 50, 100, 1 - lo) / mpmath.hyp2f1(
+            50, 50, 100, lo)
+    assert abs(got - want) <= 1e-12 * want

@@ -11,13 +11,15 @@ tiny and large parameters, and the complement kernels at u = 0 and
 subnormal u.
 
 Regenerate the file with ``python tests/test_scalar_golden.py``, which
-writes it from the library on the import path.
+writes it from the library on the import path, after printing how many
+rows change per (function, field) against the file it replaces.
 """
 
 import json
 import math
 import random
 import struct
+from collections import Counter
 from pathlib import Path
 
 from punctmetric import hyp2f1, metric, pqfun
@@ -151,9 +153,38 @@ def test_scalar_output_is_golden():
     assert not wrong, f"{len(wrong)} calls differ, first: {wrong[0]}"
 
 
+def _changes(old_lines, new_lines) -> Counter:
+    """Rows that differ per (function, field), new rows and gone rows
+    counted under the field "(row)"."""
+    old = {(line["fn"], json.dumps(line["args"])): line["out"]
+           for line in old_lines}
+    counts = Counter()
+    for line in new_lines:
+        want = old.pop((line["fn"], json.dumps(line["args"])), None)
+        got = line["out"]
+        if want is None:
+            counts[line["fn"], "(row)"] += 1
+            continue
+        for field in sorted(got.keys() | want.keys()):
+            if not (field in got and field in want
+                    and _same(got[field], want[field])):
+                counts[line["fn"], field] += 1
+    for fn, _ in old:
+        counts[fn, "(row)"] += 1
+    return counts
+
+
 if __name__ == "__main__":
+    new_lines = [{"fn": name, "args": list(args), "out": _record(name, args)}
+                 for name, args in _cases()]
+    old_lines = []
+    if GOLDEN.exists():
+        with GOLDEN.open() as f:
+            old_lines = [json.loads(line) for line in f]
+    counts = _changes(old_lines, new_lines)
+    print(f"rows changed against {GOLDEN.name} ({len(new_lines)} rows):")
+    for (fn, field), count in sorted(counts.items()):
+        print(f"  {fn:28} {field:18} {count}")
     with GOLDEN.open("w") as f:
-        for name, args in _cases():
-            f.write(json.dumps({"fn": name, "args": list(args),
-                                "out": _record(name, args)},
-                               allow_nan=False) + "\n")
+        for line in new_lines:
+            f.write(json.dumps(line, allow_nan=False) + "\n")
