@@ -3,49 +3,56 @@
 Two term families, each summed by one loop per form:
 
 * the ratio family T_0 = 1, T_{n+1} = T_n (a+n)(b+n)/((c+n)(n+1)) x, the
-  Maclaurin series, compensated by Knuth's TwoSum (near x = 1 it runs to
-  thousands of terms);
-* the zero-balanced family c_n = (a)_n (b)_n/(n!)^2, d_n = 2 psi(n+1) -
-  psi(a+n) - psi(b+n), d_0 = R(a,b), in u = 1-x and ell = -log(u):
+  Maclaurin series, compensated by Knuth's TwoSum;
+* the log family of c = a+b+m, m >= 0 an integer (DLMF 15.8.10), with
+  c_n = (a)_n (b)_n/(n!)^2, d_n = 2 psi(n+1) - psi(a+n) - psi(b+n),
+  d_0 = R(a,b), f_m(n) = n(n-1)...(n-m+1), u = 1-x and ell = -log(u):
 
-      F(a,b;a+b;1-u)   = (1/B(a,b)) sum_n c_n (d_n + ell) u^n,
-      F(a,b;a+b+1;1-u) = ((a+b)/(ab B(a,b))) sum_n c_n (1 - n(d_n + ell)) u^n,
+      F(a,b;a+b+m;1-u) = (-1)^m G(a+b+m)/(G(a+m) G(b+m))
+                         sum_n c_n (f_m(n)(d_n + ell) - f_m'(n)) u^n,
 
-  the second by (1-x) dF(a,b;a+b;x)/dx = (ab/(a+b)) F(a,b;a+b+1;x).
+  the terms n < m (f_m(n) = 0) being 15.8.10's finite sum.
 
 Sums from n = 1 are views of the same loops: ``f21_minus_one`` gives
-F - 1, ``zb_complement_sums`` the family's sum at ell = 0 and, beside
-it, C - 1 = sum_{n>=1} c_n u^n.
+F - 1, ``zb_complement_sums`` the m = 0 sum at ell = 0 and, beside it,
+C - 1 = sum_{n>=1} c_n u^n.
 
 One running error bound (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed.): each loop reports its tail bound plus eps
-(SERIES_ROUNDINGS sum_n n T~_n + m |S|), T~_n the term with each part in
-absolute value (|T_n|; c_n (|d_n| + ell) u^n; c_n (1 + n(|d_n| + ell))
-u^n), m 1 for the compensated sum and the term count for the plain one:
-cancellation shows, inside a term and between terms.  At a rounded x =
-fl(1-u) the direct series adds x_err sum n |T_n| >= |x F'(x)| x_err.
+(SERIES_ROUNDINGS sum_n n T~_n + k |S|), T~_n the term with each part in
+absolute value (|T_n|; c_n (|f_m'(n)| + f_m(n)(|d_n| + ell)) u^n), k 1
+for the compensated sum and the term count for the plain one; the
+direct series at x = fl(1-u) adds x_err sum n |T_n|.  A ratio sum stops
+at its first overflowing term, a log sum only at n >= m.  The log tail
+past T_N is |T_N| u/(1-u) at m = 0, |T_N| (u/(1-u) + 1)(ell + 2) at
+m = 1, and T~_N r/(1-r) for m >= 2, r = u (A+N)/(N+1-m) max(1,
+(B+N)/(N+1)), A >= B the a, b: there T_n = c_n f_m(n)(e_n + ell) u^n,
+e_n = psi(n+1) + psi(n+1-m) - psi(a+n) - psi(b+n) rises to 0, so
+|e_n + ell| <= max(ell, |e_N + ell|), and r bounds the step ratio of
+c_n f_m(n) u^n past N.
 
 x <= 1/2 sums the direct series; x > 1/2 is ``f21_from_complement`` at
-u = 1-x, exact there.  By c-a-b, 0 takes the log series, 1 the shifted
-one, and s not an integer the connection formula DLMF 15.8.4,
+u = 1-x, exact there.  By s = c-a-b: an integer m = s, |m| <=
+MAX_TERMS_LOG, takes the log series, for m < 0 by Euler's transformation
+F(a,b;c;1-u) = u^{-m} F(c-a,c-b;c;1-u) (DLMF 15.8.1) where c > a and
+c > b; s not an integer takes DLMF 15.8.4,
 
     F = A F(a,b;1-s;u) + B u^s F(c-a,c-b;1+s;u),
     A = G(c)G(s)/(G(c-a)G(c-b)),   B = G(c)G(-s)/(G(a)G(b)),
 
-two direct series at u < 1/2 (A and B from log-gamma with signs, A = 0
-at a pole of G(c-a) or G(c-b)).  One hand-over rule serves all three:
-where a part overflows or runs out of terms, or the parts cancel by
+two direct series at u < 1/2 (A = 0 at a pole of G(c-a) or G(c-b)).
+Where a part overflows or runs out of terms, or the parts cancel by
 more than MAX_CANCEL (sum T~_n/|S|, or (|A F1| + |B u^s F2|)/|F|), the
-direct series serves at x = 1-u.  Other integer s go to it at once.  A
-caller that knows u exactly (u = e^{-t}/(1+e^{-t})) loses nothing to
-cancellation, even where u underflows to 0, given -log(u) finite.
-
-The ``*_many`` forms give each point of a 1-d array the bits of its
-float call; only the summation loops are per form, the rest is shared.
+direct series serves at x = 1-u, as it does at once for the other
+integer s, as in F(2,2;1;x) or F(1,2;2;x).  Given u exactly (u =
+e^{-t}/(1+e^{-t})) and -log(u) finite, nothing is lost to cancellation,
+even where u underflows to 0.  The ``*_many`` forms give each point of
+a 1-d array the bits of its float call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -64,8 +71,9 @@ MAX_CANCEL = 1e3
 # rounding allowance of DLMF 15.8.4 per unit of |A F1| + |B u^s F2|
 CONNECTION_ROUNDING = 1e-14
 # Roundings per step of a term recurrence, relative to T~_n: 8 in the
-# ratio family's; in the zero-balanced one's 6 for c_n u^n and up to 10
-# for d_n + ell, relative to |d_n| + ell, and the products.
+# ratio family's; in the log family's 6 for c_n u^n and up to 10 for
+# f_m(n)(d_n + ell) - f_m'(n), relative to |f_m'(n)| + f_m(n)(|d_n| +
+# ell), and the products.
 SERIES_ROUNDINGS = 16
 _EPS = 2.0 ** -53
 
@@ -116,28 +124,31 @@ def _check_x(x: float) -> float:
     return x
 
 
-def _route(p: HypParams) -> str:
-    """How F(p; 1-u) is summed at u < 1/2: "zb" (c = a+b), "shifted"
-    (c = a+b+1), "connection" (c-a-b not an integer) or "direct"."""
-    s = p.c - (p.a + p.b)
-    if s == 0.0:
-        return "zb"
-    if p.c == (p.a + p.b) + 1.0:
-        return "shifted"
-    if math.isfinite(s) and not s.is_integer():
-        return "connection"
-    return "direct"
+def _route(p: HypParams) -> tuple[str, int]:
+    """How F(p; 1-u) is summed at u < 1/2, and m: ("log", m) for c =
+    (a+b)+m, rounded, with |m| <= MAX_TERMS_LOG (m < 0 only where c > a
+    and c > b, by Euler's transformation), ("connection", 0) for c-a-b
+    not an integer, else ("direct", 0)."""
+    a_b = p.a + p.b
+    s = p.c - a_b
+    if -MAX_TERMS_LOG <= s <= MAX_TERMS_LOG:
+        m = round(s)
+        if p.c == a_b + m and (m >= 0 or (p.c > p.a and p.c > p.b)):
+            return "log", m
+    return ("connection" if math.isfinite(s) and not s.is_integer()
+            else "direct"), 0
 
 
 def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
     """The ratio family at x summed onto ``total`` (1.0 holds T_0, 0.0
     starts at n = 1): (sum, last term, tail ratio r, sum of n |T_n|,
-    terms after T_0), or None when out of terms."""
+    terms after T_0), or None when out of terms.  At the first term
+    that overflows the sum stops, and is not finite."""
     term = 1.0
     comp = weighted = 0.0
-    n = 0
+    n = small_count = 0
     ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-    small_count = 0
+    inf = math.inf
     while n < MAX_TERMS_DIRECT:
         term *= ratio
         # Knuth's TwoSum: comp gathers each addition's exact error
@@ -159,6 +170,8 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
             if small_count == 3:
                 return total + comp, term, r, weighted, n
         else:
+            if not size < inf:
+                return total + comp, term, r, weighted, n
             small_count = 0
     return None
 
@@ -191,7 +204,8 @@ def _direct_series(a: float, b: float, c: float, x: float,
 def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
     """F(a,b;c;x) - 1 as a direct sum starting at the linear term, so
     with full relative accuracy (~ (ab/c) x) where f21(...) - 1 would
-    lose every digit.  Requires x <= 3/4 and positive finite a, b, c."""
+    lose every digit.  Requires x <= 3/4 and positive finite a, b, c;
+    RangeError where the sum overflows a float."""
     HypParams(a, b, c)  # DomainError for a bad parameter
     x = float(x)
     if not (0.0 <= x <= 0.75):
@@ -199,42 +213,56 @@ def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
     s = _ratio_sum(a, b, c, x, 0.0)
     if s is None:
         raise ConvergenceError(
-            f"series for F({a},{b};{c};{x}) - 1 did not converge"
-        )
+            f"series for F({a},{b};{c};{x}) - 1 did not converge")
+    if not math.isfinite(s[0]):
+        raise RangeError(f"F({a},{b};{c};{x}) - 1 overflows a float")
     return s[0]
 
 
-def _zb_sum(a: float, b: float, u: float, ell: float, shifted: bool,
+def _as_float(k: int) -> float:
+    """The integer k rounded to a float, +-inf past the float range."""
+    try:
+        return float(k)
+    except OverflowError:
+        return math.inf if k > 0 else -math.inf
+
+
+@functools.lru_cache(maxsize=MAX_TERMS_LOG + 1)
+def _falling(m: int):
+    """f_m(n) = n(n-1)...(n-m+1) and f_m'(n) for n <= MAX_TERMS_LOG, from
+    f_{j+1}(x) = (x-j) f_j(x) in integers, as floats, and as rows (n-1,
+    float(n), f_m(n), f_m'(n), |f_m'(n)|) for n >= 1."""
+    f, fp = [1] * (MAX_TERMS_LOG + 1), [0] * (MAX_TERMS_LOG + 1)
+    for j in range(m):
+        fp = [(n - j) * d + v for n, (v, d) in enumerate(zip(f, fp))]
+        f = [(n - j) * v for n, v in enumerate(f)]
+    f, fp = tuple(map(_as_float, f)), tuple(map(_as_float, fp))
+    return f, fp, tuple((n - 1, float(n), f[n], fp[n], abs(fp[n]))
+                        for n in range(1, MAX_TERMS_LOG + 1))
+
+
+def _zb_sum(a: float, b: float, u: float, ell: float, m: int,
             from_one: bool = False):
-    """The zero-balanced family c_n (d_n + ell) u^n, or if shifted
-    c_n (1 - n(d_n + ell)) u^n, summed from n = 0 (from n = 1 if
-    from_one, where the stop rule waits for C - 1 too): (sum, last term,
-    sum of T~_n, sum of n T~_n, C - 1, terms after the first), or None
-    when out of terms."""
-    c_n = 1.0
+    """The log family c_n (f_m(n)(d_n + ell) - f_m'(n)) u^n, summed from
+    n = 0 (from n = 1 if from_one, where the stop rule waits for C - 1
+    too): (sum, last term, last T~_n, sum of T~_n, sum of n T~_n, C - 1,
+    terms after the first), or None when out of terms."""
+    f, fp, rows = _falling(m)
+    c_n = u_pow = 1.0
     d_n = specfun.ramanujan_r(a, b)
-    u_pow = 1.0
-    if from_one:
-        total = size = 0.0
-    elif shifted:
-        total = size = 1.0
-    else:
-        total, size = d_n + ell, abs(d_n) + ell
-    term = total
-    weighted = plain = 0.0
-    n = 0
+    total = size = weighted = plain = 0.0
+    if not from_one:
+        total = f[0] * (d_n + ell) - fp[0]
+        size = abs(fp[0]) + f[0] * (abs(d_n) + ell)
     small_count = 0
-    while n < MAX_TERMS_LOG:
-        a_n, b_n, n_1 = a + n, b + n, n + 1.0
-        c_n *= a_n * b_n / (n_1 * n_1)
-        d_n += 2.0 / n_1 - 1.0 / a_n - 1.0 / b_n
+    for j, n, f_n, fp_n, size_fp in rows:  # j = n-1
+        a_n, b_n = a + j, b + j
+        c_n *= a_n * b_n / (n * n)
+        d_n += 2.0 / n - 1.0 / a_n - 1.0 / b_n
         u_pow *= u
-        n += 1
         c_u = c_n * u_pow
-        g = d_n + ell
-        h = abs(d_n) + ell  # T~_n has h where T_n has g
-        term = c_n * (1.0 - n * g if shifted else g) * u_pow
-        part = c_u * (1.0 + n * h if shifted else h)
+        term = c_n * (f_n * (d_n + ell) - fp_n) * u_pow
+        part = c_u * (size_fp + f_n * (abs(d_n) + ell))
         total += term
         size += part
         weighted += n * part
@@ -242,58 +270,77 @@ def _zb_sum(a: float, b: float, u: float, ell: float, shifted: bool,
         if abs(term) <= SERIES_RTOL * abs(total) and (
                 not from_one or c_u <= SERIES_RTOL * plain):
             small_count += 1
-            if small_count == 3:
-                return total, term, size, weighted, plain, n
+            if small_count >= 3 and j > m:  # the last three have n >= m
+                return total, term, part, size, weighted, plain, j + 1
         else:
             small_count = 0
     return None
 
 
-def _log_series_scale(a: float, b: float, shifted: bool) -> float:
-    """The factor 1/B(a,b), or (a+b)/(ab B(a,b)) if shifted, before the
-    sum of a zero-balanced log series; inf where B(a,b) underflows to 0
-    (at large a, b)."""
+def _exp_or_inf(v: float) -> float:
+    """math.exp, or inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _log_series_result(a: float, b: float, m: int, sums, u, ell):
+    """(value, estimate, whether it serves) of the log series for c-a-b =
+    m from the sums of _zb_sum at a = c-a, b = c-b if m < 0, at a float u
+    or arrays.  math.lgamma erred against mpmath (x from 1e-4 to 1e5) by
+    at most 18 eps where |lgamma| < 4, else 4.1 eps |lgamma|: B's three
+    by 5 (|lgamma| + 4) eps at most; their sum, exp(), the factor and the
+    product add eps lg + 4 eps, and the Pochhammer products of m >= 2 4
+    eps per step past the first."""
+    k = abs(m)
+    total, term, part, size, weighted, _, terms = sums
+    # G(a+b+k)/(G(a+k) G(b+k)) = (a+b)_k/((a)_k (b)_k B(a,b)); inf, so
+    # handed over, where B(a,b) underflows or (a)_k (b)_k overflows; by
+    # (a)_k first where (a)_k (b)_k underflows (tiny a, b, a factor ~1)
     beta = specfun.beta(a, b)
-    if not shifted:
-        num, den = 1.0, beta
-    elif a * b * beta != 0.0:
-        num, den = a + b, a * b * beta
-    else:
-        # a*b underflows at tiny a, b, where the factor is near 1: divide
-        # by a first (only here, so that other inputs keep their bits)
-        num, den = (a + b) / a, b * beta
-    return num / den if den else math.inf
-
-
-def _log_series_result(a: float, b: float, shifted: bool, sums, u, ell):
-    """(value, estimate, whether it serves) of a log series from the sums
-    of _zb_sum, at a float u or arrays.  math.lgamma erred against mpmath
-    (x from 1e-4 to 1e5) by at most 18 eps where |lgamma| < 4, else 4.1
-    eps |lgamma|: B's three by 5 (|lgamma| + 4) eps at most; their sum,
-    exp(), the factor and the product add eps lg + 4 eps."""
-    total, term, size, weighted, _, terms = sums
-    scale = _log_series_scale(a, b, shifted)
-    value = scale * total
-    if shifted:
+    num = pa = pb = 1.0
+    for j in range(k):
+        num, pa, pb = num * (a + b + j), pa * (a + j), pb * (b + j)
+    den = pa * pb * beta
+    if not den:
+        num, den = num / pa, pb * beta
+    scale = num / den if 0.0 < den < math.inf else math.inf
+    value = (-scale if k % 2 else scale) * total
+    if k == 0:
+        tail = abs(term) * u / (1.0 - u)
+    elif k == 1:
         tail = abs(term) * (u / (1.0 - u) + 1.0) * (ell + 2.0)
     else:
-        tail = abs(term) * u / (1.0 - u)
+        r = u * (max(a, b) + terms) / (terms + 1.0 - k)
+        if min(a, b) > 1.0:
+            r = r * (min(a, b) + terms) / (terms + 1.0)
+        tail = (np.where(r < 1.0, part * r / (1.0 - r), math.inf)
+                if isinstance(r, np.ndarray) else
+                part * r / (1.0 - r) if r < 1.0 else math.inf)
     lg = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
     err = (abs(scale) * (tail + _EPS * (SERIES_ROUNDINGS * weighted
                                         + terms * abs(total)))
-           + _EPS * (6.0 * lg + 64.0) * abs(value))
+           + _EPS * (6.0 * lg + 64.0 + 4.0 * max(k - 1, 0)) * abs(value))
+    if m < 0:
+        # u^-k = e^{k ell}; u^s scales the rounding of c-a-b = -k, eps
+        # (a+b+c) = eps (2(c-a + c-b) + 3k), by ell as well
+        factor = specfun.pointwise(_exp_or_inf, k * ell)
+        value, err = value * factor, err * factor
+        err += _EPS * (2.0 + (2.0 * (a + b) + 4.0 * k) * ell) * abs(value)
     serves = (size <= MAX_CANCEL * abs(total)) & (err < math.inf)
     return value, err, serves
 
 
-def _zb_log(a: float, b: float, u: float, ell: float,
-            shifted: bool) -> Optional[EvalResult]:
-    """F(a,b;a+b;1-u), or F(a,b;a+b+1;1-u) if shifted, by the log series,
-    or None where it hands over to the direct series."""
-    sums = _zb_sum(a, b, u, ell, shifted)
+def _zb_log(p: HypParams, u: float, ell: float,
+            m: int) -> Optional[EvalResult]:
+    """F(p; 1-u) at c-a-b = m by the log series, or None where it hands
+    over to the direct series."""
+    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
+    sums = _zb_sum(a, b, u, ell, abs(m))
     if sums is None:
         return None
-    value, err, serves = _log_series_result(a, b, shifted, sums, u, ell)
+    value, err, serves = _log_series_result(a, b, m, sums, u, ell)
     return EvalResult(value, err, sums[-1] + 1, METHOD_ZB_LOG) if serves \
         else None
 
@@ -309,12 +356,12 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     u = float(u)
     if not (0.0 <= u <= 0.75):
         raise DomainError(f"complement u must lie in [0, 0.75], got {u!r}")
-    sums = _zb_sum(a, b, u, 0.0, False, from_one=True)
+    sums = _zb_sum(a, b, u, 0.0, 0, from_one=True)
     if sums is None:
         raise ConvergenceError(
             f"zero-balanced coefficient sums at u={u} did not converge"
         )
-    return sums[4], sums[0]
+    return sums[5], sums[0]
 
 
 def _connection_prefactors(a: float, b: float, c: float, s: float):
@@ -403,12 +450,9 @@ def f21_from_complement(p: HypParams, u: float,
     run where 1-u rounds to 1, ConvergenceError when out of terms."""
     u, ell = _check_complement(u, minus_log_u)
     if u < X_SWITCH:
-        route = _route(p)
-        r = None
-        if route == "connection":
-            r = _connection(p.a, p.b, p.c, u, -ell)
-        elif route != "direct":
-            r = _zb_log(p.a, p.b, u, ell, shifted=route == "shifted")
+        route, m = _route(p)
+        r = (_connection(p.a, p.b, p.c, u, -ell) if route == "connection"
+             else _zb_log(p, u, ell, m) if route == "log" else None)
         if r is not None:
             return r
     x = 1.0 - u
@@ -432,18 +476,6 @@ def f21(p: HypParams, x: float) -> EvalResult:
     return _direct_series(p.a, p.b, p.c, x)
 
 
-def zb_from_complement(a: float, b: float, u: float,
-                       minus_log_u: float) -> EvalResult:
-    """F(a,b;a+b;1-u), u and -log(u) given."""
-    return f21_from_complement(HypParams(a, b, a + b), u, minus_log_u)
-
-
-def zb_shifted_from_complement(a: float, b: float, u: float,
-                               minus_log_u: float) -> EvalResult:
-    """F(a,b;a+b+1;1-u), u and -log(u) given."""
-    return f21_from_complement(HypParams(a, b, a + b + 1.0), u, minus_log_u)
-
-
 def f21_at_one(p: HypParams) -> float:
     """Gauss limit F(a,b;c;1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)).
 
@@ -462,20 +494,13 @@ def f21_at_one(p: HypParams) -> float:
         raise RangeError(f"F({p.a},{p.b};{p.c};1) overflows a float") from None
 
 
-def zb_near_one(a: float, b: float, x: float) -> EvalResult:
-    """F(a,b;a+b;x) for 0 < x < 1, as f21 (past 1/2 the log series)."""
-    if _check_x(x) == 0.0:
-        raise DomainError("zb_near_one requires 0 < x < 1")
-    return f21(HypParams(a, b, a + b), x)
-
-
 def _derivative(p: HypParams, x, value):
     """dF(p; x)/dx from value(q, x) = F(q; x), at a float x or an array."""
     if p.balanced_sign:
         return p.a * p.b / p.c * value(
             HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0), x)
-    # (1-x) F'(x) = (ab/(a+b)) F(a,b;a+b+1;x), a log series past 1/2;
-    # F(a+1,b+1;a+b+1) has c-a-b = -1 and only the direct series there
+    # (1-x) F'(x) = (ab/(a+b)) F(a,b;a+b+1;x), the m = 1 log series past
+    # 1/2, and one direct series below it, where 1/(1-x) is at most 2
     w = value(HypParams(p.a, p.b, p.c + 1.0), x)
     return p.a * p.b / p.c * w / (1.0 - x)
 
@@ -484,11 +509,6 @@ def f21_derivative(p: HypParams, x: float) -> float:
     """dF(a,b;c;x)/dx = (ab/c) F(a+1,b+1;c+1;x), or for c = a+b
     (ab/(a+b)) F(a,b;a+b+1;x)/(1-x)."""
     return _derivative(p, _check_x(x), lambda q, y: f21(q, y).value)
-
-
-def zb_derivative(a: float, b: float, x: float) -> float:
-    """dF(a,b;a+b;x)/dx via (ab/(a+b)) F(a,b;a+b+1;x) / (1-x)."""
-    return f21_derivative(HypParams(a, b, a + b), x)
 
 
 def _count(value, name: str) -> int:
@@ -625,14 +645,15 @@ def _running_pair(starts, steps) -> tuple[np.ndarray, np.ndarray]:
     return out.real[:, 1:], out.imag[:, 1:]
 
 
-def _runs_of_three(cond: np.ndarray,
-                   small: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A block of the stop rule "passed three times in a row": from the
-    tests cond[i, :] and the runs small[i] before the block, the points
-    that stop, the step at which each does, and the runs after it."""
+def _runs_of_three(cond: np.ndarray, small: np.ndarray,
+                   now) -> tuple[np.ndarray, ...]:
+    """A block of the stop rule "passed three times in a row, or stops
+    at once where ``now``": from the tests cond[i, :] and the runs
+    small[i] before the block, the points that stop, the step at which
+    each does, and the runs after it."""
     ext = np.concatenate(((small >= 2)[:, None], (small >= 1)[:, None],
                           cond), axis=1)
-    hit = ext[:, 2:] & ext[:, 1:-1] & ext[:, :-2]
+    hit = ext[:, 2:] & ext[:, 1:-1] & ext[:, :-2] | now
     run = np.where(ext[:, -1], np.where(ext[:, -2], 2, 1), 0)
     return hit.any(axis=1), hit.argmax(axis=1), run
 
@@ -644,9 +665,9 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
     ``fixed`` holds each point's inputs as (points, 1) columns, ``state``
     what the next term reads or the caller wants.  ``step(n, k, fixed,
     state)`` adds terms n+1 .. n+k and returns the state after each, as
-    (points, k) arrays, and the stop test at each.  Returns the state at
-    each point's stop, its terms after the first, and where ``cap`` terms
-    were not enough."""
+    (points, k) arrays, the stop test at each, and where a point stops at
+    once (or False).  Returns the state at each point's stop, its terms
+    after the first, and where ``cap`` terms were not enough."""
     size = state[0].size
     final = tuple(np.zeros(size) for _ in state)
     summed = np.zeros(size, dtype=np.int64)
@@ -657,8 +678,8 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
         while idx.size and n < cap:
             k = max(1, min(max(BLOCK_MIN, n), BLOCK_CELLS // idx.size,
                            cap - n))
-            cols, passed = step(n, k, fixed, state)
-            stop, at, small = _runs_of_three(passed, small)
+            cols, passed, now = step(n, k, fixed, state)
+            stop, at, small = _runs_of_three(passed, small, now)
             n += k
             if not stop.any():
                 state = tuple(col[:, -1] for col in cols)
@@ -713,7 +734,7 @@ def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
         r = np.maximum(np.abs(mult[:, 1:]), x)
         passed = (r < 1.0) & (sizes * r
                               <= SERIES_RTOL * np.abs(sums) * (1.0 - r))
-        return (terms, sums, weights, comps, r), passed
+        return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed, stalled = _lockstep(
@@ -738,78 +759,69 @@ def _direct_many(a: float, b: float, c: float, xs: np.ndarray,
     return out
 
 
-def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
-             shifted: bool, from_one: bool = False):
+def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
+             from_one: bool = False):
     """_zb_sum at every (u, ell) pair, laid out as its result (arrays),
-    and the points out of terms; C - 1 is left out (as 0) of the log
-    series, and the last term and the sums of T~_n of the view."""
+    and the points out of terms."""
     if u.size < SCALAR_BELOW:
         return _scalar_batch(lambda i: _zb_sum(
-            a, b, float(u[i]), float(ell[i]), shifted, from_one), u.size, 6)
-    # c_n and d_n for n = 1 .. MAX_TERMS_LOG, by the scalar recurrence
+            a, b, float(u[i]), float(ell[i]), m, from_one), u.size, 7)
+    # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them
     d_0 = specfun.ramanujan_r(a, b)
-    m = np.arange(float(MAX_TERMS_LOG))
+    j = np.arange(float(MAX_TERMS_LOG))
     with np.errstate(all="ignore"):
         c_all = _running(np.multiply, 1.0,
-                         (a + m) * (b + m) / ((m + 1.0) * (m + 1.0)))
+                         (a + j) * (b + j) / ((j + 1.0) * (j + 1.0)))
         d_all = _running(np.add, d_0,
-                         2.0 / (m + 1.0) - 1.0 / (a + m) - 1.0 / (b + m))
-    m += 1.0
+                         2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j))
+    j += 1.0
+    f_all, fp_all = (np.array(t) for t in _falling(m)[:2])
 
     def step(n, k, fixed, state):
         uu, ll = fixed
-        cs, ds, j = c_all[n:n + k], d_all[n:n + k], m[n:n + k]
+        cs, ds = c_all[n:n + k], d_all[n:n + k]
+        fs, fps = f_all[n + 1:n + k + 1], fp_all[n + 1:n + k + 1]
         u_pows = _running(np.multiply, state[0], np.repeat(uu, k, axis=1))
-        g = ds + ll
-        terms = cs * (1.0 - j * g if shifted else g) * u_pows
+        terms = cs * (fs * (ds + ll) - fps) * u_pows
         c_u = cs * u_pows
-        if from_one:  # beside the sum, C - 1, which the stop waits for too
-            sums, plains = _running_pair(state[1:3], (terms, c_u))
-            return (u_pows, sums, plains), (
-                (np.abs(terms) <= SERIES_RTOL * np.abs(sums))
-                & (c_u <= SERIES_RTOL * plains))
-        h = np.abs(ds) + ll
-        parts = c_u * (1.0 + j * h if shifted else h)  # T~_n
+        parts = c_u * (np.abs(fps) + fs * (np.abs(ds) + ll))  # T~_n
         sums, sizes = _running_pair(state[1:3], (terms, parts))
-        weights = _running(np.add, state[3], j * parts)
-        return ((u_pows, sums, sizes, weights, terms),
-                np.abs(terms) <= SERIES_RTOL * np.abs(sums))
+        weights, plains = _running_pair(state[3:5], (j[n:n + k] * parts, c_u))
+        passed = np.abs(terms) <= SERIES_RTOL * np.abs(sums)
+        if from_one:  # the stop waits for C - 1 too
+            passed &= c_u <= SERIES_RTOL * plains
+        if n + 1 < m:  # the stop rule counts terms n >= m
+            passed &= fs > 0.0
+        cols = u_pows, sums, sizes, weights, plains, terms, parts
+        return cols, passed, False
 
     ones, zeros = np.ones(u.size), np.zeros(u.size)
-    fixed = (u[:, None], ell[:, None])
-    if from_one:
-        (_, total, plain), summed, stalled = _lockstep(
-            step, fixed, (ones, zeros, zeros), MAX_TERMS_LOG)
-        return (total, zeros, zeros, zeros, plain, summed), stalled
-    start, size = (ones, ones) if shifted else (d_0 + ell, abs(d_0) + ell)
-    (_, total, size, weighted, term), summed, stalled = _lockstep(
-        step, fixed, (ones, start, size, zeros, start), MAX_TERMS_LOG)
-    return (total, term, size, weighted, zeros, summed), stalled
+    start = size = zeros
+    if not from_one:
+        start = f_all[0] * (d_0 + ell) - fp_all[0]
+        size = abs(fp_all[0]) + f_all[0] * (abs(d_0) + ell)
+    (_, total, size, weighted, plain, term, part), summed, stalled = _lockstep(
+        step, (u[:, None], ell[:, None]),
+        (ones, start, size, zeros, zeros, start, size), MAX_TERMS_LOG)
+    return (total, term, part, size, weighted, plain, summed), stalled
 
 
-def _zb_log_many(a: float, b: float, u: np.ndarray, ell: np.ndarray,
-                 shifted: bool) -> tuple[_Lanes, np.ndarray]:
+def _zb_log_many(p: HypParams, u: np.ndarray, ell: np.ndarray,
+                 m: int) -> tuple[_Lanes, np.ndarray]:
     """_zb_log at every (u, ell) pair: the lanes, and where it hands
     over to the direct series."""
-    sums, stalled = _zb_many(a, b, u, ell, shifted)
+    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
+    sums, stalled = _zb_many(a, b, u, ell, abs(m))
     out = _Lanes(u.size)
     out.terms = sums[-1] + 1
     try:
         with np.errstate(all="ignore"):
             out.value, out.err, serves = _log_series_result(
-                a, b, shifted, sums, u, ell)
+                a, b, m, sums, u, ell)
     except RangeError:  # B(a, b) overflows: every scalar call raises
         out.status[:] = _RAISES
         return out, np.zeros(u.size, dtype=bool)
     return out, stalled | ~serves
-
-
-def _exp_or_inf(v: float) -> float:
-    """math.exp, or inf where it overflows."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
 
 
 def _connection_many(a: float, b: float, c: float, u: np.ndarray,
@@ -845,7 +857,7 @@ def _from_complement_many(p: HypParams, u: np.ndarray,
     the methods."""
     out = _Lanes(u.size)
     method = np.full(u.size, METHOD_DIRECT, dtype=object)
-    route = _route(p)
+    route, m = _route(p)
     direct = (u >= X_SWITCH) | (route == "direct")
     near = np.flatnonzero(~direct)
     if near.size:
@@ -853,8 +865,7 @@ def _from_complement_many(p: HypParams, u: np.ndarray,
             lanes, none = _connection_many(p.a, p.b, p.c, u[near], -ell[near])
             method[near] = METHOD_CONNECTION
         else:
-            lanes, none = _zb_log_many(p.a, p.b, u[near], ell[near],
-                                       shifted=route == "shifted")
+            lanes, none = _zb_log_many(p, u[near], ell[near], m)
             method[near] = METHOD_ZB_LOG
         out.take(near, lanes)
         direct[near[none]] = True
@@ -910,28 +921,15 @@ def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
                        lambda q, y: f21_many(q, y).value)
 
 
-def zb_from_complement_many(a: float, b: float, us,
-                            minus_log_us) -> EvalResults:
-    """zb_from_complement at every (u, -log u) pair, to the bit."""
-    return f21_from_complement_many(HypParams(a, b, a + b), us, minus_log_us)
-
-
-def zb_shifted_from_complement_many(a: float, b: float, us,
-                                    minus_log_us) -> EvalResults:
-    """zb_shifted_from_complement at every (u, -log u) pair, to the bit."""
-    return f21_from_complement_many(HypParams(a, b, a + b + 1.0), us,
-                                    minus_log_us)
-
-
 def zb_complement_sums_many(a: float, b: float,
                             us) -> tuple[np.ndarray, np.ndarray]:
     """zb_complement_sums at every point of us, to the bit: (C-1, D1)."""
     u = specfun.as_points(us)
     specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
                          lambda i: zb_complement_sums(a, b, u[i]))
-    sums, stalled = _zb_many(a, b, u, np.zeros(u.size), False, from_one=True)
+    sums, stalled = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
     specfun.reject_first(stalled, lambda i: zb_complement_sums(a, b, u[i]))
-    return sums[4], sums[0]
+    return sums[5], sums[0]
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
@@ -941,5 +939,6 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
                          lambda i: f21_minus_one(a, b, c, x[i]))
     (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
-    specfun.reject_first(stalled, lambda i: f21_minus_one(a, b, c, x[i]))
+    specfun.reject_first(stalled | ~np.isfinite(total),
+                         lambda i: f21_minus_one(a, b, c, x[i]))
     return total

@@ -14,6 +14,8 @@ The whole-axis behaviour is captured by h(t) = e^t lambda01(-e^t), its
 reciprocal H = 1/h, and phi(t) = 2 Phi(e^{t/2}).  h is the one density
 kernel (lambda01_neg is h(log x)/x): its AGMs run on complement-stable
 moduli, accurate for |t| up to 700 where the K(r) route loses r'.
+varphi is the one distance kernel (phi_func(x) is sign(log x)
+varphi(2|log x|)/2).
 phi(t) = q(t/2) for the pair a = b = 1/2, where F(1/2,1/2;1;x) =
 1/agm(1, sqrt(1-x)), so varphi is the log of a quotient of two AGMs on
 the same moduli as h, both formed from e^{-t/4} so that neither
@@ -106,13 +108,13 @@ def phi_func(x: float) -> float:
     """Phi(x) = (1/2) log(K(r)/K(r')), r = sqrt(x/(1+x)); Phi(1) = 0.
 
     Strictly increasing, odd under inversion: Phi(1/x) = -Phi(x).
-    The K-ratio is taken as agm(1,r)/agm(1,r') with both moduli computed
-    directly from x; reconstructing r' from r inside K would halve the
-    accuracy once r is within ~1e-9 of 1 (x beyond ~1e9).
+    Evaluated as sign(log x) varphi(2|log x|)/2, varphi(t) = 2
+    Phi(e^{t/2}), on varphi's Taylor, AGM and closed-form pieces, so that
+    it keeps its relative accuracy near x = 1, where the K-ratio is
+    1 + O(x-1) and its log would keep only an absolute ~eps.
     """
-    x = _check_positive_x(x)
-    r, r_comp = math.sqrt(x / (1.0 + x)), math.sqrt(1.0 / (1.0 + x))
-    return 0.5 * math.log(agm(1.0, r) / agm(1.0, r_comp))
+    t = math.log(_check_positive_x(x))
+    return math.copysign(0.5 * _varphi(2.0 * abs(t)), t)
 
 
 def d01_neg(x: float, y: float) -> float:
@@ -238,6 +240,11 @@ def varphi(t: float) -> float:
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"varphi requires t > 0, got {t!r}")
+    return _varphi(t)
+
+
+def _varphi(t: float) -> float:
+    """varphi at a checked float t >= 0 (0 at t = 0)."""
     if t < VARPHI_TAYLOR_T:
         return _varphi_taylor(t)
     s = 0.5 * t

@@ -393,7 +393,8 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
         elif kind == "zb":
             u = case["u"]
             ell = -math.log(u)
-            val = hyp2f1.zb_from_complement(a, b, u, ell).value
+            val = hyp2f1.f21_from_complement(
+                hyp2f1.HypParams(a, b, a + b), u, ell).value
             lim = (ell + specfun.ramanujan_r(a, b)) / specfun.beta(a, b)
             point = 1.0 - u
         elif kind == "power":

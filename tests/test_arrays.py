@@ -73,14 +73,22 @@ _BATCH = {"min_size": 1, "max_size": 60}
 @pytest.mark.parametrize("p,methods", [
     (HypParams(0.5, 0.5, 1.0), {"zb_log_series"}),          # c = a+b
     (HypParams(0.5, 0.5, 2.0), {"zb_log_series"}),          # c = a+b+1
+    (HypParams(0.5, 0.5, 3.0), {"zb_log_series"}),          # c = a+b+2
+    (HypParams(1.0, 1.0, 5.0), {"zb_log_series"}),          # c = a+b+3
+    # c = a+b+2, where the log series cancels and hands over near 1/2
+    (HypParams(3.0, 5.0, 10.0), {"zb_log_series", "direct_series"}),
+    # s = -1 and -2 with c > a, b: Euler's transformation
+    (HypParams(1.5, 1.5, 2.0), {"zb_log_series"}),
+    (HypParams(2.5, 2.5, 3.0), {"zb_log_series"}),
     (HypParams(0.3, 0.7, 1.1), {"connection_series"}),      # s = 0.1
     (HypParams(0.7, 1.3, 1.3), {"connection_series"}),      # Gamma pole
     # s within 1e-9 of 1: the connection formula cancels and hands over
     (HypParams(0.3, 0.7, 2.0 + 5e-10), {"direct_series"}),
     # s = 1.002: it hands over at some points only
     (HypParams(1.5, 0.6, 3.102), {"connection_series", "direct_series"}),
-    (HypParams(2.0, 2.0, 1.0), {"direct_series"}),          # s = -3: the tail
-    (HypParams(1.0, 2.0, 2.0), {"direct_series"}),          # s = -1
+    # s = -3 and -1 with c <= a or c <= b: the direct series and its tail
+    (HypParams(2.0, 2.0, 1.0), {"direct_series"}),
+    (HypParams(1.0, 2.0, 2.0), {"direct_series"}),
 ])
 def test_f21_many_matches_f21_on_every_route(p, methods):
     _assert_f21_many(p, _GRID_X)
@@ -99,7 +107,8 @@ _param = st.floats(0.05, 5.0)
 def _f21_cases(draw):
     a, b = draw(_param), draw(_param)
     route = draw(st.sampled_from(
-        ["zb", "shifted", "connection", "near_integer", "integer", "any"]))
+        ["zb", "shifted", "connection", "near_integer", "integer", "euler",
+         "any"]))
     if route == "zb":
         c = a + b
     elif route == "shifted":
@@ -112,12 +121,17 @@ def _f21_cases(draw):
              + draw(st.sampled_from([-1e-9, -1e-12, 1e-12, 1e-9])))
     elif route == "integer":
         c = a + b + draw(st.sampled_from([-2.0, 2.0, 3.0]))
+    elif route == "euler":  # c-a-b = -k, c-a and c-b near the old b and a
+        k = draw(st.sampled_from([1.0, 2.0]))
+        a, b = a + k, b + k
+        c = a + b - k
     else:
         c = draw(st.floats(0.05, 8.0))
     if c <= 0.0:
         c = a + b
-    # integer and near-integer s sum the direct series past x = 1/2,
-    # ~35/(1-x) terms: keep those x off 1 so the scalar oracle is quick
+    # near-integer s and the integer s that Euler's transformation does
+    # not serve sum the direct series past x = 1/2, ~35/(1-x) terms: keep
+    # those x off 1 so the scalar oracle is quick
     x_hi = 0.95 if route in ("near_integer", "integer", "any") else 1.0
     # a batch on one side of x = 1/2, so that side runs in lockstep
     side = (st.floats(0.5, x_hi, exclude_min=True, exclude_max=True)
@@ -146,9 +160,10 @@ def test_f21_many_raises_the_first_typed_error():
             _assert_f21_many(HypParams(a, a, c), [0.9, 0.95])
             _assert_f21_many(HypParams(a, a, c), [0.05, 0.9])
     u = [0.1] * 30 + [0.999]  # 200 log-series terms are too few at u = 0.999
+    p = HALF.params()
     _assert_pointwise(
-        lambda arr: hyp2f1.zb_from_complement_many(0.5, 0.5, arr, -np.log(arr)),
-        lambda ui: hyp2f1.zb_from_complement(0.5, 0.5, ui, -math.log(ui)), u)
+        lambda arr: hyp2f1.f21_from_complement_many(p, arr, -np.log(arr)),
+        lambda ui: hyp2f1.f21_from_complement(p, ui, -math.log(ui)), u)
 
 
 _u = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 0.75]),
@@ -160,12 +175,15 @@ _u = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 0.75]),
                                  st.lists(_u, min_size=1, max_size=3)))
 def test_complement_kernels_match(a, b, us):
     ells = [-math.log(u) if u > 0.0 else 745.0 for u in us]
-    for many, scalar in (
-            (hyp2f1.zb_from_complement_many, hyp2f1.zb_from_complement),
-            (hyp2f1.zb_shifted_from_complement_many,
-             hyp2f1.zb_shifted_from_complement)):
-        _assert_same(lambda: many(a, b, us, ells),
-                     lambda i: scalar(a, b, us[i], ells[i]), len(us))
+    # c-a-b = m, and for m < 0 only where Euler's transformation serves
+    for m in (0.0, 1.0, 2.0, 3.0, -1.0, -2.0):
+        c = a + b + m
+        if c <= max(a, b):
+            continue
+        p = HypParams(a, b, c)
+        _assert_same(
+            lambda: hyp2f1.f21_from_complement_many(p, us, ells),
+            lambda i: hyp2f1.f21_from_complement(p, us[i], ells[i]), len(us))
     for part in (0, 1):
         _assert_pointwise(
             lambda arr: hyp2f1.zb_complement_sums_many(a, b, arr)[part],

@@ -7,12 +7,14 @@ Frozen literals are 17-digit truncations of 50-digit evaluations.
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from punctmetric import hyp2f1
 from punctmetric.errors import ConvergenceError, DomainError, RangeError
 from punctmetric.hyp2f1 import (
     HypParams,
@@ -26,8 +28,6 @@ from punctmetric.hyp2f1 import (
     f21_minus_one_many,
     finite_difference_table,
     ratio_coeffs,
-    zb_derivative,
-    zb_near_one,
 )
 
 HALF = HypParams(0.5, 0.5, 1.0)
@@ -74,9 +74,13 @@ def test_method_routing():
     assert f21(HALF, 0.3).method == "direct_series"
     assert f21(HALF, 0.99).method == "zb_log_series"          # c = a+b
     assert f21(HypParams(0.5, 0.5, 2.0), 0.99).method == "zb_log_series"
+    # c-a-b = 2, and -1 by Euler's transformation: the same log series
+    assert f21(HypParams(0.5, 0.5, 3.0), 0.99).method == "zb_log_series"
+    assert f21(HypParams(1.5, 1.5, 2.0), 0.99).method == "zb_log_series"
     # c-a-b = 0.1: the 1-x connection formula
     assert f21(HypParams(0.3, 0.7, 1.1), 0.99).method == "connection_series"
-    # c-a-b = -3, an integer other than 0 and 1: still the direct series
+    # c-a-b = -3 with c < a, where Euler's transformation has no positive
+    # parameters: still the direct series
     assert f21(HypParams(2.0, 2.0, 1.0), 0.9).method == "direct_series"
 
 
@@ -124,19 +128,21 @@ def test_derivative_matches_central_difference(x):
 
 
 def test_zb_near_one_agrees_with_direct():
-    # same function through the log expansion and the Maclaurin series
+    # same function through the log expansion, which converges for any
+    # u = 1-x < 1, and the Maclaurin series that f21 sums at x <= 1/2
+    p = HypParams(1.2, 0.8, 2.0)
     for x in (0.3, 0.45, 0.5):
-        direct = f21(HypParams(1.2, 0.8, 2.0), x).value
-        logexp = zb_near_one(1.2, 0.8, x).value
+        direct = f21(p, x).value
+        logexp = hyp2f1._zb_log(p, 1.0 - x, -math.log1p(-x), 0).value
         assert logexp == pytest.approx(direct, rel=1e-13)
 
 
 def test_zb_derivative_consistent():
     for x in (0.2, 0.6, 0.85):
         step = 1e-6
-        num = (zb_near_one(0.5, 0.5, x + step).value
-               - zb_near_one(0.5, 0.5, x - step).value) / (2.0 * step)
-        assert zb_derivative(0.5, 0.5, x) == pytest.approx(num, rel=2e-8)
+        num = (f21(HALF, x + step).value
+               - f21(HALF, x - step).value) / (2.0 * step)
+        assert f21_derivative(HALF, x) == pytest.approx(num, rel=2e-8)
 
 
 def test_f21_minus_one_small_x():
@@ -324,8 +330,8 @@ def test_large_parameters_give_a_value_or_a_typed_error():
 @pytest.mark.parametrize("a,b,rtol", [(0.5, 0.5, 1e-13), (1.2, 0.8, 1e-13),
                                       (3.0, 5.0, 1e-13)])
 def test_zero_balanced_derivative_against_mpmath(a, b, rtol):
-    # F(a+1,b+1;a+b+1) has c-a-b = -1, an integer: its direct series took
-    # 23 ms at x = 0.999 and ran out of terms at x = 0.99999
+    # at c = a+b the derivative is (ab/(a+b)) F(a,b;a+b+1;x)/(1-x), the
+    # m = 1 log series past 1/2, up to x = 1 - 1e-10
     mpmath = pytest.importorskip("mpmath")
     p = HypParams(a, b, a + b)
     xs = [0.0, 0.3, 0.5, math.nextafter(0.5, 1.0), 0.9, 0.999, 0.99999,
@@ -333,7 +339,7 @@ def test_zero_balanced_derivative_against_mpmath(a, b, rtol):
     many = f21_derivative_many(p, xs)
     for x, d_many in zip(xs, many.tolist()):
         d = f21_derivative(p, x)
-        assert d == zb_derivative(a, b, x) == d_many
+        assert d == d_many
         with mpmath.workdps(60):
             ref = (mpmath.mpf(a) * b / p.c
                    * mpmath.hyp2f1(a + 1, b + 1, p.c + 1, mpmath.mpf(x)))
@@ -344,7 +350,7 @@ def test_zero_balanced_derivative_against_mpmath(a, b, rtol):
                                  (math.inf, 1.0)])
 def test_zb_derivative_rejects_bad_parameters(a, b):
     with pytest.raises(DomainError):
-        zb_derivative(a, b, 0.3)
+        f21_derivative(HypParams(a, b, a + b), 0.3)
 
 
 def _sweep_cases(route, rng, count):
@@ -418,3 +424,74 @@ def test_cancelling_series_hand_over(a, b, c, x):
     r, ref = _assert_estimate_holds(HypParams(a, b, c), x)
     assert r.method == "direct_series"
     assert abs(r.value - ref) <= 1e-13 * abs(ref)
+
+
+def _integer_s_cases(m):
+    """(a, b, c, x) with c = a+b+m, a and b in (0.1, 5) (c > a and c > b
+    for m < 0) and 1-x from 1e-12 to 1/2."""
+    rng = random.Random(f"integer-s-{m}")
+    cases = []
+    while len(cases) < 18:
+        a, b = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+        c = a + b + m
+        if c > max(a, b):
+            cases += [(a, b, c, 1.0 - u)
+                      for u in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5)]
+    return cases
+
+
+@pytest.mark.parametrize("m", range(-3, 5))
+def test_integer_s_against_mpmath(m):
+    # one log series for every integer c-a-b = m, Euler's transformation
+    # for m < 0; each call within its estimate and quick
+    for a, b, c, x in _integer_s_cases(m):
+        p = HypParams(a, b, c)
+        start = time.perf_counter()
+        r = f21(p, x)
+        assert time.perf_counter() - start < 0.01
+        assert abs(r.value - _mp_f21(a, b, c, x)) <= r.abs_err_estimate
+        if x > 0.5:
+            assert r.method == "zb_log_series"
+
+
+def _seconds(call):
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("a,b,c,x", [
+    (1.0, 1.0, 4.0, 0.99999), (1.5, 1.5, 2.0, 0.9999),
+    (0.5, 0.5, 3.0, 0.999999), (2.5, 1.5, 3.0, 0.99999),
+])
+def test_integer_s_near_one_is_quick(a, b, c, x):
+    # the direct series would need 10^5 terms or more here
+    r, _ = _assert_estimate_holds(HypParams(a, b, c), x)
+    assert r.method == "zb_log_series"
+    best = min(_seconds(lambda: f21(HypParams(a, b, c), x))
+               for _ in range(5))
+    assert best < 1e-3
+
+
+def test_overflowing_terms_fail_fast():
+    # (1-x)^-a overflows: the first infinite term ends the sum, where
+    # summing on would run to MAX_TERMS_DIRECT
+    p = HypParams(1e306, 1e306, 1e306)
+    for call, limit in ((lambda: f21(p, 0.3), 1e-3),
+                        (lambda: f21_many(p, [0.1, 0.3] * 4), 1e-2)):
+        def once():
+            with pytest.raises(RangeError):
+                call()
+        assert min(_seconds(once) for _ in range(3)) < limit
+    with pytest.raises(RangeError):
+        f21_minus_one(200.0, 200.0, 1.0, 0.75)
+    with pytest.raises(RangeError):
+        f21_minus_one_many(200.0, 200.0, 1.0, [0.1] * 5 + [0.75])
+
+
+@pytest.mark.parametrize("m", [100, 150, 200])
+def test_large_integer_s_within_its_estimate(m):
+    # (a)_m (b)_m overflows in the log series' factor: the series hands
+    # over to the direct series, and never returns its factor's 0
+    r, _ = _assert_estimate_holds(HypParams(1.0, 1.0, 2.0 + m), 0.9999)
+    assert r.value > 1.0

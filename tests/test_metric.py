@@ -243,3 +243,20 @@ def test_domain_and_range_guards():
         metric.big_h(-701.0)
     with pytest.raises(DomainError):
         metric.h(math.inf)
+
+
+def test_phi_against_mpmath():
+    # Phi(x) = (1/2) log(agm(1, r)/agm(1, r')), both moduli formed from x;
+    # near x = 1 the AGM quotient is 1 + O(x-1), where the float AGM route
+    # kept only an absolute ~eps (75% off at x = 1 + 1e-15)
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (k / 4.0) for k in range(-48, 49)]
+    xs += [1.0 + d for d in (1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4)]
+    xs += [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e-300, 1e300]
+    for x in xs:
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(x)
+            want = mpmath.log(mpmath.agm(1, mpmath.sqrt(xm / (1 + xm)))
+                              / mpmath.agm(1, mpmath.sqrt(1 / (1 + xm)))) / 2
+        assert abs(metric.phi_func(x) - want) <= 1e-14 * abs(want), x
+    assert metric.phi_func(1.0) == 0.0

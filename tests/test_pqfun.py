@@ -228,12 +228,14 @@ def _mp_n_and_m(a, b, c, x):
 
 
 @pytest.mark.parametrize("abc,k_max", [((0.9, 1.1, 2.6), 300),
-                                       ((1.0, 1.0, 1.5), 100)])
+                                       ((1.0, 1.0, 1.5), 100),
+                                       ((1.0, 1.0, 4.0), 300)])
 def test_n_and_m_at_tiny_x_against_mpmath(abc, k_max):
     # c != a+b: v and v' at 1-x come from x itself through the complement
     # routes, never from 1-x (2e-9 relative error at x = 1e-8 when they
     # did, and a DomainError naming 1.0 once 1-x rounded to 1); at
-    # (1, 1, 1.5) v' at 1-x overflows below x ~ 1e-205
+    # (1, 1, 1.5) v' at 1-x overflows below x ~ 1e-205; at (1, 1, 4),
+    # c-a-b = 2 and 1, both take the log series
     xs = [10.0 ** -k for k in (4, 8, 13, 16, 17, 30, 100, 300) if k <= k_max]
     ns, ms = pqfun.n_func_many(*abc, xs), pqfun.m_func_many(*abc, xs)
     for x, n_many, m_many in zip(xs, ns.tolist(), ms.tolist()):
@@ -246,11 +248,12 @@ def test_n_and_m_at_tiny_x_against_mpmath(abc, k_max):
 
 @pytest.mark.parametrize("x", [1e-17, 1e-300])
 def test_n_and_m_name_the_callers_x_where_no_route_serves(x):
-    # c-a-b = 2: only the direct series sums v(1-x), and 1-x rounds to 1
+    # c-a-b = -1 with c = b, where Euler's transformation has a zero
+    # parameter: only the direct series sums v(1-x), and 1-x rounds to 1
     for fn in (pqfun.n_func, pqfun.m_func, pqfun.n_func_many,
                pqfun.m_func_many):
         with pytest.raises(RangeError, match=f"u={x!r}"):
-            fn(1.0, 1.0, 4.0, [x] if fn.__name__.endswith("many") else x)
+            fn(1.0, 2.0, 2.0, [x] if fn.__name__.endswith("many") else x)
 
 
 def test_q_func_at_large_parameters_against_mpmath():

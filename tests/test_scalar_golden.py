@@ -5,8 +5,9 @@ arguments, and what it returned (every field of an EvalResult) or the
 type and message of the typed error it raised.  Each result must match
 bit for bit, and each returned field must be a Python float, int or
 str, never a numpy scalar.  The cases cover every route of f21 (direct,
-zero-balanced log, shifted log, connection and its hand-over to the
-direct series, integer c-a-b), the points x = 0, 1/2 and just above 1/2,
+the log series at c-a-b = 0 and 1 and by Euler's transformation at -1,
+connection and its hand-over to the direct series, the integer c-a-b
+that stay direct), the points x = 0, 1/2 and just above 1/2,
 tiny and large parameters, and the complement kernels at u = 0 and
 subnormal u.
 
@@ -38,12 +39,10 @@ FUNCTIONS = {
     "f21": lambda a, b, c, x: hyp2f1.f21(HypParams(a, b, c), x),
     "f21_derivative":
         lambda a, b, c, x: hyp2f1.f21_derivative(HypParams(a, b, c), x),
-    "zb_from_complement": hyp2f1.zb_from_complement,
-    "zb_shifted_from_complement": hyp2f1.zb_shifted_from_complement,
+    "f21_from_complement": lambda a, b, c, u, ell:
+        hyp2f1.f21_from_complement(HypParams(a, b, c), u, ell),
     "zb_complement_sums": hyp2f1.zb_complement_sums,
     "f21_minus_one": hyp2f1.f21_minus_one,
-    "zb_near_one": hyp2f1.zb_near_one,
-    "zb_derivative": hyp2f1.zb_derivative,
     "h": metric.h,
     "varphi": metric.varphi,
     "p_func": lambda a, b, t: pqfun.p_func(_pair(a, b), t),
@@ -67,12 +66,15 @@ def _cases():
         (0.3, 0.7, 2.0 + 5e-10), (1.5, 0.6, 3.102),           # hand-over
         (300.3, 200.7, 520.1),
         (2.0, 2.0, 1.0), (1.0, 2.0, 2.0), (1.5, 1.5, 2.0),    # integer s
+        (1.0, 1.0, 4.0), (2.5, 1.5, 3.0), (2.5, 2.5, 3.0),
         (1e-200, 1e-200, 2e-200), (1e-10, 1e-10, 2e-10),      # tiny a, b
         (1e-200, 1e-200, 1.0 + 2e-200), (1e-170, 1e-160, 1.0),
         (1e-300, 1e-30, 1.0 + 1e-30),
     ]
+    # the integer s that stay on the direct series run long tails near 1
+    direct = ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0))
     cases = [("f21", (*p, x)) for p in params for x in xs
-             if not (p[2] - p[0] - p[1]) in (-1.0, -3.0) or x < 0.99]
+             if p not in direct or x < 0.99]
     cases += [("f21", (150.5, 120.25, 100.0, 0.999)),    # RangeError
               ("f21", (1e306, 1.5, 1e306, 0.9)),
               ("f21", (0.5, 0.5, 1.0, 1.0))]             # DomainError
@@ -89,16 +91,19 @@ def _cases():
             cases.append(("f21", (a, b, c, x)))
     for a, b, c in ((0.7, 1.3, 1.9), (0.9, 1.1, 0.8), (0.5, 0.5, 1.5)):
         cases += [("f21_derivative", (a, b, c, x)) for x in xs[:6]]
-    for name in ("zb_from_complement", "zb_shifted_from_complement"):
+    for s in (0.0, 1.0):
         for a, b in ((0.5, 0.5), (1.2, 0.8), (1e-200, 1e-200), (30.0, 2.0)):
-            cases += [(name, (a, b, u, -math.log(u) if u else 745.0))
+            cases += [("f21_from_complement",
+                       (a, b, a + b + s, u, -math.log(u) if u else 745.0))
                       for u in (0.0, 5e-324, 1e-301, 1e-8, 0.25, 0.5)]
     for a, b in ((0.5, 0.5), (1.0, 2.0), (0.3, 1.7)):
         for u in (0.0, 1e-300, 1e-20, 1e-3, 0.3, 0.75):
             cases.append(("zb_complement_sums", (a, b, u)))
             cases.append(("f21_minus_one", (a, b, a + b, u)))
-        cases += [("zb_near_one", (a, b, x)) for x in (0.3, 0.5, 0.9)]
-        cases += [("zb_derivative", (a, b, x)) for x in xs]
+        cases += [case for case in (("f21", (a, b, a + b, x))
+                                    for x in (0.3, 0.5, 0.9))
+                  if case not in cases]
+        cases += [("f21_derivative", (a, b, a + b, x)) for x in xs]
     cases += [("h", (t,)) for t in (0.0, -0.0, 1e-300, 0.5, -3.0, 37.0,
                                     700.0, -700.0)]
     cases += [("varphi", (t,)) for t in (1e-300, 1e-12, 0.25, 3.0, 149.0,
