@@ -13,7 +13,11 @@ Two families of certified estimates:
 
 ``rho_bounds`` searches the N(N-1)/2 pairwise puncture distances as
 numpy arrays, one fixed-size block at a time, so it costs O(N^2) array
-work and one block of scratch memory.  Both queries find the lower end
+work and one block of scratch memory.  Each pair gets a cheap proxy,
+the log of its squared distance, and only the few candidates per
+puncture that the proxy cannot rule out get an exact hypot; blocks the
+proxy cannot serve, and a single-block domain, are searched exactly.
+Both queries find the lower end
 by walking the punctures outward from z until no farther one can raise
 it, so each makes a few scalar ``h`` calls, not N; ``sigma_lower``
 needs nothing else, and scans only the visited punctures' rows of
@@ -269,18 +273,107 @@ def _pair_block(x: np.ndarray, y: np.ndarray, i: int, j: int) -> np.ndarray:
     return r
 
 
+def _exact_block(x: np.ndarray, y: np.ndarray, d: np.ndarray, i: int,
+                 j: int, below: np.ndarray, above: np.ndarray) -> None:
+    """Fold the exact brackets of the block of rows i:j, columns i:n,
+    into below and above: its own rows along axis 1, the later columns
+    j:n along axis 0."""
+    r = _pair_block(x, y, i, j)
+    lo, hi = _bracket(r, d[i:j, None], axis=1)
+    np.fmax(below[i:j], lo, out=below[i:j])
+    np.fmin(above[i:j], hi, out=above[i:j])
+    if j < len(x):
+        lo, hi = _bracket(r[:, j - i:], d[j:], axis=0)
+        np.fmax(below[j:], lo, out=below[j:])
+        np.fmin(above[j:], hi, out=above[j:])
+
+
+# The filter's proxy for a pair is g = |log(dx^2 + dy^2) - 2 log d_a|,
+# and the exact search ranks the pair by mu = |log d_a - log r|, r =
+# hypot(dx, dy).  g/2 differs from mu by at most:
+#   - dx^2 + dy^2 against r^2: the squares and their sum round three
+#     times (an underflowed square adds 2^-1075, below eps/2 of a
+#     normal sum), and r is within an ulp of its root, so the two logs
+#     differ by at most 4 eps ~ 1e-15;
+#   - np.log of the sum and of d, and the two math.log terms of
+#     _log_gap: each taken to be within 4 ulps (numpy's and libm's
+#     logs measure within one) of a result below 1500 in magnitude
+#     (the sum is normal, d a positive float), so seven of them,
+#     counting the doubled ones twice, add at most 7 * 4 ulps of
+#     2048 ~ 6.4e-12;
+#   - the two subtractions, eps of g < 3000 and of 2 mu, ~1e-12.
+# So g is within 1e-11 of 2 mu, and the pair that wins m has g within
+# 2e-11 of its puncture's smallest g.  The window is fifty times that,
+# and still keeps a few candidates per puncture on a random domain.
+_WINDOW = 1e-9
+
+# Squares of coordinate differences up to 2^511 sum to at most 2^1023:
+# no proxy overflows while every coordinate is at most half that.
+_COORD_MAX = 2.0 ** 510
+
+
+def _filtered_block(x: np.ndarray, y: np.ndarray, d: np.ndarray,
+                    t: np.ndarray, best: np.ndarray, i: int, j: int,
+                    below: np.ndarray, above: np.ndarray) -> bool:
+    """The block of rows i:j, columns i:n, searched by its proxies
+    g = |log(dx^2 + dy^2) - t| with t = 2 log d.
+
+    Each puncture's running smallest g, rows along axis 1 and later
+    columns along axis 0, is folded into best; the pairs within
+    _WINDOW of it get an exact hypot, folded into below and above on
+    both of their punctures.  Returns False, having done nothing, when
+    a squared distance is not a normal float.
+    """
+    n = len(x)
+    k = j - i
+    dx = x[i:] - x[i:j, None]
+    dy = y[i:] - y[i:j, None]
+    q = np.square(dx)
+    q += np.square(dy)
+    # a is not its own neighbour: its proxy is log(inf) - t = inf
+    q.flat[::n - i + 1] = np.inf
+    if not q.min() >= sys.float_info.min:
+        return False
+    p = np.log(q, out=q)
+    g = np.abs(p - t[i:j, None])
+    np.minimum(best[i:j], g.min(axis=1), out=best[i:j])
+    cand = g <= best[i:j, None] + _WINDOW
+    if j < n:
+        g = np.abs(p[:, k:] - t[j:])
+        np.minimum(best[j:], g.min(axis=0), out=best[j:])
+        cand[:, k:] |= g <= best[j:] + _WINDOW
+    flat = np.flatnonzero(cand)
+    r = np.hypot(dx.flat[flat], dy.flat[flat])
+    r = np.concatenate((r, r))
+    idx = np.concatenate(np.divmod(flat, n - i)) + i
+    di = d[idx]
+    np.fmax.at(below, idx, np.where(r <= di, r, np.nan))
+    np.fmin.at(above, idx, np.where(r >= di, r, np.nan))
+    return True
+
+
 def _neighbours(x: np.ndarray, y: np.ndarray,
                 d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per puncture a, the distances to the other punctures nearest d_a.
+    """Per puncture a, bracketing distances to other punctures that fix
+    its log-gap.
 
-    Returns (below, above): the largest |b-a| <= d_a and the smallest
-    |b-a| >= d_a, NaN where no other puncture is on that side.  A
-    distance that overflows comes back as inf.
+    Returns (below, above), distances |b-a| <= d_a and >= d_a, NaN where
+    no other puncture is on that side.  ``_log_gap(d_a, below, above)``
+    is a's log-gap, and a distance that overflows comes back as inf.
+    Where the exact search runs they are the largest |b-a| <= d_a and
+    the smallest >= d_a; the filtered search brackets over its
+    candidates only, which always include the side that wins m.
 
     hypot is even in each argument, so |b-a| and |a-b| are the same
     bits and each unordered pair is measured once: the block of rows
     i:j holds the columns i:n only, and serves the search of its own
     rows along axis 1 and that of the later columns j:n along axis 0.
+
+    Past one block, each block is filtered by cheap proxies and only
+    its few candidates get an exact hypot (``_filtered_block``).  A
+    block whose squared distances leave the normal floats, and every
+    block of a query where some d_a or coordinate is too large for the
+    proxies, takes the exact search.
     """
     n = len(x)
     # one block holds the whole matrix: the loop below would give the
@@ -289,17 +382,19 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
         return _bracket(_pair_block(x, y, 0, n), d[:, None], axis=1)
     below = np.full(n, np.nan)
     above = np.full(n, np.nan)
+    filtered = (np.isfinite(d).all()
+                and max(np.abs(x).max(), np.abs(y).max()) <= _COORD_MAX)
+    if filtered:
+        t = 2.0 * np.log(d)
+        # not inf: a g of inf (a puncture's own pair) must stay outside
+        # every window
+        best = np.full(n, sys.float_info.max)
     i = 0
     while i < n:
         j = min(n, i + max(1, _BLOCK // (n - i)))
-        r = _pair_block(x, y, i, j)
-        lo, hi = _bracket(r, d[i:j, None], axis=1)
-        np.fmax(below[i:j], lo, out=below[i:j])
-        np.fmin(above[i:j], hi, out=above[i:j])
-        if j < n:
-            lo, hi = _bracket(r[:, j - i:], d[j:], axis=0)
-            np.fmax(below[j:], lo, out=below[j:])
-            np.fmin(above[j:], hi, out=above[j:])
+        if not (filtered and _filtered_block(x, y, d, t, best, i, j,
+                                             below, above)):
+            _exact_block(x, y, d, i, j, below, above)
         i = j
     return below, above
 
@@ -381,12 +476,22 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     log is monotone, so m comes from just two other punctures: the
     one with the largest |b-a| <= d and the one with the smallest
     |b-a| >= d.  Those are found with array reductions over the
-    N(N-1)/2 pairwise distances, a block at a time, and only they go
-    through ``math.log``.  The upper end needs every m; the lower end
-    walks the punctures outward from z and stops once no farther one
-    can raise it, so ``metric.h`` runs on typically one to three of
-    them.  A query costs O(N^2) array work, N(N-1)/2 hypots and one
-    block of scratch memory.
+    N(N-1)/2 pairwise puncture pairs, a block of at most ``_BLOCK`` at
+    a time, and only they go through ``math.log``.  Each pair gets the
+    proxy |log(|b-a|^2) - log(d^2)|, and only the pairs within 1e-9 of
+    their puncture's best proxy get an exact hypot: a few per puncture
+    on a random domain, and always the one that decides m, so the
+    result is that of a hypot for every pair to the bit.  That exact
+    search serves a domain of one block (N <= 90), a block with a
+    squared distance below the normal floats, and every block of a
+    query with a coordinate beyond 2^510 or an infinite d.  The upper
+    end needs every m; the lower end walks the punctures outward from
+    z and stops once no farther one can raise it, so ``metric.h`` runs
+    on typically one to three of them.  A query costs O(N^2) array
+    work, N(N-1)/2 proxies, a few hypots per puncture and a few arrays
+    of one block of scratch memory: about 0.03 ms at N = 10, 0.2 ms at
+    N = 100 and 6-9 ms at N = 1000 (Python 3.11, numpy 2.4, one Xeon
+    core).
     """
     z = dom._check_interior(z)
     with np.errstate(over="ignore"):

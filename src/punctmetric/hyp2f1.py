@@ -298,7 +298,7 @@ def _log_series_result(a: float, b: float, m: int, sums, u, ell):
     # G(a+b+k)/(G(a+k) G(b+k)) = (a+b)_k/((a)_k (b)_k B(a,b)); inf, so
     # handed over, where B(a,b) underflows or (a)_k (b)_k overflows; by
     # (a)_k first where (a)_k (b)_k underflows (tiny a, b, a factor ~1)
-    beta = specfun.beta(a, b)
+    beta, (lg_a, lg_b, lg_ab) = specfun.beta_with_log_gammas(a, b)
     num = pa = pb = 1.0
     for j in range(k):
         num, pa, pb = num * (a + b + j), pa * (a + j), pb * (b + j)
@@ -318,7 +318,7 @@ def _log_series_result(a: float, b: float, m: int, sums, u, ell):
         tail = (np.where(r < 1.0, part * r / (1.0 - r), math.inf)
                 if isinstance(r, np.ndarray) else
                 part * r / (1.0 - r) if r < 1.0 else math.inf)
-    lg = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
+    lg = abs(lg_a) + abs(lg_b) + abs(lg_ab)
     err = (abs(scale) * (tail + _EPS * (SERIES_ROUNDINGS * weighted
                                         + terms * abs(total)))
            + _EPS * (6.0 * lg + 64.0 + 4.0 * max(k - 1, 0)) * abs(value))

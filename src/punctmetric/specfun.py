@@ -113,10 +113,19 @@ def beta(a: float, b: float) -> float:
 
     RangeError where B or one of its log-gammas overflows.
     """
+    return beta_with_log_gammas(a, b)[0]
+
+
+def beta_with_log_gammas(
+        a: float, b: float) -> tuple[float, tuple[float, float, float]]:
+    """(B(a, b), (log Gamma(a), log Gamma(b), log Gamma(a+b))): ``beta``
+    and the three log-gammas it is formed from, each evaluated once, for
+    callers that also need them."""
     a = _require_positive(a, "a")
     b = _require_positive(b, "b")
     try:
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        lg = (math.lgamma(a), math.lgamma(b), math.lgamma(a + b))
+        return math.exp(lg[0] + lg[1] - lg[2]), lg
     except OverflowError:
         raise _overflow(f"B({a!r}, {b!r})") from None
 

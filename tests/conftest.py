@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# CI runs `pytest --hypothesis-profile=ci`: ten times the default number
+# of examples for every test that sets none, the bit-identity oracles of
+# the bounds search among them.  Local runs keep hypothesis' default.
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture

@@ -443,6 +443,179 @@ def test_rho_default_blocks_match_the_pair_loop():
         _assert_matches_pair_loop(_SPREAD, z)
 
 
+# -- the filtered search on the hard cases ----------------------------------
+#
+# Past one block, _neighbours filters pairs by a squared-distance proxy
+# and runs hypot on the candidates only.  Blocks of one and seven
+# elements send even two- and three-puncture domains through it.
+
+_small_blocks = st.sampled_from((1, 7))
+
+
+@given(_points, _points, _quarter_turns,
+       st.lists(st.tuples(st.integers(-4, 4), _quarter_turns),
+                min_size=1, max_size=8, unique=True),
+       st.lists(_points, max_size=3), _small_blocks)
+@example(0j, 1e-300j, 1.0, [(1, 1.0)], [], 1)
+# the proxy ranks the two nearest ties the other way round: a filter
+# that kept only the smallest proxy got upper wrong in these
+@example(-53.31 - 73.79j, -91.74 + 80.53j, 1.0, [(-3, 1j), (4, -1j)], [], 1)
+@example(-12.68 + 38j, 89.34 + 32.69j, 1j,
+         [(1, -1.0), (-2, -1.0), (4, -1j), (-4, -1j)], [], 1)
+def test_rho_near_ties_in_small_blocks(a, w, turn, offsets, extra, block):
+    assume(w != 0.0)
+    ring = [a + w * turn * rot * (1.0 + k * 2.0 ** -52)
+            for k, rot in offsets]
+    pts = list(dict.fromkeys([a] + ring + extra))
+    assume(len(pts) >= 2 and a + w not in pts)
+    _assert_matches_pair_loop(pts, a + w, block)
+
+
+@given(st.integers(-40, 40), _quarter_turns, st.booleans(),
+       st.lists(st.builds(complex, st.floats(1e3, 1e4), st.floats(1e3, 1e4)),
+                max_size=3, unique=True), _small_blocks)
+def test_rho_critical_circle_in_small_blocks(k, turn, flip, far, block):
+    w = complex(0.5, math.sqrt(3.0) / 2.0)
+    scale = 2.0 ** k * turn
+    z = (w.conjugate() if flip else w) * scale
+    got = _assert_matches_pair_loop([0.0, scale] + [f * 2.0 ** k for f in far],
+                                    z, block)
+    if not far:
+        assert got.upper == math.inf
+
+
+@given(st.floats(1.0, 10.0), st.floats(1.0, 10.0), _quarter_turns,
+       st.lists(_points, max_size=3), _small_blocks)
+def test_rho_past_t_cap_in_small_blocks(t, u, turn, extra, block):
+    pts = list(dict.fromkeys([0.0, 1e-300 * t * turn] + extra))
+    _assert_matches_pair_loop(pts, 1e10 * u, block)
+
+
+_OVERFLOWING = (
+    ((0.0, 1e308), -1.7e308),
+    ((-1e308, 1e308), 0.0),
+    ((0.0, complex(1.5e308, 1.5e308)), 1.0),
+    ((0.9e308, -0.9e308, 0.9e308 + 6.7e301), 0.9e308 - 4e306),
+    ((0.9e308, -0.9e308, 1.0, 2.0j), 3.0),
+)
+
+
+@pytest.mark.parametrize("block", (1, 7))
+@pytest.mark.parametrize("pts, z", _OVERFLOWING)
+def test_rho_overflowing_distances_in_small_blocks(pts, z, block):
+    # the pair loop has no rule for an overflowed |b-a| (its upper end
+    # takes pi/(4 m d) from it) and abs() raises where a modulus of
+    # finite components overflows, so the reference is the one-block
+    # search, and the pair loop's lower end where it runs
+    dom = bounds.PuncturedDomain(pts)
+    want = bounds.rho_bounds(dom, z)
+    with mock.patch.object(bounds, "_BLOCK", block):
+        assert bounds.rho_bounds(dom, z) == want
+    try:
+        assert want.lower == _pair_loop_rho_bounds(dom, complex(z)).lower
+    except OverflowError:
+        pass
+
+
+def _exact_neighbours(x, y, d, block=8192):
+    """The exact blocked search the filter replaced: hypot on every pair,
+    bracketed by where/reduce, a block of rows at a time."""
+    n = len(x)
+
+    def bracket(r, dd, axis):
+        return (np.fmax.reduce(np.where(r <= dd, r, np.nan), axis=axis),
+                np.fmin.reduce(np.where(r >= dd, r, np.nan), axis=axis))
+
+    below = np.full(n, np.nan)
+    above = np.full(n, np.nan)
+    i = 0
+    while i < n:
+        j = min(n, i + max(1, block // (n - i)))
+        r = np.hypot(x[i:] - x[i:j, None], y[i:] - y[i:j, None])
+        r.flat[::n - i + 1] = np.nan
+        lo, hi = bracket(r, d[i:j, None], 1)
+        np.fmax(below[i:j], lo, out=below[i:j])
+        np.fmin(above[i:j], hi, out=above[i:j])
+        lo, hi = bracket(r[:, j - i:], d[j:], 0)
+        np.fmax(below[j:], lo, out=below[j:])
+        np.fmin(above[j:], hi, out=above[j:])
+        i = j
+    return below, above
+
+
+def _layout(name, n, rng):
+    """n punctures: the unit disk, Gaussian clusters of about 50 with
+    spread 0.01, or moduli from 1 to 1e6 growing geometrically."""
+    if name == "uniform":
+        pts = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    elif name == "clustered":
+        centres = (np.sqrt(rng.random(n // 50))
+                   * np.exp(2j * np.pi * rng.random(n // 50)))
+        pts = (centres[np.arange(n) % len(centres)]
+               + 0.01 * (rng.standard_normal(n)
+                         + 1j * rng.standard_normal(n)))
+    else:
+        c = math.log(1e6) / n
+        pts = np.exp(c * (np.arange(n) + 0.5 * rng.random(n))
+                     + 2j * np.pi * rng.random(n))
+        pts[0] = 0.0
+    return pts.tolist()
+
+
+def _assert_matches_the_exact_search(pts, zs):
+    """Every puncture's log-gap, and rho_bounds, to the bit against
+    _exact_neighbours."""
+    dom = bounds.PuncturedDomain(pts)
+    for z in zs:
+        x, y, d = bounds._coordinates(dom, complex(z))
+        lo, hi = bounds._neighbours(x, y, d)
+        lo_x, hi_x = _exact_neighbours(x, y, d)
+        for row in zip(d.tolist(), lo.tolist(), hi.tolist(),
+                       lo_x.tolist(), hi_x.tolist()):
+            assert (bounds._log_gap(*row[:3])
+                    == bounds._log_gap(row[0], *row[3:])), row
+            assert (row[2] == math.inf) == (row[4] == math.inf), row
+        got = bounds.rho_bounds(dom, z)
+        with mock.patch.object(bounds, "_neighbours", _exact_neighbours):
+            assert got == bounds.rho_bounds(dom, z)
+
+
+@pytest.mark.parametrize("layout", ("uniform", "clustered", "geometric"))
+def test_rho_large_domains_match_the_exact_search(layout):
+    rng = np.random.default_rng(20261018)
+    pts = _layout(layout, 1000, rng)
+    zs = [pts[7] + 1e-3, 0.3 - 0.2j, pts[500] * (1.0 + 1e-9j),
+          pts[-1] * 1.5]
+    _assert_matches_the_exact_search(pts, zs)
+
+
+def test_rho_filter_needs_no_fallback_on_an_ordinary_domain():
+    rng = np.random.default_rng(400)
+    pts = _layout("uniform", 400, rng)
+    with mock.patch.object(bounds, "_exact_block",
+                           side_effect=AssertionError):
+        _assert_matches_the_exact_search(pts, [0.1 + 0.1j, 2.0, pts[3] * 1.1])
+
+
+_GRID = [complex(k % 10 + 0.01 * k, k // 10) for k in range(100)]
+
+
+@pytest.mark.parametrize("pts, z", (
+    # every squared distance underflows
+    ([p * 1e-200 for p in _GRID], 3.3e-200 + 4.4e-201j),
+    # half of them do: the blocks of the tiny cluster's rows fall back
+    ([p * 1e-200 for p in _GRID[:50]] + [p + 20.0 for p in _GRID[50:]],
+     0.25 + 0.5j),
+    # every squared distance overflows
+    ([p * 1e200 for p in _GRID], 3.3e200 + 4.4e199j),
+))
+def test_rho_falls_back_where_squares_leave_the_normal_floats(pts, z):
+    with mock.patch.object(bounds, "_exact_block",
+                           wraps=bounds._exact_block) as exact:
+        _assert_matches_pair_loop(pts, z)
+    assert exact.call_count > 0
+
+
 def test_h_stays_below_the_walk_ceiling():
     # the lower end's walk stops on h(m) <= _H_CEILING for every m
     ts = np.concatenate((np.linspace(0.0, 2.0, 20001),
