@@ -11,17 +11,16 @@ Two families of certified estimates:
   (``rho_bounds``); its lower end is also the pairwise sup of
   two-puncture densities (``sigma_lower``).
 
-``rho_bounds`` searches the N(N-1)/2 pairwise puncture distances as
-numpy arrays, one fixed-size block at a time, so it costs O(N^2) array
-work and one block of scratch memory.  Each pair gets a cheap proxy,
-the log of its squared distance, and only the few candidates per
-puncture that the proxy cannot rule out get an exact hypot; blocks the
-proxy cannot serve, and a single-block domain, are searched exactly.
-Both queries find the lower end
-by walking the punctures outward from z until no farther one can raise
-it, so each makes a few scalar ``h`` calls, not N; ``sigma_lower``
-needs nothing else, and scans only the visited punctures' rows of
-distances, O(N) array work each after an O(N log N) sort.
+The upper end of ``rho_bounds`` searches the pairwise puncture
+distances as numpy arrays, a chunk of at most ``_BLOCK`` at a time,
+nearest to z first, and drops each puncture once the distances it has
+met bound its 4 m d below the best found, so it visits a fraction of
+the N(N-1) pairs (typically 3-11% at N = 1000) and holds one chunk of
+scratch memory.  Both queries find the lower end by walking the
+punctures outward from z until no farther one can raise it, so each
+makes a few scalar ``h`` calls, not N; ``sigma_lower`` needs nothing
+else, and scans only the visited punctures' rows of distances, O(N)
+array work each after an O(N log N) sort.
 
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
@@ -34,7 +33,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,6 +66,10 @@ class PuncturedDomain:
     """The complement of a finite set of at least two distinct points."""
 
     punctures: tuple[complex, ...]
+    # the punctures' coordinates as read-only arrays, built once for the
+    # queries; equality and hash stay on ``punctures``
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
+    _y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, punctures: Sequence[complex]):
         pts = tuple(complex(p) for p in punctures)
@@ -83,6 +86,11 @@ class PuncturedDomain:
                     f"punctures must be pairwise distinct; "
                     f"index {i} and {j} are both {p!r}")
         object.__setattr__(self, "punctures", pts)
+        coords = np.fromiter(pts, complex, len(pts))
+        x, y = coords.real.copy(), coords.imag.copy()
+        x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_y", y)
 
     def _check_interior(self, z: complex) -> complex:
         z = complex(z)
@@ -251,8 +259,8 @@ def baseline_bounds(c: float) -> BaselineBounds:
     )
 
 
-# A block of the distance matrix holds at most this many elements (one
-# row, if a row is longer), so a query's scratch memory stays small.
+# A chunk of the neighbour search holds at most this many distances (one
+# column, if more rows are live), so a query's scratch memory stays small.
 _BLOCK = 8192
 
 
@@ -263,140 +271,112 @@ def _bracket(r: np.ndarray, d, axis: int) -> tuple[np.ndarray, np.ndarray]:
             np.fmin.reduce(np.where(r >= d, r, np.nan), axis=axis))
 
 
-def _pair_block(x: np.ndarray, y: np.ndarray, i: int, j: int) -> np.ndarray:
-    """|b-a| for the punctures a in rows i:j and b in columns i:n, NaN
-    where b = a (a is not its own neighbour)."""
+def _row_bracket(x: np.ndarray, y: np.ndarray, d: np.ndarray,
+                 a: int) -> tuple[float, float]:
+    """Puncture a's bracket over one scan of its row of distances."""
     # np.hypot is the libm hypot that abs(complex) calls, so each r
-    # equals the scalar abs(b - a) bit for bit (np.abs does not)
-    r = np.hypot(x[i:] - x[i:j, None], y[i:] - y[i:j, None])
-    r.flat[::len(x) - i + 1] = np.nan
-    return r
+    # equals the scalar abs(b - a) bit for bit (np.abs does not), and
+    # hypot is even, so a row and a column give the same bits
+    r = np.hypot(x - x[a], y - y[a])
+    r[a] = np.nan
+    lo, hi = _bracket(r, d[a], axis=0)
+    return float(lo), float(hi)
 
 
-def _exact_block(x: np.ndarray, y: np.ndarray, d: np.ndarray, i: int,
-                 j: int, below: np.ndarray, above: np.ndarray) -> None:
-    """Fold the exact brackets of the block of rows i:j, columns i:n,
-    into below and above: its own rows along axis 1, the later columns
-    j:n along axis 0."""
-    r = _pair_block(x, y, i, j)
-    lo, hi = _bracket(r, d[i:j, None], axis=1)
-    np.fmax(below[i:j], lo, out=below[i:j])
-    np.fmin(above[i:j], hi, out=above[i:j])
-    if j < len(x):
-        lo, hi = _bracket(r[:, j - i:], d[j:], axis=0)
-        np.fmax(below[j:], lo, out=below[j:])
-        np.fmin(above[j:], hi, out=above[j:])
+def _upper_candidate(d: float, m: float, hi: float) -> float:
+    """4 m d from a puncture's exact log-gap m and upper neighbour
+    distance hi, where pi/(4 m d) bounds the density from above; 0.0
+    where it does not."""
+    q = 4.0 * m * d
+    # hi = inf is a distance that overflowed: its true log-gap is
+    # finite, unknown and may be below m
+    return q if q < math.inf and hi != math.inf else 0.0
 
 
-# The filter's proxy for a pair is g = |log(dx^2 + dy^2) - 2 log d_a|,
-# and the exact search ranks the pair by mu = |log d_a - log r|, r =
-# hypot(dx, dy).  g/2 differs from mu by at most:
-#   - dx^2 + dy^2 against r^2: the squares and their sum round three
-#     times (an underflowed square adds 2^-1075, below eps/2 of a
-#     normal sum), and r is within an ulp of its root, so the two logs
-#     differ by at most 4 eps ~ 1e-15;
-#   - np.log of the sum and of d, and the two math.log terms of
-#     _log_gap: each taken to be within 4 ulps (numpy's and libm's
-#     logs measure within one) of a result below 1500 in magnitude
-#     (the sum is normal, d a positive float), so seven of them,
-#     counting the doubled ones twice, add at most 7 * 4 ulps of
-#     2048 ~ 6.4e-12;
-#   - the two subtractions, eps of g < 3000 and of 2 mu, ~1e-12.
-# So g is within 1e-11 of 2 mu, and the pair that wins m has g within
-# 2e-11 of its puncture's smallest g.  The window is fifty times that,
-# and still keeps a few candidates per puncture on a random domain.
-_WINDOW = 1e-9
-
-# Squares of coordinate differences up to 2^511 sum to at most 2^1023:
-# no proxy overflows while every coordinate is at most half that.
-_COORD_MAX = 2.0 ** 510
-
-
-def _filtered_block(x: np.ndarray, y: np.ndarray, d: np.ndarray,
-                    t: np.ndarray, best: np.ndarray, i: int, j: int,
-                    below: np.ndarray, above: np.ndarray) -> bool:
-    """The block of rows i:j, columns i:n, searched by its proxies
-    g = |log(dx^2 + dy^2) - t| with t = 2 log d.
-
-    Each puncture's running smallest g, rows along axis 1 and later
-    columns along axis 0, is folded into best; the pairs within
-    _WINDOW of it get an exact hypot, folded into below and above on
-    both of their punctures.  Returns False, having done nothing, when
-    a squared distance is not a normal float.
-    """
-    n = len(x)
-    k = j - i
-    dx = x[i:] - x[i:j, None]
-    dy = y[i:] - y[i:j, None]
-    q = np.square(dx)
-    q += np.square(dy)
-    # a is not its own neighbour: its proxy is log(inf) - t = inf
-    q.flat[::n - i + 1] = np.inf
-    if not q.min() >= sys.float_info.min:
-        return False
-    p = np.log(q, out=q)
-    g = np.abs(p - t[i:j, None])
-    np.minimum(best[i:j], g.min(axis=1), out=best[i:j])
-    cand = g <= best[i:j, None] + _WINDOW
-    if j < n:
-        g = np.abs(p[:, k:] - t[j:])
-        np.minimum(best[j:], g.min(axis=0), out=best[j:])
-        cand[:, k:] |= g <= best[j:] + _WINDOW
-    flat = np.flatnonzero(cand)
-    r = np.hypot(dx.flat[flat], dy.flat[flat])
-    r = np.concatenate((r, r))
-    idx = np.concatenate(np.divmod(flat, n - i)) + i
-    di = d[idx]
-    np.fmax.at(below, idx, np.where(r <= di, r, np.nan))
-    np.fmin.at(above, idx, np.where(r >= di, r, np.nan))
-    return True
+# A row leaves the search once its bound 4 (mb + _GAP_SLACK) d is below
+# the best exact 4 m d, mb = log(min(d/lo', hi'/d)) over the bracket
+# lo' <= lo, hi' >= hi of the distances it has met.  Exactly, mb >= m;
+# in floats m = _log_gap(d, lo, hi) exceeds its exact value by at most
+#   - an ulp of each of its two math.logs, whose values are below 745
+#     in magnitude (the logs of the positive floats), and half an ulp
+#     of their difference, below 1490: 3 * 2^-43 ~ 3.4e-13;
+# and mb falls below its exact value by at most
+#   - eps/2 from the rounding of the quotient, ~1.1e-16, and 4 ulps
+#     (numpy's log measures within one) of a log below 1490:
+#     4 * 2^-42 ~ 9.1e-13.
+# Adding the slack rounds by at most 2^-43 more, so fl(mb + slack) >= m
+# while the slack exceeds ~1.4e-12; it is seven times that.  The bound
+# then multiplies in the order of q = 4 m d, which rounds monotonically,
+# so it is never below the q of the row's full bracket: a dropped row
+# cannot hold the largest q.
+_GAP_SLACK = 1e-11
 
 
 def _neighbours(x: np.ndarray, y: np.ndarray,
-                d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per puncture a, bracketing distances to other punctures that fix
-    its log-gap.
+    its log-gap, as far as the upper end of ``rho_bounds`` needs them.
 
-    Returns (below, above), distances |b-a| <= d_a and >= d_a, NaN where
-    no other puncture is on that side.  ``_log_gap(d_a, below, above)``
-    is a's log-gap, and a distance that overflows comes back as inf.
-    Where the exact search runs they are the largest |b-a| <= d_a and
-    the smallest >= d_a; the filtered search brackets over its
-    candidates only, which always include the side that wins m.
+    Returns (below, above, exact), exact the indices of the punctures
+    searched in full.  For those, below and above are the largest
+    |b-a| <= d_a and the smallest >= d_a, NaN where no other puncture
+    is on that side, and a distance that overflows comes back as inf;
+    ``_log_gap`` of them is a's log-gap.  Every puncture that can hold
+    the largest 4 m d is among them.
 
-    hypot is even in each argument, so |b-a| and |a-b| are the same
-    bits and each unordered pair is measured once: the block of rows
-    i:j holds the columns i:n only, and serves the search of its own
-    rows along axis 1 and that of the later columns j:n along axis 0.
-
-    Past one block, each block is filtered by cheap proxies and only
-    its few candidates get an exact hypot (``_filtered_block``).  A
-    block whose squared distances leave the normal floats, and every
-    block of a query where some d_a or coordinate is too large for the
-    proxies, takes the exact search.
+    Up to one chunk the whole matrix is searched.  Past it the columns
+    are visited nearest to z first, since |b-a| is near d_a for b near
+    z, a chunk of at most ``_BLOCK`` distances over the rows still live
+    at a time.  After each chunk the live row of the largest bound, from
+    the bracket so far, is completed by a scan of its row, which raises
+    the best exact 4 m d, and every row whose bound is below that best
+    drops out (see ``_GAP_SLACK``).
     """
     n = len(x)
-    # one block holds the whole matrix: the loop below would give the
-    # same bits, but its fold arrays cost ~10 us of a ~40 us N = 2 query
     if n * n <= _BLOCK:
-        return _bracket(_pair_block(x, y, 0, n), d[:, None], axis=1)
+        r = np.hypot(x - x[:, None], y - y[:, None])
+        r.flat[::n + 1] = np.nan
+        return (*_bracket(r, d[:, None], axis=1), np.arange(n))
+    order = np.argsort(d)
+    cx, cy = x[order], y[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
     below = np.full(n, np.nan)
     above = np.full(n, np.nan)
-    filtered = (np.isfinite(d).all()
-                and max(np.abs(x).max(), np.abs(y).max()) <= _COORD_MAX)
-    if filtered:
-        t = 2.0 * np.log(d)
-        # not inf: a g of inf (a puncture's own pair) must stay outside
-        # every window
-        best = np.full(n, sys.float_info.max)
-    i = 0
-    while i < n:
-        j = min(n, i + max(1, _BLOCK // (n - i)))
-        if not (filtered and _filtered_block(x, y, d, t, best, i, j,
-                                             below, above)):
-            _exact_block(x, y, d, i, j, below, above)
-        i = j
-    return below, above
+    live = np.arange(n)
+    done = []
+    best = 0.0
+    c = 0
+    while live.size:
+        # the first chunks are narrow, so that rows can drop out before
+        # most columns are visited; past them a chunk at most doubles the
+        # columns visited
+        k = max(1, min(_BLOCK // live.size, c + 16))
+        # a column of the chunk per visited puncture, live rows along
+        # its length: numpy's loops then run over the long axis
+        r = np.hypot(x[live] - cx[c:c + k, None], y[live] - cy[c:c + k, None])
+        # a is not its own neighbour
+        own = rank[live] - c
+        at = np.flatnonzero((0 <= own) & (own < k))
+        r[own[at], at] = np.nan
+        dl = d[live]
+        lo, hi = _bracket(r, dl, axis=0)
+        lo = below[live] = np.fmax(below[live], lo)
+        hi = above[live] = np.fmin(above[live], hi)
+        c += k
+        if c >= n:
+            break
+        bound = 4.0 * (np.log(np.fmin(dl / lo, hi / dl)) + _GAP_SLACK) * dl
+        j = int(np.argmax(bound))
+        a = int(live[j])
+        da = float(d[a])
+        lo_a, hi_a = below[a], above[a] = _row_bracket(x, y, d, a)
+        best = max(best, _upper_candidate(da, _log_gap(da, lo_a, hi_a), hi_a))
+        done.append(a)
+        keep = ~(bound < best)
+        keep[j] = False
+        live = live[keep]
+    return below, above, np.concatenate((np.array(done, dtype=np.intp), live))
 
 
 def _log_gap(d: float, lo: float, hi: float) -> float:
@@ -409,11 +389,8 @@ def _log_gap(d: float, lo: float, hi: float) -> float:
 
 def _row_gap(x: np.ndarray, y: np.ndarray, d: np.ndarray, a: int) -> float:
     """Puncture a's log-gap m, its neighbours found by one scan of its
-    row of distances rather than by _neighbours."""
-    r = np.hypot(x - x[a], y - y[a])
-    r[a] = np.nan
-    lo, hi = _bracket(r, d[a], axis=0)
-    return _log_gap(float(d[a]), float(lo), float(hi))
+    row of distances."""
+    return _log_gap(float(d[a]), *_row_bracket(x, y, d, a))
 
 
 # Certified intervals must absorb their own rounding: h goes through
@@ -457,9 +434,7 @@ def _coordinates(dom: PuncturedDomain,
                  z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The punctures' coordinates x, y and their distances |z-a|, inf
     where one overflows (under np.errstate(over="ignore"))."""
-    pts = np.array(dom.punctures)
-    x, y = pts.real, pts.imag
-    return x, y, np.hypot(z.real - x, z.imag - y)
+    return dom._x, dom._y, np.hypot(z.real - dom._x, z.imag - dom._y)
 
 
 def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
@@ -475,41 +450,41 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
 
     log is monotone, so m comes from just two other punctures: the
     one with the largest |b-a| <= d and the one with the smallest
-    |b-a| >= d.  Those are found with array reductions over the
-    N(N-1)/2 pairwise puncture pairs, a block of at most ``_BLOCK`` at
-    a time, and only they go through ``math.log``.  Each pair gets the
-    proxy |log(|b-a|^2) - log(d^2)|, and only the pairs within 1e-9 of
-    their puncture's best proxy get an exact hypot: a few per puncture
-    on a random domain, and always the one that decides m, so the
-    result is that of a hypot for every pair to the bit.  That exact
-    search serves a domain of one block (N <= 90), a block with a
-    squared distance below the normal floats, and every block of a
-    query with a coordinate beyond 2^510 or an infinite d.  The upper
-    end needs every m; the lower end walks the punctures outward from
-    z and stops once no farther one can raise it, so ``metric.h`` runs
-    on typically one to three of them.  A query costs O(N^2) array
-    work, N(N-1)/2 proxies, a few hypots per puncture and a few arrays
-    of one block of scratch memory: about 0.03 ms at N = 10, 0.2 ms at
-    N = 100 and 6-9 ms at N = 1000 (Python 3.11, numpy 2.4, one Xeon
-    core).
+    |b-a| >= d, and only they go through ``math.log``.  The upper end
+    needs the largest 4 m d only.  Its search (``_neighbours``) visits
+    the pairs nearest to z first and drops each puncture once the pairs
+    seen so far bound its 4 m d below the best one found; every pair it
+    visits gets an exact hypot, and the punctures that could hold the
+    largest 4 m d are searched in full, so the result is that of a hypot
+    for every pair to the bit.  Up to N = 90 one chunk holds all pairs.
+    The lower end walks the punctures outward from z, as
+    ``sigma_lower`` does, and stops once no farther one can raise it,
+    so ``metric.h`` runs on typically one to three of them; each takes
+    its m from the search where that searched it in full, else from a
+    scan of its row.
+
+    The search visits typically 3-11% of the N(N-1) ordered pairs at
+    N = 1000, and holds one chunk of scratch memory.  A query takes
+    about 0.02 ms at N = 10, 0.07-0.35 ms at N = 100 and 0.2-3.4 ms
+    at N = 1000, 0.7-1.6 ms in the median by layout.  Where no
+    puncture can be dropped, as on 1000 punctures on a circle about z,
+    it visits every pair and takes about 15 ms (Python 3.11, numpy
+    2.4, one Xeon core).
     """
     z = dom._check_interior(z)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, y, dists = _coordinates(dom, z)
-        below, above = _neighbours(x, y, dists)
-    gaps = []
-    upper = math.inf
-    for d, lo, hi in zip(dists.tolist(), below.tolist(), above.tolist()):
-        m = _log_gap(d, lo, hi)
-        gaps.append(m)
-        q = 4.0 * m * d
-        # hi = inf is a distance that overflowed: its true log-gap is
-        # finite, unknown and may be below m
-        if 0.0 < q < math.inf and hi != math.inf:
-            upper = min(upper, math.pi / q)
-    if math.isfinite(upper):
-        upper *= 1.0 + _EVAL_SLACK
-    return RhoBounds(_lower_end(dists, gaps.__getitem__), upper)
+        below, above, exact = _neighbours(x, y, dists)
+        d, lo, hi = (dists[exact].tolist(), below[exact].tolist(),
+                     above[exact].tolist())
+        m = list(map(_log_gap, d, lo, hi))
+        q = max(map(_upper_candidate, d, m, hi), default=0.0)
+        gaps = dict(zip(exact.tolist(), m))
+        lower = _lower_end(dists, lambda a: gaps[a] if a in gaps
+                           else _row_gap(x, y, dists, a))
+    # pi/q is monotone in q: this is the smallest pi/(4 m d)
+    return RhoBounds(lower, math.pi / q * (1.0 + _EVAL_SLACK)
+                     if q > 0.0 else math.inf)
 
 
 def sigma_lower(dom: PuncturedDomain, z: complex) -> float:

@@ -44,10 +44,11 @@ two direct series at u < 1/2 (A = 0 at a pole of G(c-a) or G(c-b)).
 Where a part overflows or runs out of terms, or the parts cancel by
 more than MAX_CANCEL (sum T~_n/|S|, or (|A F1| + |B u^s F2|)/|F|), the
 direct series serves at x = 1-u, as it does at once for the other
-integer s, as in F(2,2;1;x) or F(1,2;2;x).  Given u exactly (u =
-e^{-t}/(1+e^{-t})) and -log(u) finite, nothing is lost to cancellation,
-even where u underflows to 0.  The ``*_many`` forms give each point of
-a 1-d array the bits of its float call.
+integer s, as in F(2,2;1;x); at c = b it is the binomial series of
+F(a,b;b;1-u) = u^-a (a, b swapped at c = a), summed in closed form.
+Given u exactly (u = e^{-t}/(1+e^{-t})) and -log(u) finite, nothing is
+lost to cancellation, even where u underflows to 0.  The ``*_many``
+forms give each point of a 1-d array the bits of its float call.
 """
 
 from __future__ import annotations
@@ -128,15 +129,17 @@ def _route(p: HypParams) -> tuple[str, int]:
     """How F(p; 1-u) is summed at u < 1/2, and m: ("log", m) for c =
     (a+b)+m, rounded, with |m| <= MAX_TERMS_LOG (m < 0 only where c > a
     and c > b, by Euler's transformation), ("connection", 0) for c-a-b
-    not an integer, else ("direct", 0)."""
+    not an integer, else ("power", 0) at c = a or c = b and ("direct",
+    0) elsewhere."""
     a_b = p.a + p.b
     s = p.c - a_b
     if -MAX_TERMS_LOG <= s <= MAX_TERMS_LOG:
         m = round(s)
         if p.c == a_b + m and (m >= 0 or (p.c > p.a and p.c > p.b)):
             return "log", m
-    return ("connection" if math.isfinite(s) and not s.is_integer()
-            else "direct"), 0
+    if math.isfinite(s) and not s.is_integer():
+        return "connection", 0
+    return ("power" if p.c in (p.a, p.b) else "direct"), 0
 
 
 def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
@@ -283,6 +286,25 @@ def _exp_or_inf(v: float) -> float:
         return math.exp(v)
     except OverflowError:
         return math.inf
+
+
+def _pow_or_inf(u: float, e: float) -> float:
+    """u ** e, or inf where it overflows or u = 0 < -e."""
+    try:
+        return u ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _binomial(p: HypParams, u):
+    """(value, estimate) of F(a,b;b;1-u) = u^-a, or u^-b at c = a: the
+    direct series is the binomial series, summed in closed form.  At a
+    float u or at every point of an array; the value is inf where it
+    overflows."""
+    e = -(p.a if p.c == p.b else p.b)
+    value = specfun.pointwise(lambda v: _pow_or_inf(v, e), u)
+    # u is exact and libm's pow within an ulp: the estimate allows two
+    return value, 4.0 * _EPS * value
 
 
 def _log_series_result(a: float, b: float, m: int, sums, u, ell):
@@ -455,6 +477,12 @@ def f21_from_complement(p: HypParams, u: float,
              else _zb_log(p, u, ell, m) if route == "log" else None)
         if r is not None:
             return r
+        if route == "power" and u > 0.0:
+            value, err = _binomial(p, u)
+            if value == math.inf:
+                raise RangeError(
+                    f"F({p.a},{p.b};{p.c};1-u) at u={u!r} overflows a float")
+            return EvalResult(value, err, 0, METHOD_DIRECT)
     x = 1.0 - u
     if x == 1.0:
         raise RangeError(
@@ -864,6 +892,11 @@ def _from_complement_many(p: HypParams, u: np.ndarray,
         if route == "connection":
             lanes, none = _connection_many(p.a, p.b, p.c, u[near], -ell[near])
             method[near] = METHOD_CONNECTION
+        elif route == "power":
+            lanes = _Lanes(near.size)
+            lanes.value, lanes.err = _binomial(p, u[near])
+            lanes.status[lanes.value == math.inf] = _OVERFLOW
+            none = u[near] == 0.0
         else:
             lanes, none = _zb_log_many(p, u[near], ell[near], m)
             method[near] = METHOD_ZB_LOG

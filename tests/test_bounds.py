@@ -437,17 +437,18 @@ _SPREAD_Z = (0.0, 3.0 + 4.0j, 1e3 - 20.0j, 1e-6j)
 
 
 def test_rho_default_blocks_match_the_pair_loop():
-    # N = 350 at the default block: nine blocks, from 23 rows to 66, as
-    # the columns left of the diagonal drop out
+    # N = 350 at the default block: chunks of 23 columns or more over the
+    # rows still live, pruned and completed between them
     for z in _SPREAD_Z:
         _assert_matches_pair_loop(_SPREAD, z)
 
 
-# -- the filtered search on the hard cases ----------------------------------
+# -- the pruned search on the hard cases ------------------------------------
 #
-# Past one block, _neighbours filters pairs by a squared-distance proxy
-# and runs hypot on the candidates only.  Blocks of one and seven
-# elements send even two- and three-puncture domains through it.
+# Past one chunk, _neighbours drops the rows whose bracket so far bounds
+# their 4 m d below the best, and completes one row by a full scan after
+# each chunk.  Chunks of one and seven distances send even two- and
+# three-puncture domains through it.
 
 _small_blocks = st.sampled_from((1, 7))
 
@@ -457,11 +458,13 @@ _small_blocks = st.sampled_from((1, 7))
                 min_size=1, max_size=8, unique=True),
        st.lists(_points, max_size=3), _small_blocks)
 @example(0j, 1e-300j, 1.0, [(1, 1.0)], [], 1)
-# the proxy ranks the two nearest ties the other way round: a filter
-# that kept only the smallest proxy got upper wrong in these
+# near-tied neighbours whose log-gaps differ in the last bits
 @example(-53.31 - 73.79j, -91.74 + 80.53j, 1.0, [(-3, 1j), (4, -1j)], [], 1)
 @example(-12.68 + 38j, 89.34 + 32.69j, 1j,
          [(1, -1.0), (-2, -1.0), (4, -1j), (-4, -1j)], [], 1)
+# two punctures whose 4 m d differ in the last bits: a prune test
+# without its slack drops the larger
+@example(0j, 1j, 1j, [(0, 1.0), (-1, 1.0)], [], 1)
 def test_rho_near_ties_in_small_blocks(a, w, turn, offsets, extra, block):
     assume(w != 0.0)
     ring = [a + w * turn * rot * (1.0 + k * 2.0 ** -52)
@@ -497,6 +500,10 @@ _OVERFLOWING = (
     ((0.0, complex(1.5e308, 1.5e308)), 1.0),
     ((0.9e308, -0.9e308, 0.9e308 + 6.7e301), 0.9e308 - 4e306),
     ((0.9e308, -0.9e308, 1.0, 2.0j), 3.0),
+    # the puncture nearest z has no upper bound, as |b-a| overflows for
+    # b = -0.9e308, yet the 4 m d that its other side leaves is finite
+    # and beats those of the punctures that have one
+    ((0.9e308, 0.9e308 - 1e300, -0.9e308, 0.0, 1.0), 0.9e308 - 1e306),
 )
 
 
@@ -518,8 +525,9 @@ def test_rho_overflowing_distances_in_small_blocks(pts, z, block):
 
 
 def _exact_neighbours(x, y, d, block=8192):
-    """The exact blocked search the filter replaced: hypot on every pair,
-    bracketed by where/reduce, a block of rows at a time."""
+    """The exact search, in the form of bounds._neighbours: hypot on
+    every pair, bracketed by where/reduce, a block of rows at a time,
+    and every row exact."""
     n = len(x)
 
     def bracket(r, dd, axis):
@@ -540,7 +548,7 @@ def _exact_neighbours(x, y, d, block=8192):
         np.fmax(below[j:], lo, out=below[j:])
         np.fmin(above[j:], hi, out=above[j:])
         i = j
-    return below, above
+    return below, above, np.arange(n)
 
 
 def _layout(name, n, rng):
@@ -563,15 +571,17 @@ def _layout(name, n, rng):
 
 
 def _assert_matches_the_exact_search(pts, zs):
-    """Every puncture's log-gap, and rho_bounds, to the bit against
-    _exact_neighbours."""
+    """The log-gap of every puncture the search returns as exact, and
+    rho_bounds, to the bit against _exact_neighbours."""
     dom = bounds.PuncturedDomain(pts)
     for z in zs:
         x, y, d = bounds._coordinates(dom, complex(z))
-        lo, hi = bounds._neighbours(x, y, d)
-        lo_x, hi_x = _exact_neighbours(x, y, d)
-        for row in zip(d.tolist(), lo.tolist(), hi.tolist(),
-                       lo_x.tolist(), hi_x.tolist()):
+        lo, hi, exact = bounds._neighbours(x, y, d)
+        lo_x, hi_x, _ = _exact_neighbours(x, y, d)
+        assert exact.size
+        for row in zip(d[exact].tolist(), lo[exact].tolist(),
+                       hi[exact].tolist(), lo_x[exact].tolist(),
+                       hi_x[exact].tolist()):
             assert (bounds._log_gap(*row[:3])
                     == bounds._log_gap(row[0], *row[3:])), row
             assert (row[2] == math.inf) == (row[4] == math.inf), row
@@ -592,9 +602,46 @@ def test_rho_large_domains_match_the_exact_search(layout):
 def test_rho_filter_needs_no_fallback_on_an_ordinary_domain():
     rng = np.random.default_rng(400)
     pts = _layout("uniform", 400, rng)
-    with mock.patch.object(bounds, "_exact_block",
-                           side_effect=AssertionError):
-        _assert_matches_the_exact_search(pts, [0.1 + 0.1j, 2.0, pts[3] * 1.1])
+    _assert_matches_the_exact_search(pts, [0.1 + 0.1j, 2.0, pts[3] * 1.1])
+
+
+def _polygon(n, centre, radius):
+    return [centre + radius * cmath.exp(2j * math.pi * k / n)
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("pts, z", (
+    # every puncture has the same m and d up to rounding: no row drops
+    # out, and the largest 4 m d is decided by the last bits
+    (_polygon(1000, 0.25 + 0.5j, 3.0), 0.25 + 0.5j),
+    (_polygon(1000, 0.25 + 0.5j, 3.0), 1.0 + 0.5j),
+    # ties by symmetry on a lattice, z at its centre
+    ([complex(i, j) for i in range(32) for j in range(32)], 15.5 + 15.5j),
+    # collinear, z on the line between two punctures
+    ([0.37 * k for k in range(1000)], 100.0),
+))
+def test_rho_adversarial_domains_match_the_exact_search(pts, z):
+    _assert_matches_the_exact_search(pts, [z])
+
+
+def test_rho_visits_a_fraction_of_the_pairs():
+    # every distance rho_bounds computes goes through np.hypot: those to
+    # z, the search's chunks and row scans, and the lower end's row scans
+    rng = np.random.default_rng(20261018)
+    pts = _layout("uniform", 1000, rng)
+    dom = bounds.PuncturedDomain(pts)
+    hypot = np.hypot
+    for z in (0.3 - 0.2j, pts[7] + 1e-3, 0.9 + 0.1j):
+        cells = []
+
+        def counted(*args):
+            r = hypot(*args)
+            cells.append(r.size)
+            return r
+
+        with mock.patch.object(np, "hypot", counted):
+            bounds.rho_bounds(dom, z)
+        assert sum(cells) < 0.25 * len(pts) * (len(pts) - 1)
 
 
 _GRID = [complex(k % 10 + 0.01 * k, k // 10) for k in range(100)]
@@ -610,10 +657,8 @@ _GRID = [complex(k % 10 + 0.01 * k, k // 10) for k in range(100)]
     ([p * 1e200 for p in _GRID], 3.3e200 + 4.4e199j),
 ))
 def test_rho_falls_back_where_squares_leave_the_normal_floats(pts, z):
-    with mock.patch.object(bounds, "_exact_block",
-                           wraps=bounds._exact_block) as exact:
-        _assert_matches_pair_loop(pts, z)
-    assert exact.call_count > 0
+    # no search may square a distance here
+    _assert_matches_pair_loop(pts, z)
 
 
 def test_h_stays_below_the_walk_ceiling():

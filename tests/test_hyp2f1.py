@@ -274,9 +274,9 @@ def test_gamma_pole_closed_form(x):
     r, ref = _assert_estimate_holds(HypParams(0.7, 1.3, 1.3), x)
     assert r.method == "connection_series"
     assert r.value == pytest.approx((1.0 - x) ** -0.7, rel=1e-13)
-    # F(1,2;2;x) = 1/(1-x) has c-a-b = -1, an integer: direct series
-    if x < 0.999:
-        _assert_estimate_holds(HypParams(1.0, 2.0, 2.0), x)
+    # F(1,2;2;x) = 1/(1-x) has c-a-b = -1, an integer, and c = b: the
+    # closed form of its direct series
+    _assert_estimate_holds(HypParams(1.0, 2.0, 2.0), x)
 
 
 @pytest.mark.parametrize("a,b", [(1e-200, 1e-200), (1e-170, 1e-160),
@@ -471,6 +471,27 @@ def test_integer_s_near_one_is_quick(a, b, c, x):
     best = min(_seconds(lambda: f21(HypParams(a, b, c), x))
                for _ in range(5))
     assert best < 1e-3
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_c_equal_to_a_or_b_in_closed_form(k):
+    # integer c-a-b with c = b (or a), which the log series cannot serve:
+    # F(a,b;b;x) = (1-x)^-a, where the direct series took 34,524 terms at
+    # x = 0.999 and ran out of them at 0.99999
+    x = 1.0 - 10.0 ** -k
+    for p in (HypParams(1.0, 2.0, 2.0), HypParams(2.0, 3.0, 2.0)):
+        r, _ = _assert_estimate_holds(p, x)
+        assert r.method == "direct_series"
+        assert min(_seconds(lambda: f21(p, x)) for _ in range(5)) < 1e-3
+        many = f21_many(p, [0.3, x])
+        assert many.value[1] == r.value
+        assert many.abs_err_estimate[1] == r.abs_err_estimate
+    # u^-400 overflows at once
+    for call in (lambda: f21(HypParams(400.0, 2.0, 2.0), x),
+                 lambda: f21_many(HypParams(400.0, 2.0, 2.0), [0.2, x])):
+        if k > 4:
+            with pytest.raises(RangeError):
+                call()
 
 
 def test_overflowing_terms_fail_fast():

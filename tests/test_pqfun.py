@@ -248,12 +248,17 @@ def test_n_and_m_at_tiny_x_against_mpmath(abc, k_max):
 
 @pytest.mark.parametrize("x", [1e-17, 1e-300])
 def test_n_and_m_name_the_callers_x_where_no_route_serves(x):
-    # c-a-b = -1 with c = b, where Euler's transformation has a zero
-    # parameter: only the direct series sums v(1-x), and 1-x rounds to 1
+    # c-a-b = 201 is past the log series' MAX_TERMS_LOG: only the direct
+    # series sums v(1-x), and 1-x rounds to 1
     for fn in (pqfun.n_func, pqfun.m_func, pqfun.n_func_many,
                pqfun.m_func_many):
         with pytest.raises(RangeError, match=f"u={x!r}"):
-            fn(1.0, 2.0, 2.0, [x] if fn.__name__.endswith("many") else x)
+            fn(1.0, 1.0, 203.0, [x] if fn.__name__.endswith("many") else x)
+    # at c = b, v(1-x) = 1/x in closed form: N = 1 and M = 1/x + 1/(1-x)
+    if x == 1e-17:
+        assert pqfun.n_func(1.0, 2.0, 2.0, x) == pytest.approx(1.0, rel=1e-15)
+        assert pqfun.m_func(1.0, 2.0, 2.0, x) == pytest.approx(1e17,
+                                                               rel=1e-15)
 
 
 def test_q_func_at_large_parameters_against_mpmath():
