@@ -606,11 +606,13 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 #
 # A family's loop runs at every point of a 1-d array in lockstep: each
 # numpy step adds a block of terms to every point still summing, and a
-# point stops where the scalar rule stops it.  Running products and sums
-# are ufunc accumulations, applied in sequence as the scalar loop does;
-# numpy's + - * / round as Python's do; log and exp come from math point
-# by point.  So each point gets its scalar call's bits, and a batch
-# raises what a loop of scalar calls would raise first.
+# point stops where the scalar rule stops it.  A block is a (terms,
+# lanes) array, one lane per point, so that each term's row is
+# contiguous; per-term factors enter as columns.  Running products and
+# sums are scans down the rows, applied in sequence as the scalar loop
+# does; numpy's + - * / round as Python's do; log and exp come from math
+# point by point.  So each point gets its scalar call's bits, and a
+# batch raises what a loop of scalar calls would raise first.
 
 # Terms per block: BLOCK_MIN, or as many as already summed, but at most
 # BLOCK_CELLS over all points.
@@ -619,6 +621,15 @@ BLOCK_CELLS = 16384
 # Batches of fewer points run the scalar loop point by point: one
 # lockstep run costs about as much as 4 to 8 scalar calls.
 SCALAR_BELOW = 4
+# A scan whose rows hold at least this many cells (lanes times parts)
+# runs one ufunc call per row; a narrower one runs ufunc.accumulate down
+# the columns.  Both combine each lane's terms in order, to the same
+# bits.  Measured on blocks of 5 to 64 terms (Python 3.11, numpy 2.4,
+# one Xeon core): accumulate costs 5-9 ns a cell at any width, a row
+# call ~2 us plus ~1 ns a cell, so they tie at 192-256 cells; the row
+# scan is 2-2.8x faster at 512-1000 and 5x at 3000, accumulate 1.4-2.9x
+# faster at 64.
+SCAN_ROWS_FROM = 256
 
 # per-point status of a lockstep series: its scalar form returns, raises
 # RangeError on overflow, or raises some other error
@@ -651,49 +662,43 @@ class _Lanes:
         self.status[at] = other.status
 
 
-def _running(ufunc: np.ufunc, start, steps: np.ndarray) -> np.ndarray:
-    """Row i: start[i] combined with steps[i, 0], then with steps[i, 1],
-    ..."""
-    start = np.asarray(start)
-    out = np.empty(start.shape + (steps.shape[-1] + 1,))
-    out[..., 0] = start
-    out[..., 1:] = steps
-    return ufunc.accumulate(out, axis=-1, out=out)[..., 1:]
-
-
-def _running_pair(starts, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Two running sums, _running(np.add, starts[i], steps[i]), for the
-    cost of one: as the parts of a complex array, which numpy adds as
-    floats of their own, so each keeps its own bits."""
-    out = np.empty((steps[0].shape[0], steps[0].shape[1] + 1), dtype=complex)
-    for part, start, step in zip((out.real, out.imag), starts, steps):
-        part[:, 0] = start
-        part[:, 1:] = step
-    np.add.accumulate(out, axis=1, out=out)
-    return out.real[:, 1:], out.imag[:, 1:]
+def _scan(ufunc: np.ufunc, *parts) -> list[np.ndarray]:
+    """For each part (start, steps), row i: start combined with steps[0],
+    then with steps[1], ... up to steps[i], lane by lane.  The parts,
+    steps of one shape, run side by side in one scan."""
+    terms, *lanes = parts[0][1].shape
+    out = np.empty((terms + 1, len(parts), *lanes))
+    for p, (start, steps) in enumerate(parts):
+        out[0, p] = start
+        out[1:, p] = steps
+    if out[0].size < SCAN_ROWS_FROM:
+        ufunc.accumulate(out, axis=0, out=out)
+    else:
+        for prev, row in zip(out[:-1], out[1:]):
+            ufunc(prev, row, out=row)
+    return [out[1:, p] for p in range(len(parts))]
 
 
 def _runs_of_three(cond: np.ndarray, small: np.ndarray,
                    now) -> tuple[np.ndarray, ...]:
     """A block of the stop rule "passed three times in a row, or stops
-    at once where ``now``": from the tests cond[i, :] and the runs
-    small[i] before the block, the points that stop, the step at which
+    at once where ``now``": from the tests cond[:, i] and the runs
+    small[i] before the block, the lanes that stop, the step at which
     each does, and the runs after it."""
-    ext = np.concatenate(((small >= 2)[:, None], (small >= 1)[:, None],
-                          cond), axis=1)
-    hit = ext[:, 2:] & ext[:, 1:-1] & ext[:, :-2] | now
-    run = np.where(ext[:, -1], np.where(ext[:, -2], 2, 1), 0)
-    return hit.any(axis=1), hit.argmax(axis=1), run
+    ext = np.concatenate(((small >= 2)[None], (small >= 1)[None], cond))
+    hit = ext[2:] & ext[1:-1] & ext[:-2] | now
+    run = np.where(ext[-1], np.where(ext[-2], 2, 1), 0)
+    return hit.any(axis=0), hit.argmax(axis=0), run
 
 
 def _lockstep(step, fixed: tuple[np.ndarray, ...],
               state: tuple[np.ndarray, ...], cap: int):
     """Sum a series at every point of a batch in lockstep, by blocks.
 
-    ``fixed`` holds each point's inputs as (points, 1) columns, ``state``
+    ``fixed`` holds each point's inputs as (1, lanes) rows, ``state``
     what the next term reads or the caller wants.  ``step(n, k, fixed,
     state)`` adds terms n+1 .. n+k and returns the state after each, as
-    (points, k) arrays, the stop test at each, and where a point stops at
+    (k, lanes) arrays, the stop test at each, and where a lane stops at
     once (or False).  Returns the state at each point's stop, its terms
     after the first, and where ``cap`` terms were not enough."""
     size = state[0].size
@@ -706,22 +711,22 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
         while idx.size and n < cap:
             k = max(1, min(max(BLOCK_MIN, n), BLOCK_CELLS // idx.size,
                            cap - n))
-            cols, passed, now = step(n, k, fixed, state)
+            rows, passed, now = step(n, k, fixed, state)
             stop, at, small = _runs_of_three(passed, small, now)
             n += k
-            if not stop.any():
-                state = tuple(col[:, -1] for col in cols)
-                continue
-            rows = np.flatnonzero(stop)
-            j = at[rows]
-            i = idx[rows]
-            for out, col in zip(final, cols):
-                out[i] = col[rows, j]
-            summed[i] = n - k + j + 1
-            keep = ~stop
-            idx, small = idx[keep], small[keep]
-            fixed = tuple(v[keep] for v in fixed)
-            state = tuple(col[keep, -1] for col in cols)
+            keep = np.flatnonzero(~stop)
+            if keep.size < idx.size:
+                lanes = np.flatnonzero(stop)
+                j = at[lanes]
+                i = idx[lanes]
+                for out, row in zip(final, rows):
+                    out[i] = row[j, lanes]
+                summed[i] = n - k + j + 1
+                idx, small = idx[keep], small[keep]
+                fixed = tuple(v.take(keep, axis=1) for v in fixed)
+            # copies: the block is freed before the next one is made
+            state = tuple(row[-1][keep] for row in rows)
+            del rows, passed, now
     stalled = np.zeros(size, dtype=bool)
     stalled[idx] = True
     return final, summed, stalled
@@ -749,24 +754,24 @@ def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
         (x,) = fixed
         term, total, weighted, comp, _ = state
         # term n+j takes factor j, and its stop test the ratio factor j+1
-        m = np.arange(n, n + k + 1.0)  # a + m rounds as the scalar a + n
+        m = np.arange(n, n + k + 1.0)[:, None]  # a + m rounds as a + n
         mult = (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x
-        terms = _running(np.multiply, term, mult[:, :k])
+        (terms,) = _scan(np.multiply, (term, mult[:k]))
         sizes = np.abs(terms)
-        sums, weights = _running_pair((total, weighted),
-                                      (terms, m[1:] * sizes))
-        prev = np.concatenate((total[:, None], sums[:, :-1]), axis=1)
+        sums, weights = _scan(np.add, (total, terms),
+                              (weighted, m[1:] * sizes))
+        prev = np.concatenate((total[None], sums[:-1]))
         back = sums - prev
-        comps = _running(np.add, comp,
-                         (prev - (sums - back)) + (terms - back))
-        r = np.maximum(np.abs(mult[:, 1:]), x)
+        (comps,) = _scan(np.add,
+                         (comp, (prev - (sums - back)) + (terms - back)))
+        r = np.maximum(np.abs(mult[1:]), x)
         passed = (r < 1.0) & (sizes * r
                               <= SERIES_RTOL * np.abs(sums) * (1.0 - r))
         return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed, stalled = _lockstep(
-        step, (xs[:, None],), (ones, total, zeros, zeros, ones),
+        step, (xs[None],), (ones, total, zeros, zeros, ones),
         MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
         return (total + comp, term, r, weighted, summed), stalled
@@ -794,42 +799,44 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
     if u.size < SCALAR_BELOW:
         return _scalar_batch(lambda i: _zb_sum(
             a, b, float(u[i]), float(ell[i]), m, from_one), u.size, 7)
-    # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them
+    # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
+    # columns
     d_0 = specfun.ramanujan_r(a, b)
-    j = np.arange(float(MAX_TERMS_LOG))
+    j = np.arange(float(MAX_TERMS_LOG))[:, None]
     with np.errstate(all="ignore"):
-        c_all = _running(np.multiply, 1.0,
-                         (a + j) * (b + j) / ((j + 1.0) * (j + 1.0)))
-        d_all = _running(np.add, d_0,
-                         2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j))
+        (c_all,) = _scan(np.multiply,
+                         (1.0, (a + j) * (b + j) / ((j + 1.0) * (j + 1.0))))
+        (d_all,) = _scan(np.add, (
+            d_0, 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)))
     j += 1.0
-    f_all, fp_all = (np.array(t) for t in _falling(m)[:2])
+    f_all, fp_all = (np.array(t)[:, None] for t in _falling(m)[:2])
 
     def step(n, k, fixed, state):
         uu, ll = fixed
         cs, ds = c_all[n:n + k], d_all[n:n + k]
         fs, fps = f_all[n + 1:n + k + 1], fp_all[n + 1:n + k + 1]
-        u_pows = _running(np.multiply, state[0], np.repeat(uu, k, axis=1))
+        (u_pows,) = _scan(np.multiply, (state[0], uu.repeat(k, axis=0)))
         terms = cs * (fs * (ds + ll) - fps) * u_pows
         c_u = cs * u_pows
         parts = c_u * (np.abs(fps) + fs * (np.abs(ds) + ll))  # T~_n
-        sums, sizes = _running_pair(state[1:3], (terms, parts))
-        weights, plains = _running_pair(state[3:5], (j[n:n + k] * parts, c_u))
+        sums, sizes, weights, plains = _scan(
+            np.add, (state[1], terms), (state[2], parts),
+            (state[3], j[n:n + k] * parts), (state[4], c_u))
         passed = np.abs(terms) <= SERIES_RTOL * np.abs(sums)
         if from_one:  # the stop waits for C - 1 too
             passed &= c_u <= SERIES_RTOL * plains
         if n + 1 < m:  # the stop rule counts terms n >= m
             passed &= fs > 0.0
-        cols = u_pows, sums, sizes, weights, plains, terms, parts
-        return cols, passed, False
+        rows = u_pows, sums, sizes, weights, plains, terms, parts
+        return rows, passed, False
 
     ones, zeros = np.ones(u.size), np.zeros(u.size)
     start = size = zeros
     if not from_one:
-        start = f_all[0] * (d_0 + ell) - fp_all[0]
-        size = abs(fp_all[0]) + f_all[0] * (abs(d_0) + ell)
+        start = f_all[0, 0] * (d_0 + ell) - fp_all[0, 0]
+        size = abs(fp_all[0, 0]) + f_all[0, 0] * (abs(d_0) + ell)
     (_, total, size, weighted, plain, term, part), summed, stalled = _lockstep(
-        step, (u[:, None], ell[:, None]),
+        step, (u[None], ell[None]),
         (ones, start, size, zeros, zeros, start, size), MAX_TERMS_LOG)
     return (total, term, part, size, weighted, plain, summed), stalled
 

@@ -136,16 +136,20 @@ def _worst(*parts: Part) -> tuple[object, float]:
     A NaN margin counts as -inf, so its sample fails.  With no samples
     at all the result is (None, inf).
     """
-    margins = np.concatenate(
-        [np.empty(0)] + [np.asarray(m, dtype=float) for _, m in parts])
-    if margins.size == 0:
+    margins = [np.asarray(m, dtype=float) for _, m in parts]
+    flat = np.concatenate([np.empty(0)] + margins)
+    if flat.size == 0:
         return None, math.inf
-    margins[np.isnan(margins)] = -math.inf
-    i = int(np.argmin(margins))  # argmin returns the first minimum
-    point = [p for pts, _ in parts for p in pts][i]
+    flat[np.isnan(flat)] = -math.inf
+    worst = i = int(np.argmin(flat))  # argmin returns the first minimum
+    for (points, _), m in zip(parts, margins):
+        if i < m.size:
+            break
+        i -= m.size
+    point = points[i]
     if isinstance(point, np.generic):
         point = point.item()
-    return point, float(margins[i])
+    return point, float(flat[worst])
 
 
 def _fmt(x: float) -> str:
@@ -198,15 +202,28 @@ def _increasing_capped(ts: np.ndarray, ys: Sequence[float],
     return _steps(ts, ys, True), _floor(ts, cap - np.abs(ys))
 
 
-def _subadditive(f_many: Callable[[np.ndarray], np.ndarray],
-                 params: dict) -> Part:
-    """Margins f(s) + f(t) - f(s+t) on seeded random pairs (s, t); f_many
-    is f's array form."""
+def _sampled(f_many: Callable[[np.ndarray], np.ndarray],
+             *points) -> list[np.ndarray]:
+    """f_many at each array of points, by one call on all of them: each
+    function is sampled once per check."""
+    values = f_many(np.concatenate([np.asarray(p, dtype=float)
+                                    for p in points]))
+    return np.split(values, np.cumsum([len(p) for p in points[:-1]]))
+
+
+def _subadditive_pairs(params: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded random pairs (s, t) of a subadditivity claim: their s
+    and their t."""
     rng = np.random.default_rng(params["seed"])
-    pairs = [tuple(rng.uniform(params["s_lo"], params["s_hi"], size=2).tolist())
-             for _ in range(params["pairs"])]
-    s, t = np.array(pairs).reshape(-1, 2).T
-    return _floor(pairs, f_many(s) + f_many(t) - f_many(s + t))
+    return rng.uniform(params["s_lo"], params["s_hi"],
+                       size=(params["pairs"], 2)).T
+
+
+def _subadditive(s: np.ndarray, t: np.ndarray, f_s: np.ndarray,
+                 f_t: np.ndarray, f_st: np.ndarray) -> Part:
+    """Margins f(s) + f(t) - f(s+t) on the pairs (s, t), from f at s, t
+    and s + t."""
+    return _floor(list(zip(s.tolist(), t.tolist())), f_s + f_t - f_st)
 
 
 def _points_inside(grid: GridSpec, hi: float) -> np.ndarray:
@@ -217,10 +234,9 @@ def _points_inside(grid: GridSpec, hi: float) -> np.ndarray:
     return xs
 
 
-def _excess_midpoints(pr: pqfun.ZeroBalancedPair, s: np.ndarray,
-                      t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For the pairs (s[i], t[i]): the midpoints m, (|s|+|t|)/2 - |m|
-    without cancellation, and P's excess at s, t and m.
+def _midpoints(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the pairs (s[i], t[i]): the midpoints m and (|s|+|t|)/2 - |m|
+    without cancellation.
 
     The second value is identically 0 when s and t share a sign and
     min(|s|, |t|) otherwise; computing it that way keeps midpoint
@@ -229,8 +245,7 @@ def _excess_midpoints(pr: pqfun.ZeroBalancedPair, s: np.ndarray,
     m = 0.5 * (s + t)
     lin = np.where((s >= 0.0) == (t >= 0.0), 0.0,
                    np.minimum(np.abs(s), np.abs(t)))
-    ex = pqfun.p_excess_many(pr, np.concatenate((s, t, m)))
-    return (m, lin, *np.split(ex, 3))
+    return m, lin
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +366,12 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float,
             f"log-convexity needs ab/(a+b+1) < c, got ({a},{b},{c})")
     p = hyp2f1.HypParams(a, b, c)
     xs = _points_inside(grid, 1.0)
-    # F and F' at x and at 1-x, each evaluated once per grid point
-    fx = hyp2f1.f21_many(p, xs).value
-    fy = hyp2f1.f21_many(p, 1.0 - xs).value
-    ratio = (hyp2f1.f21_derivative_many(p, xs) / fx
-             - hyp2f1.f21_derivative_many(p, 1.0 - xs) / fy)
+    # F at x, at 1-x and at 1/2, F' at x and at 1-x, by one call each
+    fx, fy, (f_half,) = _sampled(lambda x: hyp2f1.f21_many(p, x).value,
+                                 xs, 1.0 - xs, [0.5])
+    dx, dy = _sampled(functools.partial(hyp2f1.f21_derivative_many, p),
+                      xs, 1.0 - xs)
+    ratio = dx / fx - dy / fy
     logf = specfun.pointwise(math.log, fx) + specfun.pointwise(math.log, fy)
     up = _steps(xs, ratio, True)
     conv = _chord(xs, logf, convex=True)
@@ -365,7 +381,7 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float,
     if half.size:
         parts.append(_deviations([0.5], ratio[half[:1]]))
         zero_note = f"; f'/f at 1/2 = {_fmt(abs(ratio[half[0]]))}"
-    fmid = math.log(hyp2f1.f21(p, 0.5).value) * 2.0
+    fmid = math.log(f_half) * 2.0
     off = xs != 0.5
     fmin = _floor(xs[off], logf[off] - fmid)
     point, margin = _worst(*parts, fmin)
@@ -422,43 +438,59 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
 def _run_main_parity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
+    p_pos, p_neg = _sampled(functools.partial(pqfun.p_func_many, pr),
+                            ts, -ts)
+    d_pos, d_neg = _sampled(functools.partial(pqfun.p_prime_many, pr),
+                            ts, -ts)
     # both deviations of each t, in sampling order
-    devs = np.column_stack((
-        pqfun.p_func_many(pr, ts) - pqfun.p_func_many(pr, -ts),
-        pqfun.p_prime_many(pr, ts) + pqfun.p_prime_many(pr, -ts))).ravel()
+    devs = np.column_stack((p_pos - p_neg, d_pos + d_neg)).ravel()
     point, margin = _worst(_deviations(np.repeat(ts, 2), devs))
     notes = ("P even and P' odd; both are enforced by |t| reduction "
              "inside the evaluators, so this is a regression guard")
     return point, margin, notes
 
 
+def _convex_pairs(params: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded random pairs (s, t) with |s - t| >= min_gap, in draw
+    order: their s and their t.  Each round draws the pairs still
+    missing by one call, so the stream is that of pair-by-pair draws."""
+    span = params["t_span"]
+    gap = params["min_gap"]
+    count = params["pairs"]
+    if not gap < 2.0 * span:
+        raise HypothesisError(
+            f"no pair in [-{span}, {span}] is min_gap = {gap} apart")
+    rng = np.random.default_rng(params["seed"])
+    pairs = np.empty((0, 2))
+    while len(pairs) < count:
+        draws = rng.uniform(-span, span, size=(count - len(pairs), 2))
+        # below the gap the slack is noise scale: redraw
+        pairs = np.concatenate(
+            (pairs, draws[np.abs(draws[:, 0] - draws[:, 1]) >= gap]))
+    return pairs.T
+
+
 def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     inv_beta = 1.0 / specfun.beta(pr.a, pr.b)
-
-    def midpoint_slack(s: np.ndarray, t: np.ndarray) -> Part:
-        # P = (|t| + R)/B + excess: the linear part contributes exactly,
-        # the excess keeps relative accuracy at any |t|
-        m, lin, pe_s, pe_t, pe_m = _excess_midpoints(pr, s, t)
-        return m, lin * inv_beta + 0.5 * (pe_s + pe_t) - pe_m
-
-    rng = np.random.default_rng(params["seed"])
-    span = params["t_span"]
-    gap = params["min_gap"]
-    pairs = []
-    while len(pairs) < params["pairs"]:
-        s, t = rng.uniform(-span, span, size=2).tolist()
-        if abs(s - t) >= gap:  # below it the slack is noise scale: redraw
-            pairs.append((s, t))
-    s, t = np.array(pairs).reshape(-1, 2).T
-    rand = _floor(pairs, midpoint_slack(s, t)[1])
-
+    s, t = _convex_pairs(params)
     ts = grid.points()
-    tri = _floor(*midpoint_slack(ts[:-2], ts[2:]))
+    m, lin = _midpoints(s, t)
+    tm, tlin = _midpoints(ts[:-2], ts[2:])
+    # P's excess at every point the check needs, t = 0 last
+    pe_s, pe_t, pe_m, ex_lo, ex_hi, ex_tm, ex, (ex_0,) = _sampled(
+        functools.partial(pqfun.p_excess_many, pr),
+        s, t, m, ts[:-2], ts[2:], tm, ts, [0.0])
 
-    # P -+ t/B through the same excess split; branch values are O(1)
+    # P = (|t| + R)/B + excess: the linear part contributes exactly, the
+    # excess keeps relative accuracy at any |t|
+    rand = _floor(list(zip(s.tolist(), t.tolist())),
+                  lin * inv_beta + 0.5 * (pe_s + pe_t) - pe_m)
+    tri = _floor(tm, tlin * inv_beta + 0.5 * (ex_lo + ex_hi) - ex_tm)
+
+    # P -+ t/B through the same excess split (ex is even in t); branch
+    # values are O(1)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
-    ex = pqfun.p_excess_many(pr, ts)  # even in t
 
     def shifted_down(t: np.ndarray) -> np.ndarray:
         # P(t) - t/B
@@ -473,15 +505,15 @@ def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     keep = np.repeat(ts != 0.0, 2)
     keep[::2] = True
     bound = _floor(np.repeat(ts, 2)[keep],
-                   np.column_stack(
-                       (ex, pqfun.p_excess(pr, 0.0) - ex)).ravel()[keep])
+                   np.column_stack((ex, ex_0 - ex)).ravel()[keep])
 
     point, margin = _worst(
         rand, tri, _steps(ts, down, increasing=False),
         _steps(ts, up, increasing=True), _chord(ts, down, convex=True),
         _chord(ts, up, convex=True), bound)
-    notes = (f"{params['pairs']} seeded midpoint pairs (gap >= {gap}), "
-             f"min slack {_fmt(_worst(rand)[1] + STRICT_FLOOR)}; grid triples "
+    notes = (f"{params['pairs']} seeded midpoint pairs (gap >= "
+             f"{params['min_gap']}), min slack "
+             f"{_fmt(_worst(rand)[1] + STRICT_FLOOR)}; grid triples "
              f"{_fmt(_worst(tri)[1] + STRICT_FLOOR)}; P-t/B and P+t/B monotone "
              f"and convex; excess bounds {_fmt(_worst(bound)[1] + STRICT_FLOOR)}")
     return point, margin, notes
@@ -521,8 +553,9 @@ def _run_main_slopes(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
-    point, margin = _worst(_deviations(
-        ts, pqfun.q_func_many(pr, ts) * pqfun.q_func_many(pr, -ts) - 1.0))
+    q_pos, q_neg = _sampled(functools.partial(pqfun.q_func_many, pr),
+                            ts, -ts)
+    point, margin = _worst(_deviations(ts, q_pos * q_neg - 1.0))
     notes = ("Q(t)Q(-t) = 1; the two sides reuse one ratio and its "
              "reciprocal, so deviations are pure rounding")
     return point, margin, notes
@@ -531,11 +564,12 @@ def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 def _run_subadd(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = _points_inside(grid, math.inf)
-    q_log = functools.partial(pqfun.q_log_many, pr)
-    qs = q_log(ts)
+    s, t = _subadditive_pairs(params)
+    qs, q_neg, *q_pairs = _sampled(functools.partial(pqfun.q_log_many, pr),
+                                   ts, -ts, s, t, s + t)
     ratio = _steps(ts, qs / ts, False)
-    odd = _deviations(ts, qs + q_log(-ts))
-    sub = _subadditive(q_log, params)
+    odd = _deviations(ts, qs + q_neg)
+    sub = _subadditive(s, t, *q_pairs)
     point, margin = _worst(ratio, _steps(ts, qs, True),
                            _chord(ts, qs, convex=False), odd, sub)
     notes = (f"q(t)/t decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
@@ -551,12 +585,13 @@ def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
         raise HypothesisError(
             f"Q bound claims need a+b >= 1, got ({pr.a},{pr.b})")
     ts = _points_inside(grid, math.inf)
-    qe = pqfun.q_excess_many(pr, ts)
+    qe, (qe_0,) = _sampled(functools.partial(pqfun.q_excess_many, pr),
+                           ts, [0.0])
     # Q - t/B = R/B + excess: monotone/convex in the excess alone
     mono = _steps(ts, qe, increasing=False)
     conv = _chord(ts, qe, convex=True)
     low = (ts, qe)                                   # Q > (R+t)/B, ~e^{-t}: raw
-    high = _floor(ts, pqfun.q_excess(pr, 0.0) - qe)  # Q < 1 + t/B
+    high = _floor(ts, qe_0 - qe)                      # Q < 1 + t/B
     point, margin = _worst(mono, conv, low, high)
     notes = (f"Q - t/B decreasing (step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}) "
              f"and convex (slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)}); "
@@ -582,10 +617,11 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = grid.points()
     two_c0 = 2.0 * metric.c0()
 
-    big_h = metric.big_h_many(ts)
-    ident = _deviations(ts, big_h * metric.h_many(ts) - 1.0)
-    even = _deviations(ts, big_h - metric.big_h_many(-ts))
-    h0_dev = metric.big_h(0.0) / two_c0 - 1.0
+    h_pos, h_neg, (h_0,) = _sampled(metric.h_many, ts, -ts, [0.0])
+    big_h = 1.0 / h_pos  # H = 1/h, as metric.big_h forms it
+    ident = _deviations(ts, big_h * h_pos - 1.0)
+    even = _deviations(ts, big_h - 1.0 / h_neg)
+    h0_dev = 1.0 / h_0 / two_c0 - 1.0
 
     # fold to |t| and collapse mirror points that agree to a few ulps:
     # asymmetric grids produce pairs whose gap is pure rounding, and a
@@ -595,12 +631,13 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
         if not pos or s - pos[-1] > 1e-12 * (1.0 + s):
             pos.append(s)
     ps = np.array(pos)
-    ex = pqfun.p_excess_many(pr, ps)
+    m, lin = _midpoints(ts[:-2], ts[2:])
+    ex, pe_s, pe_t, pe_m = _sampled(
+        functools.partial(pqfun.p_excess_many, pr), ps, ts[:-2], ts[2:], m)
     # H = 2(|t| + log 16) + 2 pi excess: difference without cancellation
     grow = _floor(ps[:-1], 2.0 * (ps[1:] - ps[:-1])
                   + 2.0 * math.pi * (ex[1:] - ex[:-1]))
 
-    m, lin, pe_s, pe_t, pe_m = _excess_midpoints(pr, ts[:-2], ts[2:])
     conv = _floor(m, 2.0 * lin + 2.0 * math.pi * (0.5 * (pe_s + pe_t) - pe_m))
 
     point, margin = _worst(ident, even, _deviations([0.0], [h0_dev]), grow, conv)
@@ -687,8 +724,10 @@ def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 
 def _run_phi_decreasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     ts = _points_inside(grid, math.inf)
-    ratio = _steps(ts, metric.varphi_many(ts) / ts, False)
-    sub = _subadditive(metric.varphi_many, params)
+    s, t = _subadditive_pairs(params)
+    phis, *phi_pairs = _sampled(metric.varphi_many, ts, s, t, s + t)
+    ratio = _steps(ts, phis / ts, False)
+    sub = _subadditive(s, t, *phi_pairs)
     point, margin = _worst(ratio, sub)
     notes = (f"phi(t)/t strictly decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
              f"{params['pairs']} seeded subadditivity pairs, min slack "

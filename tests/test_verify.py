@@ -118,6 +118,43 @@ def test_param_override_and_hypothesis_guards():
     assert r.passed
 
 
+def test_convex_pairs_out_of_reach_are_refused():
+    # |s - t| < 2 t_span for every draw, so no pair could ever be kept
+    for gap in (40.0, 41.0, math.nan):
+        with pytest.raises(HypothesisError):
+            verify.run_check("thm_main_convex",
+                             params={"min_gap": gap, "t_span": 20.0})
+
+
+def _pairs_drawn_one_by_one(seed, lo, hi, count, gap=-math.inf):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        s, t = rng.uniform(lo, hi, size=2).tolist()
+        if abs(s - t) >= gap:
+            pairs.append((s, t))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["thm_main2_subadd", "cor_phi_decreasing"])
+def test_subadditive_pairs_are_the_pair_by_pair_draws(name):
+    params = verify._REGISTRY[name].params
+    s, t = verify._subadditive_pairs(params)
+    assert list(zip(s.tolist(), t.tolist())) == _pairs_drawn_one_by_one(
+        params["seed"], params["s_lo"], params["s_hi"], params["pairs"])
+
+
+@pytest.mark.parametrize("gap", [0.5, 30.0])
+def test_convex_pairs_are_the_pair_by_pair_draws(gap):
+    # at gap 30 fifteen draws in sixteen are redrawn, over many rounds:
+    # the pairs kept are the same and in the same order
+    params = dict(verify._REGISTRY["thm_main_convex"].params, min_gap=gap)
+    s, t = verify._convex_pairs(params)
+    span = params["t_span"]
+    assert list(zip(s.tolist(), t.tolist())) == _pairs_drawn_one_by_one(
+        params["seed"], -span, span, params["pairs"], gap)
+
+
 def test_grid_override_must_fit_claim():
     # hypothesis violations are about parameters; a grid outside the
     # claim's domain is a plain domain failure
