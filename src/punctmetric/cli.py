@@ -62,15 +62,27 @@ def _load_domain(path: str) -> bounds.PuncturedDomain:
             f"domain file {path!r} must hold a JSON list of [re, im] pairs")
     pts = []
     for entry in data:
-        if isinstance(entry, (int, float)):
+        if _is_real(entry):
             pts.append(complex(entry, 0.0))
         elif (isinstance(entry, list) and len(entry) == 2
-              and all(isinstance(v, (int, float)) for v in entry)):
+              and all(map(_is_real, entry))):
             pts.append(complex(entry[0], entry[1]))
         else:
             raise PunctMetricError(
                 f"bad domain entry {entry!r}: expected [re, im] or a real")
     return bounds.PuncturedDomain(pts)
+
+
+def _is_real(v: object) -> bool:
+    """Whether a JSON value is a number that a float holds: JSON true
+    and false are not, nor an integer past the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 # evaluator table: name -> (required flags, optional flags with defaults,

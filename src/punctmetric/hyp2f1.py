@@ -604,22 +604,31 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 # array evaluation
 #
-# A family's loop runs at every point of a 1-d array in lockstep: each
-# numpy step adds a block of terms to every point still summing, and a
-# point stops where the scalar rule stops it.  A block is a (terms,
-# lanes) array, one lane per point, so that each term's row is
-# contiguous; per-term factors enter as columns.  Running products and
-# sums are scans down the rows, applied in sequence as the scalar loop
-# does; numpy's + - * / round as Python's do; log and exp come from math
-# point by point.  So each point gets its scalar call's bits, and a
-# batch raises what a loop of scalar calls would raise first.
+# A family's loop runs at every lane of a batch in lockstep: each numpy
+# step adds a block of terms to every lane still summing, and a lane
+# stops where the scalar rule stops it.  A block is a (terms, lanes)
+# array, so that each term's row is contiguous; per-term factors enter
+# as columns.  A lane carries its own point and, where the lanes of one
+# run sum different series of a family, its own parameters: a, b, c of
+# the ratio family as rows, or m of the log family, each lane picking
+# the f_m(n) column of its m (c_n and d_n depend on a, b alone, so a run
+# shares them).  So the sums a caller needs at its points run as one
+# lockstep run per family: both series of the connection formula, the
+# direct hand-overs of every parameter triple, and the m = 0 and m = 1
+# log series of v and w in pqfun.
+# Running products and sums are scans down the rows, applied in
+# sequence as the scalar loop does; numpy's + - * / round as Python's
+# do; log and exp come from math point by point.  So each lane gets its
+# scalar call's bits.  An entry point sums each distinct point once,
+# keyed on its bits, and raises what a loop of scalar calls would raise
+# first.
 
 # Terms per block: BLOCK_MIN, or as many as already summed, but at most
-# BLOCK_CELLS over all points.
+# BLOCK_CELLS over all lanes.
 BLOCK_MIN = 16
 BLOCK_CELLS = 16384
-# Batches of fewer points run the scalar loop point by point: one
-# lockstep run costs about as much as 4 to 8 scalar calls.
+# Runs of fewer lanes run the scalar loop lane by lane: one lockstep
+# run costs about as much as 4 to 8 scalar calls.
 SCALAR_BELOW = 4
 # A scan whose rows hold at least this many cells (lanes times parts)
 # runs one ufunc call per row; a narrower one runs ufunc.accumulate down
@@ -631,7 +640,7 @@ SCALAR_BELOW = 4
 # faster at 64.
 SCAN_ROWS_FROM = 256
 
-# per-point status of a lockstep series: its scalar form returns, raises
+# per-lane status of a lockstep series: its scalar form returns, raises
 # RangeError on overflow, or raises some other error
 _OK, _OVERFLOW, _RAISES = 0, 1, 2
 
@@ -647,7 +656,7 @@ class EvalResults:
 
 
 class _Lanes:
-    """Per-point value, estimate, term count and status of a batch."""
+    """Per-lane value, estimate, term count and status of a batch."""
 
     def __init__(self, size: int) -> None:
         self.value = np.zeros(size)
@@ -660,6 +669,33 @@ class _Lanes:
         self.err[at] = other.err
         self.terms[at] = other.terms
         self.status[at] = other.status
+
+    def __getitem__(self, at: slice) -> "_Lanes":
+        part = _Lanes(0)
+        part.value, part.err = self.value[at], self.err[at]
+        part.terms, part.status = self.terms[at], self.status[at]
+        return part
+
+
+def _parts(counts: Sequence[int]) -> list[slice]:
+    """The lanes of consecutive parts of counts[i] lanes each."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(end - count, end) for count, end in zip(counts, ends)]
+
+
+def _lane(v, i: int):
+    """Lane i's value of an input given as a float (or int) shared by
+    every lane, or as an array with one value per lane."""
+    return v.flat[i].item() if isinstance(v, np.ndarray) else v
+
+
+def _lane_params(triples: Sequence[tuple], counts: Sequence[int]):
+    """(a, b, c) for lanes laid out as counts[g] lanes of triples[g]:
+    floats where one triple serves every lane, else (1, lanes) rows."""
+    if all(t == triples[0] for t in triples):
+        return triples[0]
+    return tuple(np.repeat(np.array(col), counts)[None]
+                 for col in zip(*triples))
 
 
 def _scan(ufunc: np.ufunc, *parts) -> list[np.ndarray]:
@@ -691,16 +727,16 @@ def _runs_of_three(cond: np.ndarray, small: np.ndarray,
     return hit.any(axis=0), hit.argmax(axis=0), run
 
 
-def _lockstep(step, fixed: tuple[np.ndarray, ...],
-              state: tuple[np.ndarray, ...], cap: int):
-    """Sum a series at every point of a batch in lockstep, by blocks.
+def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
+    """Sum a series at every lane of a batch in lockstep, by blocks.
 
-    ``fixed`` holds each point's inputs as (1, lanes) rows, ``state``
-    what the next term reads or the caller wants.  ``step(n, k, fixed,
-    state)`` adds terms n+1 .. n+k and returns the state after each, as
-    (k, lanes) arrays, the stop test at each, and where a lane stops at
-    once (or False).  Returns the state at each point's stop, its terms
-    after the first, and where ``cap`` terms were not enough."""
+    ``fixed`` holds each lane's inputs as (1, lanes) rows, or as values
+    every lane shares, ``state`` what the next term reads or the caller
+    wants.  ``step(n, k, fixed, state)`` adds terms n+1 .. n+k and
+    returns the state after each, as (k, lanes) arrays, the stop test at
+    each, and where a lane stops at once (or False).  Returns the state
+    at each lane's stop, its terms after the first, and where ``cap``
+    terms were not enough."""
     size = state[0].size
     final = tuple(np.zeros(size) for _ in state)
     summed = np.zeros(size, dtype=np.int64)
@@ -723,7 +759,9 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
                     out[i] = row[j, lanes]
                 summed[i] = n - k + j + 1
                 idx, small = idx[keep], small[keep]
-                fixed = tuple(v.take(keep, axis=1) for v in fixed)
+                fixed = tuple(v.take(keep, axis=1)
+                              if isinstance(v, np.ndarray) else v
+                              for v in fixed)
             # copies: the block is freed before the next one is made
             state = tuple(row[-1][keep] for row in rows)
             del rows, passed, now
@@ -733,8 +771,8 @@ def _lockstep(step, fixed: tuple[np.ndarray, ...],
 
 
 def _scalar_batch(sum_at, count: int, fields: int):
-    """A lockstep run's result by the scalar loop at a few points:
-    sum_at(i) gives point i's sums, the term count last, or None."""
+    """A lockstep run's result by the scalar loop at a few lanes:
+    sum_at(i) gives lane i's sums, the term count last, or None."""
     sums = [sum_at(i) for i in range(count)]
     out = np.array([s or (0.0,) * fields for s in sums],
                    float).reshape(count, fields).T
@@ -742,16 +780,17 @@ def _scalar_batch(sum_at, count: int, fields: int):
             np.array([s is None for s in sums], dtype=bool))
 
 
-def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
-                total: np.ndarray):
-    """_ratio_sum at every point of xs onto the sums ``total``, laid out
-    as its result (arrays), and the points out of terms."""
+def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray):
+    """_ratio_sum at every point of xs onto the sums ``total``, a, b and
+    c each a float or a (1, lanes) row, laid out as its result (arrays),
+    and the lanes out of terms."""
     if xs.size < SCALAR_BELOW:
         return _scalar_batch(lambda i: _ratio_sum(
-            a, b, c, float(xs[i]), float(total[i])), xs.size, 5)
+            _lane(a, i), _lane(b, i), _lane(c, i), float(xs[i]),
+            float(total[i])), xs.size, 5)
 
     def step(n, k, fixed, state):
-        (x,) = fixed
+        x, a, b, c = fixed
         term, total, weighted, comp, _ = state
         # term n+j takes factor j, and its stop test the ratio factor j+1
         m = np.arange(n, n + k + 1.0)[:, None]  # a + m rounds as a + n
@@ -771,17 +810,21 @@ def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed, stalled = _lockstep(
-        step, (xs[None],), (ones, total, zeros, zeros, ones),
+        step, (xs[None], a, b, c), (ones, total, zeros, zeros, ones),
         MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
         return (total + comp, term, r, weighted, summed), stalled
 
 
-def _direct_many(a: float, b: float, c: float, xs: np.ndarray,
-                 x_err=0.0) -> _Lanes:
-    """_direct_series at every point of xs."""
+def _direct_many(jobs: Sequence[tuple]) -> list[_Lanes]:
+    """_direct_series for each job (a, b, c, xs, x_err) at every point
+    of its xs, x_err a float or one per point, by one lockstep run over
+    all of them: the lanes of each job."""
+    counts = [j[3].size for j in jobs]
+    xs = np.concatenate([j[3] for j in jobs])
+    x_err = np.concatenate([np.zeros(j[3].size) + j[4] for j in jobs])
     (total, term, r, weighted, summed), stalled = _ratio_many(
-        a, b, c, xs, np.ones(xs.size))
+        *_lane_params([j[:3] for j in jobs], counts), xs, np.ones(xs.size))
     out = _Lanes(xs.size)
     out.value = total
     with np.errstate(all="ignore"):
@@ -789,18 +832,20 @@ def _direct_many(a: float, b: float, c: float, xs: np.ndarray,
     out.terms = summed + 1
     out.status[~np.isfinite(total)] = _OVERFLOW
     out.status[stalled] = _RAISES  # ConvergenceError: out of terms
-    return out
+    return [out[at] for at in _parts(counts)]
 
 
-def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
+def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
              from_one: bool = False):
-    """_zb_sum at every (u, ell) pair, laid out as its result (arrays),
-    and the points out of terms."""
+    """_zb_sum at every (u, ell) pair, m an int or one per pair, laid out
+    as its result (arrays), and the lanes out of terms."""
     if u.size < SCALAR_BELOW:
         return _scalar_batch(lambda i: _zb_sum(
-            a, b, float(u[i]), float(ell[i]), m, from_one), u.size, 7)
+            a, b, float(u[i]), float(ell[i]), _lane(m, i), from_one),
+            u.size, 7)
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
-    # columns
+    # columns; f_m and f_m' a column per m, picked per lane where m is
+    # given per lane
     d_0 = specfun.ramanujan_r(a, b)
     j = np.arange(float(MAX_TERMS_LOG))[:, None]
     with np.errstate(all="ignore"):
@@ -809,12 +854,23 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
         (d_all,) = _scan(np.add, (
             d_0, 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)))
     j += 1.0
-    f_all, fp_all = (np.array(t)[:, None] for t in _falling(m)[:2])
+    kinds, pick = (np.unique(m, return_inverse=True)
+                   if isinstance(m, np.ndarray) else ([m], None))
+    f_all, fp_all = np.array(
+        [_falling(int(k))[:2] for k in kinds]).transpose(1, 2, 0)
+    m_max = int(max(kinds))
+    if pick is None:
+        f_0, fp_0 = f_all[0, 0], fp_all[0, 0]
+    else:
+        pick = pick.reshape(1, -1)
+        f_0, fp_0 = f_all[0, pick[0]], fp_all[0, pick[0]]
 
     def step(n, k, fixed, state):
-        uu, ll = fixed
+        uu, ll, pick = fixed
         cs, ds = c_all[n:n + k], d_all[n:n + k]
         fs, fps = f_all[n + 1:n + k + 1], fp_all[n + 1:n + k + 1]
+        if pick is not None:
+            fs, fps = fs[:, pick[0]], fps[:, pick[0]]
         (u_pows,) = _scan(np.multiply, (state[0], uu.repeat(k, axis=0)))
         terms = cs * (fs * (ds + ll) - fps) * u_pows
         c_u = cs * u_pows
@@ -825,7 +881,7 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
         passed = np.abs(terms) <= SERIES_RTOL * np.abs(sums)
         if from_one:  # the stop waits for C - 1 too
             passed &= c_u <= SERIES_RTOL * plains
-        if n + 1 < m:  # the stop rule counts terms n >= m
+        if n + 1 < m_max:  # the stop rule counts terms n >= m
             passed &= fs > 0.0
         rows = u_pows, sums, sizes, weights, plains, terms, parts
         return rows, passed, False
@@ -833,90 +889,153 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
     ones, zeros = np.ones(u.size), np.zeros(u.size)
     start = size = zeros
     if not from_one:
-        start = f_all[0, 0] * (d_0 + ell) - fp_all[0, 0]
-        size = abs(fp_all[0, 0]) + f_all[0, 0] * (abs(d_0) + ell)
+        start = f_0 * (d_0 + ell) - fp_0
+        size = abs(fp_0) + f_0 * (abs(d_0) + ell)
     (_, total, size, weighted, plain, term, part), summed, stalled = _lockstep(
-        step, (u[None], ell[None]),
+        step, (u[None], ell[None], pick),
         (ones, start, size, zeros, zeros, start, size), MAX_TERMS_LOG)
     return (total, term, part, size, weighted, plain, summed), stalled
 
 
-def _zb_log_many(p: HypParams, u: np.ndarray, ell: np.ndarray,
-                 m: int) -> tuple[_Lanes, np.ndarray]:
-    """_zb_log at every (u, ell) pair: the lanes, and where it hands
-    over to the direct series."""
-    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
-    sums, stalled = _zb_many(a, b, u, ell, abs(m))
-    out = _Lanes(u.size)
-    out.terms = sums[-1] + 1
-    try:
+def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
+                 ell: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
+    """_zb_log for each m in ms at every (u, ell) pair, a and b the pair
+    summed (c-a, c-b where m < 0), by one lockstep run: per m, the lanes
+    and where it hands over to the direct series."""
+    size = u.size
+    sums, stalled = _zb_many(
+        a, b, np.tile(u, len(ms)), np.tile(ell, len(ms)),
+        abs(ms[0]) if len(set(ms)) == 1 else np.repeat(np.abs(ms), size))
+    results = []
+    for m, part in zip(ms, _parts([size] * len(ms))):
+        own = tuple(s[part] for s in sums)
+        out = _Lanes(size)
+        out.terms = own[-1] + 1
+        try:
+            with np.errstate(all="ignore"):
+                out.value, out.err, serves = _log_series_result(
+                    a, b, m, own, u, ell)
+        except RangeError:  # B(a, b) overflows: every scalar call raises
+            out.status[:] = _RAISES
+            results.append((out, np.zeros(size, dtype=bool)))
+            continue
+        results.append((out, stalled[part] | ~serves))
+    return results
+
+
+def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
+                     log_u: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
+    """_connection for each p in ps at every point of u, their series by
+    one lockstep run: per p, the lanes and where it hands over to the
+    direct series."""
+    setups, jobs = [], []
+    for p in ps:
+        a, b = min(p.a, p.b), max(p.a, p.b)
+        s = p.c - (a + b)
+        try:
+            pre = _connection_prefactors(a, b, p.c, s)
+        except OverflowError:
+            setups.append(None)
+            continue
+        setups.append((a, b, s, pre, len(jobs)))
+        jobs.append((p.c - a, p.c - b, 1.0 + s, u, 0.0))
+        if pre[0] is not None:
+            jobs.append((a, b, 1.0 - s, u, 0.0))
+    series = _direct_many(jobs) if jobs else []
+    results = []
+    for setup in setups:
+        out = _Lanes(u.size)
+        if setup is None:
+            results.append((out, np.ones(u.size, dtype=bool)))
+            continue
+        a, b, s, (coef_a, sg_ms, log_b, lg_sum), at = setup
+        coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
+        f2 = series[at]
+        f1 = f2 if coef_a is None else series[at + 1]
         with np.errstate(all="ignore"):
-            out.value, out.err, serves = _log_series_result(
-                a, b, m, sums, u, ell)
-    except RangeError:  # B(a, b) overflows: every scalar call raises
-        out.status[:] = _RAISES
-        return out, np.zeros(u.size, dtype=bool)
-    return out, stalled | ~serves
+            part_a, err_a = ((0.0, 0.0) if coef_a is None
+                             else (coef_a * f1.value, abs(coef_a) * f1.err))
+            out.value, out.err, serves = _connection_result(
+                a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
+                f2.err)
+        out.terms = f2.terms + (0 if coef_a is None else f1.terms)
+        # a scalar call stops at an overflowing B, or at its first
+        # failing series
+        status = np.where(f1.status == _OK, f2.status, f1.status)
+        raises = (status == _RAISES) & np.isfinite(coef_b)
+        out.status[raises] = _RAISES
+        results.append((out, ~raises & ((status == _OVERFLOW) | ~serves)))
+    return results
 
 
-def _connection_many(a: float, b: float, c: float, u: np.ndarray,
-                     log_u: np.ndarray) -> tuple[_Lanes, np.ndarray]:
-    """_connection at every point of u: the lanes, and where it hands
-    over to the direct series."""
-    out = _Lanes(u.size)
-    a, b = min(a, b), max(a, b)
-    s = c - (a + b)
-    try:
-        coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, c, s)
-    except OverflowError:
-        return out, np.ones(u.size, dtype=bool)
-    coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
-    f2 = _direct_many(c - a, c - b, 1.0 + s, u)
-    f1 = f2 if coef_a is None else _direct_many(a, b, 1.0 - s, u)
-    with np.errstate(all="ignore"):
-        part_a, err_a = ((0.0, 0.0) if coef_a is None
-                         else (coef_a * f1.value, abs(coef_a) * f1.err))
-        out.value, out.err, serves = _connection_result(
-            a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value, f2.err)
-    out.terms = f2.terms + (0 if coef_a is None else f1.terms)
-    # a scalar call stops at an overflowing B, or at its first failing series
-    status = np.where(f1.status == _OK, f2.status, f1.status)
-    raises = (status == _RAISES) & np.isfinite(coef_b)
-    out.status[raises] = _RAISES
-    return out, ~raises & ((status == _OVERFLOW) | ~serves)
-
-
-def _from_complement_many(p: HypParams, u: np.ndarray,
-                          ell: np.ndarray) -> tuple[_Lanes, np.ndarray]:
-    """f21_from_complement at every checked (u, ell) pair: the lanes and
-    the methods."""
-    out = _Lanes(u.size)
-    method = np.full(u.size, METHOD_DIRECT, dtype=object)
-    route, m = _route(p)
-    direct = (u >= X_SWITCH) | (route == "direct")
-    near = np.flatnonzero(~direct)
+def _from_complement_many(
+        ps: Sequence[HypParams], u: np.ndarray,
+        ell: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
+    """f21_from_complement for each p in ps at every checked (u, ell)
+    pair: per p, the lanes and the methods.  The connection formulas run
+    as one lockstep run, the log series as one per pair a, b they sum,
+    and the direct series, where it serves, as one."""
+    near = np.flatnonzero(u < X_SWITCH)
+    routes = [_route(p) for p in ps]
+    found = {}  # p's index: its lanes at near, and where it hands over
     if near.size:
-        if route == "connection":
-            lanes, none = _connection_many(p.a, p.b, p.c, u[near], -ell[near])
-            method[near] = METHOD_CONNECTION
-        elif route == "power":
-            lanes = _Lanes(near.size)
-            lanes.value, lanes.err = _binomial(p, u[near])
-            lanes.status[lanes.value == math.inf] = _OVERFLOW
-            none = u[near] == 0.0
-        else:
-            lanes, none = _zb_log_many(p, u[near], ell[near], m)
-            method[near] = METHOD_ZB_LOG
-        out.take(near, lanes)
-        direct[near[none]] = True
-        method[near[none]] = METHOD_DIRECT
-    at = np.flatnonzero(direct)
-    x = 1.0 - u[at]
-    out.status[at[x == 1.0]] = _RAISES
-    at, x = at[x < 1.0], x[x < 1.0]
-    if at.size:
-        out.take(at, _direct_many(p.a, p.b, p.c, x, _x_err(x, u[at])))
-    return out, method
+        un, ln = u[near], ell[near]
+        conn = [i for i, (route, _) in enumerate(routes)
+                if route == "connection"]
+        if conn:
+            found.update(zip(conn, _connection_many(
+                [ps[i] for i in conn], un, -ln)))
+        logs = {}
+        for i, (p, (route, m)) in enumerate(zip(ps, routes)):
+            if route == "log":
+                pair = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
+                logs.setdefault(pair, []).append(i)
+            elif route == "power":
+                lanes = _Lanes(near.size)
+                lanes.value, lanes.err = _binomial(p, un)
+                lanes.status[lanes.value == math.inf] = _OVERFLOW
+                found[i] = lanes, un == 0.0
+        for (a, b), group in logs.items():
+            found.update(zip(group, _zb_log_many(
+                a, b, [routes[i][1] for i in group], un, ln)))
+    results, jobs, ats = [], [], []
+    for i, (p, (route, _)) in enumerate(zip(ps, routes)):
+        out = _Lanes(u.size)
+        method = np.full(u.size, METHOD_DIRECT, dtype=object)
+        direct = (u >= X_SWITCH) | (route == "direct")
+        if i in found:
+            lanes, none = found[i]
+            out.take(near, lanes)
+            if route != "power":
+                method[near[~none]] = (METHOD_CONNECTION
+                                       if route == "connection"
+                                       else METHOD_ZB_LOG)
+            direct[near[none]] = True
+        at = np.flatnonzero(direct)
+        x = 1.0 - u[at]
+        out.status[at[x == 1.0]] = _RAISES
+        at, x = at[x < 1.0], x[x < 1.0]
+        jobs.append((p.a, p.b, p.c, x, _x_err(x, u[at])))
+        ats.append(at)
+        results.append((out, method))
+    if any(at.size for at in ats):
+        for (out, _), at, lanes in zip(results, ats, _direct_many(jobs)):
+            out.take(at, lanes)
+    return results
+
+
+def _on_distinct(keys: Sequence[np.ndarray], lanes_of,
+                 scalar) -> EvalResults:
+    """EvalResults at every point, a point being its values in ``keys``,
+    from lanes_of(*keys), the (lanes, methods) at the distinct points;
+    raises what scalar(*point) raises at the first failing point."""
+    first, inverse = specfun._distinct(*keys)
+    points = [k[first] for k in keys]
+    out, method = lanes_of(*points)
+    specfun.reject_first(out.status != _OK,
+                         lambda i: scalar(*(k[i] for k in points)))
+    return EvalResults(out.value[inverse], out.err[inverse],
+                       out.terms[inverse], method[inverse])
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
@@ -926,18 +1045,21 @@ def f21_many(p: HypParams, xs) -> EvalResults:
     xs = specfun.as_points(xs)
     specfun.reject_first(~((0.0 <= xs) & (xs < 1.0)),
                          lambda i: _check_x(xs[i]))
-    out = _Lanes(xs.size)
-    method = np.full(xs.size, METHOD_DIRECT, dtype=object)
-    near = xs > X_SWITCH
-    if near.any():
-        u = 1.0 - xs[near]  # exact: x >= 1/2
-        lanes, method[near] = _from_complement_many(
-            p, u, -specfun.pointwise(math.log, u))
-        out.take(near, lanes)
-    if not near.all():
-        out.take(~near, _direct_many(p.a, p.b, p.c, xs[~near]))
-    specfun.reject_first(out.status != _OK, lambda i: f21(p, xs[i]))
-    return EvalResults(out.value, out.err, out.terms, method)
+
+    def lanes_of(xs):
+        out = _Lanes(xs.size)
+        method = np.full(xs.size, METHOD_DIRECT, dtype=object)
+        near = xs > X_SWITCH
+        if near.any():
+            u = 1.0 - xs[near]  # exact: x >= 1/2
+            (lanes, method[near]), = _from_complement_many(
+                (p,), u, -specfun.pointwise(math.log, u))
+            out.take(near, lanes)
+        if not near.all():
+            out.take(~near, _direct_many([(p.a, p.b, p.c, xs[~near], 0.0)])[0])
+        return out, method
+
+    return _on_distinct((xs,), lanes_of, lambda x: f21(p, x))
 
 
 def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
@@ -949,10 +1071,28 @@ def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
             f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
     specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
                          lambda i: _check_complement(u[i], ell[i]))
-    out, method = _from_complement_many(p, u, ell)
-    specfun.reject_first(out.status != _OK,
-                         lambda i: f21_from_complement(p, u[i], ell[i]))
-    return EvalResults(out.value, out.err, out.terms, method)
+    return _on_distinct(
+        (u, ell), lambda u, ell: _from_complement_many((p,), u, ell)[0],
+        lambda u, ell: f21_from_complement(p, u, ell))
+
+
+def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
+                ell: np.ndarray) -> list[np.ndarray]:
+    """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, at
+    0 <= lo <= 1/2 with ell = -log(lo) finite, as f21_many and
+    f21_from_complement_many give them: at each distinct (lo, ell) pair,
+    one direct run for all the F(p; lo) and one run per route past 1/2.
+    Raises what the first failing F(p; .) raises, p by p."""
+    first, inverse = specfun._distinct(lo, ell)
+    lo, ell = lo[first], ell[first]
+    below = _direct_many([(p.a, p.b, p.c, lo, 0.0) for p in ps])
+    above = [lanes for lanes, _ in _from_complement_many(ps, lo, ell)]
+    for p, out in zip(ps, below):
+        specfun.reject_first(out.status != _OK, lambda i: f21(p, lo[i]))
+    for p, out in zip(ps, above):
+        specfun.reject_first(out.status != _OK,
+                             lambda i: f21_from_complement(p, lo[i], ell[i]))
+    return [out.value[inverse] for out in below + above]
 
 
 def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
@@ -967,9 +1107,11 @@ def zb_complement_sums_many(a: float, b: float,
     u = specfun.as_points(us)
     specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
                          lambda i: zb_complement_sums(a, b, u[i]))
+    first, inverse = specfun._distinct(u)
+    u = u[first]
     sums, stalled = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
     specfun.reject_first(stalled, lambda i: zb_complement_sums(a, b, u[i]))
-    return sums[5], sums[0]
+    return sums[5][inverse], sums[0][inverse]
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
@@ -978,7 +1120,9 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     x = specfun.as_points(xs)
     specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
                          lambda i: f21_minus_one(a, b, c, x[i]))
+    first, inverse = specfun._distinct(x)
+    x = x[first]
     (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
     specfun.reject_first(stalled | ~np.isfinite(total),
                          lambda i: f21_minus_one(a, b, c, x[i]))
-    return total
+    return total[inverse]

@@ -102,37 +102,26 @@ def _split(s):
     return e / (1.0 + e), 1.0 / (1.0 + e), ell
 
 
-def _f21(p: HypParams, x):
-    """F(p; x).value at a float x, or at every point of an array."""
-    if _is_array(x):
-        return hyp2f1.f21_many(p, x).value
-    return hyp2f1.f21(p, x).value
-
-
-def _at_hi(p: HypParams, lo, ell):
-    """F(p; hi) at hi = 1-lo, from lo and ell = -log(lo), at a float lo
-    or at every point of an array."""
+def _lo_hi(ps, lo, ell) -> list:
+    """F(p; lo) for each p in ps, then F(p; hi) for each, hi = 1-lo
+    reached from lo and ell = -log(lo) by hyp2f1's complement routes: at
+    a float lo, or at every point of an array, where each family's sums
+    for all of ps run together, once per distinct point."""
     if _is_array(lo):
-        return hyp2f1.f21_from_complement_many(p, lo, ell).value
-    return hyp2f1.f21_from_complement(p, lo, ell).value
+        return hyp2f1._lo_hi_many(ps, lo, ell)
+    return ([hyp2f1.f21(p, lo).value for p in ps]
+            + [hyp2f1.f21_from_complement(p, lo, ell).value for p in ps])
 
 
 def _v_pair(pr: ZeroBalancedPair, s):
     """(lo, hi, v(lo), v(hi)) at s = |t|."""
     lo, hi, ell = _split(s)
-    p = pr.params()
-    return lo, hi, _f21(p, lo), _at_hi(p, lo, ell)
-
-
-def _two_pairs(p: HypParams, q: HypParams, lo, ell):
-    """(F(p; lo), F(q; lo), F(p; hi), F(q; hi)), hi = 1-lo reached from
-    lo as in _at_hi."""
-    return _f21(p, lo), _f21(q, lo), _at_hi(p, lo, ell), _at_hi(q, lo, ell)
+    return (lo, hi, *_lo_hi((pr.params(),), lo, ell))
 
 
 def _vw_pair(p: HypParams, lo, ell):
     """(v(lo), w(lo), v(hi), w(hi)) for zero-balanced p, w = F(a,b;c+1;.)."""
-    return _two_pairs(p, HypParams(p.a, p.b, p.c + 1.0), lo, ell)
+    return _lo_hi((p, HypParams(p.a, p.b, p.c + 1.0)), lo, ell)
 
 
 def _complement_sums(pr: ZeroBalancedPair, t):
@@ -273,13 +262,13 @@ def _halves_and_pairs(p: HypParams, x):
     """(lo, hi, v(lo), e(lo), v(hi), e(hi)) with lo, hi as in _halves,
     for v = F(p; .) and e = w = F(a,b;c+1;.) at c = a+b, else e =
     F(a+1,b+1;c+1;.) = v'/(ab/c); hi = 1-lo is reached from lo as in
-    _at_hi, so that 1-x is never formed."""
+    _lo_hi, so that 1-x is never formed."""
     lo, hi = _halves(x)
     ell = -specfun.pointwise(math.log, lo)
     if p.balanced_sign == 0:
         return (lo, hi, *_vw_pair(p, lo, ell))
     q = HypParams(p.a + 1.0, p.b + 1.0, p.c + 1.0)
-    return (lo, hi, *_two_pairs(p, q, lo, ell))
+    return (lo, hi, *_lo_hi((p, q), lo, ell))
 
 
 def n_func(a: float, b: float, c: float, x: float) -> float:

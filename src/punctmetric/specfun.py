@@ -152,6 +152,43 @@ def as_points(xs) -> np.ndarray:
     return arr
 
 
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the points of 1-d float arrays of one length,
+    a point being its values in ``keys``: ``first`` the indices of the
+    distinct points' first occurrences, in the caller's order, and
+    ``inverse`` each point's place in ``first``.  Points are keyed on
+    their bits, so 0.0 and -0.0 stay apart and a repeat gets the bits of
+    its first occurrence."""
+    bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
+    # quicksort by the first key; equal points then sit together unless
+    # equal first keys come with other later keys, which all keys sort
+    order = np.argsort(bits[0])
+    new = _changes(bits, order)
+    if len(bits) > 1 and (new != _changes(bits[:1], order)).any():
+        order = np.lexsort(bits[::-1])
+        new = _changes(bits, order)
+    if new.all():
+        every = np.arange(order.size)
+        return every, every
+    heads = np.minimum.reduceat(order, np.flatnonzero(new))
+    rank = np.argsort(heads)
+    place = np.empty_like(rank)
+    place[rank] = np.arange(rank.size)
+    inverse = np.empty_like(order)
+    inverse[order] = place[np.add.accumulate(new, dtype=np.intp) - 1]
+    return heads[rank], inverse
+
+
+def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Where the keys, taken in ``order``, differ from the point before."""
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for b in bits:
+        s = b[order]
+        new[1:] |= s[1:] != s[:-1]
+    return new
+
+
 def reject_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:
     """Raise what ``scalar(i)`` raises for the first point i flagged bad.
 

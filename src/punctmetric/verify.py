@@ -66,6 +66,10 @@ class GridSpec:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)
                 and self.lo < self.hi):
             raise DomainError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            # linspace would step by inf and sample nan
+            raise DomainError(
+                f"grid width hi - lo overflows a float: [{self.lo}, {self.hi}]")
         if self.count < 3:
             raise DomainError(f"grid needs count >= 3, got {self.count}")
         if self.scale not in ("linear", "log"):

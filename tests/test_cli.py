@@ -113,6 +113,7 @@ def test_closed_reader_gets_no_traceback():
         rc = proc.wait(timeout=60)
     finally:
         proc.kill()
+        proc.stderr.close()
     assert "Traceback" not in err and "Error" not in err, err
     assert rc == 1
 
@@ -326,6 +327,18 @@ def test_bounds_malformed_domain_file_rc1(capsys, tmp_path):
                        "--z", "5,0")
     assert rc == 1
     assert "error" in doc
+
+
+@pytest.mark.parametrize("entry", [
+    True, False, [0.0, True], [False, 1.0],    # JSON true/false are no reals
+    10 ** 400, [0, -10 ** 400],                # integers past the float range
+], ids=["true", "false", "im-true", "re-false", "big-int", "big-im"])
+def test_bounds_bad_domain_entry_rc1(capsys, tmp_path, entry):
+    path = _write_domain(tmp_path, [[0, 0], [2, 0], entry])
+    rc, doc = run_json(capsys, "bounds", "rho", "--domain", path,
+                       "--z", "5,0")
+    assert rc == 1
+    assert "bad domain entry" in doc["error"]["message"]
 
 
 def test_bounds_missing_domain_file_rc1(capsys, tmp_path):

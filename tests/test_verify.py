@@ -174,6 +174,8 @@ def test_gridspec_validation():
         verify.GridSpec(0.0, 1.0, 10, "log")     # log needs lo > 0
     with pytest.raises(DomainError):
         verify.GridSpec(0.0, 1.0, 10, "cubic")
+    with pytest.raises(DomainError):
+        verify.GridSpec(-1e308, 1e308, 3)        # hi - lo overflows
     g = verify.GridSpec(1.0, 4.0, 3, "log")
     assert list(g.points()) == pytest.approx([1.0, 2.0, 4.0])
 
