@@ -65,7 +65,7 @@ def _load_domain(path: str) -> bounds.PuncturedDomain:
         if _is_real(entry):
             pts.append(complex(entry, 0.0))
         elif (isinstance(entry, list) and len(entry) == 2
-              and all(map(_is_real, entry))):
+              and _is_real(entry[0]) and _is_real(entry[1])):
             pts.append(complex(entry[0], entry[1]))
         else:
             raise PunctMetricError(
@@ -73,16 +73,14 @@ def _load_domain(path: str) -> bounds.PuncturedDomain:
     return bounds.PuncturedDomain(pts)
 
 
+# integers from here on round past the largest float
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
 def _is_real(v: object) -> bool:
     """Whether a JSON value is a number that a float holds: JSON true
-    and false are not, nor an integer past the float range."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
+    and false (bools) are not, nor an integer past the float range."""
+    return type(v) is float or (type(v) is int and abs(v) < _FLOAT_LIMIT)
 
 
 # evaluator table: name -> (required flags, optional flags with defaults,

@@ -233,15 +233,18 @@ def _as_float(k: int) -> float:
 @functools.lru_cache(maxsize=MAX_TERMS_LOG + 1)
 def _falling(m: int):
     """f_m(n) = n(n-1)...(n-m+1) and f_m'(n) for n <= MAX_TERMS_LOG, from
-    f_{j+1}(x) = (x-j) f_j(x) in integers, as floats, and as rows (n-1,
-    float(n), f_m(n), f_m'(n), |f_m'(n)|) for n >= 1."""
+    f_{j+1}(x) = (x-j) f_j(x) in integers, as floats, as rows (n-1,
+    float(n), f_m(n), f_m'(n), |f_m'(n)|) for n >= 1, and as a read-only
+    array (f_m, f_m') for the lockstep form."""
     f, fp = [1] * (MAX_TERMS_LOG + 1), [0] * (MAX_TERMS_LOG + 1)
     for j in range(m):
         fp = [(n - j) * d + v for n, (v, d) in enumerate(zip(f, fp))]
         f = [(n - j) * v for n, v in enumerate(f)]
     f, fp = tuple(map(_as_float, f)), tuple(map(_as_float, fp))
+    table = np.array((f, fp))
+    table.flags.writeable = False
     return f, fp, tuple((n - 1, float(n), f[n], fp[n], abs(fp[n]))
-                        for n in range(1, MAX_TERMS_LOG + 1))
+                        for n in range(1, MAX_TERMS_LOG + 1)), table
 
 
 def _zb_sum(a: float, b: float, u: float, ell: float, m: int,
@@ -250,7 +253,7 @@ def _zb_sum(a: float, b: float, u: float, ell: float, m: int,
     n = 0 (from n = 1 if from_one, where the stop rule waits for C - 1
     too): (sum, last term, last T~_n, sum of T~_n, sum of n T~_n, C - 1,
     terms after the first), or None when out of terms."""
-    f, fp, rows = _falling(m)
+    f, fp, rows, _ = _falling(m)
     c_n = u_pow = 1.0
     d_n = specfun.ramanujan_r(a, b)
     total = size = weighted = plain = 0.0
@@ -609,10 +612,11 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # stops where the scalar rule stops it.  A block is a (terms, lanes)
 # array, so that each term's row is contiguous; per-term factors enter
 # as columns.  A lane carries its own point and, where the lanes of one
-# run sum different series of a family, its own parameters: a, b, c of
-# the ratio family as rows, or m of the log family, each lane picking
-# the f_m(n) column of its m (c_n and d_n depend on a, b alone, so a run
-# shares them).  So the sums a caller needs at its points run as one
+# run sum different series of a family, the index of its parameters: a
+# step forms the per-term factors as a column per triple a, b, c of the
+# ratio family, or f_m(n) as a column per m of the log family (c_n and
+# d_n depend on a, b alone, so a run shares them), and each lane takes
+# its own column.  So the sums a caller needs at its points run as one
 # lockstep run per family: both series of the connection formula, the
 # direct hand-overs of every parameter triple, and the m = 0 and m = 1
 # log series of v and w in pqfun.
@@ -662,7 +666,7 @@ class _Lanes:
         self.value = np.zeros(size)
         self.err = np.zeros(size)
         self.terms = np.zeros(size, dtype=np.int64)
-        self.status = np.full(size, _OK, dtype=np.int8)
+        self.status = np.zeros(size, dtype=np.int8)  # _OK
 
     def take(self, at, other: "_Lanes") -> None:
         self.value[at] = other.value
@@ -681,21 +685,6 @@ def _parts(counts: Sequence[int]) -> list[slice]:
     """The lanes of consecutive parts of counts[i] lanes each."""
     ends = np.cumsum(counts).tolist()
     return [slice(end - count, end) for count, end in zip(counts, ends)]
-
-
-def _lane(v, i: int):
-    """Lane i's value of an input given as a float (or int) shared by
-    every lane, or as an array with one value per lane."""
-    return v.flat[i].item() if isinstance(v, np.ndarray) else v
-
-
-def _lane_params(triples: Sequence[tuple], counts: Sequence[int]):
-    """(a, b, c) for lanes laid out as counts[g] lanes of triples[g]:
-    floats where one triple serves every lane, else (1, lanes) rows."""
-    if all(t == triples[0] for t in triples):
-        return triples[0]
-    return tuple(np.repeat(np.array(col), counts)[None]
-                 for col in zip(*triples))
 
 
 def _scan(ufunc: np.ufunc, *parts) -> list[np.ndarray]:
@@ -780,21 +769,26 @@ def _scalar_batch(sum_at, count: int, fields: int):
             np.array([s is None for s in sums], dtype=bool))
 
 
-def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray):
-    """_ratio_sum at every point of xs onto the sums ``total``, a, b and
-    c each a float or a (1, lanes) row, laid out as its result (arrays),
-    and the lanes out of terms."""
+def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
+                pick: Optional[np.ndarray] = None):
+    """_ratio_sum at every point of xs onto the sums ``total``, laid out
+    as its result (arrays), and the lanes out of terms: a, b, c floats,
+    or arrays of which lane i takes entry pick[i]."""
     if xs.size < SCALAR_BELOW:
+        params = ([(a, b, c)] * xs.size if pick is None
+                  else np.column_stack((a, b, c))[pick].tolist())
         return _scalar_batch(lambda i: _ratio_sum(
-            _lane(a, i), _lane(b, i), _lane(c, i), float(xs[i]),
-            float(total[i])), xs.size, 5)
+            *params[i], float(xs[i]), float(total[i])), xs.size, 5)
 
     def step(n, k, fixed, state):
-        x, a, b, c = fixed
+        x, pick = fixed
         term, total, weighted, comp, _ = state
         # term n+j takes factor j, and its stop test the ratio factor j+1
         m = np.arange(n, n + k + 1.0)[:, None]  # a + m rounds as a + n
-        mult = (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x
+        mult = (a + m) * (b + m) / ((c + m) * (m + 1.0))
+        if pick is not None:  # a column per parameter triple
+            mult = mult.take(pick[0], axis=1)
+        mult = mult * x
         (terms,) = _scan(np.multiply, (term, mult[:k]))
         sizes = np.abs(terms)
         sums, weights = _scan(np.add, (total, terms),
@@ -810,8 +804,8 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray):
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed, stalled = _lockstep(
-        step, (xs[None], a, b, c), (ones, total, zeros, zeros, ones),
-        MAX_TERMS_DIRECT)
+        step, (xs[None], None if pick is None else pick[None]),
+        (ones, total, zeros, zeros, ones), MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
         return (total + comp, term, r, weighted, summed), stalled
 
@@ -823,8 +817,12 @@ def _direct_many(jobs: Sequence[tuple]) -> list[_Lanes]:
     counts = [j[3].size for j in jobs]
     xs = np.concatenate([j[3] for j in jobs])
     x_err = np.concatenate([np.zeros(j[3].size) + j[4] for j in jobs])
+    params, pick = jobs[0][:3], None
+    if any(j[:3] != params for j in jobs):
+        params = np.array([j[:3] for j in jobs]).T
+        pick = np.repeat(np.arange(len(jobs)), counts)
     (total, term, r, weighted, summed), stalled = _ratio_many(
-        *_lane_params([j[:3] for j in jobs], counts), xs, np.ones(xs.size))
+        *params, xs, np.ones(xs.size), pick)
     out = _Lanes(xs.size)
     out.value = total
     with np.errstate(all="ignore"):
@@ -841,7 +839,8 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
     as its result (arrays), and the lanes out of terms."""
     if u.size < SCALAR_BELOW:
         return _scalar_batch(lambda i: _zb_sum(
-            a, b, float(u[i]), float(ell[i]), _lane(m, i), from_one),
+            a, b, float(u[i]), float(ell[i]),
+            int(m[i]) if isinstance(m, np.ndarray) else m, from_one),
             u.size, 7)
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
     # columns; f_m and f_m' a column per m, picked per lane where m is
@@ -856,8 +855,7 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
     j += 1.0
     kinds, pick = (np.unique(m, return_inverse=True)
                    if isinstance(m, np.ndarray) else ([m], None))
-    f_all, fp_all = np.array(
-        [_falling(int(k))[:2] for k in kinds]).transpose(1, 2, 0)
+    f_all, fp_all = np.stack([_falling(int(k))[3] for k in kinds], axis=-1)
     m_max = int(max(kinds))
     if pick is None:
         f_0, fp_0 = f_all[0, 0], fp_all[0, 0]

@@ -156,9 +156,10 @@ def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for the points of 1-d float arrays of one length,
     a point being its values in ``keys``: ``first`` the indices of the
     distinct points' first occurrences, in the caller's order, and
-    ``inverse`` each point's place in ``first``.  Points are keyed on
-    their bits, so 0.0 and -0.0 stay apart and a repeat gets the bits of
-    its first occurrence."""
+    ``inverse`` each point's place in ``first``; both are slice(None)
+    where no point repeats.  Points are keyed on their bits, so 0.0 and
+    -0.0 stay apart and a repeat gets the bits of its first
+    occurrence."""
     bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
     # quicksort by the first key; equal points then sit together unless
     # equal first keys come with other later keys, which all keys sort
@@ -168,8 +169,7 @@ def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort(bits[::-1])
         new = _changes(bits, order)
     if new.all():
-        every = np.arange(order.size)
-        return every, every
+        return slice(None), slice(None)
     heads = np.minimum.reduceat(order, np.flatnonzero(new))
     rank = np.argsort(heads)
     place = np.empty_like(rank)

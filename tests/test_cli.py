@@ -332,13 +332,24 @@ def test_bounds_malformed_domain_file_rc1(capsys, tmp_path):
 @pytest.mark.parametrize("entry", [
     True, False, [0.0, True], [False, 1.0],    # JSON true/false are no reals
     10 ** 400, [0, -10 ** 400],                # integers past the float range
-], ids=["true", "false", "im-true", "re-false", "big-int", "big-im"])
+    2 ** 1024 - 2 ** 970,                      # the first to round to inf
+], ids=["true", "false", "im-true", "re-false", "big-int", "big-im",
+        "rounds-to-inf"])
 def test_bounds_bad_domain_entry_rc1(capsys, tmp_path, entry):
     path = _write_domain(tmp_path, [[0, 0], [2, 0], entry])
     rc, doc = run_json(capsys, "bounds", "rho", "--domain", path,
                        "--z", "5,0")
     assert rc == 1
     assert "bad domain entry" in doc["error"]["message"]
+
+
+def test_bounds_domain_entries_at_the_float_range(capsys, tmp_path):
+    # the largest integer that rounds to a finite float is a puncture
+    big = 2 ** 1024 - 2 ** 970 - 1
+    path = _write_domain(tmp_path, [[0, 0], [2, 0], [0, big], -big])
+    rc, doc = run_json(capsys, "bounds", "rho", "--domain", path,
+                       "--z", "5,0")
+    assert rc == 0 and "lower" in doc
 
 
 def test_bounds_missing_domain_file_rc1(capsys, tmp_path):
