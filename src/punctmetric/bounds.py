@@ -13,9 +13,12 @@ Two families of certified estimates:
 
 The upper end of ``rho_bounds`` searches the pairwise puncture
 distances as numpy arrays, a chunk of at most ``_BLOCK`` at a time,
-nearest to z first, and drops each puncture once the distances it has
-met bound its 4 m d below the best found, so it visits a fraction of
-the N(N-1) pairs (typically 3-11% at N = 1000) and holds one chunk of
+nearest to z first.  It prunes on squared distances, a tenth of the
+cost of a hypot, and drops each puncture once the squares it has met
+bound its 4 m d below the best found; only the punctures that can
+decide the bound get exact distances, a scan of their row each.  So
+at N = 1000 it squares a fraction of the N(N-1) pairs (typically
+2-10%) and takes a hypot of fewer (0.2-3%), and it holds one chunk of
 scratch memory.  Both queries find the lower end by walking the
 punctures outward from z until no farther one can raise it, so each
 makes a few scalar ``h`` calls, not N; ``sigma_lower`` needs nothing
@@ -91,14 +94,6 @@ class PuncturedDomain:
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_y", y)
-
-    def _check_interior(self, z: complex) -> complex:
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise DomainError(f"z must be finite, got {z!r}")
-        if z in self.punctures:
-            raise DomainError(f"z = {z!r} is a puncture of the domain")
-        return z
 
 
 class RingBoundParams(NamedTuple):
@@ -259,8 +254,9 @@ def baseline_bounds(c: float) -> BaselineBounds:
     )
 
 
-# A chunk of the neighbour search holds at most this many distances (one
-# column, if more rows are live), so a query's scratch memory stays small.
+# A chunk of the neighbour search holds at most this many cells (one
+# column, or one row of an exact scan, where that is longer), so a
+# query's scratch memory stays small.
 _BLOCK = 8192
 
 
@@ -293,23 +289,40 @@ def _upper_candidate(d: float, m: float, hi: float) -> float:
     return q if q < math.inf and hi != math.inf else 0.0
 
 
-# A row leaves the search once its bound 4 (mb + _GAP_SLACK) d is below
-# the best exact 4 m d, mb = log(min(d/lo', hi'/d)) over the bracket
-# lo' <= lo, hi' >= hi of the distances it has met.  Exactly, mb >= m;
-# in floats m = _log_gap(d, lo, hi) exceeds its exact value by at most
+# A row leaves the search once its bound 4 (log(p)/2 + _GAP_SLACK) d is
+# below the best exact 4 m d, where p is the smallest max(s/d^2, d^2/s)
+# over the cells the row has met and s = dx^2 + dy^2 the square of
+# their distance r = |b-a|.  That max is e^|log s - log d^2|, so
+# exactly log(p)/2 is the smallest |log r - log d| over the r met, and
+# m is the smallest over every r: log(p)/2 >= m.  In floats
+# m = _log_gap(d, lo, hi) exceeds its exact value (of the hypot values
+# d, lo, hi) by at most
 #   - an ulp of each of its two math.logs, whose values are below 745
 #     in magnitude (the logs of the positive floats), and half an ulp
 #     of their difference, below 1490: 3 * 2^-43 ~ 3.4e-13;
-# and mb falls below its exact value by at most
-#   - eps/2 from the rounding of the quotient, ~1.1e-16, and 4 ulps
-#     (numpy's log measures within one) of a log below 1490:
-#     4 * 2^-42 ~ 9.1e-13.
-# Adding the slack rounds by at most 2^-43 more, so fl(mb + slack) >= m
-# while the slack exceeds ~1.4e-12; it is seven times that.  The bound
-# then multiplies in the order of q = 4 m d, which rounds monotonically,
-# so it is never below the q of the row's full bracket: a dropped row
-# cannot hold the largest q.
+# and log(p)/2 falls below its exact value by at most
+#   - half the log of 1 + 4 eps, ~4.5e-16: dx^2, dy^2 and their sum
+#     round by eps/2 each, and libm's hypot gets r within an ulp, so s
+#     is within 3 eps of r^2; d^2 and the quotient (the one of s/d^2
+#     and d^2/s that is >= 1) round by eps/2 each;
+#   - half of 4 ulps (numpy's log measures within one) of a log below
+#     log(2^1984) ~ 1375: 2 * 2^-42 ~ 4.6e-13.
+# Adding the slack rounds by at most 2^-44 more, as log(p)/2 < 688, so
+# fl(log(p)/2 + slack) >= m while the slack exceeds ~8.1e-13; it is
+# twelve times that.  The bound then multiplies in the order of
+# q = 4 m d, which rounds monotonically, so it is never below the q of
+# the row's full bracket: a dropped row cannot hold the largest q.
+#
+# These errors hold while the squares are normal floats.  A cell whose
+# s is below _TINY is set to NaN, so it gives no information: that
+# covers a's own cell (s = 0) and every s that lost its relative
+# accuracy to underflow (an underflowed square is within 2^-1075 of its
+# exact value, below 2^-115 of an s >= _TINY).  A row whose d^2 is below
+# _TINY gets NaN cells only, so it is never dropped.  An s or d^2 that
+# overflows makes p = inf, no information either, and p < 2^1984 where
+# it is finite.
 _GAP_SLACK = 1e-11
+_TINY = 2.0 ** -960
 
 
 def _neighbours(x: np.ndarray, y: np.ndarray,
@@ -325,48 +338,48 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     the largest 4 m d is among them.
 
     Up to one chunk the whole matrix is searched.  Past it the columns
-    are visited nearest to z first, since |b-a| is near d_a for b near
-    z, a chunk of at most ``_BLOCK`` distances over the rows still live
-    at a time.  After each chunk the live row of the largest bound, from
-    the bracket so far, is completed by a scan of its row, which raises
-    the best exact 4 m d, and every row whose bound is below that best
-    drops out (see ``_GAP_SLACK``).
+    are visited in index order, a chunk of at most ``_BLOCK`` squared
+    distances over the rows still live at a time; callers pass the
+    punctures nearest to z first (``_nearest_first``), since |b-a| is
+    near d_a for b near z.  After each chunk the live row of the largest bound, from the
+    squares so far, is completed by an exact scan of its row, which
+    raises the best exact 4 m d, and every row whose bound is below
+    that best drops out (see ``_GAP_SLACK``).  The rows still live
+    after the last column get exact scans too, as many at a time as
+    ``_BLOCK`` distances hold.
     """
     n = len(x)
     if n * n <= _BLOCK:
         r = np.hypot(x - x[:, None], y - y[:, None])
         r.flat[::n + 1] = np.nan
         return (*_bracket(r, d[:, None], axis=1), np.arange(n))
-    order = np.argsort(d)
-    cx, cy = x[order], y[order]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
     below = np.full(n, np.nan)
     above = np.full(n, np.nan)
-    live = np.arange(n)
+    d2 = d * d
+    d2[d2 < _TINY] = np.nan
+    # per live row: its coordinates, d, d^2 and the smallest
+    # max(s/d^2, d^2/s) so far
+    live, xl, yl, dl, d2l = np.arange(n), x, y, d, d2
+    p = np.full(n, np.inf)
     done = []
     best = 0.0
     c = 0
-    while live.size:
+    while live.size and c < n:
         # the first chunks are narrow, so that rows can drop out before
         # most columns are visited; past them a chunk at most doubles the
         # columns visited
         k = max(1, min(_BLOCK // live.size, c + 16))
         # a column of the chunk per visited puncture, live rows along
         # its length: numpy's loops then run over the long axis
-        r = np.hypot(x[live] - cx[c:c + k, None], y[live] - cy[c:c + k, None])
-        # a is not its own neighbour
-        own = rank[live] - c
-        at = np.flatnonzero((0 <= own) & (own < k))
-        r[own[at], at] = np.nan
-        dl = d[live]
-        lo, hi = _bracket(r, dl, axis=0)
-        lo = below[live] = np.fmax(below[live], lo)
-        hi = above[live] = np.fmin(above[live], hi)
+        dx = xl - x[c:c + k, None]
+        dy = yl - y[c:c + k, None]
+        s = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        s[s < _TINY] = np.nan
+        np.divide(d2l, s, out=dy)
+        np.fmax(np.divide(s, d2l, out=s), dy, out=s)
+        p = np.fmin(p, np.fmin.reduce(s, axis=0))
         c += k
-        if c >= n:
-            break
-        bound = 4.0 * (np.log(np.fmin(dl / lo, hi / dl)) + _GAP_SLACK) * dl
+        bound = 4.0 * (0.5 * np.log(p) + _GAP_SLACK) * dl
         j = int(np.argmax(bound))
         a = int(live[j])
         da = float(d[a])
@@ -375,7 +388,14 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
         done.append(a)
         keep = ~(bound < best)
         keep[j] = False
-        live = live[keep]
+        live, xl, yl, dl, d2l, p = (v[keep]
+                                    for v in (live, xl, yl, dl, d2l, p))
+    step = max(1, _BLOCK // n)
+    for i in range(0, live.size, step):
+        rows = live[i:i + step]
+        r = np.hypot(x - x[rows, None], y - y[rows, None])
+        r[np.arange(rows.size), rows] = np.nan
+        below[rows], above[rows] = _bracket(r, d[rows, None], axis=1)
     return below, above, np.concatenate((np.array(done, dtype=np.intp), live))
 
 
@@ -404,27 +424,27 @@ _EVAL_SLACK = 4e-15
 _H_CEILING = metric.h(0.0) * (1.0 + 1e-12)
 
 
-def _lower_end(d: np.ndarray, gap) -> float:
+def _lower_end(walk, gap) -> float:
     """max over punctures a of h(m_a)/d_a, with m_a = gap(a), lowered by
     the evaluation slack.
 
-    The punctures are visited in increasing d, and the walk stops at the
-    first whose ceiling _H_CEILING/d is below the best value so far: no
+    walk yields the pairs (a, d_a) in increasing d_a (see
+    ``_nearest_first``), and stops being read at the first puncture
+    whose ceiling _H_CEILING/d is below the best value so far: no
     later one can beat it, as division rounds monotonically.  So only
     the one or few punctures that decide the answer pay for gap and h,
     and the result is that of the full max to the bit.  No puncture is
     skipped that could raise: h does not, for m in [0, T_CAP].
     """
-    dl = d.tolist()
     best = 0.0
-    for a in sorted(range(len(dl)), key=dl.__getitem__):
-        if _H_CEILING / dl[a] < best:
+    for a, d in walk:
+        if _H_CEILING / d < best:
             break
         m = gap(a)
         # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
         # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
         hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
-        best = max(best, hm / dl[a])
+        best = max(best, hm / d)
     # within ~1e-309 of a puncture h(m)/d overflows, but the density is
     # finite: the largest float is still below it
     return min(best, sys.float_info.max) * (1.0 - _EVAL_SLACK)
@@ -435,6 +455,42 @@ def _coordinates(dom: PuncturedDomain,
     """The punctures' coordinates x, y and their distances |z-a|, inf
     where one overflows (under np.errstate(over="ignore"))."""
     return dom._x, dom._y, np.hypot(z.real - dom._x, z.imag - dom._y)
+
+
+# From this many punctures on, numpy's argsort orders them by distance
+# faster than sorted() on a list.  It is below the N = 91 where the
+# search needs more than one chunk at the default _BLOCK, so the search
+# always gets its columns nearest to z first.
+_ARGSORT_FROM = 64
+
+
+def _nearest_first(dom: PuncturedDomain, z: complex):
+    """``_coordinates`` of z, and the walk for ``_lower_end``: a
+    one-pass iterator of (a, d_a) by increasing d_a, whose floats are
+    made as it is read.  From ``_ARGSORT_FROM`` punctures on, x, y and
+    d come permuted into that order.
+
+    Raises DomainError where z is not finite or is a puncture.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+    x, y, d = _coordinates(dom, z)
+    if len(d) < _ARGSORT_FROM:
+        dl = d.tolist()
+        order = sorted(range(len(dl)), key=dl.__getitem__)
+        walk = zip(order, map(dl.__getitem__, order))
+        nearest = dl[order[0]]
+    else:
+        order = np.argsort(d)
+        x, y, d = x[order], y[order], d[order]
+        walk = enumerate(map(float, d))
+        nearest = d[0]
+    # the difference of two distinct floats is never 0, so the nearest
+    # distance is 0 exactly where z is a puncture
+    if nearest == 0.0:
+        raise DomainError(f"z = {z!r} is a puncture of the domain")
+    return x, y, d, walk
 
 
 def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
@@ -452,35 +508,37 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     one with the largest |b-a| <= d and the one with the smallest
     |b-a| >= d, and only they go through ``math.log``.  The upper end
     needs the largest 4 m d only.  Its search (``_neighbours``) visits
-    the pairs nearest to z first and drops each puncture once the pairs
-    seen so far bound its 4 m d below the best one found; every pair it
-    visits gets an exact hypot, and the punctures that could hold the
-    largest 4 m d are searched in full, so the result is that of a hypot
-    for every pair to the bit.  Up to N = 90 one chunk holds all pairs.
+    the pairs nearest to z first, as squared distances, and drops each
+    puncture once the squares seen so far bound its 4 m d below the best
+    one found, by a slack that covers their rounding.  The punctures
+    that could hold the largest 4 m d are searched in full with exact
+    hypots, so the result is that of a hypot for every pair to the bit.
+    Up to N = 90 one chunk holds all pairs, each an exact hypot.
     The lower end walks the punctures outward from z, as
     ``sigma_lower`` does, and stops once no farther one can raise it,
     so ``metric.h`` runs on typically one to three of them; each takes
     its m from the search where that searched it in full, else from a
     scan of its row.
 
-    The search visits typically 3-11% of the N(N-1) ordered pairs at
-    N = 1000, and holds one chunk of scratch memory.  A query takes
-    about 0.02 ms at N = 10, 0.07-0.35 ms at N = 100 and 0.2-3.4 ms
-    at N = 1000, 0.7-1.6 ms in the median by layout.  Where no
-    puncture can be dropped, as on 1000 punctures on a circle about z,
-    it visits every pair and takes about 15 ms (Python 3.11, numpy
-    2.4, one Xeon core).
+    At N = 1000 the search squares typically 2-10% of the N(N-1)
+    ordered pairs and takes an exact hypot of 0.2-3% of them, and it
+    holds one chunk of scratch memory.  On a shared 2-vCPU Xeon VM
+    (Python 3.11, numpy 2.4) a query takes about 0.06 ms at N = 10,
+    0.08-1.6 ms at N = 100 (0.14-0.32 ms in the median by layout) and
+    0.2-4.5 ms at N = 1000 (0.65-1.4 ms in the median by layout).
+    Where no puncture can be dropped, as on 1000 punctures on a circle
+    about z, it squares every pair and then scans every row, about
+    50 ms there.
     """
-    z = dom._check_interior(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, dists = _coordinates(dom, z)
+        x, y, dists, walk = _nearest_first(dom, z)
         below, above, exact = _neighbours(x, y, dists)
         d, lo, hi = (dists[exact].tolist(), below[exact].tolist(),
                      above[exact].tolist())
         m = list(map(_log_gap, d, lo, hi))
         q = max(map(_upper_candidate, d, m, hi), default=0.0)
         gaps = dict(zip(exact.tolist(), m))
-        lower = _lower_end(dists, lambda a: gaps[a] if a in gaps
+        lower = _lower_end(walk, lambda a: gaps[a] if a in gaps
                            else _row_gap(x, y, dists, a))
     # pi/q is monotone in q: this is the smallest pi/(4 m d)
     return RhoBounds(lower, math.pi / q * (1.0 + _EVAL_SLACK)
@@ -507,7 +565,6 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     plus O(N) array work and one ``metric.h`` call for each visited
     puncture, typically one to three.
     """
-    z = dom._check_interior(z)
     with np.errstate(over="ignore"):
-        x, y, dists = _coordinates(dom, z)
-        return _lower_end(dists, functools.partial(_row_gap, x, y, dists))
+        x, y, dists, walk = _nearest_first(dom, z)
+        return _lower_end(walk, functools.partial(_row_gap, x, y, dists))

@@ -9,6 +9,7 @@ not against the oracle.
 import cmath
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -245,6 +246,24 @@ def test_rho_rejects_punctures():
         bounds.sigma_lower(dom, 0.0)
     with pytest.raises(DomainError):
         bounds.rho_bounds(dom, complex(math.nan, 0.0))
+
+
+@pytest.mark.parametrize("n", (3, 100))
+def test_rho_and_sigma_reject_exactly_the_punctures(n):
+    # a distance is 0 exactly where z is a puncture: -0.0 parts compare
+    # equal to 0.0, and a subnormal ulp away is a point of the domain
+    dom = bounds.PuncturedDomain([0.0, 1.0, 1e-300j]
+                                 + [complex(k, 2.0) for k in range(n - 3)])
+    for query in (bounds.rho_bounds, bounds.sigma_lower):
+        for z in (complex(-0.0, -0.0), complex(1.0, -0.0),
+                  complex(-0.0, 1e-300)):
+            with pytest.raises(DomainError, match="is a puncture"):
+                query(dom, z)
+        with pytest.raises(DomainError, match="must be finite"):
+            query(dom, complex(math.inf, 0.0))
+    for z in (5e-324, complex(5e-324, 1e-300), complex(-0.0, 2e-300)):
+        assert 0.0 < bounds.sigma_lower(dom, z) == bounds.rho_bounds(
+            dom, z).lower
 
 
 def test_sigma_lower_two_punctures_is_exact():
@@ -659,6 +678,111 @@ _GRID = [complex(k % 10 + 0.01 * k, k // 10) for k in range(100)]
 def test_rho_falls_back_where_squares_leave_the_normal_floats(pts, z):
     # no search may square a distance here
     _assert_matches_pair_loop(pts, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("uniform", "clustered", "geometric")),
+       st.integers(91, 110), st.integers(470, 560), st.booleans(),
+       st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((7, 256, 2048)))
+def test_rho_extreme_scales_match_the_pair_loop(layout, n, k, up, spread,
+                                                seed, block):
+    # N > 90 domains at 2^+-(470..560), where the squares of the
+    # distances are subnormal, underflow or overflow, some of them or
+    # all; a third of the punctures moved 2^spread outward mixes scales
+    rng = np.random.default_rng(seed)
+    e = k if up else -k
+    pts = [p * 2.0 ** (e + spread * int(f))
+           for p, f in zip(_layout(layout, n, rng), rng.random(n) < 0.3)]
+    j = int(rng.integers(n))
+    w = complex(*rng.standard_normal(2)) * 10.0 ** -int(rng.integers(0, 4))
+    z = pts[j] + w * abs(pts[j] or 2.0 ** e)
+    pts = list(dict.fromkeys(pts))
+    assume(z not in pts)
+    _assert_matches_pair_loop(pts, z, block)
+
+
+_TINY_CLUSTERS = (
+    ([complex(3.3265127476199437e-163, 6.260469968897056e-162),
+      complex(3.740064285372495e-163, 9.880217334236311e-163),
+      complex(4.517342522721827e-162, 3.1677726331158717e-162)],
+     complex(4.9899786255300355e-143, -5.152682050705037e-144), 7),
+    ([complex(2.2227587494850775e-162, 0.0),
+      complex(5.902702263412236e-163, 5.9767529775013485e-164),
+      complex(2.5042255301510005e-163, 9.793899142114798e-163),
+      complex(3.265965580689502e-163, 4.428566931190387e-163)],
+     complex(-2.5337634698202107e-142, 1.9183035095004775e-142), 1),
+)
+
+
+@pytest.mark.parametrize("pts, z, block", _TINY_CLUSTERS)
+def test_rho_tiny_clusters_in_small_blocks(pts, z, block):
+    # punctures within ~2^-535 of each other, so the squares of their
+    # distances are subnormal and round by up to half their size, and z
+    # ~2^-470 away, where d^2 is normal: a search that took those
+    # squares at face value drops the row that holds the largest 4 m d
+    _assert_matches_pair_loop(pts, z, block)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.builds(complex, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=2, max_size=6, unique=True),
+       st.floats(470.0, 480.0), st.floats(0.0, 2.0 * math.pi),
+       _small_blocks)
+def test_rho_tiny_clusters_match_the_pair_loop(units, depth, turn, block):
+    pts = list(dict.fromkeys(u * 2.0 ** -536 for u in units))
+    assume(len(pts) >= 2)
+    _assert_matches_pair_loop(pts, cmath.rect(2.0 ** -depth, turn), block)
+
+
+@pytest.mark.parametrize("layout", ("uniform", "clustered", "geometric"))
+def test_rho_takes_hypot_of_the_rows_it_completes_only(layout):
+    # the search prunes on squares: besides the N distances to z, every
+    # np.hypot it takes is of a row it returns as exact
+    rng = np.random.default_rng(20261018)
+    pts = _layout(layout, 1000, rng)
+    dom = bounds.PuncturedDomain(pts)
+    hypot = np.hypot
+    for z in (pts[7] + 1e-3, 0.3 - 0.2j, pts[500] * (1.0 + 1e-9j)):
+        cells = []
+
+        def counted(*args):
+            r = hypot(*args)
+            cells.append(r.size)
+            return r
+
+        with mock.patch.object(np, "hypot", counted), \
+                np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x, y, d, _ = bounds._nearest_first(dom, z)
+            exact = bounds._neighbours(x, y, d)[2]
+        assert sum(cells) <= len(pts) * (1 + exact.size)
+
+
+def test_rho_search_without_a_drop_stays_in_its_chunks():
+    # on 1000 punctures on a circle about z no row drops out, so every
+    # row gets an exact scan: those come _BLOCK distances at a time, and
+    # the search's scratch memory stays within a few chunks
+    dom = bounds.PuncturedDomain(_polygon(1000, 0.25 + 0.5j, 3.0))
+    hypot = np.hypot
+    sizes = []
+
+    def recorded(*args):
+        r = hypot(*args)
+        sizes.append(r.size)
+        return r
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, y, d, _ = bounds._nearest_first(dom, 0.25 + 0.5j)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(np, "hypot", recorded):
+                exact = bounds._neighbours(x, y, d)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert exact.size == 1000
+    assert max(sizes) <= bounds._BLOCK
+    assert peak < 8 * (10 * bounds._BLOCK + 32 * len(d))
 
 
 def test_h_stays_below_the_walk_ceiling():

@@ -31,6 +31,9 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    # pyproject's filterwarnings does not reach a child interpreter, so
+    # a numpy RuntimeWarning a demo leaks is made an error here
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

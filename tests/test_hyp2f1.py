@@ -446,9 +446,10 @@ def test_integer_s_against_mpmath(m):
     # for m < 0; each call within its estimate and quick
     for a, b, c, x in _integer_s_cases(m):
         p = HypParams(a, b, c)
-        start = time.perf_counter()
         r = f21(p, x)
-        assert time.perf_counter() - start < 0.01
+        # the best of three calls, so that a loaded host alone cannot
+        # fail it
+        assert min(_seconds(lambda: f21(p, x)) for _ in range(3)) < 0.01
         assert abs(r.value - _mp_f21(a, b, c, x)) <= r.abs_err_estimate
         if x > 0.5:
             assert r.method == "zb_log_series"
