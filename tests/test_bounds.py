@@ -356,11 +356,12 @@ def test_rho_lower_regression_matches_oracle_route():
     assert bounds.rho_bounds(dom, z).lower == pytest.approx(best, rel=1e-14)
 
 
-# -- the array search against the pair loop it replaced ---------------------
+# -- both routes against the pair loop they replaced ------------------------
 
 def _pair_loop_rho_bounds(dom, z):
     """rho_bounds as the O(N^2) scalar loop over ordered pairs: the
-    reference the block search must reproduce bit for bit."""
+    reference the list route and the block search must reproduce bit
+    for bit."""
     lower, upper = 0.0, math.inf
     for a in dom.punctures:
         d = abs(z - a)
@@ -380,13 +381,20 @@ def _pair_loop_rho_bounds(dom, z):
     return bounds.RhoBounds(lower, upper)
 
 
+# Both routes of the queries: 0 sends every domain to the arrays, the
+# default sends the small ones to the lists.
+_ROUTES = (0, bounds._LISTS_BELOW)
+
+
 def _assert_matches_pair_loop(pts, z, block=bounds._BLOCK):
     dom = bounds.PuncturedDomain(pts)
-    with mock.patch.object(bounds, "_BLOCK", block):
-        got = bounds.rho_bounds(dom, z)
     want = _pair_loop_rho_bounds(dom, complex(z))
-    assert got == want
-    assert bounds.sigma_lower(dom, z) == want.lower
+    for lists_below in _ROUTES:
+        with mock.patch.object(bounds, "_BLOCK", block), \
+                mock.patch.object(bounds, "_LISTS_BELOW", lists_below):
+            got = bounds.rho_bounds(dom, z)
+            assert got == want
+            assert bounds.sigma_lower(dom, z) == want.lower
     return got
 
 
@@ -467,7 +475,8 @@ def test_rho_default_blocks_match_the_pair_loop():
 # Past one chunk, _neighbours drops the rows whose bracket so far bounds
 # their 4 m d below the best, and completes one row by a full scan after
 # each chunk.  Chunks of one and seven distances send even two- and
-# three-puncture domains through it.
+# three-puncture domains through it, on the array route that
+# _assert_matches_pair_loop runs next to the list route.
 
 _small_blocks = st.sampled_from((1, 7))
 
@@ -532,11 +541,16 @@ def test_rho_overflowing_distances_in_small_blocks(pts, z, block):
     # the pair loop has no rule for an overflowed |b-a| (its upper end
     # takes pi/(4 m d) from it) and abs() raises where a modulus of
     # finite components overflows, so the reference is the one-block
-    # search, and the pair loop's lower end where it runs
+    # array search, which the list route and the small blocks must
+    # match, and the pair loop's lower end where it runs
     dom = bounds.PuncturedDomain(pts)
-    want = bounds.rho_bounds(dom, z)
-    with mock.patch.object(bounds, "_BLOCK", block):
-        assert bounds.rho_bounds(dom, z) == want
+    with mock.patch.object(bounds, "_LISTS_BELOW", 0):
+        want = bounds.rho_bounds(dom, z)
+    for lists_below in _ROUTES:
+        with mock.patch.object(bounds, "_BLOCK", block), \
+                mock.patch.object(bounds, "_LISTS_BELOW", lists_below):
+            assert bounds.rho_bounds(dom, z) == want
+            assert bounds.sigma_lower(dom, z) == want.lower
     try:
         assert want.lower == _pair_loop_rho_bounds(dom, complex(z)).lower
     except OverflowError:
@@ -805,3 +819,101 @@ def test_sigma_visits_only_the_punctures_it_needs():
                 mock.patch.object(metric, "h", wraps=metric.h) as h:
             assert bounds.sigma_lower(dom, z) == want
         assert 1 <= h.call_count < len(_SPREAD)
+
+
+# -- the list route ---------------------------------------------------------
+
+def _mixed_scales(rng, n):
+    """n floats of both signs, their exponents drawn from the whole range,
+    the subnormals, the top of the range, the squares' edges and near 1,
+    with some zeros."""
+    ranges = np.array([[-1074, 1023], [-1074, -1000], [1010, 1023],
+                       [-540, -500], [500, 530], [-30, 30]])
+    pick = ranges[rng.integers(0, len(ranges), n)]
+    v = np.ldexp(rng.uniform(1.0, 2.0, n) * rng.choice((-1.0, 1.0), n),
+                 rng.integers(pick[:, 0], pick[:, 1] + 1))
+    v[rng.random(n) < 0.02] = 0.0
+    return v
+
+
+def test_abs_is_numpys_hypot_to_the_bit():
+    # both routes rest on abs(complex) calling the libm hypot that
+    # np.hypot calls; bounds._abs turns its OverflowError into inf
+    rng = np.random.default_rng(20261018)
+    x, y = _mixed_scales(rng, 20000), _mixed_scales(rng, 20000)
+    with np.errstate(over="ignore"):
+        want = np.hypot(x, y)
+    got = np.array([bounds._abs(complex(a, b))
+                    for a, b in zip(x.tolist(), y.tolist())])
+    assert np.isinf(want).any() and (want < sys.float_info.min).any()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # and the route's distances |b - a|, where a difference or its
+    # modulus overflows
+    pts = list(map(complex, x.tolist(), y.tolist()))
+    for a in pts[:20]:
+        with np.errstate(over="ignore"):
+            want = np.hypot(x - a.real, y - a.imag)
+        got = np.array(bounds._distances(a, pts))
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+
+# -- the lower walk's batched row scans -------------------------------------
+
+def _hypot_sizes():
+    """A stand-in for np.hypot, and the list of its results' sizes."""
+    hypot = np.hypot
+    sizes = []
+
+    def recorded(*args):
+        r = hypot(*args)
+        sizes.append(r.size)
+        return r
+
+    return recorded, sizes
+
+
+def test_sigma_scans_a_long_walk_in_batches():
+    # on 1000 punctures on a circle about z the walk visits every one:
+    # their rows come in batches of up to _BLOCK distances, each row
+    # once, and the lower end keeps the bits it has where rho_bounds'
+    # search returns every row exact
+    dom = bounds.PuncturedDomain(_polygon(1000, 0.25 + 0.5j, 3.0))
+    z = 0.25 + 0.5j
+    recorded, sizes = _hypot_sizes()
+    with mock.patch.object(np, "hypot", recorded):
+        got = bounds.sigma_lower(dom, z)
+    assert got == bounds.rho_bounds(dom, z).lower
+    assert max(sizes) <= bounds._BLOCK
+    assert sum(sizes) == 1000 + 1000 * 1000
+    assert len(sizes) < 1000 // (bounds._BLOCK // 1000) + 10
+
+
+@pytest.mark.parametrize("query", (bounds.rho_bounds, bounds.sigma_lower))
+def test_lower_walk_scans_at_most_twice_the_rows_it_visits(query):
+    # z a little outside a cluster of 50 punctures, whose distances to
+    # it are near-equal: the walk visits many of them, and a query whose
+    # walk scans rows scans no more than twice those it visits, in fewer
+    # numpy calls where the walk is long
+    rng = np.random.default_rng(20261018)
+    pts = _layout("clustered", 100, rng)
+    dom = bounds.PuncturedDomain(pts)
+    long_walks = 0
+    for k in range(0, 100, 7):
+        z = pts[k] + 0.2 * cmath.exp(1j * k)
+        _assert_matches_pair_loop(pts, z)
+        recorded, sizes = _hypot_sizes()
+        with mock.patch.object(bounds, "_rows_bracket",
+                               wraps=bounds._rows_bracket) as batches, \
+                mock.patch.object(bounds, "_row_bracket",
+                                  wraps=bounds._row_bracket) as singles, \
+                mock.patch.object(metric, "h", wraps=metric.h) as h:
+            query(dom, z)
+        if query is bounds.sigma_lower:
+            rows = (singles.call_count
+                    + sum(c.args[3].size for c in batches.call_args_list))
+            assert rows <= 2 * h.call_count
+        if h.call_count >= 8:
+            long_walks += 1
+            assert singles.call_count + batches.call_count < h.call_count
+    assert long_walks
