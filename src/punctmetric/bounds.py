@@ -40,7 +40,6 @@ err on the safe side.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -50,7 +49,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import metric
+from . import metric, specfun
 from .errors import DomainError
 
 __all__ = [
@@ -67,10 +66,14 @@ __all__ = [
 ]
 
 
-def _check_finite(pts: Sequence[complex]) -> None:
+def _check_distinct(pts: Sequence[complex]) -> None:
+    first: dict[complex, int] = {}
     for j, p in enumerate(pts):
-        if not cmath.isfinite(p):
-            raise DomainError(f"punctures must be finite; index {j} is {p!r}")
+        i = first.setdefault(p, j)
+        if i != j:
+            raise DomainError(
+                f"punctures must be pairwise distinct; "
+                f"index {i} and {j} are both {p!r}")
 
 
 @dataclass(frozen=True)
@@ -84,19 +87,13 @@ class PuncturedDomain:
     _y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, punctures: Sequence[complex]):
-        pts = tuple(complex(p) for p in punctures)
+        pts = tuple(specfun.finite_complex(p, "punctures", j)
+                    for j, p in enumerate(punctures))
         if len(pts) < 2:
             raise DomainError(
                 "need at least two punctures for a hyperbolic domain, "
                 f"got {len(pts)}")
-        _check_finite(pts)
-        first: dict[complex, int] = {}
-        for j, p in enumerate(pts):
-            i = first.setdefault(p, j)
-            if i != j:
-                raise DomainError(
-                    f"punctures must be pairwise distinct; "
-                    f"index {i} and {j} are both {p!r}")
+        _check_distinct(pts)
         object.__setattr__(self, "punctures", pts)
         coords = np.fromiter(pts, complex, len(pts))
         x, y = coords.real.copy(), coords.imag.copy()
@@ -148,10 +145,10 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
     When ``r1`` is given, also check the base-point condition
     e^{-c/2} |a_1| <= r1 that the distance bound needs.
     """
-    pts = [complex(p) for p in punctures]
+    pts = [specfun.finite_complex(p, "punctures", j)
+           for j, p in enumerate(punctures)]
     if len(pts) < 2:
         raise DomainError("need at least the punctures a0 = 0 and a1")
-    _check_finite(pts)
     if pts[0] != 0:
         raise DomainError(f"the sequence must start at 0, got {pts[0]!r}")
     # hypot gives inf where abs(complex) raises OverflowError
@@ -164,9 +161,7 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
         if moduli[n + 1] < moduli[n]:
             raise DomainError(
                 f"moduli must be nondecreasing; |a{n + 1}| < |a{n}|")
-    seen = set(pts)
-    if len(seen) != len(pts):
-        raise DomainError("punctures must be pairwise distinct")
+    _check_distinct(pts)
     c = 0.0
     for n in range(1, len(moduli) - 1):
         c = max(c, math.log(moduli[n + 1]) - math.log(moduli[n]))
@@ -356,22 +351,17 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     ``_log_gap`` of them is a's log-gap.  Every puncture that can hold
     the largest 4 m d is among them.
 
-    Up to one chunk the whole matrix is searched.  Past it the columns
-    are visited in index order, a chunk of at most ``_BLOCK`` squared
-    distances over the rows still live at a time; callers pass the
-    punctures nearest to z first (``_nearest_first``), since |b-a| is
-    near d_a for b near z.  After each chunk the live row of the largest bound, from the
-    squares so far, is completed by an exact scan of its row, which
-    raises the best exact 4 m d, and every row whose bound is below
-    that best drops out (see ``_GAP_SLACK``).  The rows still live
-    after the last column get exact scans too, as many at a time as
-    ``_BLOCK`` distances hold.
+    The columns are visited in index order, a chunk of at most
+    ``_BLOCK`` squared distances over the rows still live at a time;
+    callers pass the punctures nearest to z first (``_nearest_first``),
+    since |b-a| is near d_a for b near z.  After each chunk the live row
+    of the largest bound, from the squares so far, is completed by an
+    exact scan of its row, which raises the best exact 4 m d, and every
+    row whose bound is below that best drops out (see ``_GAP_SLACK``).
+    The rows still live after the last column get exact scans too, as
+    many at a time as ``_BLOCK`` distances hold.
     """
     n = len(x)
-    if n * n <= _BLOCK:
-        r = np.hypot(x - x[:, None], y - y[:, None])
-        r.flat[::n + 1] = np.nan
-        return (*_bracket(r, d[:, None], axis=1), np.arange(n))
     below = np.full(n, np.nan)
     above = np.full(n, np.nan)
     d2 = d * d
@@ -463,36 +453,32 @@ def _lower_end(order: Sequence[int], d, gap) -> float:
 
 
 def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
-              order: Sequence[int], gaps: dict[int, float]):
-    """gap for ``_lower_end`` on the array route: a's log-gap from gaps
-    where the search found it, else from a scan of its row.
+              gaps: dict[int, float]):
+    """gap for ``_lower_end`` on the array route, whose walk order is
+    range(N): a's log-gap from gaps where the search found it, else from
+    a scan of its row.
 
-    A missing row is scanned together with those of the next punctures
-    of order that lack a gap too, as one array: as many rows as were
+    A missing row is scanned together with those of the next indices
+    above a that lack a gap too, as one array: as many rows as were
     scanned so far (1, 1, 2, 4, ...), and at most ``_BLOCK`` distances
     unless one row holds more.  A long walk then costs a few numpy
     calls, not one scan per puncture, and no walk scans more than twice
     the rows it needs; one that stops within two punctures scans no row
     it does not need.
     """
-    ahead = iter(order)
-    cap = max(1, _BLOCK // len(x))
+    n = len(x)
+    cap = max(1, _BLOCK // n)
     scanned = 0
 
     def gap(a: int) -> float:
         nonlocal scanned
         if a not in gaps:
-            # the walk asks in its order: what ahead passes over has a
-            # gap already, or is a
-            for b in ahead:
-                if b == a:
-                    break
             size = min(max(1, scanned), cap)
             if size == 1:
                 gaps[a] = _log_gap(float(d[a]), *_row_bracket(x, y, d, a))
             else:
                 rows = [a, *itertools.islice(
-                    (b for b in ahead if b not in gaps), size - 1)]
+                    (b for b in range(a + 1, n) if b not in gaps), size - 1)]
                 lo, hi = _rows_bracket(x, y, d, np.array(rows))
                 gaps.update(zip(rows, map(_log_gap, d[rows].tolist(),
                                           lo.tolist(), hi.tolist())))
@@ -502,32 +488,12 @@ def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     return gap
 
 
-def _coordinates(dom: PuncturedDomain,
-                 z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The punctures' coordinates x, y and their distances |z-a|, inf
-    where one overflows (under np.errstate(over="ignore"))."""
-    return dom._x, dom._y, np.hypot(z.real - dom._x, z.imag - dom._y)
-
-
-# From this many punctures on, numpy's argsort orders them by distance
-# faster than sorted() on a list.  It is below the N = 91 where the
-# search needs more than one chunk at the default _BLOCK, so the search
-# always gets its columns nearest to z first.
-_ARGSORT_FROM = 64
-
 # Below this many punctures both queries run on Python lists of the
 # punctures, where the array route's fixed cost of numpy calls (some
 # 20-45 us a query) outweighs the N(N-1)/2 scalar hypots; at N = 16 the
 # two routes of rho_bounds cost about the same, while sigma_lower stays
 # cheaper on lists up to N = 24 at least (CHANGES.md).
 _LISTS_BELOW = 16
-
-
-def _finite_point(z: complex) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    return z
 
 
 def _check_off_punctures(z: complex, nearest: float) -> None:
@@ -537,27 +503,21 @@ def _check_off_punctures(z: complex, nearest: float) -> None:
         raise DomainError(f"z = {z!r} is a puncture of the domain")
 
 
-def _nearest_first(dom: PuncturedDomain, z: complex):
-    """``_coordinates`` of z, and the order for ``_lower_end``: the
-    punctures' indices by increasing d_a.  From ``_ARGSORT_FROM``
-    punctures on, x, y and d come permuted into that order, which is
-    then range(N).
+def _nearest_first(dom: PuncturedDomain,
+                   z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The punctures' coordinates x, y and their distances d_a = |z-a|,
+    inf where one overflows (under np.errstate(over="ignore")), all
+    three permuted into increasing d_a: the walk order of ``_lower_end``
+    is then range(N).
 
     Raises DomainError where z is not finite or is a puncture.
     """
-    z = _finite_point(z)
-    x, y, d = _coordinates(dom, z)
-    if len(d) < _ARGSORT_FROM:
-        dl = d.tolist()
-        order = sorted(range(len(dl)), key=dl.__getitem__)
-        nearest = dl[order[0]]
-    else:
-        perm = np.argsort(d)
-        x, y, d = x[perm], y[perm], d[perm]
-        order = range(len(d))
-        nearest = d[0]
-    _check_off_punctures(z, nearest)
-    return x, y, d, order
+    z = specfun.finite_complex(z, "z")
+    d = np.hypot(z.real - dom._x, z.imag - dom._y)
+    perm = np.argsort(d)
+    d = d[perm]
+    _check_off_punctures(z, d[0])
+    return dom._x[perm], dom._y[perm], d
 
 
 def _abs(w: complex) -> float:
@@ -582,7 +542,7 @@ def _list_nearest_first(pts: tuple[complex, ...],
                         z: complex) -> tuple[list[float], list[int]]:
     """The list route's distances d_a = |z - a| and order for
     ``_lower_end``; raises as ``_nearest_first`` does."""
-    z = _finite_point(z)
+    z = specfun.finite_complex(z, "z")
     d = _distances(z, pts)
     order = sorted(range(len(d)), key=d.__getitem__)
     _check_off_punctures(z, d[order[0]])
@@ -649,10 +609,10 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     bound its 4 m d below the best one found, by a slack that covers
     their rounding.  The punctures that could hold the largest 4 m d
     are searched in full with exact hypots, so the result is that of a
-    hypot for every pair to the bit.  Up to N = 90 one chunk holds all
-    pairs, each an exact hypot.  A puncture the walk visits takes its
-    m from the search where that searched it in full, else from a scan
-    of its row, batched with the rows of the next ones (``_row_gaps``).
+    hypot for every pair to the bit.  A puncture the walk visits takes
+    its m from the search where that searched it in full, else from a
+    scan of its row, batched with the rows of the next ones
+    (``_row_gaps``).
 
     At N = 1000 the search squares typically 2-10% of the N(N-1)
     ordered pairs and takes an exact hypot of 0.2-3% of them, and it
@@ -674,14 +634,14 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
         lower = _lower_end(order, d, m.__getitem__)
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, y, dists, order = _nearest_first(dom, z)
+            x, y, dists = _nearest_first(dom, z)
             below, above, exact = _neighbours(x, y, dists)
             d, lo, hi = (dists[exact].tolist(), below[exact].tolist(),
                          above[exact].tolist())
             m = list(map(_log_gap, d, lo, hi))
             q = max(map(_upper_candidate, d, m, hi), default=0.0)
-            lower = _lower_end(order, dists, _row_gaps(
-                x, y, dists, order, dict(zip(exact.tolist(), m))))
+            lower = _lower_end(range(len(dists)), dists, _row_gaps(
+                x, y, dists, dict(zip(exact.tolist(), m))))
     # pi/q is monotone in q: this is the smallest pi/(4 m d)
     return RhoBounds(lower, math.pi / q * (1.0 + _EVAL_SLACK)
                      if q > 0.0 else math.inf)
@@ -718,5 +678,5 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
         d, order = _list_nearest_first(pts, z)
         return _lower_end(order, d, functools.partial(_list_row_gap, pts, d))
     with np.errstate(over="ignore"):
-        x, y, d, order = _nearest_first(dom, z)
-        return _lower_end(order, d, _row_gaps(x, y, d, order, {}))
+        x, y, d = _nearest_first(dom, z)
+        return _lower_end(range(len(d)), d, _row_gaps(x, y, d, {}))

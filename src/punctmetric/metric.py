@@ -310,13 +310,16 @@ def varphi_error(value: float) -> float:
     return VARPHI_ERR_K * sys.float_info.epsilon * size + _TINY
 
 
-def _check_not_puncture(z: complex, name: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name} must be finite, got {z!r}")
+def _check_not_puncture(z: complex, name: str) -> float:
+    """|z| of a finite complex z other than 0 and 1; DomainError where z
+    is not one, RangeError where its modulus overflows."""
+    z = specfun.finite_complex(z, name)
     if z == 0 or z == 1:
         raise DomainError(f"{name} must avoid the punctures 0 and 1, got {z!r}")
-    return z
+    try:
+        return abs(z)
+    except OverflowError:
+        raise RangeError(f"|{name}| overflows a float, got {z!r}") from None
 
 
 def lambda01_lower(z: complex) -> float:
@@ -325,8 +328,7 @@ def lambda01_lower(z: complex) -> float:
     Tight exactly on the negative real axis; elsewhere it is the minimum
     of the density over the circle |w| = |z|.
     """
-    z = _check_not_puncture(z, "z")
-    return lambda01_neg(abs(z))
+    return lambda01_neg(_check_not_puncture(z, "z"))
 
 
 def d01_lower(z: complex, w: complex) -> float:
@@ -335,6 +337,4 @@ def d01_lower(z: complex, w: complex) -> float:
     Vanishes whenever |z| = |w| (the bound carries no angular
     information); tight when both points sit on the negative real axis.
     """
-    z = _check_not_puncture(z, "z")
-    w = _check_not_puncture(w, "w")
-    return d01_neg(abs(z), abs(w))
+    return d01_neg(_check_not_puncture(z, "z"), _check_not_puncture(w, "w"))

@@ -8,14 +8,16 @@ the beta function, and the Ramanujan constant
 which is the additive constant in the logarithmic expansion of zero-balanced
 hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.
 
-It also holds the helpers the array forms of the other modules share:
-``pointwise`` takes log, exp and log1p from ``math`` point by point,
-because numpy's vectorised versions may round differently by an ulp,
-and an array form must match its scalar form to the bit.
+It also holds the helpers the other modules share: ``finite_complex``
+checks a point of the plane, ``as_points`` the input of an array form,
+and ``pointwise`` takes log, exp and log1p from ``math`` point by
+point, because numpy's vectorised versions may round differently by an
+ulp, and an array form must match its scalar form to the bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable
 
@@ -141,6 +143,20 @@ def pointwise(fn: Callable[[float], float], x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.tolist()), float, x.size)
     return fn(x)
+
+
+def finite_complex(p, name: str, index: int | None = None) -> complex:
+    """p as a complex number, checked finite; where it is not one, a
+    DomainError that names it (name[index] where an index is given)."""
+    try:
+        w = complex(p)
+        if cmath.isfinite(w):
+            return w
+        problem = f"must be finite, got {w!r}"
+    except (TypeError, ValueError, OverflowError):
+        problem = f"must be a finite complex number, got {p!r}"
+    label = name if index is None else f"{name}[{index}]"
+    raise DomainError(f"{label} {problem}")
 
 
 def as_points(xs) -> np.ndarray:

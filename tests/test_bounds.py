@@ -108,7 +108,7 @@ def test_ring_gap_validation():
         bounds.ring_gap((1.0, 2.0))            # no puncture at 0
     with pytest.raises(DomainError):
         bounds.ring_gap((0.0, 0.5, 0.25))      # moduli decrease
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="index 1 and 2"):
         bounds.ring_gap((0.0, 1.0, 1.0))       # duplicate puncture
     with pytest.raises(DomainError):
         bounds.ring_gap((0.0,))                # needs a nonzero puncture
@@ -126,6 +126,8 @@ def test_ring_gap_validation():
     for r1 in (math.nan, math.inf):
         with pytest.raises(DomainError):
             bounds.ring_gap((0.0, 1.0, 2.0), r1=r1)
+    with pytest.raises(DomainError, match=r"punctures\[1\] must be a finite"):
+        bounds.ring_gap([0.0, None])
     with pytest.raises(DomainError):
         bounds.ring_lower_bound(1.0, 1.0, math.inf)
 
@@ -167,8 +169,14 @@ def test_domain_validation():
         bounds.PuncturedDomain((0.0, 1.0, 1.0))
     # NaN != NaN, so distinctness alone would let these through
     for bad in (math.nan, complex(1.0, math.nan), complex(math.inf, 0.0)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"punctures\[1\] must be finite"):
             bounds.PuncturedDomain((0.0, bad))
+    # what complex() refuses is no point of the plane
+    for bad in (None, "a", [1.0], 10 ** 400):
+        with pytest.raises(DomainError,
+                           match=r"punctures\[0\] must be a finite complex"):
+            bounds.PuncturedDomain((bad, 1.0))
     dom = bounds.PuncturedDomain((0.0, 1.0))
     assert dom.punctures == (0.0 + 0.0j, 1.0 + 0.0j)
 
@@ -261,6 +269,10 @@ def test_rho_and_sigma_reject_exactly_the_punctures(n):
                 query(dom, z)
         with pytest.raises(DomainError, match="must be finite"):
             query(dom, complex(math.inf, 0.0))
+        for z in (None, "x", [1]):
+            with pytest.raises(DomainError,
+                               match="z must be a finite complex number"):
+                query(dom, z)
     for z in (5e-324, complex(5e-324, 1e-300), complex(-0.0, 2e-300)):
         assert 0.0 < bounds.sigma_lower(dom, z) == bounds.rho_bounds(
             dom, z).lower
@@ -465,17 +477,21 @@ _SPREAD_Z = (0.0, 3.0 + 4.0j, 1e3 - 20.0j, 1e-6j)
 
 def test_rho_default_blocks_match_the_pair_loop():
     # N = 350 at the default block: chunks of 23 columns or more over the
-    # rows still live, pruned and completed between them
-    for z in _SPREAD_Z:
-        _assert_matches_pair_loop(_SPREAD, z)
+    # rows still live, pruned and completed between them; and N = 32, 64
+    # and 90, whose first chunk takes 16 columns, the next ones at most
+    # twice the columns visited.  Each case checks sigma_lower against
+    # the pair loop's lower end too.
+    for pts in (_SPREAD[:32], _SPREAD[:64], _SPREAD[:90], _SPREAD):
+        for z in _SPREAD_Z:
+            _assert_matches_pair_loop(pts, z)
 
 
 # -- the pruned search on the hard cases ------------------------------------
 #
-# Past one chunk, _neighbours drops the rows whose bracket so far bounds
-# their 4 m d below the best, and completes one row by a full scan after
-# each chunk.  Chunks of one and seven distances send even two- and
-# three-puncture domains through it, on the array route that
+# _neighbours drops the rows whose bracket so far bounds their 4 m d
+# below the best, and completes one row by a full scan after each
+# chunk.  Chunks of one and seven distances spread even two- and
+# three-puncture domains over many chunks, on the array route that
 # _assert_matches_pair_loop runs next to the list route.
 
 _small_blocks = st.sampled_from((1, 7))
@@ -540,9 +556,9 @@ _OVERFLOWING = (
 def test_rho_overflowing_distances_in_small_blocks(pts, z, block):
     # the pair loop has no rule for an overflowed |b-a| (its upper end
     # takes pi/(4 m d) from it) and abs() raises where a modulus of
-    # finite components overflows, so the reference is the one-block
-    # array search, which the list route and the small blocks must
-    # match, and the pair loop's lower end where it runs
+    # finite components overflows, so the reference is the array
+    # search at the default block, which the list route and the small
+    # blocks must match, and the pair loop's lower end where it runs
     dom = bounds.PuncturedDomain(pts)
     with mock.patch.object(bounds, "_LISTS_BELOW", 0):
         want = bounds.rho_bounds(dom, z)
@@ -608,7 +624,7 @@ def _assert_matches_the_exact_search(pts, zs):
     rho_bounds, to the bit against _exact_neighbours."""
     dom = bounds.PuncturedDomain(pts)
     for z in zs:
-        x, y, d = bounds._coordinates(dom, complex(z))
+        x, y, d = bounds._nearest_first(dom, z)
         lo, hi, exact = bounds._neighbours(x, y, d)
         lo_x, hi_x, _ = _exact_neighbours(x, y, d)
         assert exact.size
@@ -767,7 +783,7 @@ def test_rho_takes_hypot_of_the_rows_it_completes_only(layout):
 
         with mock.patch.object(np, "hypot", counted), \
                 np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, y, d, _ = bounds._nearest_first(dom, z)
+            x, y, d = bounds._nearest_first(dom, z)
             exact = bounds._neighbours(x, y, d)[2]
         assert sum(cells) <= len(pts) * (1 + exact.size)
 
@@ -786,7 +802,7 @@ def test_rho_search_without_a_drop_stays_in_its_chunks():
         return r
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, y, d, _ = bounds._nearest_first(dom, 0.25 + 0.5j)
+        x, y, d = bounds._nearest_first(dom, 0.25 + 0.5j)
         tracemalloc.start()
         try:
             with mock.patch.object(np, "hypot", recorded):

@@ -313,31 +313,36 @@ def test_bounds_sigma(capsys, tmp_path):
 
 
 # The domains and points of the CI step that diffs the installed console
-# script's output against tests/data/bounds_cli.jsonl, in its order.
+# script's output against the pinned files, in its order: the two- and
+# ten-puncture domains take the list route of the queries, the
+# forty-puncture one (the ten and 30 more) the array route.
+PINNED_BOUNDS = (("bounds_cli.jsonl", ("pair", "ten")),
+                 ("bounds_cli_forty.jsonl", ("forty",)))
 PINNED_BOUNDS_Z = ("-1,0", "0.5,0.8660254037844386", "3,2", "1e-300,0",
                    "-1e9,0", "0.1,0.2",
                    "-0.016218728184858068,-0.26770582777249746")
 
 
 def test_bounds_output_is_pinned(capsys):
-    """``punctmetric bounds rho|sigma`` on the committed two- and
-    ten-puncture domains print tests/data/bounds_cli.jsonl byte for byte.
+    """``punctmetric bounds rho|sigma`` on the committed domains print
+    their pinned files in tests/data byte for byte.
 
-    Regenerate it from the repository root with the loop of the CI step
+    Regenerate one from the repository root with the loop of the CI step
     "Console script reproduces the pinned bounds output", with
     ``python -m punctmetric.cli`` for ``punctmetric``.
     """
-    out = []
-    for domain in ("pair", "ten"):
-        path = os.path.join(DATA, f"domain_{domain}.json")
-        for z in PINNED_BOUNDS_Z:
-            for query in ("rho", "sigma"):
-                rc, text = run_cli(capsys, "bounds", query, "--domain", path,
-                                   f"--z={z}")
-                assert rc == 0
-                out.append(text)
-    with open(os.path.join(DATA, "bounds_cli.jsonl"), "rb") as fh:
-        assert "".join(out).encode() == fh.read()
+    for pinned, domains in PINNED_BOUNDS:
+        out = []
+        for domain in domains:
+            path = os.path.join(DATA, f"domain_{domain}.json")
+            for z in PINNED_BOUNDS_Z:
+                for query in ("rho", "sigma"):
+                    rc, text = run_cli(capsys, "bounds", query, "--domain",
+                                       path, f"--z={z}")
+                    assert rc == 0
+                    out.append(text)
+        with open(os.path.join(DATA, pinned), "rb") as fh:
+            assert "".join(out).encode() == fh.read(), pinned
 
 
 def test_bounds_z_at_puncture_rc1(capsys, tmp_path):

@@ -228,6 +228,20 @@ def test_lower_bound_wrappers():
         metric.lambda01_lower(1.0 + 0.0j)
     with pytest.raises(DomainError):
         metric.d01_lower(0.5, 1.0 + 0.0j)
+    # finite parts whose modulus overflows: abs() raises OverflowError
+    big = complex(1.5e308, 1.5e308)
+    with pytest.raises(RangeError, match=r"\|z\| overflows"):
+        metric.lambda01_lower(big)
+    with pytest.raises(RangeError, match=r"\|z\| overflows"):
+        metric.d01_lower(big, 2.0)
+    with pytest.raises(RangeError, match=r"\|w\| overflows"):
+        metric.d01_lower(2.0, big)
+    # what complex() refuses is no point of the plane
+    for bad in (None, "x", [1]):
+        with pytest.raises(DomainError, match="z must be a finite complex"):
+            metric.lambda01_lower(bad)
+        with pytest.raises(DomainError, match="w must be a finite complex"):
+            metric.d01_lower(2.0, bad)
 
 
 def test_domain_and_range_guards():
