@@ -490,10 +490,11 @@ def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
 
 # Below this many punctures both queries run on Python lists of the
 # punctures, where the array route's fixed cost of numpy calls (some
-# 20-45 us a query) outweighs the N(N-1)/2 scalar hypots; at N = 16 the
-# two routes of rho_bounds cost about the same, while sigma_lower stays
-# cheaper on lists up to N = 24 at least (CHANGES.md).
-_LISTS_BELOW = 16
+# 20-45 us a query) outweighs the N(N-1)/2 scalar hypots; at N = 22 the
+# two routes of rho_bounds cost about the same (70-75 us in the median
+# over uniform unit-disk domains), while sigma_lower stays cheaper on
+# lists up to N = 48 at least (CHANGES.md).
+_LISTS_BELOW = 22
 
 
 def _check_off_punctures(z: complex, nearest: float) -> None:

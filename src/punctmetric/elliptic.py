@@ -10,17 +10,12 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError
 
 # Stop once the gap is a few ulp; the rounding plateau of the iteration
 # sits at ~1 ulp, so anything tighter may never trigger.
 AGM_RTOL = 4.0 * sys.float_info.epsilon
 AGM_MAX_ITER = 60
-
-# Above this modulus, r' = sqrt(1-r^2) has lost too many digits for K(r)
-# to be trustworthy; callers holding the complement exactly should do the
-# AGM on it themselves (the metric module does).
-K_MODULUS_CAP = 1.0 - 1e-12
 
 
 def agm(x: float, y: float) -> float:
@@ -44,11 +39,7 @@ def ellip_k(r: float) -> float:
     r = float(r)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"K(r) requires 0 <= r < 1, got {r!r}")
-    if r > K_MODULUS_CAP:
-        raise RangeError(
-            f"K(r) for r > {K_MODULUS_CAP} would be silently inaccurate; "
-            "evaluate via agm on the exactly-known complement instead"
-        )
+    # 1 - r is exact for r >= 1/2, so r' keeps its digits up to r < 1
     r_comp = math.sqrt((1.0 - r) * (1.0 + r))
     return math.pi / (2.0 * agm(1.0, r_comp))
 

@@ -618,8 +618,9 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # d_n depend on a, b alone, so a run shares them), and each lane takes
 # its own column.  So the sums a caller needs at its points run as one
 # lockstep run per family: both series of the connection formula, the
-# direct hand-overs of every parameter triple, and the m = 0 and m = 1
-# log series of v and w in pqfun.
+# direct series of every parameter triple, a caller's own with the
+# hand-overs past 1/2, and the m = 0 and m = 1 log series of v and w in
+# pqfun.  Every run is the lockstep, at any lane count.
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
@@ -631,9 +632,6 @@ def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray
 # BLOCK_CELLS over all lanes.
 BLOCK_MIN = 16
 BLOCK_CELLS = 16384
-# Runs of fewer lanes run the scalar loop lane by lane: one lockstep
-# run costs about as much as 4 to 8 scalar calls.
-SCALAR_BELOW = 4
 # A scan whose rows hold at least this many cells (lanes times parts)
 # runs one ufunc call per row; a narrower one runs ufunc.accumulate down
 # the columns.  Both combine each lane's terms in order, to the same
@@ -759,26 +757,11 @@ def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
     return final, summed, stalled
 
 
-def _scalar_batch(sum_at, count: int, fields: int):
-    """A lockstep run's result by the scalar loop at a few lanes:
-    sum_at(i) gives lane i's sums, the term count last, or None."""
-    sums = [sum_at(i) for i in range(count)]
-    out = np.array([s or (0.0,) * fields for s in sums],
-                   float).reshape(count, fields).T
-    return ((*out[:-1], out[-1].astype(np.int64)),
-            np.array([s is None for s in sums], dtype=bool))
-
-
 def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
                 pick: Optional[np.ndarray] = None):
     """_ratio_sum at every point of xs onto the sums ``total``, laid out
     as its result (arrays), and the lanes out of terms: a, b, c floats,
     or arrays of which lane i takes entry pick[i]."""
-    if xs.size < SCALAR_BELOW:
-        params = ([(a, b, c)] * xs.size if pick is None
-                  else np.column_stack((a, b, c))[pick].tolist())
-        return _scalar_batch(lambda i: _ratio_sum(
-            *params[i], float(xs[i]), float(total[i])), xs.size, 5)
 
     def step(n, k, fixed, state):
         x, pick = fixed
@@ -813,8 +796,10 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
 def _direct_many(jobs: Sequence[tuple]) -> list[_Lanes]:
     """_direct_series for each job (a, b, c, xs, x_err) at every point
     of its xs, x_err a float or one per point, by one lockstep run over
-    all of them: the lanes of each job."""
+    all of them where they have any lanes: the lanes of each job."""
     counts = [j[3].size for j in jobs]
+    if not sum(counts):
+        return [_Lanes(0) for _ in jobs]
     xs = np.concatenate([j[3] for j in jobs])
     x_err = np.concatenate([np.zeros(j[3].size) + j[4] for j in jobs])
     params, pick = jobs[0][:3], None
@@ -837,11 +822,6 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
              from_one: bool = False):
     """_zb_sum at every (u, ell) pair, m an int or one per pair, laid out
     as its result (arrays), and the lanes out of terms."""
-    if u.size < SCALAR_BELOW:
-        return _scalar_batch(lambda i: _zb_sum(
-            a, b, float(u[i]), float(ell[i]),
-            int(m[i]) if isinstance(m, np.ndarray) else m, from_one),
-            u.size, 7)
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
     # columns; f_m and f_m' a column per m, picked per lane where m is
     # given per lane
@@ -939,7 +919,7 @@ def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
         jobs.append((p.c - a, p.c - b, 1.0 + s, u, 0.0))
         if pre[0] is not None:
             jobs.append((a, b, 1.0 - s, u, 0.0))
-    series = _direct_many(jobs) if jobs else []
+    series = _direct_many(jobs)
     results = []
     for setup in setups:
         out = _Lanes(u.size)
@@ -967,12 +947,15 @@ def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
 
 
 def _from_complement_many(
-        ps: Sequence[HypParams], u: np.ndarray,
-        ell: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
+        ps: Sequence[HypParams], u: np.ndarray, ell: np.ndarray,
+        own: Sequence[tuple] = ()
+) -> tuple[list[tuple[_Lanes, np.ndarray]], list[_Lanes]]:
     """f21_from_complement for each p in ps at every checked (u, ell)
-    pair: per p, the lanes and the methods.  The connection formulas run
-    as one lockstep run, the log series as one per pair a, b they sum,
-    and the direct series, where it serves, as one."""
+    pair, and the caller's own direct series, jobs of _direct_many: per
+    p, the lanes and the methods, and per job, its lanes.  The connection
+    formulas run as one lockstep run, the log series as one per pair a, b
+    they sum, and the direct series, the caller's and the hand-overs, as
+    one."""
     near = np.flatnonzero(u < X_SWITCH)
     routes = [_route(p) for p in ps]
     found = {}  # p's index: its lanes at near, and where it hands over
@@ -996,7 +979,7 @@ def _from_complement_many(
         for (a, b), group in logs.items():
             found.update(zip(group, _zb_log_many(
                 a, b, [routes[i][1] for i in group], un, ln)))
-    results, jobs, ats = [], [], []
+    results, jobs, ats = [], list(own), []
     for i, (p, (route, _)) in enumerate(zip(ps, routes)):
         out = _Lanes(u.size)
         method = np.full(u.size, METHOD_DIRECT, dtype=object)
@@ -1016,10 +999,10 @@ def _from_complement_many(
         jobs.append((p.a, p.b, p.c, x, _x_err(x, u[at])))
         ats.append(at)
         results.append((out, method))
-    if any(at.size for at in ats):
-        for (out, _), at, lanes in zip(results, ats, _direct_many(jobs)):
-            out.take(at, lanes)
-    return results
+    series = _direct_many(jobs)
+    for (out, _), at, lanes in zip(results, ats, series[len(own):]):
+        out.take(at, lanes)
+    return results, series[:len(own)]
 
 
 def _on_distinct(keys: Sequence[np.ndarray], lanes_of,
@@ -1048,13 +1031,12 @@ def f21_many(p: HypParams, xs) -> EvalResults:
         out = _Lanes(xs.size)
         method = np.full(xs.size, METHOD_DIRECT, dtype=object)
         near = xs > X_SWITCH
-        if near.any():
-            u = 1.0 - xs[near]  # exact: x >= 1/2
-            (lanes, method[near]), = _from_complement_many(
-                (p,), u, -specfun.pointwise(math.log, u))
-            out.take(near, lanes)
-        if not near.all():
-            out.take(~near, _direct_many([(p.a, p.b, p.c, xs[~near], 0.0)])[0])
+        u = 1.0 - xs[near]  # exact: x >= 1/2
+        [(lanes, method[near])], [below] = _from_complement_many(
+            (p,), u, -specfun.pointwise(math.log, u),
+            [(p.a, p.b, p.c, xs[~near], 0.0)])
+        out.take(near, lanes)
+        out.take(~near, below)
         return out, method
 
     return _on_distinct((xs,), lanes_of, lambda x: f21(p, x))
@@ -1070,7 +1052,7 @@ def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
     specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
                          lambda i: _check_complement(u[i], ell[i]))
     return _on_distinct(
-        (u, ell), lambda u, ell: _from_complement_many((p,), u, ell)[0],
+        (u, ell), lambda u, ell: _from_complement_many((p,), u, ell)[0][0],
         lambda u, ell: f21_from_complement(p, u, ell))
 
 
@@ -1079,12 +1061,14 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
     """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, at
     0 <= lo <= 1/2 with ell = -log(lo) finite, as f21_many and
     f21_from_complement_many give them: at each distinct (lo, ell) pair,
-    one direct run for all the F(p; lo) and one run per route past 1/2.
-    Raises what the first failing F(p; .) raises, p by p."""
+    one direct run for all the F(p; lo) and the hand-overs past 1/2, and
+    one run per route past 1/2.  Raises what the first failing F(p; .)
+    raises, p by p."""
     first, inverse = specfun._distinct(lo, ell)
     lo, ell = lo[first], ell[first]
-    below = _direct_many([(p.a, p.b, p.c, lo, 0.0) for p in ps])
-    above = [lanes for lanes, _ in _from_complement_many(ps, lo, ell)]
+    above, below = _from_complement_many(
+        ps, lo, ell, [(p.a, p.b, p.c, lo, 0.0) for p in ps])
+    above = [lanes for lanes, _ in above]
     for p, out in zip(ps, below):
         specfun.reject_first(out.status != _OK, lambda i: f21(p, lo[i]))
     for p, out in zip(ps, above):

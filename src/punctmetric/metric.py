@@ -197,9 +197,6 @@ def big_h_prime(t: float) -> float:
     Evaluated through the analytic P' formula, not differenced, so it is
     exactly 0 at t = 0 and exactly odd.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
     return 2.0 * math.pi * pqfun.p_prime(_HALF, t)
 
 

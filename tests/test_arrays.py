@@ -277,6 +277,30 @@ def test_zero_dimensional_arrays_are_floats():
         assert _bits([got]) == _bits([fn(0.5, 0.5, 1.0, 0.3)])
 
 
+def test_empty_arrays_give_empty_arrays():
+    empty = np.array([])
+    forms = [lambda: hyp2f1.zb_complement_sums_many(0.5, 0.5, empty),
+             lambda: hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, empty),
+             lambda: metric.h_many(empty), lambda: metric.varphi_many(empty)]
+    # one p per route past 1/2: log, connection, power and direct
+    for p in (HALF.params(), HypParams(0.9, 1.1, 2.6),
+              HypParams(1.0, 2.0, 2.0), HypParams(2.0, 2.0, 1.0)):
+        forms += [lambda p=p: hyp2f1.f21_many(p, empty),
+                  lambda p=p: hyp2f1.f21_from_complement_many(p, empty, empty),
+                  lambda p=p: hyp2f1.f21_derivative_many(p, empty)]
+    for fn in (pqfun.n_func_many, pqfun.m_func_many):
+        forms.append(lambda fn=fn: fn(0.9, 1.1, 2.6, empty))
+    forms += [lambda many=many: many(empty)
+              for pr in _PAIRS for many, _ in _pq_forms(pr)]
+    for form in forms:
+        got = form()
+        fields = (got if isinstance(got, tuple)
+                  else vars(got).values() if isinstance(got, hyp2f1.EvalResults)
+                  else [got])
+        for field in fields:
+            assert isinstance(field, np.ndarray) and field.shape == (0,)
+
+
 _x = st.one_of(st.sampled_from([1e-300, 0.5, ABOVE_HALF, 1.0 - 1e-16]),
                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 

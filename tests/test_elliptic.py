@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from punctmetric import elliptic, metric
-from punctmetric.errors import DomainError, RangeError
+from punctmetric.errors import DomainError
 
 
 def test_agm_fixed_points():
@@ -99,10 +99,15 @@ def test_ellip_k_domain(bad):
         elliptic.ellip_k(bad)
 
 
-def test_ellip_k_range_guard():
-    # moduli so close to 1 that r' has lost half its digits are refused
-    with pytest.raises(RangeError):
-        elliptic.ellip_k(1.0 - 1e-13)
+def test_ellip_k_near_one_against_mpmath():
+    # r' = sqrt((1-r)(1+r)) keeps its digits: 1 - r is exact for r >= 1/2;
+    # nextafter(1, 0) is 1 - 2^-53
+    mpmath = pytest.importorskip("mpmath")
+    for r in [1.0 - 2.0 ** -k for k in (20, 30, 40, 45, 50, 52)] + [
+            math.nextafter(1.0, 0.0)]:
+        with mpmath.workdps(50):
+            want = mpmath.ellipk(mpmath.mpf(r) ** 2)
+            assert abs(elliptic.ellip_k(r) - want) <= 1e-15 * want, r
 
 
 @pytest.mark.parametrize("x,y", [(0.0, 1.0), (-1.0, 2.0), (1.0, math.inf)])

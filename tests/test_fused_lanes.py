@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import hyp2f1, pqfun, specfun
+from punctmetric import hyp2f1, pqfun, specfun, verify
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -47,7 +47,7 @@ def _scalar_sums(results, fields):
 
 
 _param = st.floats(0.05, 6.0)
-_lanes = st.integers(hyp2f1.SCALAR_BELOW, 12)
+_lanes = st.integers(1, 12)
 
 
 @settings(deadline=None)
@@ -247,3 +247,34 @@ def test_fused_connection_series_match_single_runs():
         assert _bits(lanes.err) == _bits(alone.err)
         assert lanes.terms.tolist() == alone.terms.tolist()
         assert none.tolist() == alone_none.tolist()
+
+
+def test_lo_hi_sums_its_direct_series_in_one_run(monkeypatch):
+    # lo = 1/2 hands F(p; 1 - lo) over to the direct series, which then
+    # runs with the F(p; lo)
+    calls = []
+    direct_many = hyp2f1._direct_many
+    monkeypatch.setattr(hyp2f1, "_direct_many",
+                        lambda jobs: calls.append(jobs) or direct_many(jobs))
+    ps = _PAIRS["v_w"]
+    lo = np.array([0.5, 0.25, 0.125, 1e-3])
+    got = hyp2f1._lo_hi_many(ps, lo, -np.log(lo))
+    assert len(calls) == 1
+    assert [_bits(g) for g in got] == (
+        [_bits(hyp2f1.f21(p, x).value for x in lo) for p in ps]
+        + [_bits(hyp2f1.f21_from_complement(p, x, -math.log(x)).value
+                 for x in lo) for p in ps])
+
+
+def test_verify_suites_run_no_lockstep_under_four_lanes(monkeypatch):
+    lanes = []
+    lockstep = hyp2f1._lockstep
+
+    def counted(step, fixed, state, cap):
+        lanes.append(state[0].size)
+        return lockstep(step, fixed, state, cap)
+
+    monkeypatch.setattr(hyp2f1, "_lockstep", counted)
+    for suite in ("default", "strict"):
+        verify.run_suite(suite)
+    assert lanes and min(lanes) >= 4

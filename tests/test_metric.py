@@ -257,6 +257,9 @@ def test_domain_and_range_guards():
         metric.big_h(-701.0)
     with pytest.raises(DomainError):
         metric.h(math.inf)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^t must be finite, got {t!r}$"):
+            metric.big_h_prime(t)
 
 
 def test_phi_against_mpmath():
