@@ -617,14 +617,12 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
 
     At N = 1000 the search squares typically 2-10% of the N(N-1)
     ordered pairs and takes an exact hypot of 0.2-3% of them, and it
-    holds one chunk of scratch memory.  On a shared 2-vCPU Xeon VM
-    (Python 3.11, numpy 2.4) a query takes about 0.01 ms on two
-    punctures, 0.03 ms at N = 10 (0.025 and 0.035 ms on the array
-    route), 0.08-1.1 ms at N = 100 (0.11-0.32 ms in the median by
-    layout) and 0.2-4.5 ms at N = 1000 (0.45-1.5 ms in the median by
-    layout).  Where no puncture can be dropped, as on 1000 punctures
-    on a circle about z, it squares every pair and then scans every
-    row, about 30-40 ms there.
+    holds one chunk of scratch memory.  Where no puncture can be
+    dropped, as on 1000 punctures on a circle about z, it squares every
+    pair and then scans every row: O(N^2) work, some tens of times a
+    typical query's.  Below the cut a query takes the N(N-1)/2 hypots
+    and a sort.  CHANGES.md holds the measured per-query times of both
+    routes.
     """
     pts = dom.punctures
     if len(pts) < _LISTS_BELOW:
@@ -668,11 +666,10 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     ``metric.h`` call for each visited puncture, typically one to
     three, and a scan of its row: a Python list below ``_LISTS_BELOW``
     punctures, else a numpy row, batched with the next ones where the
-    walk goes on (``_row_gaps``).  On the machine of ``rho_bounds`` a
-    query takes about 0.01 ms on two punctures and at N = 10 (0.02 ms
-    on the array route), and 0.05-0.1 ms at N = 1000; where the walk
-    visits every puncture, as on 1000 punctures on a circle about z,
-    about 20-35 ms.
+    walk goes on (``_row_gaps``).  So a query costs O(N log N) for the
+    sort and O(N) per visited row; where the walk visits every
+    puncture, as on 1000 punctures on a circle about z, that is O(N^2).
+    CHANGES.md holds the measured per-query times.
     """
     pts = dom.punctures
     if len(pts) < _LISTS_BELOW:

@@ -542,68 +542,6 @@ def f21_derivative(p: HypParams, x: float) -> float:
     return _derivative(p, _check_x(x), lambda q, y: f21(q, y).value)
 
 
-def _count(value, name: str) -> int:
-    """value as an int; NaN, inf and non-integral counts are rejected."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    try:
-        count = float(value)
-    except (TypeError, ValueError):
-        count = math.nan
-    if not count.is_integer():
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return int(count)
-
-
-def ratio_coeffs(p: HypParams, n_max: int) -> np.ndarray:
-    """Maclaurin coefficients 0..n_max of F(a+1,b+1;c+1;x) / F(a,b;c;x).
-
-    Power-series long division with compensated summation.  Requires
-    a <= c and b <= c (the coefficients are then totally monotone).
-    """
-    if not (p.a <= p.c and p.b <= p.c):
-        raise DomainError(
-            f"ratio_coeffs requires a <= c and b <= c, got {p!r}"
-        )
-    n_max = _count(n_max, "n_max")
-    if not (0 <= n_max <= 200):
-        raise DomainError(f"n_max must lie in [0, 200], got {n_max!r}")
-    a, b, c = p.a, p.b, p.c
-    num = [1.0]
-    den = [1.0]
-    for n in range(n_max):
-        num.append(num[-1] * (a + 1 + n) * (b + 1 + n) / ((c + 1 + n) * (n + 1.0)))
-        den.append(den[-1] * (a + n) * (b + n) / ((c + n) * (n + 1.0)))
-    out = [1.0]
-    for n in range(1, n_max + 1):
-        conv = math.fsum(out[k] * den[n - k] for k in range(n))
-        out.append(num[n] - conv)
-    return np.asarray(out, dtype=float)
-
-
-def finite_difference_table(seq: Sequence[float], k_max: int) -> list[np.ndarray]:
-    """Forward-difference table: rows Delta^k a_n for k = 0..k_max.
-
-    Delta^{k+1} a_n = Delta^k a_n - Delta^k a_{n+1}; row k has
-    len(seq) - k entries.  A sequence is totally monotone iff every row
-    is nonnegative (to all depths; finite depth here).
-    """
-    row = np.asarray(seq, dtype=float)
-    k_max = _count(k_max, "k_max")
-    if row.ndim != 1 or row.size == 0:
-        raise DomainError("seq must be a nonempty 1-d sequence")
-    if not (0 <= k_max < row.size):
-        raise DomainError(
-            f"k_max must satisfy 0 <= k_max < len(seq) = {row.size}, "
-            f"got {k_max!r}"
-        )
-    table = [row]
-    for _ in range(k_max):
-        row = row[:-1] - row[1:]
-        table.append(row)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # array evaluation
 #

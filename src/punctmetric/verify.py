@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -297,14 +298,54 @@ def _make_vaman_runner(expected: str):
     return run
 
 
+def _whole(value, name: str) -> int:
+    """value as an int >= 0: an integer, or a float with no fractional
+    part; anything else, bools and strings included, is refused."""
+    whole = (isinstance(value, numbers.Integral)
+             or isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 0:
+        raise DomainError(f"{name} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
+def _ratio_table(a: float, b: float, c: float, n_max: int,
+                 k_max: int = 0) -> list[np.ndarray]:
+    """Rows Delta^k r_n, k = 0..k_max and n = 0..n_max, of the Maclaurin
+    coefficients r_n of F(a+1,b+1;c+1;x) / F(a,b;c;x).
+
+    The r_n come by power-series long division with compensated
+    summation, and Delta^{k+1} r_n = Delta^k r_n - Delta^k r_{n+1}.  A
+    sequence is totally monotone iff every row is nonnegative (to all
+    depths; finite depth here).  The division costs O(n^2) products, so
+    r_n is formed for n <= 200 only.
+    """
+    if n_max + k_max > 200:
+        raise DomainError(
+            f"coefficient tables reach r_200, got n_max + k_max = "
+            f"{n_max + k_max}")
+    num = [1.0]
+    den = [1.0]
+    for n in range(n_max + k_max):
+        num.append(num[-1] * (a + 1 + n) * (b + 1 + n) / ((c + 1 + n) * (n + 1.0)))
+        den.append(den[-1] * (a + n) * (b + n) / ((c + n) * (n + 1.0)))
+    row = [1.0]
+    for n in range(1, len(num)):
+        row.append(num[n] - math.fsum(row[k] * den[n - k] for k in range(n)))
+    table = [row]
+    for _ in range(k_max):
+        row = [x - y for x, y in zip(row, row[1:])]
+        table.append(row)
+    return [np.array(row[:n_max + 1]) for row in table]
+
+
 def _run_concave_coeffs(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     a, b, c = params["a"], params["b"], params["c"]
     if not max(a, b) < c:
         raise HypothesisError(
             f"negative-coefficient claim needs max(a,b) < c, got ({a},{b},{c})")
+    hyp2f1.HypParams(a, b, c)  # refuses a non-positive or non-finite a, b, c
     depth = grid.count - 1
-    ratio = hyp2f1.ratio_coeffs(hyp2f1.HypParams(a, b, c), depth)
-    coeff = (a * b / c) * ratio  # Maclaurin coefficients of v'/v
+    coeff = (a * b / c) * _ratio_table(a, b, c, depth)[0]  # of v'/v
     # x(1-x)v'/v has x^{n+1} coefficient coeff[n] - coeff[n-1] <= 0
     point, margin = _worst((np.arange(1.0, depth + 1),
                             coeff[:depth] - coeff[1:depth + 1]))
@@ -403,6 +444,10 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
     for case in params["cases"]:
         a, b = case["a"], case["b"]
         kind = case["kind"]
+        if not 0.0 < case["tol"] < math.inf:
+            raise DomainError(
+                f"{kind} case ({a},{b}) needs a finite tol > 0, "
+                f"got {case['tol']!r}")
         if kind == "gauss":
             c = case["c"]
             if not a + b < c:
@@ -706,15 +751,16 @@ def _run_hempel_sandwich(params: dict, grid: GridSpec) -> tuple[object, float, s
 
 def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     a, b, c = params["a"], params["b"], params["c"]
+    # c = inf meets the hypothesis, but the recurrences need finite floats
+    if not all(map(math.isfinite, (a, b, c))):
+        raise DomainError(f"(a,b,c) must be finite, got ({a},{b},{c})")
     if not (-1.0 <= a <= c and 0.0 < b <= c):
         raise HypothesisError(
             f"total monotonicity needs -1 <= a <= c and 0 < b <= c, "
             f"got ({a},{b},{c})")
     k_max = params["k_max"]
-    n_max = int(round(grid.hi))
-    ratio = hyp2f1.ratio_coeffs(hyp2f1.HypParams(a, b, c), n_max + k_max)
-    table = [row[:n_max + 1]
-             for row in hyp2f1.finite_difference_table(ratio, k_max)]
+    n_max = _whole(round(grid.hi), "round(grid.hi)")
+    table = _ratio_table(a, b, c, n_max, k_max)
     point, margin = _worst(*(([(k, n) for n in range(row.size)], row)
                              for k, row in enumerate(table)))
     strict = np.flatnonzero(table[1] > 1e-12) if k_max >= 1 else []
@@ -864,6 +910,11 @@ def run_check(name: str, params: Optional[dict] = None,
     UnknownCheckError for names outside the registry and HypothesisError
     when the parameters violate the claim's hypothesis, and DomainError
     for a tol that is negative, NaN or infinite.
+
+    A parameter override must name a registry parameter, and it takes
+    the type of the default: a real number where that is a float, a
+    whole number >= 0 where it is an int (6.0 serves as 6).  Anything
+    else raises DomainError.  List-valued parameters pass as given.
     """
     if tol_profile not in ("default", "strict"):
         raise DomainError(
@@ -875,8 +926,19 @@ def run_check(name: str, params: Optional[dict] = None,
             f"unknown check {name!r}; known: {', '.join(sorted(_REGISTRY))}"
         ) from None
     merged = dict(cd.params)
-    if params:
-        merged.update(params)
+    for key, value in (params or {}).items():
+        if key not in merged:
+            raise DomainError(
+                f"check {name!r} has no parameter {key!r}; known: "
+                f"{', '.join(sorted(merged)) or 'none'}")
+        default = cd.params[key]
+        if isinstance(default, float):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{key} must be a real number, got {value!r}")
+            value = float(value)
+        elif isinstance(default, int):
+            value = _whole(value, key)
+        merged[key] = value
     g = cd.grid if grid is None else grid
     tolerance = cd.tol if tol is None else float(tol)
     if not (0.0 <= tolerance < math.inf):

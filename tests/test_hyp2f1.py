@@ -1,6 +1,5 @@
 """Gaussian hypergeometric evaluation: closed forms, frozen references,
-the hypergeometric ODE as a three-way consistency check, and the series
-utilities (coefficient ratio division, difference tables).
+and the hypergeometric ODE as a three-way consistency check.
 
 Frozen literals are 17-digit truncations of 50-digit evaluations.
 """
@@ -26,8 +25,6 @@ from punctmetric.hyp2f1 import (
     f21_many,
     f21_minus_one,
     f21_minus_one_many,
-    finite_difference_table,
-    ratio_coeffs,
 )
 
 HALF = HypParams(0.5, 0.5, 1.0)
@@ -168,38 +165,6 @@ def test_f21_at_one_requires_convergence():
         f21_at_one(HALF)                      # c = a+b diverges
     with pytest.raises(DomainError):
         f21_at_one(HypParams(1.0, 2.0, 2.5))  # c < a+b diverges
-
-
-def test_ratio_coeffs_reference():
-    got = ratio_coeffs(HALF, 6)
-    want = [1.0, 0.875, 0.8125, 0.7724609375, 0.74365234375,
-            0.721466064453125, 0.7035980224609375]
-    assert got == pytest.approx(want, rel=1e-13)
-
-
-def test_ratio_coeffs_validation():
-    with pytest.raises(DomainError):
-        ratio_coeffs(HypParams(1.5, 0.5, 1.0), 5)   # a > c
-    for n_max in (201, -1, math.nan, math.inf, 2.7):
-        with pytest.raises(DomainError):
-            ratio_coeffs(HALF, n_max)
-    assert ratio_coeffs(HALF, 6.0).size == 7
-
-
-def test_finite_difference_table_convention():
-    table = finite_difference_table([1.0, 0.5, 0.25], 2)
-    assert [list(row) for row in table] == [[1.0, 0.5, 0.25], [0.5, 0.25],
-                                            [0.25]]
-
-
-def test_finite_difference_table_validation():
-    with pytest.raises(DomainError):
-        finite_difference_table([1.0, 0.5], 2)
-    with pytest.raises(DomainError):
-        finite_difference_table([], 0)
-    for k_max in (math.nan, -math.inf, 1.5):
-        with pytest.raises(DomainError):
-            finite_difference_table([1.0, 0.5, 0.25], k_max)
 
 
 @given(st.floats(-0.5, 1.5).filter(lambda x: x < 0.0 or x >= 1.0))

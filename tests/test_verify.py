@@ -118,6 +118,107 @@ def test_param_override_and_hypothesis_guards():
     assert r.passed
 
 
+def test_ratio_table_reference():
+    # F(3/2,3/2;2;x) / F(1/2,1/2;1;x), the Kuestner check's default ratio
+    got = verify._ratio_table(0.5, 0.5, 1.0, 6)
+    want = [1.0, 0.875, 0.8125, 0.7724609375, 0.74365234375,
+            0.721466064453125, 0.7035980224609375]
+    assert len(got) == 1
+    assert got[0] == pytest.approx(want, rel=1e-13)
+
+
+def test_ratio_table_convention():
+    # F(0,b+1;c+1;x) / F(-1,b;c;x) = 1/(1 - bx/c): r_n = (b/c)^n exactly
+    table = verify._ratio_table(-1.0, 0.5, 1.0, 2, 2)
+    assert [row.tolist() for row in table] == [
+        [1.0, 0.5, 0.25], [0.5, 0.25, 0.125], [0.25, 0.125, 0.0625]]
+    # row k + 1 holds Delta^k r_n - Delta^k r_(n+1), n = 0..n_max
+    table = verify._ratio_table(0.5, 0.5, 1.0, 4, 3)
+    longer = verify._ratio_table(0.5, 0.5, 1.0, 5, 2)
+    for k in range(3):
+        assert table[k].size == 5
+        assert (table[k + 1] == longer[k][:-1] - longer[k][1:]).all()
+
+
+@pytest.mark.parametrize("a", [-1, -0.5, 0])
+def test_kustner_runs_down_to_a_minus_one(a):
+    r = verify.run_check("kustner_total_monotone", params={"a": a})
+    assert r.passed
+    assert r.worst_margin >= 0.0
+
+
+def test_kustner_refuses_non_finite_parameters():
+    # c = inf meets -1 <= a <= c and 0 < b <= c
+    for params in ({"c": math.inf}, {"a": math.nan}, {"b": -math.inf}):
+        with pytest.raises(DomainError):
+            verify.run_check("kustner_total_monotone", params=params)
+
+
+def test_coefficient_tables_stop_at_r_200():
+    # depth 201 and n_max + k_max = 195 + 6 = 201 are refused, 200 runs
+    with pytest.raises(DomainError):
+        verify.run_check("lem_concave_coeffs", grid=verify.GridSpec(0, 30, 202))
+    with pytest.raises(DomainError):
+        verify.run_check("kustner_total_monotone",
+                         grid=verify.GridSpec(0, 195, 41))
+    assert verify.run_check("lem_concave_coeffs",
+                            grid=verify.GridSpec(0, 30, 201)).passed
+    assert verify.run_check("kustner_total_monotone",
+                            grid=verify.GridSpec(0, 194, 41)).passed
+    # round(hi) = -1 would leave no n
+    with pytest.raises(DomainError):
+        verify.run_check("kustner_total_monotone",
+                         grid=verify.GridSpec(-5.0, -0.6, 41))
+
+
+def test_k_max_is_a_whole_number():
+    six = verify.run_check("kustner_total_monotone", params={"k_max": 6})
+    assert verify.run_check("kustner_total_monotone",
+                            params={"k_max": 6.0}) == six
+    for k_max in (1.5, -1, math.nan, math.inf, -math.inf, "6", True):
+        with pytest.raises(DomainError):
+            verify.run_check("kustner_total_monotone", params={"k_max": k_max})
+
+
+def test_unknown_parameter_is_refused():
+    with pytest.raises(DomainError, match="known: a, b, c"):
+        verify.run_check("lem_vaman_1", params={"A": 0.7})
+    with pytest.raises(DomainError, match="known: none"):
+        verify.run_check("thm_c212_1", params={"a": 0.5})
+
+
+@pytest.mark.parametrize("name,params", [
+    ("lem_vaman_1", {"a": "2"}),
+    ("lem_vaman_1", {"a": True}),
+    ("lem_vaman_1", {"a": None}),
+    ("thm_main_convex", {"pairs": 2.5}),
+    ("thm_main2_subadd", {"seed": "x"}),
+    ("thm_main2_subadd", {"pairs": -5}),
+    ("cor_phi_decreasing", {"seed": -1}),
+])
+def test_parameter_override_of_wrong_type_is_refused(name, params):
+    with pytest.raises(DomainError):
+        verify.run_check(name, params=params)
+
+
+def test_parameter_override_takes_the_default_type():
+    # an int where the default is a float, a float where it is an int
+    r = verify.run_check("lem_vaman_1", params={"a": 2, "b": 2, "c": 1})
+    assert r == verify.run_check("lem_vaman_1")
+    r = verify.run_check("thm_main2_subadd", params={"pairs": 500.0,
+                                                     "seed": 1202.0})
+    assert r == verify.run_check("thm_main2_subadd")
+
+
+@pytest.mark.parametrize("tol", [-1e-30, 0.0, math.inf, math.nan])
+def test_genconv_limit_tol_must_be_finite_and_positive(tol):
+    cases = [dict(case) for case
+             in verify._REGISTRY["thm_genconv_limits"].params["cases"]]
+    cases[0]["tol"] = tol
+    with pytest.raises(DomainError, match="gauss case"):
+        verify.run_check("thm_genconv_limits", params={"cases": cases})
+
+
 def test_convex_pairs_out_of_reach_are_refused():
     # |s - t| < 2 t_span for every draw, so no pair could ever be kept
     for gap in (40.0, 41.0, math.nan):
