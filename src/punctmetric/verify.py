@@ -36,6 +36,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import random
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -63,14 +64,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "count", int(self.count))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < self.hi):
-            raise DomainError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
-        if not math.isfinite(self.hi - self.lo):
-            # linspace would step by inf and sample nan
-            raise DomainError(
-                f"grid width hi - lo overflows a float: [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "count", _whole(self.count, "count"))
+        # a finite width needs finite ends; an infinite one would make
+        # linspace step by inf and sample nan
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise DomainError(f"grid needs lo < hi with hi - lo finite, "
+                              f"got [{self.lo}, {self.hi}]")
         if self.count < 3:
             raise DomainError(f"grid needs count >= 3, got {self.count}")
         if self.scale not in ("linear", "log"):
@@ -119,8 +118,12 @@ class PropertyReport:
         }
 
 
+# What a check's runner returns: the worst point, its margin, and notes.
+Outcome = tuple[object, float, str]
+
+
 class CheckDef(NamedTuple):
-    runner: Callable[[dict, GridSpec], tuple[object, float, str]]
+    runner: Callable[[dict, GridSpec], Outcome]
     params: dict
     grid: GridSpec
     tol: float
@@ -217,11 +220,20 @@ def _sampled(f_many: Callable[[np.ndarray], np.ndarray],
 
 
 def _subadditive_pairs(params: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded random pairs (s, t) of a subadditivity claim: their s
-    and their t."""
-    rng = np.random.default_rng(params["seed"])
-    return rng.uniform(params["s_lo"], params["s_hi"],
-                       size=(params["pairs"], 2)).T
+    """The seeded random pairs (s, t) of a subadditivity claim, uniform on
+    [s_lo, s_hi]^2 and drawn pair by pair: their s and their t.
+
+    The range must be finite, non-empty, and small enough that s + t
+    stays finite; else DomainError.
+    """
+    lo, hi = params["s_lo"], params["s_hi"]
+    if not -math.inf < 2.0 * lo < 2.0 * hi < math.inf:
+        raise DomainError(
+            f"subadditivity pairs need s_lo < s_hi with s + t finite, "
+            f"got [{lo}, {hi}]")
+    draw = random.Random(params["seed"]).random
+    draws = [lo + (hi - lo) * draw() for _ in range(2 * params["pairs"])]
+    return np.reshape(draws, (-1, 2)).T
 
 
 def _subadditive(s: np.ndarray, t: np.ndarray, f_s: np.ndarray,
@@ -272,7 +284,7 @@ def _vaman_case(a: float, b: float, c: float) -> str:
 
 
 def _make_vaman_runner(expected: str):
-    def run(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+    def run(params: dict, grid: GridSpec) -> Outcome:
         a, b, c = params["a"], params["b"], params["c"]
         case = _vaman_case(a, b, c)
         if case != expected:
@@ -338,7 +350,7 @@ def _ratio_table(a: float, b: float, c: float, n_max: int,
     return [np.array(row[:n_max + 1]) for row in table]
 
 
-def _run_concave_coeffs(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_concave_coeffs(params: dict, grid: GridSpec) -> Outcome:
     a, b, c = params["a"], params["b"], params["c"]
     if not max(a, b) < c:
         raise HypothesisError(
@@ -354,7 +366,7 @@ def _run_concave_coeffs(params: dict, grid: GridSpec) -> tuple[object, float, st
     return point, margin, notes
 
 
-def _run_concave_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_concave_shape(params: dict, grid: GridSpec) -> Outcome:
     a, b, c = params["a"], params["b"], params["c"]
     if not max(a, b) < c:
         raise HypothesisError(
@@ -378,7 +390,7 @@ def _run_concave_shape(params: dict, grid: GridSpec) -> tuple[object, float, str
     return point, margin, notes
 
 
-def _run_hlvv_sign(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_hlvv_sign(params: dict, grid: GridSpec) -> Outcome:
     xs = _points_inside(grid, 1.0)
     parts = []
     notes = []
@@ -404,7 +416,7 @@ def _run_hlvv_sign(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, "; ".join(notes)
 
 
-def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_genconv_logconvex(params: dict, grid: GridSpec) -> Outcome:
     a, b, c = params["a"], params["b"], params["c"]
     if not a * b / (a + b + 1.0) < c:
         raise HypothesisError(
@@ -437,7 +449,7 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> tuple[object, float,
     return point, margin, notes
 
 
-def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_genconv_limits(params: dict, grid: GridSpec) -> Outcome:
     points = []
     margins = []
     notes = []
@@ -453,8 +465,9 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
             if not a + b < c:
                 raise HypothesisError(f"gauss limit needs a+b < c, got ({a},{b},{c})")
             point = case["x"]
-            lim = hyp2f1.f21_at_one(hyp2f1.HypParams(a, b, c))
-            val = hyp2f1.f21(hyp2f1.HypParams(a, b, c), point).value
+            p = hyp2f1.HypParams(a, b, c)
+            lim = hyp2f1.f21_at_one(p)
+            val = hyp2f1.f21(p, point).value
         elif kind == "zb":
             u = case["u"]
             ell = -math.log(u)
@@ -462,7 +475,7 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
                 hyp2f1.HypParams(a, b, a + b), u, ell).value
             lim = (ell + specfun.ramanujan_r(a, b)) / specfun.beta(a, b)
             point = 1.0 - u
-        elif kind == "power":
+        else:  # "power": run_check admits only the registry's kinds
             c = case["c"]
             if not a + b > c:
                 raise HypothesisError(f"power limit needs a+b > c, got ({a},{b},{c})")
@@ -471,8 +484,6 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
             val *= (1.0 - point) ** (a + b - c)
             lim = (specfun.gamma(c) * specfun.gamma(a + b - c)
                    / (specfun.gamma(a) * specfun.gamma(b)))
-        else:
-            raise DomainError(f"unknown limit kind {kind!r}")
         dev = abs(val - lim)
         # normalize: each case carries the tolerance its O(.) term implies
         points.append(point)
@@ -484,7 +495,7 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> tuple[object, float, st
     return point, margin, notes
 
 
-def _run_main_parity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_main_parity(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
     p_pos, p_neg = _sampled(functools.partial(pqfun.p_func_many, pr),
@@ -500,26 +511,38 @@ def _run_main_parity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
 
 
 def _convex_pairs(params: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded random pairs (s, t) with |s - t| >= min_gap, in draw
-    order: their s and their t.  Each round draws the pairs still
-    missing by one call, so the stream is that of pair-by-pair draws."""
+    """The seeded random pairs (s, t), uniform on the part of
+    [-t_span, t_span]^2 where |s - t| >= min_gap: their s and their t.
+
+    Each pair is drawn directly (Devroye 1986, ch. 2): the gap d, whose
+    density is proportional to 2T - d on [g, 2T], by inversion; then the
+    lower point, uniform on [-T, T - d]; then a coin for the order.  So
+    the cost is O(pairs) however close min_gap is to 2 t_span.
+    """
     span = params["t_span"]
     gap = params["min_gap"]
-    count = params["pairs"]
+    if not 0.0 < 2.0 * span < math.inf:
+        raise DomainError(
+            f"convex pairs need 0 < t_span with s - t finite, got {span}")
     if not gap < 2.0 * span:
         raise HypothesisError(
             f"no pair in [-{span}, {span}] is min_gap = {gap} apart")
-    rng = np.random.default_rng(params["seed"])
-    pairs = np.empty((0, 2))
-    while len(pairs) < count:
-        draws = rng.uniform(-span, span, size=(count - len(pairs), 2))
-        # below the gap the slack is noise scale: redraw
-        pairs = np.concatenate(
-            (pairs, draws[np.abs(draws[:, 0] - draws[:, 1]) >= gap]))
-    return pairs.T
+    # slack = 2T - d.  Rounding the room, the slack's split and the two
+    # points moves the float gap from 2T - slack by at most 4 ulp(T), so
+    # 8 ulp(T) of headroom keeps every float gap >= min_gap.  It trims
+    # the slack's law at its top by 8 ulp(T), a relative 8 ulp(T)/(2T - g).
+    room = max(2.0 * span - max(gap, 0.0) - 8.0 * math.ulp(span), 0.0)
+    draw = random.Random(params["seed"]).random
+    pairs = []
+    for _ in range(params["pairs"]):
+        slack = room * math.sqrt(draw())
+        below = slack * draw()
+        pair = (-span + below, span - (slack - below))
+        pairs.append(pair if draw() < 0.5 else pair[::-1])
+    return np.reshape(pairs, (-1, 2)).T
 
 
-def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_main_convex(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     inv_beta = 1.0 / specfun.beta(pr.a, pr.b)
     s, t = _convex_pairs(params)
@@ -568,7 +591,7 @@ def _run_main_convex(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_pprime_bounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_pprime_bounds(params: dict, grid: GridSpec) -> Outcome:
     ts = grid.points()
     parts = []
     notes = []
@@ -583,7 +606,7 @@ def _run_pprime_bounds(params: dict, grid: GridSpec) -> tuple[object, float, str
     return point, margin, "P' strictly increasing, |P'| < 1/B; " + "; ".join(notes)
 
 
-def _run_main_slopes(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_main_slopes(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     cap = 1.0 / specfun.beta(pr.a, pr.b)
     ts = grid.points()
@@ -599,7 +622,7 @@ def _run_main_slopes(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_qq_identity(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
     q_pos, q_neg = _sampled(functools.partial(pqfun.q_func_many, pr),
@@ -610,7 +633,7 @@ def _run_qq_identity(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_subadd(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_subadd(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = _points_inside(grid, math.inf)
     s, t = _subadditive_pairs(params)
@@ -628,7 +651,7 @@ def _run_subadd(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_qbounds(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     if not pr.a + pr.b >= 1.0:
         raise HypothesisError(
@@ -649,7 +672,7 @@ def _run_qbounds(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_th_increasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_th_increasing(params: dict, grid: GridSpec) -> Outcome:
     ts = _points_inside(grid, math.inf)
     ys = ts * metric.h_many(ts)
     mono = _steps(ts, ys, True)
@@ -661,7 +684,7 @@ def _run_th_increasing(params: dict, grid: GridSpec) -> tuple[object, float, str
     return point, margin, notes
 
 
-def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
     two_c0 = 2.0 * metric.c0()
@@ -697,7 +720,7 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_big_h_prime(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_big_h_prime(params: dict, grid: GridSpec) -> Outcome:
     ts = grid.points()
     ys = metric.big_h_prime_many(ts)
     mono, band = _increasing_capped(ts, ys, 2.0)
@@ -709,7 +732,7 @@ def _run_big_h_prime(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_weighted_extremum(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_weighted_extremum(params: dict, grid: GridSpec) -> Outcome:
     ext = max_weighted_h()
     c0 = metric.c0()
     ts = grid.points()
@@ -734,7 +757,7 @@ def _run_weighted_extremum(params: dict, grid: GridSpec) -> tuple[object, float,
     return point, margin, notes
 
 
-def _run_hempel_sandwich(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_hempel_sandwich(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     gap = metric.c0() - math.log(16.0)
     ts = _points_inside(grid, math.inf)
@@ -749,7 +772,7 @@ def _run_hempel_sandwich(params: dict, grid: GridSpec) -> tuple[object, float, s
     return point, margin, notes
 
 
-def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_kustner(params: dict, grid: GridSpec) -> Outcome:
     a, b, c = params["a"], params["b"], params["c"]
     # c = inf meets the hypothesis, but the recurrences need finite floats
     if not all(map(math.isfinite, (a, b, c))):
@@ -772,7 +795,7 @@ def _run_kustner(params: dict, grid: GridSpec) -> tuple[object, float, str]:
     return point, margin, notes
 
 
-def _run_phi_decreasing(params: dict, grid: GridSpec) -> tuple[object, float, str]:
+def _run_phi_decreasing(params: dict, grid: GridSpec) -> Outcome:
     ts = _points_inside(grid, math.inf)
     s, t = _subadditive_pairs(params)
     phis, *phi_pairs = _sampled(metric.varphi_many, ts, s, t, s + t)
@@ -894,6 +917,36 @@ _REGISTRY: dict[str, CheckDef] = {
 }
 
 
+def _override(default, value, name: str):
+    """value in the shape of the registry default it replaces (see
+    run_check); `name` locates it in the error."""
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        return float(value)
+    if isinstance(default, int):
+        return _whole(value, name)
+    if isinstance(default, dict):
+        if isinstance(value, dict) and value.keys() == default.keys():
+            return {k: _override(default[k], v, f"{name}[{k!r}]")
+                    for k, v in value.items()}
+    elif isinstance(default, str):
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (list, tuple)):
+        if isinstance(default[0], (list, dict)):
+            # entries, each shaped as a default one; a dict as its kind's
+            return [_override(next((d for d in default if isinstance(d, list)
+                                    or isinstance(v, dict)
+                                    and d["kind"] == v.get("kind")), default),
+                              v, f"{name}[{i}]")
+                    for i, v in enumerate(value)]
+        if len(value) == len(default):  # a record, field by field
+            return [_override(d, v, f"{name}[{i}]")
+                    for i, (d, v) in enumerate(zip(default, value))]
+    raise DomainError(f"{name} must take the form of {default!r}, got {value!r}")
+
+
 def check_names() -> list[str]:
     """Registry names, sorted."""
     return sorted(_REGISTRY)
@@ -913,8 +966,12 @@ def run_check(name: str, params: Optional[dict] = None,
 
     A parameter override must name a registry parameter, and it takes
     the type of the default: a real number where that is a float, a
-    whole number >= 0 where it is an int (6.0 serves as 6).  Anything
-    else raises DomainError.  List-valued parameters pass as given.
+    whole number >= 0 where it is an int (6.0 serves as 6), a string
+    where it is a string.  A list of entries may hold any number of
+    them, each shaped as the default's entries: a record of as many
+    fields, or a dict with the keys of the default case of its "kind".
+    Anything else raises DomainError, and so does a tol that is not a
+    real number.
     """
     if tol_profile not in ("default", "strict"):
         raise DomainError(
@@ -931,16 +988,9 @@ def run_check(name: str, params: Optional[dict] = None,
             raise DomainError(
                 f"check {name!r} has no parameter {key!r}; known: "
                 f"{', '.join(sorted(merged)) or 'none'}")
-        default = cd.params[key]
-        if isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{key} must be a real number, got {value!r}")
-            value = float(value)
-        elif isinstance(default, int):
-            value = _whole(value, key)
-        merged[key] = value
+        merged[key] = _override(cd.params[key], value, key)
     g = cd.grid if grid is None else grid
-    tolerance = cd.tol if tol is None else float(tol)
+    tolerance = cd.tol if tol is None else _override(cd.tol, tol, "tol")
     if not (0.0 <= tolerance < math.inf):
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     if tol_profile == "strict":

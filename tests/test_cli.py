@@ -194,6 +194,21 @@ def test_verify_output_is_golden(capsys, suite):
         assert out.encode() == fh.read()
 
 
+@pytest.mark.parametrize("suite", ["default", "strict"])
+def test_verify_never_loads_numpy_random(suite):
+    # in a fresh interpreter: the test modules themselves load numpy.random
+    script = ("import io, sys, contextlib\n"
+              "from punctmetric import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rc = cli.main(['verify', '--suite', {suite!r}])\n"
+              "assert rc == 0, rc\n"
+              "assert 'numpy.random' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_unknown_check_rc2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--check", "no_such_thing"])

@@ -5,6 +5,8 @@ rather than silently reinterpreted.
 
 import json
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -92,10 +94,17 @@ def test_bad_profile():
         verify.run_check("thm_main_parity", tol_profile="loose")
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12,
+                                 "0.5", True, False, [1e-6], 1j])
 def test_bad_tolerance(tol):
     with pytest.raises(DomainError):
         verify.run_check("thm_main2_qq", tol=tol)
+
+
+def test_tolerance_takes_any_real_number():
+    r = verify.run_check("thm_main2_qq", tol=1e-6)
+    assert verify.run_check("thm_main2_qq", tol=np.float64(1e-6)) == r
+    assert verify.run_check("thm_main2_qq", tol=1).tolerance == 1.0
 
 
 def test_param_override_and_hypothesis_guards():
@@ -219,6 +228,38 @@ def test_genconv_limit_tol_must_be_finite_and_positive(tol):
         verify.run_check("thm_genconv_limits", params={"cases": cases})
 
 
+@pytest.mark.parametrize("name,params,entry", [
+    ("thm_genconv_limits", {"cases": [{"kind": "gauss"}]}, r"cases\[0\]"),
+    ("thm_genconv_limits", {"cases": [{"kind": "zb", "a": 0.5, "b": 0.5,
+                                       "u": 1e-8, "tol": 1e-6, "x": 0.5}]},
+     r"cases\[0\]"),
+    ("thm_genconv_limits", {"cases": [{"kind": "pole"}]}, r"cases\[0\]"),
+    ("thm_genconv_limits", {"cases": [[0.5, 0.5]]}, r"cases\[0\]"),
+    ("thm_genconv_limits", {"cases": [{"kind": "zb", "a": "0.5", "b": 0.5,
+                                       "u": 1e-8, "tol": 1e-6}]},
+     r"cases\[0\]\['a'\]"),
+    ("thm_main_pprime_bounds", {"pairs": [[0.5]]}, r"pairs\[0\]"),
+    ("thm_main_pprime_bounds", {"pairs": [[0.5, 0.5], [1.0, 2.0, 3.0]]},
+     r"pairs\[1\]"),
+    ("thm_main_pprime_bounds", {"pairs": [0.5, 0.5]}, r"pairs\[0\]"),
+    ("thm_main_pprime_bounds", {"pairs": 2.5}, "pairs must take the form"),
+    ("lem_hlvv_sign", {"cases": [[1.0, 1.0, 1.5, 1]]}, r"cases\[0\]\[3\]"),
+    ("lem_hlvv_sign", {"cases": [[1.0, 1.0, 1.5]]}, r"cases\[0\]"),
+])
+def test_list_override_entries_take_the_default_shape(name, params, entry):
+    with pytest.raises(DomainError, match=entry):
+        verify.run_check(name, params=params)
+
+
+def test_list_override_entries_take_the_default_types():
+    r = verify.run_check("thm_main_pprime_bounds", params={"pairs": [(1, 2)]})
+    assert r == verify.run_check("thm_main_pprime_bounds",
+                                 params={"pairs": [[1.0, 2.0]]})
+    cases = verify._REGISTRY["thm_genconv_limits"].params["cases"]
+    assert verify.run_check("thm_genconv_limits",
+                            params={"cases": cases[1:]}).passed
+
+
 def test_convex_pairs_out_of_reach_are_refused():
     # |s - t| < 2 t_span for every draw, so no pair could ever be kept
     for gap in (40.0, 41.0, math.nan):
@@ -227,13 +268,25 @@ def test_convex_pairs_out_of_reach_are_refused():
                              params={"min_gap": gap, "t_span": 20.0})
 
 
-def _pairs_drawn_one_by_one(seed, lo, hi, count, gap=-math.inf):
-    rng = np.random.default_rng(seed)
+def _subadditive_pairs_one_by_one(seed, lo, hi, count):
+    draw = random.Random(seed).random
     pairs = []
-    while len(pairs) < count:
-        s, t = rng.uniform(lo, hi, size=2).tolist()
-        if abs(s - t) >= gap:
-            pairs.append((s, t))
+    for _ in range(count):
+        s = lo + (hi - lo) * draw()
+        t = lo + (hi - lo) * draw()
+        pairs.append((s, t))
+    return pairs
+
+
+def _convex_pairs_one_by_one(seed, span, gap, count):
+    # the gap by inversion of its law, then the lower point, then the order
+    draw = random.Random(seed).random
+    pairs = []
+    for _ in range(count):
+        d = 2 * span - (2 * span - max(gap, 0.0)) * math.sqrt(draw())
+        lower = -span + (2 * span - d) * draw()
+        pair = (lower, lower + d)
+        pairs.append(pair if draw() < 0.5 else pair[::-1])
     return pairs
 
 
@@ -241,19 +294,67 @@ def _pairs_drawn_one_by_one(seed, lo, hi, count, gap=-math.inf):
 def test_subadditive_pairs_are_the_pair_by_pair_draws(name):
     params = verify._REGISTRY[name].params
     s, t = verify._subadditive_pairs(params)
-    assert list(zip(s.tolist(), t.tolist())) == _pairs_drawn_one_by_one(
+    assert list(zip(s.tolist(), t.tolist())) == _subadditive_pairs_one_by_one(
         params["seed"], params["s_lo"], params["s_hi"], params["pairs"])
 
 
 @pytest.mark.parametrize("gap", [0.5, 30.0])
 def test_convex_pairs_are_the_pair_by_pair_draws(gap):
-    # at gap 30 fifteen draws in sixteen are redrawn, over many rounds:
-    # the pairs kept are the same and in the same order
+    # the sampler keeps a few ulps of headroom below the largest gap, so
+    # the pairs agree with the plain formulas to rounding
     params = dict(verify._REGISTRY["thm_main_convex"].params, min_gap=gap)
     s, t = verify._convex_pairs(params)
-    span = params["t_span"]
-    assert list(zip(s.tolist(), t.tolist())) == _pairs_drawn_one_by_one(
-        params["seed"], -span, span, params["pairs"], gap)
+    want = _convex_pairs_one_by_one(params["seed"], params["t_span"], gap,
+                                    params["pairs"])
+    assert np.column_stack((s, t)) == pytest.approx(np.array(want),
+                                                    rel=0, abs=1e-13)
+    s2, t2 = verify._convex_pairs(params)
+    assert s2.tolist() == s.tolist() and t2.tolist() == t.tolist()
+
+
+@pytest.mark.parametrize("span,gap", [
+    (20.0, 40.0 - 1e-13), (20.0, math.nextafter(40.0, 0.0)),
+    (0.7, 1.4 - 1e-15), (3.0, 0.5), (1e-310, 1e-310), (2.0, -math.inf)])
+def test_convex_pairs_meet_the_gap_in_floats(span, gap):
+    s, t = verify._convex_pairs(
+        {"seed": 5, "pairs": 2000, "min_gap": gap, "t_span": span})
+    assert s.size == t.size == 2000
+    assert (np.abs(s - t) >= gap).all()
+    assert (np.abs(s) <= span).all() and (np.abs(t) <= span).all()
+
+
+def test_convex_pairs_near_the_largest_gap_cost_no_more():
+    # rejection would keep one draw in 1.6e7 here
+    span, gap, count = 20.0, 39.99, 1000
+    start = time.perf_counter()
+    s, t = verify._convex_pairs(
+        {"seed": 20260817, "pairs": count, "min_gap": gap, "t_span": span})
+    assert time.perf_counter() - start < 2.0
+    d = np.abs(s - t)
+    assert (d >= gap).all() and (np.abs(s) <= span).all() \
+        and (np.abs(t) <= span).all()
+    # the gap's density is proportional to 2T - d on [g, 2T]: mean
+    # g + (2T - g)/3, standard deviation (2T - g)/sqrt(18)
+    room = 2 * span - gap
+    assert abs(d.mean() - (gap + room / 3)) < 4 * room / math.sqrt(18 * count)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("thm_main_convex", {"t_span": math.inf}),
+    ("thm_main_convex", {"t_span": math.nan}),
+    ("thm_main_convex", {"t_span": -1.0}),
+    ("thm_main_convex", {"t_span": 0.0, "min_gap": -1.0}),
+    ("thm_main_convex", {"t_span": 1e308}),        # s - t overflows
+    ("thm_main2_subadd", {"s_lo": math.inf}),
+    ("thm_main2_subadd", {"s_hi": math.nan}),
+    ("thm_main2_subadd", {"s_lo": 30.0}),          # above s_hi
+    ("thm_main2_subadd", {"s_lo": 25.0}),          # empty
+    ("thm_main2_subadd", {"s_hi": 1e308}),         # s + t overflows
+    ("cor_phi_decreasing", {"s_hi": 1e308}),
+])
+def test_sampler_ranges_are_typed_errors(name, params):
+    with pytest.raises(DomainError):
+        verify.run_check(name, params=params)
 
 
 def test_grid_override_must_fit_claim():
@@ -279,6 +380,17 @@ def test_gridspec_validation():
         verify.GridSpec(-1e308, 1e308, 3)        # hi - lo overflows
     g = verify.GridSpec(1.0, 4.0, 3, "log")
     assert list(g.points()) == pytest.approx([1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("count", [31.9, True, "31", math.nan, math.inf, -31])
+def test_gridspec_count_is_a_whole_number(count):
+    with pytest.raises(DomainError, match="count must be a whole number"):
+        verify.GridSpec(0, 30, count)
+
+
+def test_gridspec_count_takes_a_whole_float():
+    assert verify.GridSpec(0, 30, 31.0) == verify.GridSpec(0, 30, 31)
+    assert type(verify.GridSpec(0, 30, np.int64(31)).count) is int
 
 
 def test_gridspec_points_linear():
