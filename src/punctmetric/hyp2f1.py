@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -377,6 +377,7 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     expansion, both vanishing like u, so that callers recombining them
     against exactly known linear terms (the asymptotic-defect functions)
     keep full relative accuracy where C-1 formed by subtraction has none.
+    RangeError where a sum overflows a float.
     """
     u = float(u)
     if not (0.0 <= u <= 0.75):
@@ -386,6 +387,9 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
         raise ConvergenceError(
             f"zero-balanced coefficient sums at u={u} did not converge"
         )
+    if not (math.isfinite(sums[5]) and math.isfinite(sums[0])):
+        raise RangeError(
+            f"zero-balanced coefficient sums at u={u} overflow a float")
     return sums[5], sums[0]
 
 
@@ -451,16 +455,6 @@ def _connection(a: float, b: float, c: float, u: float,
     return EvalResult(value, err, terms + f2.terms_used, METHOD_CONNECTION)
 
 
-def _check_complement(u: float, minus_log_u: float) -> tuple[float, float]:
-    u = float(u)
-    minus_log_u = float(minus_log_u)
-    if not (0.0 <= u < 1.0):
-        raise DomainError(f"complement u must lie in [0, 1), got {u!r}")
-    if not math.isfinite(minus_log_u):
-        raise DomainError(f"-log(u) must be finite, got {minus_log_u!r}")
-    return u, minus_log_u
-
-
 def _x_err(x, u):
     """The relative rounding of x = fl(1-u), at a float or an array: 1-x
     is exact for x >= 1/2, and so is (1-x) - u wherever u > 2 eps."""
@@ -473,7 +467,11 @@ def f21_from_complement(p: HypParams, u: float,
     by a complement route or its hand-over, else by the direct series.
     Raises RangeError when the value overflows or the direct series would
     run where 1-u rounds to 1, ConvergenceError when out of terms."""
-    u, ell = _check_complement(u, minus_log_u)
+    u, ell = float(u), float(minus_log_u)
+    if not (0.0 <= u < 1.0):
+        raise DomainError(f"complement u must lie in [0, 1), got {u!r}")
+    if not math.isfinite(ell):
+        raise DomainError(f"-log(u) must be finite, got {ell!r}")
     if u < X_SWITCH:
         route, m = _route(p)
         r = (_connection(p.a, p.b, p.c, u, -ell) if route == "connection"
@@ -562,9 +560,13 @@ def f21_derivative(p: HypParams, x: float) -> float:
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
-# scalar call's bits.  An entry point sums each distinct point once,
-# keyed on its bits, and raises what a loop of scalar calls would raise
-# first.
+# scalar call's bits.  An entry point sums each distinct point in its
+# domain once, keyed on its bits.  The scalar forms alone decide errors:
+# a lane the lockstep does not serve (a series that overflows or runs
+# out of terms, a hand-over at x = 1, a log run whose B(a, b) overflows)
+# and a point out of range take their scalar call's result, point by
+# point in index order.  So a batch returns, and raises first, what a
+# loop of scalar calls would.
 
 # Terms per block: BLOCK_MIN, or as many as already summed, but at most
 # BLOCK_CELLS over all lanes.
@@ -580,11 +582,6 @@ BLOCK_CELLS = 16384
 # faster at 64.
 SCAN_ROWS_FROM = 256
 
-# per-lane status of a lockstep series: its scalar form returns, raises
-# RangeError on overflow, or raises some other error
-_OK, _OVERFLOW, _RAISES = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class EvalResults:
     """The EvalResult fields of a batch of points, one array each."""
@@ -596,24 +593,25 @@ class EvalResults:
 
 
 class _Lanes:
-    """Per-lane value, estimate, term count and status of a batch."""
+    """Per-lane value, estimate, term count and whether the lockstep
+    serves the lane, of a batch."""
 
     def __init__(self, size: int) -> None:
         self.value = np.zeros(size)
         self.err = np.zeros(size)
         self.terms = np.zeros(size, dtype=np.int64)
-        self.status = np.zeros(size, dtype=np.int8)  # _OK
+        self.served = np.ones(size, dtype=bool)
 
     def take(self, at, other: "_Lanes") -> None:
         self.value[at] = other.value
         self.err[at] = other.err
         self.terms[at] = other.terms
-        self.status[at] = other.status
+        self.served[at] = other.served
 
     def __getitem__(self, at: slice) -> "_Lanes":
         part = _Lanes(0)
         part.value, part.err = self.value[at], self.err[at]
-        part.terms, part.status = self.terms[at], self.status[at]
+        part.terms, part.served = self.terms[at], self.served[at]
         return part
 
 
@@ -751,8 +749,7 @@ def _direct_many(jobs: Sequence[tuple]) -> list[_Lanes]:
     with np.errstate(all="ignore"):
         out.err = _ratio_estimate(term, r, weighted, total, x_err)
     out.terms = summed + 1
-    out.status[~np.isfinite(total)] = _OVERFLOW
-    out.status[stalled] = _RAISES  # ConvergenceError: out of terms
+    out.served = np.isfinite(total) & ~stalled
     return [out[at] for at in _parts(counts)]
 
 
@@ -765,12 +762,6 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
     # given per lane
     d_0 = specfun.ramanujan_r(a, b)
     j = np.arange(float(MAX_TERMS_LOG))[:, None]
-    with np.errstate(all="ignore"):
-        (c_all,) = _scan(np.multiply,
-                         (1.0, (a + j) * (b + j) / ((j + 1.0) * (j + 1.0))))
-        (d_all,) = _scan(np.add, (
-            d_0, 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)))
-    j += 1.0
     kinds, pick = (np.unique(m, return_inverse=True)
                    if isinstance(m, np.ndarray) else ([m], None))
     f_all, fp_all = np.stack([_falling(int(k))[3] for k in kinds], axis=-1)
@@ -780,6 +771,16 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
     else:
         pick = pick.reshape(1, -1)
         f_0, fp_0 = f_all[0, pick[0]], fp_all[0, pick[0]]
+    start = size = np.zeros(u.size)
+    with np.errstate(all="ignore"):
+        (c_all,) = _scan(np.multiply,
+                         (1.0, (a + j) * (b + j) / ((j + 1.0) * (j + 1.0))))
+        (d_all,) = _scan(np.add, (
+            d_0, 2.0 / (j + 1.0) - 1.0 / (a + j) - 1.0 / (b + j)))
+        if not from_one:
+            start = f_0 * (d_0 + ell) - fp_0
+            size = abs(fp_0) + f_0 * (abs(d_0) + ell)
+    j += 1.0
 
     def step(n, k, fixed, state):
         uu, ll, pick = fixed
@@ -803,10 +804,6 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
         return rows, passed, False
 
     ones, zeros = np.ones(u.size), np.zeros(u.size)
-    start = size = zeros
-    if not from_one:
-        start = f_0 * (d_0 + ell) - fp_0
-        size = abs(fp_0) + f_0 * (abs(d_0) + ell)
     (_, total, size, weighted, plain, term, part), summed, stalled = _lockstep(
         step, (u[None], ell[None], pick),
         (ones, start, size, zeros, zeros, start, size), MAX_TERMS_LOG)
@@ -817,7 +814,9 @@ def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
                  ell: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
     """_zb_log for each m in ms at every (u, ell) pair, a and b the pair
     summed (c-a, c-b where m < 0), by one lockstep run: per m, the lanes
-    and where it hands over to the direct series."""
+    and where it hands over to the direct series.  Where B(a, b)
+    overflows, a lane whose sum stalls hands over, and no other lane is
+    served."""
     size = u.size
     sums, stalled = _zb_many(
         a, b, np.tile(u, len(ms)), np.tile(ell, len(ms)),
@@ -827,15 +826,15 @@ def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
         own = tuple(s[part] for s in sums)
         out = _Lanes(size)
         out.terms = own[-1] + 1
+        handover = stalled[part]
         try:
             with np.errstate(all="ignore"):
                 out.value, out.err, serves = _log_series_result(
                     a, b, m, own, u, ell)
-        except RangeError:  # B(a, b) overflows: every scalar call raises
-            out.status[:] = _RAISES
-            results.append((out, np.zeros(size, dtype=bool)))
-            continue
-        results.append((out, stalled[part] | ~serves))
+            handover = handover | ~serves
+        except RangeError:  # B(a, b) overflows: a stalled sum hands over
+            out.served = handover
+        results.append((out, handover))
     return results
 
 
@@ -875,12 +874,8 @@ def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
                 a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
                 f2.err)
         out.terms = f2.terms + (0 if coef_a is None else f1.terms)
-        # a scalar call stops at an overflowing B, or at its first
-        # failing series
-        status = np.where(f1.status == _OK, f2.status, f1.status)
-        raises = (status == _RAISES) & np.isfinite(coef_b)
-        out.status[raises] = _RAISES
-        results.append((out, ~raises & ((status == _OVERFLOW) | ~serves)))
+        out.served = f1.served & f2.served
+        results.append((out, out.served & ~serves))
     return results
 
 
@@ -912,7 +907,7 @@ def _from_complement_many(
             elif route == "power":
                 lanes = _Lanes(near.size)
                 lanes.value, lanes.err = _binomial(p, un)
-                lanes.status[lanes.value == math.inf] = _OVERFLOW
+                lanes.served = lanes.value < math.inf
                 found[i] = lanes, un == 0.0
         for (a, b), group in logs.items():
             found.update(zip(group, _zb_log_many(
@@ -932,7 +927,7 @@ def _from_complement_many(
             direct[near[none]] = True
         at = np.flatnonzero(direct)
         x = 1.0 - u[at]
-        out.status[at[x == 1.0]] = _RAISES
+        out.served[at[x == 1.0]] = False
         at, x = at[x < 1.0], x[x < 1.0]
         jobs.append((p.a, p.b, p.c, x, _x_err(x, u[at])))
         ats.append(at)
@@ -943,18 +938,27 @@ def _from_complement_many(
     return results, series[:len(own)]
 
 
-def _on_distinct(keys: Sequence[np.ndarray], lanes_of,
-                 scalar) -> EvalResults:
-    """EvalResults at every point, a point being its values in ``keys``,
-    from lanes_of(*keys), the (lanes, methods) at the distinct points;
-    raises what scalar(*point) raises at the first failing point."""
-    first, inverse = specfun._distinct(*keys)
-    points = [k[first] for k in keys]
-    out, method = lanes_of(*points)
-    specfun.reject_first(out.status != _OK,
-                         lambda i: scalar(*(k[i] for k in points)))
-    return EvalResults(out.value[inverse], out.err[inverse],
-                       out.terms[inverse], method[inverse])
+def _fields(lanes: _Lanes, method):
+    """The EvalResults fields of the lanes, then where they are served."""
+    return lanes.value, lanes.err, lanes.terms, method, lanes.served
+
+
+def _on_distinct(keys: Sequence[np.ndarray], valid: np.ndarray, lanes_of,
+                 scalar) -> list[np.ndarray]:
+    """Arrays of results at every point, a point being its values in
+    ``keys``: lanes_of(*keys) gives them at the distinct valid points,
+    then where the lockstep serves each; every other point, in index
+    order, takes what scalar(*point) returns, or raises its error."""
+    at = slice(None) if valid.all() else np.flatnonzero(valid)
+    first, inverse = specfun._distinct(*(k[at] for k in keys))
+    full = []
+    for out in lanes_of(*(k[at][first] for k in keys)):
+        full.append(np.zeros(valid.size, out.dtype))
+        full[-1][at] = out[inverse]
+    for i in np.flatnonzero(~full.pop()).tolist():
+        for out, v in zip(full, scalar(*(k[i] for k in keys))):
+            out[i] = v
+    return full
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
@@ -962,8 +966,6 @@ def f21_many(p: HypParams, xs) -> EvalResults:
     gets the value, estimate, term count and method of its f21 call, to
     the bit, and the batch raises what the first failing point would."""
     xs = specfun.as_points(xs)
-    specfun.reject_first(~((0.0 <= xs) & (xs < 1.0)),
-                         lambda i: _check_x(xs[i]))
 
     def lanes_of(xs):
         out = _Lanes(xs.size)
@@ -975,9 +977,11 @@ def f21_many(p: HypParams, xs) -> EvalResults:
             [(p.a, p.b, p.c, xs[~near], 0.0)])
         out.take(near, lanes)
         out.take(~near, below)
-        return out, method
+        return _fields(out, method)
 
-    return _on_distinct((xs,), lanes_of, lambda x: f21(p, x))
+    return EvalResults(*_on_distinct(
+        (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
+        lambda x: astuple(f21(p, x))))
 
 
 def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
@@ -987,32 +991,35 @@ def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
     if u.shape != ell.shape:
         raise DomainError(
             f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
-    specfun.reject_first(~((0.0 <= u) & (u < 1.0) & np.isfinite(ell)),
-                         lambda i: _check_complement(u[i], ell[i]))
-    return _on_distinct(
-        (u, ell), lambda u, ell: _from_complement_many((p,), u, ell)[0][0],
-        lambda u, ell: f21_from_complement(p, u, ell))
+    return EvalResults(*_on_distinct(
+        (u, ell), (0.0 <= u) & (u < 1.0) & np.isfinite(ell),
+        lambda u, ell: _fields(*_from_complement_many((p,), u, ell)[0][0]),
+        lambda u, ell: astuple(f21_from_complement(p, u, ell))))
 
 
 def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
                 ell: np.ndarray) -> list[np.ndarray]:
-    """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, at
-    0 <= lo <= 1/2 with ell = -log(lo) finite, as f21_many and
-    f21_from_complement_many give them: at each distinct (lo, ell) pair,
-    one direct run for all the F(p; lo) and the hand-overs past 1/2, and
-    one run per route past 1/2.  Raises what the first failing F(p; .)
-    raises, p by p."""
-    first, inverse = specfun._distinct(lo, ell)
-    lo, ell = lo[first], ell[first]
-    above, below = _from_complement_many(
-        ps, lo, ell, [(p.a, p.b, p.c, lo, 0.0) for p in ps])
-    above = [lanes for lanes, _ in above]
-    for p, out in zip(ps, below):
-        specfun.reject_first(out.status != _OK, lambda i: f21(p, lo[i]))
-    for p, out in zip(ps, above):
-        specfun.reject_first(out.status != _OK,
-                             lambda i: f21_from_complement(p, lo[i], ell[i]))
-    return [out.value[inverse] for out in below + above]
+    """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, as
+    f21 and f21_from_complement give them at (lo, ell = -log(lo)): at
+    each distinct pair with 0 <= lo <= 1/2 and ell finite, one direct run
+    for all the F(p; lo) and the hand-overs past 1/2, and one run per
+    route past 1/2.  A point the lockstep does not serve, or out of that
+    range, takes the values of its scalar calls, in that order, or raises
+    their first error."""
+
+    def lanes_of(lo, ell):
+        above, below = _from_complement_many(
+            ps, lo, ell, [(p.a, p.b, p.c, lo, 0.0) for p in ps])
+        lanes = below + [out for out, _ in above]
+        return (*(out.value for out in lanes),
+                np.logical_and.reduce([out.served for out in lanes]))
+
+    return _on_distinct(
+        (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),
+        lanes_of,
+        lambda lo, ell: ([f21(p, lo).value for p in ps]
+                         + [f21_from_complement(p, lo, ell).value
+                            for p in ps]))
 
 
 def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
@@ -1025,24 +1032,24 @@ def zb_complement_sums_many(a: float, b: float,
                             us) -> tuple[np.ndarray, np.ndarray]:
     """zb_complement_sums at every point of us, to the bit: (C-1, D1)."""
     u = specfun.as_points(us)
-    specfun.reject_first(~((0.0 <= u) & (u <= 0.75)),
-                         lambda i: zb_complement_sums(a, b, u[i]))
-    first, inverse = specfun._distinct(u)
-    u = u[first]
-    sums, stalled = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
-    specfun.reject_first(stalled, lambda i: zb_complement_sums(a, b, u[i]))
-    return sums[5][inverse], sums[0][inverse]
+
+    def lanes_of(u):
+        sums, stalled = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
+        return (sums[5], sums[0],
+                ~stalled & np.isfinite(sums[5]) & np.isfinite(sums[0]))
+
+    return tuple(_on_distinct((u,), (0.0 <= u) & (u <= 0.75), lanes_of,
+                              lambda u: zb_complement_sums(a, b, u)))
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     """f21_minus_one at every point of xs, to the bit."""
     HypParams(a, b, c)  # DomainError for a bad parameter
     x = specfun.as_points(xs)
-    specfun.reject_first(~((0.0 <= x) & (x <= 0.75)),
-                         lambda i: f21_minus_one(a, b, c, x[i]))
-    first, inverse = specfun._distinct(x)
-    x = x[first]
-    (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
-    specfun.reject_first(stalled | ~np.isfinite(total),
-                         lambda i: f21_minus_one(a, b, c, x[i]))
-    return total[inverse]
+
+    def lanes_of(x):
+        (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
+        return total, np.isfinite(total) & ~stalled
+
+    return _on_distinct((x,), (0.0 <= x) & (x <= 0.75), lanes_of,
+                        lambda x: (f21_minus_one(a, b, c, x),))[0]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyp2f1, specfun
-from .errors import DomainError, PunctMetricError
+from .errors import DomainError, PunctMetricError, RangeError
 from .hyp2f1 import HypParams
 
 
@@ -126,9 +126,12 @@ def _vw_pair(p: HypParams, lo, ell):
 
 def _complement_sums(pr: ZeroBalancedPair, t):
     """(B(a,b), lam, C-1, D1, v-1) at u = e^{-t}/(1+e^{-t}), lam =
-    log(1+e^{-t}), for t >= 0; B first, so that its RangeError comes
-    before the sums meet overflowing terms."""
+    log(1+e^{-t}), for t >= 0; B first, so that its RangeError, where it
+    overflows or underflows to 0, comes before the sums meet overflowing
+    terms."""
     beta = specfun.beta(pr.a, pr.b)
+    if not beta:
+        raise RangeError(f"B({pr.a}, {pr.b}) underflows to 0")
     e = specfun.pointwise(math.exp, -t)
     u = e / (1.0 + e)
     lam = specfun.pointwise(math.log1p, e)

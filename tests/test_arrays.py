@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punctmetric import hyp2f1, metric, pqfun
-from punctmetric.errors import PunctMetricError
+from punctmetric.errors import (ConvergenceError, DomainError,
+                                PunctMetricError, RangeError)
 from punctmetric.hyp2f1 import HypParams
 
 HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
@@ -321,3 +322,135 @@ def test_many_forms_reject_non_1d_input():
         hyp2f1.f21_many(HALF.params(), np.zeros((2, 2)))
     with pytest.raises(PunctMetricError):
         metric.h_many(0.5)
+
+
+# Differential grid: every hyp2f1 array form against a loop of its
+# scalar calls, on parameters at every route and at the float range's
+# edges.  Where the loop returns, the batch must give each point the
+# loop's bits; where it raises, the batch must raise the same typed
+# error with the same message.  Any warning fails the test.
+
+_EDGE_AB = [5e-324, 1e-320, 1e-310, 0.5, 2.0, 50.0, 600.0, 1e8, 1e306]
+
+
+def _edge_params():
+    """Triples with c = a+b+m, m in -2..2, c = a, c = b, and c drawn at
+    random, for every pair a <= b of _EDGE_AB."""
+    rng = np.random.default_rng(24)
+    out = []
+    for i, a in enumerate(_EDGE_AB):
+        for b in _EDGE_AB[i:]:
+            cs = [a + b + m for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+            cs += [a, b, float(np.exp(rng.uniform(-5.0, 7.0)))]
+            out += [HypParams(a, b, c) for c in cs if c > 0.0]
+    return out
+
+
+def _edge_points(rng, hi, specials):
+    """A batch of 1-6 points in [0, hi), a special point or two, and a
+    repeat."""
+    points = (rng.uniform(0.0, hi, rng.integers(1, 7)).tolist()
+              + rng.choice(specials, rng.integers(1, 3)).tolist())
+    rng.shuffle(points)
+    return np.array(points + points[:1])
+
+
+def _key(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _fields(result):
+    """An array form's result, or a scalar call's, as a sequence of its
+    fields."""
+    if isinstance(result, (hyp2f1.EvalResult, hyp2f1.EvalResults)):
+        return tuple(vars(result).values())
+    return result if isinstance(result, (tuple, list)) else (result,)
+
+
+def _assert_loop_parity(many, scalar, points):
+    """many(*columns) against [scalar(*point) for point in points]: the
+    same fields to the bit, or the same typed error."""
+    want = _outcome(lambda: [scalar(*pt) for pt in points])
+    got = _outcome(lambda: many(*(np.array(c) for c in zip(*points))))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert [tuple(map(_key, pt)) for pt in zip(*_fields(got))] == [
+        tuple(map(_key, _fields(w))) for w in want]
+
+
+_EDGE_X = [0.0, 0.5, ABOVE_HALF, 0.9, 0.99, 1e-300, 1.0, -0.25, math.nan]
+_EDGE_U = [0.0, 5e-324, 1e-300, 0.3, 0.5, 0.75, 0.9, -0.25, math.inf]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", _edge_params(), ids=repr)
+def test_array_forms_match_a_scalar_loop(p):
+    rng = np.random.default_rng([24, *struct.unpack("<3Q", struct.pack(
+        "<3d", p.a, p.b, p.c))])
+    xs = _edge_points(rng, 1.0, _EDGE_X)
+    _assert_loop_parity(lambda x: hyp2f1.f21_many(p, x),
+                        lambda x: hyp2f1.f21(p, x), [(x,) for x in xs])
+    _assert_loop_parity(lambda x: hyp2f1.f21_derivative_many(p, x),
+                        lambda x: hyp2f1.f21_derivative(p, x),
+                        [(x,) for x in xs])
+    us = _edge_points(rng, 0.5, _EDGE_U)
+    with np.errstate(all="ignore"):
+        ells = np.where(us == math.inf, math.inf, -np.log(np.abs(us)))
+    pairs = list(zip(us.tolist(), ells.tolist()))
+    _assert_loop_parity(
+        lambda u, ell: hyp2f1.f21_from_complement_many(p, u, ell),
+        lambda u, ell: hyp2f1.f21_from_complement(p, u, ell), pairs)
+    ps = [p, HypParams(p.a, p.b, p.c + 1.0)]
+    _assert_loop_parity(
+        lambda lo, ell: hyp2f1._lo_hi_many(ps, lo, ell),
+        lambda lo, ell: ([hyp2f1.f21(q, lo).value for q in ps]
+                         + [hyp2f1.f21_from_complement(q, lo, ell).value
+                            for q in ps]),
+        pairs)
+    _assert_loop_parity(
+        lambda u: hyp2f1.zb_complement_sums_many(p.a, p.b, u),
+        lambda u: hyp2f1.zb_complement_sums(p.a, p.b, u), [(u,) for u in us])
+    _assert_loop_parity(
+        lambda x: hyp2f1.f21_minus_one_many(p.a, p.b, p.c, x),
+        lambda x: hyp2f1.f21_minus_one(p.a, p.b, p.c, x), [(u,) for u in us])
+
+
+@pytest.mark.filterwarnings("error")
+def test_unserved_points_take_their_scalar_calls():
+    # B(a, b) overflows at a subnormal a: the log run serves no lane, and
+    # the scalar call hands over to the direct series
+    p = HypParams(1e-320, 50.0, 50.0)
+    _assert_loop_parity(lambda x: hyp2f1.f21_many(p, x),
+                        lambda x: hyp2f1.f21(p, x), [(0.9,), (0.3,)])
+    assert hyp2f1.f21_many(p, [0.9]).value.tolist() == [1.0]
+    pr = pqfun.ZeroBalancedPair(1e-320, 50.0)
+    for many, scalar in ((pqfun.p_func_many, pqfun.p_func),
+                         (pqfun.q_log_many, pqfun.q_log)):
+        assert _bits(many(pr, [1.0, -1.0])) == _bits(
+            [scalar(pr, 1.0), scalar(pr, -1.0)])
+    # 0 * inf in the log run's first term, outside any series
+    p = HypParams(1e-310, 2.0, 3.0)
+    _assert_loop_parity(lambda x: hyp2f1.f21_many(p, x),
+                        lambda x: hyp2f1.f21(p, x), [(0.6,)])
+    # the connection prefactors overflow: the direct series serves
+    p = HypParams(600.0, 600.0, 1200.5)
+    with pytest.raises(OverflowError):
+        hyp2f1._connection_prefactors(600.0, 600.0, 1200.5, 0.5)
+    _assert_loop_parity(lambda x: hyp2f1.f21_many(p, x),
+                        lambda x: hyp2f1.f21(p, x), [(0.6,), (0.7,)])
+    assert hyp2f1.f21_many(p, [0.6, 0.7]).method.tolist() == [
+        "direct_series"] * 2
+
+
+def test_mixed_batches_raise_their_first_points_error():
+    with pytest.raises(ConvergenceError, match="u=0.3 did not converge"):
+        hyp2f1.zb_complement_sums_many(1e-320, 1e-320, [0.3, 0.9])
+    with pytest.raises(DomainError, match="got 0.9"):
+        hyp2f1.zb_complement_sums_many(1e-320, 1e-320, [0.9, 0.3])
+    with pytest.raises(RangeError, match="u=0.25 overflow"):
+        hyp2f1.zb_complement_sums_many(1e8, 1.0, [0.25, 0.9])
+    with pytest.raises(RangeError, match="u=0.5 overflow"):
+        hyp2f1.zb_complement_sums(1e8, 1.0, 0.5)
+    with pytest.raises(DomainError, match="differ in shape"):
+        hyp2f1.f21_from_complement_many(HALF.params(), [0.1, 0.2], [1.0])

@@ -210,6 +210,23 @@ def test_overflowing_beta_is_a_range_error():
         pqfun.q_excess(pqfun.ZeroBalancedPair(1e306, 1.0), 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, many, a, b, match", [
+    # C - 1 and D1 overflow where v and P stay finite
+    (pqfun.p_excess, pqfun.p_excess_many, 1e8, 1.0, "sums at u=.* overflow"),
+    (pqfun.q_excess, pqfun.q_excess_many, 2.0, 1e8, "sums at u=.* overflow"),
+    # B(a, b) underflows to 0, and q_excess divides by it
+    (pqfun.q_excess, pqfun.q_excess_many, 50.0, 1e8,
+     r"B\(50.0, 100000000.0\) underflows to 0"),
+])
+def test_excess_functions_raise_range_errors(fn, many, a, b, match):
+    pr = pqfun.ZeroBalancedPair(a, b)
+    with pytest.raises(RangeError, match=match):
+        fn(pr, 0.5)
+    with pytest.raises(RangeError, match=match):
+        many(pr, [0.5, 0.25])
+
+
 def _mp_n_and_m(a, b, c, x):
     """N(x) and M(x) from mpmath, with enough digits that 1 - x is exact."""
     mpmath = pytest.importorskip("mpmath")
