@@ -220,6 +220,11 @@ def _cmd_figure1(parser: argparse.ArgumentParser,
     lo, hi, count = args.lo, args.hi, args.count
     if not (0.0 < lo < hi < math.inf) or count < 2:
         parser.error("need 0 < --lo < --hi < inf and --count >= 2")
+    # the last row's c, as the loop computes it: h(c/2) has no value past
+    # T_CAP, so the whole grid is refused before the header is written
+    if 0.5 * (lo + (hi - lo) * (count - 1) / (count - 1)) > metric.T_CAP:
+        parser.error(f"need rows with c <= {2.0 * metric.T_CAP:g} "
+                     f"(h(c/2) has no value past t = {metric.T_CAP:g})")
     two_c0 = 2.0 * metric.c0()
     w = sys.stdout
     w.write("c,phi_over_c,h_half,bp_log\n")

@@ -77,6 +77,7 @@ CONNECTION_ROUNDING = 1e-14
 # ell), and the products.
 SERIES_ROUNDINGS = 16
 _EPS = 2.0 ** -53
+_TINY = math.ulp(0.0)
 
 METHOD_DIRECT = "direct_series"
 METHOD_ZB_LOG = "zb_log_series"
@@ -165,10 +166,15 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
         # Stop on the geometric tail: the step ratio crosses x at most once
         # (their difference has sign (a+b-c-1)n + ab-c), so past the hump
         # the tail is at most |T_n| r/(1-r), r = max(ratio, x); the
-        # 3-in-a-row guard rides out the hump itself.
+        # 3-in-a-row guard rides out the hump itself.  A zero term passes
+        # at any r (r = 0: every later term is 0, as after a zero b), and
+        # the right side is at least the smallest subnormal, where the
+        # terms of a subnormal sum may stick (a step ratio above 1/2
+        # rounds an ulp back to an ulp).
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        r = max(abs(ratio), x)
-        if r < 1.0 and size * r <= SERIES_RTOL * abs(total) * (1.0 - r):
+        r = max(abs(ratio), x) if size else 0.0
+        if r < 1.0 and size * r <= (SERIES_RTOL * abs(total) * (1.0 - r)
+                                    or _TINY):
             small_count += 1
             if small_count == 3:
                 return total + comp, term, r, weighted, n
@@ -560,13 +566,16 @@ def f21_derivative(p: HypParams, x: float) -> float:
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
-# scalar call's bits.  An entry point sums each distinct point in its
-# domain once, keyed on its bits.  The scalar forms alone decide errors:
-# a lane the lockstep does not serve (a series that overflows or runs
-# out of terms, a hand-over at x = 1, a log run whose B(a, b) overflows)
-# and a point out of range take their scalar call's result, point by
-# point in index order.  So a batch returns, and raises first, what a
-# loop of scalar calls would.
+# scalar call's bits.  Every entry point runs through specfun's one
+# array-form driver, which sums each distinct point in its domain once,
+# keyed on its bits.  The lockstep sums routes only: a lane that hands
+# over is not served (a log sum that stalls or cancels, a connection
+# formula that cancels or whose series fails, 1-u = 1 on the direct
+# route, a series that overflows or runs out of terms), and where a
+# prefactor or B(a, b) overflows the run raises and serves no lane.
+# Every point not served, and every point out of range, takes its
+# scalar call's result, point by point in index order.  So a batch
+# returns, and raises first, what a loop of scalar calls would.
 
 # Terms per block: BLOCK_MIN, or as many as already summed, but at most
 # BLOCK_CELLS over all lanes.
@@ -716,9 +725,9 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
         back = sums - prev
         (comps,) = _scan(np.add,
                          (comp, (prev - (sums - back)) + (terms - back)))
-        r = np.maximum(np.abs(mult[1:]), x)
-        passed = (r < 1.0) & (sizes * r
-                              <= SERIES_RTOL * np.abs(sums) * (1.0 - r))
+        r = np.where(sizes != 0.0, np.maximum(np.abs(mult[1:]), x), 0.0)
+        passed = (r < 1.0) & (sizes * r <= np.maximum(
+            SERIES_RTOL * np.abs(sums) * (1.0 - r), _TINY))
         return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
@@ -811,12 +820,11 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
 
 
 def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
-                 ell: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
+                 ell: np.ndarray) -> list[_Lanes]:
     """_zb_log for each m in ms at every (u, ell) pair, a and b the pair
-    summed (c-a, c-b where m < 0), by one lockstep run: per m, the lanes
-    and where it hands over to the direct series.  Where B(a, b)
-    overflows, a lane whose sum stalls hands over, and no other lane is
-    served."""
+    summed (c-a, c-b where m < 0), by one lockstep run: per m, the lanes,
+    where a lane that hands over is not served.  RangeError where B(a, b)
+    overflows."""
     size = u.size
     sums, stalled = _zb_many(
         a, b, np.tile(u, len(ms)), np.tile(ell, len(ms)),
@@ -825,45 +833,33 @@ def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
     for m, part in zip(ms, _parts([size] * len(ms))):
         own = tuple(s[part] for s in sums)
         out = _Lanes(size)
+        with np.errstate(all="ignore"):
+            out.value, out.err, serves = _log_series_result(
+                a, b, m, own, u, ell)
         out.terms = own[-1] + 1
-        handover = stalled[part]
-        try:
-            with np.errstate(all="ignore"):
-                out.value, out.err, serves = _log_series_result(
-                    a, b, m, own, u, ell)
-            handover = handover | ~serves
-        except RangeError:  # B(a, b) overflows: a stalled sum hands over
-            out.served = handover
-        results.append((out, handover))
+        out.served = serves & ~stalled[part]
+        results.append(out)
     return results
 
 
 def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
-                     log_u: np.ndarray) -> list[tuple[_Lanes, np.ndarray]]:
+                     log_u: np.ndarray) -> list[_Lanes]:
     """_connection for each p in ps at every point of u, their series by
-    one lockstep run: per p, the lanes and where it hands over to the
-    direct series."""
+    one lockstep run: per p, the lanes, where a lane that hands over is
+    not served.  OverflowError where a prefactor overflows."""
     setups, jobs = [], []
     for p in ps:
         a, b = min(p.a, p.b), max(p.a, p.b)
         s = p.c - (a + b)
-        try:
-            pre = _connection_prefactors(a, b, p.c, s)
-        except OverflowError:
-            setups.append(None)
-            continue
+        pre = _connection_prefactors(a, b, p.c, s)
         setups.append((a, b, s, pre, len(jobs)))
         jobs.append((p.c - a, p.c - b, 1.0 + s, u, 0.0))
         if pre[0] is not None:
             jobs.append((a, b, 1.0 - s, u, 0.0))
     series = _direct_many(jobs)
     results = []
-    for setup in setups:
+    for a, b, s, (coef_a, sg_ms, log_b, lg_sum), at in setups:
         out = _Lanes(u.size)
-        if setup is None:
-            results.append((out, np.ones(u.size, dtype=bool)))
-            continue
-        a, b, s, (coef_a, sg_ms, log_b, lg_sum), at = setup
         coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
         f2 = series[at]
         f1 = f2 if coef_a is None else series[at + 1]
@@ -874,91 +870,50 @@ def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
                 a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
                 f2.err)
         out.terms = f2.terms + (0 if coef_a is None else f1.terms)
-        out.served = f1.served & f2.served
-        results.append((out, out.served & ~serves))
+        out.served = f1.served & f2.served & serves
+        results.append(out)
     return results
 
 
 def _from_complement_many(
         ps: Sequence[HypParams], u: np.ndarray, ell: np.ndarray,
-        own: Sequence[tuple] = ()
-) -> tuple[list[tuple[_Lanes, np.ndarray]], list[_Lanes]]:
-    """f21_from_complement for each p in ps at every checked (u, ell)
-    pair, and the caller's own direct series, jobs of _direct_many: per
-    p, the lanes and the methods, and per job, its lanes.  The connection
-    formulas run as one lockstep run, the log series as one per pair a, b
-    they sum, and the direct series, the caller's and the hand-overs, as
-    one."""
-    near = np.flatnonzero(u < X_SWITCH)
+        own: Sequence[tuple] = ()) -> tuple[list[_Lanes], list[_Lanes]]:
+    """f21_from_complement for each p in ps at every (u, ell) pair with
+    u < 1/2, and the caller's own direct series, jobs of _direct_many:
+    per p, then per job, the lanes.  A lane whose route hands over, or
+    whose direct route meets 1-u = 1, is not served.  The connection
+    formulas run as one lockstep run, the log series as one per pair a,
+    b they sum, and the direct series, the caller's and the direct
+    routes', as one."""
+    if not u.size:
+        return [_Lanes(0) for _ in ps], _direct_many(own)
     routes = [_route(p) for p in ps]
-    found = {}  # p's index: its lanes at near, and where it hands over
-    if near.size:
-        un, ln = u[near], ell[near]
-        conn = [i for i, (route, _) in enumerate(routes)
-                if route == "connection"]
-        if conn:
-            found.update(zip(conn, _connection_many(
-                [ps[i] for i in conn], un, -ln)))
-        logs = {}
-        for i, (p, (route, m)) in enumerate(zip(ps, routes)):
-            if route == "log":
-                pair = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
-                logs.setdefault(pair, []).append(i)
-            elif route == "power":
-                lanes = _Lanes(near.size)
-                lanes.value, lanes.err = _binomial(p, un)
-                lanes.served = lanes.value < math.inf
-                found[i] = lanes, un == 0.0
-        for (a, b), group in logs.items():
-            found.update(zip(group, _zb_log_many(
-                a, b, [routes[i][1] for i in group], un, ln)))
-    results, jobs, ats = [], list(own), []
-    for i, (p, (route, _)) in enumerate(zip(ps, routes)):
-        out = _Lanes(u.size)
-        method = np.full(u.size, METHOD_DIRECT, dtype=object)
-        direct = (u >= X_SWITCH) | (route == "direct")
-        if i in found:
-            lanes, none = found[i]
-            out.take(near, lanes)
-            if route != "power":
-                method[near[~none]] = (METHOD_CONNECTION
-                                       if route == "connection"
-                                       else METHOD_ZB_LOG)
-            direct[near[none]] = True
-        at = np.flatnonzero(direct)
-        x = 1.0 - u[at]
-        out.served[at[x == 1.0]] = False
-        at, x = at[x < 1.0], x[x < 1.0]
-        jobs.append((p.a, p.b, p.c, x, _x_err(x, u[at])))
-        ats.append(at)
-        results.append((out, method))
+    found, logs, direct, jobs = {}, {}, [], list(own)
+    conn = [i for i, (route, _) in enumerate(routes) if route == "connection"]
+    if conn:
+        found.update(zip(conn, _connection_many(
+            [ps[i] for i in conn], u, -ell)))
+    x = 1.0 - u
+    for i, (p, (route, m)) in enumerate(zip(ps, routes)):
+        if route == "log":
+            pair = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
+            logs.setdefault(pair, []).append(i)
+        elif route == "power":
+            found[i] = lanes = _Lanes(u.size)
+            lanes.value, lanes.err = _binomial(p, u)  # inf at u = 0
+            lanes.served = lanes.value < math.inf
+        elif route == "direct":
+            direct.append(i)  # a lane at 1-u = 1 sums x = 0 instead
+            jobs.append((p.a, p.b, p.c, np.where(x < 1.0, x, 0.0),
+                         _x_err(x, u)))
+    for (a, b), group in logs.items():
+        found.update(zip(group, _zb_log_many(
+            a, b, [routes[i][1] for i in group], u, ell)))
     series = _direct_many(jobs)
-    for (out, _), at, lanes in zip(results, ats, series[len(own):]):
-        out.take(at, lanes)
-    return results, series[:len(own)]
-
-
-def _fields(lanes: _Lanes, method):
-    """The EvalResults fields of the lanes, then where they are served."""
-    return lanes.value, lanes.err, lanes.terms, method, lanes.served
-
-
-def _on_distinct(keys: Sequence[np.ndarray], valid: np.ndarray, lanes_of,
-                 scalar) -> list[np.ndarray]:
-    """Arrays of results at every point, a point being its values in
-    ``keys``: lanes_of(*keys) gives them at the distinct valid points,
-    then where the lockstep serves each; every other point, in index
-    order, takes what scalar(*point) returns, or raises its error."""
-    at = slice(None) if valid.all() else np.flatnonzero(valid)
-    first, inverse = specfun._distinct(*(k[at] for k in keys))
-    full = []
-    for out in lanes_of(*(k[at][first] for k in keys)):
-        full.append(np.zeros(valid.size, out.dtype))
-        full[-1][at] = out[inverse]
-    for i in np.flatnonzero(~full.pop()).tolist():
-        for out, v in zip(full, scalar(*(k[i] for k in keys))):
-            out[i] = v
-    return full
+    for i, lanes in zip(direct, series[len(own):]):
+        lanes.served &= x < 1.0
+        found[i] = lanes
+    return [found[i] for i in range(len(ps))], series[:len(own)]
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
@@ -966,35 +921,24 @@ def f21_many(p: HypParams, xs) -> EvalResults:
     gets the value, estimate, term count and method of its f21 call, to
     the bit, and the batch raises what the first failing point would."""
     xs = specfun.as_points(xs)
+    method = {"connection": METHOD_CONNECTION,
+              "log": METHOD_ZB_LOG}.get(_route(p)[0], METHOD_DIRECT)
 
     def lanes_of(xs):
         out = _Lanes(xs.size)
-        method = np.full(xs.size, METHOD_DIRECT, dtype=object)
         near = xs > X_SWITCH
         u = 1.0 - xs[near]  # exact: x >= 1/2
-        [(lanes, method[near])], [below] = _from_complement_many(
+        [above], [below] = _from_complement_many(
             (p,), u, -specfun.pointwise(math.log, u),
             [(p.a, p.b, p.c, xs[~near], 0.0)])
-        out.take(near, lanes)
+        out.take(near, above)
         out.take(~near, below)
-        return _fields(out, method)
+        return (out.value, out.err, out.terms,
+                np.where(near, method, METHOD_DIRECT), out.served)
 
-    return EvalResults(*_on_distinct(
+    return EvalResults(*specfun._array_form(
         (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
-        lambda x: astuple(f21(p, x))))
-
-
-def f21_from_complement_many(p: HypParams, us, minus_log_us) -> EvalResults:
-    """f21_from_complement at every (u, -log u) pair, to the bit."""
-    u = specfun.as_points(us)
-    ell = specfun.as_points(minus_log_us)
-    if u.shape != ell.shape:
-        raise DomainError(
-            f"u and -log(u) differ in shape: {u.shape} and {ell.shape}")
-    return EvalResults(*_on_distinct(
-        (u, ell), (0.0 <= u) & (u < 1.0) & np.isfinite(ell),
-        lambda u, ell: _fields(*_from_complement_many((p,), u, ell)[0][0]),
-        lambda u, ell: astuple(f21_from_complement(p, u, ell))))
+        lambda x: astuple(f21(p, x)), (float, float, np.int64, object)))
 
 
 def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
@@ -1002,24 +946,31 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
     """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, as
     f21 and f21_from_complement give them at (lo, ell = -log(lo)): at
     each distinct pair with 0 <= lo <= 1/2 and ell finite, one direct run
-    for all the F(p; lo) and the hand-overs past 1/2, and one run per
-    route past 1/2.  A point the lockstep does not serve, or out of that
-    range, takes the values of its scalar calls, in that order, or raises
-    their first error."""
+    for all the F(p; lo) and the direct routes past 1/2, and one run per
+    other route; at lo = 1/2 both are the direct series at 1/2, so
+    F(p; 1-lo) is a copy of F(p; lo).  A point that a route hands over,
+    or out of that range, takes the values of its scalar calls, in that
+    order, or raises their first error."""
 
     def lanes_of(lo, ell):
+        near = lo < X_SWITCH
         above, below = _from_complement_many(
-            ps, lo, ell, [(p.a, p.b, p.c, lo, 0.0) for p in ps])
-        lanes = below + [out for out, _ in above]
-        return (*(out.value for out in lanes),
-                np.logical_and.reduce([out.served for out in lanes]))
+            ps, lo[near], ell[near], [(p.a, p.b, p.c, lo, 0.0) for p in ps])
+        values = [out.value for out in below]
+        served = np.logical_and.reduce([out.served for out in below])
+        for lanes, at_lo in zip(above, below):
+            values.append(at_lo.value.copy())
+            values[-1][near] = lanes.value
+            served[near] &= lanes.served
+        return (*values, served)
 
-    return _on_distinct(
+    return specfun._array_form(
         (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),
         lanes_of,
         lambda lo, ell: ([f21(p, lo).value for p in ps]
                          + [f21_from_complement(p, lo, ell).value
-                            for p in ps]))
+                            for p in ps]),
+        (float,) * (2 * len(ps)))
 
 
 def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
@@ -1038,8 +989,9 @@ def zb_complement_sums_many(a: float, b: float,
         return (sums[5], sums[0],
                 ~stalled & np.isfinite(sums[5]) & np.isfinite(sums[0]))
 
-    return tuple(_on_distinct((u,), (0.0 <= u) & (u <= 0.75), lanes_of,
-                              lambda u: zb_complement_sums(a, b, u)))
+    return tuple(specfun._array_form(
+        (u,), (0.0 <= u) & (u <= 0.75), lanes_of,
+        lambda u: zb_complement_sums(a, b, u), (float, float)))
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
@@ -1051,5 +1003,5 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
         (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
         return total, np.isfinite(total) & ~stalled
 
-    return _on_distinct((x,), (0.0 <= x) & (x <= 0.75), lanes_of,
-                        lambda x: (f21_minus_one(a, b, c, x),))[0]
+    return specfun._array_form((x,), (0.0 <= x) & (x <= 0.75), lanes_of,
+                               lambda x: (f21_minus_one(a, b, c, x),))[0]

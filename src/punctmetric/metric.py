@@ -30,6 +30,9 @@ return.
 h, H, H' and varphi have array forms (``*_many``) that give every point
 of a 1-d array the bits of its float call: both forms run one formula,
 and only the AGM loop is per form, a masked numpy loop at an array.
+They run through specfun's one array-form driver, so a point out of
+range takes its float call, and a batch raises what a loop of float
+calls raises first.
 """
 
 from __future__ import annotations
@@ -179,8 +182,9 @@ def _h(t, sqrt, agm):
 def h_many(ts) -> np.ndarray:
     """h at every point of the 1-d array ts, to the bit."""
     ts = specfun.as_points(ts)
-    specfun.reject_first(~(np.abs(ts) <= T_CAP), lambda i: _check_t(ts[i]))
-    return _h(ts, np.sqrt, _agm_many)
+    return specfun._array_form(
+        (ts,), np.abs(ts) <= T_CAP,
+        lambda t: (_h(t, np.sqrt, _agm_many), True), lambda t: (h(t),))[0]
 
 
 def big_h(t: float) -> float:
@@ -274,17 +278,20 @@ def _varphi_agm(s, sqrt, agm):
 def varphi_many(ts) -> np.ndarray:
     """varphi at every point of the 1-d array ts, to the bit."""
     ts = specfun.as_points(ts)
-    specfun.reject_first(~(np.isfinite(ts) & (ts > 0.0)),
-                         lambda i: varphi(ts[i]))
-    s = 0.5 * ts
-    taylor = ts < VARPHI_TAYLOR_T
-    closed = s >= VARPHI_CLOSED_S
-    agm_route = ~(taylor | closed)
-    out = np.empty(ts.size)
-    out[taylor] = _varphi_taylor(ts[taylor])
-    out[closed] = _varphi_closed(ts[closed])
-    out[agm_route] = _varphi_agm(s[agm_route], np.sqrt, _agm_many)
-    return out
+
+    def lanes_of(ts):
+        s = 0.5 * ts
+        taylor = ts < VARPHI_TAYLOR_T
+        closed = s >= VARPHI_CLOSED_S
+        agm_route = ~(taylor | closed)
+        out = np.empty(ts.size)
+        out[taylor] = _varphi_taylor(ts[taylor])
+        out[closed] = _varphi_closed(ts[closed])
+        out[agm_route] = _varphi_agm(s[agm_route], np.sqrt, _agm_many)
+        return out, True
+
+    return specfun._array_form((ts,), (0.0 < ts) & (ts < np.inf), lanes_of,
+                               lambda t: (varphi(t),))[0]
 
 
 def varphi_error(value: float) -> float:

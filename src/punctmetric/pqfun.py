@@ -23,7 +23,13 @@ where 1-x underflows.
 Every quantity has an array form, ``*_many``, taking a 1-d array of t
 (or x).  Both forms run the same code: the helpers below act on a float
 or pointwise on an array, calling the hyp2f1 array kernels for arrays,
-so each point comes out as its float call would, to the bit.
+so each point comes out as its float call would, to the bit.  The array
+forms run through specfun's one array-form driver: the array code runs
+once on the distinct points in the domain (t finite; t >= 0 for
+q_excess; 0 < x < 1 for N and M), and every other point, or every point
+where the array code raises, takes its float call in index order.  So a
+batch returns what a loop of float calls returns, and raises that
+loop's first error.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyp2f1, specfun
-from .errors import DomainError, PunctMetricError, RangeError
+from .errors import DomainError, RangeError
 from .hyp2f1 import HypParams
 
 
@@ -75,9 +81,9 @@ def _where(cond, yes, no):
 
 
 def _finite_t(t):
-    """t as a float, or the float array t, with every point finite."""
+    """t as a float, checked finite; an array form's t, which its domain
+    mask has checked, as it is."""
     if _is_array(t):
-        specfun.reject_first(~np.isfinite(t), lambda i: _finite_t(t[i]))
         return t
     t = float(t)
     if not math.isfinite(t):
@@ -221,11 +227,8 @@ def q_excess(pr: ZeroBalancedPair, t: float) -> float:
     half of the sharp bound (R+t)/B < Q(t) at t where the naive
     difference would round to zero.
     """
-    if _is_array(t):
-        specfun.reject_first(~(np.isfinite(t) & (t >= 0.0)),
-                             lambda i: q_excess(pr, float(t[i])))
-        tf = t
-    else:
+    tf = t  # an array form's t, which its domain mask has checked
+    if not _is_array(t):
         tf = float(t)
         if not (math.isfinite(tf) and tf >= 0.0):
             raise DomainError(f"q_excess requires t >= 0, got {t!r}")
@@ -244,10 +247,9 @@ def q_log_prime(pr: ZeroBalancedPair, t: float) -> float:
 
 
 def _unit_interval(x):
-    """x as a float, or the float array x, every point inside (0, 1)."""
+    """x as a float, checked inside (0, 1); an array form's x, which its
+    domain mask has checked, as it is."""
     if _is_array(x):
-        specfun.reject_first(~((0.0 < x) & (x < 1.0)),
-                             lambda i: _unit_interval(x[i]))
         return x
     x = float(x)
     if not (0.0 < x < 1.0):
@@ -314,24 +316,16 @@ def m_func(a: float, b: float, c: float, x: float) -> float:
 
 
 # Array forms: the function above at every point of a 1-d array, each
-# point to the bit of its float call.  A batch raises the error of its
-# first point that raises.
+# point to the bit of its float call, through specfun's driver.
 
-def _each(fn, args: tuple, points) -> np.ndarray:
-    """fn(*args, point) at every point of the 1-d array points.
-
-    The array path runs each kernel over the whole batch before the
-    next, so where several points fail it may meet another point's
-    error first; then the float calls run in order, up to the first
-    point that fails, and raise its error.
-    """
+def _each(fn, args: tuple, points, valid=np.isfinite) -> np.ndarray:
+    """fn(*args, point) at every point of the 1-d array points: fn runs
+    once on the distinct points where ``valid`` holds, and every other
+    point takes its float call, as does every point where fn raises."""
     arr = specfun.as_points(points)
-    try:
-        return fn(*args, arr)
-    except PunctMetricError:
-        for point in arr.tolist():
-            fn(*args, point)
-        raise
+    return specfun._array_form(
+        (arr,), valid(arr), lambda x: (fn(*args, x), True),
+        lambda x: (fn(*args, x),))[0]
 
 
 def p_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
@@ -366,14 +360,14 @@ def q_log_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
 
 def q_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
     """q_excess at every point of ts."""
-    return _each(q_excess, (pr,), ts)
+    return _each(q_excess, (pr,), ts, lambda t: (0.0 <= t) & (t < np.inf))
 
 
 def n_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
     """n_func at every point of xs."""
-    return _each(n_func, (a, b, c), xs)
+    return _each(n_func, (a, b, c), xs, lambda x: (0.0 < x) & (x < 1.0))
 
 
 def m_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
     """m_func at every point of xs."""
-    return _each(m_func, (a, b, c), xs)
+    return _each(m_func, (a, b, c), xs, lambda x: (0.0 < x) & (x < 1.0))

@@ -13,6 +13,9 @@ checks a point of the plane, ``as_points`` the input of an array form,
 and ``pointwise`` takes log, exp and log1p from ``math`` point by
 point, because numpy's vectorised versions may round differently by an
 ulp, and an array form must match its scalar form to the bit.
+``_array_form`` is the one driver of every array form of ``hyp2f1``,
+``pqfun`` and ``metric``: the array computation serves what it can, and
+every other point takes its scalar call.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, PunctMetricError, RangeError
 
 # Euler-Mascheroni constant, -psi(1).
 EULER_GAMMA = 0.57721566490153286
@@ -205,15 +208,33 @@ def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return new
 
 
-def reject_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:
-    """Raise what ``scalar(i)`` raises for the first point i flagged bad.
-
-    An array form flags the points whose scalar form raises, then calls
-    it on the first of them, so it raises what a loop of scalar calls
-    would raise first.
-    """
-    if bad.any():
-        i = int(np.argmax(bad))
-        scalar(i)
-        raise AssertionError(
-            f"point {i} was flagged, but its scalar form returned")
+def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
+                dtypes=(float,)) -> list[np.ndarray]:
+    """The one driver of the array forms: arrays of the given dtypes
+    with the results at every point, a point being its values in the
+    1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
+    distinct points where ``valid`` holds, then where each is served
+    (True for all); where it raises a typed error, or math's
+    OverflowError (as a connection prefactor may), no point is served.
+    Every point not served, in index order, takes what scalar(*point)
+    returns at Python floats, or raises its error.  So a batch returns
+    what a loop of scalar calls returns, and raises that loop's first
+    error."""
+    full = [np.zeros(valid.size, dtype) for dtype in dtypes]
+    served = np.zeros(valid.size, dtype=bool)
+    at = slice(None) if valid.all() else np.flatnonzero(valid)
+    first, inverse = _distinct(*(k[at] for k in keys))
+    points = [k[at][first] for k in keys]
+    if points[0].size:
+        try:
+            *outs, ok = lanes_of(*points)
+        except (PunctMetricError, OverflowError):
+            pass
+        else:
+            for out, lanes in zip(full, outs):
+                out[at] = lanes[inverse]
+            served[at] = np.broadcast_to(ok, points[0].shape)[inverse]
+    for i in np.flatnonzero(~served).tolist():
+        for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
+            out[i] = v
+    return full

@@ -160,11 +160,14 @@ def test_f21_many_raises_the_first_typed_error():
         for c in (2.0 * a, 2.0 * a + 1.0):
             _assert_f21_many(HypParams(a, a, c), [0.9, 0.95])
             _assert_f21_many(HypParams(a, a, c), [0.05, 0.9])
-    u = [0.1] * 30 + [0.999]  # 200 log-series terms are too few at u = 0.999
+    # lo = 0.999 is past _lo_hi_many's range: that point takes its scalar
+    # calls, past 1/2 the direct series at 1 - lo
     p = HALF.params()
-    _assert_pointwise(
-        lambda arr: hyp2f1.f21_from_complement_many(p, arr, -np.log(arr)),
-        lambda ui: hyp2f1.f21_from_complement(p, ui, -math.log(ui)), u)
+    _assert_loop_parity(
+        lambda lo, ell: hyp2f1._lo_hi_many([p], lo, ell),
+        lambda lo, ell: [hyp2f1.f21(p, lo).value,
+                         hyp2f1.f21_from_complement(p, lo, ell).value],
+        [(lo, -math.log(lo)) for lo in [0.1] * 30 + [0.999]])
 
 
 _u = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 0.75]),
@@ -182,9 +185,11 @@ def test_complement_kernels_match(a, b, us):
         if c <= max(a, b):
             continue
         p = HypParams(a, b, c)
-        _assert_same(
-            lambda: hyp2f1.f21_from_complement_many(p, us, ells),
-            lambda i: hyp2f1.f21_from_complement(p, us[i], ells[i]), len(us))
+        _assert_loop_parity(
+            lambda lo, ell: hyp2f1._lo_hi_many([p], lo, ell),
+            lambda lo, ell: [hyp2f1.f21(p, lo).value,
+                             hyp2f1.f21_from_complement(p, lo, ell).value],
+            list(zip(us, ells)))
     for part in (0, 1):
         _assert_pointwise(
             lambda arr: hyp2f1.zb_complement_sums_many(a, b, arr)[part],
@@ -287,7 +292,7 @@ def test_empty_arrays_give_empty_arrays():
     for p in (HALF.params(), HypParams(0.9, 1.1, 2.6),
               HypParams(1.0, 2.0, 2.0), HypParams(2.0, 2.0, 1.0)):
         forms += [lambda p=p: hyp2f1.f21_many(p, empty),
-                  lambda p=p: hyp2f1.f21_from_complement_many(p, empty, empty),
+                  lambda p=p: tuple(hyp2f1._lo_hi_many([p], empty, empty)),
                   lambda p=p: hyp2f1.f21_derivative_many(p, empty)]
     for fn in (pqfun.n_func_many, pqfun.m_func_many):
         forms.append(lambda fn=fn: fn(0.9, 1.1, 2.6, empty))
@@ -398,9 +403,6 @@ def test_array_forms_match_a_scalar_loop(p):
     with np.errstate(all="ignore"):
         ells = np.where(us == math.inf, math.inf, -np.log(np.abs(us)))
     pairs = list(zip(us.tolist(), ells.tolist()))
-    _assert_loop_parity(
-        lambda u, ell: hyp2f1.f21_from_complement_many(p, u, ell),
-        lambda u, ell: hyp2f1.f21_from_complement(p, u, ell), pairs)
     ps = [p, HypParams(p.a, p.b, p.c + 1.0)]
     _assert_loop_parity(
         lambda lo, ell: hyp2f1._lo_hi_many(ps, lo, ell),
@@ -452,5 +454,63 @@ def test_mixed_batches_raise_their_first_points_error():
         hyp2f1.zb_complement_sums_many(1e8, 1.0, [0.25, 0.9])
     with pytest.raises(RangeError, match="u=0.5 overflow"):
         hyp2f1.zb_complement_sums(1e8, 1.0, 0.5)
-    with pytest.raises(DomainError, match="differ in shape"):
-        hyp2f1.f21_from_complement_many(HALF.params(), [0.1, 0.2], [1.0])
+
+
+# Differential grid: every pqfun and metric array form against a loop of
+# its scalar calls, on pairs from the smallest subnormal to 1e300 and at
+# the edges of t and x.  Where the loop raises, the batch must raise the
+# same typed error with the same message.  x stays off 1 - 1e-16: at b =
+# 1e300 the direct series there sums 1e6 terms (0.7 s) to a
+# ConvergenceError, in both forms.
+
+_EDGE_PAIR = [5e-324, 1e-300, 1e-8, 0.5, 2.0, 50.0, 1e8, 1e300]
+_EDGE_T = [0.0, -0.0, 1e-300, -1e-300, 700.0, -745.0, 1e5, math.inf,
+           -math.inf, math.nan]
+_EDGE_UNIT = [5e-324, 1e-300, 1e-17, 0.5, ABOVE_HALF, 0.0, 1.0, -0.5,
+              math.nan]
+
+
+def _edge_batches(rng, edges, inner=(), inside=math.isfinite):
+    """Two batches of points, each shuffled, with a repeat: the edges
+    ``inside`` the domain and the points ``inner``, then every edge."""
+    batches = []
+    for points in ([e for e in edges if inside(e)] + list(inner),
+                   list(edges)):
+        rng.shuffle(points)
+        batches.append([(t,) for t in points + points[:1]])
+    return batches
+
+
+def _rng_of(*values):
+    return np.random.default_rng([25, *struct.unpack(
+        f"<{len(values)}Q", struct.pack(f"<{len(values)}d", *values))])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", [(a, b) for i, a in enumerate(_EDGE_PAIR)
+                                  for b in _EDGE_PAIR[i:]])
+def test_pq_array_forms_match_a_scalar_loop(a, b):
+    rng = _rng_of(a, b)
+    pr = pqfun.ZeroBalancedPair(a, b)
+    for points in _edge_batches(rng, _EDGE_T):
+        for many, scalar in _pq_forms(pr):
+            _assert_loop_parity(many, scalar, points)
+    for c in (a + b, a + b + 1.0, max(a, b), 1.5 * max(a, b), a + b + 0.5):
+        for points in _edge_batches(rng, _EDGE_UNIT, [rng.uniform()],
+                                    lambda x: 0.0 < x < 1.0):
+            for many, scalar in ((pqfun.n_func_many, pqfun.n_func),
+                                 (pqfun.m_func_many, pqfun.m_func)):
+                _assert_loop_parity(lambda x: many(a, b, c, x),
+                                    lambda x: scalar(a, b, c, x), points)
+
+
+@pytest.mark.filterwarnings("error")
+def test_metric_array_forms_match_a_scalar_loop():
+    rng = _rng_of(25.0)
+    inner = rng.uniform(-800.0, 800.0, 6).tolist()
+    for points in _edge_batches(rng, _EDGE_T + [1400.0, 1500.0], inner):
+        for many, scalar in ((metric.h_many, metric.h),
+                             (metric.big_h_many, metric.big_h),
+                             (metric.big_h_prime_many, metric.big_h_prime),
+                             (metric.varphi_many, metric.varphi)):
+            _assert_loop_parity(many, scalar, points)

@@ -482,10 +482,13 @@ def test_figure1_bad_grid_rc2(capsys):
     for argv in (["figure1", "--lo", "0", "--hi", "1"],
                  ["figure1", "--lo", "2", "--hi", "1"],
                  ["figure1", "--count", "1"],
-                 ["figure1", "--lo", "1", "--hi", "inf"]):
+                 ["figure1", "--lo", "1", "--hi", "inf"],
+                 # h(c/2) has no value past c = 2 T_CAP = 1400
+                 ["figure1", "--lo", "1", "--hi", "2000", "--count", "3"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_no_arguments_prints_usage_rc2(capsys):

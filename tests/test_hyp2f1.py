@@ -482,3 +482,30 @@ def test_large_integer_s_within_its_estimate(m):
     # over to the direct series, and never returns its factor's 0
     r, _ = _assert_estimate_holds(HypParams(1.0, 1.0, 2.0 + m), 0.9999)
     assert r.value > 1.0
+
+
+def test_direct_series_stops_on_subnormal_and_zero_terms():
+    # F - 1 at a = 1e-310 is subnormal: its terms stick at the smallest
+    # subnormal (a step ratio above 1/2 rounds an ulp back to an ulp)
+    # and pass the stop test there, instead of running to
+    # MAX_TERMS_DIRECT
+    got = []
+    assert min(_seconds(lambda: got.append(f21_minus_one(
+        1e-310, 2.0, 4.0, 0.75))) for _ in range(3)) < 1e-2
+    assert min(_seconds(lambda: got.append(f21_minus_one_many(
+        1e-310, 2.0, 4.0, [0.75, 0.5])[0])) for _ in range(3)) < 1e-2
+    assert len(set(got)) == 1
+    # c = b, s = -1/2: the connection formula's F(c-a, 0; 1/2; u) has no
+    # term past T_0, while its step-ratio bound stays above 1 up to n ~ 1e6
+    p = HypParams(0.5, 1e8, 1e8)
+    r = []
+    assert min(_seconds(lambda: r.append(f21(p, 0.99))) for _ in range(3)) \
+        < 1e-2
+    assert min(_seconds(lambda: f21_many(p, [0.99, 0.3]))
+               for _ in range(3)) < 1e-2
+    assert r[0].method == "connection_series"
+    assert abs(r[0].value - 10.0) <= r[0].abs_err_estimate  # (1-x)^-1/2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        want = mpmath.hyp2f1(mpmath.mpf(1e-310), 2, 4, mpmath.mpf(0.75)) - 1
+        assert abs(mpmath.mpf(got[0]) - want) <= 8 * 2.0 ** -1074
