@@ -9,9 +9,16 @@ bounds for general punctured domains (bounds), and a registry of
 named property checks mirroring the analytic claims these rest on
 (verify).  ``python -m punctmetric.cli`` or the ``punctmetric``
 script front all of it.
+
+The package and its scalar calls run without numpy.  numpy loads with
+the first array form, the first domain of ``bounds._LISTS_BELOW``
+punctures or more, and ``verify``, which this package hands out on
+first use.
 """
 
-from . import bounds, elliptic, hyp2f1, metric, pqfun, specfun, verify
+import importlib
+
+from . import bounds, elliptic, hyp2f1, metric, pqfun, specfun
 from .bounds import (
     BaselineBounds,
     PuncturedDomain,
@@ -48,15 +55,9 @@ from .metric import (
     varphi,
 )
 from .pqfun import ZeroBalancedPair, p_func, p_prime, q_func, q_log
-from .verify import (
-    GridSpec,
-    PropertyReport,
-    check_names,
-    find_t0,
-    max_weighted_h,
-    run_check,
-    run_suite,
-)
+
+_FROM_VERIFY = ("GridSpec", "PropertyReport", "check_names", "find_t0",
+                "max_weighted_h", "run_check", "run_suite")
 
 __version__ = "0.1.0"
 
@@ -116,3 +117,14 @@ __all__ = [
     "verify",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """verify and its names, which load numpy, on first use (PEP 562)."""
+    if name != "verify" and name not in _FROM_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    verify = importlib.import_module(".verify", __name__)  # binds verify
+    if name == "verify":
+        return verify
+    value = globals()[name] = getattr(verify, name)
+    return value

@@ -1,0 +1,232 @@
+"""The array half of ``specfun``, ``metric`` and ``pqfun``, which loads
+numpy.  Those modules hand out these names on first use (PEP 562), so
+``import punctmetric`` and the scalar calls run without numpy.
+
+``_array_form`` is the one driver of every array form of ``hyp2f1``,
+``pqfun`` and ``metric``: the array computation serves what it can, and
+every other point takes its scalar call.  ``_on_distinct`` keys the
+points of a lockstep run on their bits, so that hyp2f1's sums run once
+per distinct point; the elementwise forms here need no keying, and every
+array path of pqfun reaches a keyed hyp2f1 form.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import metric, pqfun
+from .elliptic import AGM_MAX_ITER, AGM_RTOL
+from .errors import ConvergenceError, DomainError, PunctMetricError
+
+
+def as_points(xs) -> np.ndarray:
+    """xs as a 1-d float array, the input of every array form."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(
+            f"points must form a 1-d array, got shape {arr.shape}")
+    return arr
+
+
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the points of 1-d float arrays of one length,
+    a point being its values in ``keys``: ``first`` the indices of the
+    distinct points' first occurrences, in the caller's order, and
+    ``inverse`` each point's place in ``first``; both are slice(None)
+    where no point repeats.  Points are keyed on their bits, so 0.0 and
+    -0.0 stay apart and a repeat gets the bits of its first
+    occurrence."""
+    bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
+    # quicksort by the first key; equal points then sit together unless
+    # equal first keys come with other later keys, which all keys sort
+    order = np.argsort(bits[0])
+    new = _changes(bits, order)
+    if len(bits) > 1 and (new != _changes(bits[:1], order)).any():
+        order = np.lexsort(bits[::-1])
+        new = _changes(bits, order)
+    if new.all():
+        return slice(None), slice(None)
+    heads = np.minimum.reduceat(order, np.flatnonzero(new))
+    rank = np.argsort(heads)
+    place = np.empty_like(rank)
+    place[rank] = np.arange(rank.size)
+    inverse = np.empty_like(order)
+    inverse[order] = place[np.add.accumulate(new, dtype=np.intp) - 1]
+    return heads[rank], inverse
+
+
+def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Where the keys, taken in ``order``, differ from the point before."""
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for b in bits:
+        s = b[order]
+        new[1:] |= s[1:] != s[:-1]
+    return new
+
+
+def _on_distinct(lanes_of):
+    """lanes_of for ``_array_form`` that runs once on the distinct
+    points and gives each repeat the results of its first occurrence;
+    lanes_of must say per point where it serves."""
+
+    def run(*keys):
+        first, inverse = _distinct(*keys)
+        *outs, ok = lanes_of(*(k[first] for k in keys))
+        return (*(out[inverse] for out in outs), ok[inverse])
+
+    return run
+
+
+def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
+                dtypes=(float,)) -> list[np.ndarray]:
+    """The one driver of the array forms: arrays of the given dtypes
+    with the results at every point, a point being its values in the
+    1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
+    points where ``valid`` holds, then where each is served (True for
+    all); where it raises a typed error, or math's OverflowError (as a
+    connection prefactor may), no point is served.  Every point not
+    served, in index order, takes what scalar(*point) returns at Python
+    floats, or raises its error.  So a batch returns what a loop of
+    scalar calls returns, and raises that loop's first error."""
+    full = [np.zeros(valid.size, dtype) for dtype in dtypes]
+    served = np.zeros(valid.size, dtype=bool)
+    at = slice(None) if valid.all() else np.flatnonzero(valid)
+    points = [k[at] for k in keys]
+    if points[0].size:
+        try:
+            *outs, ok = lanes_of(*points)
+        except (PunctMetricError, OverflowError):
+            pass
+        else:
+            for out, lanes in zip(full, outs):
+                out[at] = lanes
+            served[at] = ok
+    for i in np.flatnonzero(~served).tolist():
+        for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
+            out[i] = v
+    return full
+
+
+# metric: h, H, H' and varphi at every point of a 1-d array, to the bit
+# of the float call, through one formula each (metric._h, _varphi_*)
+# whose AGM loop is per form
+
+def _agm_many(x: float, m: np.ndarray) -> np.ndarray:
+    """agm(x, m) at every point of m, 0 < m <= x, by elliptic.agm's steps."""
+    out = np.empty(m.size)
+    idx = np.arange(m.size)
+    a = np.full(m.size, x)
+    b = m
+    for _ in range(AGM_MAX_ITER):
+        done = a - b <= AGM_RTOL * a
+        out[idx[done]] = 0.5 * (a[done] + b[done])
+        keep = ~done
+        idx, a, b = idx[keep], a[keep], b[keep]
+        if not idx.size:
+            return out
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    raise ConvergenceError(
+        f"agm did not converge within {AGM_MAX_ITER} iterations")
+
+
+def h_many(ts) -> np.ndarray:
+    """h at every point of the 1-d array ts, to the bit."""
+    ts = as_points(ts)
+    return _array_form(
+        (ts,), np.abs(ts) <= metric.T_CAP,
+        lambda t: (metric._h(t, np.sqrt, _agm_many), True),
+        lambda t: (metric.h(t),))[0]
+
+
+def big_h_many(ts) -> np.ndarray:
+    """big_h at every point of the 1-d array ts, to the bit."""
+    return 1.0 / metric.h_many(ts)
+
+
+def big_h_prime_many(ts) -> np.ndarray:
+    """big_h_prime at every point of the 1-d array ts, to the bit."""
+    return 2.0 * math.pi * pqfun.p_prime_many(metric._HALF, ts)
+
+
+def varphi_many(ts) -> np.ndarray:
+    """varphi at every point of the 1-d array ts, to the bit."""
+    ts = as_points(ts)
+
+    def lanes_of(ts):
+        s = 0.5 * ts
+        taylor = ts < metric.VARPHI_TAYLOR_T
+        closed = s >= metric.VARPHI_CLOSED_S
+        agm_route = ~(taylor | closed)
+        out = np.empty(ts.size)
+        out[taylor] = metric._varphi_taylor(ts[taylor])
+        out[closed] = metric._varphi_closed(ts[closed])
+        out[agm_route] = metric._varphi_agm(s[agm_route], np.sqrt, _agm_many)
+        return out, True
+
+    return _array_form((ts,), (0.0 < ts) & (ts < np.inf), lanes_of,
+                       lambda t: (metric.varphi(t),))[0]
+
+
+# pqfun: each function at every point of a 1-d array, to the bit of its
+# float call, by the function itself run on the array
+
+def _each(fn, args: tuple, points, valid=np.isfinite) -> np.ndarray:
+    """fn(*args, point) at every point of the 1-d array points: fn runs
+    once on the points where ``valid`` holds, and every other point
+    takes its float call, as does every point where fn raises."""
+    arr = as_points(points)
+    return _array_form(
+        (arr,), valid(arr), lambda x: (fn(*args, x), True),
+        lambda x: (fn(*args, x),))[0]
+
+
+def p_func_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """p_func at every point of ts."""
+    return _each(pqfun.p_func, (pr,), ts)
+
+
+def p_prime_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """p_prime at every point of ts."""
+    return _each(pqfun.p_prime, (pr,), ts)
+
+
+def slope_g_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """slope_g at every point of ts."""
+    return _each(pqfun.slope_g, (pr,), ts,
+                 lambda t: np.isfinite(t) & (t != 0.0))
+
+
+def p_excess_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """p_excess at every point of ts."""
+    return _each(pqfun.p_excess, (pr,), ts)
+
+
+def q_func_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """q_func at every point of ts."""
+    return _each(pqfun.q_func, (pr,), ts)
+
+
+def q_log_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """q_log at every point of ts."""
+    return _each(pqfun.q_log, (pr,), ts)
+
+
+def q_excess_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:
+    """q_excess at every point of ts."""
+    return _each(pqfun.q_excess, (pr,), ts,
+                 lambda t: (0.0 <= t) & (t < np.inf))
+
+
+def n_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
+    """n_func at every point of xs."""
+    return _each(pqfun.n_func, (a, b, c), xs,
+                 lambda x: (0.0 < x) & (x < 1.0))
+
+
+def m_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
+    """m_func at every point of xs."""
+    return _each(pqfun.m_func, (a, b, c), xs,
+                 lambda x: (0.0 < x) & (x < 1.0))

@@ -21,7 +21,9 @@ They take one of two routes by the number of punctures.  Below
 abs(b - a) of every unordered pair once.  abs(complex) calls the libm
 hypot that np.hypot calls, so both routes give the same bits, and on
 these few punctures the lists cost less than the fixed cost of a
-query's numpy calls.  From there on they run on numpy arrays: an
+query's numpy calls; they, and the ring bounds, run without numpy.
+From there on they run on numpy arrays, which the domain builds when it
+is made (so numpy loads there, not in a query): an
 O(N log N) sort, O(N) array work for each visited row (the rows of a
 long walk come a batch at a time), and for the upper end of
 ``rho_bounds`` a search of the pairwise puncture distances, a chunk
@@ -46,8 +48,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import metric, specfun
 from .errors import DomainError
@@ -81,10 +81,10 @@ class PuncturedDomain:
     """The complement of a finite set of at least two distinct points."""
 
     punctures: tuple[complex, ...]
-    # the punctures' coordinates as read-only arrays, built once for the
-    # queries; equality and hash stay on ``punctures``
-    _x: np.ndarray = field(init=False, repr=False, compare=False)
-    _y: np.ndarray = field(init=False, repr=False, compare=False)
+    # the punctures' coordinates x, y as read-only arrays for the array
+    # route, built once from _LISTS_BELOW punctures on, else None;
+    # equality and hash stay on ``punctures``
+    _xy: tuple | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, punctures: Sequence[complex]):
         pts = tuple(specfun.finite_complex(p, "punctures", j)
@@ -95,11 +95,27 @@ class PuncturedDomain:
                 f"got {len(pts)}")
         _check_distinct(pts)
         object.__setattr__(self, "punctures", pts)
-        coords = np.fromiter(pts, complex, len(pts))
-        x, y = coords.real.copy(), coords.imag.copy()
-        x.flags.writeable = y.flags.writeable = False
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_y", y)
+        object.__setattr__(self, "_xy", _coordinates(pts)
+                           if len(pts) >= _LISTS_BELOW else None)
+
+
+# numpy, which the array route runs on: bound by _load_numpy, which each
+# entry of the route calls first
+np = None
+
+
+def _load_numpy() -> None:
+    global np
+    import numpy as np
+
+
+def _coordinates(pts: tuple[complex, ...]) -> tuple:
+    """The punctures' coordinates x, y as read-only arrays."""
+    _load_numpy()
+    coords = np.fromiter(pts, complex, len(pts))
+    x, y = coords.real.copy(), coords.imag.copy()
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
 class RingBoundParams(NamedTuple):
@@ -511,14 +527,18 @@ def _nearest_first(dom: PuncturedDomain,
     three permuted into increasing d_a: the walk order of ``_lower_end``
     is then range(N).
 
-    Raises DomainError where z is not finite or is a puncture.
+    Raises DomainError where z is not finite or is a puncture.  A domain
+    of fewer than ``_LISTS_BELOW`` punctures, which meets this route only
+    where the cut was lowered after it was made, has its coordinates
+    built here.
     """
     z = specfun.finite_complex(z, "z")
-    d = np.hypot(z.real - dom._x, z.imag - dom._y)
+    x, y = dom._xy or _coordinates(dom.punctures)
+    d = np.hypot(z.real - x, z.imag - y)
     perm = np.argsort(d)
     d = d[perm]
     _check_off_punctures(z, d[0])
-    return dom._x[perm], dom._y[perm], d
+    return x[perm], y[perm], d
 
 
 def _abs(w: complex) -> float:
@@ -632,6 +652,7 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
         q = max(map(_upper_candidate, d, m, hi))
         lower = _lower_end(order, d, m.__getitem__)
     else:
+        _load_numpy()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x, y, dists = _nearest_first(dom, z)
             below, above, exact = _neighbours(x, y, dists)
@@ -675,6 +696,7 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     if len(pts) < _LISTS_BELOW:
         d, order = _list_nearest_first(pts, z)
         return _lower_end(order, d, functools.partial(_list_row_gap, pts, d))
+    _load_numpy()
     with np.errstate(over="ignore"):
         x, y, d = _nearest_first(dom, z)
         return _lower_end(range(len(d)), d, _row_gaps(x, y, d, {}))

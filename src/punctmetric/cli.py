@@ -8,7 +8,9 @@ series of the three ring-bound slopes).
 Output is JSON except for figure1's CSV.  Exit codes: 0 success or
 all checks passed, 1 computation or check failure, 2 usage.  JSON has
 no infinity, so an infinite upper bound is emitted as the string
-"inf".
+"inf".  eval, constants, bounds ring, and rho and sigma on fewer than
+``bounds._LISTS_BELOW`` punctures run without numpy; verify, figure1 and
+larger domains load it.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import bounds, elliptic, metric, pqfun, specfun, verify
+from . import bounds, elliptic, metric, pqfun, specfun
 from .errors import PunctMetricError, UnknownCheckError
 from .hyp2f1 import HypParams, f21
 
@@ -151,6 +151,8 @@ def _tol_profile(parser: argparse.ArgumentParser,
 
 def _cmd_verify(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
+    from . import verify
+
     profile = _tol_profile(parser, args)
     try:
         if args.check is not None:
@@ -229,15 +231,14 @@ def _cmd_figure1(parser: argparse.ArgumentParser,
     w = sys.stdout
     w.write("c,phi_over_c,h_half,bp_log\n")
     for start in range(0, count, _FIGURE1_ROWS):
-        i = np.arange(start, min(count, start + _FIGURE1_ROWS))
-        cs = lo + (hi - lo) * i / (count - 1)
+        cs = [lo + (hi - lo) * i / (count - 1)
+              for i in range(start, min(count, start + _FIGURE1_ROWS))]
         # ring_coefficients(c).A and baseline_bounds(c)'s sv512_A and bp_A,
         # to the bit, without the columns that are not printed
-        phi_over_c = metric.varphi_many(cs) / cs
-        h_half = metric.h_many(0.5 * cs)
-        for c, a, sv in zip(cs.tolist(), phi_over_c.tolist(),
-                            h_half.tolist()):
-            w.write(f"{c:.17g},{a:.17g},{sv:.17g},"
+        phis = metric.varphi_many(cs).tolist()
+        h_half = metric.h_many([0.5 * c for c in cs]).tolist()
+        for c, phi, sv in zip(cs, phis, h_half):
+            w.write(f"{c:.17g},{phi / c:.17g},{sv:.17g},"
                     f"{math.log1p(c / two_c0) / c:.17g}\n")
     return 0
 

@@ -32,7 +32,8 @@ of a 1-d array the bits of its float call: both forms run one formula,
 and only the AGM loop is per form, a masked numpy loop at an array.
 They run through specfun's one array-form driver, so a point out of
 range takes its float call, and a batch raises what a loop of float
-calls raises first.
+calls raises first.  They live in ``_arrays`` and load it, and numpy,
+on first use.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from . import pqfun, specfun
-from .elliptic import AGM_MAX_ITER, AGM_RTOL, agm
-from .errors import ConvergenceError, DomainError, RangeError
+from .elliptic import agm
+from .errors import DomainError, RangeError
 
 # Largest |t| accepted by h / big_h; e^700 is still finite and the
 # complement modulus e^{-350} is a healthy normal float.
@@ -151,40 +150,14 @@ def h(t: float) -> float:
     return _h(_check_t(t), math.sqrt, agm)
 
 
-def _agm_many(x: float, m: np.ndarray) -> np.ndarray:
-    """agm(x, m) at every point of m, 0 < m <= x, by elliptic.agm's steps."""
-    out = np.empty(m.size)
-    idx = np.arange(m.size)
-    a = np.full(m.size, x)
-    b = m
-    for _ in range(AGM_MAX_ITER):
-        done = a - b <= AGM_RTOL * a
-        out[idx[done]] = 0.5 * (a[done] + b[done])
-        keep = ~done
-        idx, a, b = idx[keep], a[keep], b[keep]
-        if not idx.size:
-            return out
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    raise ConvergenceError(
-        f"agm did not converge within {AGM_MAX_ITER} iterations")
-
-
 def _h(t, sqrt, agm):
     """h at a checked float t by math.sqrt and elliptic.agm, or at every
-    point of a checked array by np.sqrt and _agm_many (the square roots
-    of both round correctly)."""
+    point of a checked array by np.sqrt and _arrays._agm_many (the square
+    roots of both round correctly)."""
     w = specfun.pointwise(math.exp, -abs(t))
     root = sqrt(1.0 + w)
     # the moduli 1/sqrt(1+e^{|t|}) and 1/sqrt(1+e^{-|t|})
     return agm(1.0, sqrt(w) / root) * agm(1.0, 1.0 / root) / (2.0 * math.pi)
-
-
-def h_many(ts) -> np.ndarray:
-    """h at every point of the 1-d array ts, to the bit."""
-    ts = specfun.as_points(ts)
-    return specfun._array_form(
-        (ts,), np.abs(ts) <= T_CAP,
-        lambda t: (_h(t, np.sqrt, _agm_many), True), lambda t: (h(t),))[0]
 
 
 def big_h(t: float) -> float:
@@ -202,16 +175,6 @@ def big_h_prime(t: float) -> float:
     exactly 0 at t = 0 and exactly odd.
     """
     return 2.0 * math.pi * pqfun.p_prime(_HALF, t)
-
-
-def big_h_many(ts) -> np.ndarray:
-    """big_h at every point of the 1-d array ts, to the bit."""
-    return 1.0 / h_many(ts)
-
-
-def big_h_prime_many(ts) -> np.ndarray:
-    """big_h_prime at every point of the 1-d array ts, to the bit."""
-    return 2.0 * math.pi * pqfun.p_prime_many(_HALF, ts)
 
 
 def varphi(t: float) -> float:
@@ -275,25 +238,6 @@ def _varphi_agm(s, sqrt, agm):
                              agm(1.0, 1.0 / root) / agm(1.0, w / root))
 
 
-def varphi_many(ts) -> np.ndarray:
-    """varphi at every point of the 1-d array ts, to the bit."""
-    ts = specfun.as_points(ts)
-
-    def lanes_of(ts):
-        s = 0.5 * ts
-        taylor = ts < VARPHI_TAYLOR_T
-        closed = s >= VARPHI_CLOSED_S
-        agm_route = ~(taylor | closed)
-        out = np.empty(ts.size)
-        out[taylor] = _varphi_taylor(ts[taylor])
-        out[closed] = _varphi_closed(ts[closed])
-        out[agm_route] = _varphi_agm(s[agm_route], np.sqrt, _agm_many)
-        return out, True
-
-    return specfun._array_form((ts,), (0.0 < ts) & (ts < np.inf), lanes_of,
-                               lambda t: (varphi(t),))[0]
-
-
 def varphi_error(value: float) -> float:
     """Bound on the absolute error of varphi's result ``value``:
     VARPHI_ERR_K eps (1 + |value|), or for a value of the Taylor
@@ -342,3 +286,9 @@ def d01_lower(z: complex, w: complex) -> float:
     information); tight when both points sit on the negative real axis.
     """
     return d01_neg(_check_not_puncture(z, "z"), _check_not_puncture(w, "w"))
+
+
+# the array forms, which load numpy
+__getattr__ = specfun.lazy_names(
+    globals(), "._arrays",
+    ("h_many", "big_h_many", "big_h_prime_many", "varphi_many"))

@@ -25,19 +25,18 @@ Every quantity has an array form, ``*_many``, taking a 1-d array of t
 or pointwise on an array, calling the hyp2f1 array kernels for arrays,
 so each point comes out as its float call would, to the bit.  The array
 forms run through specfun's one array-form driver: the array code runs
-once on the distinct points in the domain (t finite; t >= 0 for
-q_excess; 0 < x < 1 for N and M), and every other point, or every point
-where the array code raises, takes its float call in index order.  So a
-batch returns what a loop of float calls returns, and raises that
-loop's first error.
+on the points in the domain (t finite, and nonzero for slope_g; t >= 0
+for q_excess; 0 < x < 1 for N and M), and every other point, or every
+point where the array code raises, takes its float call in index order.
+So a batch returns what a loop of float calls returns, and raises that
+loop's first error.  The array forms live in ``_arrays``, which loads
+numpy on first use; the float forms run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import hyp2f1, specfun
 from .errors import DomainError, RangeError
@@ -70,14 +69,7 @@ class ZeroBalancedPair:
 
 def _is_array(x) -> bool:
     """Whether x is a batch of points; a 0-d array is a float."""
-    return isinstance(x, np.ndarray) and x.ndim > 0
-
-
-def _where(cond, yes, no):
-    """yes where cond holds, else no: for a bool, or pointwise."""
-    if _is_array(cond):
-        return np.where(cond, yes, no)
-    return yes if cond else no
+    return specfun.is_array(x) and x.ndim > 0
 
 
 def _finite_t(t):
@@ -175,14 +167,16 @@ def p_prime(pr: ZeroBalancedPair, t: float) -> float:
     l_hi = hi * v_lo * w_hi
     l_lo = lo * v_hi * w_lo
     value = pr.a * pr.b / pr.c * (l_hi - l_lo)
-    return _where(t >= 0.0, value, -value)
+    return specfun.where(t >= 0.0, value, -value)
 
 
 def slope_g(pr: ZeroBalancedPair, t: float) -> float:
     """G(t) = (P(t) - P(0))/t; odd, strictly increasing, |G| < 1/B(a,b)."""
-    tf = t if _is_array(t) else float(t)
-    if np.any(tf == 0.0):
-        raise DomainError("slope function is undefined at t = 0")
+    tf = t  # an array form's t, which its domain mask has checked
+    if not _is_array(t):
+        tf = float(t)
+        if tf == 0.0:
+            raise DomainError("slope function is undefined at t = 0")
     return (p_func(pr, tf) - p_func(pr, 0.0)) / tf
 
 
@@ -212,7 +206,7 @@ def q_func(pr: ZeroBalancedPair, t: float) -> float:
     """Q(t) = F(a,b;a+b;x) / F(a,b;a+b;1-x); positive, strictly increasing."""
     t = _finite_t(t)
     _, _, v_lo, v_hi = _v_pair(pr, abs(t))
-    return _where(t >= 0.0, v_hi / v_lo, v_lo / v_hi)
+    return specfun.where(t >= 0.0, v_hi / v_lo, v_lo / v_hi)
 
 
 def q_log(pr: ZeroBalancedPair, t: float) -> float:
@@ -260,7 +254,7 @@ def _unit_interval(x):
 def _halves(x):
     """(lo, hi) = the smaller and the larger of x and 1-x."""
     below = x <= 0.5
-    return _where(below, x, 1.0 - x), _where(below, 1.0 - x, x)
+    return specfun.where(below, x, 1.0 - x), specfun.where(below, 1.0 - x, x)
 
 
 def _halves_and_pairs(p: HypParams, x):
@@ -315,59 +309,9 @@ def m_func(a: float, b: float, c: float, x: float) -> float:
     return lo * hi * (k * e_lo * v_hi + v_lo * (k * e_hi))
 
 
-# Array forms: the function above at every point of a 1-d array, each
-# point to the bit of its float call, through specfun's driver.
-
-def _each(fn, args: tuple, points, valid=np.isfinite) -> np.ndarray:
-    """fn(*args, point) at every point of the 1-d array points: fn runs
-    once on the distinct points where ``valid`` holds, and every other
-    point takes its float call, as does every point where fn raises."""
-    arr = specfun.as_points(points)
-    return specfun._array_form(
-        (arr,), valid(arr), lambda x: (fn(*args, x), True),
-        lambda x: (fn(*args, x),))[0]
-
-
-def p_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """p_func at every point of ts."""
-    return _each(p_func, (pr,), ts)
-
-
-def p_prime_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """p_prime at every point of ts."""
-    return _each(p_prime, (pr,), ts)
-
-
-def slope_g_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """slope_g at every point of ts."""
-    return _each(slope_g, (pr,), ts)
-
-
-def p_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """p_excess at every point of ts."""
-    return _each(p_excess, (pr,), ts)
-
-
-def q_func_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """q_func at every point of ts."""
-    return _each(q_func, (pr,), ts)
-
-
-def q_log_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """q_log at every point of ts."""
-    return _each(q_log, (pr,), ts)
-
-
-def q_excess_many(pr: ZeroBalancedPair, ts) -> np.ndarray:
-    """q_excess at every point of ts."""
-    return _each(q_excess, (pr,), ts, lambda t: (0.0 <= t) & (t < np.inf))
-
-
-def n_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
-    """n_func at every point of xs."""
-    return _each(n_func, (a, b, c), xs, lambda x: (0.0 < x) & (x < 1.0))
-
-
-def m_func_many(a: float, b: float, c: float, xs) -> np.ndarray:
-    """m_func at every point of xs."""
-    return _each(m_func, (a, b, c), xs, lambda x: (0.0 < x) & (x < 1.0))
+# the array forms, which load numpy
+__getattr__ = specfun.lazy_names(
+    globals(), "._arrays",
+    ("p_func_many", "p_prime_many", "slope_g_many", "p_excess_many",
+     "q_func_many", "q_log_many", "q_excess_many", "n_func_many",
+     "m_func_many"))

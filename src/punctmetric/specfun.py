@@ -9,24 +9,25 @@ which is the additive constant in the logarithmic expansion of zero-balanced
 hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.
 
 It also holds the helpers the other modules share: ``finite_complex``
-checks a point of the plane, ``as_points`` the input of an array form,
-and ``pointwise`` takes log, exp and log1p from ``math`` point by
-point, because numpy's vectorised versions may round differently by an
-ulp, and an array form must match its scalar form to the bit.
-``_array_form`` is the one driver of every array form of ``hyp2f1``,
-``pqfun`` and ``metric``: the array computation serves what it can, and
-every other point takes its scalar call.
+checks a point of the plane; ``is_array`` tells a batch of points from a
+float, and ``where`` and ``pointwise`` serve both, ``pointwise`` taking
+log, exp and log1p from ``math`` point by point, because numpy's
+vectorised versions may round differently by an ulp, and an array form
+must match its scalar form to the bit.  None of them loads numpy, and
+``lazy_names`` lets a module hand out its array half, which does, on
+first use.  This module's array half, in ``_arrays``, holds
+``as_points`` and ``_array_form``, the one driver of every array form.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
+import sys
 from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError, PunctMetricError, RangeError
+from .errors import DomainError, RangeError
 
 # Euler-Mascheroni constant, -psi(1).
 EULER_GAMMA = 0.57721566490153286
@@ -140,12 +141,29 @@ def ramanujan_r(a: float, b: float) -> float:
     return -2.0 * EULER_GAMMA - digamma(a) - digamma(b)
 
 
+def is_array(x) -> bool:
+    """Whether x is a numpy array.  Only a loaded numpy makes one, so the
+    test loads nothing."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def pointwise(fn: Callable[[float], float], x):
     """fn, a ``math`` function, at the float x, or at every point of the
     float array x (then an array comes back)."""
-    if isinstance(x, np.ndarray):
+    if is_array(x):
+        import numpy as np
         return np.fromiter(map(fn, x.tolist()), float, x.size)
     return fn(x)
+
+
+def where(cond, yes, no):
+    """yes where cond holds, else no: for a bool, or pointwise where cond
+    is an array."""
+    if is_array(cond):
+        import numpy as np
+        return np.where(cond, yes, no)
+    return yes if cond else no
 
 
 def finite_complex(p, name: str, index: int | None = None) -> complex:
@@ -162,79 +180,25 @@ def finite_complex(p, name: str, index: int | None = None) -> complex:
     raise DomainError(f"{label} {problem}")
 
 
-def as_points(xs) -> np.ndarray:
-    """xs as a 1-d float array, the input of every array form."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError(
-            f"points must form a 1-d array, got shape {arr.shape}")
-    return arr
+def lazy_names(namespace: dict, module: str, names):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: the first lookup of one of ``names`` imports the
+    sibling ``module`` and binds the name from it in ``namespace``, so
+    that later lookups, and patches, meet an ordinary attribute."""
+    names = frozenset(names)
+    owner = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(
+                f"module {owner!r} has no attribute {name!r}")
+        source = importlib.import_module(module, __package__)
+        value = namespace[name] = getattr(source, name)
+        return value
+
+    return __getattr__
 
 
-def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for the points of 1-d float arrays of one length,
-    a point being its values in ``keys``: ``first`` the indices of the
-    distinct points' first occurrences, in the caller's order, and
-    ``inverse`` each point's place in ``first``; both are slice(None)
-    where no point repeats.  Points are keyed on their bits, so 0.0 and
-    -0.0 stay apart and a repeat gets the bits of its first
-    occurrence."""
-    bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
-    # quicksort by the first key; equal points then sit together unless
-    # equal first keys come with other later keys, which all keys sort
-    order = np.argsort(bits[0])
-    new = _changes(bits, order)
-    if len(bits) > 1 and (new != _changes(bits[:1], order)).any():
-        order = np.lexsort(bits[::-1])
-        new = _changes(bits, order)
-    if new.all():
-        return slice(None), slice(None)
-    heads = np.minimum.reduceat(order, np.flatnonzero(new))
-    rank = np.argsort(heads)
-    place = np.empty_like(rank)
-    place[rank] = np.arange(rank.size)
-    inverse = np.empty_like(order)
-    inverse[order] = place[np.add.accumulate(new, dtype=np.intp) - 1]
-    return heads[rank], inverse
-
-
-def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Where the keys, taken in ``order``, differ from the point before."""
-    new = np.zeros(order.size, dtype=bool)
-    new[:1] = True
-    for b in bits:
-        s = b[order]
-        new[1:] |= s[1:] != s[:-1]
-    return new
-
-
-def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
-                dtypes=(float,)) -> list[np.ndarray]:
-    """The one driver of the array forms: arrays of the given dtypes
-    with the results at every point, a point being its values in the
-    1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
-    distinct points where ``valid`` holds, then where each is served
-    (True for all); where it raises a typed error, or math's
-    OverflowError (as a connection prefactor may), no point is served.
-    Every point not served, in index order, takes what scalar(*point)
-    returns at Python floats, or raises its error.  So a batch returns
-    what a loop of scalar calls returns, and raises that loop's first
-    error."""
-    full = [np.zeros(valid.size, dtype) for dtype in dtypes]
-    served = np.zeros(valid.size, dtype=bool)
-    at = slice(None) if valid.all() else np.flatnonzero(valid)
-    first, inverse = _distinct(*(k[at] for k in keys))
-    points = [k[at][first] for k in keys]
-    if points[0].size:
-        try:
-            *outs, ok = lanes_of(*points)
-        except (PunctMetricError, OverflowError):
-            pass
-        else:
-            for out, lanes in zip(full, outs):
-                out[at] = lanes[inverse]
-            served[at] = np.broadcast_to(ok, points[0].shape)[inverse]
-    for i in np.flatnonzero(~served).tolist():
-        for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
-            out[i] = v
-    return full
+# the array half of this module, which loads numpy
+__getattr__ = lazy_names(globals(), "._arrays",
+                         ("as_points", "_distinct", "_array_form"))

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The console script's output against the pinned files in tests/data.
 #
-#   tests/check_pinned_cli.sh [verify] [bounds]     (both when none given)
+#   tests/check_pinned_cli.sh [verify] [bounds] [scalar]   (all when none given)
 #
 # verify: both suites, and the strict one reached through
-# PUNCTURED_METRIC_TOL.  bounds: rho and sigma at the domains and points
+# PUNCTURED_METRIC_TOL.  scalar: eval of every evaluator (f21 on each
+# of its routes), constants, bounds ring --compare and a short figure1.
+# bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
 # order; N = 2 and 10 take the list route of the queries, N = 40 the
 # array route.  PUNCTMETRIC names the command (default: punctmetric;
@@ -40,12 +42,42 @@ bounds() {
   pinned forty | diff - tests/data/bounds_cli_forty.jsonl
 }
 
+scalar() {
+  {
+    for f21 in "0.5 0.5 1 0.3" "0.5 0.5 1 0.99" "1.5 1.5 2 0.9" \
+        "0.9 1.1 2.6 0.95" "2 3 3 0.9"; do
+      read -r a b c x <<< "$f21"
+      "${run[@]}" eval f21 --a "$a" --b "$b" --c "$c" --x "$x"
+    done
+    "${run[@]}" eval K --r 0.5
+    "${run[@]}" eval mu --r 0.3
+    "${run[@]}" eval lambda --x 2
+    "${run[@]}" eval phi --x 3
+    "${run[@]}" eval h --t 1.5
+    "${run[@]}" eval H --t -2
+    for t in 0.01 3 200; do
+      "${run[@]}" eval varphi --t "$t"
+    done
+    "${run[@]}" eval P --t 2
+    "${run[@]}" eval Q --t -1 --a 0.3 --b 0.7
+    "${run[@]}" eval q --t 5
+    "${run[@]}" eval N --a 0.5 --b 0.5 --c 1 --x 0.2
+    "${run[@]}" eval M --a 1 --b 2 --c 3.5 --x 0.7
+    "${run[@]}" constants
+    "${run[@]}" bounds ring --c 0.5 --r1 1 --r2 8 --compare
+    "${run[@]}" bounds ring --c 3 --r1 0.7 --r2 1e6 --compare
+  } | diff - tests/data/scalar_cli.jsonl
+  "${run[@]}" figure1 --lo 0.02 --hi 12 --count 9 \
+    | diff - tests/data/figure1_cli.csv
+}
+
 parts=("$@")
-[ ${#parts[@]} -gt 0 ] || parts=(verify bounds)
+[ ${#parts[@]} -gt 0 ] || parts=(verify bounds scalar)
 for part in "${parts[@]}"; do
   case $part in
-    verify | bounds) "$part" ;;
-    *) echo "unknown part: $part (want verify or bounds)" >&2; exit 2 ;;
+    verify | bounds | scalar) "$part" ;;
+    *) echo "unknown part: $part (want verify, bounds or scalar)" >&2
+       exit 2 ;;
   esac
 done
 echo "pinned CLI output matches"

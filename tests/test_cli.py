@@ -92,8 +92,8 @@ def test_eval_range_error_rc1(capsys):
 
 
 def test_eval_overflow_is_a_json_error(capsys):
-    rc, doc = run_json(capsys, "eval", "f21", "--a", "1e306", "--b", "1.5",
-                       "--c", "1e306", "--x", "0.9")
+    rc, doc = run_json(capsys, "eval", "f21", "--a", "1e306", "--b", "1e306",
+                       "--c", "2e306", "--x", "0.9")
     assert rc == 1
     assert doc["error"]["type"] == "RangeError"
 

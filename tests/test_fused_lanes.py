@@ -255,8 +255,8 @@ def test_fused_connection_series_match_single_runs():
 
 
 def test_lo_hi_sums_its_direct_series_in_one_run(monkeypatch):
-    # lo = 1/2 hands F(p; 1 - lo) over to the direct series, which then
-    # runs with the F(p; lo)
+    # the F(p; lo) of every p sum in one direct run; at lo = 1/2,
+    # F(p; 1 - lo) is the direct series at 1/2 too, copied from F(p; lo)
     calls = []
     direct_many = hyp2f1._direct_many
     monkeypatch.setattr(hyp2f1, "_direct_many",

@@ -259,7 +259,9 @@ def test_shifted_log_series_at_tiny_parameters(a, b):
         many = f21_many(p, xs)
         for x, value in zip(xs, many.value.tolist()):
             r, _ = _assert_estimate_holds(p, x)
-            assert r.method == "zb_log_series"
+            # a+b rounds to b = c at (1e-300, 1e-30): F = (1-x)^-a there
+            assert r.method == ("direct_series" if c == b
+                                else "zb_log_series")
             assert value == r.value
             assert r.abs_err_estimate <= 1e-12
 
@@ -271,9 +273,12 @@ def test_large_parameters_give_a_value_or_a_typed_error():
     # direct series it falls back to
     with pytest.raises(RangeError):
         f21(HypParams(150.5, 120.25, 100.0), 0.999)
-    # c-(a+b) rounds to 0 and B(a, b) overflows: no untyped OverflowError
-    with pytest.raises(RangeError):
-        f21(HypParams(1e306, 1.5, 1e306), 0.9)
+    # c-(a+b) = 0 and B(a, b) overflows: no untyped OverflowError
+    with pytest.raises(RangeError, match="B"):
+        f21(HypParams(1e306, 1e306, 2e306), 0.9)
+    # a+b rounds to a = c: not the log series, but F(a,b;a;x) = (1-x)^-b
+    r, _ = _assert_estimate_holds(HypParams(1e306, 1.5, 1e306), 0.9)
+    assert r.value == pytest.approx(0.1 ** -1.5, rel=1e-15)
     with pytest.raises(RangeError):
         f21_at_one(HypParams(1e306, 1.5, 3e306))
     # zero balanced: the log series' coefficients overflow near a = 400,
@@ -509,3 +514,21 @@ def test_direct_series_stops_on_subnormal_and_zero_terms():
     with mpmath.workdps(400):
         want = mpmath.hyp2f1(mpmath.mpf(1e-310), 2, 4, mpmath.mpf(0.75)) - 1
         assert abs(mpmath.mpf(got[0]) - want) <= 8 * 2.0 ** -1074
+
+
+def test_c_equal_to_b_is_read_as_given():
+    # a + b rounds to b = c: c - (a+b) = 0 chose the m = 0 log series,
+    # whose terms overflow, and its hand-over ran 1e6 direct terms for
+    # ~1.2 s and raised ConvergenceError; c = b takes the power route,
+    # F(a,b;b;x) = (1-x)^-a
+    p = HypParams(0.5, 1e300, 1e300)
+    x = 1.0 - 1e-16
+    r = []
+    assert min(_seconds(lambda: r.append(f21(p, x))) for _ in range(3)) \
+        < 1e-2
+    assert (r[0].method, r[0].terms_used) == ("direct_series", 0)
+    assert abs(r[0].value - (1.0 - x) ** -0.5) <= r[0].abs_err_estimate
+    many = f21_many(p, [0.3, x])
+    assert many.value[1] == r[0].value
+    assert many.abs_err_estimate[1] == r[0].abs_err_estimate
+    assert many.method[1] == r[0].method

@@ -205,8 +205,6 @@ def test_domain_validation():
 
 def test_overflowing_beta_is_a_range_error():
     with pytest.raises(RangeError):
-        pqfun.p_func(pqfun.ZeroBalancedPair(1e306, 0.5), 1.0)
-    with pytest.raises(RangeError):
         pqfun.q_excess(pqfun.ZeroBalancedPair(1e306, 1.0), 1.0)
 
 
@@ -288,3 +286,17 @@ def test_q_func_at_large_parameters_against_mpmath():
         want = mpmath.hyp2f1(50, 50, 100, 1 - lo) / mpmath.hyp2f1(
             50, 50, 100, lo)
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("a,b,t", [(0.5, 1e300, 15.0), (1e306, 0.5, 1.0)])
+def test_pair_whose_sum_rounds_to_one_of_them(a, b, t):
+    # a + b rounds to b (or a): v = F(a,b;b;.) = (1-y)^-a takes the power
+    # route.  At (0.5, 1e300) the m = 0 log series overflowed and its
+    # hand-over ran 1e6 direct terms and raised ConvergenceError; at
+    # (1e306, 0.5) B(a, b) overflowed, a RangeError
+    pr = pqfun.ZeroBalancedPair(a, b)
+    # P = v(x) v(1-x) = (x (1-x))^-1/2 = e^{t/2} (1 + e^-t)
+    want = math.exp(0.5 * t) * (1.0 + math.exp(-t))
+    got = pqfun.p_func(pr, t)
+    assert got == pytest.approx(want, rel=1e-14)
+    assert pqfun.p_func_many(pr, [t, -t]).tolist() == [got, got]
