@@ -4,10 +4,10 @@ numpy.  Those modules hand out these names on first use (PEP 562), so
 
 ``_array_form`` is the one driver of every array form of ``hyp2f1``,
 ``pqfun`` and ``metric``: the array computation serves what it can, and
-every other point takes its scalar call.  ``_on_distinct`` keys the
-points of a lockstep run on their bits, so that hyp2f1's sums run once
-per distinct point; the elementwise forms here need no keying, and every
-array path of pqfun reaches a keyed hyp2f1 form.
+every other point takes its scalar call.  ``_distinct`` keys points on
+their bits, for the lockstep's memo (``_hyp2f1_arrays._on_distinct``);
+the elementwise forms here need no keying, and every array path of
+pqfun reaches a keyed hyp2f1 form.
 """
 
 from __future__ import annotations
@@ -30,14 +30,11 @@ def as_points(xs) -> np.ndarray:
     return arr
 
 
-def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for the points of 1-d float arrays of one length,
-    a point being its values in ``keys``: ``first`` the indices of the
-    distinct points' first occurrences, in the caller's order, and
-    ``inverse`` each point's place in ``first``; both are slice(None)
-    where no point repeats.  Points are keyed on their bits, so 0.0 and
-    -0.0 stay apart and a repeat gets the bits of its first
-    occurrence."""
+def _distinct(*keys: np.ndarray):
+    """The indices of the first occurrences of the distinct points of
+    1-d float arrays of one length, in the caller's order, a point being
+    its values in ``keys``; slice(None) where no point repeats.  Points
+    are keyed on their bits, so 0.0 and -0.0 stay apart."""
     bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
     # quicksort by the first key; equal points then sit together unless
     # equal first keys come with other later keys, which all keys sort
@@ -47,14 +44,8 @@ def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort(bits[::-1])
         new = _changes(bits, order)
     if new.all():
-        return slice(None), slice(None)
-    heads = np.minimum.reduceat(order, np.flatnonzero(new))
-    rank = np.argsort(heads)
-    place = np.empty_like(rank)
-    place[rank] = np.arange(rank.size)
-    inverse = np.empty_like(order)
-    inverse[order] = place[np.add.accumulate(new, dtype=np.intp) - 1]
-    return heads[rank], inverse
+        return slice(None)
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(new)))
 
 
 def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
@@ -65,19 +56,6 @@ def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
         s = b[order]
         new[1:] |= s[1:] != s[:-1]
     return new
-
-
-def _on_distinct(lanes_of):
-    """lanes_of for ``_array_form`` that runs once on the distinct
-    points and gives each repeat the results of its first occurrence;
-    lanes_of must say per point where it serves."""
-
-    def run(*keys):
-        first, inverse = _distinct(*keys)
-        *outs, ok = lanes_of(*(k[first] for k in keys))
-        return (*(out[inverse] for out in outs), ok[inverse])
-
-    return run
 
 
 def _array_form(keys, valid: np.ndarray, lanes_of, scalar,

@@ -1059,11 +1059,13 @@ def find_t0() -> float:
     return t_cur
 
 
+@functools.cache
 def max_weighted_h() -> ExtremumResult:
     """Maximum of 2(|t| + C0) h(t) over the real line.
 
     Attained at the unique zero t0 of g, where the value equals
-    2/H'(t0); must come out below 1.25.
+    2/H'(t0); must come out below 1.25.  Computed once per process
+    (find_t0 runs each time it is called).
     """
     t0 = find_t0()
     max_value = 2.0 / metric.big_h_prime(t0)

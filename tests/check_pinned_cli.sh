@@ -4,25 +4,47 @@
 #   tests/check_pinned_cli.sh [verify] [bounds] [scalar]   (all when none given)
 #
 # verify: both suites, and the strict one reached through
-# PUNCTURED_METRIC_TOL.  scalar: eval of every evaluator (f21 on each
+# PUNCTURED_METRIC_TOL; then, warm, one interpreter running
+# punctmetric.cli.main on default, strict, default and strict, so that
+# the later runs read the lockstep's memo and the cached extremum.
+# scalar: eval of every evaluator (f21 on each
 # of its routes), constants, bounds ring --compare and a short figure1.
 # bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
 # order; N = 2 and 10 take the list route of the queries, N = 40 the
 # array route.  PUNCTMETRIC names the command (default: punctmetric;
 # from a checkout, PUNCTMETRIC="python -m punctmetric.cli" with
-# PYTHONPATH=src).  Exits non-zero at the first difference.
+# PYTHONPATH=src); PYTHON names the interpreter of the warm part
+# (default: python3).  Exits non-zero at the first difference.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # pytest's filterwarnings does not reach these processes
 export PYTHONWARNINGS=error::RuntimeWarning
 read -r -a run <<< "${PUNCTMETRIC:-punctmetric}"
+read -r -a python <<< "${PYTHON:-python3}"
 
 verify() {
   "${run[@]}" verify --suite default | diff - tests/data/verify_default.jsonl
   "${run[@]}" verify --suite strict | diff - tests/data/verify_strict.jsonl
   PUNCTURED_METRIC_TOL=strict "${run[@]}" verify \
     | diff - tests/data/verify_strict.jsonl
+  warm=$(mktemp -d)
+  trap 'rm -rf "$warm"' EXIT
+  "${python[@]}" - "$warm" <<'EOF'
+import contextlib
+import sys
+
+from punctmetric.cli import main
+
+for i, suite in enumerate(("default", "strict", "default", "strict")):
+    with open(f"{sys.argv[1]}/{i}_{suite}", "w") as out, \
+            contextlib.redirect_stdout(out):
+        if main(["verify", "--suite", suite]):
+            sys.exit(f"verify --suite {suite} failed, run {i + 1} of 4")
+EOF
+  for out in "$warm"/*; do
+    diff "$out" "tests/data/verify_${out##*_}.jsonl"
+  done
 }
 
 pinned() {

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -5,6 +7,19 @@ from hypothesis import settings
 # of examples for every test that sets none, the bit-identity oracles of
 # the bounds search among them.  Local runs keep hypothesis' default.
 settings.register_profile("ci", max_examples=500)
+
+
+@pytest.fixture(autouse=True)
+def _empty_caches():
+    """Each test starts with an empty lockstep memo and extremum cache, so
+    that a kernel it patches runs.  Loads no module that is not loaded."""
+    yield
+    lockstep = sys.modules.get("punctmetric._hyp2f1_arrays")
+    if lockstep is not None:
+        lockstep._memo.clear()
+    verify = sys.modules.get("punctmetric.verify")
+    if verify is not None:
+        verify.max_weighted_h.cache_clear()
 
 
 @pytest.fixture

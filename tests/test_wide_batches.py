@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from punctmetric import hyp2f1
+from punctmetric import _hyp2f1_arrays, hyp2f1
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -44,10 +44,12 @@ def _points(lo, hi, ends=()):
 
 def _each_scan(monkeypatch, call):
     """call() with the scan crossover as set, then with the row scan and
-    with accumulate forced for every block."""
+    with accumulate forced for every block, each on an empty memo so
+    that each sums every point."""
     results = []
     for rows_from in (hyp2f1.SCAN_ROWS_FROM, 0, math.inf):
         monkeypatch.setattr(hyp2f1, "SCAN_ROWS_FROM", rows_from)
+        _hyp2f1_arrays._memo.clear()
         results.append(call())
     return results
 
