@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import hyp2f1, specfun
-from ._arrays import _array_form, _distinct, as_points
+from ._arrays import _array_form, as_points
 from .hyp2f1 import (
     MAX_TERMS_DIRECT,
     MAX_TERMS_LOG,
@@ -57,14 +57,14 @@ from .hyp2f1 import (
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
 # scalar call's bits.  Every entry point runs through specfun's one
-# array-form driver, and sums each distinct point in its domain once
-# per process, keyed on its bits and held in a memo of at most
-# MEMO_CELLS cells (``_on_distinct``).  The lockstep sums routes
-# only: a lane that hands over is not served (a log sum that stalls or
-# cancels, a connection formula that cancels or whose series fails,
-# 1-u = 1 on the direct route, a series that overflows or runs out of
-# terms), and where a prefactor or B(a, b) overflows the run raises
-# and serves no lane.
+# array-form driver under a key of its name and parameters, so each
+# distinct point in its domain is summed once per process, keyed on its
+# bits and held in the driver's memo (``_arrays.MEMO_CELLS``).  The
+# lockstep sums routes only: a lane that hands over is not served (a
+# log sum that stalls or cancels, a connection formula that cancels or
+# whose series fails, 1-u = 1 on the direct route, a series that
+# overflows or runs out of terms), and where a prefactor or B(a, b)
+# overflows the run raises and serves no lane.
 # Every point not served, and every point out of range, takes its
 # scalar call's result, point by point in index order.  So a batch
 # returns, and raises first, what a loop of scalar calls would.
@@ -418,88 +418,6 @@ def _from_complement_many(
     return [found[i] for i in range(len(ps))], series[:len(own)]
 
 
-# The lockstep's results per entry point and parameters, as a table of
-# columns: each point's bits, a uint64 column per key, then its results
-# and served flag, its rows sorted on the first key.  A table is replaced
-# whole, never written in place.
-_memo: dict = {}
-# Cells the memo may hold, a cell being one column of one row (8 bytes at
-# most).  Past it the memo starts over; a call that holds more alone is
-# served but not stored.
-MEMO_CELLS = 1 << 18
-
-
-def _cells(table: tuple) -> int:
-    return table[0].size * len(table)
-
-
-def _find(table: tuple, bits: list) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, at): whether table holds each point, given by its bits per
-    key, and at which row.  Rows of one first key sit together, so a
-    point whose first key is held with other later keys scans them."""
-    first = table[0]
-    at = np.searchsorted(first, bits[0])
-    at[at == first.size] = 0
-    hit = first[at] == bits[0]
-    if len(bits) == 1:
-        return hit, at
-    same = hit.copy()
-    for col, b in zip(table[1:], bits[1:]):
-        hit &= col[at] == b
-    for i in np.flatnonzero(same & ~hit).tolist():
-        rows = np.arange(at[i], np.searchsorted(first, bits[0][i], "right"))
-        for col, b in zip(table[1:], bits[1:]):
-            rows = rows[col[rows] == b[i]]
-        if rows.size:
-            hit[i], at[i] = True, rows[0]
-    return hit, at
-
-
-def _sorted(table: tuple) -> tuple:
-    order = np.argsort(table[0], kind="stable")
-    return tuple(col[order] for col in table)
-
-
-def _on_distinct(lanes_of, *key):
-    """lanes_of for ``_array_form`` that runs once per process on each
-    distinct point of the entry point and parameters ``key``, which must
-    fix the results at every point, and gives every repeat, in this call
-    or a later one, the results of its first occurrence; lanes_of must
-    say per point where it serves."""
-    key = repr(key)  # keeps 0.0 and -0.0, or 1 and 1.0, apart
-
-    def run(*keys):
-        bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
-        held = _memo.get(key)
-        new = slice(None)
-        if held is not None:
-            hit, at = _find(held, bits)
-            if hit.all():
-                return tuple(col[at] for col in held[len(keys):])
-            new = np.flatnonzero(~hit)
-        at = np.arange(keys[0].size)[new][_distinct(*(k[new] for k in keys))]
-        chunk = (*(b[at] for b in bits), *lanes_of(*(k[at] for k in keys)))
-        table = _sorted(chunk if held is None else
-                        tuple(map(np.concatenate, zip(held, chunk))))
-        out = tuple(col[_find(table, bits)[1]] for col in table[len(keys):])
-        _keep(key, table, chunk)
-        return out
-
-    return run
-
-
-def _keep(key: str, table: tuple, chunk: tuple) -> None:
-    """Hold table under key; past MEMO_CELLS, start over with the call's
-    new points, or hold nothing new where they alone pass it."""
-    if _cells(chunk) > MEMO_CELLS:
-        return
-    _memo.pop(key, None)
-    if sum(map(_cells, _memo.values())) + _cells(table) > MEMO_CELLS:
-        _memo.clear()
-        table = _sorted(chunk)
-    _memo[key] = table
-
-
 def f21_many(p: HypParams, xs) -> EvalResults:
     """f21 at every point of the 1-d array xs, in lockstep: each point
     gets the value, estimate, term count and method of its f21 call, to
@@ -523,8 +441,7 @@ def f21_many(p: HypParams, xs) -> EvalResults:
                 methods[near.view(np.int8)], out.served)
 
     return EvalResults(*_array_form(
-        (xs,), (0.0 <= xs) & (xs < 1.0),
-        _on_distinct(lanes_of, "f21_many", p),
+        ("f21_many", p), (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
         lambda x: astuple(hyp2f1.f21(p, x)),
         (float, float, np.int64, object)))
 
@@ -553,8 +470,8 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
         return (*values, served)
 
     return _array_form(
-        (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),
-        _on_distinct(lanes_of, "_lo_hi_many", ps),
+        ("_lo_hi_many", ps), (lo, ell),
+        (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell), lanes_of,
         lambda lo, ell: ([hyp2f1.f21(p, lo).value for p in ps]
                          + [hyp2f1.f21_from_complement(p, lo, ell).value
                             for p in ps]),
@@ -578,9 +495,8 @@ def zb_complement_sums_many(a: float, b: float,
                 ~stalled & np.isfinite(sums[5]) & np.isfinite(sums[0]))
 
     return tuple(_array_form(
-        (u,), (0.0 <= u) & (u <= 0.75),
-        _on_distinct(lanes_of, "zb_complement_sums_many", a, b),
-        lambda u: hyp2f1.zb_complement_sums(a, b, u), (float, float)))
+        ("zb_complement_sums_many", a, b), (u,), (0.0 <= u) & (u <= 0.75),
+        lanes_of, lambda u: hyp2f1.zb_complement_sums(a, b, u), (float, float)))
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
@@ -593,6 +509,5 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
         return total, np.isfinite(total) & ~stalled
 
     return _array_form(
-        (x,), (0.0 <= x) & (x <= 0.75),
-        _on_distinct(lanes_of, "f21_minus_one_many", a, b, c),
-        lambda x: (hyp2f1.f21_minus_one(a, b, c, x),))[0]
+        ("f21_minus_one_many", a, b, c), (x,), (0.0 <= x) & (x <= 0.75),
+        lanes_of, lambda x: (hyp2f1.f21_minus_one(a, b, c, x),))[0]

@@ -16,7 +16,8 @@ vectorised versions may round differently by an ulp, and an array form
 must match its scalar form to the bit.  None of them loads numpy, and
 ``lazy_names`` lets a module hand out its array half, which does, on
 first use.  This module's array half, in ``_arrays``, holds
-``as_points`` and ``_array_form``, the one driver of every array form.
+``as_points`` and ``_array_form``, the one driver of every array form,
+with the memo that runs each distinct point once per process.
 """
 
 from __future__ import annotations

@@ -83,8 +83,7 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
     def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "count": self.count,
-                "scale": self.scale}
+        return dict(vars(self))  # the fields in their order
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,15 +106,9 @@ class PropertyReport:
         margin = self.worst_margin
         if not math.isfinite(margin):
             margin = "inf" if margin > 0 else "-inf"
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "grid": self.grid.to_dict(),
-            "worst_point": point,
-            "worst_margin": margin,
-            "tolerance": self.tolerance,
-            "notes": self.notes,
-        }
+        # the fields in their order, as the dataclass sets them
+        return dict(vars(self), grid=self.grid.to_dict(), worst_point=point,
+                    worst_margin=margin)
 
 
 # What a check's runner returns: the worst point, its margin, and notes.
@@ -219,21 +212,28 @@ def _sampled(f_many: Callable[[np.ndarray], np.ndarray],
     return np.split(values, np.cumsum([len(p) for p in points[:-1]]))
 
 
-def _subadditive_pairs(params: dict) -> tuple[np.ndarray, np.ndarray]:
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """table, made read-only: a cached table is shared."""
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(8)
+def _subadditive_pairs(s_lo, s_hi, seed, pairs, **_) -> np.ndarray:
     """The seeded random pairs (s, t) of a subadditivity claim, uniform on
-    [s_lo, s_hi]^2 and drawn pair by pair: their s and their t.
+    [s_lo, s_hi]^2 and drawn pair by pair: their s and their t, read-only
+    and cached per process on a check's parameters.
 
     The range must be finite, non-empty, and small enough that s + t
     stays finite; else DomainError.
     """
-    lo, hi = params["s_lo"], params["s_hi"]
-    if not -math.inf < 2.0 * lo < 2.0 * hi < math.inf:
+    if not -math.inf < 2.0 * s_lo < 2.0 * s_hi < math.inf:
         raise DomainError(
             f"subadditivity pairs need s_lo < s_hi with s + t finite, "
-            f"got [{lo}, {hi}]")
-    draw = random.Random(params["seed"]).random
-    draws = [lo + (hi - lo) * draw() for _ in range(2 * params["pairs"])]
-    return np.reshape(draws, (-1, 2)).T
+            f"got [{s_lo}, {s_hi}]")
+    draw = random.Random(seed).random
+    draws = [s_lo + (s_hi - s_lo) * draw() for _ in range(2 * pairs)]
+    return _frozen(np.reshape(draws, (-1, 2)).T)
 
 
 def _subadditive(s: np.ndarray, t: np.ndarray, f_s: np.ndarray,
@@ -320,10 +320,12 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+@functools.lru_cache(8)
 def _ratio_table(a: float, b: float, c: float, n_max: int,
-                 k_max: int = 0) -> list[np.ndarray]:
+                 k_max: int = 0) -> np.ndarray:
     """Rows Delta^k r_n, k = 0..k_max and n = 0..n_max, of the Maclaurin
-    coefficients r_n of F(a+1,b+1;c+1;x) / F(a,b;c;x).
+    coefficients r_n of F(a+1,b+1;c+1;x) / F(a,b;c;x), read-only and
+    cached per process.
 
     The r_n come by power-series long division with compensated
     summation, and Delta^{k+1} r_n = Delta^k r_n - Delta^k r_{n+1}.  A
@@ -347,7 +349,7 @@ def _ratio_table(a: float, b: float, c: float, n_max: int,
     for _ in range(k_max):
         row = [x - y for x, y in zip(row, row[1:])]
         table.append(row)
-    return [np.array(row[:n_max + 1]) for row in table]
+    return _frozen(np.array([row[:n_max + 1] for row in table]))
 
 
 def _run_concave_coeffs(params: dict, grid: GridSpec) -> Outcome:
@@ -510,42 +512,43 @@ def _run_main_parity(params: dict, grid: GridSpec) -> Outcome:
     return point, margin, notes
 
 
-def _convex_pairs(params: dict) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(8)
+def _convex_pairs(t_span, min_gap, seed, pairs, **_) -> np.ndarray:
     """The seeded random pairs (s, t), uniform on the part of
-    [-t_span, t_span]^2 where |s - t| >= min_gap: their s and their t.
+    [-t_span, t_span]^2 where |s - t| >= min_gap: their s and their t,
+    read-only and cached per process on a check's parameters.
 
     Each pair is drawn directly (Devroye 1986, ch. 2): the gap d, whose
     density is proportional to 2T - d on [g, 2T], by inversion; then the
     lower point, uniform on [-T, T - d]; then a coin for the order.  So
     the cost is O(pairs) however close min_gap is to 2 t_span.
     """
-    span = params["t_span"]
-    gap = params["min_gap"]
-    if not 0.0 < 2.0 * span < math.inf:
+    if not 0.0 < 2.0 * t_span < math.inf:
         raise DomainError(
-            f"convex pairs need 0 < t_span with s - t finite, got {span}")
-    if not gap < 2.0 * span:
+            f"convex pairs need 0 < t_span with s - t finite, got {t_span}")
+    if not min_gap < 2.0 * t_span:
         raise HypothesisError(
-            f"no pair in [-{span}, {span}] is min_gap = {gap} apart")
+            f"no pair in [-{t_span}, {t_span}] is min_gap = {min_gap} apart")
     # slack = 2T - d.  Rounding the room, the slack's split and the two
     # points moves the float gap from 2T - slack by at most 4 ulp(T), so
     # 8 ulp(T) of headroom keeps every float gap >= min_gap.  It trims
     # the slack's law at its top by 8 ulp(T), a relative 8 ulp(T)/(2T - g).
-    room = max(2.0 * span - max(gap, 0.0) - 8.0 * math.ulp(span), 0.0)
-    draw = random.Random(params["seed"]).random
-    pairs = []
-    for _ in range(params["pairs"]):
+    room = max(2.0 * t_span - max(min_gap, 0.0) - 8.0 * math.ulp(t_span),
+               0.0)
+    draw = random.Random(seed).random
+    drawn = []
+    for _ in range(pairs):
         slack = room * math.sqrt(draw())
         below = slack * draw()
-        pair = (-span + below, span - (slack - below))
-        pairs.append(pair if draw() < 0.5 else pair[::-1])
-    return np.reshape(pairs, (-1, 2)).T
+        pair = (-t_span + below, t_span - (slack - below))
+        drawn.append(pair if draw() < 0.5 else pair[::-1])
+    return _frozen(np.reshape(drawn, (-1, 2)).T)
 
 
 def _run_main_convex(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     inv_beta = 1.0 / specfun.beta(pr.a, pr.b)
-    s, t = _convex_pairs(params)
+    s, t = _convex_pairs(**params)
     ts = grid.points()
     m, lin = _midpoints(s, t)
     tm, tlin = _midpoints(ts[:-2], ts[2:])
@@ -636,7 +639,7 @@ def _run_qq_identity(params: dict, grid: GridSpec) -> Outcome:
 def _run_subadd(params: dict, grid: GridSpec) -> Outcome:
     pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = _points_inside(grid, math.inf)
-    s, t = _subadditive_pairs(params)
+    s, t = _subadditive_pairs(**params)
     qs, q_neg, *q_pairs = _sampled(functools.partial(pqfun.q_log_many, pr),
                                    ts, -ts, s, t, s + t)
     ratio = _steps(ts, qs / ts, False)
@@ -797,7 +800,7 @@ def _run_kustner(params: dict, grid: GridSpec) -> Outcome:
 
 def _run_phi_decreasing(params: dict, grid: GridSpec) -> Outcome:
     ts = _points_inside(grid, math.inf)
-    s, t = _subadditive_pairs(params)
+    s, t = _subadditive_pairs(**params)
     phis, *phi_pairs = _sampled(metric.varphi_many, ts, s, t, s + t)
     ratio = _steps(ts, phis / ts, False)
     sub = _subadditive(s, t, *phi_pairs)

@@ -6,9 +6,11 @@
 # verify: both suites, and the strict one reached through
 # PUNCTURED_METRIC_TOL; then, warm, one interpreter running
 # punctmetric.cli.main on default, strict, default and strict, so that
-# the later runs read the lockstep's memo and the cached extremum.
+# the later runs read the array forms' memo and verify's caches.
 # scalar: eval of every evaluator (f21 on each
-# of its routes), constants, bounds ring --compare and a short figure1.
+# of its routes), constants, bounds ring --compare and a short figure1;
+# then, warm, one interpreter running punctmetric.cli.main on that
+# figure1 twice, so that the second run reads the array forms' memo.
 # bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
 # order; N = 2 and 10 take the list route of the queries, N = 40 the
@@ -45,6 +47,7 @@ EOF
   for out in "$warm"/*; do
     diff "$out" "tests/data/verify_${out##*_}.jsonl"
   done
+  rm -rf "$warm"
 }
 
 pinned() {
@@ -91,6 +94,24 @@ scalar() {
   } | diff - tests/data/scalar_cli.jsonl
   "${run[@]}" figure1 --lo 0.02 --hi 12 --count 9 \
     | diff - tests/data/figure1_cli.csv
+  warm=$(mktemp -d)
+  trap 'rm -rf "$warm"' EXIT
+  "${python[@]}" - "$warm" <<'EOF'
+import contextlib
+import sys
+
+from punctmetric.cli import main
+
+for i in range(2):
+    with open(f"{sys.argv[1]}/{i}", "w") as out, \
+            contextlib.redirect_stdout(out):
+        if main(["figure1", "--lo", "0.02", "--hi", "12", "--count", "9"]):
+            sys.exit(f"figure1 failed, run {i + 1} of 2")
+EOF
+  for out in "$warm"/*; do
+    diff "$out" tests/data/figure1_cli.csv
+  done
+  rm -rf "$warm"
 }
 
 parts=("$@")

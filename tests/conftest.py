@@ -11,15 +11,18 @@ settings.register_profile("ci", max_examples=500)
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """Each test starts with an empty lockstep memo and extremum cache, so
-    that a kernel it patches runs.  Loads no module that is not loaded."""
+    """Each test starts with an empty array-form memo and empty verify
+    caches (the extremum, seeded pairs and coefficient tables), so that
+    a kernel it patches runs.  Loads no module that is not loaded."""
     yield
-    lockstep = sys.modules.get("punctmetric._hyp2f1_arrays")
-    if lockstep is not None:
-        lockstep._memo.clear()
+    arrays = sys.modules.get("punctmetric._arrays")
+    if arrays is not None:
+        arrays._memo.clear()
     verify = sys.modules.get("punctmetric.verify")
     if verify is not None:
-        verify.max_weighted_h.cache_clear()
+        for cached in (verify.max_weighted_h, verify._convex_pairs,
+                       verify._subadditive_pairs, verify._ratio_table):
+            cached.cache_clear()
 
 
 @pytest.fixture

@@ -209,6 +209,23 @@ def test_verify_never_loads_numpy_random(suite):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_figure1_leaves_the_lockstep_unloaded():
+    # in a fresh interpreter: figure1 runs metric's array forms, whose
+    # memo lives in _arrays beside the driver, twice, the second warm
+    script = ("import io, sys, contextlib\n"
+              "from punctmetric import cli\n"
+              "for _ in range(2):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        rc = cli.main(['figure1', '--count', '40'])\n"
+              "    assert rc == 0, rc\n"
+              "assert sys.modules['punctmetric._arrays']._memo\n"
+              "assert 'punctmetric._hyp2f1_arrays' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_unknown_check_rc2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--check", "no_such_thing"])

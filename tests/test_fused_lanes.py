@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import _hyp2f1_arrays, hyp2f1, pqfun, specfun, verify
+from punctmetric import _arrays, hyp2f1, pqfun, specfun, verify
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -205,7 +205,7 @@ def _each_scan(monkeypatch, call):
     results = []
     for rows_from in (hyp2f1.SCAN_ROWS_FROM, 0, math.inf):
         monkeypatch.setattr(hyp2f1, "SCAN_ROWS_FROM", rows_from)
-        _hyp2f1_arrays._memo.clear()
+        _arrays._memo.clear()
         results.append(call())
     return results
 

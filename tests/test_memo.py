@@ -1,10 +1,11 @@
-"""The lockstep's memo: each distinct point of an entry point and its
-parameters is summed once per process, up to ``_hyp2f1_arrays.MEMO_CELLS``.
+"""The array forms' memo: each distinct point of a form and its
+parameters runs once per process, up to ``_arrays.MEMO_CELLS``.
 
 A warm call must return what the cold call returned, to the bit, and
-run no lockstep; a call that overlaps an earlier one must sum its new
-points alone; and every batch must still return, or raise, what a loop
-of scalar calls would.  conftest.py empties the memo after each test.
+run no array code (no lockstep, no AGM); a call that overlaps an
+earlier one must sum its new points alone; and every batch must still
+return, or raise, what a loop of scalar calls would.  conftest.py
+empties the memo after each test.
 """
 
 import math
@@ -13,9 +14,10 @@ import struct
 import numpy as np
 import pytest
 
-from punctmetric import _hyp2f1_arrays, hyp2f1
+from punctmetric import _arrays, hyp2f1, metric, pqfun, verify
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
+from punctmetric.pqfun import ZeroBalancedPair
 
 
 def _bits(values):
@@ -44,6 +46,20 @@ def lanes(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def agm(monkeypatch):
+    """The point count of every array AGM run from here on."""
+    counts = []
+    agm_many = _arrays._agm_many
+
+    def counted(x, m):
+        counts.append(m.size)
+        return agm_many(x, m)
+
+    monkeypatch.setattr(_arrays, "_agm_many", counted)
+    return counts
+
+
 def _arrays_of(got):
     if isinstance(got, hyp2f1.EvalResults):
         return list(vars(got).values())
@@ -64,8 +80,14 @@ def _fields(got):
 _XS = np.concatenate((np.linspace(0.0, 0.99, 40), [0.5, 0.25, -0.0]))
 _LO = np.linspace(0.0, 0.5, 30)
 _ELL = -np.log(np.where(_LO > 0.0, _LO, 1e-300))
+# t on both sides of 0, with repeats, 0 and -0
+_TS = np.concatenate((np.linspace(-30.0, 30.0, 41), [1.5, 0.0, -0.0, 300.0]))
+# varphi's Taylor, AGM and closed routes, with repeats
+_VS = np.concatenate((np.geomspace(1e-9, 90.0, 40), [3.0, 3.0]))
+_PR = ZeroBalancedPair(0.5, 0.5)
 
-# every memoized entry point: f21_many on each route past 1/2
+# every array form: f21_many on each route past 1/2, the other lockstep
+# entry points, metric's forms and every pqfun form
 _ENTRIES = {
     "f21_log": lambda: hyp2f1.f21_many(HypParams(0.5, 0.5, 1.0), _XS),
     "f21_connection": lambda: hyp2f1.f21_many(HypParams(0.3, 0.7, 1.1), _XS),
@@ -76,21 +98,50 @@ _ENTRIES = {
     "sums_from_one": lambda: hyp2f1.zb_complement_sums_many(
         0.5, 0.5, _XS * 0.75),
     "minus_one": lambda: hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, _XS * 0.75),
+    "f21_derivative": lambda: hyp2f1.f21_derivative_many(
+        HypParams(0.5, 0.5, 1.0), _XS),
+    "h_many": lambda: metric.h_many(_TS),
+    "big_h_many": lambda: metric.big_h_many(_TS),
+    "big_h_prime_many": lambda: metric.big_h_prime_many(_TS),
+    "varphi_many": lambda: metric.varphi_many(_VS),
+    "p_func_many": lambda: pqfun.p_func_many(_PR, _TS),
+    "p_prime_many": lambda: pqfun.p_prime_many(_PR, _TS),
+    "slope_g_many": lambda: pqfun.slope_g_many(_PR, _TS[_TS != 0.0]),
+    "p_excess_many": lambda: pqfun.p_excess_many(_PR, _TS),
+    "q_func_many": lambda: pqfun.q_func_many(_PR, _TS),
+    "q_log_many": lambda: pqfun.q_log_many(_PR, _TS),
+    "q_excess_many": lambda: pqfun.q_excess_many(_PR, np.abs(_TS)),
+    "n_func_many": lambda: pqfun.n_func_many(0.5, 0.5, 1.0, _XS[1:-1]),
+    "m_func_many": lambda: pqfun.m_func_many(1.0, 2.0, 3.5, _XS[1:-1]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRIES))
-def test_a_warm_call_returns_the_cold_bits_and_sums_nothing(name, lanes):
+def test_a_warm_call_returns_the_cold_bits_and_sums_nothing(name, lanes,
+                                                            agm):
     cold = _ENTRIES[name]()
-    summed = len(lanes)
+    runs = len(lanes) + len(agm)
     warm = _ENTRIES[name]()
     assert _fields(warm) == _fields(cold)
-    assert summed and len(lanes) == summed
+    assert runs and len(lanes) + len(agm) == runs
     # a caller gets copies: writing to them leaves the memo as it was
     for field in _arrays_of(warm):
         field[:] = 0
     assert _fields(_ENTRIES[name]()) == _fields(cold)
-    assert len(lanes) == summed
+    assert len(lanes) + len(agm) == runs
+
+
+def test_a_second_pass_of_both_suites_runs_no_array_code(lanes, agm):
+    def both():
+        return [r.to_dict() for suite in ("default", "strict")
+                for r in verify.run_suite(suite)]
+
+    cold = both()
+    assert lanes and agm
+    del lanes[:], agm[:]
+    assert both() == cold
+    assert lanes == [] and agm == []
+    assert 0 < _held_cells() < _arrays.MEMO_CELLS
 
 
 def test_an_overlapping_batch_sums_its_new_points_alone(lanes):
@@ -157,7 +208,7 @@ def test_warm_batches_return_or_raise_as_the_scalar_loop(xs, lanes):
     _outcome(lambda: hyp2f1.f21_many(_FAILING, np.array(xs)))
     assert len(lanes) == summed
     # points out of range are no table's rows
-    held = [t for k, t in _hyp2f1_arrays._memo.items() if "f21_many" in k]
+    held = [t for k, t in _arrays._memo.items() if "f21_many" in k]
     assert held and all(np.isfinite(t[0].view(float)).all()
                         and (t[0].view(float) < 1.0).all() for t in held)
 
@@ -170,7 +221,7 @@ def test_plus_and_minus_zero_are_two_points(lanes):
     got = hyp2f1.f21_many(p, [-0.0, 0.0, -0.0])
     assert lanes == [1, 1]
     assert _bits(got.value) == _bits([hyp2f1.f21(p, 0.0).value] * 3)
-    (table,) = _hyp2f1_arrays._memo.values()
+    (table,) = _arrays._memo.values()
     assert sorted(_bits(table[0].view(float))) == sorted(_bits([0.0, -0.0]))
 
 
@@ -192,11 +243,11 @@ def test_equal_lo_with_another_ell_is_another_point(lanes):
 
 
 def _held_cells():
-    return sum(map(_hyp2f1_arrays._cells, _hyp2f1_arrays._memo.values()))
+    return sum(map(_arrays._cells, _arrays._memo.values()))
 
 
 def test_the_memo_never_passes_its_cells(monkeypatch, lanes):
-    monkeypatch.setattr(_hyp2f1_arrays, "MEMO_CELLS", 120)
+    monkeypatch.setattr(_arrays, "MEMO_CELLS", 120)
     rng = np.random.default_rng(27)
     ps = [HypParams(0.5, 0.5, 1.0), HypParams(2.0, 3.0, 4.5)]
     for size in (3, 5, 12, 2, 19, 8, 1, 7):
@@ -210,20 +261,20 @@ def test_the_memo_never_passes_its_cells(monkeypatch, lanes):
         hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us)
         assert _held_cells() <= 120
     # past the cap the memo starts over with the call's new points
-    _hyp2f1_arrays._memo.clear()
+    _arrays._memo.clear()
     us = np.linspace(0.01, 0.7, 50)  # 3 cells a point
     hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[:30])
     hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[20:])
-    (table,) = _hyp2f1_arrays._memo.values()
+    (table,) = _arrays._memo.values()
     assert _bits(table[0].view(float)) == _bits(us[30:])
     del lanes[:]
     hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[30:])
     hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[:1])
     assert lanes == [1]
     # a call of more cells than the cap alone is served but not stored
-    _hyp2f1_arrays._memo.clear()
+    _arrays._memo.clear()
     hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, [0.1])
-    held = dict(_hyp2f1_arrays._memo)
+    held = dict(_arrays._memo)
     xs = np.linspace(0.01, 0.7, 41)  # 41 points of 3 cells each
     for _ in range(2):
         del lanes[:]
@@ -231,5 +282,5 @@ def test_the_memo_never_passes_its_cells(monkeypatch, lanes):
         assert _bits(got) == _bits(hyp2f1.f21_minus_one(0.5, 0.7, 1.3, x)
                                    for x in xs)
         assert lanes == [41]
-        assert list(_hyp2f1_arrays._memo) == list(held)
-        assert all(_hyp2f1_arrays._memo[k] is t for k, t in held.items())
+        assert list(_arrays._memo) == list(held)
+        assert all(_arrays._memo[k] is t for k, t in held.items())

@@ -293,7 +293,7 @@ def _convex_pairs_one_by_one(seed, span, gap, count):
 @pytest.mark.parametrize("name", ["thm_main2_subadd", "cor_phi_decreasing"])
 def test_subadditive_pairs_are_the_pair_by_pair_draws(name):
     params = verify._REGISTRY[name].params
-    s, t = verify._subadditive_pairs(params)
+    s, t = verify._subadditive_pairs(**params)
     assert list(zip(s.tolist(), t.tolist())) == _subadditive_pairs_one_by_one(
         params["seed"], params["s_lo"], params["s_hi"], params["pairs"])
 
@@ -303,12 +303,12 @@ def test_convex_pairs_are_the_pair_by_pair_draws(gap):
     # the sampler keeps a few ulps of headroom below the largest gap, so
     # the pairs agree with the plain formulas to rounding
     params = dict(verify._REGISTRY["thm_main_convex"].params, min_gap=gap)
-    s, t = verify._convex_pairs(params)
+    s, t = verify._convex_pairs(**params)
     want = _convex_pairs_one_by_one(params["seed"], params["t_span"], gap,
                                     params["pairs"])
     assert np.column_stack((s, t)) == pytest.approx(np.array(want),
                                                     rel=0, abs=1e-13)
-    s2, t2 = verify._convex_pairs(params)
+    s2, t2 = verify._convex_pairs(**params)
     assert s2.tolist() == s.tolist() and t2.tolist() == t.tolist()
 
 
@@ -317,7 +317,7 @@ def test_convex_pairs_are_the_pair_by_pair_draws(gap):
     (0.7, 1.4 - 1e-15), (3.0, 0.5), (1e-310, 1e-310), (2.0, -math.inf)])
 def test_convex_pairs_meet_the_gap_in_floats(span, gap):
     s, t = verify._convex_pairs(
-        {"seed": 5, "pairs": 2000, "min_gap": gap, "t_span": span})
+        seed=5, pairs=2000, min_gap=gap, t_span=span)
     assert s.size == t.size == 2000
     assert (np.abs(s - t) >= gap).all()
     assert (np.abs(s) <= span).all() and (np.abs(t) <= span).all()
@@ -328,7 +328,7 @@ def test_convex_pairs_near_the_largest_gap_cost_no_more():
     span, gap, count = 20.0, 39.99, 1000
     start = time.perf_counter()
     s, t = verify._convex_pairs(
-        {"seed": 20260817, "pairs": count, "min_gap": gap, "t_span": span})
+        seed=20260817, pairs=count, min_gap=gap, t_span=span)
     assert time.perf_counter() - start < 2.0
     d = np.abs(s - t)
     assert (d >= gap).all() and (np.abs(s) <= span).all() \
@@ -353,8 +353,29 @@ def test_convex_pairs_near_the_largest_gap_cost_no_more():
     ("cor_phi_decreasing", {"s_hi": 1e308}),
 ])
 def test_sampler_ranges_are_typed_errors(name, params):
-    with pytest.raises(DomainError):
-        verify.run_check(name, params=params)
+    for _ in range(2):  # a refusal is not cached: it raises every time
+        with pytest.raises(DomainError):
+            verify.run_check(name, params=params)
+
+
+def test_seeded_pairs_and_tables_are_built_once_and_read_only():
+    convex = verify._REGISTRY["thm_main_convex"].params
+    subadd = verify._REGISTRY["thm_main2_subadd"].params
+    for build in (lambda: verify._convex_pairs(**convex),
+                  lambda: verify._subadditive_pairs(**subadd),
+                  lambda: verify._ratio_table(0.5, 0.5, 1.0, 30, 6)):
+        table = build()
+        assert build() is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        s, t = table[:2]
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            verify._convex_pairs(**dict(convex, min_gap=40.0))
+        with pytest.raises(DomainError):
+            verify._ratio_table(0.5, 0.5, 1.0, 200, 1)
 
 
 def test_grid_override_must_fit_claim():
