@@ -13,7 +13,12 @@ script front all of it.
 The package and its scalar calls run without numpy.  numpy loads with
 the first array form, the first domain of ``bounds._LISTS_BELOW``
 punctures or more, and ``verify``, which this package hands out on
-first use.
+first use.  No module imports ``dataclasses``, which would load
+``inspect``, ``ast`` and ``dis`` at import: the records are
+``typing.NamedTuple`` tuples (``HypParams``, ``EvalResult``,
+``ZeroBalancedPair``, ``GridSpec``, ``PropertyReport``), the validated
+ones checking their fields in ``__new__``, and ``PuncturedDomain`` is a
+class with ``__slots__``.
 """
 
 import importlib

@@ -16,14 +16,19 @@ import math
 
 import numpy as np
 
-from . import metric, pqfun
+from . import metric, pqfun, specfun
 from .elliptic import AGM_MAX_ITER, AGM_RTOL
 from .errors import ConvergenceError, DomainError, PunctMetricError
 
 
 def as_points(xs) -> np.ndarray:
     """xs as a 1-d float array, the input of every array form."""
-    arr = np.asarray(xs, dtype=float)
+    try:
+        arr = np.asarray(xs, dtype=float)
+    except OverflowError:  # an int past the float range: name the first
+        for i, x in enumerate(xs):
+            specfun.to_float(x, "points", i)
+        raise
     if arr.ndim != 1:
         raise DomainError(
             f"points must form a 1-d array, got shape {arr.shape}")

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,8 +91,7 @@ def _falling_table(m: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class EvalResults:
+class EvalResults(NamedTuple):
     """The EvalResult fields of a batch of points, one array each."""
 
     value: np.ndarray
@@ -442,7 +440,7 @@ def f21_many(p: HypParams, xs) -> EvalResults:
 
     return EvalResults(*_array_form(
         ("f21_many", p), (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
-        lambda x: astuple(hyp2f1.f21(p, x)),
+        lambda x: hyp2f1.f21(p, x),
         (float, float, np.int64, object)))
 
 

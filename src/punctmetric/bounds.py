@@ -46,7 +46,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import metric, specfun
@@ -76,15 +75,16 @@ def _check_distinct(pts: Sequence[complex]) -> None:
                 f"index {i} and {j} are both {p!r}")
 
 
-@dataclass(frozen=True)
 class PuncturedDomain:
-    """The complement of a finite set of at least two distinct points."""
+    """The complement of a finite set of at least two distinct points.
 
+    Immutable; equality and hash are those of ``punctures``."""
+
+    __slots__ = ("punctures", "_xy")
     punctures: tuple[complex, ...]
     # the punctures' coordinates x, y as read-only arrays for the array
-    # route, built once from _LISTS_BELOW punctures on, else None;
-    # equality and hash stay on ``punctures``
-    _xy: tuple | None = field(init=False, repr=False, compare=False)
+    # route, built once from _LISTS_BELOW punctures on, else None
+    _xy: tuple | None
 
     def __init__(self, punctures: Sequence[complex]):
         pts = tuple(specfun.finite_complex(p, "punctures", j)
@@ -97,6 +97,27 @@ class PuncturedDomain:
         object.__setattr__(self, "punctures", pts)
         object.__setattr__(self, "_xy", _coordinates(pts)
                            if len(pts) >= _LISTS_BELOW else None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(punctures={self.punctures!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.punctures == other.punctures
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.punctures)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as assignment fails
+        return type(self), (self.punctures,)
 
 
 # numpy, which the array route runs on: bound by _load_numpy, which each
@@ -142,7 +163,7 @@ class RhoBounds(NamedTuple):
 
 
 def _check_gap(c: float) -> float:
-    c = float(c)
+    c = specfun.to_float(c, "c")
     if not (c > 0.0) or not math.isfinite(c):
         raise DomainError(f"log-ratio gap c must be positive, got {c!r}")
     return c
@@ -182,7 +203,7 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
     for n in range(1, len(moduli) - 1):
         c = max(c, math.log(moduli[n + 1]) - math.log(moduli[n]))
     if r1 is not None:
-        r1 = float(r1)
+        r1 = specfun.to_float(r1, "r1")
         if not math.isfinite(r1):
             raise DomainError(f"r1 must be finite, got {r1!r}")
         # the theorem covers |z1| down to e^{-c/2}|a1| only
@@ -202,8 +223,8 @@ def ring_coefficients(c: float) -> RingBoundParams:
 
 
 def _check_radii(r1: float, r2: float) -> tuple[float, float]:
-    r1 = float(r1)
-    r2 = float(r2)
+    r1 = specfun.to_float(r1, "r1")
+    r2 = specfun.to_float(r2, "r2")
     if not (0.0 < r1 <= r2 < math.inf):
         raise DomainError(
             f"need 0 < r1 <= r2 < inf, got r1={r1!r}, r2={r2!r}")

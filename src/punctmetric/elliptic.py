@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 
+from . import specfun
 from .errors import ConvergenceError, DomainError
 
 # Stop once the gap is a few ulp; the rounding plateau of the iteration
@@ -20,8 +21,8 @@ AGM_MAX_ITER = 60
 
 def agm(x: float, y: float) -> float:
     """Common limit of a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n b_n)."""
-    x = float(x)
-    y = float(y)
+    x = specfun.to_float(x, "x")
+    y = specfun.to_float(y, "y")
     if not (math.isfinite(x) and math.isfinite(y)) or x <= 0.0 or y <= 0.0:
         raise DomainError(f"agm requires positive finite arguments, got {x!r}, {y!r}")
     a, b = (x, y) if x >= y else (y, x)
@@ -36,7 +37,7 @@ def agm(x: float, y: float) -> float:
 
 def ellip_k(r: float) -> float:
     """Complete elliptic integral of the first kind, K(r), 0 <= r < 1."""
-    r = float(r)
+    r = specfun.to_float(r, "r")
     if not (0.0 <= r < 1.0):
         raise DomainError(f"K(r) requires 0 <= r < 1, got {r!r}")
     # 1 - r is exact for r >= 1/2, so r' keeps its digits up to r < 1
@@ -50,7 +51,7 @@ def mu(r: float) -> float:
     Computed as (pi/2) agm(1, r)/agm(1, r'), which stays accurate at both
     endpoints of (0, 1).
     """
-    r = float(r)
+    r = specfun.to_float(r, "r")
     if not (0.0 < r < 1.0):
         raise DomainError(f"mu(r) requires 0 < r < 1, got {r!r}")
     r_comp = math.sqrt((1.0 - r) * (1.0 + r))

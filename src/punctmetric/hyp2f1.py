@@ -57,8 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, RangeError
@@ -84,23 +83,23 @@ METHOD_ZB_LOG = "zb_log_series"
 METHOD_CONNECTION = "connection_series"
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(NamedTuple("HypParams", [("a", float), ("b", float),
+                                          ("c", float)])):
     """A positive parameter triple (a, b, c) for F(a,b;c;x)."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
+    def __new__(cls, a: float, b: float, c: float) -> HypParams:
+        self = tuple.__new__(cls, (specfun.to_float(a, "a"),
+                                   specfun.to_float(b, "b"),
+                                   specfun.to_float(c, "c")))
+        for name, v in zip("abc", self):
             if not math.isfinite(v) or v <= 0.0:
                 raise DomainError(
                     f"hypergeometric parameter {name} must be positive and "
                     f"finite, got {v!r}"
                 )
-            object.__setattr__(self, name, v)
+        return self
 
     @property
     def balanced_sign(self) -> int:
@@ -111,8 +110,7 @@ class HypParams:
         return 1 if s > 0.0 else -1
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: float
     abs_err_estimate: float
     terms_used: int
@@ -120,7 +118,7 @@ class EvalResult:
 
 
 def _check_x(x: float) -> float:
-    x = float(x)
+    x = specfun.to_float(x, "x")
     if not (0.0 <= x < 1.0):
         raise DomainError(f"x must lie in [0, 1), got {x!r}")
     return x
@@ -219,7 +217,7 @@ def f21_minus_one(a: float, b: float, c: float, x: float) -> float:
     lose every digit.  Requires x <= 3/4 and positive finite a, b, c;
     RangeError where the sum overflows a float."""
     HypParams(a, b, c)  # DomainError for a bad parameter
-    x = float(x)
+    x = specfun.to_float(x, "x")
     if not (0.0 <= x <= 0.75):
         raise DomainError(f"f21_minus_one requires 0 <= x <= 3/4, got {x!r}")
     s = _ratio_sum(a, b, c, x, 0.0)
@@ -385,7 +383,7 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     keep full relative accuracy where C-1 formed by subtraction has none.
     RangeError where a sum overflows a float.
     """
-    u = float(u)
+    u = specfun.to_float(u, "u")
     if not (0.0 <= u <= 0.75):
         raise DomainError(f"complement u must lie in [0, 0.75], got {u!r}")
     sums = _zb_sum(a, b, u, 0.0, 0, from_one=True)
@@ -473,7 +471,8 @@ def f21_from_complement(p: HypParams, u: float,
     by a complement route or its hand-over, else by the direct series.
     Raises RangeError when the value overflows or the direct series would
     run where 1-u rounds to 1, ConvergenceError when out of terms."""
-    u, ell = float(u), float(minus_log_u)
+    u = specfun.to_float(u, "u")
+    ell = specfun.to_float(minus_log_u, "minus_log_u")
     if not (0.0 <= u < 1.0):
         raise DomainError(f"complement u must lie in [0, 1), got {u!r}")
     if not math.isfinite(ell):

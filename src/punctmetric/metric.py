@@ -84,7 +84,7 @@ _C0 = math.gamma(0.25) ** 4 / (4.0 * math.pi * math.pi)
 
 
 def _check_positive_x(x: float) -> float:
-    x = float(x)
+    x = specfun.to_float(x, "x")
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be positive finite, got {x!r}")
     return x
@@ -125,7 +125,7 @@ def d01_neg(x: float, y: float) -> float:
 
 
 def _check_t(t: float) -> float:
-    t = float(t)
+    t = specfun.to_float(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if abs(t) > T_CAP:
@@ -201,7 +201,7 @@ def varphi(t: float) -> float:
     Strictly increasing and concave, phi(t) ~ log(t + log 256) - log(2 pi)
     as t -> infinity.
     """
-    t = float(t)
+    t = specfun.to_float(t, "t")
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"varphi requires t > 0, got {t!r}")
     return _varphi(t)

@@ -36,28 +36,28 @@ numpy on first use; the float forms run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import hyp2f1, specfun
 from .errors import DomainError, RangeError
 from .hyp2f1 import HypParams
 
 
-@dataclass(frozen=True)
-class ZeroBalancedPair:
+class ZeroBalancedPair(NamedTuple("ZeroBalancedPair", [("a", float),
+                                                        ("b", float)])):
     """Parameter pair (a, b) for the zero-balanced F(a,b;a+b;.)"""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            v = float(getattr(self, name))
+    def __new__(cls, a: float, b: float) -> ZeroBalancedPair:
+        self = tuple.__new__(cls, (specfun.to_float(a, "a"),
+                                   specfun.to_float(b, "b")))
+        for name, v in zip("ab", self):
             if not math.isfinite(v) or v <= 0.0:
                 raise DomainError(
                     f"pair parameter {name} must be positive finite, got {v!r}"
                 )
-            object.__setattr__(self, name, v)
+        return self
 
     @property
     def c(self) -> float:
@@ -77,7 +77,7 @@ def _finite_t(t):
     mask has checked, as it is."""
     if _is_array(t):
         return t
-    t = float(t)
+    t = specfun.to_float(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     return t
@@ -174,7 +174,7 @@ def slope_g(pr: ZeroBalancedPair, t: float) -> float:
     """G(t) = (P(t) - P(0))/t; odd, strictly increasing, |G| < 1/B(a,b)."""
     tf = t  # an array form's t, which its domain mask has checked
     if not _is_array(t):
-        tf = float(t)
+        tf = specfun.to_float(t, "t")
         if tf == 0.0:
             raise DomainError("slope function is undefined at t = 0")
     return (p_func(pr, tf) - p_func(pr, 0.0)) / tf
@@ -223,7 +223,7 @@ def q_excess(pr: ZeroBalancedPair, t: float) -> float:
     """
     tf = t  # an array form's t, which its domain mask has checked
     if not _is_array(t):
-        tf = float(t)
+        tf = specfun.to_float(t, "t")
         if not (math.isfinite(tf) and tf >= 0.0):
             raise DomainError(f"q_excess requires t >= 0, got {t!r}")
     beta, lam, cm1, d1, vm1 = _complement_sums(pr, tf)
@@ -245,7 +245,7 @@ def _unit_interval(x):
     domain mask has checked, as it is."""
     if _is_array(x):
         return x
-    x = float(x)
+    x = specfun.to_float(x, "x")
     if not (0.0 < x < 1.0):
         raise DomainError(f"x must lie in (0, 1), got {x!r}")
     return x

@@ -9,15 +9,17 @@ which is the additive constant in the logarithmic expansion of zero-balanced
 hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.
 
 It also holds the helpers the other modules share: ``finite_complex``
-checks a point of the plane; ``is_array`` tells a batch of points from a
-float, and ``where`` and ``pointwise`` serve both, ``pointwise`` taking
-log, exp and log1p from ``math`` point by point, because numpy's
-vectorised versions may round differently by an ulp, and an array form
-must match its scalar form to the bit.  None of them loads numpy, and
-``lazy_names`` lets a module hand out its array half, which does, on
-first use.  This module's array half, in ``_arrays``, holds
-``as_points`` and ``_array_form``, the one driver of every array form,
-with the memo that runs each distinct point once per process.
+checks a point of the plane and ``to_float`` converts a real argument,
+each raising a DomainError that names what it refuses; ``is_array``
+tells a batch of points from a float, and ``where`` and ``pointwise``
+serve both, ``pointwise`` taking log, exp and log1p from ``math`` point
+by point, because numpy's vectorised versions may round differently by
+an ulp, and an array form must match its scalar form to the bit.  None
+of them loads numpy, and ``lazy_names`` lets a module hand out its array
+half, which does, on first use.  This module's array half, in
+``_arrays``, holds ``as_points`` and ``_array_form``, the one driver of
+every array form, with the memo that runs each distinct point once per
+process.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _DIGAMMA_SHIFT = 10.0
 
 
 def _require_positive(x: float, name: str) -> float:
-    x = float(x)
+    x = to_float(x, name)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
     return x
@@ -75,7 +77,7 @@ def log_abs_gamma(x: float) -> tuple[float, int]:
     sign * exp(-log) reads 1/Gamma(x) = 0 there.  Like math.lgamma this
     raises OverflowError past x ~ 2.5e305.
     """
-    x = float(x)
+    x = to_float(x, "x")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     if x <= 0.0 and x.is_integer():
@@ -176,9 +178,32 @@ def finite_complex(p, name: str, index: int | None = None) -> complex:
             return w
         problem = f"must be finite, got {w!r}"
     except (TypeError, ValueError, OverflowError):
-        problem = f"must be a finite complex number, got {p!r}"
-    label = name if index is None else f"{name}[{index}]"
-    raise DomainError(f"{label} {problem}")
+        problem = f"must be a finite complex number, got {_shown(p)}"
+    raise DomainError(f"{_label(name, index)} {problem}")
+
+
+def to_float(x, name: str, index: int | None = None) -> float:
+    """x as a float, infinities and NaN included, for the caller to
+    check; where float(x) fails, as it does for an int past the float
+    range, a DomainError that names x (name[index] where an index is
+    given)."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{_label(name, index)} must be a real number in "
+                          f"the float range, got {_shown(x)}") from None
+
+
+def _label(name: str, index: int | None) -> str:
+    return name if index is None else f"{name}[{index}]"
+
+
+def _shown(x) -> str:
+    """repr(x), or the size of an int too long for its decimal string."""
+    try:
+        return repr(x)
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        return f"an int of {x.bit_length()} bits"
 
 
 def lazy_names(namespace: dict, module: str, names):

@@ -32,7 +32,6 @@ record of their sampling and say so in their notes.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -52,30 +51,28 @@ T0_BRACKET = (2.0, 3.0)
 T0_ABS_TOL = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("GridSpec", [("lo", float), ("hi", float),
+                                        ("count", int), ("scale", str)])):
     """Sampling grid: `count` points from lo to hi, linear or log spaced."""
 
-    lo: float
-    hi: float
-    count: int
-    scale: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "count", _whole(self.count, "count"))
+    def __new__(cls, lo: float, hi: float, count: int,
+                scale: str = "linear") -> GridSpec:
+        lo, hi = specfun.to_float(lo, "lo"), specfun.to_float(hi, "hi")
+        count = _whole(count, "count")
         # a finite width needs finite ends; an infinite one would make
         # linspace step by inf and sample nan
-        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+        if not (lo < hi and math.isfinite(hi - lo)):
             raise DomainError(f"grid needs lo < hi with hi - lo finite, "
-                              f"got [{self.lo}, {self.hi}]")
-        if self.count < 3:
-            raise DomainError(f"grid needs count >= 3, got {self.count}")
-        if self.scale not in ("linear", "log"):
-            raise DomainError(f"scale must be 'linear' or 'log', got {self.scale!r}")
-        if self.scale == "log" and self.lo <= 0.0:
+                              f"got [{lo}, {hi}]")
+        if count < 3:
+            raise DomainError(f"grid needs count >= 3, got {count}")
+        if scale not in ("linear", "log"):
+            raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
+        if scale == "log" and lo <= 0.0:
             raise DomainError("log scale requires lo > 0")
+        return tuple.__new__(cls, (lo, hi, count, scale))
 
     def points(self) -> np.ndarray:
         if self.scale == "log":
@@ -83,11 +80,10 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in their order
+        return self._asdict()
 
 
-@dataclasses.dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Outcome of one named check; passed iff worst_margin > -tolerance."""
 
     name: str
@@ -106,9 +102,8 @@ class PropertyReport:
         margin = self.worst_margin
         if not math.isfinite(margin):
             margin = "inf" if margin > 0 else "-inf"
-        # the fields in their order, as the dataclass sets them
-        return dict(vars(self), grid=self.grid.to_dict(), worst_point=point,
-                    worst_margin=margin)
+        return dict(self._asdict(), grid=self.grid.to_dict(),
+                    worst_point=point, worst_margin=margin)
 
 
 # What a check's runner returns: the worst point, its margin, and notes.
@@ -926,7 +921,7 @@ def _override(default, value, name: str):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise DomainError(f"{name} must be a real number, got {value!r}")
-        return float(value)
+        return specfun.to_float(value, name)
     if isinstance(default, int):
         return _whole(value, name)
     if isinstance(default, dict):
@@ -998,7 +993,7 @@ def run_check(name: str, params: Optional[dict] = None,
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     if tol_profile == "strict":
         if grid is None:
-            g = dataclasses.replace(g, count=4 * g.count)
+            g = GridSpec(g.lo, g.hi, 4 * g.count, g.scale)
         if tol is None:
             tolerance = tolerance / 10.0
     worst_point, worst_margin, notes = cd.runner(merged, g)

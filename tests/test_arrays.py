@@ -300,9 +300,7 @@ def test_empty_arrays_give_empty_arrays():
               for pr in _PAIRS for many, _ in _pq_forms(pr)]
     for form in forms:
         got = form()
-        fields = (got if isinstance(got, tuple)
-                  else vars(got).values() if isinstance(got, hyp2f1.EvalResults)
-                  else [got])
+        fields = got if isinstance(got, tuple) else [got]  # EvalResults too
         for field in fields:
             assert isinstance(field, np.ndarray) and field.shape == (0,)
 
@@ -367,8 +365,6 @@ def _key(value):
 def _fields(result):
     """An array form's result, or a scalar call's, as a sequence of its
     fields."""
-    if isinstance(result, (hyp2f1.EvalResult, hyp2f1.EvalResults)):
-        return tuple(vars(result).values())
     return result if isinstance(result, (tuple, list)) else (result,)
 
 

@@ -1,9 +1,13 @@
-"""The package and its scalar calls run without numpy.
+"""The package and its scalar calls run without numpy, and without the
+standard library's code-generation modules.
 
 Each case runs in a fresh interpreter, since this one has numpy loaded:
-once checking that the calls leave numpy out of ``sys.modules``, and
-once with numpy blocked (``sys.modules["numpy"] = None``), where the
-same calls must succeed and an array form must fail to import it.
+once checking that the calls leave numpy out of ``sys.modules`` and add
+none of ``COSTLY`` to what the bare interpreter had loaded, and once
+with numpy and ``dataclasses`` blocked (``sys.modules[name] = None``),
+where the same calls must succeed and an array form must fail to import
+numpy.  Where numpy is present, ``import punctmetric.verify`` must add
+no ``dataclasses`` either.
 """
 
 import os
@@ -17,12 +21,15 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SCALAR_CALLS = textwrap.dedent("""
-    import contextlib
-    import io
     import sys
 
+    bare = set(sys.modules)
+    COSTLY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    import contextlib
+    import io
+
     if sys.argv[1] == "blocked":
-        sys.modules["numpy"] = None
+        sys.modules["numpy"] = sys.modules["dataclasses"] = None
 
     import punctmetric, punctmetric.cli
     from punctmetric import bounds, cli, hyp2f1, metric, pqfun, specfun
@@ -75,6 +82,8 @@ SCALAR_CALLS = textwrap.dedent("""
             assert cli.main(argv) == 0, argv
     assert "error" not in out.getvalue()
     assert sys.modules.get("numpy") is None, "calls"
+    added = {name for name, m in sys.modules.items() if m} - bare
+    assert not COSTLY & added, COSTLY & added
     if sys.argv[1] == "blocked":
         for array_call in (lambda: hyp2f1.f21_many, lambda: metric.h_many,
                            lambda: specfun.as_points,
@@ -86,6 +95,9 @@ SCALAR_CALLS = textwrap.dedent("""
                 pass
             else:
                 raise AssertionError("an array path ran without numpy")
+    else:
+        import punctmetric.verify
+        assert "dataclasses" not in set(sys.modules) - bare, "verify"
     print("ok")
 """)
 

@@ -6,12 +6,14 @@ regenerated from the implementation under test.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from punctmetric import specfun
+from punctmetric import (bounds, elliptic, hyp2f1, metric, pqfun, specfun,
+                         verify)
 from punctmetric.errors import DomainError, RangeError
 
 
@@ -124,3 +126,88 @@ def test_positive_domain_enforced(bad):
 def test_overflow_is_a_range_error(call):
     with pytest.raises(RangeError):
         call()
+
+
+BIG = 10 ** 400  # an int that float() refuses with OverflowError
+
+
+def _big_calls():
+    p, pr = hyp2f1.HypParams(0.5, 0.5, 1.0), pqfun.ZeroBalancedPair(0.5, 0.7)
+    return [
+        ("a", lambda: hyp2f1.HypParams(BIG, 1.0, 2.0)),
+        ("c", lambda: hyp2f1.HypParams(1.0, 1.0, BIG)),
+        ("b", lambda: pqfun.ZeroBalancedPair(1.0, BIG)),
+        ("lo", lambda: verify.GridSpec(BIG, 1.0, 5)),
+        ("hi", lambda: verify.GridSpec(0.0, BIG, 5)),
+        ("x", lambda: hyp2f1.f21(p, BIG)),
+        ("x", lambda: hyp2f1.f21_derivative(p, BIG)),
+        ("x", lambda: hyp2f1.f21_minus_one(0.5, 0.5, 1.0, BIG)),
+        ("u", lambda: hyp2f1.f21_from_complement(p, BIG, 1.0)),
+        ("minus_log_u", lambda: hyp2f1.f21_from_complement(p, 0.25, BIG)),
+        ("u", lambda: hyp2f1.zb_complement_sums(0.5, 0.5, BIG)),
+        ("t", lambda: metric.h(BIG)),
+        ("t", lambda: metric.big_h(BIG)),
+        ("t", lambda: metric.big_h_prime(BIG)),
+        ("t", lambda: metric.varphi(BIG)),
+        ("x", lambda: metric.lambda01_neg(BIG)),
+        ("x", lambda: metric.phi_func(BIG)),
+        ("x", lambda: metric.d01_neg(1.0, BIG)),
+        ("x", lambda: elliptic.agm(BIG, 1.0)),
+        ("y", lambda: elliptic.agm(1.0, BIG)),
+        ("r", lambda: elliptic.ellip_k(BIG)),
+        ("r", lambda: elliptic.mu(BIG)),
+        ("c", lambda: bounds.ring_coefficients(BIG)),
+        ("c", lambda: bounds.baseline_bounds(BIG)),
+        ("c", lambda: bounds.ring_lower_bound(BIG, 1.0, 2.0)),
+        ("r1", lambda: bounds.ring_lower_bound(0.5, BIG, 2.0)),
+        ("r2", lambda: bounds.ring_lower_bound(0.5, 1.0, BIG)),
+        ("r1", lambda: bounds.ring_gap([0, 1, 2], BIG)),
+        ("t", lambda: pqfun.p_func(pr, BIG)),
+        ("t", lambda: pqfun.p_prime(pr, BIG)),
+        ("t", lambda: pqfun.q_func(pr, BIG)),
+        ("t", lambda: pqfun.q_log(pr, BIG)),
+        ("t", lambda: pqfun.q_log_prime(pr, BIG)),
+        ("t", lambda: pqfun.slope_g(pr, BIG)),
+        ("t", lambda: pqfun.p_excess(pr, BIG)),
+        ("t", lambda: pqfun.q_excess(pr, BIG)),
+        ("x", lambda: pqfun.n_func(0.5, 0.5, 1.0, BIG)),
+        ("a", lambda: pqfun.n_func(BIG, 0.5, 1.0, 0.5)),
+        ("x", lambda: pqfun.m_func(0.5, 0.5, 1.0, BIG)),
+        ("x", lambda: specfun.log_gamma(BIG)),
+        ("x", lambda: specfun.gamma(BIG)),
+        ("x", lambda: specfun.digamma(BIG)),
+        ("b", lambda: specfun.beta(1.0, BIG)),
+        ("x", lambda: specfun.log_abs_gamma(BIG)),
+        (r"points\[1\]", lambda: metric.h_many([1.0, BIG])),
+        (r"points\[0\]", lambda: metric.varphi_many([BIG])),
+        (r"points\[2\]", lambda: hyp2f1.f21_many(p, [0.5, 0.25, BIG])),
+        (r"points\[0\]", lambda: pqfun.p_func_many(pr, [BIG])),
+        ("tol", lambda: verify.run_check("lem_vaman_1", tol=BIG)),
+        ("s_hi", lambda: verify.run_check("thm_main2_subadd",
+                                          params={"s_hi": BIG})),
+    ]
+
+
+@pytest.mark.parametrize("name, call", _big_calls())
+def test_ints_past_the_float_range_raise_domain_errors(name, call):
+    with pytest.raises(DomainError,
+                       match=rf"^{name} must be a real number in the float "
+                             r"range, got 1000"):
+        call()
+
+
+def test_ints_too_long_for_a_decimal_string_are_domain_errors():
+    huge = 10 ** 5000  # past the default 4300-digit limit of repr(int)
+    with pytest.raises(DomainError, match="got an int of 16610 bits$"):
+        specfun.to_float(huge, "x")
+    with pytest.raises(DomainError, match="got an int of 16610 bits$"):
+        bounds.PuncturedDomain([0, huge])
+
+
+def test_to_float_names_what_it_refuses():
+    assert specfun.to_float(3, "x") == 3.0
+    assert math.isnan(specfun.to_float("nan", "x"))
+    for bad, label in ((None, "y"), ("abc", "y"), (1j, "y"),
+                       (BIG, "y[4]")):
+        with pytest.raises(DomainError, match=rf"^{re.escape(label)} must "):
+            specfun.to_float(bad, "y", 4 if label.endswith("]") else None)
