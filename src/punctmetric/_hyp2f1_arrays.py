@@ -485,6 +485,8 @@ def f21_derivative_many(p: HypParams, xs) -> np.ndarray:
 def zb_complement_sums_many(a: float, b: float,
                             us) -> tuple[np.ndarray, np.ndarray]:
     """zb_complement_sums at every point of us, to the bit: (C-1, D1)."""
+    a = specfun._require_positive(a, "a")
+    b = specfun._require_positive(b, "b")
     u = as_points(us)
 
     def lanes_of(u):

@@ -383,6 +383,8 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     keep full relative accuracy where C-1 formed by subtraction has none.
     RangeError where a sum overflows a float.
     """
+    a = specfun._require_positive(a, "a")
+    b = specfun._require_positive(b, "b")
     u = specfun.to_float(u, "u")
     if not (0.0 <= u <= 0.75):
         raise DomainError(f"complement u must lie in [0, 0.75], got {u!r}")

@@ -7,11 +7,13 @@ at that sample iff the margin is positive (strict claims) or at least
 -tolerance (approximate claims).  A report is evidence at a stated grid
 resolution, not a proof.
 
-A check holds its margins as numpy arrays next to their sample points,
-one (points, margins) part per sub-claim.  ``_worst`` reduces the parts
-to the first smallest margin in part order, the tie rule of a strict
-running minimum.  A NaN margin counts as -inf: a sample that evaluates
-to NaN fails its check and is reported as the worst point.
+A check holds each sub-claim as a ``Part``: its sample points and, in
+the same order, their margins as a numpy array.  ``_worst`` reduces the
+parts to the first smallest margin in part order, the tie rule of a
+strict running minimum.  A NaN margin counts as -inf: a sample that
+evaluates to NaN fails its check and is reported as the worst point.
+Each runner ends in ``_outcome``, which reduces its parts and fills its
+notes.
 
 Margin conventions, used consistently below:
 
@@ -24,6 +26,11 @@ Margin conventions, used consistently below:
   sandwich, the Q bounds): the raw analytic margin computed from the
   cancellation-free defect functions, with tolerance 0.  At t = 100 the
   genuine margin is ~1e-41; a floor would misreport it as a failure.
+
+A note shows a part by its reading, which the part's builder sets and
+``_read`` applies: the worst margin plus STRICT_FLOOR for a floored
+part (the smallest step, slack or value), minus it for a deviation
+part (the largest deviation), and the margin itself for a raw one.
 
 Checks that sample a continuum honor the supplied GridSpec.  Structural
 checks (coefficient tables, limit cases) use the grid as a nominal
@@ -122,8 +129,17 @@ class ExtremumResult(NamedTuple):
     max_value: float
 
 
-# One sub-claim's samples: their points and, in the same order, margins.
-Part = tuple[Sequence, np.ndarray]
+class Part(NamedTuple):
+    """One sub-claim's samples: their points, their margins in the same
+    order, and how a note shows the worst margin ("floor", "dev" or
+    "raw", see _read).  A part formats as its reading, to .3e."""
+
+    points: Sequence
+    margins: np.ndarray
+    shown: str = "raw"
+
+    def __format__(self, spec: str) -> str:
+        return format(_read(self), ".3e")
 
 
 def _worst(*parts: Part) -> tuple[object, float]:
@@ -132,31 +148,52 @@ def _worst(*parts: Part) -> tuple[object, float]:
     A NaN margin counts as -inf, so its sample fails.  With no samples
     at all the result is (None, inf).
     """
-    margins = [np.asarray(m, dtype=float) for _, m in parts]
+    margins = [np.asarray(part[1], dtype=float) for part in parts]
     flat = np.concatenate([np.empty(0)] + margins)
     if flat.size == 0:
         return None, math.inf
     flat[np.isnan(flat)] = -math.inf
     worst = i = int(np.argmin(flat))  # argmin returns the first minimum
-    for (points, _), m in zip(parts, margins):
+    for part, m in zip(parts, margins):
         if i < m.size:
             break
         i -= m.size
-    point = points[i]
+    point = part[0][i]
     if isinstance(point, np.generic):
         point = point.item()
     return point, float(flat[worst])
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".3e")
+def _read(part: Part) -> float:
+    """The part's worst margin as its note shows it: plus STRICT_FLOOR
+    for a floored part, negated for a deviation part, else as it is."""
+    margin = _worst(part)[1]
+    if part.shown == "floor":
+        return margin + STRICT_FLOOR
+    return -margin if part.shown == "dev" else margin
+
+
+def _outcome(notes: str, *parts: Part, **named) -> Outcome:
+    """The first smallest margin of `parts` and then of the parts among
+    `named`, in argument order, with its point; and `notes` filled by
+    str.format from `named`, `point` and `margin`.  Only the parts that
+    `notes` names are read."""
+    point, margin = _worst(*parts, *(v for v in named.values()
+                                     if isinstance(v, Part)))
+    return point, margin, notes.format(point=point, margin=margin, **named)
+
+
+def _floor(points: Sequence, values: Sequence[float]) -> Part:
+    """Strict-positivity margins: the values minus STRICT_FLOOR."""
+    return Part(points, np.asarray(values, dtype=float) - STRICT_FLOOR,
+                "floor")
 
 
 def _steps(xs: np.ndarray, ys: Sequence[float], increasing: bool) -> Part:
     """Strict-monotonicity margins between consecutive samples."""
     ys = np.asarray(ys, dtype=float)
     sign = 1.0 if increasing else -1.0
-    return xs[:-1], sign * (ys[1:] - ys[:-1]) - STRICT_FLOOR
+    return _floor(xs[:-1], sign * (ys[1:] - ys[:-1]))
 
 
 def _chord(xs: np.ndarray, ys: Sequence[float], convex: bool) -> Part:
@@ -168,18 +205,12 @@ def _chord(xs: np.ndarray, ys: Sequence[float], convex: bool) -> Part:
     x1, x2, x3 = xs[:-2], xs[1:-1], xs[2:]
     ys = np.asarray(ys, dtype=float)
     chord = ys[:-2] + (ys[2:] - ys[:-2]) * ((x2 - x1) / (x3 - x1))
-    slack = chord - ys[1:-1] if convex else ys[1:-1] - chord
-    return x2, slack - STRICT_FLOOR
+    return _floor(x2, chord - ys[1:-1] if convex else ys[1:-1] - chord)
 
 
 def _deviations(points: Sequence, devs: Sequence[float]) -> Part:
     """Equality-type margins: minus the absolute deviation."""
-    return points, -np.abs(np.asarray(devs, dtype=float))
-
-
-def _floor(points: Sequence, values: Sequence[float]) -> Part:
-    """Strict-positivity margins: the values minus STRICT_FLOOR."""
-    return points, np.asarray(values, dtype=float) - STRICT_FLOOR
+    return Part(points, -np.abs(np.asarray(devs, dtype=float)), "dev")
 
 
 def _mirror(xs: np.ndarray, ys: Sequence[float], sign: float) -> Part:
@@ -292,15 +323,13 @@ def _make_vaman_runner(expected: str):
             raise DomainError("grid for (1-x)F(x) must lie inside [0, 1)")
         ys = (1.0 - xs) * hyp2f1.f21_many(p, xs).value
         if expected == "constant":
-            point, margin = _worst(_deviations(xs, ys - 1.0))
-            notes = (f"(1-x)F = 1 on the grid to {_fmt(-margin)}; "
-                     "ab = c and a+b = c+1 force the constant case")
-        else:
-            point, margin = _worst(
-                _steps(xs, ys, increasing=(expected == "increasing")))
-            notes = (f"(1-x)F strictly {expected}; "
-                     f"min consecutive step {_fmt(margin + STRICT_FLOOR)}")
-        return point, margin, notes
+            return _outcome("(1-x)F = 1 on the grid to {dev}; ab = c and "
+                            "a+b = c+1 force the constant case",
+                            dev=_deviations(xs, ys - 1.0))
+        return _outcome(
+            "(1-x)F strictly {expected}; min consecutive step {step}",
+            step=_steps(xs, ys, increasing=(expected == "increasing")),
+            expected=expected)
 
     return run
 
@@ -356,11 +385,11 @@ def _run_concave_coeffs(params: dict, grid: GridSpec) -> Outcome:
     depth = grid.count - 1
     coeff = (a * b / c) * _ratio_table(a, b, c, depth)[0]  # of v'/v
     # x(1-x)v'/v has x^{n+1} coefficient coeff[n] - coeff[n-1] <= 0
-    point, margin = _worst((np.arange(1.0, depth + 1),
-                            coeff[:depth] - coeff[1:depth + 1]))
-    notes = (f"coefficient drops a_(n-1) - a_n of v'/v for n = 1..{depth}; "
-             f"min {_fmt(margin)} (grid count sets the depth)")
-    return point, margin, notes
+    return _outcome(
+        "coefficient drops a_(n-1) - a_n of v'/v for n = 1..{depth}; "
+        "min {margin:.3e} (grid count sets the depth)",
+        Part(np.arange(1.0, depth + 1), coeff[:depth] - coeff[1:depth + 1]),
+        depth=depth)
 
 
 def _run_concave_shape(params: dict, grid: GridSpec) -> Outcome:
@@ -373,18 +402,13 @@ def _run_concave_shape(params: dict, grid: GridSpec) -> Outcome:
     ys = pqfun.n_func_many(a, b, c, xs)
     left = xs <= 0.5
     right = xs >= 0.5
-    pos = _floor(xs, ys)
-    sym = _mirror(xs, ys, -1.0)
-    up = _steps(xs[left], ys[left], True)
-    down = _steps(xs[right], ys[right], False)
-    conc = _chord(xs, ys, convex=False)
-    point, margin = _worst(pos, sym, up, down, conc)
-    notes = (f"positive >= {_fmt(_worst(pos)[1] + STRICT_FLOOR)}; symmetry dev "
-             f"{_fmt(-_worst(sym)[1])}; increasing then decreasing about 1/2 "
-             f"(steps {_fmt(_worst(up)[1] + STRICT_FLOOR)}/"
-             f"{_fmt(_worst(down)[1] + STRICT_FLOOR)}); concavity slack "
-             f"{_fmt(_worst(conc)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    return _outcome(
+        "positive >= {pos}; symmetry dev {sym}; increasing then decreasing "
+        "about 1/2 (steps {up}/{down}); concavity slack {conc}",
+        pos=_floor(xs, ys), sym=_mirror(xs, ys, -1.0),
+        up=_steps(xs[left], ys[left], True),
+        down=_steps(xs[right], ys[right], False),
+        conc=_chord(xs, ys, convex=False))
 
 
 def _run_hlvv_sign(params: dict, grid: GridSpec) -> Outcome:
@@ -404,13 +428,11 @@ def _run_hlvv_sign(params: dict, grid: GridSpec) -> Outcome:
             mid = ys[len(ys) // 2]
             parts.append(_deviations(xs, ys - mid))
             notes.append(f"constant ({a},{b},{c}): value {mid:.12g}, "
-                         f"dev {_fmt(-_worst(parts[-1])[1])}")
+                         f"dev {parts[-1]}")
         else:
             parts.append(_chord(xs, ys, convex=(label == "convex")))
-            notes.append(f"{label} ({a},{b},{c}): chord slack "
-                         f"{_fmt(_worst(parts[-1])[1] + STRICT_FLOOR)}")
-    point, margin = _worst(*parts)
-    return point, margin, "; ".join(notes)
+            notes.append(f"{label} ({a},{b},{c}): chord slack {parts[-1]}")
+    return _outcome("{cases}", *parts, cases="; ".join(notes))
 
 
 def _run_genconv_logconvex(params: dict, grid: GridSpec) -> Outcome:
@@ -427,23 +449,17 @@ def _run_genconv_logconvex(params: dict, grid: GridSpec) -> Outcome:
                       xs, 1.0 - xs)
     ratio = dx / fx - dy / fy
     logf = specfun.pointwise(math.log, fx) + specfun.pointwise(math.log, fy)
-    up = _steps(xs, ratio, True)
-    conv = _chord(xs, logf, convex=True)
-    parts = [up, conv]
-    half = np.flatnonzero(xs == 0.5)
-    zero_note = ""
-    if half.size:
-        parts.append(_deviations([0.5], ratio[half[:1]]))
-        zero_note = f"; f'/f at 1/2 = {_fmt(abs(ratio[half[0]]))}"
-    fmid = math.log(f_half) * 2.0
+    half = np.flatnonzero(xs == 0.5)[:1]
     off = xs != 0.5
-    fmin = _floor(xs[off], logf[off] - fmid)
-    point, margin = _worst(*parts, fmin)
-    notes = (f"f(x) = F(x)F(1-x): f'/f increasing (step "
-             f"{_fmt(_worst(up)[1] + STRICT_FLOOR)}), log f midpoint-convex "
-             f"(slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)}), interior minimum "
-             f"at 1/2 (gap {_fmt(_worst(fmin)[1] + STRICT_FLOOR)}){zero_note}")
-    return point, margin, notes
+    return _outcome(
+        "f(x) = F(x)F(1-x): f'/f increasing (step {up}), log f "
+        "midpoint-convex (slack {conv}), interior minimum at 1/2 (gap "
+        "{fmin}){zero}",
+        up=_steps(xs, ratio, True), conv=_chord(xs, logf, convex=True),
+        half=_deviations(xs[half], ratio[half]),
+        fmin=_floor(xs[off], logf[off] - math.log(f_half) * 2.0),
+        zero=f"; f'/f at 1/2 = {abs(ratio[half[0]]):.3e}" if half.size
+        else "")
 
 
 def _run_genconv_limits(params: dict, grid: GridSpec) -> Outcome:
@@ -485,11 +501,10 @@ def _run_genconv_limits(params: dict, grid: GridSpec) -> Outcome:
         # normalize: each case carries the tolerance its O(.) term implies
         points.append(point)
         margins.append(1.0 - dev / case["tol"])
-        notes.append(f"{kind} ({a},{b}): |dev| {_fmt(dev)} vs {_fmt(case['tol'])}")
-    point, margin = _worst((points, margins))
-    notes = ("boundary limits, margins normalized to 1 - dev/tol; grid is "
-             "nominal, cases pin their own points; " + "; ".join(notes))
-    return point, margin, notes
+        notes.append(f"{kind} ({a},{b}): |dev| {dev:.3e} vs {case['tol']:.3e}")
+    return _outcome("boundary limits, margins normalized to 1 - dev/tol; "
+                    "grid is nominal, cases pin their own points; {cases}",
+                    Part(points, margins), cases="; ".join(notes))
 
 
 def _run_main_parity(params: dict, grid: GridSpec) -> Outcome:
@@ -501,10 +516,9 @@ def _run_main_parity(params: dict, grid: GridSpec) -> Outcome:
                             ts, -ts)
     # both deviations of each t, in sampling order
     devs = np.column_stack((p_pos - p_neg, d_pos + d_neg)).ravel()
-    point, margin = _worst(_deviations(np.repeat(ts, 2), devs))
-    notes = ("P even and P' odd; both are enforced by |t| reduction "
-             "inside the evaluators, so this is a regression guard")
-    return point, margin, notes
+    return _outcome("P even and P' odd; both are enforced by |t| reduction "
+                    "inside the evaluators, so this is a regression guard",
+                    _deviations(np.repeat(ts, 2), devs))
 
 
 @functools.lru_cache(8)
@@ -552,12 +566,6 @@ def _run_main_convex(params: dict, grid: GridSpec) -> Outcome:
         functools.partial(pqfun.p_excess_many, pr),
         s, t, m, ts[:-2], ts[2:], tm, ts, [0.0])
 
-    # P = (|t| + R)/B + excess: the linear part contributes exactly, the
-    # excess keeps relative accuracy at any |t|
-    rand = _floor(list(zip(s.tolist(), t.tolist())),
-                  lin * inv_beta + 0.5 * (pe_s + pe_t) - pe_m)
-    tri = _floor(tm, tlin * inv_beta + 0.5 * (ex_lo + ex_hi) - ex_tm)
-
     # P -+ t/B through the same excess split (ex is even in t); branch
     # values are O(1)
     big_r = specfun.ramanujan_r(pr.a, pr.b)
@@ -574,19 +582,22 @@ def _run_main_convex(params: dict, grid: GridSpec) -> Outcome:
     # then the upper one where it applies
     keep = np.repeat(ts != 0.0, 2)
     keep[::2] = True
-    bound = _floor(np.repeat(ts, 2)[keep],
-                   np.column_stack((ex, ex_0 - ex)).ravel()[keep])
-
-    point, margin = _worst(
-        rand, tri, _steps(ts, down, increasing=False),
-        _steps(ts, up, increasing=True), _chord(ts, down, convex=True),
-        _chord(ts, up, convex=True), bound)
-    notes = (f"{params['pairs']} seeded midpoint pairs (gap >= "
-             f"{params['min_gap']}), min slack "
-             f"{_fmt(_worst(rand)[1] + STRICT_FLOOR)}; grid triples "
-             f"{_fmt(_worst(tri)[1] + STRICT_FLOOR)}; P-t/B and P+t/B monotone "
-             f"and convex; excess bounds {_fmt(_worst(bound)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    return _outcome(
+        "{pairs} seeded midpoint pairs (gap >= {min_gap}), min slack {rand}; "
+        "grid triples {tri}; P-t/B and P+t/B monotone and convex; excess "
+        "bounds {bound}",
+        # P = (|t| + R)/B + excess: the linear part contributes exactly,
+        # the excess keeps relative accuracy at any |t|
+        rand=_floor(list(zip(s.tolist(), t.tolist())),
+                    lin * inv_beta + 0.5 * (pe_s + pe_t) - pe_m),
+        tri=_floor(tm, tlin * inv_beta + 0.5 * (ex_lo + ex_hi) - ex_tm),
+        down_steps=_steps(ts, down, increasing=False),
+        up_steps=_steps(ts, up, increasing=True),
+        down_chord=_chord(ts, down, convex=True),
+        up_chord=_chord(ts, up, convex=True),
+        bound=_floor(np.repeat(ts, 2)[keep],
+                     np.column_stack((ex, ex_0 - ex)).ravel()[keep]),
+        pairs=params["pairs"], min_gap=params["min_gap"])
 
 
 def _run_pprime_bounds(params: dict, grid: GridSpec) -> Outcome:
@@ -598,10 +609,9 @@ def _run_pprime_bounds(params: dict, grid: GridSpec) -> Outcome:
         ys = pqfun.p_prime_many(pr, ts)
         mono, sharp = _increasing_capped(ts, ys, 1.0 / specfun.beta(a, b))
         parts += [mono, sharp]
-        notes.append(f"({a},{b}): step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}, "
-                     f"1/B - |P'| >= {_fmt(_worst(sharp)[1] + STRICT_FLOOR)}")
-    point, margin = _worst(*parts)
-    return point, margin, "P' strictly increasing, |P'| < 1/B; " + "; ".join(notes)
+        notes.append(f"({a},{b}): step {mono}, 1/B - |P'| >= {sharp}")
+    return _outcome("P' strictly increasing, |P'| < 1/B; {cases}", *parts,
+                    cases="; ".join(notes))
 
 
 def _run_main_slopes(params: dict, grid: GridSpec) -> Outcome:
@@ -611,13 +621,10 @@ def _run_main_slopes(params: dict, grid: GridSpec) -> Outcome:
     if 0.0 in ts:
         raise DomainError("slope grid must not contain t = 0")
     ys = pqfun.slope_g_many(pr, ts)
-    mono, rng_m = _increasing_capped(ts, ys, cap)
-    odd = _mirror(ts, ys, 1.0)
-    point, margin = _worst(mono, rng_m, odd)
-    notes = (f"G odd (dev {_fmt(-_worst(odd)[1])}), strictly increasing (step "
-             f"{_fmt(_worst(mono)[1] + STRICT_FLOOR)}), range inside "
-             f"(-1/B, 1/B) by {_fmt(_worst(rng_m)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    mono, rng = _increasing_capped(ts, ys, cap)
+    return _outcome("G odd (dev {odd}), strictly increasing (step {mono}), "
+                    "range inside (-1/B, 1/B) by {rng}",
+                    mono=mono, rng=rng, odd=_mirror(ts, ys, 1.0))
 
 
 def _run_qq_identity(params: dict, grid: GridSpec) -> Outcome:
@@ -625,10 +632,9 @@ def _run_qq_identity(params: dict, grid: GridSpec) -> Outcome:
     ts = grid.points()
     q_pos, q_neg = _sampled(functools.partial(pqfun.q_func_many, pr),
                             ts, -ts)
-    point, margin = _worst(_deviations(ts, q_pos * q_neg - 1.0))
-    notes = ("Q(t)Q(-t) = 1; the two sides reuse one ratio and its "
-             "reciprocal, so deviations are pure rounding")
-    return point, margin, notes
+    return _outcome("Q(t)Q(-t) = 1; the two sides reuse one ratio and its "
+                    "reciprocal, so deviations are pure rounding",
+                    _deviations(ts, q_pos * q_neg - 1.0))
 
 
 def _run_subadd(params: dict, grid: GridSpec) -> Outcome:
@@ -637,16 +643,12 @@ def _run_subadd(params: dict, grid: GridSpec) -> Outcome:
     s, t = _subadditive_pairs(**params)
     qs, q_neg, *q_pairs = _sampled(functools.partial(pqfun.q_log_many, pr),
                                    ts, -ts, s, t, s + t)
-    ratio = _steps(ts, qs / ts, False)
-    odd = _deviations(ts, qs + q_neg)
-    sub = _subadditive(s, t, *q_pairs)
-    point, margin = _worst(ratio, _steps(ts, qs, True),
-                           _chord(ts, qs, convex=False), odd, sub)
-    notes = (f"q(t)/t decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
-             f"q increasing, concave, odd (dev {_fmt(-_worst(odd)[1])}); "
-             f"{params['pairs']} seeded subadditivity pairs, min slack "
-             f"{_fmt(_worst(sub)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    return _outcome(
+        "q(t)/t decreasing (step {ratio}); q increasing, concave, odd (dev "
+        "{odd}); {pairs} seeded subadditivity pairs, min slack {sub}",
+        ratio=_steps(ts, qs / ts, False), up=_steps(ts, qs, True),
+        conc=_chord(ts, qs, convex=False), odd=_deviations(ts, qs + q_neg),
+        sub=_subadditive(s, t, *q_pairs), pairs=params["pairs"])
 
 
 def _run_qbounds(params: dict, grid: GridSpec) -> Outcome:
@@ -658,28 +660,24 @@ def _run_qbounds(params: dict, grid: GridSpec) -> Outcome:
     qe, (qe_0,) = _sampled(functools.partial(pqfun.q_excess_many, pr),
                            ts, [0.0])
     # Q - t/B = R/B + excess: monotone/convex in the excess alone
-    mono = _steps(ts, qe, increasing=False)
-    conv = _chord(ts, qe, convex=True)
-    low = (ts, qe)                                   # Q > (R+t)/B, ~e^{-t}: raw
-    high = _floor(ts, qe_0 - qe)                      # Q < 1 + t/B
-    point, margin = _worst(mono, conv, low, high)
-    notes = (f"Q - t/B decreasing (step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}) "
-             f"and convex (slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)}); "
-             f"(R+t)/B < Q by {_fmt(_worst(low)[1])} (raw, decays like e^-t); "
-             f"Q < 1 + t/B by {_fmt(_worst(high)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    return _outcome(
+        "Q - t/B decreasing (step {mono}) and convex (slack {conv}); "
+        "(R+t)/B < Q by {low} (raw, decays like e^-t); Q < 1 + t/B by {high}",
+        mono=_steps(ts, qe, increasing=False),
+        conv=_chord(ts, qe, convex=True),
+        low=Part(ts, qe),                  # Q > (R+t)/B, ~e^{-t}: raw
+        high=_floor(ts, qe_0 - qe))        # Q < 1 + t/B
 
 
 def _run_th_increasing(params: dict, grid: GridSpec) -> Outcome:
     ts = _points_inside(grid, math.inf)
     ys = ts * metric.h_many(ts)
-    mono = _steps(ts, ys, True)
-    # both band margins of each t, in sampling order
-    band = _floor(np.repeat(ts, 2), np.column_stack((ys, 0.5 - ys)).ravel())
-    point, margin = _worst(mono, band)
-    notes = (f"t h(t) strictly increasing (step {_fmt(_worst(mono)[1] + STRICT_FLOOR)}) "
-             f"with values in (0, 1/2), band margin {_fmt(_worst(band)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    return _outcome(
+        "t h(t) strictly increasing (step {mono}) with values in (0, 1/2), "
+        "band margin {band}",
+        mono=_steps(ts, ys, True),
+        # both band margins of each t, in sampling order
+        band=_floor(np.repeat(ts, 2), np.column_stack((ys, 0.5 - ys)).ravel()))
 
 
 def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
@@ -689,8 +687,6 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
 
     h_pos, h_neg, (h_0,) = _sampled(metric.h_many, ts, -ts, [0.0])
     big_h = 1.0 / h_pos  # H = 1/h, as metric.big_h forms it
-    ident = _deviations(ts, big_h * h_pos - 1.0)
-    even = _deviations(ts, big_h - 1.0 / h_neg)
     h0_dev = 1.0 / h_0 / two_c0 - 1.0
 
     # fold to |t| and collapse mirror points that agree to a few ulps:
@@ -704,30 +700,29 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
     m, lin = _midpoints(ts[:-2], ts[2:])
     ex, pe_s, pe_t, pe_m = _sampled(
         functools.partial(pqfun.p_excess_many, pr), ps, ts[:-2], ts[2:], m)
-    # H = 2(|t| + log 16) + 2 pi excess: difference without cancellation
-    grow = _floor(ps[:-1], 2.0 * (ps[1:] - ps[:-1])
-                  + 2.0 * math.pi * (ex[1:] - ex[:-1]))
-
-    conv = _floor(m, 2.0 * lin + 2.0 * math.pi * (0.5 * (pe_s + pe_t) - pe_m))
-
-    point, margin = _worst(ident, even, _deviations([0.0], [h0_dev]), grow, conv)
-    notes = (f"H h = 1 (dev {_fmt(-_worst(ident)[1])}); H(0)/2C0 - 1 = "
-             f"{_fmt(h0_dev)}; even (dev {_fmt(-_worst(even)[1])}); increasing "
-             f"in |t| (step {_fmt(_worst(grow)[1] + STRICT_FLOOR)}); midpoint "
-             f"convex via the excess split (slack {_fmt(_worst(conv)[1] + STRICT_FLOOR)})")
-    return point, margin, notes
+    return _outcome(
+        "H h = 1 (dev {ident}); H(0)/2C0 - 1 = {h0_dev:.3e}; even (dev "
+        "{even}); increasing in |t| (step {grow}); midpoint convex via the "
+        "excess split (slack {conv})",
+        ident=_deviations(ts, big_h * h_pos - 1.0),
+        even=_deviations(ts, big_h - 1.0 / h_neg),
+        h0=_deviations([0.0], [h0_dev]),
+        # H = 2(|t| + log 16) + 2 pi excess: difference without cancellation
+        grow=_floor(ps[:-1], 2.0 * (ps[1:] - ps[:-1])
+                    + 2.0 * math.pi * (ex[1:] - ex[:-1])),
+        conv=_floor(m, 2.0 * lin
+                    + 2.0 * math.pi * (0.5 * (pe_s + pe_t) - pe_m)),
+        h0_dev=h0_dev)
 
 
 def _run_big_h_prime(params: dict, grid: GridSpec) -> Outcome:
     ts = grid.points()
     ys = metric.big_h_prime_many(ts)
     mono, band = _increasing_capped(ts, ys, 2.0)
-    odd = _mirror(ts, ys, 1.0)
-    point, margin = _worst(mono, band, odd)
-    notes = (f"H' odd (dev {_fmt(-_worst(odd)[1])}), strictly increasing (step "
-             f"{_fmt(_worst(mono)[1] + STRICT_FLOOR)}); |H'| < 2 by "
-             f"{_fmt(_worst(band)[1] + STRICT_FLOOR)}, sup |H'| = {np.abs(ys).max():.12f}")
-    return point, margin, notes
+    return _outcome("H' odd (dev {odd}), strictly increasing (step {mono}); "
+                    "|H'| < 2 by {band}, sup |H'| = {sup:.12f}",
+                    mono=mono, band=band, odd=_mirror(ts, ys, 1.0),
+                    sup=np.abs(ys).max())
 
 
 def _run_weighted_extremum(params: dict, grid: GridSpec) -> Outcome:
@@ -741,18 +736,19 @@ def _run_weighted_extremum(params: dict, grid: GridSpec) -> Outcome:
     t_ref = 2.56
     g_ref = (metric.big_h(t_ref)
              - (t_ref + c0) * metric.big_h_prime(t_ref))
-    point, margin = _worst((
-        [ext.t0, grid_best_t, grid_best_t, ext.t0, ext.t0, t_ref],
-        [1.25 - ext.max_value,
-         1e-4 - abs(grid_max - ext.max_value),
-         ext.max_value + 1e-6 - grid_max,
-         5e-4 - abs(ext.t0 - 2.56944),
-         5e-4 - abs(ext.max_value - 1.24477),
-         g_ref - 0.02]))
-    notes = (f"t0 = {ext.t0:.12f}; max = 2/H'(t0) = {ext.max_value:.12f} "
-             f"< 1.25; grid max {grid_max:.12f} at t = {grid_best_t:.6f}; "
-             f"g(2.56) = {g_ref:.8f} > 0.02")
-    return point, margin, notes
+    return _outcome(
+        "t0 = {t0:.12f}; max = 2/H'(t0) = {max_value:.12f} < 1.25; grid "
+        "max {grid_max:.12f} at t = {grid_best_t:.6f}; g(2.56) = "
+        "{g_ref:.8f} > 0.02",
+        Part([ext.t0, grid_best_t, grid_best_t, ext.t0, ext.t0, t_ref],
+             [1.25 - ext.max_value,
+              1e-4 - abs(grid_max - ext.max_value),
+              ext.max_value + 1e-6 - grid_max,
+              5e-4 - abs(ext.t0 - 2.56944),
+              5e-4 - abs(ext.max_value - 1.24477),
+              g_ref - 0.02]),
+        t0=ext.t0, max_value=ext.max_value, grid_max=grid_max,
+        grid_best_t=grid_best_t, g_ref=g_ref)
 
 
 def _run_hempel_sandwich(params: dict, grid: GridSpec) -> Outcome:
@@ -760,14 +756,12 @@ def _run_hempel_sandwich(params: dict, grid: GridSpec) -> Outcome:
     gap = metric.c0() - math.log(16.0)
     ts = _points_inside(grid, math.inf)
     pe = pqfun.p_excess_many(pr, ts)
-    lo = (ts, 2.0 * math.pi * pe)          # H - 2(t + log 16) > 0
-    hi = (ts, 2.0 * (gap - math.pi * pe))  # 2(t + C0) - H > 0
-    point, margin = _worst(lo, hi)
-    notes = (f"1/(t+C0) < 2h(t) < 1/(t+log 16) as H between 2(t+log 16) "
-             f"and 2(t+C0); min lower margin {_fmt(_worst(lo)[1])} (decays "
-             f"like t e^-t, computed cancellation-free), min upper margin "
-             f"{_fmt(_worst(hi)[1])}")
-    return point, margin, notes
+    return _outcome(
+        "1/(t+C0) < 2h(t) < 1/(t+log 16) as H between 2(t+log 16) and "
+        "2(t+C0); min lower margin {lo} (decays like t e^-t, computed "
+        "cancellation-free), min upper margin {hi}",
+        lo=Part(ts, 2.0 * math.pi * pe),           # H - 2(t + log 16) > 0
+        hi=Part(ts, 2.0 * (gap - math.pi * pe)))   # 2(t + C0) - H > 0
 
 
 def _run_kustner(params: dict, grid: GridSpec) -> Outcome:
@@ -782,28 +776,25 @@ def _run_kustner(params: dict, grid: GridSpec) -> Outcome:
     k_max = params["k_max"]
     n_max = _whole(round(grid.hi), "round(grid.hi)")
     table = _ratio_table(a, b, c, n_max, k_max)
-    point, margin = _worst(*(([(k, n) for n in range(row.size)], row)
-                             for k, row in enumerate(table)))
     strict = np.flatnonzero(table[1] > 1e-12) if k_max >= 1 else []
-    first_strict = int(strict[0]) if len(strict) else None
-    notes = (f"Delta^k a_n >= 0 for k <= {k_max}, n <= {n_max} "
-             f"(grid hi sets the n range); min entry {_fmt(margin)} at "
-             f"(k,n) = {point}; first strict first difference at n = "
-             f"{first_strict}")
-    return point, margin, notes
+    return _outcome(
+        "Delta^k a_n >= 0 for k <= {k_max}, n <= {n_max} (grid hi sets the "
+        "n range); min entry {margin:.3e} at (k,n) = {point}; first strict "
+        "first difference at n = {first}",
+        Part([(k, n) for k in range(k_max + 1) for n in range(n_max + 1)],
+             table.ravel()),
+        k_max=k_max, n_max=n_max,
+        first=int(strict[0]) if len(strict) else None)
 
 
 def _run_phi_decreasing(params: dict, grid: GridSpec) -> Outcome:
     ts = _points_inside(grid, math.inf)
     s, t = _subadditive_pairs(**params)
     phis, *phi_pairs = _sampled(metric.varphi_many, ts, s, t, s + t)
-    ratio = _steps(ts, phis / ts, False)
-    sub = _subadditive(s, t, *phi_pairs)
-    point, margin = _worst(ratio, sub)
-    notes = (f"phi(t)/t strictly decreasing (step {_fmt(_worst(ratio)[1] + STRICT_FLOOR)}); "
-             f"{params['pairs']} seeded subadditivity pairs, min slack "
-             f"{_fmt(_worst(sub)[1] + STRICT_FLOOR)}")
-    return point, margin, notes
+    return _outcome("phi(t)/t strictly decreasing (step {ratio}); {pairs} "
+                    "seeded subadditivity pairs, min slack {sub}",
+                    ratio=_steps(ts, phis / ts, False),
+                    sub=_subadditive(s, t, *phi_pairs), pairs=params["pairs"])
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,19 @@ def test_parameter_domain(a, b, c):
         f21_minus_one_many(a, b, c, [0.1, 0.5])
 
 
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_complement_sums_refuse_a_bad_a_or_b_by_its_name(name, bad):
+    # digamma would refuse a bad a or b too, but under its own name x
+    args = {"a": 0.5, "b": 0.7, name: bad}
+    match = rf"^{name} must be a positive finite real, got {bad!r}$"
+    with pytest.raises(DomainError, match=match):
+        hyp2f1.zb_complement_sums(args["a"], args["b"], 0.3)
+    for us in ([0.3, 0.1], []):
+        with pytest.raises(DomainError, match=match):
+            hyp2f1.zb_complement_sums_many(args["a"], args["b"], us)
+
+
 def test_error_estimate_is_honest():
     # error fields bound the distance to the frozen references above
     r = f21(HypParams(0.3, 0.7, 1.1), 0.35)

@@ -145,6 +145,8 @@ def _big_calls():
         ("u", lambda: hyp2f1.f21_from_complement(p, BIG, 1.0)),
         ("minus_log_u", lambda: hyp2f1.f21_from_complement(p, 0.25, BIG)),
         ("u", lambda: hyp2f1.zb_complement_sums(0.5, 0.5, BIG)),
+        ("a", lambda: hyp2f1.zb_complement_sums(BIG, 0.5, 0.3)),
+        ("b", lambda: hyp2f1.zb_complement_sums_many(0.5, BIG, [0.3])),
         ("t", lambda: metric.h(BIG)),
         ("t", lambda: metric.big_h(BIG)),
         ("t", lambda: metric.big_h_prime(BIG)),

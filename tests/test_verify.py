@@ -490,16 +490,23 @@ class _Worst:
         self.add(other.point, other.margin)
 
 
-def _monotone_worst(xs, ys, increasing):
+class _NanLow(_Worst):
+    """The running minimum with _worst's rule for NaN: it counts as -inf."""
+
+    def add(self, point, margin):
+        super().add(point, -math.inf if math.isnan(margin) else margin)
+
+
+def _monotone_worst(xs, ys, increasing, w=None):
     sign = 1.0 if increasing else -1.0
-    w = _Worst()
+    w = w or _Worst()
     for i in range(len(xs) - 1):
         w.add(float(xs[i]), sign * (ys[i + 1] - ys[i]) - verify.STRICT_FLOOR)
     return w
 
 
-def _chord_worst(xs, ys, convex):
-    w = _Worst()
+def _chord_worst(xs, ys, convex, w=None):
+    w = w or _Worst()
     for i in range(len(xs) - 2):
         x1, x2, x3 = xs[i], xs[i + 1], xs[i + 2]
         chord = ys[i] + (ys[i + 2] - ys[i]) * ((x2 - x1) / (x3 - x1))
@@ -508,15 +515,15 @@ def _chord_worst(xs, ys, convex):
     return w
 
 
-def _deviation_worst(points, devs):
-    w = _Worst()
+def _deviation_worst(points, devs, w=None):
+    w = w or _Worst()
     for p, d in zip(points, devs):
         w.add(p, -abs(d))
     return w
 
 
-def _floor_worst(points, values):
-    w = _Worst()
+def _floor_worst(points, values, w=None):
+    w = w or _Worst()
     for p, v in zip(points, values):
         w.add(p, v - verify.STRICT_FLOOR)
     return w
@@ -543,9 +550,14 @@ def _grid(gaps):
     return np.cumsum([-0.0] + gaps[1:])
 
 
+def _same_float(got, want):
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_samples, st.booleans())
-def test_part_builders_match_the_loops(sample, flag):
+@given(_samples, st.booleans(), st.lists(st.integers(0, 11), max_size=3))
+def test_part_builders_match_the_loops(sample, flag, nans):
     gaps, ys = sample
     xs = _grid(gaps)
     _same(verify._worst(verify._steps(xs, ys, flag)),
@@ -556,6 +568,23 @@ def test_part_builders_match_the_loops(sample, flag):
           _deviation_worst(xs.tolist(), ys))
     _same(verify._worst(verify._floor(xs, ys)),
           _floor_worst(xs.tolist(), ys))
+    # each builder's reading against the loop's margin, NaN samples too:
+    # the smallest step, slack or value, or the largest deviation
+    ys = [math.nan if i in nans else y for i, y in enumerate(ys)]
+    floor = verify.STRICT_FLOOR
+    for part, loop, reading in (
+            (verify._steps(xs, ys, flag),
+             _monotone_worst(list(xs), ys, flag, _NanLow()),
+             lambda m: m + floor),
+            (verify._chord(xs, ys, flag),
+             _chord_worst(list(xs), ys, flag, _NanLow()),
+             lambda m: m + floor),
+            (verify._floor(xs, ys), _floor_worst(xs.tolist(), ys, _NanLow()),
+             lambda m: m + floor),
+            (verify._deviations(xs, ys),
+             _deviation_worst(xs.tolist(), ys, _NanLow()), lambda m: -m)):
+        _same(verify._worst(part), loop)
+        _same_float(verify._read(part), reading(loop.margin))
 
 
 @settings(max_examples=200, deadline=None)
@@ -579,3 +608,18 @@ def test_worst_merges_parts_in_order(specs):
             new.append(verify._floor(xs, ys))
             old.merge(_floor_worst(xs.tolist(), ys))
     _same(verify._worst(*new), old)
+
+
+def test_outcome_reduces_in_argument_order_and_reads_what_notes_name():
+    floor = verify.STRICT_FLOOR
+    first = verify.Part([1.0], [0.0])                  # raw
+    tie = verify._floor([2.0], [floor])                # margin 0.0 too
+    dev = verify._deviations([3.0], [0.0])             # margin -0.0
+    point, margin, notes = verify._outcome(
+        "{tie} / {dev} at {point}, {margin:.1f}; {n}", first,
+        tie=tie, dev=dev, n=7)
+    assert (point, margin) == (1.0, 0.0)               # the first minimum
+    assert notes == "1.000e-12 / 0.000e+00 at 1.0, 0.0; 7"
+    # a part the notes do not name still takes part in the reduction
+    low = verify._deviations([4.0], [-0.5])
+    assert verify._outcome("none", tie=tie, low=low)[:2] == (4.0, -0.5)
