@@ -27,13 +27,15 @@ is made (so numpy loads there, not in a query): an
 O(N log N) sort, O(N) array work for each visited row (the rows of a
 long walk come a batch at a time), and for the upper end of
 ``rho_bounds`` a search of the pairwise puncture distances, a chunk
-of at most ``_BLOCK`` at a time, nearest to z first.  It prunes on
-squared distances, a tenth of the cost of a hypot, and drops each
-puncture once the squares it has met bound its 4 m d below the best
-found; only the punctures that can decide the bound get exact
-distances, a scan of their row each.  So at N = 1000 it squares a
-fraction of the N(N-1) pairs (typically 2-10%) and takes a hypot of
-fewer (0.2-3%), and it holds one chunk of scratch memory.
+of at most ``_BLOCK`` at a time: the punctures nearest to z first,
+joined in each chunk by the two that bracket the distance d of the
+puncture it last searched in full.  It prunes on squared distances, a
+tenth of the cost of a hypot, and drops each puncture once the squares
+it has met bound its 4 m d below the best found; only the punctures
+that can decide the bound get exact distances, a scan of their row
+each.  So at N = 1000 it squares a fraction of the N(N-1) pairs (1-14%,
+under 7% in nine queries of ten) and takes a hypot of fewer
+(0.1-1.8%), and it holds one chunk of scratch memory.
 
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
@@ -301,33 +303,44 @@ def baseline_bounds(c: float) -> BaselineBounds:
 _BLOCK = 8192
 
 
-def _bracket(r: np.ndarray, d, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Along axis of r, the largest entry <= d and the smallest >= d, NaN
-    where there is none (NaN entries never qualify)."""
-    return (np.fmax.reduce(np.where(r <= d, r, np.nan), axis=axis),
-            np.fmin.reduce(np.where(r >= d, r, np.nan), axis=axis))
-
-
 def _row_bracket(x: np.ndarray, y: np.ndarray, d: np.ndarray,
-                 a: int) -> tuple[float, float]:
-    """Puncture a's bracket over one scan of its row of distances."""
+                 a: int) -> tuple[float, float, int | None, int | None]:
+    """Puncture a's bracket over one scan of its row of distances, and the
+    indices of the two punctures that hold it, None where a side has
+    none."""
     # np.hypot is the libm hypot that abs(complex) calls, so each r
     # equals the scalar abs(b - a) bit for bit (np.abs does not), and
     # hypot is even, so a row and a column give the same bits
     r = np.hypot(x - x[a], y - y[a])
     r[a] = np.nan
-    lo, hi = _bracket(r, d[a], axis=0)
-    return float(lo), float(hi)
+    da = float(d[a])
+    i = int(np.where(r <= da, r, -np.inf).argmax())
+    j = int(np.where(r >= da, r, np.inf).argmin())
+    if not r[j] >= da:
+        # the least is the fill, inf: the first distance that overflowed
+        # is the one, where there is one
+        j = int(np.argmax(r >= da))
+    lo, hi = float(r[i]), float(r[j])
+    # an argmax over no qualifying entry points at one that fails its
+    # test
+    if not lo <= da:
+        lo, i = math.nan, None
+    if not hi >= da:
+        hi, j = math.nan, None
+    return lo, hi, i, j
 
 
 def _rows_bracket(x: np.ndarray, y: np.ndarray, d: np.ndarray,
                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The brackets of the punctures rows, from one (rows x N) array of
-    their distances: the bits of ``_row_bracket`` on each, in fewer
-    numpy calls where there are several (and more where there is one)."""
+    their distances, NaN where a side has none: the bits of
+    ``_row_bracket`` on each, in fewer numpy calls where there are
+    several (and more where there is one)."""
     r = np.hypot(x - x[rows, None], y - y[rows, None])
     r[np.arange(rows.size), rows] = np.nan
-    return _bracket(r, d[rows, None], axis=1)
+    da = d[rows, None]
+    return (np.fmax.reduce(np.where(r <= da, r, np.nan), axis=1),
+            np.fmin.reduce(np.where(r >= da, r, np.nan), axis=1))
 
 
 def _upper_candidate(d: float, m: float, hi: float) -> float:
@@ -388,15 +401,22 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     ``_log_gap`` of them is a's log-gap.  Every puncture that can hold
     the largest 4 m d is among them.
 
-    The columns are visited in index order, a chunk of at most
-    ``_BLOCK`` squared distances over the rows still live at a time;
+    A chunk holds at most ``_BLOCK`` squared distances: those of the
+    rows still live to the next few columns, each column visited once.
+    Witnesses aside (below), the columns come in index order, and
     callers pass the punctures nearest to z first (``_nearest_first``),
     since |b-a| is near d_a for b near z.  After each chunk the live row
     of the largest bound, from the squares so far, is completed by an
     exact scan of its row, which raises the best exact 4 m d, and every
     row whose bound is below that best drops out (see ``_GAP_SLACK``).
-    The rows still live after the last column get exact scans too, as
-    many at a time as ``_BLOCK`` distances hold.
+    The scan also names the row's witnesses, the two punctures w that
+    bracket its d, and those not yet visited join the next chunk in
+    place of its last columns.  A witness of row a nearly fixes the
+    log-gap of every puncture a' near a too, as
+    |r(a', w) - d_a'| <= |r(a, w) - d_a| + 2|a - a'|, so one chunk drops
+    a's cluster, where the columns nearest z would drop its rows one
+    chunk at a time.  The rows still live after the last column get
+    exact scans too, as many at a time as ``_BLOCK`` distances hold.
     """
     n = len(x)
     below = np.full(n, np.nan)
@@ -409,16 +429,36 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     p = np.full(n, np.inf)
     done = []
     best = 0.0
+    # the columns in visit order, those at positions below c visited: x
+    # and y until a witness moves, then copies in which it has; at maps
+    # each moved position to its puncture, pos each moved puncture to
+    # its position
+    xc, yc, at, pos = x, y, {}, {}
+    wits = []
     c = 0
     while live.size and c < n:
         # the first chunks are narrow, so that rows can drop out before
         # most columns are visited; past them a chunk at most doubles the
         # columns visited
         k = max(1, min(_BLOCK // live.size, c + 16))
+        # the last completed row's witnesses join the chunk: one past its
+        # end swaps places with the column at its tail, and a second pass
+        # brings back a witness that such a swap pushed out
+        t = c + k
+        for w in wits * 2:
+            i = pos.get(w, w)
+            if w is not None and i >= c + k and t > c:
+                t -= 1
+                if xc is x:
+                    xc, yc = x.copy(), y.copy()
+                u = at.get(t, t)
+                at[t], at[i], pos[w], pos[u] = w, u, t, i
+                xc[t], xc[i] = xc[i], xc[t]
+                yc[t], yc[i] = yc[i], yc[t]
         # a column of the chunk per visited puncture, live rows along
         # its length: numpy's loops then run over the long axis
-        dx = xl - x[c:c + k, None]
-        dy = yl - y[c:c + k, None]
+        dx = xl - xc[c:c + k, None]
+        dy = yl - yc[c:c + k, None]
         s = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
         s[s < _TINY] = np.nan
         np.divide(d2l, s, out=dy)
@@ -429,7 +469,8 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
         j = int(np.argmax(bound))
         a = int(live[j])
         da = float(d[a])
-        lo_a, hi_a = below[a], above[a] = _row_bracket(x, y, d, a)
+        lo_a, hi_a, *wits = _row_bracket(x, y, d, a)
+        below[a], above[a] = lo_a, hi_a
         best = max(best, _upper_candidate(da, _log_gap(da, lo_a, hi_a), hi_a))
         done.append(a)
         keep = ~(bound < best)
@@ -482,7 +523,7 @@ def _lower_end(order: Sequence[int], d, gap) -> float:
         m = gap(a)
         # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
         # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
-        hm = metric.h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
+        hm = metric._h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
         best = max(best, hm / da)
     # within ~1e-309 of a puncture h(m)/d overflows, but the density is
     # finite: the largest float is still below it
@@ -512,7 +553,8 @@ def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
         if a not in gaps:
             size = min(max(1, scanned), cap)
             if size == 1:
-                gaps[a] = _log_gap(float(d[a]), *_row_bracket(x, y, d, a))
+                gaps[a] = _log_gap(float(d[a]),
+                                   *_row_bracket(x, y, d, a)[:2])
             else:
                 rows = [a, *itertools.islice(
                     (b for b in range(a + 1, n) if b not in gaps), size - 1)]
@@ -639,7 +681,7 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     one with the largest |b-a| <= d and the one with the smallest
     |b-a| >= d, and only they go through ``math.log``.  The lower end
     walks the punctures outward from z, as ``sigma_lower`` does, and
-    stops once no farther one can raise it, so ``metric.h`` runs on
+    stops once no farther one can raise it, so h (``metric._h``) runs on
     typically one to three of them.
 
     Below ``_LISTS_BELOW`` punctures the query runs on Python lists:
@@ -647,23 +689,24 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     hypot as np.hypot, so both routes give the same bits.  From it on
     the upper end needs the largest 4 m d only.  Its search
     (``_neighbours``) visits the pairs nearest to z first, as squared
-    distances, and drops each puncture once the squares seen so far
-    bound its 4 m d below the best one found, by a slack that covers
-    their rounding.  The punctures that could hold the largest 4 m d
-    are searched in full with exact hypots, so the result is that of a
-    hypot for every pair to the bit.  A puncture the walk visits takes
-    its m from the search where that searched it in full, else from a
-    scan of its row, batched with the rows of the next ones
-    (``_row_gaps``).
+    distances, together with those of the two punctures that bracket
+    the d of the puncture it last searched in full, and drops each
+    puncture once the squares seen so far bound its 4 m d below the
+    best one found, by a slack that covers their rounding.  The
+    punctures that could hold the largest 4 m d are searched in full
+    with exact hypots, so the result is that of a hypot for every pair
+    to the bit.  A puncture the walk visits takes its m from the search
+    where that searched it in full, else from a scan of its row,
+    batched with the rows of the next ones (``_row_gaps``).
 
-    At N = 1000 the search squares typically 2-10% of the N(N-1)
-    ordered pairs and takes an exact hypot of 0.2-3% of them, and it
-    holds one chunk of scratch memory.  Where no puncture can be
-    dropped, as on 1000 punctures on a circle about z, it squares every
-    pair and then scans every row: O(N^2) work, some tens of times a
-    typical query's.  Below the cut a query takes the N(N-1)/2 hypots
-    and a sort.  CHANGES.md holds the measured per-query times of both
-    routes.
+    At N = 1000 the search squares 1-14% of the N(N-1) ordered pairs
+    (under 7% in nine queries of ten) and takes an exact hypot of
+    0.1-1.8% of them, and it holds one chunk of scratch memory.  Where
+    no puncture can be dropped, as on 1000 punctures on a circle about
+    z, it squares every pair and then scans every row: O(N^2) work,
+    some tens of times a typical query's.  Below the cut a query takes
+    the N(N-1)/2 hypots and a sort.  CHANGES.md holds the measured
+    per-query times of both routes.
     """
     pts = dom.punctures
     if len(pts) < _LISTS_BELOW:
@@ -705,8 +748,8 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     found by the same outward walk.  Only the punctures the walk visits
     need their m, so each of those scans its own row of distances, and
     the pairwise search never runs: a query costs a sort, one
-    ``metric.h`` call for each visited puncture, typically one to
-    three, and a scan of its row: a Python list below ``_LISTS_BELOW``
+    call of h (``metric._h``) for each visited puncture, typically one
+    to three, and a scan of its row: a Python list below ``_LISTS_BELOW``
     punctures, else a numpy row, batched with the next ones where the
     walk goes on (``_row_gaps``).  So a query costs O(N log N) for the
     sort and O(N) per visited row; where the walk visits every

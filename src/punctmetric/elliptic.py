@@ -25,6 +25,12 @@ def agm(x: float, y: float) -> float:
     y = specfun.to_float(y, "y")
     if not (math.isfinite(x) and math.isfinite(y)) or x <= 0.0 or y <= 0.0:
         raise DomainError(f"agm requires positive finite arguments, got {x!r}, {y!r}")
+    return _agm(x, y)
+
+
+def _agm(x: float, y: float) -> float:
+    """agm at positive finite floats, unchecked: the core of ``agm`` for
+    callers that made x and y themselves."""
     a, b = (x, y) if x >= y else (y, x)
     for _ in range(AGM_MAX_ITER):
         if a - b <= AGM_RTOL * a:
@@ -42,7 +48,7 @@ def ellip_k(r: float) -> float:
         raise DomainError(f"K(r) requires 0 <= r < 1, got {r!r}")
     # 1 - r is exact for r >= 1/2, so r' keeps its digits up to r < 1
     r_comp = math.sqrt((1.0 - r) * (1.0 + r))
-    return math.pi / (2.0 * agm(1.0, r_comp))
+    return math.pi / (2.0 * _agm(1.0, r_comp))
 
 
 def mu(r: float) -> float:
@@ -55,4 +61,4 @@ def mu(r: float) -> float:
     if not (0.0 < r < 1.0):
         raise DomainError(f"mu(r) requires 0 < r < 1, got {r!r}")
     r_comp = math.sqrt((1.0 - r) * (1.0 + r))
-    return 0.5 * math.pi * agm(1.0, r_comp) / agm(1.0, r)
+    return 0.5 * math.pi * _agm(1.0, r_comp) / _agm(1.0, r)

@@ -42,7 +42,7 @@ import math
 import sys
 
 from . import pqfun, specfun
-from .elliptic import agm
+from .elliptic import _agm
 from .errors import DomainError, RangeError
 
 # Largest |t| accepted by h / big_h; e^700 is still finite and the
@@ -147,13 +147,13 @@ def h(t: float) -> float:
 
     Strictly decreasing in |t| from h(0) = 1/(2 C0) to 0;  t h(t) < 1/2.
     """
-    return _h(_check_t(t), math.sqrt, agm)
+    return _h(_check_t(t))
 
 
-def _h(t, sqrt, agm):
-    """h at a checked float t by math.sqrt and elliptic.agm, or at every
-    point of a checked array by np.sqrt and _arrays._agm_many (the square
-    roots of both round correctly)."""
+def _h(t, sqrt=math.sqrt, agm=_agm):
+    """h at a checked float t by math.sqrt and elliptic's AGM core, or at
+    every point of a checked array by np.sqrt and _arrays._agm_many (the
+    square roots of both round correctly)."""
     w = specfun.pointwise(math.exp, -abs(t))
     root = sqrt(1.0 + w)
     # the moduli 1/sqrt(1+e^{|t|}) and 1/sqrt(1+e^{-|t|})
@@ -214,7 +214,7 @@ def _varphi(t: float) -> float:
     s = 0.5 * t
     if s >= VARPHI_CLOSED_S:
         return _varphi_closed(t)
-    return _varphi_agm(s, math.sqrt, agm)
+    return _varphi_agm(s, math.sqrt, _agm)
 
 
 def _varphi_taylor(t):

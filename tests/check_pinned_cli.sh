@@ -13,11 +13,12 @@
 # figure1 twice, so that the second run reads the array forms' memo.
 # bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
-# order; N = 2 and 10 take the list route of the queries, N = 40 the
-# array route.  PUNCTMETRIC names the command (default: punctmetric;
-# from a checkout, PUNCTMETRIC="python -m punctmetric.cli" with
-# PYTHONPATH=src); PYTHON names the interpreter of the warm part
-# (default: python3).  Exits non-zero at the first difference.
+# order; N = 2 and 10 take the list route of the queries, N = 40 and
+# the 400 clustered punctures the array route.  PUNCTMETRIC names the
+# command (default: punctmetric; from a checkout,
+# PUNCTMETRIC="python -m punctmetric.cli" with PYTHONPATH=src); PYTHON
+# names the interpreter of the warm part (default: python3).  Exits
+# non-zero at the first difference.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # pytest's filterwarnings does not reach these processes
@@ -65,6 +66,7 @@ pinned() {
 bounds() {
   pinned pair ten | diff - tests/data/bounds_cli.jsonl
   pinned forty | diff - tests/data/bounds_cli_forty.jsonl
+  pinned clusters | diff - tests/data/bounds_cli_clusters.jsonl
 }
 
 scalar() {

@@ -7,6 +7,7 @@ not against the oracle.
 """
 
 import cmath
+import itertools
 import math
 import sys
 import tracemalloc
@@ -398,10 +399,13 @@ def _pair_loop_rho_bounds(dom, z):
 _ROUTES = (0, bounds._LISTS_BELOW)
 
 
-def _assert_matches_pair_loop(pts, z, block=bounds._BLOCK):
+def _assert_matches_pair_loop(pts, z, *blocks):
+    """Both routes against the pair loop, at each of blocks (the default
+    _BLOCK where none is given)."""
     dom = bounds.PuncturedDomain(pts)
     want = _pair_loop_rho_bounds(dom, complex(z))
-    for lists_below in _ROUTES:
+    for block, lists_below in itertools.product(blocks or (bounds._BLOCK,),
+                                                _ROUTES):
         with mock.patch.object(bounds, "_BLOCK", block), \
                 mock.patch.object(bounds, "_LISTS_BELOW", lists_below):
             got = bounds.rho_bounds(dom, z)
@@ -639,13 +643,71 @@ def _assert_matches_the_exact_search(pts, zs):
             assert got == bounds.rho_bounds(dom, z)
 
 
+def _outside(pts):
+    """Points outside the cloud of pts: just past the unit disk, and past
+    the largest modulus.  Far rows decide the upper end there, and the
+    neighbour search drops them through its witness columns."""
+    rmax = max(map(abs, pts))
+    return [cmath.rect(1.5, 0.7), cmath.rect(1.5, -1.9), pts[-1] * 1.5,
+            cmath.rect(1.5 * rmax, 2.0)]
+
+
 @pytest.mark.parametrize("layout", ("uniform", "clustered", "geometric"))
 def test_rho_large_domains_match_the_exact_search(layout):
     rng = np.random.default_rng(20261018)
     pts = _layout(layout, 1000, rng)
-    zs = [pts[7] + 1e-3, 0.3 - 0.2j, pts[500] * (1.0 + 1e-9j),
-          pts[-1] * 1.5]
-    _assert_matches_the_exact_search(pts, zs)
+    zs = [pts[7] + 1e-3, 0.3 - 0.2j, pts[500] * (1.0 + 1e-9j)]
+    _assert_matches_the_exact_search(pts, zs + _outside(pts))
+
+
+@pytest.mark.parametrize("layout", ("uniform", "clustered", "geometric"))
+def test_rho_outside_the_cloud_in_small_blocks(layout):
+    # at _BLOCK 1 a chunk holds one column, so at most one witness
+    rng = np.random.default_rng(20261018)
+    pts = _layout(layout, 1000, rng)
+    for z in _outside(pts)[::2]:
+        _assert_matches_pair_loop(pts, z, 1, 7)
+
+
+def test_rho_witnesses_drop_a_cluster_in_a_few_chunks():
+    # z outside a clustered cloud: every chunk completes one row by a
+    # scan of it, and the punctures that bracket that row's d join the
+    # next chunk, so the rows of its cluster drop together.  Visiting
+    # the columns by distance from z alone took 15-24 scans here.
+    rng = np.random.default_rng(20261018)
+    pts = _layout("clustered", 1000, rng)
+    dom = bounds.PuncturedDomain(pts)
+    for z in _outside(pts)[:3]:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x, y, d = bounds._nearest_first(dom, z)
+            with mock.patch.object(bounds, "_row_bracket",
+                                   wraps=bounds._row_bracket) as scans:
+                exact = bounds._neighbours(x, y, d)[2]
+        assert scans.call_count == exact.size <= 8
+
+
+def test_row_bracket_is_the_rows_bracket_with_its_witnesses():
+    # one row's bracket has the bits of the batched form, and its
+    # witnesses hold it: both sides, a missing side, and distances that
+    # overflow, on the side above and as the whole row
+    rng = np.random.default_rng(20261018)
+    cases = [(_layout("uniform", 50, rng), 0.2 + 0.1j),
+             (_layout("uniform", 50, rng), 40.0),
+             ([0.9e308, -0.9e308, 0.9e308 + 6.7e301], 0.9e308 - 4e306),
+             ([-1e308, 1e308, 0.0], 0.9e308)]
+    for pts, z in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y, d = bounds._nearest_first(
+                bounds.PuncturedDomain(pts), z)
+            lo, hi = bounds._rows_bracket(x, y, d, np.arange(len(pts)))
+            r = np.hypot(x - x[:, None], y - y[:, None])
+            got = [bounds._row_bracket(x, y, d, a) for a in range(len(pts))]
+        for a, got in enumerate(got):
+            want = lo[a].item(), hi[a].item()
+            assert np.array_equal(got[:2], want, equal_nan=True), (pts, a)
+            for side, w in zip(want, got[2:]):
+                assert (w is None) == math.isnan(side)
+                assert w is None or (w != a and r[a, w] == side)
 
 
 def test_rho_filter_needs_no_fallback_on_an_ordinary_domain():
@@ -832,7 +894,7 @@ def test_sigma_visits_only_the_punctures_it_needs():
         want = _pair_loop_rho_bounds(dom, complex(z)).lower
         with mock.patch.object(bounds, "_neighbours",
                                side_effect=AssertionError), \
-                mock.patch.object(metric, "h", wraps=metric.h) as h:
+                mock.patch.object(metric, "_h", wraps=metric._h) as h:
             assert bounds.sigma_lower(dom, z) == want
         assert 1 <= h.call_count < len(_SPREAD)
 
@@ -923,7 +985,7 @@ def test_lower_walk_scans_at_most_twice_the_rows_it_visits(query):
                                wraps=bounds._rows_bracket) as batches, \
                 mock.patch.object(bounds, "_row_bracket",
                                   wraps=bounds._row_bracket) as singles, \
-                mock.patch.object(metric, "h", wraps=metric.h) as h:
+                mock.patch.object(metric, "_h", wraps=metric._h) as h:
             query(dom, z)
         if query is bounds.sigma_lower:
             rows = (singles.call_count

@@ -7,6 +7,7 @@ failure, 2 usage errors (argparse exits via SystemExit).
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -347,9 +348,12 @@ def test_bounds_sigma(capsys, tmp_path):
 # The domains and points of the CI step that diffs the installed console
 # script's output against the pinned files, in its order: the two- and
 # ten-puncture domains take the list route of the queries, the
-# forty-puncture one (the ten and 30 more) the array route.
+# forty-puncture one (the ten and 30 more) the array route, and so does
+# the 400 punctures in eight clusters of tests/make_domain_clusters.py,
+# where most points lie outside the clusters.
 PINNED_BOUNDS = (("bounds_cli.jsonl", ("pair", "ten")),
-                 ("bounds_cli_forty.jsonl", ("forty",)))
+                 ("bounds_cli_forty.jsonl", ("forty",)),
+                 ("bounds_cli_clusters.jsonl", ("clusters",)))
 PINNED_BOUNDS_Z = ("-1,0", "0.5,0.8660254037844386", "3,2", "1e-300,0",
                    "-1e9,0", "0.1,0.2",
                    "-0.016218728184858068,-0.26770582777249746")
@@ -375,6 +379,13 @@ def test_bounds_output_is_pinned(capsys):
                     out.append(text)
         with open(os.path.join(DATA, pinned), "rb") as fh:
             assert "".join(out).encode() == fh.read(), pinned
+
+
+def test_clusters_domain_is_its_script():
+    script = runpy.run_path(os.path.join(os.path.dirname(DATA),
+                                         "make_domain_clusters.py"))
+    with open(script["PATH"]) as fh:
+        assert fh.read() == script["text"]()
 
 
 def test_bounds_z_at_puncture_rc1(capsys, tmp_path):

@@ -6,12 +6,13 @@ the elliptic-integral formulas.
 
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from punctmetric import metric, pqfun
+from punctmetric import elliptic, metric, pqfun, specfun
 from punctmetric.errors import DomainError, RangeError
 
 HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
@@ -242,6 +243,21 @@ def test_lower_bound_wrappers():
             metric.lambda01_lower(bad)
         with pytest.raises(DomainError, match="w must be a finite complex"):
             metric.d01_lower(2.0, bad)
+
+
+@pytest.mark.parametrize("call, args", (
+    (metric.h, (0.3,)), (metric.h, (-40.0,)), (metric.big_h, (2.5,)),
+    (metric.varphi, (3.0,)), (metric.varphi, (0.01,)),
+    (metric.phi_func, (3.0,)), (elliptic.ellip_k, (0.5,)),
+    (elliptic.mu, (0.3,)), (elliptic.agm, (1.0, 0.3)),
+))
+def test_kernels_convert_their_own_arguments_only(call, args):
+    # the AGMs inside run on elliptic's unchecked core, so a public call
+    # converts and checks its arguments and nothing it made itself
+    with mock.patch.object(specfun, "to_float",
+                           wraps=specfun.to_float) as to_float:
+        call(*args)
+    assert to_float.call_count == len(args)
 
 
 def test_domain_and_range_guards():
