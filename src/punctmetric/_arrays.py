@@ -3,11 +3,12 @@ numpy.  Those modules hand out these names on first use (PEP 562), so
 ``import punctmetric`` and the scalar calls run without numpy.
 
 ``_array_form`` is the one driver of every array form of ``hyp2f1``,
-``pqfun`` and ``metric``: the array computation serves what it can, and
-every other point takes its scalar call.  It keys each point on its
-bits (``_distinct``), and holds what the array code gave at each point
-of a form and its parameters in one memo of at most MEMO_CELLS cells,
-so that each distinct point runs once per process.
+``pqfun`` and ``metric``: the array computation serves each distinct
+point of a call once (``_distinct`` keys points on their bits), and
+every other point takes its scalar call.  It keeps whole calls, not
+points: one memo of at most MEMO_CELLS cells holds the results of each
+call made from outside array code, so that a repeated call runs once
+per process.
 """
 
 from __future__ import annotations
@@ -36,25 +37,28 @@ def as_points(xs) -> np.ndarray:
 
 
 def _distinct(*keys: np.ndarray):
-    """The indices of the first occurrences of the distinct points of
-    1-d float arrays of one length, in the caller's order, a point being
-    its values in ``keys``; slice(None) where no point repeats.  Points
-    are keyed on their bits, so 0.0 and -0.0 stay apart."""
+    """(first, group): the indices of the first occurrences of the
+    distinct points of 1-d float arrays of one length, in the caller's
+    order, a point being its values in ``keys``, and for each point the
+    index in ``first`` of its own; slice(None) for both where no point
+    repeats.  Points are keyed on their bits, so 0.0 and -0.0 stay
+    apart."""
     bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
-    # a stable sort by the first key, the kind _sorted runs, so that a
-    # process touches one numpy sort kernel; equal points then sit
-    # together, the first occurrence first, unless equal first keys
-    # come with other later keys, which all keys sort
+    # a stable sort by the first key: equal points then sit together,
+    # the first occurrence first, unless equal first keys come with
+    # other later keys, which all keys sort
     order = np.argsort(bits[0], kind="stable")
     new = _changes(bits, order)
     if len(bits) > 1 and (new != _changes(bits[:1], order)).any():
         order = np.lexsort(bits[::-1])
         new = _changes(bits, order)
     if new.all():
-        return slice(None)
+        return slice(None), slice(None)
     first = np.zeros(order.size, dtype=bool)
     first[order[new]] = True
-    return np.flatnonzero(first)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = (np.cumsum(first) - 1)[order[new]][np.cumsum(new) - 1]
+    return np.flatnonzero(first), group
 
 
 def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
@@ -67,59 +71,15 @@ def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return new
 
 
-# The array code's results per form and parameters, as a table of
-# columns: each point's bits, a uint64 column per key, then its results
-# and served flag, its rows sorted on the first key.  A table is replaced
-# whole, never written in place.
+# The results of each array-form call made from outside array code, keyed
+# on its form and parameters and the bytes of its key arrays.  A call that
+# array code makes inside another form's lanes_of is not kept: its outer
+# call, once kept, never runs again.  While lanes_of runs, _memo is None.
 _memo: dict = {}
-# Cells the memo may hold, a cell being one column of one row (8 bytes at
-# most).  Past it the memo starts over; a call that holds more alone is
+# Cells the memo may hold, a cell being one point's key or result (8 bytes
+# at most).  Past it the memo starts over; a call that holds more alone is
 # served but not stored.
 MEMO_CELLS = 1 << 18
-
-
-def _cells(table: tuple) -> int:
-    return table[0].size * len(table)
-
-
-def _find(table: tuple, bits: list) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, at): whether table holds each point, given by its bits per
-    key, and at which row.  Rows of one first key sit together, so a
-    point whose first key is held with other later keys scans them."""
-    first = table[0]
-    # searched below the last row, every point lands on a row: its own
-    # where held, the last one past every held key
-    at = np.searchsorted(first[:-1], bits[0])
-    hit = first[at] == bits[0]
-    if len(bits) == 1:
-        return hit, at
-    same = hit.copy()
-    for col, b in zip(table[1:], bits[1:]):
-        hit &= col[at] == b
-    for i in np.flatnonzero(same & ~hit).tolist():
-        rows = np.arange(at[i], np.searchsorted(first, bits[0][i], "right"))
-        for col, b in zip(table[1:], bits[1:]):
-            rows = rows[col[rows] == b[i]]
-        if rows.size:
-            hit[i], at[i] = True, rows[0]
-    return hit, at
-
-
-def _sorted(table: tuple) -> tuple:
-    order = np.argsort(table[0], kind="stable")
-    return tuple(col[order] for col in table)
-
-
-def _keep(key: str, table: tuple, chunk: tuple) -> None:
-    """Hold table under key; past MEMO_CELLS, start over with the call's
-    new points, or hold nothing new where they alone pass it."""
-    if _cells(chunk) > MEMO_CELLS:
-        return
-    _memo.pop(key, None)
-    if sum(map(_cells, _memo.values())) + _cells(table) > MEMO_CELLS:
-        _memo.clear()
-        table = _sorted(chunk)
-    _memo[key] = table
 
 
 def _array_form(form: tuple, keys, valid: np.ndarray, lanes_of, scalar,
@@ -127,45 +87,52 @@ def _array_form(form: tuple, keys, valid: np.ndarray, lanes_of, scalar,
     """The one driver of the array forms: arrays of the given dtypes
     with the results at every point, a point being its values in the
     1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
-    points where ``valid`` holds, then where each is served (True for
-    all); where it raises a typed error, or math's OverflowError (as a
-    connection prefactor may), it serves no point.  It runs once per
-    process on each distinct point of the form and parameters ``form``,
-    which must fix the results at every point: a repeat, in this call or
-    a later one, takes the results of its first occurrence from the
-    memo.  Every point not served, in index order, takes what
-    scalar(*point) returns at Python floats, or raises its error.  So a
-    batch returns what a loop of scalar calls returns, and raises that
-    loop's first error."""
+    distinct points where ``valid`` holds, each once, then where each
+    is served (True for all); where it raises a typed error, or math's
+    OverflowError (as a connection prefactor may), it serves no point.
+    Every point not served, in index order, takes what scalar(*point)
+    returns at Python floats, or raises its error.  So a batch returns
+    what a loop of scalar calls returns, and raises that loop's first
+    error.  The form and parameters ``form`` must fix the results at
+    every point: a call from outside array code that returns is kept
+    whole, and a repeat of it, the same form at the same key bits,
+    returns copies of its results and runs nothing."""
+    global _memo
+    memo, key = _memo, None
+    if memo is not None:
+        # repr keeps 1 and 1.0 apart, the bytes 0.0 and -0.0
+        key = (repr(form), *(k.tobytes() for k in keys))
+        if key in memo:
+            return [out.copy() for out in memo[key]]
     full = [np.zeros(valid.size, dtype) for dtype in dtypes]
     served = np.zeros(valid.size, dtype=bool)
     at = slice(None) if valid.all() else np.flatnonzero(valid)
     points = [k[at] for k in keys]
-    key = repr(form)  # keeps 0.0 and -0.0, or 1 and 1.0, apart
-    bits = [np.ascontiguousarray(p).view(np.uint64) for p in points]
-    table = _memo.get(key, ())
-    hit, rows = (_find(table, bits) if table
-                 else (np.zeros(points[0].size, dtype=bool), None))
-    if not hit.all():
-        new = np.flatnonzero(~hit)
-        new = new[_distinct(*(p[new] for p in points))]
+    first, group = _distinct(*points)
+    if points[0].size:
+        _memo = None
         try:
-            *lanes, ok = lanes_of(*(p[new] for p in points))
+            *lanes, ok = lanes_of(*(p[first] for p in points))
         except (PunctMetricError, OverflowError):
-            table = ()  # no point served
+            pass  # no point served
         else:
-            chunk = (*(b[new] for b in bits), *lanes,
-                     np.broadcast_to(ok, new.shape))
-            table = _sorted(tuple(map(np.concatenate, zip(table, chunk)))
-                            if table else chunk)
-            rows = _find(table, bits)[1]
-            _keep(key, table, chunk)
-    for out, col in zip(full + [served], table[len(keys):]):
-        out[at] = col[rows]
+            lanes.append(np.broadcast_to(ok, lanes[0].shape))
+            for out, lane in zip(full + [served], lanes):
+                out[at] = lane[group]
+        finally:
+            _memo = memo
     for i in np.flatnonzero(~served).tolist():
         for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
             out[i] = v
-    return full
+    if key is None:
+        return full
+    cells = valid.size * (len(keys) + len(full))
+    if cells <= MEMO_CELLS:
+        if cells + sum(v[0].size * (len(k) - 1 + len(v))
+                       for k, v in memo.items()) > MEMO_CELLS:
+            memo.clear()
+        memo[key] = full
+    return [out.copy() for out in full]
 
 
 # metric: h, H, H' and varphi at every point of a 1-d array, to the bit

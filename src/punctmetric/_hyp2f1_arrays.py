@@ -55,10 +55,11 @@ from .hyp2f1 import (
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
-# scalar call's bits.  Every entry point runs through specfun's one
-# array-form driver under a key of its name and parameters, so each
-# distinct point in its domain is summed once per process, keyed on its
-# bits and held in the driver's memo (``_arrays.MEMO_CELLS``).  The
+# scalar call's bits.  Every entry point runs through the one array-form
+# driver (``_arrays._array_form``) under a key of its name and
+# parameters: each distinct point of a call in its domain, keyed on its
+# bits, is summed once, and a call repeated from outside array code is
+# served whole from the driver's memo (``_arrays.MEMO_CELLS``).  The
 # lockstep sums routes only: a lane that hands over is not served (a
 # log sum that stalls or cancels, a connection formula that cancels or
 # whose series fails, 1-u = 1 on the direct route, a series that
@@ -421,7 +422,7 @@ def f21_many(p: HypParams, xs) -> EvalResults:
     gets the value, estimate, term count and method of its f21 call, to
     the bit, and the batch raises what the first failing point would."""
     xs = as_points(xs)
-    # objects, so that a memo row holds a reference to a shared name
+    # objects, so that each point's method is a reference to a shared name
     methods = np.array([METHOD_DIRECT, {
         "connection": METHOD_CONNECTION,
         "log": METHOD_ZB_LOG}.get(_route(p)[0], METHOD_DIRECT)], dtype=object)

@@ -681,7 +681,6 @@ def _run_th_increasing(params: dict, grid: GridSpec) -> Outcome:
 
 
 def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
-    pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     ts = grid.points()
     two_c0 = 2.0 * metric.c0()
 
@@ -699,7 +698,8 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
     ps = np.array(pos)
     m, lin = _midpoints(ts[:-2], ts[2:])
     ex, pe_s, pe_t, pe_m = _sampled(
-        functools.partial(pqfun.p_excess_many, pr), ps, ts[:-2], ts[2:], m)
+        functools.partial(pqfun.p_excess_many, metric._HALF),
+        ps, ts[:-2], ts[2:], m)
     return _outcome(
         "H h = 1 (dev {ident}); H(0)/2C0 - 1 = {h0_dev:.3e}; even (dev "
         "{even}); increasing in |t| (step {grow}); midpoint convex via the "
@@ -752,10 +752,9 @@ def _run_weighted_extremum(params: dict, grid: GridSpec) -> Outcome:
 
 
 def _run_hempel_sandwich(params: dict, grid: GridSpec) -> Outcome:
-    pr = pqfun.ZeroBalancedPair(params["a"], params["b"])
     gap = metric.c0() - math.log(16.0)
     ts = _points_inside(grid, math.inf)
-    pe = pqfun.p_excess_many(pr, ts)
+    pe = pqfun.p_excess_many(metric._HALF, ts)
     return _outcome(
         "1/(t+C0) < 2h(t) < 1/(t+log 16) as H between 2(t+log 16) and "
         "2(t+C0); min lower margin {lo} (decays like t e^-t, computed "
@@ -881,7 +880,7 @@ _REGISTRY: dict[str, CheckDef] = {
         GridSpec(1e-3, 50.0, 150, "log"), 0.0),
     "thm_c212_2": CheckDef(
         _run_big_h_shape,
-        {"a": 0.5, "b": 0.5},
+        {},
         GridSpec(-20.0, 20.0, 161), 1e-13),
     "thm_c212_3": CheckDef(
         _run_big_h_prime,
@@ -893,7 +892,7 @@ _REGISTRY: dict[str, CheckDef] = {
         GridSpec(0.0, 20.0, 2001), 0.0),
     "thm_c212_5": CheckDef(
         _run_hempel_sandwich,
-        {"a": 0.5, "b": 0.5},
+        {},
         GridSpec(1e-4, 100.0, 200, "log"), 0.0),
     "kustner_total_monotone": CheckDef(
         _run_kustner,

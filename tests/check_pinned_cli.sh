@@ -6,7 +6,9 @@
 # verify: both suites, and the strict one reached through
 # PUNCTURED_METRIC_TOL; then, warm, one interpreter running
 # punctmetric.cli.main on default, strict, default and strict, so that
-# the later runs read the array forms' memo and verify's caches.
+# the later runs read the array forms' memo and verify's caches, and
+# then on every check alone under each suite (verify --check NAME), as
+# perfbench's verify operations run them, each line against its row.
 # scalar: eval of every evaluator (f21 on each
 # of its routes), constants, bounds ring --compare and a short figure1;
 # then, warm, one interpreter running punctmetric.cli.main on that
@@ -37,13 +39,20 @@ verify() {
 import contextlib
 import sys
 
+from punctmetric import verify
 from punctmetric.cli import main
 
-for i, suite in enumerate(("default", "strict", "default", "strict")):
-    with open(f"{sys.argv[1]}/{i}_{suite}", "w") as out, \
+# one file per suite run: four whole suites, then each suite's checks
+# one at a time, in the pinned files' order
+runs = [[["verify", "--suite", suite]] for suite in ("default", "strict") * 2]
+runs += [[["verify", "--check", name, "--suite", suite]
+          for name in verify.check_names()] for suite in ("default", "strict")]
+for i, argvs in enumerate(runs):
+    with open(f"{sys.argv[1]}/{i}_{argvs[0][-1]}", "w") as out, \
             contextlib.redirect_stdout(out):
-        if main(["verify", "--suite", suite]):
-            sys.exit(f"verify --suite {suite} failed, run {i + 1} of 4")
+        for argv in argvs:
+            if main(argv):
+                sys.exit(f"{' '.join(argv)} failed, run {i + 1} of 6")
 EOF
   for out in "$warm"/*; do
     diff "$out" "tests/data/verify_${out##*_}.jsonl"

@@ -90,14 +90,18 @@ def test_mixed_m_log_run_matches_scalar_loops(data):
 
 def test_distinct_keys_points_on_their_bits():
     xs = np.array([0.5, -0.0, 0.25, 0.0, 0.5, -0.0, 0.25, 1.0])
-    # first occurrences, in order
-    assert specfun._distinct(xs).tolist() == [0, 1, 2, 3, 7]
+    # first occurrences, in order, and each point's place among them
+    first, group = specfun._distinct(xs)
+    assert first.tolist() == [0, 1, 2, 3, 7]
+    assert group.tolist() == [0, 1, 2, 3, 0, 1, 2, 4]
+    assert _bits(xs[first][group]) == _bits(xs)
     # a point is all its keys: equal u with another ell is another point
     u = np.array([0.1, 0.1, 0.1])
     ell = np.array([2.0, 3.0, 2.0])
-    assert specfun._distinct(u, ell).tolist() == [0, 1]
+    first, group = specfun._distinct(u, ell)
+    assert first.tolist() == [0, 1] and group.tolist() == [0, 1, 0]
     xs = np.arange(4.0)
-    assert xs[specfun._distinct(xs)].tolist() == xs.tolist()
+    assert specfun._distinct(xs) == (slice(None), slice(None))
 
 
 _REPEATS = [0.3, -0.0, 0.0, 0.3, 0.9, 0.0, 0.9, -0.0, 0.3, 0.75, 0.75]

@@ -1,11 +1,12 @@
-"""The array forms' memo: each distinct point of a form and its
-parameters runs once per process, up to ``_arrays.MEMO_CELLS``.
+"""The array forms' memo: each call made from outside array code is
+kept whole, up to ``_arrays.MEMO_CELLS``, and a repeat of it runs once
+per process.
 
 A warm call must return what the cold call returned, to the bit, and
-run no array code (no lockstep, no AGM); a call that overlaps an
-earlier one must sum its new points alone; and every batch must still
-return, or raise, what a loop of scalar calls would.  conftest.py
-empties the memo after each test.
+run no array code (no lockstep, no AGM); a call that raises, or that
+array code makes inside another form, keeps nothing; and every batch
+must still return, or raise, what a loop of scalar calls would.
+conftest.py empties the memo after each test.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from punctmetric import _arrays, hyp2f1, metric, pqfun, verify
-from punctmetric.errors import PunctMetricError
+from punctmetric.errors import DomainError, PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 from punctmetric.pqfun import ZeroBalancedPair
 
@@ -142,47 +143,6 @@ def test_a_second_pass_of_both_suites_runs_no_array_code(lanes, agm):
     assert 0 < _held_cells() < _arrays.MEMO_CELLS
 
 
-def test_an_overlapping_batch_sums_its_new_points_alone(lanes):
-    p = HypParams(2.0, 3.0, 4.5)  # one direct run below 1/2
-    old = np.linspace(0.01, 0.45, 10)
-    new = np.array([0.05, 0.15, 0.35])
-    hyp2f1.f21_many(p, old)
-    del lanes[:]
-    xs = np.concatenate((old[::2], new, new[:1], old[1::2]))
-    got = hyp2f1.f21_many(p, xs)
-    assert lanes == [3]
-    assert _bits(got.value) == _bits(hyp2f1.f21(p, x).value for x in xs)
-    assert got.terms_used.tolist() == [hyp2f1.f21(p, x).terms_used
-                                       for x in xs]
-    for many, scalar in (
-            (lambda u: hyp2f1.zb_complement_sums_many(0.5, 0.5, u)[1],
-             lambda u: hyp2f1.zb_complement_sums(0.5, 0.5, u)[1]),
-            (lambda u: hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, u),
-             lambda u: hyp2f1.f21_minus_one(0.5, 0.7, 1.3, u))):
-        many(old)
-        del lanes[:]
-        assert _bits(many(xs)) == _bits(scalar(x) for x in xs)
-        assert lanes == [3]
-
-
-def test_an_overlapping_lo_hi_batch_sums_its_new_points_alone(monkeypatch):
-    jobs = []
-    direct_many = hyp2f1._direct_many
-    monkeypatch.setattr(hyp2f1, "_direct_many",
-                        lambda js: jobs.append(js) or direct_many(js))
-    ps = (HypParams(0.5, 0.5, 1.0), HypParams(0.5, 0.5, 2.0))
-    hyp2f1._lo_hi_many(ps, _LO[:20], _ELL[:20])
-    del jobs[:]
-    got = hyp2f1._lo_hi_many(ps, _LO[::-1], _ELL[::-1])
-    # the log routes sum no direct series: the run holds F(p; lo) alone
-    assert len(jobs) == 1
-    assert [_bits(j[3]) for j in jobs[0]] == [_bits(_LO[:19:-1])] * 2
-    assert [_bits(g) for g in got] == (
-        [_bits(hyp2f1.f21(p, lo).value for lo in _LO[::-1]) for p in ps]
-        + [_bits(hyp2f1.f21_from_complement(p, lo, ell).value
-                 for lo, ell in zip(_LO[::-1], _ELL[::-1])) for p in ps])
-
-
 _FAILING = HypParams(400.0, 300.0, 10.0)  # overflows at x = 0.5 and 0.9
 
 
@@ -195,8 +155,9 @@ _FAILING = HypParams(400.0, 300.0, 10.0)  # overflows at x = 0.5 and 0.9
 ])
 def test_warm_batches_return_or_raise_as_the_scalar_loop(xs, lanes):
     want = _outcome(lambda: [hyp2f1.f21(_FAILING, x) for x in xs])
-    hyp2f1.f21_many(_FAILING, [0.1, 0.2, 0.3])  # warm some points
-    for _ in range(2):  # the second time with every point held
+    hyp2f1.f21_many(_FAILING, [0.1, 0.2, 0.3])  # keep another call
+    held = dict(_arrays._memo)
+    for _ in range(2):  # the second time kept, where the first returned
         got = _outcome(lambda: hyp2f1.f21_many(_FAILING, np.array(xs)))
         if isinstance(want, tuple):
             assert got == want
@@ -204,35 +165,69 @@ def test_warm_batches_return_or_raise_as_the_scalar_loop(xs, lanes):
             assert _bits(got.value) == _bits(r.value for r in want)
     summed = len(lanes)
     _outcome(lambda: hyp2f1.f21_many(_FAILING, np.array(xs)))
-    assert len(lanes) == summed
-    # points out of range are no table's rows
-    held = [t for k, t in _arrays._memo.items() if "f21_many" in k]
-    assert held and all(np.isfinite(t[0].view(float)).all()
-                        and (t[0].view(float) < 1.0).all() for t in held)
+    # a call that raises keeps nothing, so it sums again
+    assert (len(lanes) > summed) == isinstance(want, tuple)
+    assert len(_arrays._memo) == len(held) + (not isinstance(want, tuple))
+    assert all(_arrays._memo[k] is t for k, t in held.items())
 
 
-def test_plus_and_minus_zero_are_two_points(lanes):
+def test_a_call_that_raises_keeps_nothing(lanes):
+    p = HypParams(2.0, 3.0, 4.5)
+    hyp2f1.f21_many(p, [0.1, 0.2])
+    held = dict(_arrays._memo)
+    for _ in range(2):  # the same typed error at the same point each time
+        del lanes[:]
+        with pytest.raises(DomainError, match="got 1.5"):
+            hyp2f1.f21_many(p, [0.3, 0.9, 0.2, 1.5, 0.4])
+        assert lanes  # summed again: the lanes ran before the loop raised
+        assert list(_arrays._memo) == list(held)
+        assert all(_arrays._memo[k] is t for k, t in held.items())
+    # the points before the error are no kept call's results
+    del lanes[:]
+    hyp2f1.f21_many(p, [0.3, 0.9, 0.2])
+    assert lanes and len(_arrays._memo) == 2
+
+
+def test_an_inner_call_is_not_kept(lanes):
+    # p_func runs _lo_hi_many inside its own lanes: only p_func is kept
+    cold = pqfun.p_func_many(_PR, _TS)
+    assert lanes
+    assert [k[0] for k in _arrays._memo] == [repr(("p_func", _PR))]
+    del lanes[:]
+    assert _bits(pqfun.p_func_many(_PR, _TS)) == _bits(cold)
+    assert lanes == []
+    # the same inner call made from outside is kept
+    ps, lo = (HypParams(0.5, 0.5, 1.0),), np.linspace(0.05, 0.5, 7)
+    hyp2f1._lo_hi_many(ps, lo, -np.log(lo))
+    assert [k[0] for k in _arrays._memo] == [
+        repr(("p_func", _PR)), repr(("_lo_hi_many", ps))]
+
+
+def test_plus_and_minus_zero_are_two_calls_and_two_points(lanes):
     p = HypParams(2.0, 3.0, 4.5)
     hyp2f1.f21_many(p, [0.0])
     hyp2f1.f21_many(p, [-0.0])
     assert lanes == [1, 1]
     got = hyp2f1.f21_many(p, [-0.0, 0.0, -0.0])
-    assert lanes == [1, 1]
+    assert lanes == [1, 1, 2]
     assert _bits(got.value) == _bits([hyp2f1.f21(p, 0.0).value] * 3)
-    (table,) = _arrays._memo.values()
-    assert sorted(_bits(table[0].view(float))) == sorted(_bits([0.0, -0.0]))
+    assert len(_arrays._memo) == 3
+    hyp2f1.f21_many(p, [-0.0])
+    assert lanes == [1, 1, 2]
 
 
-def test_equal_lo_with_another_ell_is_another_point(lanes):
+def test_equal_lo_with_another_ell_is_another_call_and_point(lanes):
     ps = (HypParams(0.5, 0.5, 1.0),)
     lo = np.array([0.1, 0.1, 0.2])
     ell = np.array([2.0, 3.0, 1.5])
     hyp2f1._lo_hi_many(ps, lo[:1], ell[:1])
-    hyp2f1._lo_hi_many(ps, lo[1:], ell[1:])
     summed = len(lanes)
-    # every point held, (0.1, 3.0) found past (0.1, 2.0) of the same lo
+    hyp2f1._lo_hi_many(ps, lo[1:2], ell[1:2])
+    assert len(lanes) > summed and len(_arrays._memo) == 2
+    # one call: (0.1, 3.0) is summed beside (0.1, 2.0), each once
+    del lanes[:]
     got = hyp2f1._lo_hi_many(ps, lo[[1, 2, 0, 1]], ell[[1, 2, 0, 1]])
-    assert len(lanes) == summed
+    assert lanes and set(lanes) == {3}
     assert [_bits(g) for g in got] == [
         _bits(hyp2f1.f21(ps[0], lo[i]).value for i in (1, 2, 0, 1)),
         _bits(hyp2f1.f21_from_complement(ps[0], lo[i], ell[i]).value
@@ -241,7 +236,9 @@ def test_equal_lo_with_another_ell_is_another_point(lanes):
 
 
 def _held_cells():
-    return sum(map(_arrays._cells, _arrays._memo.values()))
+    """The memo's cells: one per point for each key array and result."""
+    return sum(v[0].size * (len(k) - 1 + len(v))
+               for k, v in _arrays._memo.items())
 
 
 def test_the_memo_never_passes_its_cells(monkeypatch, lanes):
@@ -258,27 +255,27 @@ def test_the_memo_never_passes_its_cells(monkeypatch, lanes):
         us = rng.uniform(0.0, 0.75, size)
         hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us)
         assert _held_cells() <= 120
-    # past the cap the memo starts over with the call's new points
+    # past the cap the memo starts over with the call
     _arrays._memo.clear()
-    us = np.linspace(0.01, 0.7, 50)  # 3 cells a point
-    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[:30])
-    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[20:])
-    (table,) = _arrays._memo.values()
-    assert _bits(table[0].view(float)) == _bits(us[30:])
+    us = np.linspace(0.01, 0.7, 50)  # 2 cells a point
+    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[:40])
+    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[25:])
+    (key,) = _arrays._memo
+    assert key[1] == us[25:].tobytes()
     del lanes[:]
-    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[30:])
-    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[:1])
-    assert lanes == [1]
+    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[25:])
+    hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, us[:40])
+    assert lanes == [40]
     # a call of more cells than the cap alone is served but not stored
     _arrays._memo.clear()
     hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, [0.1])
     held = dict(_arrays._memo)
-    xs = np.linspace(0.01, 0.7, 41)  # 41 points of 3 cells each
+    xs = np.linspace(0.01, 0.7, 61)  # 61 points of 2 cells each
     for _ in range(2):
         del lanes[:]
         got = hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, xs)
         assert _bits(got) == _bits(hyp2f1.f21_minus_one(0.5, 0.7, 1.3, x)
                                    for x in xs)
-        assert lanes == [41]
+        assert lanes == [61]
         assert list(_arrays._memo) == list(held)
         assert all(_arrays._memo[k] is t for k, t in held.items())

@@ -192,8 +192,11 @@ def test_k_max_is_a_whole_number():
 def test_unknown_parameter_is_refused():
     with pytest.raises(DomainError, match="known: a, b, c"):
         verify.run_check("lem_vaman_1", params={"A": 0.7})
-    with pytest.raises(DomainError, match="known: none"):
-        verify.run_check("thm_c212_1", params={"a": 0.5})
+    # the claims of thm_c212_2 and thm_c212_5 are about h, the pair (1/2, 1/2)
+    for name in ("thm_c212_1", "thm_c212_2", "thm_c212_5"):
+        with pytest.raises(DomainError,
+                           match="has no parameter 'a'; known: none"):
+            verify.run_check(name, params={"a": 1.0})
 
 
 @pytest.mark.parametrize("name,params", [

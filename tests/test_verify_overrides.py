@@ -50,8 +50,6 @@ PARAMS = {
     "thm_main2_qq": {"a": 0.3, "b": 1.7},
     "thm_main2_subadd": {"a": 1.0, "b": 2.0, "seed": 3, "pairs": 100},
     "thm_main2_qbounds": {"a": 1.0, "b": 2.0},
-    "thm_c212_2": {"a": 1.0, "b": 2.0},
-    "thm_c212_5": {"a": 1.0, "b": 2.0},
     "kustner_total_monotone": {"a": -0.5, "b": 1.0, "c": 2.0, "k_max": 3},
     "cor_phi_decreasing": {"seed": 9, "pairs": 100, "s_lo": 0.5,
                            "s_hi": 10.0},
@@ -76,8 +74,6 @@ REFUSED = {
     "thm_main2_qq": {"a": 0.0, "b": 1.0},
     "thm_main2_subadd": {"s_lo": 5.0, "s_hi": 1.0},
     "thm_main2_qbounds": {"a": 0.25, "b": 0.25},
-    "thm_c212_2": {"a": -0.5, "b": 0.5},
-    "thm_c212_5": {"a": 0.5, "b": 0.0},
     "kustner_total_monotone": {"a": -2.0, "b": 0.5, "c": 1.0},
     "cor_phi_decreasing": {"s_lo": 1.0, "s_hi": 1e308},
 }
