@@ -5,10 +5,9 @@ numpy.  Those modules hand out these names on first use (PEP 562), so
 ``_array_form`` is the one driver of every array form of ``hyp2f1``,
 ``pqfun`` and ``metric``: the array computation serves each distinct
 point of a call once (``_distinct`` keys points on their bits), and
-every other point takes its scalar call.  It keeps whole calls, not
-points: one memo of at most MEMO_CELLS cells holds the results of each
-call made from outside array code, so that a repeated call runs once
-per process.
+every other point takes its scalar call.  It keeps nothing between
+calls: the one cache of repeated work is verify's, of whole checks
+(``verify.run_check``).
 """
 
 from __future__ import annotations
@@ -71,18 +70,7 @@ def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return new
 
 
-# The results of each array-form call made from outside array code, keyed
-# on its form and parameters and the bytes of its key arrays.  A call that
-# array code makes inside another form's lanes_of is not kept: its outer
-# call, once kept, never runs again.  While lanes_of runs, _memo is None.
-_memo: dict = {}
-# Cells the memo may hold, a cell being one point's key or result (8 bytes
-# at most).  Past it the memo starts over; a call that holds more alone is
-# served but not stored.
-MEMO_CELLS = 1 << 18
-
-
-def _array_form(form: tuple, keys, valid: np.ndarray, lanes_of, scalar,
+def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
                 dtypes=(float,)) -> list[np.ndarray]:
     """The one driver of the array forms: arrays of the given dtypes
     with the results at every point, a point being its values in the
@@ -93,24 +81,13 @@ def _array_form(form: tuple, keys, valid: np.ndarray, lanes_of, scalar,
     Every point not served, in index order, takes what scalar(*point)
     returns at Python floats, or raises its error.  So a batch returns
     what a loop of scalar calls returns, and raises that loop's first
-    error.  The form and parameters ``form`` must fix the results at
-    every point: a call from outside array code that returns is kept
-    whole, and a repeat of it, the same form at the same key bits,
-    returns copies of its results and runs nothing."""
-    global _memo
-    memo, key = _memo, None
-    if memo is not None:
-        # repr keeps 1 and 1.0 apart, the bytes 0.0 and -0.0
-        key = (repr(form), *(k.tobytes() for k in keys))
-        if key in memo:
-            return [out.copy() for out in memo[key]]
+    error."""
     full = [np.zeros(valid.size, dtype) for dtype in dtypes]
     served = np.zeros(valid.size, dtype=bool)
     at = slice(None) if valid.all() else np.flatnonzero(valid)
     points = [k[at] for k in keys]
     first, group = _distinct(*points)
     if points[0].size:
-        _memo = None
         try:
             *lanes, ok = lanes_of(*(p[first] for p in points))
         except (PunctMetricError, OverflowError):
@@ -119,20 +96,10 @@ def _array_form(form: tuple, keys, valid: np.ndarray, lanes_of, scalar,
             lanes.append(np.broadcast_to(ok, lanes[0].shape))
             for out, lane in zip(full + [served], lanes):
                 out[at] = lane[group]
-        finally:
-            _memo = memo
     for i in np.flatnonzero(~served).tolist():
         for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
             out[i] = v
-    if key is None:
-        return full
-    cells = valid.size * (len(keys) + len(full))
-    if cells <= MEMO_CELLS:
-        if cells + sum(v[0].size * (len(k) - 1 + len(v))
-                       for k, v in memo.items()) > MEMO_CELLS:
-            memo.clear()
-        memo[key] = full
-    return [out.copy() for out in full]
+    return full
 
 
 # metric: h, H, H' and varphi at every point of a 1-d array, to the bit
@@ -161,7 +128,7 @@ def h_many(ts) -> np.ndarray:
     """h at every point of the 1-d array ts, to the bit."""
     ts = as_points(ts)
     return _array_form(
-        ("h_many",), (ts,), np.abs(ts) <= metric.T_CAP,
+        (ts,), np.abs(ts) <= metric.T_CAP,
         lambda t: (metric._h(t, np.sqrt, _agm_many), True),
         lambda t: (metric.h(t),))[0]
 
@@ -191,8 +158,8 @@ def varphi_many(ts) -> np.ndarray:
         out[agm_route] = metric._varphi_agm(s[agm_route], np.sqrt, _agm_many)
         return out, True
 
-    return _array_form(("varphi_many",), (ts,), (0.0 < ts) & (ts < np.inf),
-                       lanes_of, lambda t: (metric.varphi(t),))[0]
+    return _array_form((ts,), (0.0 < ts) & (ts < np.inf), lanes_of,
+                       lambda t: (metric.varphi(t),))[0]
 
 
 # pqfun: each function at every point of a 1-d array, to the bit of its
@@ -203,10 +170,8 @@ def _each(fn, args: tuple, points, valid=np.isfinite) -> np.ndarray:
     once on the points where ``valid`` holds, and every other point
     takes its float call, as does every point where fn raises."""
     arr = as_points(points)
-    return _array_form(
-        (fn.__name__, *args), (arr,), valid(arr),
-        lambda x: (fn(*args, x), True),
-        lambda x: (fn(*args, x),))[0]
+    return _array_form((arr,), valid(arr), lambda x: (fn(*args, x), True),
+                       lambda x: (fn(*args, x),))[0]
 
 
 def p_func_many(pr: pqfun.ZeroBalancedPair, ts) -> np.ndarray:

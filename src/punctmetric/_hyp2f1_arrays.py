@@ -56,15 +56,13 @@ from .hyp2f1 import (
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
 # scalar call's bits.  Every entry point runs through the one array-form
-# driver (``_arrays._array_form``) under a key of its name and
-# parameters: each distinct point of a call in its domain, keyed on its
-# bits, is summed once, and a call repeated from outside array code is
-# served whole from the driver's memo (``_arrays.MEMO_CELLS``).  The
-# lockstep sums routes only: a lane that hands over is not served (a
-# log sum that stalls or cancels, a connection formula that cancels or
-# whose series fails, 1-u = 1 on the direct route, a series that
-# overflows or runs out of terms), and where a prefactor or B(a, b)
-# overflows the run raises and serves no lane.
+# driver (``_arrays._array_form``): each distinct point of a call in its
+# domain, keyed on its bits, is summed once.  The lockstep sums routes
+# only: a lane that hands over is not served (a log sum that stalls or
+# cancels, a connection formula that cancels or whose series fails,
+# 1-u = 1 on the direct route, a series that overflows or runs out of
+# terms), and where a prefactor or B(a, b) overflows the run raises and
+# serves no lane.
 # Every point not served, and every point out of range, takes its
 # scalar call's result, point by point in index order.  So a batch
 # returns, and raises first, what a loop of scalar calls would.
@@ -440,7 +438,7 @@ def f21_many(p: HypParams, xs) -> EvalResults:
                 methods[near.view(np.int8)], out.served)
 
     return EvalResults(*_array_form(
-        ("f21_many", p), (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
+        (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
         lambda x: hyp2f1.f21(p, x),
         (float, float, np.int64, object)))
 
@@ -469,8 +467,8 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
         return (*values, served)
 
     return _array_form(
-        ("_lo_hi_many", ps), (lo, ell),
-        (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell), lanes_of,
+        (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),
+        lanes_of,
         lambda lo, ell: ([hyp2f1.f21(p, lo).value for p in ps]
                          + [hyp2f1.f21_from_complement(p, lo, ell).value
                             for p in ps]),
@@ -496,8 +494,8 @@ def zb_complement_sums_many(a: float, b: float,
                 ~stalled & np.isfinite(sums[5]) & np.isfinite(sums[0]))
 
     return tuple(_array_form(
-        ("zb_complement_sums_many", a, b), (u,), (0.0 <= u) & (u <= 0.75),
-        lanes_of, lambda u: hyp2f1.zb_complement_sums(a, b, u), (float, float)))
+        (u,), (0.0 <= u) & (u <= 0.75), lanes_of,
+        lambda u: hyp2f1.zb_complement_sums(a, b, u), (float, float)))
 
 
 def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
@@ -509,6 +507,5 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
         (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
         return total, np.isfinite(total) & ~stalled
 
-    return _array_form(
-        ("f21_minus_one_many", a, b, c), (x,), (0.0 <= x) & (x <= 0.75),
-        lanes_of, lambda x: (hyp2f1.f21_minus_one(a, b, c, x),))[0]
+    return _array_form((x,), (0.0 <= x) & (x <= 0.75), lanes_of,
+                       lambda x: (hyp2f1.f21_minus_one(a, b, c, x),))[0]

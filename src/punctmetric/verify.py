@@ -238,17 +238,9 @@ def _sampled(f_many: Callable[[np.ndarray], np.ndarray],
     return np.split(values, np.cumsum([len(p) for p in points[:-1]]))
 
 
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """table, made read-only: a cached table is shared."""
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(8)
 def _subadditive_pairs(s_lo, s_hi, seed, pairs, **_) -> np.ndarray:
     """The seeded random pairs (s, t) of a subadditivity claim, uniform on
-    [s_lo, s_hi]^2 and drawn pair by pair: their s and their t, read-only
-    and cached per process on a check's parameters.
+    [s_lo, s_hi]^2 and drawn pair by pair: their s and their t.
 
     The range must be finite, non-empty, and small enough that s + t
     stays finite; else DomainError.
@@ -259,7 +251,7 @@ def _subadditive_pairs(s_lo, s_hi, seed, pairs, **_) -> np.ndarray:
             f"got [{s_lo}, {s_hi}]")
     draw = random.Random(seed).random
     draws = [s_lo + (s_hi - s_lo) * draw() for _ in range(2 * pairs)]
-    return _frozen(np.reshape(draws, (-1, 2)).T)
+    return np.reshape(draws, (-1, 2)).T
 
 
 def _subadditive(s: np.ndarray, t: np.ndarray, f_s: np.ndarray,
@@ -344,12 +336,10 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-@functools.lru_cache(8)
 def _ratio_table(a: float, b: float, c: float, n_max: int,
                  k_max: int = 0) -> np.ndarray:
     """Rows Delta^k r_n, k = 0..k_max and n = 0..n_max, of the Maclaurin
-    coefficients r_n of F(a+1,b+1;c+1;x) / F(a,b;c;x), read-only and
-    cached per process.
+    coefficients r_n of F(a+1,b+1;c+1;x) / F(a,b;c;x).
 
     The r_n come by power-series long division with compensated
     summation, and Delta^{k+1} r_n = Delta^k r_n - Delta^k r_{n+1}.  A
@@ -373,7 +363,7 @@ def _ratio_table(a: float, b: float, c: float, n_max: int,
     for _ in range(k_max):
         row = [x - y for x, y in zip(row, row[1:])]
         table.append(row)
-    return _frozen(np.array([row[:n_max + 1] for row in table]))
+    return np.array([row[:n_max + 1] for row in table])
 
 
 def _run_concave_coeffs(params: dict, grid: GridSpec) -> Outcome:
@@ -521,11 +511,9 @@ def _run_main_parity(params: dict, grid: GridSpec) -> Outcome:
                     _deviations(np.repeat(ts, 2), devs))
 
 
-@functools.lru_cache(8)
 def _convex_pairs(t_span, min_gap, seed, pairs, **_) -> np.ndarray:
     """The seeded random pairs (s, t), uniform on the part of
-    [-t_span, t_span]^2 where |s - t| >= min_gap: their s and their t,
-    read-only and cached per process on a check's parameters.
+    [-t_span, t_span]^2 where |s - t| >= min_gap: their s and their t.
 
     Each pair is drawn directly (Devroye 1986, ch. 2): the gap d, whose
     density is proportional to 2T - d on [g, 2T], by inversion; then the
@@ -551,7 +539,7 @@ def _convex_pairs(t_span, min_gap, seed, pairs, **_) -> np.ndarray:
         below = slack * draw()
         pair = (-t_span + below, t_span - (slack - below))
         drawn.append(pair if draw() < 0.5 else pair[::-1])
-    return _frozen(np.reshape(drawn, (-1, 2)).T)
+    return np.reshape(drawn, (-1, 2)).T
 
 
 def _run_main_convex(params: dict, grid: GridSpec) -> Outcome:
@@ -935,6 +923,14 @@ def _override(default, value, name: str):
     raise DomainError(f"{name} must take the form of {default!r}, got {value!r}")
 
 
+# Each check's outcome, by its name and the reprs of its parameters and
+# grid: repr keeps 0.0 and -0.0 apart, which GridSpec's tuple equality
+# does not.  Tolerance and profile are no part of the key, since the
+# runner sees neither.  Past _HELD outcomes it starts over.
+_outcomes: dict = {}
+_HELD = 256
+
+
 def check_names() -> list[str]:
     """Registry names, sorted."""
     return sorted(_REGISTRY)
@@ -960,6 +956,10 @@ def run_check(name: str, params: Optional[dict] = None,
     fields, or a dict with the keys of the default case of its "kind".
     Anything else raises DomainError, and so does a tol that is not a
     real number.
+
+    A check runs once per process for its name, parameters and grid;
+    a repeat judges the kept outcome against its own tolerance.  A run
+    that raises keeps nothing.
     """
     if tol_profile not in ("default", "strict"):
         raise DomainError(
@@ -986,7 +986,12 @@ def run_check(name: str, params: Optional[dict] = None,
             g = GridSpec(g.lo, g.hi, 4 * g.count, g.scale)
         if tol is None:
             tolerance = tolerance / 10.0
-    worst_point, worst_margin, notes = cd.runner(merged, g)
+    key = name, repr(merged), repr(g)
+    if key not in _outcomes:
+        if len(_outcomes) >= _HELD:
+            _outcomes.clear()
+        _outcomes[key] = cd.runner(merged, g)
+    worst_point, worst_margin, notes = _outcomes[key]
     return PropertyReport(
         name=name,
         passed=bool(worst_margin > -tolerance),

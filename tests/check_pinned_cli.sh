@@ -5,14 +5,15 @@
 #
 # verify: both suites, and the strict one reached through
 # PUNCTURED_METRIC_TOL; then, warm, one interpreter running
-# punctmetric.cli.main on default, strict, default and strict, so that
-# the later runs read the array forms' memo and verify's caches, and
-# then on every check alone under each suite (verify --check NAME), as
-# perfbench's verify operations run them, each line against its row.
+# punctmetric.cli.main on every check alone under each suite (verify
+# --check NAME), as perfbench's verify operations run them, then on
+# default, strict, default and strict, then on every check alone again,
+# so that verify's kept check outcomes are filled in both orders and
+# read by the later runs, each line against its row.
 # scalar: eval of every evaluator (f21 on each
 # of its routes), constants, bounds ring --compare and a short figure1;
 # then, warm, one interpreter running punctmetric.cli.main on that
-# figure1 twice, so that the second run reads the array forms' memo.
+# figure1 twice, so that a second run in one process reads as the first.
 # bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
 # order; N = 2 and 10 take the list route of the queries, N = 40 and
@@ -42,17 +43,19 @@ import sys
 from punctmetric import verify
 from punctmetric.cli import main
 
-# one file per suite run: four whole suites, then each suite's checks
-# one at a time, in the pinned files' order
-runs = [[["verify", "--suite", suite]] for suite in ("default", "strict") * 2]
-runs += [[["verify", "--check", name, "--suite", suite]
+# one file per suite run: each suite's checks one at a time, in the
+# pinned files' order, then four whole suites, then the checks again
+alone = [[["verify", "--check", name, "--suite", suite]
           for name in verify.check_names()] for suite in ("default", "strict")]
+runs = alone + [[["verify", "--suite", suite]]
+                for suite in ("default", "strict") * 2] + alone
 for i, argvs in enumerate(runs):
     with open(f"{sys.argv[1]}/{i}_{argvs[0][-1]}", "w") as out, \
             contextlib.redirect_stdout(out):
         for argv in argvs:
             if main(argv):
-                sys.exit(f"{' '.join(argv)} failed, run {i + 1} of 6")
+                sys.exit(f"{' '.join(argv)} failed, run {i + 1} of "
+                         f"{len(runs)}")
 EOF
   for out in "$warm"/*; do
     diff "$out" "tests/data/verify_${out##*_}.jsonl"

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -11,18 +12,46 @@ settings.register_profile("ci", max_examples=500)
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """Each test starts with an empty array-form memo and empty verify
-    caches (the extremum, seeded pairs and coefficient tables), so that
-    a kernel it patches runs.  Loads no module that is not loaded."""
+    """Each test starts with no kept check outcome and no extremum in
+    verify, so that a kernel it patches runs.  Loads no module that is
+    not loaded."""
     yield
-    arrays = sys.modules.get("punctmetric._arrays")
-    if arrays is not None:
-        arrays._memo.clear()
     verify = sys.modules.get("punctmetric.verify")
     if verify is not None:
-        for cached in (verify.max_weighted_h, verify._convex_pairs,
-                       verify._subadditive_pairs, verify._ratio_table):
-            cached.cache_clear()
+        verify._outcomes.clear()
+        verify.max_weighted_h.cache_clear()
+
+
+@pytest.fixture
+def each_scan(monkeypatch):
+    """each_scan(call): call() with the lockstep's scan crossover as set,
+    then with the row scan and with accumulate forced for every block."""
+    from punctmetric import hyp2f1
+
+    def run(call):
+        results = []
+        for rows_from in (hyp2f1.SCAN_ROWS_FROM, 0, math.inf):
+            monkeypatch.setattr(hyp2f1, "SCAN_ROWS_FROM", rows_from)
+            results.append(call())
+        return results
+
+    return run
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """The lane count of every lockstep run from here on."""
+    from punctmetric import hyp2f1
+
+    counts = []
+    lockstep = hyp2f1._lockstep
+
+    def counted(step, fixed, state, cap):
+        counts.append(state[0].size)
+        return lockstep(step, fixed, state, cap)
+
+    monkeypatch.setattr(hyp2f1, "_lockstep", counted)
+    return counts
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ Every ``*_many`` form must give each point the value, error estimate,
 term count and method of its scalar call, to the bit (compared by bit
 pattern, so the sign of zero counts), and a batch must raise what a
 loop of scalar calls raises first.  Batches of every size run the
-lockstep kernels, down to a single point.
+lockstep kernels, down to a single point.  No form keeps a call: a
+repeat sums again and returns fresh arrays.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import hyp2f1, metric, pqfun
+from punctmetric import _arrays, hyp2f1, metric, pqfun
 from punctmetric.errors import (ConvergenceError, DomainError,
                                 PunctMetricError, RangeError)
 from punctmetric.hyp2f1 import HypParams
@@ -168,6 +169,122 @@ def test_f21_many_raises_the_first_typed_error():
         lambda lo, ell: [hyp2f1.f21(p, lo).value,
                          hyp2f1.f21_from_complement(p, lo, ell).value],
         [(lo, -math.log(lo)) for lo in [0.1] * 30 + [0.999]])
+
+
+# F(400, 300; 10; x) overflows at x = 0.5 and 0.9
+@pytest.mark.parametrize("xs", [
+    [0.1, 0.9, 0.2, 0.5],
+    [0.2, 1.0, 0.1, 0.5],
+    [0.1, math.nan, 0.2],
+    [0.1, -0.5, 0.2, 0.3],
+    [0.3, 0.2, 0.1],
+])
+def test_batches_return_or_raise_as_the_scalar_loop(xs):
+    _assert_f21_many(HypParams(400.0, 300.0, 10.0), xs)
+
+
+def test_a_point_is_the_bits_of_all_its_keys(lanes):
+    # 0.0 and -0.0 are two points, each summed once
+    p = HypParams(2.0, 3.0, 4.5)
+    got = hyp2f1.f21_many(p, [-0.0, 0.0, -0.0])
+    assert lanes == [2]
+    assert _bits(got.value) == _bits([hyp2f1.f21(p, 0.0).value] * 3)
+    # equal lo with another ell is another point: (0.1, 3.0) is summed
+    # beside (0.1, 2.0), each once
+    del lanes[:]
+    ps = (HypParams(0.5, 0.5, 1.0),)
+    lo = np.array([0.1, 0.2, 0.1, 0.1])
+    ell = np.array([3.0, 1.5, 2.0, 3.0])
+    got = hyp2f1._lo_hi_many(ps, lo, ell)
+    assert lanes and set(lanes) == {3}
+    assert [_bits(g) for g in got] == [
+        _bits(hyp2f1.f21(ps[0], x).value for x in lo),
+        _bits(hyp2f1.f21_from_complement(ps[0], x, e).value
+              for x, e in zip(lo, ell))]
+    assert got[1][0] != got[1][2]  # the ell counts
+
+
+@pytest.fixture
+def agm(monkeypatch):
+    """The point count of every array AGM run from here on."""
+    counts = []
+    agm_many = _arrays._agm_many
+
+    def counted(x, m):
+        counts.append(m.size)
+        return agm_many(x, m)
+
+    monkeypatch.setattr(_arrays, "_agm_many", counted)
+    return counts
+
+
+def _result_fields(got):
+    """An array form's result as a list of its arrays."""
+    if isinstance(got, hyp2f1.EvalResults):
+        return [got.value, got.abs_err_estimate, got.terms_used, got.method]
+    return [got] if isinstance(got, np.ndarray) else list(got)
+
+
+def _as_bits(got):
+    """An array form's result as comparable lists: bits, or values where
+    they are not floats."""
+    return [_bits(f) if f.dtype.kind == "f" else f.tolist()
+            for f in _result_fields(got)]
+
+
+_XS = np.concatenate((np.linspace(0.0, 0.99, 40), [0.5, 0.25, -0.0]))
+_LO = np.linspace(0.0, 0.5, 30)
+_ELL = -np.log(np.where(_LO > 0.0, _LO, 1e-300))
+# t on both sides of 0, with repeats, 0 and -0
+_TS = np.concatenate((np.linspace(-30.0, 30.0, 41), [1.5, 0.0, -0.0, 300.0]))
+# varphi's Taylor, AGM and closed routes, with repeats
+_VS = np.concatenate((np.geomspace(1e-9, 90.0, 40), [3.0, 3.0]))
+
+# every array form: f21_many on each route past 1/2, the other lockstep
+# entry points, metric's forms and every pqfun form
+_ENTRIES = {
+    "f21_log": lambda: hyp2f1.f21_many(HypParams(0.5, 0.5, 1.0), _XS),
+    "f21_connection": lambda: hyp2f1.f21_many(HypParams(0.3, 0.7, 1.1), _XS),
+    "f21_power": lambda: hyp2f1.f21_many(HypParams(1.0, 2.0, 2.0), _XS),
+    "f21_direct": lambda: hyp2f1.f21_many(HypParams(2.0, 3.0, 4.5), _XS),
+    "lo_hi": lambda: hyp2f1._lo_hi_many(
+        (HypParams(0.5, 0.5, 1.0), HypParams(0.5, 0.5, 2.0)), _LO, _ELL),
+    "sums_from_one": lambda: hyp2f1.zb_complement_sums_many(
+        0.5, 0.5, _XS * 0.75),
+    "minus_one": lambda: hyp2f1.f21_minus_one_many(0.5, 0.7, 1.3, _XS * 0.75),
+    "f21_derivative": lambda: hyp2f1.f21_derivative_many(
+        HypParams(0.5, 0.5, 1.0), _XS),
+    "h_many": lambda: metric.h_many(_TS),
+    "big_h_many": lambda: metric.big_h_many(_TS),
+    "big_h_prime_many": lambda: metric.big_h_prime_many(_TS),
+    "varphi_many": lambda: metric.varphi_many(_VS),
+    "p_func_many": lambda: pqfun.p_func_many(HALF, _TS),
+    "p_prime_many": lambda: pqfun.p_prime_many(HALF, _TS),
+    "slope_g_many": lambda: pqfun.slope_g_many(HALF, _TS[_TS != 0.0]),
+    "p_excess_many": lambda: pqfun.p_excess_many(HALF, _TS),
+    "q_func_many": lambda: pqfun.q_func_many(HALF, _TS),
+    "q_log_many": lambda: pqfun.q_log_many(HALF, _TS),
+    "q_excess_many": lambda: pqfun.q_excess_many(HALF, np.abs(_TS)),
+    "n_func_many": lambda: pqfun.n_func_many(0.5, 0.5, 1.0, _XS[1:-1]),
+    "m_func_many": lambda: pqfun.m_func_many(1.0, 2.0, 3.5, _XS[1:-1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_a_repeated_call_sums_again_into_fresh_arrays(name, lanes, agm):
+    # no array form keeps a call: a repeat runs the same lockstep and
+    # AGM work and returns the first call's bits, and what a caller
+    # writes into its arrays reaches no later call
+    first = _ENTRIES[name]()
+    runs = (list(lanes), list(agm))
+    assert runs != ([], [])
+    del lanes[:], agm[:]
+    again = _ENTRIES[name]()
+    assert (lanes, agm) == runs
+    assert _as_bits(again) == _as_bits(first)
+    for field in _result_fields(again):
+        field[:] = 0
+    assert _as_bits(_ENTRIES[name]()) == _as_bits(first)
 
 
 _u = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 0.75]),

@@ -211,18 +211,13 @@ def test_verify_never_loads_numpy_random(suite):
 
 
 def test_figure1_leaves_the_lockstep_unloaded():
-    # in a fresh interpreter: figure1 runs metric's array forms, whose
-    # memo lives in _arrays beside the driver, twice, the second warm:
-    # one kept call each
+    # in a fresh interpreter: figure1 runs metric's array forms, which
+    # live in _arrays, apart from the lockstep
     script = ("import io, sys, contextlib\n"
               "from punctmetric import cli\n"
-              "for _ in range(2):\n"
-              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        rc = cli.main(['figure1', '--count', '40'])\n"
-              "    assert rc == 0, rc\n"
-              "memo = sys.modules['punctmetric._arrays']._memo\n"
-              "assert sorted(k[0] for k in memo) == [\n"
-              "    \"('h_many',)\", \"('varphi_many',)\"]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = cli.main(['figure1', '--count', '40'])\n"
+              "assert rc == 0, rc\n"
               "assert 'punctmetric._hyp2f1_arrays' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           stderr=subprocess.PIPE, text=True,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import _arrays, hyp2f1, pqfun, specfun, verify
+from punctmetric import hyp2f1, pqfun, specfun, verify
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -202,18 +202,6 @@ def test_equal_failing_points_raise_the_first_ones_error(xs, first):
                  for x in xs])
 
 
-def _each_scan(monkeypatch, call):
-    """call() with the scan crossover as set, then with the row scan and
-    with accumulate forced for every block, each on an empty memo so
-    that each sums every point."""
-    results = []
-    for rows_from in (hyp2f1.SCAN_ROWS_FROM, 0, math.inf):
-        monkeypatch.setattr(hyp2f1, "SCAN_ROWS_FROM", rows_from)
-        _arrays._memo.clear()
-        results.append(call())
-    return results
-
-
 # (p, q) pairs that pqfun evaluates together: zero-balanced v and w (log
 # series with m = 0 and m = 1 past 1/2), and v with v'/(ab/c) for a
 # non-integer c - a - b (two connection routes, four direct series)
@@ -226,7 +214,7 @@ _PAIRS = {
 
 
 @pytest.mark.parametrize("name", sorted(_PAIRS))
-def test_fused_pairs_match_unfused_calls(name, monkeypatch):
+def test_fused_pairs_match_unfused_calls(name, each_scan):
     ps = _PAIRS[name]
     size = hyp2f1.SCAN_ROWS_FROM + 300  # each run starts past the crossover
     ts = np.random.default_rng(7).permutation(
@@ -238,8 +226,7 @@ def test_fused_pairs_match_unfused_calls(name, monkeypatch):
     scalar = ([[hyp2f1.f21(p, x).value for x in lo] for p in ps]
               + [[hyp2f1.f21_from_complement(p, v, w).value
                   for v, w in zip(lo, ell)] for p in ps])
-    for got in _each_scan(monkeypatch,
-                          lambda: hyp2f1._lo_hi_many(ps, lo, ell)):
+    for got in each_scan(lambda: hyp2f1._lo_hi_many(ps, lo, ell)):
         assert [_bits(g) for g in got] == [_bits(w) for w in want]
         assert [_bits(g) for g in got] == [_bits(s) for s in scalar]
 
@@ -274,15 +261,7 @@ def test_lo_hi_sums_its_direct_series_in_one_run(monkeypatch):
                  for x in lo) for p in ps])
 
 
-def test_verify_suites_run_no_lockstep_under_four_lanes(monkeypatch):
-    lanes = []
-    lockstep = hyp2f1._lockstep
-
-    def counted(step, fixed, state, cap):
-        lanes.append(state[0].size)
-        return lockstep(step, fixed, state, cap)
-
-    monkeypatch.setattr(hyp2f1, "_lockstep", counted)
+def test_verify_suites_run_no_lockstep_under_four_lanes(lanes):
     for suite in ("default", "strict"):
         verify.run_suite(suite)
     assert lanes and min(lanes) >= 4

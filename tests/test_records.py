@@ -1,8 +1,8 @@
 """The package's records: their repr, equality, hash, immutability,
 validation messages and field order.
 
-The array forms' memo keys a form by the repr of its parameters
-(``_arrays._array_form``), so every repr is pinned byte for byte.
+verify keeps each check's outcome under the repr of its parameters and
+grid (``verify.run_check``), so every repr is pinned byte for byte.
 """
 
 import copy

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from punctmetric import _arrays, hyp2f1
+from punctmetric import hyp2f1
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -42,21 +42,9 @@ def _points(lo, hi, ends=()):
     return np.random.default_rng(SIZE).permutation(points)
 
 
-def _each_scan(monkeypatch, call):
-    """call() with the scan crossover as set, then with the row scan and
-    with accumulate forced for every block, each on an empty memo so
-    that each sums every point."""
-    results = []
-    for rows_from in (hyp2f1.SCAN_ROWS_FROM, 0, math.inf):
-        monkeypatch.setattr(hyp2f1, "SCAN_ROWS_FROM", rows_from)
-        _arrays._memo.clear()
-        results.append(call())
-    return results
-
-
-def _assert_f21_many(monkeypatch, p, xs):
+def _assert_f21_many(each_scan, p, xs):
     want = [hyp2f1.f21(p, x) for x in xs]
-    for got in _each_scan(monkeypatch, lambda: hyp2f1.f21_many(p, xs)):
+    for got in each_scan(lambda: hyp2f1.f21_many(p, xs)):
         assert _bits(got.value) == _bits(r.value for r in want)
         assert _bits(got.abs_err_estimate) == _bits(
             r.abs_err_estimate for r in want)
@@ -78,14 +66,14 @@ _ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
-def test_f21_many_matches_f21_on_wide_batches(route, monkeypatch):
+def test_f21_many_matches_f21_on_wide_batches(route, each_scan):
     p, near_one, method = _ROUTES[route]
     if near_one:  # u = 1-x from 1.1e-16 to 1/2
         xs = _points(ABOVE_HALF, 1.0 - 1e-12,
                      ends=(math.nextafter(1.0, 0.0),))
     else:  # from x = 0 to x = 0.3, where the series sums ~600 terms
         xs = _points(0.0, 0.3, ends=(1e-300,))
-    got = _assert_f21_many(monkeypatch, p, xs)
+    got = _assert_f21_many(each_scan, p, xs)
     assert set(got.method) == {method}
     if route != "power":  # the closed form sums no terms
         # blocks hold BLOCK_CELLS // SIZE = 5 terms while most lanes sum:
@@ -96,21 +84,21 @@ def test_f21_many_matches_f21_on_wide_batches(route, monkeypatch):
         assert got.terms_used.max() > 40
 
 
-def test_from_one_sums_match_on_wide_batches(monkeypatch):
+def test_from_one_sums_match_on_wide_batches(each_scan):
     us = _points(0.0, 0.75, ends=(5e-324, 1e-300))
     a, b = 0.5, 0.5
     want = [hyp2f1.zb_complement_sums(a, b, u) for u in us]
-    for c_m1, d1 in _each_scan(
-            monkeypatch, lambda: hyp2f1.zb_complement_sums_many(a, b, us)):
+    for c_m1, d1 in each_scan(
+            lambda: hyp2f1.zb_complement_sums_many(a, b, us)):
         assert _bits(c_m1) == _bits(w[0] for w in want)
         assert _bits(d1) == _bits(w[1] for w in want)
     want = _bits(hyp2f1.f21_minus_one(a, b, a + b, u) for u in us)
-    for got in _each_scan(
-            monkeypatch, lambda: hyp2f1.f21_minus_one_many(a, b, a + b, us)):
+    for got in each_scan(
+            lambda: hyp2f1.f21_minus_one_many(a, b, a + b, us)):
         assert _bits(got) == want
 
 
-def test_wide_batch_raises_at_a_lane_that_overflows_mid_block(monkeypatch):
+def test_wide_batch_raises_at_a_lane_that_overflows_mid_block(each_scan):
     # F(400,300;10;x) overflows at x = 0.5 after hundreds of terms, while
     # the lanes around it converge; the batch raises what the first
     # failing scalar call raises
@@ -120,5 +108,5 @@ def test_wide_batch_raises_at_a_lane_that_overflows_mid_block(monkeypatch):
     xs[SIZE // 2 + 1] = 0.45
     want = _outcome(lambda: [hyp2f1.f21(p, x) for x in xs])
     assert want[0].__name__ == "RangeError" and "0.5" in want[1]
-    assert _each_scan(monkeypatch, lambda: _outcome(
+    assert each_scan(lambda: _outcome(
         lambda: hyp2f1.f21_many(p, xs))) == [want] * 3
