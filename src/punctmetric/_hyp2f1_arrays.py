@@ -211,9 +211,10 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
         term, total, weighted, comp, _ = state
         # term n+j takes factor j, and its stop test the ratio factor j+1
         m = np.arange(n, n + k + 1.0)[:, None]  # a + m rounds as a + n
-        mult = (a + m) * (b + m) / ((c + m) * (m + 1.0))
+        cm = c + m
+        mult = (a + m) * (b + m) / (cm * (m + 1.0))
         if pick is not None:  # a column per parameter triple
-            mult = mult.take(pick[0], axis=1)
+            mult, cm = mult.take(pick[0], axis=1), cm.take(pick[0], axis=1)
         mult = mult * x
         (terms,) = _scan(np.multiply, (term, mult[:k]))
         sizes = np.abs(terms)
@@ -224,7 +225,8 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
         (comps,) = _scan(np.add,
                          (comp, (prev - (sums - back)) + (terms - back)))
         r = np.where(sizes != 0.0, np.maximum(np.abs(mult[1:]), x), 0.0)
-        passed = (r < 1.0) & (sizes * r <= np.maximum(
+        # no tail test while c + n <= 0, as in _ratio_sum
+        passed = (r < 1.0) & (cm[1:] > 0.0) & (sizes * r <= np.maximum(
             SERIES_RTOL * np.abs(sums) * (1.0 - r), _TINY))
         return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 

@@ -28,14 +28,16 @@ O(N log N) sort, O(N) array work for each visited row (the rows of a
 long walk come a batch at a time), and for the upper end of
 ``rho_bounds`` a search of the pairwise puncture distances, a chunk
 of at most ``_BLOCK`` at a time: the punctures nearest to z first,
-joined in each chunk by the two that bracket the distance d of the
-puncture it last searched in full.  It prunes on squared distances, a
-tenth of the cost of a hypot, and drops each puncture once the squares
-it has met bound its 4 m d below the best found; only the punctures
-that can decide the bound get exact distances, a scan of their row
-each.  So at N = 1000 it squares a fraction of the N(N-1) pairs (1-14%,
-under 7% in nine queries of ten) and takes a hypot of fewer
-(0.1-1.8%), and it holds one chunk of scratch memory.
+with each chunk's last slots given to the two that bracket the
+distance d of the puncture it last searched in full.  It prunes on
+squared distances, a tenth of the cost of a hypot, and drops each
+puncture once the squares it has met bound its 4 m d below the best
+found; only the punctures that can decide the bound get exact
+distances, a scan of their row each.  It returns the largest 4 m d and
+the log-gaps of the punctures it searched in full, which the lower
+end's walk reads.  So at N = 1000 it squares a fraction of the N(N-1)
+pairs (1-14%, under 7% in nine queries of ten) and takes a hypot of
+fewer (0.1-1.8%), and it holds one chunk of scratch memory.
 
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
@@ -297,9 +299,9 @@ def baseline_bounds(c: float) -> BaselineBounds:
     )
 
 
-# A chunk of the neighbour search holds at most this many cells (one
-# column, or one row of an exact scan, where that is longer), so a
-# query's scratch memory stays small.
+# A chunk of the neighbour search holds at most this many cells, its
+# witness columns included (one column, or one row of an exact scan,
+# where that is longer), so a query's scratch memory stays small.
 _BLOCK = 8192
 
 
@@ -390,89 +392,70 @@ _TINY = 2.0 ** -960
 
 
 def _neighbours(x: np.ndarray, y: np.ndarray,
-                d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per puncture a, bracketing distances to other punctures that fix
-    its log-gap, as far as the upper end of ``rho_bounds`` needs them.
-
-    Returns (below, above, exact), exact the indices of the punctures
-    searched in full.  For those, below and above are the largest
-    |b-a| <= d_a and the smallest >= d_a, NaN where no other puncture
-    is on that side, and a distance that overflows comes back as inf;
-    ``_log_gap`` of them is a's log-gap.  Every puncture that can hold
-    the largest 4 m d is among them.
+                d: np.ndarray) -> tuple[float, dict[int, float]]:
+    """The largest 4 m d over the punctures, 0.0 where none bounds the
+    density (see ``_upper_candidate``), and the log-gap m of each
+    puncture searched in full, as a dict from its index.  Every puncture
+    that can hold the largest 4 m d is among those.
 
     A chunk holds at most ``_BLOCK`` squared distances: those of the
-    rows still live to the next few columns, each column visited once.
-    Witnesses aside (below), the columns come in index order, and
-    callers pass the punctures nearest to z first (``_nearest_first``),
-    since |b-a| is near d_a for b near z.  After each chunk the live row
-    of the largest bound, from the squares so far, is completed by an
-    exact scan of its row, which raises the best exact 4 m d, and every
-    row whose bound is below that best drops out (see ``_GAP_SLACK``).
-    The scan also names the row's witnesses, the two punctures w that
-    bracket its d, and those not yet visited join the next chunk in
-    place of its last columns.  A witness of row a nearly fixes the
+    rows still live to the next few columns.  The columns come in index
+    order, and callers pass the punctures nearest to z first
+    (``_nearest_first``), since |b-a| is near d_a for b near z.  After
+    each chunk the live row of the largest bound, from the squares so
+    far, is completed by an exact scan of its row, which raises the best
+    exact 4 m d, and every row whose bound is below that best drops out
+    (see ``_GAP_SLACK``).  The scan also names the row's witnesses, the
+    two punctures w that bracket its d, and those past the next chunk's
+    columns take its last slots.  A witness of row a nearly fixes the
     log-gap of every puncture a' near a too, as
     |r(a', w) - d_a'| <= |r(a, w) - d_a| + 2|a - a'|, so one chunk drops
     a's cluster, where the columns nearest z would drop its rows one
-    chunk at a time.  The rows still live after the last column get
-    exact scans too, as many at a time as ``_BLOCK`` distances hold.
+    chunk at a time.  A witness column is visited again when the index
+    order reaches it, which leaves every running minimum as it was.
+    The rows still live after the last column get exact scans too, as
+    many at a time as ``_BLOCK`` distances hold.
     """
     n = len(x)
-    below = np.full(n, np.nan)
-    above = np.full(n, np.nan)
+    gaps = {}
     d2 = d * d
     d2[d2 < _TINY] = np.nan
     # per live row: its coordinates, d, d^2 and the smallest
     # max(s/d^2, d^2/s) so far
     live, xl, yl, dl, d2l = np.arange(n), x, y, d, d2
     p = np.full(n, np.inf)
-    done = []
     best = 0.0
-    # the columns in visit order, those at positions below c visited: x
-    # and y until a witness moves, then copies in which it has; at maps
-    # each moved position to its puncture, pos each moved puncture to
-    # its position
-    xc, yc, at, pos = x, y, {}, {}
     wits = []
     c = 0
+
+    def complete(a: int, lo: float, hi: float) -> float:
+        da = float(d[a])
+        m = gaps[a] = _log_gap(da, lo, hi)
+        return _upper_candidate(da, m, hi)
+
     while live.size and c < n:
         # the first chunks are narrow, so that rows can drop out before
         # most columns are visited; past them a chunk at most doubles the
         # columns visited
         k = max(1, min(_BLOCK // live.size, c + 16))
-        # the last completed row's witnesses join the chunk: one past its
-        # end swaps places with the column at its tail, and a second pass
-        # brings back a witness that such a swap pushed out
-        t = c + k
-        for w in wits * 2:
-            i = pos.get(w, w)
-            if w is not None and i >= c + k and t > c:
-                t -= 1
-                if xc is x:
-                    xc, yc = x.copy(), y.copy()
-                u = at.get(t, t)
-                at[t], at[i], pos[w], pos[u] = w, u, t, i
-                xc[t], xc[i] = xc[i], xc[t]
-                yc[t], yc[i] = yc[i], yc[t]
+        extra = [w for w in dict.fromkeys(wits)
+                 if w is not None and w >= c + k][:k]
+        t = c + k - len(extra)
         # a column of the chunk per visited puncture, live rows along
         # its length: numpy's loops then run over the long axis
-        dx = xl - xc[c:c + k, None]
-        dy = yl - yc[c:c + k, None]
+        dx = xl - np.append(x[c:t], x[extra])[:, None]
+        dy = yl - np.append(y[c:t], y[extra])[:, None]
         s = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
         s[s < _TINY] = np.nan
         np.divide(d2l, s, out=dy)
         np.fmax(np.divide(s, d2l, out=s), dy, out=s)
         p = np.fmin(p, np.fmin.reduce(s, axis=0))
-        c += k
+        c = t
         bound = 4.0 * (0.5 * np.log(p) + _GAP_SLACK) * dl
         j = int(np.argmax(bound))
         a = int(live[j])
-        da = float(d[a])
         lo_a, hi_a, *wits = _row_bracket(x, y, d, a)
-        below[a], above[a] = lo_a, hi_a
-        best = max(best, _upper_candidate(da, _log_gap(da, lo_a, hi_a), hi_a))
-        done.append(a)
+        best = max(best, complete(a, lo_a, hi_a))
         keep = ~(bound < best)
         keep[j] = False
         live, xl, yl, dl, d2l, p = (v[keep]
@@ -480,8 +463,10 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     step = max(1, _BLOCK // n)
     for i in range(0, live.size, step):
         rows = live[i:i + step]
-        below[rows], above[rows] = _rows_bracket(x, y, d, rows)
-    return below, above, np.concatenate((np.array(done, dtype=np.intp), live))
+        lo, hi = _rows_bracket(x, y, d, rows)
+        best = max(best, *map(complete, rows.tolist(), lo.tolist(),
+                              hi.tolist()))
+    return best, gaps
 
 
 def _log_gap(d: float, lo: float, hi: float) -> float:
@@ -689,24 +674,27 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     hypot as np.hypot, so both routes give the same bits.  From it on
     the upper end needs the largest 4 m d only.  Its search
     (``_neighbours``) visits the pairs nearest to z first, as squared
-    distances, together with those of the two punctures that bracket
-    the d of the puncture it last searched in full, and drops each
-    puncture once the squares seen so far bound its 4 m d below the
-    best one found, by a slack that covers their rounding.  The
-    punctures that could hold the largest 4 m d are searched in full
-    with exact hypots, so the result is that of a hypot for every pair
-    to the bit.  A puncture the walk visits takes its m from the search
-    where that searched it in full, else from a scan of its row,
-    batched with the rows of the next ones (``_row_gaps``).
+    distances, with the last slots of each chunk given to the two
+    punctures that bracket the d of the puncture it last searched in
+    full, and drops each puncture once the squares seen so far bound
+    its 4 m d below the best one found, by a slack that covers their
+    rounding.  The punctures that could hold the largest 4 m d are
+    searched in full with exact hypots, so the result is that of a
+    hypot for every pair to the bit.  The search returns that largest
+    4 m d and the log-gap of each puncture it searched in full.  A
+    puncture the walk visits takes its m from those where it can, else
+    from a scan of its row, batched with the rows of the next ones
+    (``_row_gaps``).
 
     At N = 1000 the search squares 1-14% of the N(N-1) ordered pairs
     (under 7% in nine queries of ten) and takes an exact hypot of
     0.1-1.8% of them, and it holds one chunk of scratch memory.  Where
     no puncture can be dropped, as on 1000 punctures on a circle about
-    z, it squares every pair and then scans every row: O(N^2) work,
-    some tens of times a typical query's.  Below the cut a query takes
-    the N(N-1)/2 hypots and a sort.  CHANGES.md holds the measured
-    per-query times of both routes.
+    z, it squares every pair, the witness columns twice, and then scans
+    every row: O(N^2) work, about 35 ms at best, some tens of times a
+    typical query's.  Below the cut a query takes the N(N-1)/2 hypots and a
+    sort.  CHANGES.md holds the measured per-query times of both
+    routes.
     """
     pts = dom.punctures
     if len(pts) < _LISTS_BELOW:
@@ -718,14 +706,9 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     else:
         _load_numpy()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, y, dists = _nearest_first(dom, z)
-            below, above, exact = _neighbours(x, y, dists)
-            d, lo, hi = (dists[exact].tolist(), below[exact].tolist(),
-                         above[exact].tolist())
-            m = list(map(_log_gap, d, lo, hi))
-            q = max(map(_upper_candidate, d, m, hi), default=0.0)
-            lower = _lower_end(range(len(dists)), dists, _row_gaps(
-                x, y, dists, dict(zip(exact.tolist(), m))))
+            x, y, d = _nearest_first(dom, z)
+            q, gaps = _neighbours(x, y, d)
+            lower = _lower_end(range(len(d)), d, _row_gaps(x, y, d, gaps))
     # pi/q is monotone in q: this is the smallest pi/(4 m d)
     return RhoBounds(lower, math.pi / q * (1.0 + _EVAL_SLACK)
                      if q > 0.0 else math.inf)

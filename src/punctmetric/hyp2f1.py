@@ -164,18 +164,21 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
         size = abs(term)
         n += 1
         weighted += n * size
-        # Stop on the geometric tail: the step ratio crosses x at most once
-        # (their difference has sign (a+b-c-1)n + ab-c), so past the hump
-        # the tail is at most |T_n| r/(1-r), r = max(ratio, x); the
-        # 3-in-a-row guard rides out the hump itself.  A zero term passes
-        # at any r (r = 0: every later term is 0, as after a zero b), and
-        # the right side is at least the smallest subnormal, where the
-        # terms of a subnormal sum may stick (a step ratio above 1/2
-        # rounds an ulp back to an ulp).
+        # Stop on the geometric tail: once c + n > 0 the step ratio
+        # crosses x at most once (their difference has sign
+        # (a+b-c-1)n + ab-c over (c+n)(n+1)), so past the hump the tail
+        # is at most |T_n| r/(1-r), r = max(ratio, x); the 3-in-a-row
+        # guard rides out the hump itself.  While c + n <= 0 a later
+        # step ratio can be as large as c + n is near 0, so no test is
+        # taken: terms that dip there grow again near n = -c.  A zero
+        # term passes at any r (r = 0: every later term is 0, as after a
+        # zero b), and the right side is at least the smallest
+        # subnormal, where the terms of a subnormal sum may stick (a
+        # step ratio above 1/2 rounds an ulp back to an ulp).
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
         r = max(abs(ratio), x) if size else 0.0
-        if r < 1.0 and size * r <= (SERIES_RTOL * abs(total) * (1.0 - r)
-                                    or _TINY):
+        if r < 1.0 and c + n > 0.0 and size * r <= (
+                SERIES_RTOL * abs(total) * (1.0 - r) or _TINY):
             small_count += 1
             if small_count == 3:
                 return total + comp, term, r, weighted, n
@@ -451,7 +454,9 @@ def _connection(a: float, b: float, c: float, u: float,
             err_a = abs(coef_a) * f1.abs_err_estimate
             terms = f1.terms_used
         f2 = _direct_series(c - a, c - b, 1.0 + s, u)
-    except (OverflowError, RangeError):
+    except (OverflowError, RangeError, ConvergenceError):
+        # a series out of terms: where s - 1 passes MAX_TERMS_DIRECT, the
+        # first one cannot reach its tail tests
         return None
     value, err, serves = _connection_result(
         a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,

@@ -580,7 +580,7 @@ def test_rho_overflowing_distances_in_small_blocks(pts, z, block):
 def _exact_neighbours(x, y, d, block=8192):
     """The exact search, in the form of bounds._neighbours: hypot on
     every pair, bracketed by where/reduce, a block of rows at a time,
-    and every row exact."""
+    and every row's log-gap in gaps."""
     n = len(x)
 
     def bracket(r, dd, axis):
@@ -601,7 +601,10 @@ def _exact_neighbours(x, y, d, block=8192):
         np.fmax(below[j:], lo, out=below[j:])
         np.fmin(above[j:], hi, out=above[j:])
         i = j
-    return below, above, np.arange(n)
+    ds, lo, hi = d.tolist(), below.tolist(), above.tolist()
+    m = list(map(bounds._log_gap, ds, lo, hi))
+    return (max(map(bounds._upper_candidate, ds, m, hi)),
+            dict(enumerate(m)))
 
 
 def _layout(name, n, rng):
@@ -624,20 +627,16 @@ def _layout(name, n, rng):
 
 
 def _assert_matches_the_exact_search(pts, zs):
-    """The log-gap of every puncture the search returns as exact, and
-    rho_bounds, to the bit against _exact_neighbours."""
+    """The largest 4 m d and the log-gap of every puncture the search
+    completes, and rho_bounds, to the bit against _exact_neighbours."""
     dom = bounds.PuncturedDomain(pts)
     for z in zs:
         x, y, d = bounds._nearest_first(dom, z)
-        lo, hi, exact = bounds._neighbours(x, y, d)
-        lo_x, hi_x, _ = _exact_neighbours(x, y, d)
-        assert exact.size
-        for row in zip(d[exact].tolist(), lo[exact].tolist(),
-                       hi[exact].tolist(), lo_x[exact].tolist(),
-                       hi_x[exact].tolist()):
-            assert (bounds._log_gap(*row[:3])
-                    == bounds._log_gap(row[0], *row[3:])), row
-            assert (row[2] == math.inf) == (row[4] == math.inf), row
+        q, gaps = bounds._neighbours(x, y, d)
+        q_x, gaps_x = _exact_neighbours(x, y, d)
+        assert gaps and q == q_x
+        for a, m in gaps.items():
+            assert m == gaps_x[a], (z, a)
         got = bounds.rho_bounds(dom, z)
         with mock.patch.object(bounds, "_neighbours", _exact_neighbours):
             assert got == bounds.rho_bounds(dom, z)
@@ -658,6 +657,18 @@ def test_rho_large_domains_match_the_exact_search(layout):
     pts = _layout(layout, 1000, rng)
     zs = [pts[7] + 1e-3, 0.3 - 0.2j, pts[500] * (1.0 + 1e-9j)]
     _assert_matches_the_exact_search(pts, zs + _outside(pts))
+
+
+@pytest.mark.parametrize("layout", ("uniform", "clustered", "geometric"))
+def test_rho_lower_end_is_sigma_on_large_domains(layout):
+    # rho_bounds' walk takes the log-gaps of the rows its search
+    # completed, sigma_lower scans every row it visits: the same bits
+    rng = np.random.default_rng(20261018)
+    pts = _layout(layout, 1000, rng)
+    dom = bounds.PuncturedDomain(pts)
+    zs = [pts[7] + 1e-3, 0.3 - 0.2j, pts[500] * (1.0 + 1e-9j)]
+    for z in zs + _outside(pts):
+        assert bounds.rho_bounds(dom, z).lower == bounds.sigma_lower(dom, z)
 
 
 @pytest.mark.parametrize("layout", ("uniform", "clustered", "geometric"))
@@ -682,8 +693,8 @@ def test_rho_witnesses_drop_a_cluster_in_a_few_chunks():
             x, y, d = bounds._nearest_first(dom, z)
             with mock.patch.object(bounds, "_row_bracket",
                                    wraps=bounds._row_bracket) as scans:
-                exact = bounds._neighbours(x, y, d)[2]
-        assert scans.call_count == exact.size <= 8
+                gaps = bounds._neighbours(x, y, d)[1]
+        assert scans.call_count == len(gaps) <= 8
 
 
 def test_row_bracket_is_the_rows_bracket_with_its_witnesses():
@@ -846,34 +857,43 @@ def test_rho_takes_hypot_of_the_rows_it_completes_only(layout):
         with mock.patch.object(np, "hypot", counted), \
                 np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x, y, d = bounds._nearest_first(dom, z)
-            exact = bounds._neighbours(x, y, d)[2]
-        assert sum(cells) <= len(pts) * (1 + exact.size)
+            gaps = bounds._neighbours(x, y, d)[1]
+        assert sum(cells) <= len(pts) * (1 + len(gaps))
 
 
 def test_rho_search_without_a_drop_stays_in_its_chunks():
     # on 1000 punctures on a circle about z no row drops out, so every
     # row gets an exact scan: those come _BLOCK distances at a time, and
-    # the search's scratch memory stays within a few chunks
+    # the search's scratch memory stays within a few chunks.  Each chunk
+    # squares its cells, witness columns included, and holds at most
+    # _BLOCK of them
     dom = bounds.PuncturedDomain(_polygon(1000, 0.25 + 0.5j, 3.0))
-    hypot = np.hypot
-    sizes = []
+    hypot, square = np.hypot, np.square
+    sizes, cells = [], []
 
     def recorded(*args):
         r = hypot(*args)
         sizes.append(r.size)
         return r
 
+    def squared(*args, **kwargs):
+        r = square(*args, **kwargs)
+        cells.append(r.size)
+        return r
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, y, d = bounds._nearest_first(dom, 0.25 + 0.5j)
         tracemalloc.start()
         try:
-            with mock.patch.object(np, "hypot", recorded):
-                exact = bounds._neighbours(x, y, d)[2]
+            with mock.patch.object(np, "hypot", recorded), \
+                    mock.patch.object(np, "square", squared):
+                gaps = bounds._neighbours(x, y, d)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert exact.size == 1000
+    assert len(gaps) == 1000
     assert max(sizes) <= bounds._BLOCK
+    assert cells and max(cells) <= bounds._BLOCK
     assert peak < 8 * (10 * bounds._BLOCK + 32 * len(d))
 
 

@@ -70,6 +70,25 @@ def test_mixed_parameter_ratio_run_matches_scalar_loops(data):
     assert stalled.tolist() == want_stalled
 
 
+def test_ratio_run_with_negative_lower_parameters_matches_scalar_loops():
+    # DLMF 15.8.4's first series has c = 1 - s < 0 where s > 1: no lane
+    # takes a tail test while its own c + n <= 0, so each sums past
+    # n = -c, as its scalar loop does
+    triples = [(2.843, 0.00742, -67.84), (0.00742, 2.843, 69.84),
+               (0.5, 0.5, -19.5), (1.5, 2.0, 3.0)]
+    pick = np.repeat(np.arange(len(triples)), 4)
+    xs = np.tile([0.4971, 0.3, 0.1, 1e-10], len(triples))
+    total = np.ones(xs.size)
+    got, stalled = hyp2f1._ratio_many(*np.array(triples).T, xs, total, pick)
+    want, want_stalled = _scalar_sums(
+        [hyp2f1._ratio_sum(*triples[g], float(x), 1.0)
+         for g, x in zip(pick, xs)], 5)
+    assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
+    assert got[-1].tolist() == want[-1]
+    assert all(n > -triples[g][2] for g, n in zip(pick, want[-1]))
+    assert not any(stalled)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_mixed_m_log_run_matches_scalar_loops(data):

@@ -7,13 +7,14 @@ Frozen literals are 17-digit truncations of 50-digit evaluations.
 import math
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import hyp2f1
+from punctmetric import hyp2f1, pqfun
 from punctmetric.errors import ConvergenceError, DomainError, RangeError
 from punctmetric.hyp2f1 import (
     HypParams,
@@ -545,3 +546,78 @@ def test_c_equal_to_b_is_read_as_given():
     assert many.value[1] == r[0].value
     assert many.abs_err_estimate[1] == r[0].abs_err_estimate
     assert many.method[1] == r[0].method
+
+
+# Past x = 1/2 at large s = c - a - b, DLMF 15.8.4's first series
+# F(a, b; 1 - s; u) has a negative lower parameter.  Its terms dip below
+# the tolerance and grow again near n = s - 1, so a tail test taken
+# while c + n <= 0 stopped it early: F read -114.9, N -70.4 and M
+# -0.0152.  The references are mpmath at 50 digits, frozen here as
+# decimal strings, so that these run without mpmath too.
+_LARGE_S = [
+    ("f21", (2.8429075925991145, 0.007422901648868693, 71.69053935343895,
+             0.5028980254197531), "1.00015005925412849330494165066"),
+    ("n_func", (2.843, 0.00742, 71.69, 0.4971),
+     "0.000151151885757714238204099797912"),
+    ("m_func", (0.5, 0.5, 40.3, 0.45), "0.00316757484689900327580185194089"),
+]
+
+
+def _large_s_call(name, a, b, c, x):
+    if name == "f21":
+        return f21(HypParams(a, b, c), x).value
+    return getattr(pqfun, name)(a, b, c, x)
+
+
+@pytest.mark.parametrize("name, args, ref", _LARGE_S)
+def test_large_s_past_one_half_against_frozen_references(name, args, ref):
+    assert _large_s_call(name, *args) == pytest.approx(float(ref), rel=1e-10)
+    if name == "f21":
+        r = f21(HypParams(*args[:3]), args[3])
+        assert r.method == "connection_series"
+        assert abs(r.value - float(ref)) <= r.abs_err_estimate
+
+
+@pytest.mark.parametrize("name, args, ref", _LARGE_S)
+def test_large_s_array_forms_keep_the_scalar_bits(name, args, ref):
+    # the lockstep sums both connection series in one run, each lane with
+    # its own lower parameter (1 - s or 1 + s)
+    a, b, c, x = args
+    xs = [x, 1.0 - x, 0.6, 0.9, 0.999]
+    if name == "f21":
+        many = f21_many(HypParams(a, b, c), xs)
+        for k, x in enumerate(xs):
+            r = f21(HypParams(a, b, c), x)
+            assert (many.value[k], many.abs_err_estimate[k],
+                    many.terms_used[k]) == (r.value, r.abs_err_estimate,
+                                            r.terms_used)
+    else:
+        many = getattr(pqfun, name + "_many")(a, b, c, xs)
+        assert many.tolist() == [_large_s_call(name, a, b, c, x) for x in xs]
+
+
+@pytest.mark.parametrize("name, args, ref", _LARGE_S)
+def test_large_s_frozen_references_against_mpmath(name, args, ref):
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c, x = map(mpmath.mpf, args)  # exact: mpf holds every float
+    with mpmath.workdps(50):
+        v = [mpmath.hyp2f1(a, b, c, y) for y in (x, 1 - x)]
+        dv = [a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, y)
+              for y in (x, 1 - x)]
+        want = {"f21": v[0],
+                "n_func": x * (1 - x) * (dv[0] / v[0] + dv[1] / v[1]),
+                "m_func": x * (1 - x) * (dv[0] * v[1] + v[0] * dv[1])}[name]
+        assert abs(mpmath.mpf(ref) / want - 1) < mpmath.mpf(10) ** -25
+
+
+def test_connection_series_out_of_terms_hands_over():
+    # with no tail test while c + n <= 0, the first connection series
+    # at s - 1 past MAX_TERMS_DIRECT runs out of terms: the call hands
+    # over to the direct series, which serves a large c in a few terms,
+    # as it does where the connection formula's two parts cancel
+    p = HypParams(0.5, 0.5, 2000.3)
+    want = f21(p, 0.6)
+    assert want.method == "direct_series"
+    with mock.patch.object(hyp2f1, "MAX_TERMS_DIRECT", 1000):
+        assert f21(p, 0.6) == want
+        assert f21_many(p, [0.6]).value.tolist() == [want.value]
