@@ -16,28 +16,36 @@ outward from z until no farther one can raise it, so each makes a few
 scalar ``h`` calls, not N; ``sigma_lower`` needs nothing else, and
 takes only the visited punctures' rows of distances.
 
-They take one of two routes by the number of punctures.  Below
-``_LISTS_BELOW`` they run on Python lists: ``rho_bounds`` takes
-abs(b - a) of every unordered pair once.  abs(complex) calls the libm
-hypot that np.hypot calls, so both routes give the same bits, and on
-these few punctures the lists cost less than the fixed cost of a
-query's numpy calls; they, and the ring bounds, run without numpy.
-From there on they run on numpy arrays, which the domain builds when it
-is made (so numpy loads there, not in a query): an
-O(N log N) sort, O(N) array work for each visited row (the rows of a
-long walk come a batch at a time), and for the upper end of
-``rho_bounds`` a search of the pairwise puncture distances, a chunk
-of at most ``_BLOCK`` at a time: the punctures nearest to z first,
-with each chunk's last slots given to the two that bracket the
-distance d of the puncture it last searched in full.  It prunes on
-squared distances, a tenth of the cost of a hypot, and drops each
-puncture once the squares it has met bound its 4 m d below the best
-found; only the punctures that can decide the bound get exact
-distances, a scan of their row each.  It returns the largest 4 m d and
-the log-gaps of the punctures it searched in full, which the lower
-end's walk reads.  So at N = 1000 it squares a fraction of the N(N-1)
-pairs (1-14%, under 7% in nine queries of ten) and takes a hypot of
-fewer (0.1-1.8%), and it holds one chunk of scratch memory.
+For each puncture a they need the bracket of d_a = |z-a| among a's
+distances to the other punctures, and those distances belong to the
+domain, not to z: the domain sorts each puncture's row of them once,
+when it is made, where they fit (``_sorted_rows``).  So the queries
+take one of three routes by the number N of punctures:
+
+* below ``_LISTS_BELOW``, sorted Python lists, where a query bisects
+  each row it needs; they, and the ring bounds, run without numpy;
+* from there on up to ``_TABLE_CELLS`` distances (N <= 128), one
+  sorted (N, N-1) array, where one comparison with d brackets every
+  row at once;
+* past that budget (at N = 1000 the rows would take 8 MB), no rows:
+  ``rho_bounds`` searches the pairwise distances for its upper end, a
+  chunk of at most ``_BLOCK`` at a time, the punctures nearest to z
+  first, with each chunk's last slots given to the two that bracket the
+  distance d of the puncture it last searched in full.  It prunes on
+  squared distances, a tenth of the cost of a hypot, and drops each
+  puncture once the squares it has met bound its 4 m d below the best
+  found; only the punctures that can decide the bound get exact
+  distances, a scan of their row each.  It returns the largest 4 m d
+  and the log-gaps of the punctures it searched in full, which the
+  lower end's walk reads; other rows the walk visits are scanned a
+  batch at a time.  So at N = 1000 it squares a fraction of the N(N-1)
+  pairs (1-14%, under 7% in nine queries of ten) and takes a hypot of
+  fewer (0.1-1.8%), and it holds one chunk of scratch memory.
+
+Every distance is the libm hypot's, as abs(complex) or np.hypot, so
+the three routes give the same bits.  From ``_LISTS_BELOW`` punctures on
+the domain also keeps its coordinates as numpy arrays (so numpy loads
+when such a domain is made, not in a query).
 
 Everything here is a bound, never an approximation: a value is only
 returned when the hypothesis it needs has been checked, and outputs
@@ -46,7 +54,7 @@ err on the safe side.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
 import sys
@@ -82,13 +90,23 @@ def _check_distinct(pts: Sequence[complex]) -> None:
 class PuncturedDomain:
     """The complement of a finite set of at least two distinct points.
 
-    Immutable; equality and hash are those of ``punctures``."""
+    Immutable; equality and hash are those of ``punctures``.  It holds,
+    built once when it is made, what the density queries read of the
+    punctures alone: below ``_LISTS_BELOW`` punctures each one's
+    distances to the others, sorted, as Python lists; from there on the
+    punctures' coordinates as numpy arrays and, up to ``_TABLE_CELLS``
+    distances, the same sorted rows as one read-only (N, N-1) array (at
+    most 128 KB; ~0.3 ms to build at N = 100, ~0.5 ms at N = 128).  Past
+    that budget, as at N = 1000, where the rows would take 8 MB, it
+    keeps none."""
 
-    __slots__ = ("punctures", "_xy")
+    __slots__ = ("punctures", "_xy", "_rows")
     punctures: tuple[complex, ...]
     # the punctures' coordinates x, y as read-only arrays for the array
-    # route, built once from _LISTS_BELOW punctures on, else None
+    # routes, built once from _LISTS_BELOW punctures on, else None
     _xy: tuple | None
+    # each puncture's sorted distances to the others (_sorted_rows)
+    _rows: list | np.ndarray | None
 
     def __init__(self, punctures: Sequence[complex]):
         pts = tuple(specfun.finite_complex(p, "punctures", j)
@@ -98,9 +116,10 @@ class PuncturedDomain:
                 "need at least two punctures for a hyperbolic domain, "
                 f"got {len(pts)}")
         _check_distinct(pts)
+        xy = _coordinates(pts) if len(pts) >= _LISTS_BELOW else None
         object.__setattr__(self, "punctures", pts)
-        object.__setattr__(self, "_xy", _coordinates(pts)
-                           if len(pts) >= _LISTS_BELOW else None)
+        object.__setattr__(self, "_xy", xy)
+        object.__setattr__(self, "_rows", _sorted_rows(pts, xy))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,19 +143,15 @@ class PuncturedDomain:
         return type(self), (self.punctures,)
 
 
-# numpy, which the array route runs on: bound by _load_numpy, which each
-# entry of the route calls first
+# numpy, which the array routes run on: bound by _coordinates, which
+# makes the arrays of every domain that takes them
 np = None
-
-
-def _load_numpy() -> None:
-    global np
-    import numpy as np
 
 
 def _coordinates(pts: tuple[complex, ...]) -> tuple:
     """The punctures' coordinates x, y as read-only arrays."""
-    _load_numpy()
+    global np
+    import numpy as np
     coords = np.fromiter(pts, complex, len(pts))
     x, y = coords.real.copy(), coords.imag.copy()
     x.flags.writeable = y.flags.writeable = False
@@ -252,9 +267,9 @@ def _ring_lower(p: RingBoundParams, r1: float, r2: float) -> float:
     """
     c, a, b = p
     phi = a * c
-    err = metric.varphi_error(phi)
+    err = metric._varphi_error(phi)
     a_lo = max(0.0, a * (1.0 - _EPS) - err / c)
-    b_hi = b + _EPS * abs(b) + err + metric.varphi_error(phi - b)
+    b_hi = b + _EPS * abs(b) + err + metric._varphi_error(phi - b)
     l1, l2 = math.log(r1), math.log(r2)
     gap = max(0.0, (l2 - l1) - 4.0 * _EPS * (abs(l1) + abs(l2)))
     raw = a_lo * gap - b_hi
@@ -387,6 +402,15 @@ def _upper_candidate(d: float, m: float, hi: float) -> float:
 # _TINY gets NaN cells only, so it is never dropped.  An s or d^2 that
 # overflows makes p = inf, no information either, and p < 2^1984 where
 # it is finite.
+#
+# The table (``_table_upper``) bounds a row's 4 m d the same way, by
+# 4 (m' + _GAP_SLACK) d, where m' is m from np.log values of d and its
+# bracket's two ends.  Each is within 4 ulps of its exact log, below 745
+# in magnitude (4 * 2^-43), and their difference rounds by half an ulp
+# more (2^-43 below 1490), so m' falls below the exact m by at most
+# 9 * 2^-43, and _log_gap's m exceeds it by at most 3 * 2^-43 (above).
+# Adding the slack rounds by 2^-43 more, so fl(m' + slack) >= m while
+# the slack exceeds 13 * 2^-43 ~ 1.5e-12; it is six times that.
 _GAP_SLACK = 1e-11
 _TINY = 2.0 ** -960
 
@@ -552,13 +576,62 @@ def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     return gap
 
 
-# Below this many punctures both queries run on Python lists of the
-# punctures, where the array route's fixed cost of numpy calls (some
-# 20-45 us a query) outweighs the N(N-1)/2 scalar hypots; at N = 22 the
-# two routes of rho_bounds cost about the same (70-75 us in the median
-# over uniform unit-disk domains), while sigma_lower stays cheaper on
-# lists up to N = 48 at least (CHANGES.md).
+# Below this many punctures both queries run on Python lists, where the
+# fixed cost of a table query's numpy calls (~45 us) outweighs a
+# bisection of every row in Python: rho_bounds costs the same on both
+# at N = 20-24, while sigma_lower stays cheaper on lists up to N ~ 56
+# (CHANGES.md holds the timings).
 _LISTS_BELOW = 22
+
+# Up to this many distances, N(N-1) <= 2^14 (N <= 128, 128 KB), a domain
+# of _LISTS_BELOW punctures or more keeps its sorted rows as one array;
+# past it the queries search the pairs from z outward.  A table query
+# beats the search at every N measured (up to 400), but its build grows
+# as N^2: at N = 128 the ~0.5 ms it adds is repaid by about four
+# rho_bounds queries or thirty sigma_lower ones, at N = 400 by some
+# sixty or a thousand (CHANGES.md holds the timings).
+_TABLE_CELLS = 2 ** 14
+
+
+def _sorted_rows(pts: tuple[complex, ...], xy: tuple | None):
+    """Each puncture's distances to the others, sorted: a list of Python
+    lists below ``_LISTS_BELOW`` punctures, a read-only (N, N-1) array up
+    to ``_TABLE_CELLS`` distances, None past them.
+
+    Each distance is abs(b - a) (``_distances``) on the lists, np.hypot
+    of the coordinates' differences in the array, the same libm hypot,
+    and hypot is even: the rows hold the bits that the neighbour search
+    compares, whichever route holds them."""
+    n = len(pts)
+    if n < _LISTS_BELOW:
+        rows = [[] for _ in pts]
+        # each unordered pair's distance once, for the rows of both
+        for i in range(1, n):
+            row = _distances(pts[i], pts[:i])
+            rows[i].extend(row)
+            for other, r in zip(rows, row):
+                other.append(r)
+        for row in rows:
+            row.sort()
+        return rows
+    if n * (n - 1) > _TABLE_CELLS:
+        return None
+    x, y = xy
+    with np.errstate(over="ignore"):
+        r = np.hypot(x[:, None] - x, y[:, None] - y)
+    rows = r[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    rows.sort(axis=1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _bracket(row, d: float) -> tuple[float, float]:
+    """The largest entry below d and the smallest >= d of a sorted row,
+    by bisection, NaN where a side has none.  Where the upper end is d,
+    the log-gap is 0 whatever the lower end."""
+    i = bisect.bisect_left(row, d)
+    return (float(row[i - 1]) if i else math.nan,
+            float(row[i]) if i < len(row) else math.nan)
 
 
 def _check_off_punctures(z: complex, nearest: float) -> None:
@@ -568,25 +641,67 @@ def _check_off_punctures(z: complex, nearest: float) -> None:
         raise DomainError(f"z = {z!r} is a puncture of the domain")
 
 
+def _array_distances(dom: PuncturedDomain,
+                     z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The distances d_a = |z-a| in the domain's order, inf where one
+    overflows (under np.errstate(over="ignore")), and the permutation
+    that sorts them, the walk order of ``_lower_end``.
+
+    Raises DomainError where z is not finite or is a puncture.
+    """
+    z = specfun.finite_complex(z, "z")
+    x, y = dom._xy
+    d = np.hypot(z.real - x, z.imag - y)
+    perm = np.argsort(d)
+    _check_off_punctures(z, d[perm[0]])
+    return d, perm
+
+
 def _nearest_first(dom: PuncturedDomain,
                    z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The punctures' coordinates x, y and their distances d_a = |z-a|,
-    inf where one overflows (under np.errstate(over="ignore")), all
-    three permuted into increasing d_a: the walk order of ``_lower_end``
-    is then range(N).
+    all three permuted into increasing d_a (``_array_distances``): the
+    walk order of ``_lower_end`` is then range(N)."""
+    d, perm = _array_distances(dom, z)
+    x, y = dom._xy
+    return x[perm], y[perm], d[perm]
 
-    Raises DomainError where z is not finite or is a puncture.  A domain
-    of fewer than ``_LISTS_BELOW`` punctures, which meets this route only
-    where the cut was lowered after it was made, has its coordinates
-    built here.
+
+def _table_upper(rows: np.ndarray,
+                 d: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The largest 4 m d over the punctures of a table (see
+    ``_upper_candidate``), and every puncture's bracket of d as
+    ``_bracket`` gives it: arrays of the lower and the upper ends.
+
+    The rows ascend, so row a's entries below d_a come first, and the
+    first entry that is not is the upper end: one comparison of the
+    table with d gives every bracket.  Each row then bounds its 4 m d
+    from np.log values, with the slack ``_GAP_SLACK``, and only the rows
+    whose bound can reach the best exact 4 m d so far take exact values
+    (math.log, as ``_log_gap``): typically one or two.
     """
-    z = specfun.finite_complex(z, "z")
-    x, y = dom._xy or _coordinates(dom.punctures)
-    d = np.hypot(z.real - x, z.imag - y)
-    perm = np.argsort(d)
-    d = d[perm]
-    _check_off_punctures(z, d[0])
-    return x[perm], y[perm], d
+    n, k = rows.shape
+    below = rows < d[:, None]
+    count = below.argmin(axis=1)
+    # argmin finds no False in a row wholly below its d
+    count[below[:, -1]] = k
+    at = np.arange(0, n * k, k) + count
+    hi = rows.take(at, mode="clip")
+    lo = rows.take(at - 1, mode="clip")
+    hi[count == k] = np.nan
+    lo[count == 0] = np.nan
+    s = np.log(d)
+    # fmin passes over NaN, as _log_gap's min does
+    bound = 4.0 * (np.fmin(s - np.log(lo), np.log(hi) - s) + _GAP_SLACK) * d
+
+    def exact(a: int) -> float:
+        da, hia = float(d[a]), float(hi[a])
+        return _upper_candidate(da, _log_gap(da, float(lo[a]), hia), hia)
+
+    best = exact(bound.argmax())
+    for a in (~(bound < best)).nonzero()[0]:
+        best = max(best, exact(a))
+    return best, lo, hi
 
 
 def _abs(w: complex) -> float:
@@ -610,45 +725,12 @@ def _distances(a: complex, pts: Sequence[complex]) -> list[float]:
 def _list_nearest_first(pts: tuple[complex, ...],
                         z: complex) -> tuple[list[float], list[int]]:
     """The list route's distances d_a = |z - a| and order for
-    ``_lower_end``; raises as ``_nearest_first`` does."""
+    ``_lower_end``; raises as ``_array_distances`` does."""
     z = specfun.finite_complex(z, "z")
     d = _distances(z, pts)
     order = sorted(range(len(d)), key=d.__getitem__)
     _check_off_punctures(z, d[order[0]])
     return d, order
-
-
-def _list_brackets(pts: tuple[complex, ...],
-                   d: list[float]) -> tuple[list[float], list[float]]:
-    """Every puncture's bracket on the list route: per puncture a, the
-    largest |b-a| <= d_a and the smallest >= d_a, NaN where there is
-    none.  Each unordered pair's distance is taken once and feeds the
-    brackets of both its punctures."""
-    n = len(pts)
-    lo, hi = [math.nan] * n, [math.nan] * n
-    for i in range(1, n):
-        di = d[i]
-        for j, r in enumerate(_distances(pts[i], pts[:i])):
-            # no r is NaN, and r <= NaN is false: a side that has none
-            # yet takes the first r on it
-            if r <= di and not r <= lo[i]:
-                lo[i] = r
-            if r >= di and not r >= hi[i]:
-                hi[i] = r
-            dj = d[j]
-            if r <= dj and not r <= lo[j]:
-                lo[j] = r
-            if r >= dj and not r >= hi[j]:
-                hi[j] = r
-    return lo, hi
-
-
-def _list_row_gap(pts: tuple[complex, ...], d: list[float], a: int) -> float:
-    """Puncture a's log-gap on the list route, from one scan of its row."""
-    da = d[a]
-    row = _distances(pts[a], pts[:a] + pts[a + 1:])
-    return _log_gap(da, max([r for r in row if r <= da], default=math.nan),
-                    min([r for r in row if r >= da], default=math.nan))
 
 
 def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
@@ -669,22 +751,27 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     stops once no farther one can raise it, so h (``metric._h``) runs on
     typically one to three of them.
 
-    Below ``_LISTS_BELOW`` punctures the query runs on Python lists:
-    abs(b - a) once for each unordered pair, which calls the same libm
-    hypot as np.hypot, so both routes give the same bits.  From it on
-    the upper end needs the largest 4 m d only.  Its search
-    (``_neighbours``) visits the pairs nearest to z first, as squared
-    distances, with the last slots of each chunk given to the two
-    punctures that bracket the d of the puncture it last searched in
-    full, and drops each puncture once the squares seen so far bound
-    its 4 m d below the best one found, by a slack that covers their
-    rounding.  The punctures that could hold the largest 4 m d are
-    searched in full with exact hypots, so the result is that of a
-    hypot for every pair to the bit.  The search returns that largest
-    4 m d and the log-gap of each puncture it searched in full.  A
-    puncture the walk visits takes its m from those where it can, else
-    from a scan of its row, batched with the rows of the next ones
-    (``_row_gaps``).
+    Where the domain keeps its sorted rows of distances, the bracket
+    of each d is a bisection of its row: on the lists, below
+    ``_LISTS_BELOW`` punctures, one ``bisect`` a row; on the table, up
+    to ``_TABLE_CELLS`` distances, one comparison of the whole table
+    with d, after which only the rows whose np.log bound on 4 m d can
+    reach the best take exact values (``_table_upper``).  A query then
+    costs N distances to z, a sort of them, the brackets and the walk's
+    h calls.
+
+    Past the budget the upper end's search (``_neighbours``) visits the
+    pairs nearest to z first, as squared distances, with the last slots
+    of each chunk given to the two punctures that bracket the d of the
+    puncture it last searched in full, and drops each puncture once the
+    squares seen so far bound its 4 m d below the best one found, by a
+    slack that covers their rounding.  The punctures that could hold
+    the largest 4 m d are searched in full with exact hypots, so the
+    result is that of a hypot for every pair to the bit.  The search
+    returns that largest 4 m d and the log-gap of each puncture it
+    searched in full.  A puncture the walk visits takes its m from
+    those where it can, else from a scan of its row, batched with the
+    rows of the next ones (``_row_gaps``).
 
     At N = 1000 the search squares 1-14% of the N(N-1) ordered pairs
     (under 7% in nine queries of ten) and takes an exact hypot of
@@ -692,23 +779,27 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     no puncture can be dropped, as on 1000 punctures on a circle about
     z, it squares every pair, the witness columns twice, and then scans
     every row: O(N^2) work, about 35 ms at best, some tens of times a
-    typical query's.  Below the cut a query takes the N(N-1)/2 hypots and a
-    sort.  CHANGES.md holds the measured per-query times of both
-    routes.
+    typical query's.  CHANGES.md holds the measured per-query times of
+    the three routes.
     """
-    pts = dom.punctures
-    if len(pts) < _LISTS_BELOW:
-        d, order = _list_nearest_first(pts, z)
-        lo, hi = _list_brackets(pts, d)
-        m = list(map(_log_gap, d, lo, hi))
-        q = max(map(_upper_candidate, d, m, hi))
-        lower = _lower_end(order, d, m.__getitem__)
-    else:
-        _load_numpy()
+    rows = dom._rows
+    if rows is None:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x, y, d = _nearest_first(dom, z)
             q, gaps = _neighbours(x, y, d)
             lower = _lower_end(range(len(d)), d, _row_gaps(x, y, d, gaps))
+    elif type(rows) is list:
+        d, order = _list_nearest_first(dom.punctures, z)
+        lo, hi = zip(*map(_bracket, rows, d))
+        m = list(map(_log_gap, d, lo, hi))
+        q = max(map(_upper_candidate, d, m, hi))
+        lower = _lower_end(order, d, m.__getitem__)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, perm = _array_distances(dom, z)
+            q, lo, hi = _table_upper(rows, d)
+        lower = _lower_end(perm, d, lambda a: _log_gap(
+            float(d[a]), float(lo[a]), float(hi[a])))
     # pi/q is monotone in q: this is the smallest pi/(4 m d)
     return RhoBounds(lower, math.pi / q * (1.0 + _EVAL_SLACK)
                      if q > 0.0 else math.inf)
@@ -729,21 +820,27 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     the one whose log-distance is nearest log|z-a|.  The sup over pairs
     is therefore exactly the lower end of ``rho_bounds``, and it is
     found by the same outward walk.  Only the punctures the walk visits
-    need their m, so each of those scans its own row of distances, and
-    the pairwise search never runs: a query costs a sort, one
-    call of h (``metric._h``) for each visited puncture, typically one
-    to three, and a scan of its row: a Python list below ``_LISTS_BELOW``
-    punctures, else a numpy row, batched with the next ones where the
-    walk goes on (``_row_gaps``).  So a query costs O(N log N) for the
-    sort and O(N) per visited row; where the walk visits every
-    puncture, as on 1000 punctures on a circle about z, that is O(N^2).
+    need their m: where the domain keeps its sorted rows, a bisection
+    of each visited row, Python's ``bisect`` on the lists and on the
+    table's rows alike, so a query costs N distances to z, their sort
+    and one call of h (``metric._h``) for each visited puncture,
+    typically one to three.  Past ``_TABLE_CELLS`` distances each
+    visited puncture scans its own row, a numpy row batched with the
+    next ones where the walk goes on (``_row_gaps``): O(N) per visited
+    row, and O(N^2) where the walk visits every puncture, as on 1000
+    punctures on a circle about z.  The pairwise search never runs.
     CHANGES.md holds the measured per-query times.
     """
-    pts = dom.punctures
-    if len(pts) < _LISTS_BELOW:
-        d, order = _list_nearest_first(pts, z)
-        return _lower_end(order, d, functools.partial(_list_row_gap, pts, d))
-    _load_numpy()
-    with np.errstate(over="ignore"):
-        x, y, d = _nearest_first(dom, z)
-        return _lower_end(range(len(d)), d, _row_gaps(x, y, d, {}))
+    rows = dom._rows
+    if rows is None:
+        with np.errstate(over="ignore"):
+            x, y, d = _nearest_first(dom, z)
+            return _lower_end(range(len(d)), d, _row_gaps(x, y, d, {}))
+    if type(rows) is list:
+        d, order = _list_nearest_first(dom.punctures, z)
+    else:
+        with np.errstate(over="ignore"):
+            d, perm = _array_distances(dom, z)
+        d, order = d.tolist(), perm.tolist()
+    return _lower_end(order, d,
+                      lambda a: _log_gap(d[a], *_bracket(rows[a], d[a])))

@@ -103,7 +103,7 @@ def lambda01_neg(x: float) -> float:
     range limit is that of h: |log x| must not exceed T_CAP.
     """
     x = _check_positive_x(x)
-    return h(math.log(x)) / x
+    return _h(_check_range(math.log(x))) / x
 
 
 def phi_func(x: float) -> float:
@@ -128,6 +128,11 @@ def _check_t(t: float) -> float:
     t = specfun.to_float(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
+    return _check_range(t)
+
+
+def _check_range(t: float) -> float:
+    """A finite float t, checked against h's range T_CAP."""
     if abs(t) > T_CAP:
         raise RangeError(
             f"|t| must not exceed {T_CAP} (asymptotics are not silently "
@@ -250,8 +255,17 @@ def varphi_error(value: float) -> float:
     large t.  The polynomial's Horner steps add under 2 eps relative.
     Against mpmath the largest error seen was 1.6 eps (1 + |phi|), for
     t from 1e-13 to 1e4 and at 1e300; the factor VARPHI_ERR_K leaves a
-    fivefold margin.
+    fivefold margin.  A value that is not a finite float is no result
+    of varphi: DomainError.
     """
+    value = specfun.to_float(value, "value")
+    if not math.isfinite(value):
+        raise DomainError(f"value must be finite, got {value!r}")
+    return _varphi_error(value)
+
+
+def _varphi_error(value: float) -> float:
+    """varphi_error at a float value that varphi returned."""
     size = abs(value)
     if size >= _VARPHI_RELATIVE_BELOW:
         size += 1.0

@@ -16,8 +16,9 @@
 # figure1 twice, so that a second run in one process reads as the first.
 # bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
-# order; N = 2 and 10 take the list route of the queries, N = 40 and
-# the 400 clustered punctures the array route.  PUNCTMETRIC names the
+# order; N = 2 and 10 take the list rows of the queries, N = 40 and
+# 128 the sorted table, and 129 and the 400 clustered punctures the
+# pruned search.  PUNCTMETRIC names the
 # command (default: punctmetric; from a checkout,
 # PUNCTMETRIC="python -m punctmetric.cli" with PYTHONPATH=src); PYTHON
 # names the interpreter of the warm part (default: python3).  Exits
@@ -79,6 +80,7 @@ bounds() {
   pinned pair ten | diff - tests/data/bounds_cli.jsonl
   pinned forty | diff - tests/data/bounds_cli_forty.jsonl
   pinned clusters | diff - tests/data/bounds_cli_clusters.jsonl
+  pinned edge128 edge129 | diff - tests/data/bounds_cli_edge.jsonl
 }
 
 scalar() {

@@ -257,8 +257,9 @@ def test_rho_rejects_punctures():
         bounds.rho_bounds(dom, complex(math.nan, 0.0))
 
 
-@pytest.mark.parametrize("n", (3, 100))
+@pytest.mark.parametrize("n", (3, 100, 200))
 def test_rho_and_sigma_reject_exactly_the_punctures(n):
+    # one size a route: the list rows, the array table and the search
     # a distance is 0 exactly where z is a puncture: -0.0 parts compare
     # equal to 0.0, and a subnormal ulp away is a point of the domain
     dom = bounds.PuncturedDomain([0.0, 1.0, 1e-300j]
@@ -373,8 +374,7 @@ def test_rho_lower_regression_matches_oracle_route():
 
 def _pair_loop_rho_bounds(dom, z):
     """rho_bounds as the O(N^2) scalar loop over ordered pairs: the
-    reference the list route and the block search must reproduce bit
-    for bit."""
+    reference that every route must reproduce bit for bit."""
     lower, upper = 0.0, math.inf
     for a in dom.punctures:
         d = abs(z - a)
@@ -394,24 +394,130 @@ def _pair_loop_rho_bounds(dom, z):
     return bounds.RhoBounds(lower, upper)
 
 
-# Both routes of the queries: 0 sends every domain to the arrays, the
-# default sends the small ones to the lists.
-_ROUTES = (0, bounds._LISTS_BELOW)
+# The three routes of the queries, as patches of the two cuts: the list
+# rows for every domain, the array table for every domain, and the
+# pruned search for every domain.
+_ROUTES = ({"_LISTS_BELOW": math.inf},
+           {"_LISTS_BELOW": 0, "_TABLE_CELLS": math.inf},
+           {"_LISTS_BELOW": 0, "_TABLE_CELLS": 0})
+
+
+def _on_each_route(pts):
+    """(patch, domain) for each route, the domain made under its patch,
+    so that it holds the rows that route reads."""
+    out = []
+    for cuts in _ROUTES:
+        with mock.patch.multiple(bounds, **cuts):
+            out.append((cuts, bounds.PuncturedDomain(pts)))
+    return out
 
 
 def _assert_matches_pair_loop(pts, z, *blocks):
-    """Both routes against the pair loop, at each of blocks (the default
-    _BLOCK where none is given)."""
-    dom = bounds.PuncturedDomain(pts)
-    want = _pair_loop_rho_bounds(dom, complex(z))
-    for block, lists_below in itertools.product(blocks or (bounds._BLOCK,),
-                                                _ROUTES):
-        with mock.patch.object(bounds, "_BLOCK", block), \
-                mock.patch.object(bounds, "_LISTS_BELOW", lists_below):
+    """Every route against the pair loop, the search at each of blocks
+    (the default _BLOCK where none is given)."""
+    want = _pair_loop_rho_bounds(bounds.PuncturedDomain(pts), complex(z))
+    for (cuts, dom), block in itertools.product(
+            _on_each_route(pts), blocks or (bounds._BLOCK,)):
+        with mock.patch.multiple(bounds, _BLOCK=block, **cuts):
             got = bounds.rho_bounds(dom, z)
-            assert got == want
-            assert bounds.sigma_lower(dom, z) == want.lower
+            assert got == want, cuts
+            assert bounds.sigma_lower(dom, z) == want.lower, cuts
     return got
+
+
+# the sizes on both sides of each cut: the last of the list rows, the
+# first and the last of the table, the first of the search
+_EDGES = (bounds._LISTS_BELOW - 1, bounds._LISTS_BELOW, 128, 129)
+
+
+def test_default_routes_at_the_cuts():
+    assert 128 * 127 <= bounds._TABLE_CELLS < 129 * 128
+    kinds = [bounds.PuncturedDomain([complex(k, 1.0) for k in range(n)])._rows
+             for n in _EDGES]
+    assert [type(rows) for rows in kinds] == [list, np.ndarray, np.ndarray,
+                                              type(None)]
+    assert [len(kinds[0]), kinds[1].shape, kinds[2].shape] == [
+        _EDGES[0], (_EDGES[1], _EDGES[1] - 1), (128, 127)]
+
+
+def _tied(n):
+    """n points of the integer lattice, and points z at distance 5 from
+    the corner 0, which is the corner's distance to (4, 3) exactly, so
+    that d is an entry of the corner's row, and a point near the
+    lattice's centre, where distances to z tie in pairs."""
+    side = math.ceil(math.sqrt(n))
+    pts = [complex(k % side, k // side) for k in range(n)]
+    half = (side - 1) / 2
+    return pts, [-3.0 - 4.0j, -5.0, complex(half, half + 0.5)]
+
+
+@pytest.mark.parametrize("n", _EDGES)
+@pytest.mark.parametrize("layout", ("uniform", "tied", "circle", "tiny"))
+def test_routes_match_the_pair_loop_at_the_cuts(layout, n):
+    # the tiny layout is the uniform one at 1e-300, where every square
+    # of a distance underflows
+    rng = np.random.default_rng(n)
+    if layout == "tied":
+        pts, zs = _tied(n)
+    elif layout == "circle":
+        pts = _polygon(n, 0.25 + 0.5j, 3.0)
+        zs = [0.25 + 0.5j, 1.0 + 0.5j, 3.25 + 1e-9 + 0.5j]
+    else:
+        pts = _layout("uniform", n, rng)
+        zs = [0.3 - 0.2j, pts[3] + 1e-3, 2.0]
+        if layout == "tiny":
+            pts, zs = ([p * 1e-300 for p in v] for v in (pts, zs))
+    for z in zs:
+        _assert_matches_pair_loop(pts, z)
+
+
+def test_table_takes_exact_values_of_few_rows():
+    # the table bounds every row's 4 m d from np.log values, and only the
+    # rows whose bound can reach the best take math.log values
+    rng = np.random.default_rng(20261018)
+    dom = bounds.PuncturedDomain(_layout("uniform", 100, rng))
+    for z in (0.3 - 0.2j, 0.9 + 0.1j, 2.0):
+        with mock.patch.object(bounds, "_upper_candidate",
+                               wraps=bounds._upper_candidate) as exact:
+            bounds.rho_bounds(dom, z)
+        assert 1 <= exact.call_count <= 4
+
+
+def _near_ties(rng, count):
+    """Domains of near-tied rows and their point z: punctures on, or a
+    few ulps off, the circle |b-a| = |z-a| about a puncture a."""
+    out = [([0j, 1j, 2j, 1j + 1.0 + 2.0 ** -52], 2j - 1e-3)]
+    for _ in range(count):
+        a, w = (complex(*rng.uniform(-100.0, 100.0, 2)) for _ in range(2))
+        turns = rng.choice((1.0, 1j, -1.0, -1j), size=4)
+        ring = [a + w * t * (1.0 + int(k) * 2.0 ** -52)
+                for t, k in zip(turns, rng.integers(-4, 5, 4))]
+        if a + w not in ring:
+            out.append((list(dict.fromkeys([a, *ring])), a + w))
+    return out
+
+
+@pytest.mark.parametrize("skew", list(itertools.product((-4, 4), repeat=3)))
+def test_table_bound_allows_for_a_log_some_ulps_off(skew):
+    # the table bounds each row's 4 m d from three np.log calls, of d and
+    # of the two ends of the brackets; a log 4 ulps off, in each way on
+    # each call, must still leave the rows that hold the largest 4 m d
+    log = np.log
+    calls = itertools.count()
+
+    def skewed(v):
+        out = log(v)
+        return out + skew[next(calls) % 3] * np.spacing(np.abs(out))
+
+    rng = np.random.default_rng(20261020)
+    with mock.patch.multiple(bounds, _LISTS_BELOW=0,
+                             _TABLE_CELLS=math.inf):
+        cases = [(bounds.PuncturedDomain(pts), z)
+                 for pts, z in _near_ties(rng, 60)]
+    for dom, z in cases:
+        want = _pair_loop_rho_bounds(dom, z)
+        with mock.patch.object(np, "log", skewed):
+            assert bounds.rho_bounds(dom, z) == want, (dom, z)
 
 
 _coords = st.floats(min_value=-100.0, max_value=100.0, allow_subnormal=False)
@@ -495,8 +601,8 @@ def test_rho_default_blocks_match_the_pair_loop():
 # _neighbours drops the rows whose bracket so far bounds their 4 m d
 # below the best, and completes one row by a full scan after each
 # chunk.  Chunks of one and seven distances spread even two- and
-# three-puncture domains over many chunks, on the array route that
-# _assert_matches_pair_loop runs next to the list route.
+# three-puncture domains over many chunks, on the search route that
+# _assert_matches_pair_loop runs next to the list rows and the table.
 
 _small_blocks = st.sampled_from((1, 7))
 
@@ -552,6 +658,9 @@ _OVERFLOWING = (
     # b = -0.9e308, yet the 4 m d that its other side leaves is finite
     # and beats those of the punctures that have one
     ((0.9e308, 0.9e308 - 1e300, -0.9e308, 0.0, 1.0), 0.9e308 - 1e306),
+    # the same two far punctures beside a row of near ones, at the cuts
+    *(((0.9e308, -0.9e308, *(complex(k, 1.0) for k in range(n - 2))), z)
+      for n in (21, 22, 128, 129) for z in (3.0, 0.8e308, -0.89e308)),
 )
 
 
@@ -561,16 +670,15 @@ def test_rho_overflowing_distances_in_small_blocks(pts, z, block):
     # the pair loop has no rule for an overflowed |b-a| (its upper end
     # takes pi/(4 m d) from it) and abs() raises where a modulus of
     # finite components overflows, so the reference is the array
-    # search at the default block, which the list route and the small
+    # search at the default block, which the other routes and the small
     # blocks must match, and the pair loop's lower end where it runs
-    dom = bounds.PuncturedDomain(pts)
-    with mock.patch.object(bounds, "_LISTS_BELOW", 0):
+    with mock.patch.multiple(bounds, _LISTS_BELOW=0, _TABLE_CELLS=0):
+        dom = bounds.PuncturedDomain(pts)
         want = bounds.rho_bounds(dom, z)
-    for lists_below in _ROUTES:
-        with mock.patch.object(bounds, "_BLOCK", block), \
-                mock.patch.object(bounds, "_LISTS_BELOW", lists_below):
-            assert bounds.rho_bounds(dom, z) == want
-            assert bounds.sigma_lower(dom, z) == want.lower
+    for cuts, dom in _on_each_route(pts):
+        with mock.patch.multiple(bounds, _BLOCK=block, **cuts):
+            assert bounds.rho_bounds(dom, z) == want, cuts
+            assert bounds.sigma_lower(dom, z) == want.lower, cuts
     try:
         assert want.lower == _pair_loop_rho_bounds(dom, complex(z)).lower
     except OverflowError:
@@ -707,9 +815,10 @@ def test_row_bracket_is_the_rows_bracket_with_its_witnesses():
              ([0.9e308, -0.9e308, 0.9e308 + 6.7e301], 0.9e308 - 4e306),
              ([-1e308, 1e308, 0.0], 0.9e308)]
     for pts, z in cases:
+        with mock.patch.multiple(bounds, _LISTS_BELOW=0, _TABLE_CELLS=0):
+            dom = bounds.PuncturedDomain(pts)
         with np.errstate(over="ignore", invalid="ignore"):
-            x, y, d = bounds._nearest_first(
-                bounds.PuncturedDomain(pts), z)
+            x, y, d = bounds._nearest_first(dom, z)
             lo, hi = bounds._rows_bracket(x, y, d, np.arange(len(pts)))
             r = np.hypot(x - x[:, None], y - y[:, None])
             got = [bounds._row_bracket(x, y, d, a) for a in range(len(pts))]
@@ -992,15 +1101,16 @@ def test_lower_walk_scans_at_most_twice_the_rows_it_visits(query):
     # z a little outside a cluster of 50 punctures, whose distances to
     # it are near-equal: the walk visits many of them, and a query whose
     # walk scans rows scans no more than twice those it visits, in fewer
-    # numpy calls where the walk is long
+    # numpy calls where the walk is long.  Only the search route scans
+    # rows, so the table is switched off
     rng = np.random.default_rng(20261018)
     pts = _layout("clustered", 100, rng)
-    dom = bounds.PuncturedDomain(pts)
+    with mock.patch.object(bounds, "_TABLE_CELLS", 0):
+        dom = bounds.PuncturedDomain(pts)
     long_walks = 0
     for k in range(0, 100, 7):
         z = pts[k] + 0.2 * cmath.exp(1j * k)
         _assert_matches_pair_loop(pts, z)
-        recorded, sizes = _hypot_sizes()
         with mock.patch.object(bounds, "_rows_bracket",
                                wraps=bounds._rows_bracket) as batches, \
                 mock.patch.object(bounds, "_row_bracket",
@@ -1015,3 +1125,4 @@ def test_lower_walk_scans_at_most_twice_the_rows_it_visits(query):
             long_walks += 1
             assert singles.call_count + batches.call_count < h.call_count
     assert long_walks
+    assert singles.call_count + batches.call_count

@@ -12,9 +12,10 @@ lattice with z at its centre, a regular polygon about z) layouts at
 scales from 1e-300 to 1e300, domains whose distances overflow, and
 pairs whose log-gap at z passes ``metric.T_CAP``.  The points include z
 within an ulp of a puncture, z equal to a puncture given with -0.0
-parts, and z not finite.  Each query runs on both routes of the
-module: the Python lists it takes below ``bounds._LISTS_BELOW``
-punctures, and the numpy arrays it takes from there on.
+parts, and z not finite.  Each query runs on each route of the
+module: the sorted Python lists it takes below ``bounds._LISTS_BELOW``
+punctures, the sorted array it takes from there on up to
+``bounds._TABLE_CELLS`` distances, and the pruned search past them.
 
 Regenerate the file with ``python tests/test_bounds_golden.py``, which
 writes it from the library on the import path, after printing how many
@@ -155,14 +156,16 @@ def test_golden_file_covers_the_cases():
     assert {o.get("error") for o in outs} == {None, "DomainError"}
 
 
-@pytest.mark.parametrize("lists_below", (0, None, 25),
-                         ids=("arrays", "default", "lists"))
-def test_small_domains_are_golden(lists_below):
-    # 0 sends every domain to the arrays, 25 every one to the lists
-    if lists_below is None:
-        lists_below = bounds._LISTS_BELOW
+@pytest.mark.parametrize("cuts", (
+    {"_LISTS_BELOW": bounds._LISTS_BELOW}, {"_LISTS_BELOW": 25},
+    {"_LISTS_BELOW": 0}, {"_LISTS_BELOW": 0, "_TABLE_CELLS": 0}),
+    ids=("default", "lists", "table", "search"))
+def test_small_domains_are_golden(cuts):
+    # every domain here has at most 24 punctures: a list cut of 25 sends
+    # every one to the lists, of 0 to the table, and with the budget 0
+    # too to the search
     wrong = []
-    with mock.patch.object(bounds, "_LISTS_BELOW", lists_below):
+    with mock.patch.multiple(bounds, **cuts):
         for line in _golden():
             dom = bounds.PuncturedDomain(map(_from_hex, line["punctures"]))
             for q in line["queries"]:

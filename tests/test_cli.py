@@ -351,7 +351,8 @@ def test_bounds_sigma(capsys, tmp_path):
 # where most points lie outside the clusters.
 PINNED_BOUNDS = (("bounds_cli.jsonl", ("pair", "ten")),
                  ("bounds_cli_forty.jsonl", ("forty",)),
-                 ("bounds_cli_clusters.jsonl", ("clusters",)))
+                 ("bounds_cli_clusters.jsonl", ("clusters",)),
+                 ("bounds_cli_edge.jsonl", ("edge128", "edge129")))
 PINNED_BOUNDS_Z = ("-1,0", "0.5,0.8660254037844386", "3,2", "1e-300,0",
                    "-1e9,0", "0.1,0.2",
                    "-0.016218728184858068,-0.26770582777249746")
@@ -384,6 +385,18 @@ def test_clusters_domain_is_its_script():
                                          "make_domain_clusters.py"))
     with open(script["PATH"]) as fh:
         assert fh.read() == script["text"]()
+
+
+def test_edge_domains_are_their_script():
+    script = runpy.run_path(os.path.join(os.path.dirname(DATA),
+                                         "make_domain_edges.py"))
+    for n in script["SIZES"]:
+        with open(script["path"](n)) as fh:
+            assert fh.read() == script["text"](n)
+    # the largest domain that keeps a table of its distances, and the
+    # smallest that does not
+    assert [n * (n - 1) <= bounds._TABLE_CELLS for n in script["SIZES"]] == [
+        True, False]
 
 
 def test_bounds_z_at_puncture_rc1(capsys, tmp_path):

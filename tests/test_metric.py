@@ -248,7 +248,8 @@ def test_lower_bound_wrappers():
 @pytest.mark.parametrize("call, args", (
     (metric.h, (0.3,)), (metric.h, (-40.0,)), (metric.big_h, (2.5,)),
     (metric.varphi, (3.0,)), (metric.varphi, (0.01,)),
-    (metric.phi_func, (3.0,)), (elliptic.ellip_k, (0.5,)),
+    (metric.phi_func, (3.0,)), (metric.lambda01_neg, (2.0,)),
+    (metric.lambda01_neg, (1e-300,)), (elliptic.ellip_k, (0.5,)),
     (elliptic.mu, (0.3,)), (elliptic.agm, (1.0, 0.3)),
 ))
 def test_kernels_convert_their_own_arguments_only(call, args):
@@ -258,6 +259,15 @@ def test_kernels_convert_their_own_arguments_only(call, args):
                            wraps=specfun.to_float) as to_float:
         call(*args)
     assert to_float.call_count == len(args)
+
+
+def test_varphi_error_refuses_what_varphi_never_returns():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^value must be finite"):
+            metric.varphi_error(bad)
+    # 10**400 is in test_specfun's list of ints past the float range
+    assert metric.varphi_error(3) == metric.varphi_error(3.0) > 0.0
+    assert metric.varphi_error(-1e308) < math.inf
 
 
 def test_domain_and_range_guards():

@@ -8,6 +8,7 @@ grid (``verify.run_check``), so every repr is pinned byte for byte.
 import copy
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,12 +111,41 @@ def test_domain_equality_and_hash_are_on_punctures_alone():
     assert few != pts[:3] and few != tuple(few.punctures)
 
 
+def test_domain_rows_stay_out_of_its_identity():
+    # the sorted rows are built from the punctures when a domain is made:
+    # equality, hash, repr and pickle see the punctures alone, and copies
+    # build their own rows
+    pts = _many_punctures()
+    table = PuncturedDomain(pts)
+    with mock.patch.object(bounds, "_TABLE_CELLS", 0):
+        bare = PuncturedDomain(pts)
+    assert bare._rows is None and table._rows.shape == (len(pts),
+                                                        len(pts) - 1)
+    assert table == bare and hash(table) == hash(bare)
+    assert repr(table) == repr(bare)
+    assert pickle.dumps(table) == pickle.dumps(bare)
+    assert not table._rows.flags.writeable
+    with pytest.raises(ValueError):
+        table._rows[0, 0] = 1.0
+    for twin in (copy.copy(table), copy.deepcopy(table),
+                 pickle.loads(pickle.dumps(bare))):
+        assert twin._rows is not table._rows
+        assert not twin._rows.flags.writeable
+        assert twin._rows.tolist() == table._rows.tolist()
+    few = PuncturedDomain(pts[:3])  # 0, 1+1j, 2+4j
+    assert few._rows == [[abs(1 + 1j), abs(2 + 4j)],
+                         [abs(1 + 1j), abs(1 + 3j)],
+                         [abs(1 + 3j), abs(2 + 4j)]]
+    twin = copy.deepcopy(few)
+    assert twin._rows == few._rows and twin._rows is not few._rows
+
+
 FIELDS = [
     (lambda: HypParams(1, 2, 3), ("a", "b", "c")),
     (lambda: EvalResult(1.0, 0.0, 1, "m"),
      ("value", "abs_err_estimate", "terms_used", "method")),
     (lambda: ZeroBalancedPair(1, 2), ("a", "b")),
-    (lambda: PuncturedDomain([0, 1]), ("punctures", "_xy")),
+    (lambda: PuncturedDomain([0, 1]), ("punctures", "_xy", "_rows")),
     (_grid, ("lo", "hi", "count", "scale")),
     (_report, ("name", "passed", "grid", "worst_point", "worst_margin",
                "tolerance", "notes")),

@@ -151,6 +151,7 @@ def _big_calls():
         ("t", lambda: metric.big_h(BIG)),
         ("t", lambda: metric.big_h_prime(BIG)),
         ("t", lambda: metric.varphi(BIG)),
+        ("value", lambda: metric.varphi_error(BIG)),
         ("x", lambda: metric.lambda01_neg(BIG)),
         ("x", lambda: metric.phi_func(BIG)),
         ("x", lambda: metric.d01_neg(1.0, BIG)),
