@@ -31,6 +31,7 @@ from .hyp2f1 import (
     _derivative,
     _exp_or_inf,
     _falling,
+    _log_scale,
     _log_series_result,
     _ratio_estimate,
     _route,
@@ -269,7 +270,7 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
     # columns; f_m and f_m' a column per m, picked per lane where m is
     # given per lane
-    d_0 = specfun.ramanujan_r(a, b)
+    d_0 = specfun._ramanujan_r(a, b)
     j = np.arange(float(MAX_TERMS_LOG))[:, None]
     kinds, pick = (np.unique(m, return_inverse=True)
                    if isinstance(m, np.ndarray) else ([m], None))
@@ -336,7 +337,7 @@ def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
         out = _Lanes(size)
         with np.errstate(all="ignore"):
             out.value, out.err, serves = _log_series_result(
-                a, b, m, own, u, ell)
+                a, b, m, *_log_scale(a, b, abs(m)), own, u, ell)
         out.terms = own[-1] + 1
         out.served = serves & ~stalled[part]
         results.append(out)

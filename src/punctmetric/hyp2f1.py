@@ -46,6 +46,12 @@ more than MAX_CANCEL (sum T~_n/|S|, or (|A F1| + |B u^s F2|)/|F|), the
 direct series serves at x = 1-u, as it does at once for the other
 integer s, as in F(2,2;1;x); at c = b it is the binomial series of
 F(a,b;b;1-u) = u^-a (a, b swapped at c = a), summed in closed form.
+Two hand-overs come before their series end, each only where the end
+would hand over too, so that neither moves a bit: the log series stops
+once its running sum of T~_n passes MAX_CANCEL (1 + _CAP_SLACK + 6 eps
+lg) times u^-min(a,b)/scale, a bound on |S| (see _CAP_SLACK), and DLMF
+15.8.4 sums F2 before F1, so that where F2 overflows, as it does within
+a few terms at large s, F1's ~s terms are not summed.
 Given u exactly (u = e^{-t}/(1+e^{-t})) and -log(u) finite, nothing is
 lost to cancellation, even where u underflows to 0.  The ``*_many``
 forms give each point of a 1-d array the bits of its float call; they
@@ -68,6 +74,25 @@ MAX_TERMS_LOG = 200
 X_SWITCH = 0.5
 # past x = 1/2 a route hands over where its parts cancel by more than this
 MAX_CANCEL = 1e3
+# The log route's hand-over is certain once its running sum Z of T~_n
+# passes MAX_CANCEL (1 + _CAP_SLACK + 6 eps lg) u^-min(a,b)/scale, a, b
+# the pair summed and scale, lg those of _log_scale: Z only grows, and
+# serving needs Z <= MAX_CANCEL |S| at the stop, S the computed sum.
+# There c >= max(a, b), so F(a,b;c;1-u) <= u^-min(a,b) (at a <= b, (b)_n
+# <= (c)_n: each term is at most that of (1-x)^-a), and |S| is at most
+# F/scale plus S's own error, of which
+#   - the roundings, eps (SERIES_ROUNDINGS N Z + N |S|), are below
+#     eps 201 (16 MAX_CANCEL + 1) |S| < 3.6e-10 |S| where Z <= MAX_CANCEL
+#     |S| (N <= MAX_TERMS_LOG + 1 terms);
+#   - the tail past the stop, |T_N| u/(1-u) or |T_N| (u/(1-u) + 1)(ell
+#     + 2) with |T_N| <= SERIES_RTOL |S|, is below 1.5e-12 |S| at m <= 1
+#     (ell < 745), and T~_N r/(1-r) at m >= 2 is taken as small;
+# and the cap itself falls short of MAX_CANCEL u^-min(a,b) times the
+# exact 1/scale by at most B's and the Pochhammer products' error, eps (6
+# lg + 64 + 4k) (see _log_scale and _log_series_result), an ulp of the
+# pow (u and the exponent are exact) and 4 roundings: 6 eps lg + 1e-13.
+# The slack is over twice the 3.7e-10 left when 6 eps lg is set apart.
+_CAP_SLACK = 1e-9
 # rounding allowance of DLMF 15.8.4 per unit of |A F1| + |B u^s F2|
 CONNECTION_ROUNDING = 1e-14
 # Roundings per step of a term recurrence, relative to T~_n: 8 in the
@@ -149,20 +174,25 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
     starts at n = 1): (sum, last term, tail ratio r, sum of n |T_n|,
     terms after T_0), or None when out of terms.  At the first term
     that overflows the sum stops, and is not finite."""
+    # n counts in floats, exact below 2^53, and |v| is v where v > 0,
+    # else 0.0 - v, which is +0.0 at either zero: each term takes the
+    # float operations of an int counter, abs() and max(), in their
+    # order, with no int conversion or builtin call
+    rtol, tiny, inf = SERIES_RTOL, _TINY, math.inf
+    end = float(MAX_TERMS_DIRECT)
     term = 1.0
-    comp = weighted = 0.0
-    n = small_count = 0
+    comp = weighted = n = 0.0
+    small_count = 0
     ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-    inf = math.inf
-    while n < MAX_TERMS_DIRECT:
+    while n < end:
         term *= ratio
         # Knuth's TwoSum: comp gathers each addition's exact error
         t = total + term
         back = t - total
         comp += (total - (t - back)) + (term - back)
         total = t
-        size = abs(term)
-        n += 1
+        size = term if term > 0.0 else 0.0 - term
+        n += 1.0
         weighted += n * size
         # Stop on the geometric tail: once c + n > 0 the step ratio
         # crosses x at most once (their difference has sign
@@ -176,16 +206,21 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
         # subnormal, where the terms of a subnormal sum may stick (a
         # step ratio above 1/2 rounds an ulp back to an ulp).
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        r = max(abs(ratio), x) if size else 0.0
+        r = 0.0
+        if size:  # r = max(|ratio|, x)
+            r = ratio if ratio > 0.0 else 0.0 - ratio
+            if x > r:
+                r = x
         if r < 1.0 and c + n > 0.0 and size * r <= (
-                SERIES_RTOL * abs(total) * (1.0 - r) or _TINY):
+                rtol * (total if total > 0.0 else 0.0 - total) * (1.0 - r)
+                or tiny):
             small_count += 1
             if small_count == 3:
-                return total + comp, term, r, weighted, n
-        else:
-            if not size < inf:
-                return total + comp, term, r, weighted, n
+                return total + comp, term, r, weighted, int(n)
+        elif size < inf:
             small_count = 0
+        else:
+            return total + comp, term, r, weighted, int(n)
     return None
 
 
@@ -255,33 +290,38 @@ def _falling(m: int):
 
 
 def _zb_sum(a: float, b: float, u: float, ell: float, m: int,
-            from_one: bool = False):
+            from_one: bool = False, cap: float = math.inf):
     """The log family c_n (f_m(n)(d_n + ell) - f_m'(n)) u^n, summed from
     n = 0 (from n = 1 if from_one, where the stop rule waits for C - 1
     too): (sum, last term, last T~_n, sum of T~_n, sum of n T~_n, C - 1,
-    terms after the first), or None when out of terms."""
+    terms after the first), or None when out of terms or once the sum
+    of T~_n passes cap."""
     f, fp, rows = _falling(m)
     c_n = u_pow = 1.0
-    d_n = specfun.ramanujan_r(a, b)
+    d_n = specfun._ramanujan_r(a, b)
     total = size = weighted = plain = 0.0
     if not from_one:
         total = f[0] * (d_n + ell) - fp[0]
         size = abs(fp[0]) + f[0] * (abs(d_n) + ell)
     small_count = 0
     for j, n, f_n, fp_n, size_fp in rows:  # j = n-1
+        if size > cap:
+            return None
         a_n, b_n = a + j, b + j
         c_n *= a_n * b_n / (n * n)
         d_n += 2.0 / n - 1.0 / a_n - 1.0 / b_n
         u_pow *= u
         c_u = c_n * u_pow
         term = c_n * (f_n * (d_n + ell) - fp_n) * u_pow
-        part = c_u * (size_fp + f_n * (abs(d_n) + ell))
+        d_abs = d_n if d_n > 0.0 else 0.0 - d_n  # |v| as in _ratio_sum
+        part = c_u * (size_fp + f_n * (d_abs + ell))
         total += term
         size += part
         weighted += n * part
         plain += c_u
-        if abs(term) <= SERIES_RTOL * abs(total) and (
-                not from_one or c_u <= SERIES_RTOL * plain):
+        if ((term if term > 0.0 else 0.0 - term)
+                <= SERIES_RTOL * (total if total > 0.0 else 0.0 - total)
+                and (not from_one or c_u <= SERIES_RTOL * plain)):
             small_count += 1
             if small_count >= 3 and j > m:  # the last three have n >= m
                 return total, term, part, size, weighted, plain, j + 1
@@ -317,27 +357,35 @@ def _binomial(p: HypParams, u):
     return value, 4.0 * _EPS * value
 
 
-def _log_series_result(a: float, b: float, m: int, sums, u, ell):
-    """(value, estimate, whether it serves) of the log series for c-a-b =
-    m from the sums of _zb_sum at a = c-a, b = c-b if m < 0, at a float u
-    or arrays.  math.lgamma erred against mpmath (x from 1e-4 to 1e5) by
-    at most 18 eps where |lgamma| < 4, else 4.1 eps |lgamma|: B's three
-    by 5 (|lgamma| + 4) eps at most; their sum, exp(), the factor and the
-    product add eps lg + 4 eps, and the Pochhammer products of m >= 2 4
-    eps per step past the first."""
-    k = abs(m)
-    total, term, part, size, weighted, _, terms = sums
-    # G(a+b+k)/(G(a+k) G(b+k)) = (a+b)_k/((a)_k (b)_k B(a,b)); inf, so
-    # handed over, where B(a,b) underflows or (a)_k (b)_k overflows; by
-    # (a)_k first where (a)_k (b)_k underflows (tiny a, b, a factor ~1)
-    beta, (lg_a, lg_b, lg_ab) = specfun.beta_with_log_gammas(a, b)
+def _log_scale(a: float, b: float, k: int) -> tuple[float, float]:
+    """G(a+b+k)/(G(a+k) G(b+k)), the log series' factor at c-a-b = +-k,
+    and the sum lg of |log G| in B(a,b).  math.lgamma erred against
+    mpmath (x from 1e-4 to 1e5) by at most 18 eps where |lgamma| < 4,
+    else 4.1 eps |lgamma|: B's three by 5 (|lgamma| + 4) eps at most."""
+    # (a+b)_k/((a)_k (b)_k B(a,b)); inf, so handed over, where B(a,b)
+    # underflows or (a)_k (b)_k overflows; by (a)_k first where (a)_k
+    # (b)_k underflows (tiny a, b, a factor ~1)
+    beta, lgs = specfun._beta_with_log_gammas(a, b)
     num = pa = pb = 1.0
     for j in range(k):
         num, pa, pb = num * (a + b + j), pa * (a + j), pb * (b + j)
     den = pa * pb * beta
     if not den:
         num, den = num / pa, pb * beta
-    scale = num / den if 0.0 < den < math.inf else math.inf
+    return (num / den if 0.0 < den < math.inf else math.inf,
+            sum(map(abs, lgs)))
+
+
+def _log_series_result(a: float, b: float, m: int, scale: float, lg: float,
+                       sums, u, ell):
+    """(value, estimate, whether it serves) of the log series for c-a-b =
+    m from _log_scale's (scale, lg) and the sums of _zb_sum at a = c-a, b
+    = c-b if m < 0, at a float u or arrays.  To B's error (see
+    _log_scale) the sum of its log-gammas, exp(), the factor and the
+    product add eps lg + 4 eps, and the Pochhammer products of m >= 2 4
+    eps per step past the first."""
+    k = abs(m)
+    total, term, part, size, weighted, _, terms = sums
     value = (-scale if k % 2 else scale) * total
     if k == 0:
         tail = abs(term) * u / (1.0 - u)
@@ -350,7 +398,6 @@ def _log_series_result(a: float, b: float, m: int, sums, u, ell):
         tail = (specfun.where(r < 1.0, part * r / (1.0 - r), math.inf)
                 if specfun.is_array(r) else
                 part * r / (1.0 - r) if r < 1.0 else math.inf)
-    lg = abs(lg_a) + abs(lg_b) + abs(lg_ab)
     err = (abs(scale) * (tail + _EPS * (SERIES_ROUNDINGS * weighted
                                         + terms * abs(total)))
            + _EPS * (6.0 * lg + 64.0 + 4.0 * max(k - 1, 0)) * abs(value))
@@ -369,10 +416,13 @@ def _zb_log(p: HypParams, u: float, ell: float,
     """F(p; 1-u) at c-a-b = m by the log series, or None where it hands
     over to the direct series."""
     a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
-    sums = _zb_sum(a, b, u, ell, abs(m))
+    scale, lg = _log_scale(a, b, abs(m))
+    cap = MAX_CANCEL * (1.0 + _CAP_SLACK + 6.0 * _EPS * lg) * _pow_or_inf(
+        u, -min(a, b)) / scale
+    sums = _zb_sum(a, b, u, ell, abs(m), False, cap)
     if sums is None:
         return None
-    value, err, serves = _log_series_result(a, b, m, sums, u, ell)
+    value, err, serves = _log_series_result(a, b, m, scale, lg, sums, u, ell)
     return EvalResult(value, err, sums[-1] + 1, METHOD_ZB_LOG) if serves \
         else None
 
@@ -407,10 +457,10 @@ def _connection_prefactors(a: float, b: float, c: float, s: float):
     sign and log of B/u^s, and the sum of |log G| in A and B; OverflowError
     where a log-gamma or A overflows."""
     lg_c = math.lgamma(c)
-    lg_s, sg_s = specfun.log_abs_gamma(s)
-    lg_ms, sg_ms = specfun.log_abs_gamma(-s)
-    lg_ca, sg_ca = specfun.log_abs_gamma(c - a)
-    lg_cb, sg_cb = specfun.log_abs_gamma(c - b)
+    lg_s, sg_s = specfun._log_abs_gamma(s)
+    lg_ms, sg_ms = specfun._log_abs_gamma(-s)
+    lg_ca, sg_ca = specfun._log_abs_gamma(c - a)
+    lg_cb, sg_cb = specfun._log_abs_gamma(c - b)
     lg_a, lg_b = math.lgamma(a), math.lgamma(b)
     coef_a = None
     lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
@@ -448,12 +498,14 @@ def _connection(a: float, b: float, c: float, u: float,
     try:
         coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, c, s)
         coef_b = sg_ms * math.exp(log_b + s * log_u)
+        # F2 first: where it overflows, in a few terms at large s, the
+        # route hands over before F1 sums its ~s terms
+        f2 = _direct_series(c - a, c - b, 1.0 + s, u)
         if coef_a is not None:
             f1 = _direct_series(a, b, 1.0 - s, u)
             part_a = coef_a * f1.value
             err_a = abs(coef_a) * f1.abs_err_estimate
             terms = f1.terms_used
-        f2 = _direct_series(c - a, c - b, 1.0 + s, u)
     except (OverflowError, RangeError, ConvergenceError):
         # a series out of terms: where s - 1 passes MAX_TERMS_DIRECT, the
         # first one cannot reach its tail tests
@@ -484,6 +536,12 @@ def f21_from_complement(p: HypParams, u: float,
         raise DomainError(f"complement u must lie in [0, 1), got {u!r}")
     if not math.isfinite(ell):
         raise DomainError(f"-log(u) must be finite, got {ell!r}")
+    return _f21_from_complement(p, u, ell)
+
+
+def _f21_from_complement(p: HypParams, u: float, ell: float) -> EvalResult:
+    """f21_from_complement at a float u in [0, 1) and a finite float ell,
+    unchecked."""
     if u < X_SWITCH:
         route, m = _route(p)
         r = (_connection(p.a, p.b, p.c, u, -ell) if route == "connection"
@@ -513,7 +571,7 @@ def f21(p: HypParams, x: float) -> EvalResult:
     x = _check_x(x)
     if x > X_SWITCH:
         u = 1.0 - x  # exact: x >= 1/2
-        return f21_from_complement(p, u, -math.log(u))
+        return _f21_from_complement(p, u, -math.log(u))
     return _direct_series(p.a, p.b, p.c, x)
 
 

@@ -108,7 +108,7 @@ def _lo_hi(ps, lo, ell) -> list:
     if _is_array(lo):
         return hyp2f1._lo_hi_many(ps, lo, ell)
     return ([hyp2f1.f21(p, lo).value for p in ps]
-            + [hyp2f1.f21_from_complement(p, lo, ell).value for p in ps])
+            + [hyp2f1._f21_from_complement(p, lo, ell).value for p in ps])
 
 
 def _v_pair(pr: ZeroBalancedPair, s):
@@ -191,7 +191,7 @@ def p_excess(pr: ZeroBalancedPair, t: float) -> float:
     _require_product_pair(pr)
     s = abs(_finite_t(t))
     beta, lam, cm1, d1, vm1 = _complement_sums(pr, s)
-    big_r = specfun.ramanujan_r(pr.a, pr.b)
+    big_r = specfun._ramanujan_r(pr.a, pr.b)
     cv_m1 = cm1 + vm1 + cm1 * vm1  # C(u) v(u) - 1
     inner = (
         s * cv_m1
@@ -227,7 +227,7 @@ def q_excess(pr: ZeroBalancedPair, t: float) -> float:
         if not (math.isfinite(tf) and tf >= 0.0):
             raise DomainError(f"q_excess requires t >= 0, got {t!r}")
     beta, lam, cm1, d1, vm1 = _complement_sums(pr, tf)
-    big_r = specfun.ramanujan_r(pr.a, pr.b)
+    big_r = specfun._ramanujan_r(pr.a, pr.b)
     inner = tf * (cm1 - vm1) + d1 - big_r * vm1 + lam * (1.0 + cm1)
     return inner / ((1.0 + vm1) * beta)
 

@@ -6,7 +6,10 @@ the beta function, and the Ramanujan constant
     R(a, b) = -2*gamma_E - psi(a) - psi(b),
 
 which is the additive constant in the logarithmic expansion of zero-balanced
-hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.
+hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.  Digamma, R,
+the beta function with its log-gammas and log|Gamma| each check their
+arguments, then call an unchecked core of the same name with a leading
+underscore, which the library's own callers call on floats they made.
 
 It also holds the helpers the other modules share: ``finite_complex``
 checks a point of the plane and ``to_float`` converts a real argument,
@@ -79,6 +82,11 @@ def log_abs_gamma(x: float) -> tuple[float, int]:
     x = to_float(x, "x")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
+    return _log_abs_gamma(x)
+
+
+def _log_abs_gamma(x: float) -> tuple[float, int]:
+    """log_abs_gamma at a finite float x, unchecked."""
     if x <= 0.0 and x.is_integer():
         return math.inf, 0
     # Gamma alternates in sign between the poles: negative on (-1, 0)
@@ -101,7 +109,11 @@ def digamma(x: float) -> float:
     Upward recurrence psi(x) = psi(x+1) - 1/x lifts the argument to
     y >= 10, where the truncated Bernoulli series is good to ~4e-17.
     """
-    x = _require_positive(x, "x")
+    return _digamma(_require_positive(x, "x"))
+
+
+def _digamma(x: float) -> float:
+    """digamma at a positive finite float x, unchecked."""
     acc = 0.0
     y = x
     while y < _DIGAMMA_SHIFT:
@@ -129,8 +141,13 @@ def beta_with_log_gammas(
     """(B(a, b), (log Gamma(a), log Gamma(b), log Gamma(a+b))): ``beta``
     and the three log-gammas it is formed from, each evaluated once, for
     callers that also need them."""
-    a = _require_positive(a, "a")
-    b = _require_positive(b, "b")
+    return _beta_with_log_gammas(_require_positive(a, "a"),
+                                 _require_positive(b, "b"))
+
+
+def _beta_with_log_gammas(
+        a: float, b: float) -> tuple[float, tuple[float, float, float]]:
+    """beta_with_log_gammas at positive finite floats a, b, unchecked."""
     try:
         lg = (math.lgamma(a), math.lgamma(b), math.lgamma(a + b))
         return math.exp(lg[0] + lg[1] - lg[2]), lg
@@ -140,7 +157,12 @@ def beta_with_log_gammas(
 
 def ramanujan_r(a: float, b: float) -> float:
     """R(a, b) = -2*gamma_E - psi(a) - psi(b) for a, b > 0."""
-    return -2.0 * EULER_GAMMA - digamma(a) - digamma(b)
+    return _ramanujan_r(_require_positive(a, "a"), _require_positive(b, "b"))
+
+
+def _ramanujan_r(a: float, b: float) -> float:
+    """ramanujan_r at positive finite floats a, b, unchecked."""
+    return -2.0 * EULER_GAMMA - _digamma(a) - _digamma(b)
 
 
 def is_array(x) -> bool:

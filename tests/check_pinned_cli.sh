@@ -29,6 +29,14 @@ cd "$(dirname "$0")/.."
 export PYTHONWARNINGS=error::RuntimeWarning
 read -r -a run <<< "${PUNCTMETRIC:-punctmetric}"
 read -r -a python <<< "${PYTHON:-python3}"
+# a command that cannot start would fail every diff with the whole
+# pinned file: say so once instead
+if ! "${run[@]}" --help > /dev/null 2>&1; then
+  echo "cannot run '${run[*]}' (--help fails): install the package, or" \
+    "set PUNCTMETRIC, e.g. PUNCTMETRIC=\"python3 -m punctmetric.cli\"" \
+    "with PYTHONPATH=src" >&2
+  exit 2
+fi
 
 verify() {
   "${run[@]}" verify --suite default | diff - tests/data/verify_default.jsonl

@@ -621,3 +621,195 @@ def test_connection_series_out_of_terms_hands_over():
     with mock.patch.object(hyp2f1, "MAX_TERMS_DIRECT", 1000):
         assert f21(p, 0.6) == want
         assert f21_many(p, [0.6]).value.tolist() == [want.value]
+
+
+def _loop_ratio_sum(a, b, c, x, total):
+    """The ratio loop with an int counter and abs() and max() calls, as
+    it was before the float counter: the reference that _ratio_sum must
+    match to the bit."""
+    term = 1.0
+    comp = weighted = 0.0
+    n = small_count = 0
+    ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+    inf = math.inf
+    while n < hyp2f1.MAX_TERMS_DIRECT:
+        term *= ratio
+        t = total + term
+        back = t - total
+        comp += (total - (t - back)) + (term - back)
+        total = t
+        size = abs(term)
+        n += 1
+        weighted += n * size
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        r = max(abs(ratio), x) if size else 0.0
+        if r < 1.0 and c + n > 0.0 and size * r <= (
+                hyp2f1.SERIES_RTOL * abs(total) * (1.0 - r) or hyp2f1._TINY):
+            small_count += 1
+            if small_count == 3:
+                return total + comp, term, r, weighted, n
+        else:
+            if not size < inf:
+                return total + comp, term, r, weighted, n
+            small_count = 0
+    return None
+
+
+def _bits(v):
+    """A result as comparable bits: the sign of a zero counts, and every
+    NaN is one NaN."""
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
+    if isinstance(v, float):
+        return "nan" if math.isnan(v) else v.hex()
+    return (type(v), v)
+
+
+def _ratio_sum_cases(rng, count):
+    """(a, b, c, x, total): positive triples, lower parameters in the pole
+    region (c + n <= 0 for the first terms), signed zeros of x and of
+    the parameters, and triples whose terms overflow."""
+    def lu(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    for _ in range(count):
+        a, b = lu(1e-3, 50.0), lu(1e-3, 50.0)
+        c = rng.choice([lu(1e-3, 100.0), -lu(1e-3, 80.0),
+                        -rng.randint(0, 60) - rng.choice([0.5, 1e-9, 0.9]),
+                        1.0 + rng.uniform(-1.0, 1.0) * lu(1e-3, 1e3)])
+        x = rng.choice([rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.75), 0.0,
+                        -0.0, 0.5, lu(1e-300, 1e-3)])
+        if rng.random() < 0.1:
+            a, b = rng.choice([(1e306, 1e306), (1e200, 3.0), (-0.0, 2.0),
+                               (0.0, 5.0), (a, -rng.randint(0, 9) + 0.0)])
+        yield a, b, c, x, rng.choice([0.0, 1.0])
+
+
+def test_ratio_sum_matches_the_int_counter_loop_to_the_bit():
+    rng = random.Random("ratio-sum-bits")
+    cases = list(_ratio_sum_cases(rng, 3000))
+    assert any(c < 0.0 for _, _, c, _, _ in cases)
+    overflowed = 0
+    for case in cases:
+        want = _loop_ratio_sum(*case)
+        assert _bits(hyp2f1._ratio_sum(*case)) == _bits(want), case
+        overflowed += want is not None and not math.isfinite(want[0])
+    assert overflowed
+    # a run out of terms, in and past the pole region, and a term that
+    # overflows on the last step allowed
+    short = [(0.5, 0.5, -20.5, 0.4, 1.0), (2.0, 3.0, 4.0, 0.49, 1.0),
+             (1e200, 1e200, 1.0, 0.3, 0.0), (0.5, 0.5, 1.0, 0.0, 1.0)]
+    with mock.patch.object(hyp2f1, "MAX_TERMS_DIRECT", 7):
+        for case in short + cases[:300]:
+            want = _loop_ratio_sum(*case)
+            assert _bits(hyp2f1._ratio_sum(*case)) == _bits(want), case
+        assert hyp2f1._ratio_sum(0.5, 0.5, -20.5, 0.4, 1.0) is None
+
+
+def _connection_f1_first(a, b, c, u, log_u):
+    """hyp2f1._connection as it was before F2 came first: F1 is summed in
+    full before F2 can hand the route over."""
+    a, b = min(a, b), max(a, b)
+    s = c - (a + b)
+    part_a = err_a = 0.0
+    terms = 0
+    try:
+        coef_a, sg_ms, log_b, lg_sum = hyp2f1._connection_prefactors(
+            a, b, c, s)
+        coef_b = sg_ms * math.exp(log_b + s * log_u)
+        if coef_a is not None:
+            f1 = hyp2f1._direct_series(a, b, 1.0 - s, u)
+            part_a = coef_a * f1.value
+            err_a = abs(coef_a) * f1.abs_err_estimate
+            terms = f1.terms_used
+        f2 = hyp2f1._direct_series(c - a, c - b, 1.0 + s, u)
+    except (OverflowError, RangeError, ConvergenceError):
+        return None
+    value, err, serves = hyp2f1._connection_result(
+        a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
+        f2.abs_err_estimate)
+    if not serves:
+        return None
+    return hyp2f1.EvalResult(value, err, terms + f2.terms_used,
+                             hyp2f1.METHOD_CONNECTION)
+
+
+def _outcome(p, x):
+    try:
+        return _bits(tuple(f21(p, x)))
+    except (RangeError, ConvergenceError) as e:
+        return type(e), str(e)
+
+
+def _hand_over_cases(rng):
+    """Log-route triples, m from -3 to 3 and a, b log-uniform on [1e-3,
+    300], and connection-route triples with s up to 2e5, each at x = 1-u
+    with u in (0, 1/2)."""
+    def lu(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    cases = []
+    while len(cases) < 700:
+        a, b = lu(1e-3, 300.0), lu(1e-3, 300.0)
+        c = a + b + rng.randint(-3, 3)
+        if c > max(a, b) and hyp2f1._route(HypParams(a, b, c))[0] == "log":
+            cases.append((HypParams(a, b, c), 1.0 - rng.uniform(0.0, 0.5)))
+    while len(cases) < 800:
+        a, b = lu(1e-3, 30.0), lu(1e-3, 30.0)
+        p = HypParams(a, b, a + b + lu(1e-3, 2e5))
+        if hyp2f1._route(p)[0] == "connection":
+            cases.append((p, 1.0 - rng.uniform(0.0, 0.5)))
+    return cases
+
+
+def test_certain_hand_overs_change_no_result():
+    # with the log series' cap lifted and F1 summed before F2, every call
+    # returns the same bits, or raises the same error
+    real_zb_sum = hyp2f1._zb_sum
+
+    def uncapped(a, b, u, ell, m, from_one=False, cap=math.inf):
+        return real_zb_sum(a, b, u, ell, m, from_one)
+
+    cases = _hand_over_cases(random.Random("certain-hand-overs"))
+    got = [_outcome(p, x) for p, x in cases]
+    with mock.patch.object(hyp2f1, "_zb_sum", uncapped), \
+            mock.patch.object(hyp2f1, "_connection", _connection_f1_first):
+        want = [_outcome(p, x) for p, x in cases]
+    for case, g, w in zip(cases, got, want):
+        assert g == w, case
+    methods = {g[-1][1] for g in got if isinstance(g[-1], tuple)}
+    assert methods >= {"zb_log_series", "connection_series", "direct_series"}
+
+
+def test_log_series_leaves_at_its_cap():
+    # F(20,20;40;0.6) cancels by ~1e15 in the log series, which summed
+    # 166 terms before the direct series served
+    rows_read = []
+    real_falling = hyp2f1._falling
+
+    def counting(m):
+        f, fp, rows = real_falling(m)
+        return f, fp, (rows_read.append(row) or row for row in rows)
+
+    p = HypParams(20.0, 20.0, 40.0)
+    with mock.patch.object(hyp2f1, "_falling", counting):
+        r = f21(p, 0.6)
+    assert r.method == "direct_series"
+    assert 0 < len(rows_read) <= 10
+
+
+@pytest.mark.parametrize("c", [2000.3, 20000.3, 200000.3])
+def test_connection_series_leaves_before_its_first_series(c):
+    # F2 = F(c-1/2, c-1/2; c; 0.4) overflows within a few hundred terms,
+    # so F1 = F(1/2, 1/2; 2-c; 0.4) and its ~c terms are never summed
+    lower = []
+    real_ratio_sum = hyp2f1._ratio_sum
+
+    def recording(a, b, cc, x, total):
+        lower.append(cc)
+        return real_ratio_sum(a, b, cc, x, total)
+
+    p = HypParams(0.5, 0.5, c)
+    with mock.patch.object(hyp2f1, "_ratio_sum", recording):
+        r = f21(p, 0.6)
+    assert r.method == "direct_series"
+    s = c - 1.0
+    assert 1.0 - s not in lower and 1.0 + s in lower

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from punctmetric import elliptic, metric, pqfun, specfun
+from punctmetric import elliptic, hyp2f1, metric, pqfun, specfun
 from punctmetric.errors import DomainError, RangeError
 
 HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
@@ -259,6 +259,23 @@ def test_kernels_convert_their_own_arguments_only(call, args):
                            wraps=specfun.to_float) as to_float:
         call(*args)
     assert to_float.call_count == len(args)
+
+
+@pytest.mark.parametrize("p, x", (
+    (hyp2f1.HypParams(0.5, 0.5, 1.0), 0.3),     # direct series
+    (hyp2f1.HypParams(0.5, 0.5, 1.0), 0.9),     # log series, m = 0
+    (hyp2f1.HypParams(1.5, 1.5, 2.0), 0.9),     # log series, m = -1
+    (hyp2f1.HypParams(20.0, 20.0, 40.0), 0.6),  # log series handed over
+    (hyp2f1.HypParams(0.3, 0.7, 1.1), 0.9),     # connection formula
+    (hyp2f1.HypParams(1.0, 2.0, 2.0), 0.9),     # power route
+))
+def test_f21_converts_its_x_only(p, x):
+    # past 1/2 f21 runs the unchecked core of f21_from_complement, and
+    # the log and connection routes the cores of specfun's kernels
+    with mock.patch.object(specfun, "to_float",
+                           wraps=specfun.to_float) as to_float:
+        hyp2f1.f21(p, x)
+    assert to_float.call_count == 1
 
 
 def test_varphi_error_refuses_what_varphi_never_returns():
