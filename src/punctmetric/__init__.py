@@ -12,30 +12,20 @@ script front all of it.
 
 The package and its scalar calls run without numpy.  numpy loads with
 the first array form, the first domain of ``bounds._LISTS_BELOW``
-punctures or more, and ``verify``, which this package hands out on
-first use.  No module imports ``dataclasses``, which would load
-``inspect``, ``ast`` and ``dis`` at import: the records are
+punctures or more, and ``verify``.  This package hands out ``bounds``
+and ``verify``, and the names it takes from them, on first use (see
+``__getattr__``), so ``import punctmetric`` compiles neither: a process
+loads ``bounds`` only where it makes a domain or a ring bound.
+
+No module imports ``dataclasses``, which would load ``inspect``,
+``ast`` and ``dis`` at import: the records are
 ``typing.NamedTuple`` tuples (``HypParams``, ``EvalResult``,
 ``ZeroBalancedPair``, ``GridSpec``, ``PropertyReport``), the validated
 ones checking their fields in ``__new__``, and ``PuncturedDomain`` is a
 class with ``__slots__``.
 """
 
-import importlib
-
-from . import bounds, elliptic, hyp2f1, metric, pqfun, specfun
-from .bounds import (
-    BaselineBounds,
-    PuncturedDomain,
-    RhoBounds,
-    RingBoundParams,
-    baseline_bounds,
-    rho_bounds,
-    ring_coefficients,
-    ring_gap,
-    ring_lower_bound,
-    sigma_lower,
-)
+from . import elliptic, hyp2f1, metric, pqfun, specfun
 from .elliptic import agm, ellip_k, mu
 from .errors import (
     BracketError,
@@ -61,8 +51,18 @@ from .metric import (
 )
 from .pqfun import ZeroBalancedPair, p_func, p_prime, q_func, q_log
 
-_FROM_VERIFY = ("GridSpec", "PropertyReport", "check_names", "find_t0",
-                "max_weighted_h", "run_check", "run_suite")
+# the modules this package hands out on first use, with the names it
+# takes from each
+_LAZY = {
+    "bounds": ("BaselineBounds", "PuncturedDomain", "RhoBounds",
+               "RingBoundParams", "baseline_bounds", "rho_bounds",
+               "ring_coefficients", "ring_gap", "ring_lower_bound",
+               "sigma_lower"),
+    "verify": ("GridSpec", "PropertyReport", "check_names", "find_t0",
+               "max_weighted_h", "run_check", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items()
+              for name in (module, *names)}
 
 __version__ = "0.1.0"
 
@@ -125,11 +125,18 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """verify and its names, which load numpy, on first use (PEP 562)."""
-    if name != "verify" and name not in _FROM_VERIFY:
+    """bounds and verify, and the names taken from them, on first use
+    (PEP 562): the first lookup of any of a module's names imports it and
+    binds all of them here, so later lookups, and anything that reads this
+    module's namespace, find them bound."""
+    module = _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    verify = importlib.import_module(".verify", __name__)  # binds verify
-    if name == "verify":
-        return verify
-    value = globals()[name] = getattr(verify, name)
-    return value
+    # through the import statement's path, which -X importtime reports
+    # (importlib.import_module's is not), binding the module here
+    __import__(f"{__name__}.{module}")
+    names = globals()
+    loaded = names[module]
+    for taken in _LAZY[module]:
+        names[taken] = getattr(loaded, taken)
+    return names[name]

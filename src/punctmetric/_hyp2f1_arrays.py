@@ -231,6 +231,16 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
             SERIES_RTOL * np.abs(sums) * (1.0 - r), _TINY))
         return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 
+    zero = xs == 0.0
+    if zero.any():
+        # lanes at x = +-0 sum (0, 0, c), as _ratio_sum does there: a
+        # column of their own per triple, whose step ratios cannot
+        # overflow to an inf that x = 0 would turn into NaN
+        a, b, c = np.atleast_1d(a, b, c)
+        nil = np.zeros(c.size)
+        a, b, c = np.append(a, nil), np.append(b, nil), np.append(c, c)
+        pick = (0 if pick is None else pick) + nil.size * zero
+
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed, stalled = hyp2f1._lockstep(
         step, (xs[None], None if pick is None else pick[None]),

@@ -55,6 +55,7 @@ err on the safe side.
 from __future__ import annotations
 
 import bisect
+import cmath
 import itertools
 import math
 import sys
@@ -77,7 +78,24 @@ __all__ = [
 ]
 
 
+def _finite_punctures(punctures: Sequence[complex]) -> tuple[complex, ...]:
+    """The punctures as complex numbers, checked finite at C speed; where
+    that fails, the loop that raises the DomainError naming the first
+    bad one, or whatever it meets first."""
+    given = tuple(punctures)  # a one-shot iterable is read once
+    try:
+        pts = tuple(map(complex, given))
+        if all(map(cmath.isfinite, pts)):
+            return pts
+    except Exception:  # the loop below raises it, or an earlier error
+        pass
+    return tuple(specfun.finite_complex(p, "punctures", j)
+                 for j, p in enumerate(given))
+
+
 def _check_distinct(pts: Sequence[complex]) -> None:
+    if len(set(pts)) == len(pts):
+        return
     first: dict[complex, int] = {}
     for j, p in enumerate(pts):
         i = first.setdefault(p, j)
@@ -109,8 +127,7 @@ class PuncturedDomain:
     _rows: list | np.ndarray | None
 
     def __init__(self, punctures: Sequence[complex]):
-        pts = tuple(specfun.finite_complex(p, "punctures", j)
-                    for j, p in enumerate(punctures))
+        pts = _finite_punctures(punctures)
         if len(pts) < 2:
             raise DomainError(
                 "need at least two punctures for a hyperbolic domain, "
@@ -201,8 +218,7 @@ def ring_gap(punctures: Sequence[complex], r1: float | None = None) -> float:
     When ``r1`` is given, also check the base-point condition
     e^{-c/2} |a_1| <= r1 that the distance bound needs.
     """
-    pts = [specfun.finite_complex(p, "punctures", j)
-           for j, p in enumerate(punctures)]
+    pts = _finite_punctures(punctures)
     if len(pts) < 2:
         raise DomainError("need at least the punctures a0 = 0 and a1")
     if pts[0] != 0:

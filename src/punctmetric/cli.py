@@ -10,7 +10,9 @@ all checks passed, 1 computation or check failure, 2 usage.  JSON has
 no infinity, so an infinite upper bound is emitted as the string
 "inf".  eval, constants, bounds ring, and rho and sigma on fewer than
 ``bounds._LISTS_BELOW`` punctures run without numpy; verify, figure1 and
-larger domains load it.
+larger domains load it.  Only the bounds subcommand imports the bounds
+module, where it runs: verify, eval, constants and figure1 never load
+it.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import bounds, elliptic, metric, pqfun, specfun
+from . import elliptic, metric, pqfun, specfun
 from .errors import PunctMetricError, UnknownCheckError
 from .hyp2f1 import HypParams, f21
+
+if TYPE_CHECKING:
+    from .bounds import PuncturedDomain
 
 _ENV_TOL = "PUNCTURED_METRIC_TOL"
 
@@ -50,7 +56,9 @@ def _parse_complex(text: str) -> complex:
         f"expected RE or RE,IM, got {text!r}")
 
 
-def _load_domain(path: str) -> bounds.PuncturedDomain:
+def _load_domain(path: str) -> PuncturedDomain:
+    from . import bounds
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -167,6 +175,8 @@ def _cmd_verify(parser: argparse.ArgumentParser,
 
 
 def _ring_payload(c: float, r1: float, r2: float, compare: bool) -> dict:
+    from . import bounds
+
     params = bounds.ring_coefficients(c)
     out: dict = {"c": params.c, "A": params.A, "B": params.B,
                  "lower_bound": params.lower_bound(r1, r2)}
@@ -184,6 +194,8 @@ def _ring_payload(c: float, r1: float, r2: float, compare: bool) -> dict:
 
 def _cmd_bounds(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
+    from . import bounds
+
     if args.query == "ring":
         _emit(_ring_payload(args.c, args.r1, args.r2, args.compare))
     elif args.query == "rho":

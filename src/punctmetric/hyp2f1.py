@@ -178,6 +178,11 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
     # else 0.0 - v, which is +0.0 at either zero: each term takes the
     # float operations of an int counter, abs() and max(), in their
     # order, with no int conversion or builtin call
+    if not x:
+        # every term after T_0 is a zero whatever a and b, but (a+n)(b+n)
+        # can overflow, and inf times x = 0 is NaN: a = b = 0 sums the
+        # same terms from ratios that cannot
+        a = b = 0.0
     rtol, tiny, inf = SERIES_RTOL, _TINY, math.inf
     end = float(MAX_TERMS_DIRECT)
     term = 1.0

@@ -27,7 +27,6 @@ every array form, which sums each distinct point of a call once.
 from __future__ import annotations
 
 import cmath
-import importlib
 import math
 import sys
 from typing import Callable
@@ -239,7 +238,9 @@ def lazy_names(namespace: dict, module: str, names):
         if name not in names:
             raise AttributeError(
                 f"module {owner!r} has no attribute {name!r}")
-        source = importlib.import_module(module, __package__)
+        # the import statement's path, which -X importtime reports
+        __import__(__package__ + module)
+        source = sys.modules[__package__ + module]
         value = namespace[name] = getattr(source, name)
         return value
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The console script's output against the pinned files in tests/data.
 #
-#   tests/check_pinned_cli.sh [verify] [bounds] [scalar]   (all when none given)
+#   tests/check_pinned_cli.sh [verify] [bounds] [scalar] [imports]
+#                                                (all when none given)
 #
 # verify: both suites, and the strict one reached through
 # PUNCTURED_METRIC_TOL; then, warm, one interpreter running
@@ -18,7 +19,11 @@
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
 # order; N = 2 and 10 take the list rows of the queries, N = 40 and
 # 128 the sorted table, and 129 and the 400 clustered punctures the
-# pruned search.  PUNCTMETRIC names the
+# pruned search.
+# imports: each subcommand once, with PYTHONPROFILEIMPORTTIME=1, and
+# the sorted punctmetric.* modules that it loads, punctmetric.cli left
+# out (python -m runs it as __main__), against cli_imports.txt: only
+# the bounds subcommand loads bounds.  PUNCTMETRIC names the
 # command (default: punctmetric; from a checkout,
 # PUNCTMETRIC="python -m punctmetric.cli" with PYTHONPATH=src); PYTHON
 # names the interpreter of the warm part (default: python3).  Exits
@@ -138,12 +143,27 @@ EOF
   rm -rf "$warm"
 }
 
+imports() {
+  for argv in "eval f21 --a 0.5 --b 0.5 --c 1 --x 0.3" "eval h --t 1.5" \
+      "verify --check thm_c212_1" "verify --suite default" "constants" \
+      "figure1 --count 9" "bounds ring --c 0.5 --r1 1 --r2 8 --compare" \
+      "bounds rho --domain tests/data/domain_ten.json --z=3,2" \
+      "bounds sigma --domain tests/data/domain_forty.json --z=3,2"; do
+    read -r -a args <<< "$argv"
+    echo "$argv:"
+    # the import report goes to stderr, the subcommand's output away
+    PYTHONPROFILEIMPORTTIME=1 "${run[@]}" "${args[@]}" 2>&1 > /dev/null \
+      | sed -n 's/^import time:.*| *\(punctmetric\.[A-Za-z0-9_.]*\)$/  \1/p' \
+      | { grep -vx '  punctmetric\.cli' || true; } | sort
+  done | diff - tests/data/cli_imports.txt
+}
+
 parts=("$@")
-[ ${#parts[@]} -gt 0 ] || parts=(verify bounds scalar)
+[ ${#parts[@]} -gt 0 ] || parts=(verify bounds scalar imports)
 for part in "${parts[@]}"; do
   case $part in
-    verify | bounds | scalar) "$part" ;;
-    *) echo "unknown part: $part (want verify, bounds or scalar)" >&2
+    verify | bounds | scalar | imports) "$part" ;;
+    *) echo "unknown part: $part (want verify, bounds, scalar or imports)" >&2
        exit 2 ;;
   esac
 done

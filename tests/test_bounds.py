@@ -9,6 +9,7 @@ not against the oracle.
 import cmath
 import itertools
 import math
+import random
 import sys
 import tracemalloc
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from punctmetric import bounds, metric
+from punctmetric import bounds, metric, specfun
 from punctmetric.errors import DomainError
 
 LN2 = math.log(2.0)
@@ -180,6 +181,72 @@ def test_domain_validation():
             bounds.PuncturedDomain((bad, 1.0))
     dom = bounds.PuncturedDomain((0.0, 1.0))
     assert dom.punctures == (0.0 + 0.0j, 1.0 + 0.0j)
+
+
+def _domain_checks_by_loops(punctures):
+    """PuncturedDomain's checks as they were, one puncture at a time:
+    the reference the checks at C speed must match, error for error."""
+    pts = tuple(specfun.finite_complex(p, "punctures", j)
+                for j, p in enumerate(punctures))
+    if len(pts) < 2:
+        raise DomainError(
+            "need at least two punctures for a hyperbolic domain, "
+            f"got {len(pts)}")
+    first = {}
+    for j, p in enumerate(pts):
+        i = first.setdefault(p, j)
+        if i != j:
+            raise DomainError(
+                f"punctures must be pairwise distinct; "
+                f"index {i} and {j} are both {p!r}")
+    return pts
+
+
+def _outcome(call, *args):
+    """The call's result, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_domain_checks_match_the_loops_on_a_fuzz_of_bad_punctures():
+    rng = random.Random("domain-checks")
+    bad = (math.nan, complex(0.5, math.nan), math.inf,
+           complex(-math.inf, 1.0), 10 ** 400, "not a point", None)
+    raised = set()
+    for _ in range(600):
+        pts = [complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
+               for _ in range(rng.choice((0, 1, 2, 3, 8, 30)))]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            kind = rng.randrange(4)
+            at = rng.randint(0, len(pts))
+            if kind == 0:
+                pts.insert(at, rng.choice(bad))
+            elif kind == 1 and pts:  # a repeat, before or after its twin
+                pts.insert(at, rng.choice(pts))
+            elif kind == 2:  # -0j and 0j compare and hash equal
+                pts[at:at] = rng.choice(([0j, -0j], [-0j, 1.0, 0j],
+                                         [complex(-0.0, -0.0), 0.0]))
+            else:  # what complex() takes, as complex() reads it
+                pts.insert(at, rng.choice((2, 3.5, "1+2j", np.float64(4.0))))
+        want = _outcome(_domain_checks_by_loops, pts)
+        for given in (pts, tuple(pts), map(lambda p: p, pts)):
+            got = _outcome(lambda: bounds.PuncturedDomain(given).punctures)
+            assert _bits(got) == _bits(want), pts
+        if isinstance(want[0], type):
+            raised.add(next(kind for kind in (
+                "must be finite,", "must be a finite complex",
+                "at least two", "pairwise distinct") if kind in want[1]))
+    assert len(raised) == 4
+
+
+def _bits(v):
+    """Punctures as the bits of their parts, so that the sign of a zero
+    counts; anything else as it is."""
+    if isinstance(v, tuple) and all(type(p) is complex for p in v):
+        return [(p.real.hex(), p.imag.hex()) for p in v]
+    return v
 
 
 def test_rho_bounds_at_minus_one():

@@ -7,6 +7,7 @@ failure, 2 usage errors (argparse exits via SystemExit).
 import json
 import math
 import os
+import pickle
 import runpy
 import subprocess
 import sys
@@ -223,6 +224,73 @@ def test_figure1_leaves_the_lockstep_unloaded():
                           stderr=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _fresh(script):
+    """Run script in a fresh interpreter that imports punctmetric from
+    this checkout, after checking that nothing has loaded bounds yet."""
+    script = ("import io, sys, contextlib, pickle\n"
+              "import punctmetric, punctmetric.cli\n"
+              "from punctmetric.cli import main\n"
+              "loaded = lambda: 'punctmetric.bounds' in sys.modules\n"
+              "assert not loaded()\n" + script)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_subcommands_without_domains_leave_bounds_unloaded():
+    _fresh("for argv in (['verify', '--check', 'thm_c212_1'],\n"
+           "             ['eval', 'f21', '--a', '0.5', '--b', '0.5',\n"
+           "              '--c', '1', '--x', '0.3'],\n"
+           "             ['eval', 'h', '--t', '1.5'], ['constants'],\n"
+           "             ['figure1', '--count', '9']):\n"
+           "    with contextlib.redirect_stdout(io.StringIO()):\n"
+           "        assert main(argv) == 0, argv\n"
+           "    assert not loaded(), argv\n")
+
+
+@pytest.mark.parametrize("use", [
+    "main(['bounds', 'ring', '--c', '0.5', '--r1', '1', '--r2', '8'])",
+    f"main(['bounds', 'rho', '--domain', "
+    f"{os.path.join(DATA, 'domain_ten.json')!r}, '--z=3,2'])",
+    "punctmetric.PuncturedDomain",
+    "punctmetric.bounds",
+])
+def test_bounds_loads_where_it_is_used(use):
+    _fresh("with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    {use}\n"
+           "assert loaded()\n")
+
+
+@pytest.mark.parametrize("first", ["rho_bounds", "bounds", "RhoBounds"])
+def test_the_first_lookup_binds_all_of_bounds_names(first):
+    # a namespace scan after any one lookup, as of a tracer that wraps
+    # what it finds there, meets every name
+    _fresh(f"getattr(punctmetric, {first!r})\n"
+           "from punctmetric import bounds\n"
+           "for name in ('BaselineBounds', 'PuncturedDomain', 'RhoBounds',\n"
+           "             'RingBoundParams', 'baseline_bounds', 'rho_bounds',\n"
+           "             'ring_coefficients', 'ring_gap', 'ring_lower_bound',\n"
+           "             'sigma_lower'):\n"
+           "    assert vars(punctmetric)[name] is getattr(bounds, name)\n"
+           "assert 'run_suite' not in vars(punctmetric)\n")
+
+
+def test_star_import_binds_every_public_name():
+    _fresh("names = {}\n"
+           "exec('from punctmetric import *', names)\n"
+           "assert set(punctmetric.__all__) <= set(names)\n"
+           "assert names['PuncturedDomain'] is punctmetric.bounds."
+           "PuncturedDomain\n")
+
+
+def test_a_pickled_domain_loads_before_bounds_is_imported():
+    dom = bounds.PuncturedDomain((0.0, 1.0, 2.0 + 1.0j))
+    _fresh(f"dom = pickle.loads({pickle.dumps(dom)!r})\n"
+           "assert dom.punctures == (0j, 1 + 0j, 2 + 1j)\n"
+           "assert type(dom) is punctmetric.PuncturedDomain\n")
 
 
 def test_verify_unknown_check_rc2(capsys):

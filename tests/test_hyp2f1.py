@@ -4,6 +4,7 @@ and the hypergeometric ODE as a three-way consistency check.
 Frozen literals are 17-digit truncations of 50-digit evaluations.
 """
 
+import functools
 import math
 import random
 import time
@@ -623,10 +624,14 @@ def test_connection_series_out_of_terms_hands_over():
         assert f21_many(p, [0.6]).value.tolist() == [want.value]
 
 
-def _loop_ratio_sum(a, b, c, x, total):
+def _loop_ratio_sum(a, b, c, x, total, zero_x_as_given=False):
     """The ratio loop with an int counter and abs() and max() calls, as
     it was before the float counter: the reference that _ratio_sum must
-    match to the bit."""
+    match to the bit.  At x = +-0 it sums (0, 0; c), as _ratio_sum does,
+    or with zero_x_as_given the a and b given, as both did before: there
+    a step ratio forms inf*0 where (a+n)(b+n) overflows."""
+    if not x and not zero_x_as_given:
+        a = b = 0.0
     term = 1.0
     comp = weighted = 0.0
     n = small_count = 0
@@ -703,6 +708,68 @@ def test_ratio_sum_matches_the_int_counter_loop_to_the_bit():
             want = _loop_ratio_sum(*case)
             assert _bits(hyp2f1._ratio_sum(*case)) == _bits(want), case
         assert hyp2f1._ratio_sum(0.5, 0.5, -20.5, 0.4, 1.0) is None
+
+
+def _zero_x_triples():
+    """Positive triples at x = +-0: ordinary ones, ones whose a b
+    overflows, and a c small enough that a b / c does."""
+    for a, b in ((0.5, 0.5), (2.0, 3.0), (40.0, 0.1), (1e200, 1e200),
+                 (1e306, 2.0), (1e160, 1e160)):
+        for c in (1.0, 0.01, 5e-324, 1e-310, 7.5, 1e300):
+            yield a, b, c
+
+
+def test_f21_at_zero_x_keeps_every_result_and_serves_an_overflowing_product():
+    # F(a,b;c;0) = 1: every call that returned before the fix returns the
+    # same bits, and each that overflowed now returns 1 as the ordinary
+    # triples do, in as many terms
+    eps = 2.0 ** -53
+    parent = functools.partial(_loop_ratio_sum, zero_x_as_given=True)
+    served = 0
+    for a, b, c in _zero_x_triples():
+        p = HypParams(a, b, c)
+        for x in (0.0, -0.0):
+            got = f21(p, x)
+            assert _bits(tuple(got)) == _bits((1.0, eps, 4, "direct_series"))
+            assert f21_minus_one(a, b, c, x) == 0.0
+            with mock.patch.object(hyp2f1, "_ratio_sum", parent):
+                try:
+                    want = f21(p, x)
+                except RangeError:
+                    served += 1
+                    continue
+            assert _bits(tuple(got)) == _bits(tuple(want)), (p, x)
+    assert served
+    assert tuple(f21(HALF, 0.0)) == (1.0, 1.1102230246251565e-16, 4,
+                                     "direct_series")
+
+
+def test_f21_many_at_zero_x_matches_its_scalar_calls():
+    # one parameter triple, and mixed triples in one lockstep run, where
+    # the lanes at x = +-0 take columns of their own
+    for a, b, c in _zero_x_triples():
+        p = HypParams(a, b, c)
+        xs = [0.0, -0.0, 0.3, 0.0, 1e-3]
+        try:
+            got = f21_many(p, xs)
+        except RangeError:  # a point past zero overflows in earnest
+            xs = xs[:2]
+            got = f21_many(p, xs)
+        for i, x in enumerate(xs):
+            want = f21(p, x)
+            assert (got.value[i], got.abs_err_estimate[i],
+                    got.terms_used[i], got.method[i]) == tuple(want), (p, x)
+    triples = [(1e200, 1e200, 1e300), (0.5, 0.5, 1.0), (2.0, 3.0, 5e-324)]
+    pick = np.array([0, 0, 1, 1, 2, 2, 1])
+    xs = np.array([0.0, -0.0, 0.0, 0.4, -0.0, 0.0, -0.0])
+    total = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    got, stalled = hyp2f1._ratio_many(*np.array(triples).T, xs, total, pick)
+    want = [hyp2f1._ratio_sum(*triples[g], float(x), float(t))
+            for g, x, t in zip(pick, xs, total)]
+    assert [_bits(tuple(float(f[i]) for f in got[:-1]) + (int(got[-1][i]),))
+            for i in range(xs.size)] == [_bits(w) for w in want]
+    assert not stalled.any()
+    assert all(math.isfinite(w[0]) for w in want)
 
 
 def _connection_f1_first(a, b, c, u, log_u):
