@@ -1,9 +1,8 @@
 """The array half of ``hyp2f1``, which loads numpy: the lockstep, and
-every array form of hyp2f1.  hyp2f1 hands out these names on first use
-(PEP 562), so its scalar calls run without numpy.  The runs read
-SCAN_ROWS_FROM, _lockstep and _direct_many through hyp2f1, and take the
-scalar calls there, at call time: a value or a wrapper set on hyp2f1
-reaches every run.
+every array form of hyp2f1.  hyp2f1 hands out the array forms that
+other modules call on first use (PEP 562), so its scalar calls run
+without numpy.  The points a run does not serve take the scalar calls
+of hyp2f1, looked up there at call time.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .hyp2f1 import (
     SERIES_RTOL,
     X_SWITCH,
     HypParams,
-    _binomial,
     _connection_prefactors,
     _connection_result,
     _derivative,
@@ -62,7 +60,9 @@ from .hyp2f1 import (
 # only: a lane that hands over is not served (a log sum that stalls or
 # cancels, a connection formula that cancels or whose series fails,
 # 1-u = 1 on the direct route, a series that overflows or runs out of
-# terms), and where a prefactor or B(a, b) overflows the run raises and
+# terms, among them a step ratio that overflows at x = +-0, where
+# inf * 0 makes it NaN), nor is the closed form u^-a at c = b (u^-b at
+# c = a), and where a prefactor or B(a, b) overflows the run raises and
 # serves no lane.
 # Every point not served, and every point out of range, takes its
 # scalar call's result, point by point in index order.  So a batch
@@ -138,7 +138,7 @@ def _scan(ufunc: np.ufunc, *parts) -> list[np.ndarray]:
     for p, (start, steps) in enumerate(parts):
         out[0, p] = start
         out[1:, p] = steps
-    if out[0].size < hyp2f1.SCAN_ROWS_FROM:
+    if out[0].size < SCAN_ROWS_FROM:
         ufunc.accumulate(out, axis=0, out=out)
     else:
         for prev, row in zip(out[:-1], out[1:]):
@@ -231,18 +231,8 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
             SERIES_RTOL * np.abs(sums) * (1.0 - r), _TINY))
         return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 
-    zero = xs == 0.0
-    if zero.any():
-        # lanes at x = +-0 sum (0, 0, c), as _ratio_sum does there: a
-        # column of their own per triple, whose step ratios cannot
-        # overflow to an inf that x = 0 would turn into NaN
-        a, b, c = np.atleast_1d(a, b, c)
-        nil = np.zeros(c.size)
-        a, b, c = np.append(a, nil), np.append(b, nil), np.append(c, c)
-        pick = (0 if pick is None else pick) + nil.size * zero
-
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
-    (term, total, weighted, comp, r), summed, stalled = hyp2f1._lockstep(
+    (term, total, weighted, comp, r), summed, stalled = _lockstep(
         step, (xs[None], None if pick is None else pick[None]),
         (ones, total, zeros, zeros, ones), MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
@@ -325,9 +315,9 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
 
     ones, zeros = np.ones(u.size), np.zeros(u.size)
     (_, total, size, weighted, plain, term, part), summed, stalled = \
-        hyp2f1._lockstep(step, (u[None], ell[None], pick),
-                         (ones, start, size, zeros, zeros, start, size),
-                         MAX_TERMS_LOG)
+        _lockstep(step, (u[None], ell[None], pick),
+                  (ones, start, size, zeros, zeros, start, size),
+                  MAX_TERMS_LOG)
     return (total, term, part, size, weighted, plain, summed), stalled
 
 
@@ -368,7 +358,7 @@ def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
         jobs.append((p.c - a, p.c - b, 1.0 + s, u, 0.0))
         if pre[0] is not None:
             jobs.append((a, b, 1.0 - s, u, 0.0))
-    series = hyp2f1._direct_many(jobs)
+    series = _direct_many(jobs)
     results = []
     for a, b, s, (coef_a, sg_ms, log_b, lg_sum), at in setups:
         out = _Lanes(u.size)
@@ -393,12 +383,12 @@ def _from_complement_many(
     """f21_from_complement for each p in ps at every (u, ell) pair with
     u < 1/2, and the caller's own direct series, jobs of _direct_many:
     per p, then per job, the lanes.  A lane whose route hands over, or
-    whose direct route meets 1-u = 1, is not served.  The connection
-    formulas run as one lockstep run, the log series as one per pair a,
-    b they sum, and the direct series, the caller's and the direct
-    routes', as one."""
+    whose direct route meets 1-u = 1, is not served, and the closed-form
+    route (c = a or c = b) serves none.  The connection formulas run as
+    one lockstep run, the log series as one per pair a, b they sum, and
+    the direct series, the caller's and the direct routes', as one."""
     if not u.size:
-        return [_Lanes(0) for _ in ps], hyp2f1._direct_many(own)
+        return [_Lanes(0) for _ in ps], _direct_many(own)
     routes = [_route(p) for p in ps]
     found, logs, direct, jobs = {}, {}, [], list(own)
     conn = [i for i, (route, _) in enumerate(routes) if route == "connection"]
@@ -410,10 +400,9 @@ def _from_complement_many(
         if route == "log":
             pair = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
             logs.setdefault(pair, []).append(i)
-        elif route == "power":
+        elif route == "power":  # its scalar _binomial serves every lane
             found[i] = lanes = _Lanes(u.size)
-            lanes.value, lanes.err = _binomial(p, u)  # inf at u = 0
-            lanes.served = lanes.value < math.inf
+            lanes.served[:] = False
         elif route == "direct":
             direct.append(i)  # a lane at 1-u = 1 sums x = 0 instead
             jobs.append((p.a, p.b, p.c, np.where(x < 1.0, x, 0.0),
@@ -421,7 +410,7 @@ def _from_complement_many(
     for (a, b), group in logs.items():
         found.update(zip(group, _zb_log_many(
             a, b, [routes[i][1] for i in group], u, ell)))
-    series = hyp2f1._direct_many(jobs)
+    series = _direct_many(jobs)
     for i, lanes in zip(direct, series[len(own):]):
         lanes.served &= x < 1.0
         found[i] = lanes

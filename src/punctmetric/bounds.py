@@ -37,8 +37,8 @@ take one of three routes by the number N of punctures:
   found; only the punctures that can decide the bound get exact
   distances, a scan of their row each.  It returns the largest 4 m d
   and the log-gaps of the punctures it searched in full, which the
-  lower end's walk reads; other rows the walk visits are scanned a
-  batch at a time.  So at N = 1000 it squares a fraction of the N(N-1)
+  lower end's walk reads; each other row the walk visits is scanned on
+  its own.  So at N = 1000 it squares a fraction of the N(N-1)
   pairs (1-14%, under 7% in nine queries of ten) and takes a hypot of
   fewer (0.1-1.8%), and it holds one chunk of scratch memory.
 
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import itertools
 import math
 import sys
 from typing import NamedTuple, Sequence
@@ -363,19 +362,6 @@ def _row_bracket(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     return lo, hi, i, j
 
 
-def _rows_bracket(x: np.ndarray, y: np.ndarray, d: np.ndarray,
-                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The brackets of the punctures rows, from one (rows x N) array of
-    their distances, NaN where a side has none: the bits of
-    ``_row_bracket`` on each, in fewer numpy calls where there are
-    several (and more where there is one)."""
-    r = np.hypot(x - x[rows, None], y - y[rows, None])
-    r[np.arange(rows.size), rows] = np.nan
-    da = d[rows, None]
-    return (np.fmax.reduce(np.where(r <= da, r, np.nan), axis=1),
-            np.fmin.reduce(np.where(r >= da, r, np.nan), axis=1))
-
-
 def _upper_candidate(d: float, m: float, hi: float) -> float:
     """4 m d from a puncture's exact log-gap m and upper neighbour
     distance hi, where pi/(4 m d) bounds the density from above; 0.0
@@ -453,8 +439,8 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     a's cluster, where the columns nearest z would drop its rows one
     chunk at a time.  A witness column is visited again when the index
     order reaches it, which leaves every running minimum as it was.
-    The rows still live after the last column get exact scans too, as
-    many at a time as ``_BLOCK`` distances hold.
+    The rows still live after the last column get exact scans too, one
+    row at a time.
     """
     n = len(x)
     gaps = {}
@@ -500,12 +486,8 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
         keep[j] = False
         live, xl, yl, dl, d2l, p = (v[keep]
                                     for v in (live, xl, yl, dl, d2l, p))
-    step = max(1, _BLOCK // n)
-    for i in range(0, live.size, step):
-        rows = live[i:i + step]
-        lo, hi = _rows_bracket(x, y, d, rows)
-        best = max(best, *map(complete, rows.tolist(), lo.tolist(),
-                              hi.tolist()))
+    for a in live.tolist():
+        best = max(best, complete(a, *_row_bracket(x, y, d, a)[:2]))
     return best, gaps
 
 
@@ -559,34 +541,12 @@ def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
               gaps: dict[int, float]):
     """gap for ``_lower_end`` on the array route, whose walk order is
     range(N): a's log-gap from gaps where the search found it, else from
-    a scan of its row.
-
-    A missing row is scanned together with those of the next indices
-    above a that lack a gap too, as one array: as many rows as were
-    scanned so far (1, 1, 2, 4, ...), and at most ``_BLOCK`` distances
-    unless one row holds more.  A long walk then costs a few numpy
-    calls, not one scan per puncture, and no walk scans more than twice
-    the rows it needs; one that stops within two punctures scans no row
-    it does not need.
-    """
-    n = len(x)
-    cap = max(1, _BLOCK // n)
-    scanned = 0
+    a scan of its row (``_row_bracket``), so the walk scans exactly the
+    rows it visits that the search did not complete."""
 
     def gap(a: int) -> float:
-        nonlocal scanned
         if a not in gaps:
-            size = min(max(1, scanned), cap)
-            if size == 1:
-                gaps[a] = _log_gap(float(d[a]),
-                                   *_row_bracket(x, y, d, a)[:2])
-            else:
-                rows = [a, *itertools.islice(
-                    (b for b in range(a + 1, n) if b not in gaps), size - 1)]
-                lo, hi = _rows_bracket(x, y, d, np.array(rows))
-                gaps.update(zip(rows, map(_log_gap, d[rows].tolist(),
-                                          lo.tolist(), hi.tolist())))
-            scanned += size
+            gaps[a] = _log_gap(float(d[a]), *_row_bracket(x, y, d, a)[:2])
         return gaps[a]
 
     return gap
@@ -786,15 +746,14 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
     result is that of a hypot for every pair to the bit.  The search
     returns that largest 4 m d and the log-gap of each puncture it
     searched in full.  A puncture the walk visits takes its m from
-    those where it can, else from a scan of its row, batched with the
-    rows of the next ones (``_row_gaps``).
+    those where it can, else from a scan of its row (``_row_gaps``).
 
     At N = 1000 the search squares 1-14% of the N(N-1) ordered pairs
     (under 7% in nine queries of ten) and takes an exact hypot of
     0.1-1.8% of them, and it holds one chunk of scratch memory.  Where
     no puncture can be dropped, as on 1000 punctures on a circle about
     z, it squares every pair, the witness columns twice, and then scans
-    every row: O(N^2) work, about 35 ms at best, some tens of times a
+    every row: O(N^2) work, about 40 ms at best, some tens of times a
     typical query's.  CHANGES.md holds the measured per-query times of
     the three routes.
     """
@@ -841,8 +800,7 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     table's rows alike, so a query costs N distances to z, their sort
     and one call of h (``metric._h``) for each visited puncture,
     typically one to three.  Past ``_TABLE_CELLS`` distances each
-    visited puncture scans its own row, a numpy row batched with the
-    next ones where the walk goes on (``_row_gaps``): O(N) per visited
+    visited puncture scans its own row (``_row_gaps``): O(N) per visited
     row, and O(N^2) where the walk visits every puncture, as on 1000
     punctures on a circle about z.  The pairwise search never runs.
     CHANGES.md holds the measured per-query times.

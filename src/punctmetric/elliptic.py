@@ -20,12 +20,23 @@ AGM_MAX_ITER = 60
 
 
 def agm(x: float, y: float) -> float:
-    """Common limit of a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n b_n)."""
+    """Common limit of a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n b_n),
+    at any positive finite floats x and y."""
     x = specfun.to_float(x, "x")
     y = specfun.to_float(y, "y")
     if not (math.isfinite(x) and math.isfinite(y)) or x <= 0.0 or y <= 0.0:
         raise DomainError(f"agm requires positive finite arguments, got {x!r}, {y!r}")
-    return _agm(x, y)
+    a, b = (x, y) if x >= y else (y, x)
+    # _agm's a b and a + b leave the float range where a/b is past
+    # ~2^1000 or the pair sits near an end of it.  Steps that cannot
+    # overflow halve log(a/b) until it fits, at most twice; then _agm runs
+    # on the pair scaled by the power of two that brings a b near 1.  Its
+    # steps commute with that scaling, so where both arguments lie in
+    # [2^-500, 2^500] the result has _agm's bits
+    while a / b > 2.0 ** 1000:
+        a, b = 0.5 * a + 0.5 * b, math.sqrt(a) * math.sqrt(b)
+    k = (math.frexp(a)[1] + math.frexp(b)[1]) // 2
+    return math.ldexp(_agm(math.ldexp(a, -k), math.ldexp(b, -k)), k)
 
 
 def _agm(x: float, y: float) -> float:

@@ -351,13 +351,11 @@ def _pow_or_inf(u: float, e: float) -> float:
         return math.inf
 
 
-def _binomial(p: HypParams, u):
+def _binomial(p: HypParams, u: float) -> tuple[float, float]:
     """(value, estimate) of F(a,b;b;1-u) = u^-a, or u^-b at c = a: the
-    direct series is the binomial series, summed in closed form.  At a
-    float u or at every point of an array; the value is inf where it
-    overflows."""
-    e = -(p.a if p.c == p.b else p.b)
-    value = specfun.pointwise(lambda v: _pow_or_inf(v, e), u)
+    direct series is the binomial series, summed in closed form.  The
+    value is inf where it overflows."""
+    value = _pow_or_inf(u, -(p.a if p.c == p.b else p.b))
     # u is exact and libm's pow within an ulp: the estimate allows two
     return value, 4.0 * _EPS * value
 
@@ -615,10 +613,9 @@ def f21_derivative(p: HypParams, x: float) -> float:
     return _derivative(p, _check_x(x), lambda q, y: f21(q, y).value)
 
 
-# the array half, the lockstep and every array form, which loads numpy
+# the array forms that other modules call, from the array half, which
+# loads numpy
 __getattr__ = specfun.lazy_names(
     globals(), "._hyp2f1_arrays",
     ("EvalResults", "f21_many", "f21_derivative_many",
-     "zb_complement_sums_many", "f21_minus_one_many", "_lo_hi_many",
-     "_connection_many", "_zb_many", "_direct_many", "_ratio_many",
-     "_lockstep", "BLOCK_MIN", "BLOCK_CELLS", "SCAN_ROWS_FROM"))
+     "zb_complement_sums_many", "f21_minus_one_many", "_lo_hi_many"))

@@ -18,8 +18,8 @@
 # bounds: rho and sigma at the domains and points
 # of tests/test_cli.py's PINNED_BOUNDS and PINNED_BOUNDS_Z, in its
 # order; N = 2 and 10 take the list rows of the queries, N = 40 and
-# 128 the sorted table, and 129 and the 400 clustered punctures the
-# pruned search.
+# 128 the sorted table, and 129, the 400 clustered punctures and the
+# 400 on a circle about z = 3,2 the pruned search.
 # imports: each subcommand once, with PYTHONPROFILEIMPORTTIME=1, and
 # the sorted punctmetric.* modules that it loads, punctmetric.cli left
 # out (python -m runs it as __main__), against cli_imports.txt: only
@@ -94,6 +94,7 @@ bounds() {
   pinned forty | diff - tests/data/bounds_cli_forty.jsonl
   pinned clusters | diff - tests/data/bounds_cli_clusters.jsonl
   pinned edge128 edge129 | diff - tests/data/bounds_cli_edge.jsonl
+  pinned ring400 | diff - tests/data/bounds_cli_ring.jsonl
 }
 
 scalar() {

@@ -26,12 +26,12 @@ def _empty_caches():
 def each_scan(monkeypatch):
     """each_scan(call): call() with the lockstep's scan crossover as set,
     then with the row scan and with accumulate forced for every block."""
-    from punctmetric import hyp2f1
+    from punctmetric import _hyp2f1_arrays
 
     def run(call):
         results = []
-        for rows_from in (hyp2f1.SCAN_ROWS_FROM, 0, math.inf):
-            monkeypatch.setattr(hyp2f1, "SCAN_ROWS_FROM", rows_from)
+        for rows_from in (_hyp2f1_arrays.SCAN_ROWS_FROM, 0, math.inf):
+            monkeypatch.setattr(_hyp2f1_arrays, "SCAN_ROWS_FROM", rows_from)
             results.append(call())
         return results
 
@@ -41,16 +41,16 @@ def each_scan(monkeypatch):
 @pytest.fixture
 def lanes(monkeypatch):
     """The lane count of every lockstep run from here on."""
-    from punctmetric import hyp2f1
+    from punctmetric import _hyp2f1_arrays
 
     counts = []
-    lockstep = hyp2f1._lockstep
+    lockstep = _hyp2f1_arrays._lockstep
 
     def counted(step, fixed, state, cap):
         counts.append(state[0].size)
         return lockstep(step, fixed, state, cap)
 
-    monkeypatch.setattr(hyp2f1, "_lockstep", counted)
+    monkeypatch.setattr(_hyp2f1_arrays, "_lockstep", counted)
     return counts
 
 

@@ -872,10 +872,11 @@ def test_rho_witnesses_drop_a_cluster_in_a_few_chunks():
         assert scans.call_count == len(gaps) <= 8
 
 
-def test_row_bracket_is_the_rows_bracket_with_its_witnesses():
-    # one row's bracket has the bits of the batched form, and its
-    # witnesses hold it: both sides, a missing side, and distances that
-    # overflow, on the side above and as the whole row
+def test_row_bracket_is_the_plain_bracket_with_its_witnesses():
+    # one row's bracket has the bits of a plain loop over the same
+    # np.hypot row, and its witnesses hold it: both sides, a missing
+    # side, and distances that overflow, on the side above and as the
+    # whole row
     rng = np.random.default_rng(20261018)
     cases = [(_layout("uniform", 50, rng), 0.2 + 0.1j),
              (_layout("uniform", 50, rng), 40.0),
@@ -886,11 +887,13 @@ def test_row_bracket_is_the_rows_bracket_with_its_witnesses():
             dom = bounds.PuncturedDomain(pts)
         with np.errstate(over="ignore", invalid="ignore"):
             x, y, d = bounds._nearest_first(dom, z)
-            lo, hi = bounds._rows_bracket(x, y, d, np.arange(len(pts)))
             r = np.hypot(x - x[:, None], y - y[:, None])
             got = [bounds._row_bracket(x, y, d, a) for a in range(len(pts))]
         for a, got in enumerate(got):
-            want = lo[a].item(), hi[a].item()
+            row = [v for b, v in enumerate(r[a].tolist()) if b != a]
+            da = float(d[a])
+            want = (max([v for v in row if v <= da], default=math.nan),
+                    min([v for v in row if v >= da], default=math.nan))
             assert np.array_equal(got[:2], want, equal_nan=True), (pts, a)
             for side, w in zip(want, got[2:]):
                 assert (w is None) == math.isnan(side)
@@ -1132,7 +1135,7 @@ def test_abs_is_numpys_hypot_to_the_bit():
                                       want.view(np.uint64))
 
 
-# -- the lower walk's batched row scans -------------------------------------
+# -- the lower walk's row scans --------------------------------------------
 
 def _hypot_sizes():
     """A stand-in for np.hypot, and the list of its results' sizes."""
@@ -1147,49 +1150,55 @@ def _hypot_sizes():
     return recorded, sizes
 
 
-def test_sigma_scans_a_long_walk_in_batches():
+def test_sigma_scans_each_row_of_a_long_walk_once():
     # on 1000 punctures on a circle about z the walk visits every one:
-    # their rows come in batches of up to _BLOCK distances, each row
-    # once, and the lower end keeps the bits it has where rho_bounds'
-    # search returns every row exact
+    # each row is scanned once, on its own, and the lower end keeps the
+    # bits it has where rho_bounds' search returns every row exact
     dom = bounds.PuncturedDomain(_polygon(1000, 0.25 + 0.5j, 3.0))
     z = 0.25 + 0.5j
     recorded, sizes = _hypot_sizes()
     with mock.patch.object(np, "hypot", recorded):
         got = bounds.sigma_lower(dom, z)
     assert got == bounds.rho_bounds(dom, z).lower
-    assert max(sizes) <= bounds._BLOCK
+    assert max(sizes) <= 1000
     assert sum(sizes) == 1000 + 1000 * 1000
-    assert len(sizes) < 1000 // (bounds._BLOCK // 1000) + 10
 
 
 @pytest.mark.parametrize("query", (bounds.rho_bounds, bounds.sigma_lower))
-def test_lower_walk_scans_at_most_twice_the_rows_it_visits(query):
+def test_lower_walk_scans_the_rows_it_visits(query):
     # z a little outside a cluster of 50 punctures, whose distances to
-    # it are near-equal: the walk visits many of them, and a query whose
-    # walk scans rows scans no more than twice those it visits, in fewer
-    # numpy calls where the walk is long.  Only the search route scans
+    # it are near-equal: the walk visits many of them, and scans exactly
+    # the rows it visits that the search did not complete, so
+    # sigma_lower scans one row per h call.  Only the search route scans
     # rows, so the table is switched off
     rng = np.random.default_rng(20261018)
     pts = _layout("clustered", 100, rng)
     with mock.patch.object(bounds, "_TABLE_CELLS", 0):
         dom = bounds.PuncturedDomain(pts)
-    long_walks = 0
+    neighbours = bounds._neighbours
+    long_walks = scans = 0
     for k in range(0, 100, 7):
         z = pts[k] + 0.2 * cmath.exp(1j * k)
         _assert_matches_pair_loop(pts, z)
-        with mock.patch.object(bounds, "_rows_bracket",
-                               wraps=bounds._rows_bracket) as batches, \
+        searched = []
+
+        def recorded(*args):
+            q, gaps = neighbours(*args)
+            searched.extend(gaps)
+            return q, gaps
+
+        with mock.patch.object(bounds, "_neighbours", recorded), \
                 mock.patch.object(bounds, "_row_bracket",
                                   wraps=bounds._row_bracket) as singles, \
                 mock.patch.object(metric, "_h", wraps=metric._h) as h:
             query(dom, z)
+        # the walk order is range(N): it visits the first h calls' rows
+        visited = set(range(h.call_count))
+        assert singles.call_count == len(searched) + len(
+            visited.difference(searched))
         if query is bounds.sigma_lower:
-            rows = (singles.call_count
-                    + sum(c.args[3].size for c in batches.call_args_list))
-            assert rows <= 2 * h.call_count
-        if h.call_count >= 8:
-            long_walks += 1
-            assert singles.call_count + batches.call_count < h.call_count
+            assert singles.call_count == h.call_count
+        long_walks += h.call_count >= 8
+        scans += singles.call_count
     assert long_walks
-    assert singles.call_count + batches.call_count
+    assert scans

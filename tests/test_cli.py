@@ -416,11 +416,14 @@ def test_bounds_sigma(capsys, tmp_path):
 # ten-puncture domains take the list route of the queries, the
 # forty-puncture one (the ten and 30 more) the array route, and so does
 # the 400 punctures in eight clusters of tests/make_domain_clusters.py,
-# where most points lie outside the clusters.
+# where most points lie outside the clusters; the 400 on a circle about
+# 3,2 of tests/make_domain_edges.py make the search complete every row
+# and the walk visit every puncture at that point.
 PINNED_BOUNDS = (("bounds_cli.jsonl", ("pair", "ten")),
                  ("bounds_cli_forty.jsonl", ("forty",)),
                  ("bounds_cli_clusters.jsonl", ("clusters",)),
-                 ("bounds_cli_edge.jsonl", ("edge128", "edge129")))
+                 ("bounds_cli_edge.jsonl", ("edge128", "edge129")),
+                 ("bounds_cli_ring.jsonl", ("ring400",)))
 PINNED_BOUNDS_Z = ("-1,0", "0.5,0.8660254037844386", "3,2", "1e-300,0",
                    "-1e9,0", "0.1,0.2",
                    "-0.016218728184858068,-0.26770582777249746")
@@ -458,9 +461,11 @@ def test_clusters_domain_is_its_script():
 def test_edge_domains_are_their_script():
     script = runpy.run_path(os.path.join(os.path.dirname(DATA),
                                          "make_domain_edges.py"))
-    for n in script["SIZES"]:
-        with open(script["path"](n)) as fh:
-            assert fh.read() == script["text"](n)
+    texts = script["texts"]()
+    assert sorted(texts) == ["edge128", "edge129", "ring400"]
+    for name, text in texts.items():
+        with open(script["path"](name)) as fh:
+            assert fh.read() == text
     # the largest domain that keeps a table of its distances, and the
     # smallest that does not
     assert [n * (n - 1) <= bounds._TABLE_CELLS for n in script["SIZES"]] == [

@@ -5,13 +5,17 @@ formulas (K with modulus r, not the parameter m = r^2).
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from punctmetric import elliptic, metric
 from punctmetric.errors import DomainError
+
+_TINY = math.ulp(0.0)
 
 
 def test_agm_fixed_points():
@@ -26,18 +30,50 @@ def test_agm_reference():
                                                    rel=1e-15)
 
 
-@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+# every positive float, the subnormals and the top of the range included
+_POSITIVE = st.floats(min_value=_TINY, max_value=sys.float_info.max)
+
+
+@given(_POSITIVE, _POSITIVE)
 def test_agm_between_means_and_symmetric(x, y):
+    # a subnormal mean rounds to a multiple of the smallest subnormal
     m = elliptic.agm(x, y)
-    assert math.sqrt(x) * math.sqrt(y) <= m * (1.0 + 1e-14)
-    assert m <= 0.5 * (x + y) * (1.0 + 1e-14)
+    assert math.sqrt(x) * math.sqrt(y) <= m * (1.0 + 1e-14) + _TINY
+    assert m <= (0.5 * x + 0.5 * y) * (1.0 + 1e-14) + _TINY
     assert elliptic.agm(y, x) == m
 
 
-@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
-def test_agm_homogeneous(s, x, y):
-    assert elliptic.agm(s * x, s * y) == pytest.approx(s * elliptic.agm(x, y),
-                                                       rel=1e-13)
+@given(_POSITIVE, _POSITIVE, st.integers(-2100, 2100))
+def test_agm_homogeneous(x, y, k):
+    # agm(2^k x, 2^k y) = 2^k agm(x, y), wherever the scalings are exact
+    top = sys.float_info.max_exp
+    want = elliptic.agm(x, y)
+    assume(math.frexp(max(x, y, want))[1] + k <= top)
+    sx, sy, scale = math.ldexp(x, k), math.ldexp(y, k), Fraction(2) ** k
+    assume(Fraction(sx) == Fraction(x) * scale
+           and Fraction(sy) == Fraction(y) * scale)
+    # a subnormal mean rounds by up to half the smallest subnormal, which
+    # scales by 2^k with agm(x, y)
+    slack = _TINY + (math.ldexp(_TINY, k) if want < sys.float_info.min
+                     else 0.0)
+    got, scaled = elliptic.agm(sx, sy), math.ldexp(want, k)
+    assert abs(got - scaled) <= 1e-13 * scaled + slack
+
+
+# Points where sqrt(a b) or (a + b)/2 of the iterates leaves the float
+# range, or a b loses digits below it, each against mpmath at 40 digits
+@pytest.mark.parametrize("x,y", [
+    (1e200, 2e200), (1e160, 1e154), (1e300, 1.0), (1e308, 5e-324),
+    (1e200, 1e-100), (1e-200, 2e-200), (1e-170, 1e-150), (3e-320, 7e-310),
+    (sys.float_info.max, sys.float_info.max),
+    (sys.float_info.max, _TINY), (_TINY, _TINY)])
+def test_agm_at_the_ends_of_the_float_range(x, y):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.agm(x, y))
+    # a few ulps, or one ulp where the value is subnormal
+    ulps = 1.0 if want < sys.float_info.min else 4.0
+    assert abs(elliptic.agm(x, y) - want) <= ulps * math.ulp(want)
 
 
 @pytest.mark.parametrize("r,want", [

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import hyp2f1, pqfun, specfun, verify
+from punctmetric import _hyp2f1_arrays, hyp2f1, pqfun, specfun, verify
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -61,7 +61,8 @@ def test_mixed_parameter_ratio_run_matches_scalar_loops(data):
     xs = np.array([data.draw(st.floats(0.0, 0.5)) for _ in range(size)])
     total = np.array([data.draw(st.sampled_from((0.0, 1.0)))
                       for _ in range(size)])
-    got, stalled = hyp2f1._ratio_many(*np.array(triples).T, xs, total, pick)
+    got, stalled = _hyp2f1_arrays._ratio_many(*np.array(triples).T, xs,
+                                              total, pick)
     want, want_stalled = _scalar_sums(
         [hyp2f1._ratio_sum(*triples[g], float(x), float(t))
          for g, x, t in zip(pick, xs, total)], 5)
@@ -79,7 +80,8 @@ def test_ratio_run_with_negative_lower_parameters_matches_scalar_loops():
     pick = np.repeat(np.arange(len(triples)), 4)
     xs = np.tile([0.4971, 0.3, 0.1, 1e-10], len(triples))
     total = np.ones(xs.size)
-    got, stalled = hyp2f1._ratio_many(*np.array(triples).T, xs, total, pick)
+    got, stalled = _hyp2f1_arrays._ratio_many(*np.array(triples).T, xs,
+                                              total, pick)
     want, want_stalled = _scalar_sums(
         [hyp2f1._ratio_sum(*triples[g], float(x), 1.0)
          for g, x in zip(pick, xs)], 5)
@@ -98,7 +100,7 @@ def test_mixed_m_log_run_matches_scalar_loops(data):
     u = np.array([data.draw(st.floats(1e-12, 0.45)) for _ in range(size)])
     ell = -np.log(u)
     ms = np.array([data.draw(st.integers(0, 6)) for _ in range(size)])
-    got, stalled = hyp2f1._zb_many(a, b, u, ell, ms, from_one)
+    got, stalled = _hyp2f1_arrays._zb_many(a, b, u, ell, ms, from_one)
     want, want_stalled = _scalar_sums(
         [hyp2f1._zb_sum(a, b, float(v), float(e), int(m), from_one)
          for v, e, m in zip(u, ell, ms)], 7)
@@ -235,7 +237,8 @@ _PAIRS = {
 @pytest.mark.parametrize("name", sorted(_PAIRS))
 def test_fused_pairs_match_unfused_calls(name, each_scan):
     ps = _PAIRS[name]
-    size = hyp2f1.SCAN_ROWS_FROM + 300  # each run starts past the crossover
+    # each run starts past the crossover
+    size = _hyp2f1_arrays.SCAN_ROWS_FROM + 300
     ts = np.random.default_rng(7).permutation(
         np.concatenate((np.linspace(0.0, 40.0, size - 2), [0.0, 1e-9])))
     e = np.exp(-ts)
@@ -253,10 +256,10 @@ def test_fused_pairs_match_unfused_calls(name, each_scan):
 def test_fused_connection_series_match_single_runs():
     ps = [HypParams(0.9, 1.1, 2.6), HypParams(0.3, 0.7, 1.1),
           HypParams(2.5, 0.5, 1.25)]
-    u = np.linspace(1e-6, 0.49, hyp2f1.SCAN_ROWS_FROM + 40)
-    fused = hyp2f1._connection_many(ps, u, np.log(u))
+    u = np.linspace(1e-6, 0.49, _hyp2f1_arrays.SCAN_ROWS_FROM + 40)
+    fused = _hyp2f1_arrays._connection_many(ps, u, np.log(u))
     for p, lanes in zip(ps, fused):
-        (alone,) = hyp2f1._connection_many([p], u, np.log(u))
+        (alone,) = _hyp2f1_arrays._connection_many([p], u, np.log(u))
         assert _bits(lanes.value) == _bits(alone.value)
         assert _bits(lanes.err) == _bits(alone.err)
         assert lanes.terms.tolist() == alone.terms.tolist()
@@ -267,8 +270,8 @@ def test_lo_hi_sums_its_direct_series_in_one_run(monkeypatch):
     # the F(p; lo) of every p sum in one direct run; at lo = 1/2,
     # F(p; 1 - lo) is the direct series at 1/2 too, copied from F(p; lo)
     calls = []
-    direct_many = hyp2f1._direct_many
-    monkeypatch.setattr(hyp2f1, "_direct_many",
+    direct_many = _hyp2f1_arrays._direct_many
+    monkeypatch.setattr(_hyp2f1_arrays, "_direct_many",
                         lambda jobs: calls.append(jobs) or direct_many(jobs))
     ps = _PAIRS["v_w"]
     lo = np.array([0.5, 0.25, 0.125, 1e-3])

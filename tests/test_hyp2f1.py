@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import hyp2f1, pqfun
+from punctmetric import _hyp2f1_arrays, hyp2f1, pqfun
 from punctmetric.errors import ConvergenceError, DomainError, RangeError
 from punctmetric.hyp2f1 import (
     HypParams,
@@ -745,8 +745,8 @@ def test_f21_at_zero_x_keeps_every_result_and_serves_an_overflowing_product():
 
 
 def test_f21_many_at_zero_x_matches_its_scalar_calls():
-    # one parameter triple, and mixed triples in one lockstep run, where
-    # the lanes at x = +-0 take columns of their own
+    # one parameter triple: a lane at x = +-0 that the lockstep cannot
+    # sum takes its scalar call
     for a, b, c in _zero_x_triples():
         p = HypParams(a, b, c)
         xs = [0.0, -0.0, 0.3, 0.0, 1e-3]
@@ -759,17 +759,35 @@ def test_f21_many_at_zero_x_matches_its_scalar_calls():
             want = f21(p, x)
             assert (got.value[i], got.abs_err_estimate[i],
                     got.terms_used[i], got.method[i]) == tuple(want), (p, x)
-    triples = [(1e200, 1e200, 1e300), (0.5, 0.5, 1.0), (2.0, 3.0, 5e-324)]
-    pick = np.array([0, 0, 1, 1, 2, 2, 1])
-    xs = np.array([0.0, -0.0, 0.0, 0.4, -0.0, 0.0, -0.0])
-    total = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
-    got, stalled = hyp2f1._ratio_many(*np.array(triples).T, xs, total, pick)
-    want = [hyp2f1._ratio_sum(*triples[g], float(x), float(t))
-            for g, x, t in zip(pick, xs, total)]
-    assert [_bits(tuple(float(f[i]) for f in got[:-1]) + (int(got[-1][i]),))
-            for i in range(xs.size)] == [_bits(w) for w in want]
+
+
+def test_ratio_run_at_zero_x_leaves_only_overflowing_lanes_unsummed():
+    # mixed triples in one lockstep run, which sums the a and b given at
+    # x = +-0 too: a lane whose step ratio overflows forms inf * 0 and
+    # comes back not finite, so its scalar call serves it; every other
+    # lane has the bits of its scalar loop, which sums (0, 0, c) there
+    triples = list(_zero_x_triples())
+    pick = np.repeat(np.arange(len(triples)), 4)
+    xs = np.tile([0.0, -0.0, 0.0, 0.4], len(triples))
+    total = np.tile([1.0, 0.0, 0.0, 1.0], len(triples))
+    got, stalled = _hyp2f1_arrays._ratio_many(*np.array(triples).T, xs,
+                                              total, pick)
+    overflowed = summed = 0
+    for i, (g, x, t) in enumerate(zip(pick, xs.tolist(), total.tolist())):
+        case = (*triples[g], x, t)
+        lane = tuple(float(f[i]) for f in got[:-1]) + (int(got[-1][i]),)
+        as_given = _loop_ratio_sum(*case, zero_x_as_given=True)
+        want = hyp2f1._ratio_sum(*case)
+        if x == 0.0 and not math.isfinite(as_given[0]):
+            assert not math.isfinite(lane[0]), case
+            overflowed += 1
+        elif math.isfinite(want[0]):
+            assert _bits(lane) == _bits(want), case
+            summed += x == 0.0
+        else:  # a sum past zero that overflows in earnest serves neither
+            assert not math.isfinite(lane[0]), case
+    assert overflowed and summed
     assert not stalled.any()
-    assert all(math.isfinite(w[0]) for w in want)
 
 
 def _connection_f1_first(a, b, c, u, log_u):

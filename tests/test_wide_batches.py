@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from punctmetric import hyp2f1
+from punctmetric import _hyp2f1_arrays, hyp2f1
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -79,7 +79,7 @@ def test_f21_many_matches_f21_on_wide_batches(route, each_scan):
         # blocks hold BLOCK_CELLS // SIZE = 5 terms while most lanes sum:
         # the first lanes stop in the first block (the connection route
         # counts two series), the last ones many blocks later
-        assert hyp2f1.BLOCK_CELLS // SIZE == 5
+        assert _hyp2f1_arrays.BLOCK_CELLS // SIZE == 5
         assert got.terms_used.min() < 10
         assert got.terms_used.max() > 40
 
