@@ -25,6 +25,8 @@ ones checking their fields in ``__new__``, and ``PuncturedDomain`` is a
 class with ``__slots__``.
 """
 
+import sys
+
 from . import elliptic, hyp2f1, metric, pqfun, specfun
 from .elliptic import agm, ellip_k, mu
 from .errors import (
@@ -124,19 +126,28 @@ __all__ = [
 ]
 
 
+def _bind(name: str) -> None:
+    """Bind the module ``name`` (bounds or verify), and the names this
+    package takes from it, here.  Each of the two calls this at the end
+    of its own import, however it is imported (``import
+    punctmetric.bounds``, a first lookup here, unpickling a domain), so
+    anything that reads this module's namespace finds all of them."""
+    module = name.rpartition(".")[2]
+    loaded = sys.modules[name]
+    names = globals()
+    names[module] = loaded
+    for taken in _LAZY[module]:
+        names[taken] = getattr(loaded, taken)
+
+
 def __getattr__(name: str):
     """bounds and verify, and the names taken from them, on first use
-    (PEP 562): the first lookup of any of a module's names imports it and
-    binds all of them here, so later lookups, and anything that reads this
-    module's namespace, find them bound."""
+    (PEP 562): the first lookup of any of a module's names imports it,
+    and its import binds all of them here (see ``_bind``)."""
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # through the import statement's path, which -X importtime reports
-    # (importlib.import_module's is not), binding the module here
+    # (importlib.import_module's is not)
     __import__(f"{__name__}.{module}")
-    names = globals()
-    loaded = names[module]
-    for taken in _LAZY[module]:
-        names[taken] = getattr(loaded, taken)
-    return names[name]
+    return globals()[name]

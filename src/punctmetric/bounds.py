@@ -56,12 +56,13 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import json
 import math
 import sys
 from typing import NamedTuple, Sequence
 
 from . import metric, specfun
-from .errors import DomainError
+from .errors import DomainError, PunctMetricError
 
 __all__ = [
     "PuncturedDomain",
@@ -159,6 +160,41 @@ class PuncturedDomain:
         return type(self), (self.punctures,)
 
 
+# integers from here on round past the largest float
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
+def _is_real(v: object) -> bool:
+    """Whether a JSON value is a number that a float holds: JSON true
+    and false (bools) are not, nor an integer past the float range."""
+    return type(v) is float or (type(v) is int and abs(v) < _FLOAT_LIMIT)
+
+
+def _read_domain(path: str) -> PuncturedDomain:
+    """The domain of a file that holds a JSON list of punctures, each an
+    [re, im] pair or a real: the command line's domain files."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise PunctMetricError(
+                f"domain file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise PunctMetricError(
+            f"domain file {path!r} must hold a JSON list of [re, im] pairs")
+    pts = []
+    for entry in data:
+        if _is_real(entry):
+            pts.append(complex(entry, 0.0))
+        elif (isinstance(entry, list) and len(entry) == 2
+              and _is_real(entry[0]) and _is_real(entry[1])):
+            pts.append(complex(entry[0], entry[1]))
+        else:
+            raise PunctMetricError(
+                f"bad domain entry {entry!r}: expected [re, im] or a real")
+    return PuncturedDomain(pts)
+
+
 # numpy, which the array routes run on: bound by _coordinates, which
 # makes the arrays of every domain that takes them
 np = None
@@ -253,7 +289,10 @@ def ring_coefficients(c: float) -> RingBoundParams:
     A = varphi(c)/c and B = varphi(c) - varphi(c/2)."""
     c = _check_gap(c)
     v = metric.varphi(c)
-    return RingBoundParams(c, v / c, v - metric.varphi(0.5 * c))
+    # c/2 rounds to 0 at the smallest subnormal c, where varphi is 0
+    half = 0.5 * c
+    return RingBoundParams(c, metric._varphi_over_t(c, v),
+                           v - (metric.varphi(half) if half else 0.0))
 
 
 def _check_radii(r1: float, r2: float) -> tuple[float, float]:
@@ -818,3 +857,9 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
         d, order = d.tolist(), perm.tolist()
     return _lower_end(order, d,
                       lambda a: _log_gap(d[a], *_bracket(rows[a], d[a])))
+
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

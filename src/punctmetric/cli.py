@@ -13,24 +13,37 @@ no infinity, so an infinite upper bound is emitted as the string
 larger domains load it.  Only the bounds subcommand imports the bounds
 module, where it runs: verify, eval, constants and figure1 never load
 it.
+
+Both readers of a command line take ``_GRAMMAR``, the one table of
+subcommand paths, each with its arguments and its handler.  A plain
+command line (see ``_parse``) is read in one pass over the table.
+Anything else, help, abbreviations, repeated options, ``--``, values
+that start with "-" and every usage error, goes to the argparse parser
+that ``_build_parser`` makes from the same table, so help text, usage
+messages and exit code 2 are argparse's.  A plain request neither
+imports argparse nor compiles the module (``_usage``) that builds the
+parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from . import elliptic, metric, pqfun, specfun
 from .errors import PunctMetricError, UnknownCheckError
 from .hyp2f1 import HypParams, f21
 
 if TYPE_CHECKING:
-    from .bounds import PuncturedDomain
+    import argparse
+
+    # what either reader of a command line returns
+    Args = argparse.Namespace | SimpleNamespace
 
 _ENV_TOL = "PUNCTURED_METRIC_TOL"
 
@@ -52,47 +65,15 @@ def _parse_complex(text: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
+    import argparse
+
     raise argparse.ArgumentTypeError(
         f"expected RE or RE,IM, got {text!r}")
 
 
-def _load_domain(path: str) -> PuncturedDomain:
-    from . import bounds
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise PunctMetricError(
-                f"domain file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise PunctMetricError(
-            f"domain file {path!r} must hold a JSON list of [re, im] pairs")
-    pts = []
-    for entry in data:
-        if _is_real(entry):
-            pts.append(complex(entry, 0.0))
-        elif (isinstance(entry, list) and len(entry) == 2
-              and _is_real(entry[0]) and _is_real(entry[1])):
-            pts.append(complex(entry[0], entry[1]))
-        else:
-            raise PunctMetricError(
-                f"bad domain entry {entry!r}: expected [re, im] or a real")
-    return bounds.PuncturedDomain(pts)
-
-
-# integers from here on round past the largest float
-_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
-
-
-def _is_real(v: object) -> bool:
-    """Whether a JSON value is a number that a float holds: JSON true
-    and false (bools) are not, nor an integer past the float range."""
-    return type(v) is float or (type(v) is int and abs(v) < _FLOAT_LIMIT)
-
-
 # evaluator table: name -> (required flags, optional flags with defaults,
-# callable on the collected values)
+# callable on the collected values, which returns the value or, for f21,
+# the JSON object)
 
 def _ev_f21(v: dict) -> dict:
     r = f21(HypParams(v["a"], v["b"], v["c"]), v["x"])
@@ -104,71 +85,65 @@ def _pair(v: dict) -> pqfun.ZeroBalancedPair:
     return pqfun.ZeroBalancedPair(v["a"], v["b"])
 
 
-_EVALUATORS: dict[str, tuple[tuple[str, ...], dict[str, float], object]] = {
-    "f21": (("a", "b", "c", "x"), {}, _ev_f21),
-    "K": (("r",), {}, lambda v: {"value": elliptic.ellip_k(v["r"])}),
-    "mu": (("r",), {}, lambda v: {"value": elliptic.mu(v["r"])}),
-    "lambda": (("x",), {}, lambda v: {"value": metric.lambda01_neg(v["x"])}),
-    "phi": (("x",), {}, lambda v: {"value": metric.phi_func(v["x"])}),
-    "h": (("t",), {}, lambda v: {"value": metric.h(v["t"])}),
-    "H": (("t",), {}, lambda v: {"value": metric.big_h(v["t"])}),
-    "varphi": (("t",), {}, lambda v: {"value": metric.varphi(v["t"])}),
-    "P": (("t",), {"a": 0.5, "b": 0.5},
-          lambda v: {"value": pqfun.p_func(_pair(v), v["t"])}),
-    "Q": (("t",), {"a": 0.5, "b": 0.5},
-          lambda v: {"value": pqfun.q_func(_pair(v), v["t"])}),
-    "q": (("t",), {"a": 0.5, "b": 0.5},
-          lambda v: {"value": pqfun.q_log(_pair(v), v["t"])}),
-    "N": (("a", "b", "c", "x"), {},
-          lambda v: {"value": pqfun.n_func(v["a"], v["b"], v["c"], v["x"])}),
-    "M": (("a", "b", "c", "x"), {},
-          lambda v: {"value": pqfun.m_func(v["a"], v["b"], v["c"], v["x"])}),
+_PAIR = {"a": 0.5, "b": 0.5}
+_EVALUATORS: dict[str, tuple[str, dict[str, float], object]] = {
+    "f21": ("abcx", {}, _ev_f21),
+    "K": ("r", {}, lambda v: elliptic.ellip_k(v["r"])),
+    "mu": ("r", {}, lambda v: elliptic.mu(v["r"])),
+    "lambda": ("x", {}, lambda v: metric.lambda01_neg(v["x"])),
+    "phi": ("x", {}, lambda v: metric.phi_func(v["x"])),
+    "h": ("t", {}, lambda v: metric.h(v["t"])),
+    "H": ("t", {}, lambda v: metric.big_h(v["t"])),
+    "varphi": ("t", {}, lambda v: metric.varphi(v["t"])),
+    "P": ("t", _PAIR, lambda v: pqfun.p_func(_pair(v), v["t"])),
+    "Q": ("t", _PAIR, lambda v: pqfun.q_func(_pair(v), v["t"])),
+    "q": ("t", _PAIR, lambda v: pqfun.q_log(_pair(v), v["t"])),
+    "N": ("abcx", {}, lambda v: pqfun.n_func(v["a"], v["b"], v["c"], v["x"])),
+    "M": ("abcx", {}, lambda v: pqfun.m_func(v["a"], v["b"], v["c"], v["x"])),
 }
 
 
-def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_eval(args: Args) -> int:
     spec = _EVALUATORS.get(args.function)
     if spec is None:
-        parser.error(f"unknown function {args.function!r}; "
+        _usage_error(f"unknown function {args.function!r}; "
                      f"known: {', '.join(sorted(_EVALUATORS))}")
     required, defaults, fn = spec
     values = dict(defaults)
-    for name in ("a", "b", "c", "x", "t", "r"):
+    for name in "abcxtr":
         given = getattr(args, name)
         if given is not None:
             values[name] = given
     missing = [n for n in required if n not in values]
     if missing:
-        parser.error(f"eval {args.function} needs --"
-                     + " --".join(missing))
-    _emit(fn(values))
+        _usage_error(f"eval {args.function} needs --" + " --".join(missing))
+    out = fn(values)
+    _emit(out if type(out) is dict else {"value": out})
     return 0
 
 
-def _tol_profile(parser: argparse.ArgumentParser,
-                 args: argparse.Namespace) -> str:
+def _tol_profile(args: Args) -> str:
     if args.suite is not None:
         return args.suite
     env = os.environ.get(_ENV_TOL)
     if env is None:
         return "default"
     if env not in ("default", "strict"):
-        parser.error(f"{_ENV_TOL} must be 'default' or 'strict', got {env!r}")
+        _usage_error(f"{_ENV_TOL} must be 'default' or 'strict', got {env!r}")
     return env
 
 
-def _cmd_verify(parser: argparse.ArgumentParser,
-                args: argparse.Namespace) -> int:
+def _cmd_verify(args: Args) -> int:
     from . import verify
 
-    profile = _tol_profile(parser, args)
+    profile = _tol_profile(args)
     try:
         if args.check is not None:
             reports = [verify.run_check(args.check, tol_profile=profile)]
         else:
             reports = verify.run_suite(tol_profile=profile)
     except UnknownCheckError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     for r in reports:
         _emit(r.to_dict())
     return 0 if all(r.passed for r in reports) else 1
@@ -192,23 +167,21 @@ def _ring_payload(c: float, r1: float, r2: float, compare: bool) -> dict:
     return out
 
 
-def _cmd_bounds(parser: argparse.ArgumentParser,
-                args: argparse.Namespace) -> int:
+def _cmd_bounds(args: Args) -> int:
     from . import bounds
 
     if args.query == "ring":
         _emit(_ring_payload(args.c, args.r1, args.r2, args.compare))
     elif args.query == "rho":
-        rb = bounds.rho_bounds(_load_domain(args.domain), args.z)
+        rb = bounds.rho_bounds(bounds._read_domain(args.domain), args.z)
         _emit({"lower": rb.lower, "upper": _real(rb.upper)})
     else:
-        val = bounds.sigma_lower(_load_domain(args.domain), args.z)
+        val = bounds.sigma_lower(bounds._read_domain(args.domain), args.z)
         _emit({"value": val})
     return 0
 
 
-def _cmd_constants(parser: argparse.ArgumentParser,
-                   args: argparse.Namespace) -> int:
+def _cmd_constants(args: Args) -> int:
     c0 = metric.c0()
     _emit({
         "C0": c0,
@@ -229,15 +202,14 @@ def _cmd_constants(parser: argparse.ArgumentParser,
 _FIGURE1_ROWS = 4096
 
 
-def _cmd_figure1(parser: argparse.ArgumentParser,
-                 args: argparse.Namespace) -> int:
+def _cmd_figure1(args: Args) -> int:
     lo, hi, count = args.lo, args.hi, args.count
     if not (0.0 < lo < hi < math.inf) or count < 2:
-        parser.error("need 0 < --lo < --hi < inf and --count >= 2")
+        _usage_error("need 0 < --lo < --hi < inf and --count >= 2")
     # the last row's c, as the loop computes it: h(c/2) has no value past
     # T_CAP, so the whole grid is refused before the header is written
     if 0.5 * (lo + (hi - lo) * (count - 1) / (count - 1)) > metric.T_CAP:
-        parser.error(f"need rows with c <= {2.0 * metric.T_CAP:g} "
+        _usage_error(f"need rows with c <= {2.0 * metric.T_CAP:g} "
                      f"(h(c/2) has no value past t = {metric.T_CAP:g})")
     two_c0 = 2.0 * metric.c0()
     w = sys.stdout
@@ -250,85 +222,134 @@ def _cmd_figure1(parser: argparse.ArgumentParser,
         phis = metric.varphi_many(cs).tolist()
         h_half = metric.h_many([0.5 * c for c in cs]).tolist()
         for c, phi, sv in zip(cs, phis, h_half):
-            w.write(f"{c:.17g},{phi / c:.17g},{sv:.17g},"
-                    f"{math.log1p(c / two_c0) / c:.17g}\n")
+            w.write(f"{c:.17g},{metric._varphi_over_t(c, phi):.17g},"
+                    f"{sv:.17g},{math.log1p(c / two_c0) / c:.17g}\n")
     return 0
 
 
-# Built on the first main() call and kept: a build costs more than many
-# subcommands, and a parse leaves the parser as it found it.
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="punctmetric",
-        description="Hyperbolic-metric numerics for punctured plane domains.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "eval", help="evaluate one function, JSON result on stdout")
-    p_eval.add_argument("function",
-                        help="one of: " + ", ".join(sorted(_EVALUATORS)))
-    for flag, doc in (
+# The grammar, the one table that both readers of a command line take:
+# subcommand path -> (help, handler, arguments), the arguments a dict
+# from name ("--" before an option's) to add_argument keywords.  A path
+# without a handler only groups the paths below it.
+_POINT = {"--domain": {"required": True, "metavar": "FILE",
+                       "help": "JSON list of [re, im] puncture pairs"},
+          "--z": {"type": _parse_complex, "required": True,
+                  "metavar": "RE,IM",
+                  "help": "evaluation point (write --z=-1,0 for "
+                          "negative re)"}}
+_GRAMMAR = {
+    ("eval",): ("evaluate one function, JSON result on stdout", _cmd_eval, {
+        "function": {"help": "one of: " + ", ".join(sorted(_EVALUATORS))},
+        **{f"--{flag}": {"type": float, "help": doc} for flag, doc in (
             ("a", "first parameter (P/Q/q default 0.5)"),
             ("b", "second parameter (P/Q/q default 0.5)"),
             ("c", "third parameter"),
             ("x", "argument in [0, 1) (f21, N, M), or > 0 (lambda, phi)"),
             ("t", "real argument (h, H, varphi, P, Q, q)"),
-            ("r", "elliptic modulus in (0, 1)")):
-        p_eval.add_argument(f"--{flag}", type=float, help=doc)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_verify = sub.add_parser(
-        "verify", help="run named property checks, one JSON line each")
-    p_verify.add_argument("--suite", choices=("default", "strict"),
-                          help=f"tolerance profile (else ${_ENV_TOL}, "
-                               "else default)")
-    p_verify.add_argument("--check", metavar="NAME",
-                          help="run a single check by name")
-    p_verify.add_argument("--json", action="store_true",
-                          help="no-op; output is always JSON lines")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_bounds = sub.add_parser(
-        "bounds", help="certified distance and density bounds")
-    bsub = p_bounds.add_subparsers(dest="query", required=True)
-    p_ring = bsub.add_parser("ring", help="log-modulus distance lower bound")
-    p_ring.add_argument("--c", type=float, required=True,
-                        help="log-ratio gap of the omitted sequence")
-    p_ring.add_argument("--r1", type=float, required=True)
-    p_ring.add_argument("--r2", type=float, required=True)
-    p_ring.add_argument("--compare", action="store_true",
-                        help="include the two classical baselines")
-    p_ring.set_defaults(func=_cmd_bounds)
-    for name, doc in (("rho", "two-sided density bounds at a point"),
-                      ("sigma", "pairwise two-puncture density lower bound")):
-        pq = bsub.add_parser(name, help=doc)
-        pq.add_argument("--domain", required=True, metavar="FILE",
-                        help="JSON list of [re, im] puncture pairs")
-        pq.add_argument("--z", type=_parse_complex, required=True,
-                        metavar="RE,IM",
-                        help="evaluation point (write --z=-1,0 for "
-                             "negative re)")
-        pq.set_defaults(func=_cmd_bounds)
-
-    p_const = sub.add_parser("constants", help="key constants as JSON")
-    p_const.set_defaults(func=_cmd_constants)
-
-    p_fig = sub.add_parser(
-        "figure1", help="CSV of the three ring-bound slope functions")
-    p_fig.add_argument("--lo", type=float, default=0.05)
-    p_fig.add_argument("--hi", type=float, default=10.0)
-    p_fig.add_argument("--count", type=int, default=200)
-    p_fig.set_defaults(func=_cmd_figure1)
-
-    return parser
+            ("r", "elliptic modulus in (0, 1)"))}}),
+    ("verify",): ("run named property checks, one JSON line each",
+                  _cmd_verify, {
+        "--suite": {"choices": ("default", "strict"),
+                    "help": f"tolerance profile (else ${_ENV_TOL}, "
+                            "else default)"},
+        "--check": {"metavar": "NAME", "help": "run a single check by name"},
+        "--json": {"action": "store_true", "default": False,
+                   "help": "no-op; output is always JSON lines"}}),
+    ("bounds",): ("certified distance and density bounds", None, {}),
+    ("bounds", "ring"): ("log-modulus distance lower bound", _cmd_bounds, {
+        "--c": {"type": float, "required": True,
+                "help": "log-ratio gap of the omitted sequence"},
+        "--r1": {"type": float, "required": True},
+        "--r2": {"type": float, "required": True},
+        "--compare": {"action": "store_true", "default": False,
+                      "help": "include the two classical baselines"}}),
+    ("bounds", "rho"): ("two-sided density bounds at a point", _cmd_bounds,
+                        _POINT),
+    ("bounds", "sigma"): ("pairwise two-puncture density lower bound",
+                          _cmd_bounds, _POINT),
+    ("constants",): ("key constants as JSON", _cmd_constants, {}),
+    ("figure1",): ("CSV of the three ring-bound slope functions",
+                   _cmd_figure1, {
+        "--lo": {"type": float, "default": 0.05},
+        "--hi": {"type": float, "default": 10.0},
+        "--count": {"type": int, "default": 200}}),
+}
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """What _build_parser().parse_args(argv) returns, read in one pass
+    over _GRAMMAR, where argv is plain; else None.
+
+    A plain argv is the subcommand words, its positionals, then its
+    options under their full names, each at most once: a flag bare, any
+    other option with its value joined by "=" or as the next word, which
+    does not start with "-".  Every required option is there, and every
+    value converts by its option's type to one of its choices.  Any
+    other argv (help, abbreviations, repeats, "--", values that start
+    with "-", unknown words, bad values) is argparse's to read or
+    refuse."""
+    path = tuple(argv[:2])
+    if path not in _GRAMMAR:
+        path = path[:1]
+    _, func, arguments = _GRAMMAR.get(path, (0, None, 0))
+    if func is None:
+        return None
+    values = dict(zip(("command", "query"), path), func=func)
+    words = iter(argv[len(path):])
+    options = {}
+    for name, kw in arguments.items():
+        if name[0] == "-":
+            options[name] = kw
+            values[name[2:]] = kw.get("default")
+        else:
+            values[name] = next(words, "-")
+            if values[name][:1] == "-":
+                return None
+    for word in words:
+        name, eq, value = word.partition("=")
+        kw = options.pop(name, None)
+        if kw is None or eq and "action" in kw:
+            return None
+        if "action" in kw:  # a flag
+            value = True
+        else:
+            if not eq:
+                value = next(words, "-")
+                if value[:1] == "-":
+                    return None
+            try:
+                value = kw.get("type", str)(value)
+            except Exception:  # argparse converts it again and reports
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        values[name[2:]] = value
+    if any(kw.get("required") for kw in options.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+# Built on the first call that needs it and kept: a build costs more than
+# many subcommands, and a parse leaves the parser as it found it.  Its
+# module, and argparse, load only for help and usage errors.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    from ._usage import build_parser
+
+    return build_parser(_GRAMMAR)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with argparse's usage line and message, as argparse does
+    for an error of its own."""
+    _build_parser().error(message)
+
+
+def _run(args: Args) -> int:
     """The subcommand's exit code; a typed or I/O error goes to stdout as
     a JSON error line with exit code 1."""
     try:
-        return args.func(parser, args)
+        return args.func(args)
     except PunctMetricError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
     except BrokenPipeError:
@@ -354,10 +375,13 @@ def _silence_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
-        rc = _run(parser, args)
+        rc = _run(args)
         sys.stdout.flush()
         return rc
     except BrokenPipeError:

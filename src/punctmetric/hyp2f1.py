@@ -220,7 +220,8 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
                 rtol * (total if total > 0.0 else 0.0 - total) * (1.0 - r)
                 or tiny):
             small_count += 1
-            if small_count == 3:
+            # inf <= inf passes a term that overflowed onto a total that did
+            if small_count == 3 or size == inf:
                 return total + comp, term, r, weighted, int(n)
         elif size < inf:
             small_count = 0

@@ -229,6 +229,15 @@ def _varphi_taylor(t):
     return t * (c1 + t2 * (c3 + t2 * (c5 + t2 * c7)))
 
 
+def _varphi_over_t(t: float, phi: float) -> float:
+    """varphi(t)/t, given phi = varphi(t) at a float t > 0: phi/t where
+    phi is normal.  Below t ~ 1.9e-307 phi is subnormal, with digits
+    lost or 0, and the Taylor polynomial divided through by t gives the
+    quotient instead: c1 + c3 t^2 + ..., where t^2 underflows, is c1 =
+    h(0), its limit as t -> 0."""
+    return phi / t if phi >= sys.float_info.min else _VARPHI_TAYLOR[0]
+
+
 def _varphi_closed(t):
     """varphi at a float t or an array, from s = VARPHI_CLOSED_S on."""
     return specfun.pointwise(math.log, (t + _LOG256) / _TWO_PI)

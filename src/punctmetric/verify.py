@@ -1066,3 +1066,9 @@ def max_weighted_h() -> ExtremumResult:
         raise PunctMetricError(
             f"2/H'(t0) = {max_value} is not below 1.25; upstream bug")
     return ExtremumResult(t0=t0, max_value=max_value)
+
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The console script's output against the pinned files in tests/data.
 #
-#   tests/check_pinned_cli.sh [verify] [bounds] [scalar] [imports]
+#   tests/check_pinned_cli.sh [verify] [bounds] [scalar] [imports] [usage]
 #                                                (all when none given)
 #
 # verify: both suites, and the strict one reached through
@@ -22,8 +22,15 @@
 # 400 on a circle about z = 3,2 the pruned search.
 # imports: each subcommand once, with PYTHONPROFILEIMPORTTIME=1, and
 # the sorted punctmetric.* modules that it loads, punctmetric.cli left
-# out (python -m runs it as __main__), against cli_imports.txt: only
-# the bounds subcommand loads bounds.  PUNCTMETRIC names the
+# out (python -m runs it as __main__), and argparse if it loads, against
+# cli_imports.txt: only the bounds subcommand loads bounds, and only
+# help loads argparse (and punctmetric._usage, which builds the parser).
+# usage: help at each level, abbreviated, repeated and unknown options,
+# option values that start with "-", "--", missing and bad values,
+# each with its exit code, its stdout and whether it wrote to stderr,
+# against cli_usage.txt.  The messages themselves are not compared:
+# argparse words them differently from one Python to the next.
+# PUNCTMETRIC names the
 # command (default: punctmetric; from a checkout,
 # PUNCTMETRIC="python -m punctmetric.cli" with PYTHONPATH=src); PYTHON
 # names the interpreter of the warm part (default: python3).  Exits
@@ -149,22 +156,94 @@ imports() {
       "verify --check thm_c212_1" "verify --suite default" "constants" \
       "figure1 --count 9" "bounds ring --c 0.5 --r1 1 --r2 8 --compare" \
       "bounds rho --domain tests/data/domain_ten.json --z=3,2" \
-      "bounds sigma --domain tests/data/domain_forty.json --z=3,2"; do
+      "bounds sigma --domain tests/data/domain_forty.json --z=3,2" \
+      "eval --help"; do
     read -r -a args <<< "$argv"
     echo "$argv:"
     # the import report goes to stderr, the subcommand's output away
     PYTHONPROFILEIMPORTTIME=1 "${run[@]}" "${args[@]}" 2>&1 > /dev/null \
-      | sed -n 's/^import time:.*| *\(punctmetric\.[A-Za-z0-9_.]*\)$/  \1/p' \
+      | sed -n 's/^import time:.*| *\(punctmetric\.[A-Za-z0-9_.]*\|argparse\)$/  \1/p' \
       | { grep -vx '  punctmetric\.cli' || true; } | sort
   done | diff - tests/data/cli_imports.txt
 }
 
+usage() {
+  local argv rc
+  seen=$(mktemp -d)
+  trap 'rm -rf "$seen"' EXIT
+  # one argv a line, in the shell's quoting
+  while IFS= read -r argv; do
+    eval "set -- $argv"
+    echo "\$ punctmetric $argv"
+    rc=0
+    # help text wraps at the terminal's width
+    COLUMNS=80 "${run[@]}" "$@" < /dev/null > "$seen/out" 2> "$seen/err" \
+      || rc=$?
+    if [ -s "$seen/err" ]; then
+      echo "exit $rc, stderr written"
+    else
+      echo "exit $rc, stderr empty"
+    fi
+    cat "$seen/out"
+  done <<'ARGV' | diff - tests/data/cli_usage.txt
+-h
+--help
+eval -h
+verify --help
+bounds -h
+bounds ring -h
+bounds rho -h
+bounds sigma --help
+constants -h
+figure1 -h
+eval h --t 1.5 -h
+verify --check thm_c212_1 --suit strict
+bounds ring --c 0.5 --r1 1 --r2 8 --comp
+bounds rho --do tests/data/domain_ten.json --z 3,2
+eval h --t -1.5
+eval h --t -1e5
+eval h --t=-1e5
+bounds rho --domain tests/data/domain_ten.json --z -1,0
+bounds rho --domain tests/data/domain_ten.json --z=-1,0
+eval h --t 1 --t 2
+verify --check thm_c212_1 --check thm_c212_4
+verify --json --json --check thm_c212_1
+eval --t 1.5 -- h
+eval h -- --t 1.5
+verify --check thm_c212_1 --json=1
+eval --t 1 h
+eval h --t=1
+verify --check ''
+verify --check=
+eval h
+eval h --t
+eval
+bounds ring --c 0.5 --r1 1
+bounds rho --z 3,2
+bounds
+''
+frob
+bounds dist --c 1
+eval h --q 1
+eval h extra --t 1
+constants extra
+figure1 --count 3.5
+figure1 --count 3 --lo x
+bounds rho --domain tests/data/domain_ten.json --z x
+verify --suite lax
+verify --suite
+eval frobnicate --t 1
+ARGV
+  rm -rf "$seen"
+}
+
 parts=("$@")
-[ ${#parts[@]} -gt 0 ] || parts=(verify bounds scalar imports)
+[ ${#parts[@]} -gt 0 ] || parts=(verify bounds scalar imports usage)
 for part in "${parts[@]}"; do
   case $part in
-    verify | bounds | scalar | imports) "$part" ;;
-    *) echo "unknown part: $part (want verify, bounds, scalar or imports)" >&2
+    verify | bounds | scalar | imports | usage) "$part" ;;
+    *) echo "unknown part: $part (want verify, bounds, scalar, imports" \
+         "or usage)" >&2
        exit 2 ;;
   esac
 done

@@ -90,6 +90,35 @@ def test_ring_params_lower_bound_is_ring_lower_bound():
         bounds.ring_coefficients(LN2).lower_bound(2.0, 1.0)
 
 
+def _tiny_gaps():
+    """Gaps c from the smallest subnormal to 1e-300, where varphi(c) =
+    c h(0) is subnormal below c ~ 1.9e-307: fixed ones, and one
+    log-uniform draw a decade."""
+    rng = random.Random("tiny-gaps")
+    yield from (5e-324, 1e-323, 1e-320, 1e-315, 1e-310, 1e-308, 1.9e-307,
+                2e-307, 1e-300)
+    for k in range(-323, -300):
+        yield 10.0 ** (k + rng.random())
+
+
+def test_ring_coefficients_keep_their_digits_where_varphi_is_subnormal():
+    # A = varphi(c)/c tends to h(0) = c1 as c -> 0 and B to varphi(0) = 0;
+    # phi/c from a subnormal phi read 0.11413 at c = 1e-320, and c/2
+    # rounding to 0 raised at c = 5e-324.  The exact bound A L - B is
+    # below c1 L, since A < h(0) <= c1 (1 + eps) and B >= 0.
+    c1 = metric._VARPHI_TAYLOR[0]
+    eps = sys.float_info.epsilon
+    for c in _tiny_gaps():
+        params = bounds.ring_coefficients(c)
+        assert abs(params.A - c1) <= 2.0 * math.ulp(c1), c
+        assert 0.0 <= params.B <= c * c1, c
+        for r1, r2 in ((1.0, 2.0), (0.5, 1e8), (3.0, 3.0)):
+            gap = math.log(r2) - math.log(r1)
+            got = params.lower_bound(r1, r2)
+            assert 0.0 <= got <= c1 * (1.0 - 2.0 * eps) * gap, (c, r1, r2)
+            assert got == bounds.ring_lower_bound(c, r1, r2)
+
+
 def test_baseline_bounds():
     bl = bounds.baseline_bounds(1.0)
     assert bl.sv512_A == pytest.approx(metric.h(0.5), rel=1e-15)

@@ -651,7 +651,9 @@ def _loop_ratio_sum(a, b, c, x, total, zero_x_as_given=False):
         if r < 1.0 and c + n > 0.0 and size * r <= (
                 hyp2f1.SERIES_RTOL * abs(total) * (1.0 - r) or hyp2f1._TINY):
             small_count += 1
-            if small_count == 3:
+            # an overflowed term on an overflowed total passes the test:
+            # the sum stops there too
+            if small_count == 3 or not size < inf:
                 return total + comp, term, r, weighted, n
         else:
             if not size < inf:
@@ -708,6 +710,33 @@ def test_ratio_sum_matches_the_int_counter_loop_to_the_bit():
             want = _loop_ratio_sum(*case)
             assert _bits(hyp2f1._ratio_sum(*case)) == _bits(want), case
         assert hyp2f1._ratio_sum(0.5, 0.5, -20.5, 0.4, 1.0) is None
+
+
+def test_ratio_sum_stops_at_the_first_term_that_overflows():
+    # inf <= inf passed the tail test, so the scalar loop summed past an
+    # overflowed term (n = 3, r = 0.408 here) where the lockstep stops the
+    # lane (n = 1, r = 0.45); both totals are NaN either way
+    assert _bits(hyp2f1._ratio_sum(0.5, 0.5, 5e-324, 0.4, 1.0)) == _bits(
+        (math.nan, math.inf, 0.45, math.inf, 1))
+    rng = random.Random("ratio-sum-overflow")
+    triples = [(0.5, 0.5, 5e-324), (2.0, 3.0, 1e-310), (1e200, 1e200, 1.0),
+               (1e306, 2.0, 0.5), (40.0, 0.1, 5e-324)]
+    xs = [0.4, 0.1, 0.3, 1e-3] + [rng.uniform(0.0, 0.7) for _ in range(8)]
+    pick = np.repeat(np.arange(len(triples)), len(xs))
+    lanes = np.tile(xs, len(triples))
+    total = np.tile([1.0, 0.0], lanes.size // 2)
+    got, _ = _hyp2f1_arrays._ratio_many(*np.array(triples).T, lanes, total,
+                                        pick)
+    overflowed = 0
+    for i, (g, x, t) in enumerate(zip(pick, lanes.tolist(), total.tolist())):
+        want = hyp2f1._ratio_sum(*triples[g], x, t)
+        if math.isfinite(want[0]):
+            continue
+        overflowed += 1
+        # (term, r, n) of the lane against the scalar loop's
+        assert _bits((float(got[1][i]), float(got[2][i]), int(got[4][i]))) \
+            == _bits((want[1], want[2], want[4])), (triples[g], x, t)
+    assert overflowed >= len(xs)
 
 
 def _zero_x_triples():
