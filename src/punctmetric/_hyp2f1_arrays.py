@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,16 +41,12 @@ from .hyp2f1 import (
 # step adds a block of terms to every lane still summing, and a lane
 # stops where the scalar rule stops it.  A block is a (terms, lanes)
 # array, so that each term's row is contiguous; per-term factors enter
-# as columns.  A lane carries its own point and, where the lanes of one
-# run sum different series of a family, the index of its parameters: a
-# step forms the per-term factors as a column per triple a, b, c of the
-# ratio family, or f_m(n) as a column per m of the log family (c_n and
-# d_n depend on a, b alone, so a run shares them), and each lane takes
-# its own column.  So the sums a caller needs at its points run as one
-# lockstep run per family: both series of the connection formula, the
-# direct series of every parameter triple, a caller's own with the
-# hand-overs past 1/2, and the m = 0 and m = 1 log series of v and w in
-# pqfun.  Every run is the lockstep, at any lane count.
+# as columns.  A run sums one series, for one parameter set, at the
+# points of its lanes, and each route's array form takes one parameter
+# set and follows its scalar route step by step: _direct_many the
+# direct series, _zb_log_many the log series, _connection_many DLMF
+# 15.8.4 (F2, then F1) and _from_complement_many the choice among them.
+# Every run is the lockstep, at any lane count.
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
@@ -62,7 +58,8 @@ from .hyp2f1 import (
 # 1-u = 1 on the direct route, a series that overflows or runs out of
 # terms, among them a step ratio that overflows at x = +-0, where
 # inf * 0 makes it NaN), nor is the closed form u^-a at c = b (u^-b at
-# c = a), and where a prefactor or B(a, b) overflows the run raises and
+# c = a), nor any lane of a log route whose B(a, b) is past the float
+# range; where a connection prefactor overflows the run raises and
 # serves no lane.
 # Every point not served, and every point out of range, takes its
 # scalar call's result, point by point in index order.  So a batch
@@ -85,8 +82,9 @@ SCAN_ROWS_FROM = 256
 
 @functools.lru_cache(maxsize=MAX_TERMS_LOG + 1)
 def _falling_table(m: int) -> np.ndarray:
-    """hyp2f1._falling(m)'s f_m and f_m' as a read-only (2, n) array."""
-    table = np.array(_falling(m)[:2])
+    """hyp2f1._falling(m)'s f_m and f_m' as columns of a read-only
+    (2, n, 1) array."""
+    table = np.array(_falling(m)[:2])[:, :, None]
     table.flags.writeable = False
     return table
 
@@ -104,29 +102,17 @@ class _Lanes:
     """Per-lane value, estimate, term count and whether the lockstep
     serves the lane, of a batch."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, served: bool = True) -> None:
         self.value = np.zeros(size)
         self.err = np.zeros(size)
         self.terms = np.zeros(size, dtype=np.int64)
-        self.served = np.ones(size, dtype=bool)
+        self.served = np.full(size, served)
 
     def take(self, at, other: "_Lanes") -> None:
         self.value[at] = other.value
         self.err[at] = other.err
         self.terms[at] = other.terms
         self.served[at] = other.served
-
-    def __getitem__(self, at: slice) -> "_Lanes":
-        part = _Lanes(0)
-        part.value, part.err = self.value[at], self.err[at]
-        part.terms, part.served = self.terms[at], self.served[at]
-        return part
-
-
-def _parts(counts: Sequence[int]) -> list[slice]:
-    """The lanes of consecutive parts of counts[i] lanes each."""
-    ends = np.cumsum(counts).tolist()
-    return [slice(end - count, end) for count, end in zip(counts, ends)]
 
 
 def _scan(ufunc: np.ufunc, *parts) -> list[np.ndarray]:
@@ -161,13 +147,12 @@ def _runs_of_three(cond: np.ndarray, small: np.ndarray,
 def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
     """Sum a series at every lane of a batch in lockstep, by blocks.
 
-    ``fixed`` holds each lane's inputs as (1, lanes) rows, or as values
-    every lane shares, ``state`` what the next term reads or the caller
-    wants.  ``step(n, k, fixed, state)`` adds terms n+1 .. n+k and
-    returns the state after each, as (k, lanes) arrays, the stop test at
-    each, and where a lane stops at once (or False).  Returns the state
-    at each lane's stop, its terms after the first, and where ``cap``
-    terms were not enough."""
+    ``fixed`` holds each lane's inputs as (1, lanes) rows, ``state``
+    what the next term reads or the caller wants.  ``step(n, k, fixed,
+    state)`` adds terms n+1 .. n+k and returns the state after each, as
+    (k, lanes) arrays, the stop test at each, and where a lane stops at
+    once (or False).  Returns the state at each lane's stop, its terms
+    after the first, and where ``cap`` terms were not enough."""
     size = state[0].size
     final = tuple(np.zeros(size) for _ in state)
     summed = np.zeros(size, dtype=np.int64)
@@ -190,9 +175,7 @@ def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
                     out[i] = row[j, lanes]
                 summed[i] = n - k + j + 1
                 idx, small = idx[keep], small[keep]
-                fixed = tuple(v.take(keep, axis=1)
-                              if isinstance(v, np.ndarray) else v
-                              for v in fixed)
+                fixed = tuple(v.take(keep, axis=1) for v in fixed)
             # copies: the block is freed before the next one is made
             state = tuple(row[-1][keep] for row in rows)
             del rows, passed, now
@@ -201,22 +184,18 @@ def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
     return final, summed, stalled
 
 
-def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
-                pick: Optional[np.ndarray] = None):
+def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
+                total: np.ndarray):
     """_ratio_sum at every point of xs onto the sums ``total``, laid out
-    as its result (arrays), and the lanes out of terms: a, b, c floats,
-    or arrays of which lane i takes entry pick[i]."""
+    as its result (arrays), and the lanes out of terms."""
 
     def step(n, k, fixed, state):
-        x, pick = fixed
+        (x,) = fixed
         term, total, weighted, comp, _ = state
         # term n+j takes factor j, and its stop test the ratio factor j+1
         m = np.arange(n, n + k + 1.0)[:, None]  # a + m rounds as a + n
         cm = c + m
-        mult = (a + m) * (b + m) / (cm * (m + 1.0))
-        if pick is not None:  # a column per parameter triple
-            mult, cm = mult.take(pick[0], axis=1), cm.take(pick[0], axis=1)
-        mult = mult * x
+        mult = (a + m) * (b + m) / (cm * (m + 1.0)) * x
         (terms,) = _scan(np.multiply, (term, mult[:k]))
         sizes = np.abs(terms)
         sums, weights = _scan(np.add, (total, terms),
@@ -233,54 +212,40 @@ def _ratio_many(a, b, c, xs: np.ndarray, total: np.ndarray,
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed, stalled = _lockstep(
-        step, (xs[None], None if pick is None else pick[None]),
-        (ones, total, zeros, zeros, ones), MAX_TERMS_DIRECT)
+        step, (xs[None],), (ones, total, zeros, zeros, ones),
+        MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
         return (total + comp, term, r, weighted, summed), stalled
 
 
-def _direct_many(jobs: Sequence[tuple]) -> list[_Lanes]:
-    """_direct_series for each job (a, b, c, xs, x_err) at every point
-    of its xs, x_err a float or one per point, by one lockstep run over
-    all of them where they have any lanes: the lanes of each job."""
-    counts = [j[3].size for j in jobs]
-    if not sum(counts):
-        return [_Lanes(0) for _ in jobs]
-    xs = np.concatenate([j[3] for j in jobs])
-    x_err = np.concatenate([np.zeros(j[3].size) + j[4] for j in jobs])
-    params, pick = jobs[0][:3], None
-    if any(j[:3] != params for j in jobs):
-        params = np.array([j[:3] for j in jobs]).T
-        pick = np.repeat(np.arange(len(jobs)), counts)
-    (total, term, r, weighted, summed), stalled = _ratio_many(
-        *params, xs, np.ones(xs.size), pick)
+def _direct_many(a: float, b: float, c: float, xs: np.ndarray,
+                 x_err=0.0) -> _Lanes:
+    """_direct_series at every point of xs, x_err a float or one per
+    point: the lanes, where a lane whose series overflows or runs out of
+    terms is not served."""
     out = _Lanes(xs.size)
+    if not xs.size:
+        return out
+    (total, term, r, weighted, summed), stalled = _ratio_many(
+        a, b, c, xs, np.ones(xs.size))
     out.value = total
     with np.errstate(all="ignore"):
         out.err = _ratio_estimate(term, r, weighted, total, x_err)
     out.terms = summed + 1
     out.served = np.isfinite(total) & ~stalled
-    return [out[at] for at in _parts(counts)]
+    return out
 
 
-def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
+def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
              from_one: bool = False):
-    """_zb_sum at every (u, ell) pair, m an int or one per pair, laid out
-    as its result (arrays), and the lanes out of terms."""
+    """_zb_sum at every (u, ell) pair, laid out as its result (arrays),
+    and the lanes out of terms."""
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
-    # columns; f_m and f_m' a column per m, picked per lane where m is
-    # given per lane
+    # columns
     d_0 = specfun._ramanujan_r(a, b)
     j = np.arange(float(MAX_TERMS_LOG))[:, None]
-    kinds, pick = (np.unique(m, return_inverse=True)
-                   if isinstance(m, np.ndarray) else ([m], None))
-    f_all, fp_all = np.stack([_falling_table(int(k)) for k in kinds], axis=-1)
-    m_max = int(max(kinds))
-    if pick is None:
-        f_0, fp_0 = f_all[0, 0], fp_all[0, 0]
-    else:
-        pick = pick.reshape(1, -1)
-        f_0, fp_0 = f_all[0, pick[0]], fp_all[0, pick[0]]
+    f_all, fp_all = _falling_table(m)
+    f_0, fp_0 = f_all[0, 0], fp_all[0, 0]
     start = size = np.zeros(u.size)
     with np.errstate(all="ignore"):
         (c_all,) = _scan(np.multiply,
@@ -293,11 +258,9 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
     j += 1.0
 
     def step(n, k, fixed, state):
-        uu, ll, pick = fixed
+        uu, ll = fixed
         cs, ds = c_all[n:n + k], d_all[n:n + k]
         fs, fps = f_all[n + 1:n + k + 1], fp_all[n + 1:n + k + 1]
-        if pick is not None:
-            fs, fps = fs[:, pick[0]], fps[:, pick[0]]
         (u_pows,) = _scan(np.multiply, (state[0], uu.repeat(k, axis=0)))
         terms = cs * (fs * (ds + ll) - fps) * u_pows
         c_u = cs * u_pows
@@ -308,113 +271,77 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m,
         passed = np.abs(terms) <= SERIES_RTOL * np.abs(sums)
         if from_one:  # the stop waits for C - 1 too
             passed &= c_u <= SERIES_RTOL * plains
-        if n + 1 < m_max:  # the stop rule counts terms n >= m
+        if n + 1 < m:  # the stop rule counts terms n >= m
             passed &= fs > 0.0
         rows = u_pows, sums, sizes, weights, plains, terms, parts
         return rows, passed, False
 
     ones, zeros = np.ones(u.size), np.zeros(u.size)
     (_, total, size, weighted, plain, term, part), summed, stalled = \
-        _lockstep(step, (u[None], ell[None], pick),
+        _lockstep(step, (u[None], ell[None]),
                   (ones, start, size, zeros, zeros, start, size),
                   MAX_TERMS_LOG)
     return (total, term, part, size, weighted, plain, summed), stalled
 
 
-def _zb_log_many(a: float, b: float, ms: Sequence[int], u: np.ndarray,
-                 ell: np.ndarray) -> list[_Lanes]:
-    """_zb_log for each m in ms at every (u, ell) pair, a and b the pair
-    summed (c-a, c-b where m < 0), by one lockstep run: per m, the lanes,
-    where a lane that hands over is not served.  RangeError where B(a, b)
+def _zb_log_many(p: HypParams, u: np.ndarray, ell: np.ndarray,
+                 m: int) -> _Lanes:
+    """_zb_log at every (u, ell) pair: the lanes, where a lane that
+    hands over is not served, as every lane is where the scale is
+    infinite."""
+    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
+    scale, lg = _log_scale(a, b, abs(m))
+    if scale == math.inf:
+        return _Lanes(u.size, served=False)
+    sums, stalled = _zb_many(a, b, u, ell, abs(m))
+    out = _Lanes(u.size)
+    with np.errstate(all="ignore"):
+        out.value, out.err, serves = _log_series_result(
+            a, b, m, scale, lg, sums, u, ell)
+    out.terms = sums[-1] + 1
+    out.served = serves & ~stalled
+    return out
+
+
+def _connection_many(p: HypParams, u: np.ndarray,
+                     log_u: np.ndarray) -> _Lanes:
+    """_connection at every point of u: the lanes, where a lane that
+    hands over is not served.  OverflowError where a prefactor
     overflows."""
-    size = u.size
-    sums, stalled = _zb_many(
-        a, b, np.tile(u, len(ms)), np.tile(ell, len(ms)),
-        abs(ms[0]) if len(set(ms)) == 1 else np.repeat(np.abs(ms), size))
-    results = []
-    for m, part in zip(ms, _parts([size] * len(ms))):
-        own = tuple(s[part] for s in sums)
-        out = _Lanes(size)
-        with np.errstate(all="ignore"):
-            out.value, out.err, serves = _log_series_result(
-                a, b, m, *_log_scale(a, b, abs(m)), own, u, ell)
-        out.terms = own[-1] + 1
-        out.served = serves & ~stalled[part]
-        results.append(out)
-    return results
+    a, b = min(p.a, p.b), max(p.a, p.b)
+    s = p.c - (a + b)
+    coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, p.c, s)
+    coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
+    f2 = _direct_many(p.c - a, p.c - b, 1.0 + s, u)
+    f1 = f2 if coef_a is None else _direct_many(a, b, 1.0 - s, u)
+    out = _Lanes(u.size)
+    with np.errstate(all="ignore"):
+        part_a, err_a = ((0.0, 0.0) if coef_a is None
+                         else (coef_a * f1.value, abs(coef_a) * f1.err))
+        out.value, out.err, serves = _connection_result(
+            a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value, f2.err)
+    out.terms = f2.terms + (0 if coef_a is None else f1.terms)
+    out.served = f1.served & f2.served & serves
+    return out
 
 
-def _connection_many(ps: Sequence[HypParams], u: np.ndarray,
-                     log_u: np.ndarray) -> list[_Lanes]:
-    """_connection for each p in ps at every point of u, their series by
-    one lockstep run: per p, the lanes, where a lane that hands over is
-    not served.  OverflowError where a prefactor overflows."""
-    setups, jobs = [], []
-    for p in ps:
-        a, b = min(p.a, p.b), max(p.a, p.b)
-        s = p.c - (a + b)
-        pre = _connection_prefactors(a, b, p.c, s)
-        setups.append((a, b, s, pre, len(jobs)))
-        jobs.append((p.c - a, p.c - b, 1.0 + s, u, 0.0))
-        if pre[0] is not None:
-            jobs.append((a, b, 1.0 - s, u, 0.0))
-    series = _direct_many(jobs)
-    results = []
-    for a, b, s, (coef_a, sg_ms, log_b, lg_sum), at in setups:
-        out = _Lanes(u.size)
-        coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
-        f2 = series[at]
-        f1 = f2 if coef_a is None else series[at + 1]
-        with np.errstate(all="ignore"):
-            part_a, err_a = ((0.0, 0.0) if coef_a is None
-                             else (coef_a * f1.value, abs(coef_a) * f1.err))
-            out.value, out.err, serves = _connection_result(
-                a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
-                f2.err)
-        out.terms = f2.terms + (0 if coef_a is None else f1.terms)
-        out.served = f1.served & f2.served & serves
-        results.append(out)
-    return results
-
-
-def _from_complement_many(
-        ps: Sequence[HypParams], u: np.ndarray, ell: np.ndarray,
-        own: Sequence[tuple] = ()) -> tuple[list[_Lanes], list[_Lanes]]:
-    """f21_from_complement for each p in ps at every (u, ell) pair with
-    u < 1/2, and the caller's own direct series, jobs of _direct_many:
-    per p, then per job, the lanes.  A lane whose route hands over, or
-    whose direct route meets 1-u = 1, is not served, and the closed-form
-    route (c = a or c = b) serves none.  The connection formulas run as
-    one lockstep run, the log series as one per pair a, b they sum, and
-    the direct series, the caller's and the direct routes', as one."""
-    if not u.size:
-        return [_Lanes(0) for _ in ps], _direct_many(own)
-    routes = [_route(p) for p in ps]
-    found, logs, direct, jobs = {}, {}, [], list(own)
-    conn = [i for i, (route, _) in enumerate(routes) if route == "connection"]
-    if conn:
-        found.update(zip(conn, _connection_many(
-            [ps[i] for i in conn], u, -ell)))
-    x = 1.0 - u
-    for i, (p, (route, m)) in enumerate(zip(ps, routes)):
-        if route == "log":
-            pair = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
-            logs.setdefault(pair, []).append(i)
-        elif route == "power":  # its scalar _binomial serves every lane
-            found[i] = lanes = _Lanes(u.size)
-            lanes.served[:] = False
-        elif route == "direct":
-            direct.append(i)  # a lane at 1-u = 1 sums x = 0 instead
-            jobs.append((p.a, p.b, p.c, np.where(x < 1.0, x, 0.0),
-                         _x_err(x, u)))
-    for (a, b), group in logs.items():
-        found.update(zip(group, _zb_log_many(
-            a, b, [routes[i][1] for i in group], u, ell)))
-    series = _direct_many(jobs)
-    for i, lanes in zip(direct, series[len(own):]):
-        lanes.served &= x < 1.0
-        found[i] = lanes
-    return [found[i] for i in range(len(ps))], series[:len(own)]
+def _from_complement_many(p: HypParams, u: np.ndarray,
+                          ell: np.ndarray) -> _Lanes:
+    """_f21_from_complement at every (u, ell) pair with u < 1/2: the
+    lanes.  A lane whose route hands over, or whose direct route meets
+    1-u = 1, is not served, and the closed-form route (c = a or c = b)
+    serves none."""
+    route, m = _route(p)
+    if not u.size or route == "power":  # its scalar _binomial serves
+        return _Lanes(u.size, served=False)
+    if route == "connection":
+        return _connection_many(p, u, -ell)
+    if route == "log":
+        return _zb_log_many(p, u, ell, m)
+    x = 1.0 - u  # a lane at 1-u = 1 sums x = 0 instead
+    out = _direct_many(p.a, p.b, p.c, np.where(x < 1.0, x, 0.0), _x_err(x, u))
+    out.served &= x < 1.0
+    return out
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
@@ -431,11 +358,9 @@ def f21_many(p: HypParams, xs) -> EvalResults:
         out = _Lanes(xs.size)
         near = xs > X_SWITCH
         u = 1.0 - xs[near]  # exact: x >= 1/2
-        [above], [below] = _from_complement_many(
-            (p,), u, -specfun.pointwise(math.log, u),
-            [(p.a, p.b, p.c, xs[~near], 0.0)])
-        out.take(near, above)
-        out.take(~near, below)
+        out.take(near, _from_complement_many(
+            p, u, -specfun.pointwise(math.log, u)))
+        out.take(~near, _direct_many(p.a, p.b, p.c, xs[~near]))
         return (out.value, out.err, out.terms,
                 methods[near.view(np.int8)], out.served)
 
@@ -449,24 +374,26 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
                 ell: np.ndarray) -> list[np.ndarray]:
     """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, as
     f21 and f21_from_complement give them at (lo, ell = -log(lo)): at
-    each distinct pair with 0 <= lo <= 1/2 and ell finite, one direct run
-    for all the F(p; lo) and the direct routes past 1/2, and one run per
-    other route; at lo = 1/2 both are the direct series at 1/2, so
-    F(p; 1-lo) is a copy of F(p; lo).  A point that a route hands over,
-    or out of that range, takes the values of its scalar calls, in that
-    order, or raises their first error."""
+    each distinct pair with 0 <= lo <= 1/2 and ell finite, for each p in
+    turn, the direct series at every lo and the complement route at lo <
+    1/2; at lo = 1/2 both are the direct series at 1/2, so F(p; 1-lo) is
+    a copy of F(p; lo).  A point that a route hands over, or out of that
+    range, takes the values of its scalar calls, in that order, or
+    raises their first error."""
 
     def lanes_of(lo, ell):
         near = lo < X_SWITCH
-        above, below = _from_complement_many(
-            ps, lo[near], ell[near], [(p.a, p.b, p.c, lo, 0.0) for p in ps])
-        values = [out.value for out in below]
-        served = np.logical_and.reduce([out.served for out in below])
-        for lanes, at_lo in zip(above, below):
-            values.append(at_lo.value.copy())
-            values[-1][near] = lanes.value
-            served[near] &= lanes.served
-        return (*values, served)
+        values, his = [], []
+        served = np.ones(lo.size, dtype=bool)
+        for p in ps:
+            below = _direct_many(p.a, p.b, p.c, lo)
+            above = _from_complement_many(p, lo[near], ell[near])
+            values.append(below.value)
+            his.append(below.value.copy())
+            his[-1][near] = above.value
+            served &= below.served
+            served[near] &= above.served
+        return (*values, *his, served)
 
     return _array_form(
         (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),

@@ -360,10 +360,9 @@ def baseline_bounds(c: float) -> BaselineBounds:
     hypotheses as ``ring_lower_bound``.
     """
     c = _check_gap(c)
-    two_c0 = 2.0 * metric.c0()
     return BaselineBounds(
         sv512_A=metric.h(0.5 * c),
-        bp_A=math.log1p(c / two_c0) / c,
+        bp_A=metric._bp_log(c),
         bp_B=c / (4.0 * math.pi),
     )
 

@@ -211,7 +211,6 @@ def _cmd_figure1(args: Args) -> int:
     if 0.5 * (lo + (hi - lo) * (count - 1) / (count - 1)) > metric.T_CAP:
         _usage_error(f"need rows with c <= {2.0 * metric.T_CAP:g} "
                      f"(h(c/2) has no value past t = {metric.T_CAP:g})")
-    two_c0 = 2.0 * metric.c0()
     w = sys.stdout
     w.write("c,phi_over_c,h_half,bp_log\n")
     for start in range(0, count, _FIGURE1_ROWS):
@@ -223,7 +222,7 @@ def _cmd_figure1(args: Args) -> int:
         h_half = metric.h_many([0.5 * c for c in cs]).tolist()
         for c, phi, sv in zip(cs, phis, h_half):
             w.write(f"{c:.17g},{metric._varphi_over_t(c, phi):.17g},"
-                    f"{sv:.17g},{math.log1p(c / two_c0) / c:.17g}\n")
+                    f"{sv:.17g},{metric._bp_log(c):.17g}\n")
     return 0
 
 

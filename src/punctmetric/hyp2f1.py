@@ -55,8 +55,9 @@ a few terms at large s, F1's ~s terms are not summed.
 Given u exactly (u = e^{-t}/(1+e^{-t})) and -log(u) finite, nothing is
 lost to cancellation, even where u underflows to 0.  The ``*_many``
 forms give each point of a 1-d array the bits of its float call; they
-live in ``_hyp2f1_arrays``, with the lockstep that sums their series,
-and load it, and numpy, on first use.
+live in ``_hyp2f1_arrays``, whose lockstep sums one series for one
+parameter set a run, each route step by step as its float form here
+does, and load it, and numpy, on first use.
 """
 
 from __future__ import annotations
@@ -367,9 +368,13 @@ def _log_scale(a: float, b: float, k: int) -> tuple[float, float]:
     mpmath (x from 1e-4 to 1e5) by at most 18 eps where |lgamma| < 4,
     else 4.1 eps |lgamma|: B's three by 5 (|lgamma| + 4) eps at most."""
     # (a+b)_k/((a)_k (b)_k B(a,b)); inf, so handed over, where B(a,b)
-    # underflows or (a)_k (b)_k overflows; by (a)_k first where (a)_k
-    # (b)_k underflows (tiny a, b, a factor ~1)
-    beta, lgs = specfun._beta_with_log_gammas(a, b)
+    # or a log-gamma of it overflows, B(a,b) underflows or (a)_k (b)_k
+    # overflows; by (a)_k first where (a)_k (b)_k underflows (tiny a, b,
+    # a factor ~1)
+    try:
+        beta, lgs = specfun._beta_with_log_gammas(a, b)
+    except RangeError:
+        return math.inf, math.inf
     num = pa = pb = 1.0
     for j in range(k):
         num, pa, pb = num * (a + b + j), pa * (a + j), pb * (b + j)
@@ -421,6 +426,8 @@ def _zb_log(p: HypParams, u: float, ell: float,
     over to the direct series."""
     a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
     scale, lg = _log_scale(a, b, abs(m))
+    if scale == math.inf:
+        return None
     cap = MAX_CANCEL * (1.0 + _CAP_SLACK + 6.0 * _EPS * lg) * _pow_or_inf(
         u, -min(a, b)) / scale
     sums = _zb_sum(a, b, u, ell, abs(m), False, cap)

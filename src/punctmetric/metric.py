@@ -238,6 +238,14 @@ def _varphi_over_t(t: float, phi: float) -> float:
     return phi / t if phi >= sys.float_info.min else _VARPHI_TAYLOR[0]
 
 
+def _bp_log(c: float) -> float:
+    """log1p(c/(2 C0))/c, the bp baseline's A, at a float c > 0: where
+    c/(2 C0) is subnormal, with digits lost or 0, its limit as c -> 0,
+    1/(2 C0), instead; the next term, -c/(8 C0^2), is below its ulp."""
+    q = c / (2.0 * _C0)
+    return math.log1p(q) / c if q >= sys.float_info.min else 0.5 / _C0
+
+
 def _varphi_closed(t):
     """varphi at a float t or an array, from s = VARPHI_CLOSED_S on."""
     return specfun.pointwise(math.log, (t + _LOG256) / _TWO_PI)

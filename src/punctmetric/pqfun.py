@@ -103,8 +103,8 @@ def _split(s):
 def _lo_hi(ps, lo, ell) -> list:
     """F(p; lo) for each p in ps, then F(p; hi) for each, hi = 1-lo
     reached from lo and ell = -log(lo) by hyp2f1's complement routes: at
-    a float lo, or at every point of an array, where each family's sums
-    for all of ps run together, once per distinct point."""
+    a float lo, or at every point of an array, once per distinct
+    point."""
     if _is_array(lo):
         return hyp2f1._lo_hi_many(ps, lo, ell)
     return ([hyp2f1.f21(p, lo).value for p in ps]

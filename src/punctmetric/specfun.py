@@ -10,6 +10,8 @@ hypergeometric functions near x = 1.  R(1/2, 1/2) = log 16.  Digamma, R,
 the beta function with its log-gammas and log|Gamma| each check their
 arguments, then call an unchecked core of the same name with a leading
 underscore, which the library's own callers call on floats they made.
+The checked digamma and R raise RangeError where the value overflows;
+their cores return it as +-inf.
 
 It also holds the helpers the other modules share: ``finite_complex``
 checks a point of the plane and ``to_float`` converts a real argument,
@@ -62,6 +64,13 @@ def _overflow(what: str) -> RangeError:
     return RangeError(f"{what} overflows a float")
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or a RangeError where it overflowed to +-inf."""
+    if math.isinf(value):
+        raise _overflow(what)
+    return value
+
+
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0; RangeError past x ~ 2.5e305."""
     x = _require_positive(x, "x")
@@ -107,8 +116,9 @@ def digamma(x: float) -> float:
 
     Upward recurrence psi(x) = psi(x+1) - 1/x lifts the argument to
     y >= 10, where the truncated Bernoulli series is good to ~4e-17.
+    RangeError where psi(x) overflows (x below ~5.6e-309).
     """
-    return _digamma(_require_positive(x, "x"))
+    return _finite(_digamma(_require_positive(x, "x")), f"psi({x!r})")
 
 
 def _digamma(x: float) -> float:
@@ -155,8 +165,11 @@ def _beta_with_log_gammas(
 
 
 def ramanujan_r(a: float, b: float) -> float:
-    """R(a, b) = -2*gamma_E - psi(a) - psi(b) for a, b > 0."""
-    return _ramanujan_r(_require_positive(a, "a"), _require_positive(b, "b"))
+    """R(a, b) = -2*gamma_E - psi(a) - psi(b) for a, b > 0; RangeError
+    where it overflows."""
+    return _finite(_ramanujan_r(_require_positive(a, "a"),
+                                _require_positive(b, "b")),
+                   f"R({a!r}, {b!r})")
 
 
 def _ramanujan_r(a: float, b: float) -> float:
@@ -248,5 +261,4 @@ def lazy_names(namespace: dict, module: str, names):
 
 
 # the array half of this module, which loads numpy
-__getattr__ = lazy_names(globals(), "._arrays",
-                         ("as_points", "_distinct", "_array_form"))
+__getattr__ = lazy_names(globals(), "._arrays", ("as_points",))

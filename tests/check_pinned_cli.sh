@@ -128,6 +128,12 @@ scalar() {
     "${run[@]}" constants
     "${run[@]}" bounds ring --c 0.5 --r1 1 --r2 8 --compare
     "${run[@]}" bounds ring --c 3 --r1 0.7 --r2 1e6 --compare
+    # B(a, b) past the float range on the log route, and the bp baseline
+    # where c/(2 C0) is subnormal
+    "${run[@]}" eval f21 --a 1e-310 --b 1e-310 --c 2e-310 --x 0.9
+    for c in 1e-320 5e-324; do
+      "${run[@]}" bounds ring --c "$c" --r1 1 --r2 2 --compare
+    done
   } | diff - tests/data/scalar_cli.jsonl
   "${run[@]}" figure1 --lo 0.02 --hi 12 --count 9 \
     | diff - tests/data/figure1_cli.csv

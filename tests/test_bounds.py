@@ -105,12 +105,17 @@ def test_ring_coefficients_keep_their_digits_where_varphi_is_subnormal():
     # A = varphi(c)/c tends to h(0) = c1 as c -> 0 and B to varphi(0) = 0;
     # phi/c from a subnormal phi read 0.11413 at c = 1e-320, and c/2
     # rounding to 0 raised at c = 5e-324.  The exact bound A L - B is
-    # below c1 L, since A < h(0) <= c1 (1 + eps) and B >= 0.
+    # below c1 L, since A < h(0) <= c1 (1 + eps) and B >= 0.  The bp
+    # baseline's A = log1p(c/(2 C0))/c read 0.11413 and 0 there too; its
+    # limit is 1/(2 C0).
     c1 = metric._VARPHI_TAYLOR[0]
+    bp_limit = 1.0 / (2.0 * metric.c0())
     eps = sys.float_info.epsilon
     for c in _tiny_gaps():
         params = bounds.ring_coefficients(c)
         assert abs(params.A - c1) <= 2.0 * math.ulp(c1), c
+        bp_a = bounds.baseline_bounds(c).bp_A
+        assert abs(bp_a - bp_limit) <= 2.0 * math.ulp(bp_limit), c
         assert 0.0 <= params.B <= c * c1, c
         for r1, r2 in ((1.0, 2.0), (0.5, 1e8), (3.0, 3.0)):
             gap = math.log(r2) - math.log(r1)

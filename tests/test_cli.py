@@ -587,20 +587,27 @@ def test_figure1_is_the_scalar_formulas_to_the_byte(capsys, lo, hi, count):
 def test_figure1_and_ring_keep_their_digits_where_varphi_is_subnormal(
         capsys):
     # phi/c from a subnormal phi read 0.114295... and 0.114130... here;
-    # each row's phi_over_c is ring_coefficients(c).A, near h(0)
+    # each row's phi_over_c is ring_coefficients(c).A, near h(0), and its
+    # bp_log, log1p(c/(2 C0))/c from a subnormal quotient, read 0.11413...
+    # and 0.11429..., is baseline_bounds(c).bp_A, near 1/(2 C0)
     c1 = metric._VARPHI_TAYLOR[0]
+    bp_limit = 1.0 / (2.0 * metric.c0())
     rc, out = run_cli(capsys, "figure1", "--lo", "1e-320", "--hi", "2e-320",
                       "--count", "3")
     assert rc == 0
     for line in out.splitlines()[1:]:
-        c, phi_over_c = map(float, line.split(",")[:2])
+        c, phi_over_c, _, bp_log = map(float, line.split(","))
         assert phi_over_c == bounds.ring_coefficients(c).A
         assert abs(phi_over_c - c1) <= 2.0 * math.ulp(c1), line
+        assert bp_log == bounds.baseline_bounds(c).bp_A
+        assert abs(bp_log - bp_limit) <= 2.0 * math.ulp(bp_limit), line
     for c in ("1e-320", "5e-324"):
         rc, doc = run_json(capsys, "bounds", "ring", "--c", c, "--r1", "1",
                            "--r2", "2", "--compare")
         assert rc == 0, doc
         assert abs(doc["A"] - c1) <= 2.0 * math.ulp(c1), doc
+        bp = doc["baselines"]["bp"]["A"]
+        assert abs(bp - bp_limit) <= 2.0 * math.ulp(bp_limit), doc
 
 
 def test_figure1_two_point_grid(capsys):

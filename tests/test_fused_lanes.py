@@ -1,15 +1,13 @@
-"""Lockstep runs whose lanes carry their own parameters, and array forms
-that sum each distinct point once, against their scalar forms.
+"""Lockstep runs against their scalar loops, and array forms that sum
+each distinct point once, against their scalar forms.
 
-A run of the ratio family may give each lane its own a, b, c, and a run
-of the log family its own m; each lane must still get its scalar loop's
-bits.  The entry points key points on their bits, so repeated points,
-0.0 and -0.0, and the |t| of a +-t grid must each come out as their
-scalar call does, and a batch must raise what its first failing point
-raises.
+A run of the ratio family sums one triple a, b, c, and a run of the log
+family one m, at every lane; each lane must get its scalar loop's bits.
+The entry points key points on their bits, so repeated points, 0.0 and
+-0.0, and the |t| of a +-t grid must each come out as their scalar call
+does, and a batch must raise what its first failing point raises.
 """
 
-import math
 import struct
 
 import numpy as np
@@ -17,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import _hyp2f1_arrays, hyp2f1, pqfun, specfun, verify
+from punctmetric import _arrays, _hyp2f1_arrays, hyp2f1, pqfun, verify
 from punctmetric.errors import PunctMetricError
 from punctmetric.hyp2f1 import HypParams
 
@@ -53,6 +51,7 @@ _lanes = st.integers(1, 12)
 @settings(deadline=None)
 @given(st.data())
 def test_mixed_parameter_ratio_run_matches_scalar_loops(data):
+    # the lanes of each triple in a run of their own
     size = data.draw(_lanes)
     triples = [data.draw(st.tuples(_param, _param, _param))
                for _ in range(data.draw(st.integers(1, 4)))]
@@ -61,68 +60,73 @@ def test_mixed_parameter_ratio_run_matches_scalar_loops(data):
     xs = np.array([data.draw(st.floats(0.0, 0.5)) for _ in range(size)])
     total = np.array([data.draw(st.sampled_from((0.0, 1.0)))
                       for _ in range(size)])
-    got, stalled = _hyp2f1_arrays._ratio_many(*np.array(triples).T, xs,
-                                              total, pick)
-    want, want_stalled = _scalar_sums(
-        [hyp2f1._ratio_sum(*triples[g], float(x), float(t))
-         for g, x, t in zip(pick, xs, total)], 5)
-    assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
-    assert got[-1].tolist() == want[-1]
-    assert stalled.tolist() == want_stalled
+    for g, triple in enumerate(triples):
+        at = pick == g
+        if not at.any():
+            continue
+        got, stalled = _hyp2f1_arrays._ratio_many(*triple, xs[at], total[at])
+        want, want_stalled = _scalar_sums(
+            [hyp2f1._ratio_sum(*triple, float(x), float(t))
+             for x, t in zip(xs[at], total[at])], 5)
+        assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
+        assert got[-1].tolist() == want[-1]
+        assert stalled.tolist() == want_stalled
 
 
 def test_ratio_run_with_negative_lower_parameters_matches_scalar_loops():
     # DLMF 15.8.4's first series has c = 1 - s < 0 where s > 1: no lane
-    # takes a tail test while its own c + n <= 0, so each sums past
-    # n = -c, as its scalar loop does
+    # takes a tail test while c + n <= 0, so each sums past n = -c, as
+    # its scalar loop does
     triples = [(2.843, 0.00742, -67.84), (0.00742, 2.843, 69.84),
                (0.5, 0.5, -19.5), (1.5, 2.0, 3.0)]
-    pick = np.repeat(np.arange(len(triples)), 4)
-    xs = np.tile([0.4971, 0.3, 0.1, 1e-10], len(triples))
-    total = np.ones(xs.size)
-    got, stalled = _hyp2f1_arrays._ratio_many(*np.array(triples).T, xs,
-                                              total, pick)
-    want, want_stalled = _scalar_sums(
-        [hyp2f1._ratio_sum(*triples[g], float(x), 1.0)
-         for g, x in zip(pick, xs)], 5)
-    assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
-    assert got[-1].tolist() == want[-1]
-    assert all(n > -triples[g][2] for g, n in zip(pick, want[-1]))
-    assert not any(stalled)
+    xs = np.array([0.4971, 0.3, 0.1, 1e-10])
+    for triple in triples:
+        got, stalled = _hyp2f1_arrays._ratio_many(*triple, xs,
+                                                  np.ones(xs.size))
+        want, want_stalled = _scalar_sums(
+            [hyp2f1._ratio_sum(*triple, float(x), 1.0) for x in xs], 5)
+        assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
+        assert got[-1].tolist() == want[-1]
+        assert all(n > -triple[2] for n in want[-1])
+        assert not any(stalled)
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_mixed_m_log_run_matches_scalar_loops(data):
+    # the lanes of each m in a run of their own
     size = data.draw(_lanes)
     a, b = data.draw(_param), data.draw(_param)
     from_one = data.draw(st.booleans())
     u = np.array([data.draw(st.floats(1e-12, 0.45)) for _ in range(size)])
     ell = -np.log(u)
     ms = np.array([data.draw(st.integers(0, 6)) for _ in range(size)])
-    got, stalled = _hyp2f1_arrays._zb_many(a, b, u, ell, ms, from_one)
-    want, want_stalled = _scalar_sums(
-        [hyp2f1._zb_sum(a, b, float(v), float(e), int(m), from_one)
-         for v, e, m in zip(u, ell, ms)], 7)
-    assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
-    assert got[-1].tolist() == want[-1]
-    assert stalled.tolist() == want_stalled
+    for m in set(ms.tolist()):
+        at = ms == m
+        got, stalled = _hyp2f1_arrays._zb_many(a, b, u[at], ell[at], m,
+                                               from_one)
+        want, want_stalled = _scalar_sums(
+            [hyp2f1._zb_sum(a, b, float(v), float(e), m, from_one)
+             for v, e in zip(u[at], ell[at])], 7)
+        assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
+        assert got[-1].tolist() == want[-1]
+        assert stalled.tolist() == want_stalled
 
 
 def test_distinct_keys_points_on_their_bits():
     xs = np.array([0.5, -0.0, 0.25, 0.0, 0.5, -0.0, 0.25, 1.0])
     # first occurrences, in order, and each point's place among them
-    first, group = specfun._distinct(xs)
+    first, group = _arrays._distinct(xs)
     assert first.tolist() == [0, 1, 2, 3, 7]
     assert group.tolist() == [0, 1, 2, 3, 0, 1, 2, 4]
     assert _bits(xs[first][group]) == _bits(xs)
     # a point is all its keys: equal u with another ell is another point
     u = np.array([0.1, 0.1, 0.1])
     ell = np.array([2.0, 3.0, 2.0])
-    first, group = specfun._distinct(u, ell)
+    first, group = _arrays._distinct(u, ell)
     assert first.tolist() == [0, 1] and group.tolist() == [0, 1, 0]
     xs = np.arange(4.0)
-    assert specfun._distinct(xs) == (slice(None), slice(None))
+    assert _arrays._distinct(xs) == (slice(None), slice(None))
 
 
 _REPEATS = [0.3, -0.0, 0.0, 0.3, 0.9, 0.0, 0.9, -0.0, 0.3, 0.75, 0.75]
@@ -223,9 +227,10 @@ def test_equal_failing_points_raise_the_first_ones_error(xs, first):
                  for x in xs])
 
 
-# (p, q) pairs that pqfun evaluates together: zero-balanced v and w (log
-# series with m = 0 and m = 1 past 1/2), and v with v'/(ab/c) for a
-# non-integer c - a - b (two connection routes, four direct series)
+# (p, q) pairs that pqfun evaluates in one call: zero-balanced v and w
+# (log series with m = 0 and m = 1 past 1/2), and v with v'/(ab/c) for a
+# non-integer c - a - b (two connection routes, four direct series);
+# the pair's call must give each p what a call for p alone gives
 _PAIRS = {
     "v_w": (HypParams(0.5, 0.5, 1.0), HypParams(0.5, 0.5, 2.0)),
     "v_w_wide": (HypParams(1.0, 2.0, 3.0), HypParams(1.0, 2.0, 4.0)),
@@ -251,36 +256,6 @@ def test_fused_pairs_match_unfused_calls(name, each_scan):
     for got in each_scan(lambda: hyp2f1._lo_hi_many(ps, lo, ell)):
         assert [_bits(g) for g in got] == [_bits(w) for w in want]
         assert [_bits(g) for g in got] == [_bits(s) for s in scalar]
-
-
-def test_fused_connection_series_match_single_runs():
-    ps = [HypParams(0.9, 1.1, 2.6), HypParams(0.3, 0.7, 1.1),
-          HypParams(2.5, 0.5, 1.25)]
-    u = np.linspace(1e-6, 0.49, _hyp2f1_arrays.SCAN_ROWS_FROM + 40)
-    fused = _hyp2f1_arrays._connection_many(ps, u, np.log(u))
-    for p, lanes in zip(ps, fused):
-        (alone,) = _hyp2f1_arrays._connection_many([p], u, np.log(u))
-        assert _bits(lanes.value) == _bits(alone.value)
-        assert _bits(lanes.err) == _bits(alone.err)
-        assert lanes.terms.tolist() == alone.terms.tolist()
-        assert lanes.served.tolist() == alone.served.tolist()
-
-
-def test_lo_hi_sums_its_direct_series_in_one_run(monkeypatch):
-    # the F(p; lo) of every p sum in one direct run; at lo = 1/2,
-    # F(p; 1 - lo) is the direct series at 1/2 too, copied from F(p; lo)
-    calls = []
-    direct_many = _hyp2f1_arrays._direct_many
-    monkeypatch.setattr(_hyp2f1_arrays, "_direct_many",
-                        lambda jobs: calls.append(jobs) or direct_many(jobs))
-    ps = _PAIRS["v_w"]
-    lo = np.array([0.5, 0.25, 0.125, 1e-3])
-    got = hyp2f1._lo_hi_many(ps, lo, -np.log(lo))
-    assert len(calls) == 1
-    assert [_bits(g) for g in got] == (
-        [_bits(hyp2f1.f21(p, x).value for x in lo) for p in ps]
-        + [_bits(hyp2f1.f21_from_complement(p, x, -math.log(x)).value
-                 for x in lo) for p in ps])
 
 
 def test_verify_suites_run_no_lockstep_under_four_lanes(lanes):

@@ -281,6 +281,29 @@ def test_shifted_log_series_at_tiny_parameters(a, b):
             assert r.abs_err_estimate <= 1e-12
 
 
+@pytest.mark.parametrize("abc", [(1e-310, 1e-310, 2e-310),
+                                 (1e-310, 1e-310, 1.0 + 2e-310),
+                                 (1e-310, 2e-310, 1.0 + 3e-310)])
+def test_log_route_hands_over_where_beta_overflows(abc):
+    # B(a, b) ~ 1/a + 1/b overflows, and the log route raised that where
+    # F - 1 is below 1e-300: F reads 1 within its estimate, and every
+    # form that sums it has a value
+    p = HypParams(*abc)
+    xs = [0.6, 0.9, 1.0 - 1e-12]
+    many = f21_many(p, xs)
+    derivatives = f21_derivative_many(p, xs)
+    for i, x in enumerate(xs):
+        r = f21(p, x)
+        assert abs(r.value - 1.0) <= r.abs_err_estimate, x
+        assert _bits(tuple(float(f[i]) for f in many[:2])) == _bits(r[:2])
+        assert (many.terms_used[i], many.method[i]) == r[2:]
+        assert _bits(float(derivatives[i])) == _bits(f21_derivative(p, x))
+    pr = pqfun.ZeroBalancedPair(1e-310, 1e-310)
+    for fn in (pqfun.p_func, pqfun.q_func, pqfun.p_prime):
+        for t in (0.0, 1.0, -3.0, 30.0):
+            assert math.isfinite(fn(pr, t)), (fn, t)
+
+
 def test_large_parameters_give_a_value_or_a_typed_error():
     # log-gamma prefactors near 1e3 in size, and their rounding
     _assert_estimate_holds(HypParams(300.3, 200.7, 520.1), 0.9999)
@@ -288,8 +311,9 @@ def test_large_parameters_give_a_value_or_a_typed_error():
     # direct series it falls back to
     with pytest.raises(RangeError):
         f21(HypParams(150.5, 120.25, 100.0), 0.999)
-    # c-(a+b) = 0 and B(a, b) overflows: no untyped OverflowError
-    with pytest.raises(RangeError, match="B"):
+    # c-(a+b) = 0 and B(a, b) overflows: the log route hands over, and
+    # the direct series overflows, as F does
+    with pytest.raises(RangeError, match="direct series"):
         f21(HypParams(1e306, 1e306, 2e306), 0.9)
     # a+b rounds to a = c: not the log series, but F(a,b;a;x) = (1-x)^-b
     r, _ = _assert_estimate_holds(HypParams(1e306, 1.5, 1e306), 0.9)
@@ -722,20 +746,20 @@ def test_ratio_sum_stops_at_the_first_term_that_overflows():
     triples = [(0.5, 0.5, 5e-324), (2.0, 3.0, 1e-310), (1e200, 1e200, 1.0),
                (1e306, 2.0, 0.5), (40.0, 0.1, 5e-324)]
     xs = [0.4, 0.1, 0.3, 1e-3] + [rng.uniform(0.0, 0.7) for _ in range(8)]
-    pick = np.repeat(np.arange(len(triples)), len(xs))
-    lanes = np.tile(xs, len(triples))
+    lanes = np.array(xs)
     total = np.tile([1.0, 0.0], lanes.size // 2)
-    got, _ = _hyp2f1_arrays._ratio_many(*np.array(triples).T, lanes, total,
-                                        pick)
     overflowed = 0
-    for i, (g, x, t) in enumerate(zip(pick, lanes.tolist(), total.tolist())):
-        want = hyp2f1._ratio_sum(*triples[g], x, t)
-        if math.isfinite(want[0]):
-            continue
-        overflowed += 1
-        # (term, r, n) of the lane against the scalar loop's
-        assert _bits((float(got[1][i]), float(got[2][i]), int(got[4][i]))) \
-            == _bits((want[1], want[2], want[4])), (triples[g], x, t)
+    for triple in triples:  # a run per triple
+        got, _ = _hyp2f1_arrays._ratio_many(*triple, lanes, total)
+        for i, (x, t) in enumerate(zip(lanes.tolist(), total.tolist())):
+            want = hyp2f1._ratio_sum(*triple, x, t)
+            if math.isfinite(want[0]):
+                continue
+            overflowed += 1
+            # (term, r, n) of the lane against the scalar loop's
+            assert _bits((float(got[1][i]), float(got[2][i]),
+                          int(got[4][i]))) \
+                == _bits((want[1], want[2], want[4])), (triple, x, t)
     assert overflowed >= len(xs)
 
 
@@ -791,32 +815,30 @@ def test_f21_many_at_zero_x_matches_its_scalar_calls():
 
 
 def test_ratio_run_at_zero_x_leaves_only_overflowing_lanes_unsummed():
-    # mixed triples in one lockstep run, which sums the a and b given at
-    # x = +-0 too: a lane whose step ratio overflows forms inf * 0 and
-    # comes back not finite, so its scalar call serves it; every other
-    # lane has the bits of its scalar loop, which sums (0, 0, c) there
-    triples = list(_zero_x_triples())
-    pick = np.repeat(np.arange(len(triples)), 4)
-    xs = np.tile([0.0, -0.0, 0.0, 0.4], len(triples))
-    total = np.tile([1.0, 0.0, 0.0, 1.0], len(triples))
-    got, stalled = _hyp2f1_arrays._ratio_many(*np.array(triples).T, xs,
-                                              total, pick)
+    # a lockstep run per triple, which sums the a and b given at x = +-0
+    # too: a lane whose step ratio overflows forms inf * 0 and comes back
+    # not finite, so its scalar call serves it; every other lane has the
+    # bits of its scalar loop, which sums (0, 0, c) there
+    xs = np.array([0.0, -0.0, 0.0, 0.4])
+    total = np.array([1.0, 0.0, 0.0, 1.0])
     overflowed = summed = 0
-    for i, (g, x, t) in enumerate(zip(pick, xs.tolist(), total.tolist())):
-        case = (*triples[g], x, t)
-        lane = tuple(float(f[i]) for f in got[:-1]) + (int(got[-1][i]),)
-        as_given = _loop_ratio_sum(*case, zero_x_as_given=True)
-        want = hyp2f1._ratio_sum(*case)
-        if x == 0.0 and not math.isfinite(as_given[0]):
-            assert not math.isfinite(lane[0]), case
-            overflowed += 1
-        elif math.isfinite(want[0]):
-            assert _bits(lane) == _bits(want), case
-            summed += x == 0.0
-        else:  # a sum past zero that overflows in earnest serves neither
-            assert not math.isfinite(lane[0]), case
+    for triple in _zero_x_triples():
+        got, stalled = _hyp2f1_arrays._ratio_many(*triple, xs, total)
+        assert not stalled.any()
+        for i, (x, t) in enumerate(zip(xs.tolist(), total.tolist())):
+            case = (*triple, x, t)
+            lane = tuple(float(f[i]) for f in got[:-1]) + (int(got[-1][i]),)
+            as_given = _loop_ratio_sum(*case, zero_x_as_given=True)
+            want = hyp2f1._ratio_sum(*case)
+            if x == 0.0 and not math.isfinite(as_given[0]):
+                assert not math.isfinite(lane[0]), case
+                overflowed += 1
+            elif math.isfinite(want[0]):
+                assert _bits(lane) == _bits(want), case
+                summed += x == 0.0
+            else:  # a sum past zero that overflows in earnest serves neither
+                assert not math.isfinite(lane[0]), case
     assert overflowed and summed
-    assert not stalled.any()
 
 
 def _connection_f1_first(a, b, c, u, log_u):

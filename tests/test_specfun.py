@@ -122,6 +122,9 @@ def test_positive_domain_enforced(bad):
     lambda: specfun.log_gamma(1e307),
     lambda: specfun.beta(1e306, 1.5),    # lgamma(1e306) overflows
     lambda: specfun.beta(1e-310, 1.0),   # B ~ 1e310
+    lambda: specfun.digamma(5.5e-309),   # psi ~ -1/x
+    lambda: specfun.digamma(1e-310),
+    lambda: specfun.ramanujan_r(1e-310, 1.0),
 ])
 def test_overflow_is_a_range_error(call):
     with pytest.raises(RangeError):
