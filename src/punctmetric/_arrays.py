@@ -3,10 +3,11 @@ numpy.  Those modules hand out these names on first use (PEP 562), so
 ``import punctmetric`` and the scalar calls run without numpy.
 
 ``_array_form`` is the one driver of every array form of ``hyp2f1``,
-``pqfun`` and ``metric``: the array computation serves each distinct
-point of a call once (``_distinct`` keys points on their bits), and
-every other point takes its scalar call.  It keeps nothing between
-calls: the one cache of repeated work is verify's, of whole checks
+``pqfun`` and ``metric``: the array computation runs at each distinct
+point of a call once (``_distinct`` keys points on their bits), a point
+keeps its array results where they are all finite, and every other
+point takes its scalar call.  It keeps nothing between calls: the one
+cache of repeated work is verify's, of whole checks
 (``verify.run_check``).
 """
 
@@ -43,31 +44,19 @@ def _distinct(*keys: np.ndarray):
     repeats.  Points are keyed on their bits, so 0.0 and -0.0 stay
     apart."""
     bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
-    # a stable sort by the first key: equal points then sit together,
-    # the first occurrence first, unless equal first keys come with
-    # other later keys, which all keys sort
-    order = np.argsort(bits[0], kind="stable")
-    new = _changes(bits, order)
-    if len(bits) > 1 and (new != _changes(bits[:1], order)).any():
-        order = np.lexsort(bits[::-1])
-        new = _changes(bits, order)
-    if new.all():
+    # np.unique finds first occurrences by a stable sort; all keys are
+    # sorted only where a later key splits a group of the first
+    _, first, group = np.unique(bits[0], return_index=True,
+                                return_inverse=True)
+    if any((b[first[group.ravel()]] != b).any() for b in bits[1:]):
+        _, first, group = np.unique(np.stack(bits, 1), axis=0,
+                                    return_index=True, return_inverse=True)
+    if first.size == bits[0].size:
         return slice(None), slice(None)
-    first = np.zeros(order.size, dtype=bool)
-    first[order[new]] = True
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = (np.cumsum(first) - 1)[order[new]][np.cumsum(new) - 1]
-    return np.flatnonzero(first), group
-
-
-def _changes(bits: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Where the keys, taken in ``order``, differ from the point before."""
-    new = np.zeros(order.size, dtype=bool)
-    new[:1] = True
-    for b in bits:
-        s = b[order]
-        new[1:] |= s[1:] != s[:-1]
-    return new
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[group.ravel()]
 
 
 def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
@@ -75,28 +64,29 @@ def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
     """The one driver of the array forms: arrays of the given dtypes
     with the results at every point, a point being its values in the
     1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
-    distinct points where ``valid`` holds, each once, then where each
-    is served (True for all); where it raises a typed error, or math's
-    OverflowError (as a connection prefactor may), it serves no point.
-    Every point not served, in index order, takes what scalar(*point)
-    returns at Python floats, or raises its error.  So a batch returns
-    what a loop of scalar calls returns, and raises that loop's first
-    error."""
+    distinct points where ``valid`` holds, each once, and a point keeps
+    them where its float results are all finite; where lanes_of raises
+    a typed error, or math's OverflowError (as a connection prefactor
+    may), no point keeps any.  Every other point, in index order, takes
+    what scalar(*point) returns at Python floats, or raises its error.
+    So a batch returns what a loop of scalar calls returns, and raises
+    that loop's first error."""
     full = [np.zeros(valid.size, dtype) for dtype in dtypes]
-    served = np.zeros(valid.size, dtype=bool)
+    kept = np.zeros(valid.size, dtype=bool)
     at = slice(None) if valid.all() else np.flatnonzero(valid)
     points = [k[at] for k in keys]
     first, group = _distinct(*points)
     if points[0].size:
         try:
-            *lanes, ok = lanes_of(*(p[first] for p in points))
+            lanes = lanes_of(*(p[first] for p in points))
         except (PunctMetricError, OverflowError):
-            pass  # no point served
+            pass  # no point keeps its results
         else:
-            lanes.append(np.broadcast_to(ok, lanes[0].shape))
-            for out, lane in zip(full + [served], lanes):
+            kept[at] = np.logical_and.reduce(
+                [np.isfinite(v) for v in lanes if v.dtype.kind == "f"])[group]
+            for out, lane in zip(full, lanes):
                 out[at] = lane[group]
-    for i in np.flatnonzero(~served).tolist():
+    for i in np.flatnonzero(~kept).tolist():
         for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
             out[i] = v
     return full
@@ -129,7 +119,7 @@ def h_many(ts) -> np.ndarray:
     ts = as_points(ts)
     return _array_form(
         (ts,), np.abs(ts) <= metric.T_CAP,
-        lambda t: (metric._h(t, np.sqrt, _agm_many), True),
+        lambda t: (metric._h(t, np.sqrt, _agm_many),),
         lambda t: (metric.h(t),))[0]
 
 
@@ -156,7 +146,7 @@ def varphi_many(ts) -> np.ndarray:
         out[taylor] = metric._varphi_taylor(ts[taylor])
         out[closed] = metric._varphi_closed(ts[closed])
         out[agm_route] = metric._varphi_agm(s[agm_route], np.sqrt, _agm_many)
-        return out, True
+        return (out,)
 
     return _array_form((ts,), (0.0 < ts) & (ts < np.inf), lanes_of,
                        lambda t: (metric.varphi(t),))[0]
@@ -168,9 +158,10 @@ def varphi_many(ts) -> np.ndarray:
 def _each(fn, args: tuple, points, valid=np.isfinite) -> np.ndarray:
     """fn(*args, point) at every point of the 1-d array points: fn runs
     once on the points where ``valid`` holds, and every other point
-    takes its float call, as does every point where fn raises."""
+    takes its float call, as does every point where fn raises or gives
+    a result that is not finite."""
     arr = as_points(points)
-    return _array_form((arr,), valid(arr), lambda x: (fn(*args, x), True),
+    return _array_form((arr,), valid(arr), lambda x: (fn(*args, x),),
                        lambda x: (fn(*args, x),))[0]
 
 

@@ -52,18 +52,19 @@ from .hyp2f1 import (
 # do; log and exp come from math point by point.  So each lane gets its
 # scalar call's bits.  Every entry point runs through the one array-form
 # driver (``_arrays._array_form``): each distinct point of a call in its
-# domain, keyed on its bits, is summed once.  The lockstep sums routes
-# only: a lane that hands over is not served (a log sum that stalls or
-# cancels, a connection formula that cancels or whose series fails,
-# 1-u = 1 on the direct route, a series that overflows or runs out of
-# terms, among them a step ratio that overflows at x = +-0, where
-# inf * 0 makes it NaN), nor is the closed form u^-a at c = b (u^-b at
-# c = a), nor any lane of a log route whose B(a, b) is past the float
-# range; where a connection prefactor overflows the run raises and
-# serves no lane.
-# Every point not served, and every point out of range, takes its
-# scalar call's result, point by point in index order.  So a batch
-# returns, and raises first, what a loop of scalar calls would.
+# domain, keyed on its bits, is summed once, and a point keeps its
+# results where they are all finite.  The lockstep sums routes only, so
+# a lane that hands over gets a value that is not finite: NaN where a
+# log sum stalls or cancels, a connection formula cancels, 1-u = 1 on
+# the direct route, a series runs out of terms, or the route is the
+# closed form u^-a at c = b (u^-b at c = a) or a log route whose B(a, b)
+# is past the float range; inf or NaN where a series overflows, among
+# them a step ratio that overflows at x = +-0, where inf * 0 makes it
+# NaN.  Where a connection prefactor overflows the run raises and no
+# point keeps its results.
+# Every other point, and every point out of range, takes its scalar
+# call's result, point by point in index order.  So a batch returns,
+# and raises first, what a loop of scalar calls would.
 
 # Terms per block: BLOCK_MIN, or as many as already summed, but at most
 # BLOCK_CELLS over all lanes.
@@ -96,23 +97,6 @@ class EvalResults(NamedTuple):
     abs_err_estimate: np.ndarray
     terms_used: np.ndarray
     method: np.ndarray
-
-
-class _Lanes:
-    """Per-lane value, estimate, term count and whether the lockstep
-    serves the lane, of a batch."""
-
-    def __init__(self, size: int, served: bool = True) -> None:
-        self.value = np.zeros(size)
-        self.err = np.zeros(size)
-        self.terms = np.zeros(size, dtype=np.int64)
-        self.served = np.full(size, served)
-
-    def take(self, at, other: "_Lanes") -> None:
-        self.value[at] = other.value
-        self.err[at] = other.err
-        self.terms[at] = other.terms
-        self.served[at] = other.served
 
 
 def _scan(ufunc: np.ufunc, *parts) -> list[np.ndarray]:
@@ -151,10 +135,11 @@ def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
     what the next term reads or the caller wants.  ``step(n, k, fixed,
     state)`` adds terms n+1 .. n+k and returns the state after each, as
     (k, lanes) arrays, the stop test at each, and where a lane stops at
-    once (or False).  Returns the state at each lane's stop, its terms
-    after the first, and where ``cap`` terms were not enough."""
+    once (or False).  Returns the state at each lane's stop and its
+    terms after the first: NaN and 0 where ``cap`` terms were not
+    enough."""
     size = state[0].size
-    final = tuple(np.zeros(size) for _ in state)
+    final = tuple(np.full(size, np.nan) for _ in state)
     summed = np.zeros(size, dtype=np.int64)
     idx = np.arange(size)
     small = np.zeros(size, dtype=np.int8)
@@ -179,15 +164,13 @@ def _lockstep(step, fixed: tuple, state: tuple[np.ndarray, ...], cap: int):
             # copies: the block is freed before the next one is made
             state = tuple(row[-1][keep] for row in rows)
             del rows, passed, now
-    stalled = np.zeros(size, dtype=bool)
-    stalled[idx] = True
-    return final, summed, stalled
+    return final, summed
 
 
 def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
                 total: np.ndarray):
     """_ratio_sum at every point of xs onto the sums ``total``, laid out
-    as its result (arrays), and the lanes out of terms."""
+    as its result (arrays); NaN sums where a lane runs out of terms."""
 
     def step(n, k, fixed, state):
         (x,) = fixed
@@ -211,35 +194,35 @@ def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
         return (terms, sums, weights, comps, r), passed, ~(sizes < np.inf)
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
-    (term, total, weighted, comp, r), summed, stalled = _lockstep(
+    (term, total, weighted, comp, r), summed = _lockstep(
         step, (xs[None],), (ones, total, zeros, zeros, ones),
         MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
-        return (total + comp, term, r, weighted, summed), stalled
+        return total + comp, term, r, weighted, summed
 
 
 def _direct_many(a: float, b: float, c: float, xs: np.ndarray,
-                 x_err=0.0) -> _Lanes:
+                 x_err=0.0) -> tuple[np.ndarray, ...]:
     """_direct_series at every point of xs, x_err a float or one per
-    point: the lanes, where a lane whose series overflows or runs out of
-    terms is not served."""
-    out = _Lanes(xs.size)
-    if not xs.size:
-        return out
-    (total, term, r, weighted, summed), stalled = _ratio_many(
+    point: a lane whose series overflows or runs out of terms has a
+    value that is not finite."""
+    total, term, r, weighted, summed = _ratio_many(
         a, b, c, xs, np.ones(xs.size))
-    out.value = total
     with np.errstate(all="ignore"):
-        out.err = _ratio_estimate(term, r, weighted, total, x_err)
-    out.terms = summed + 1
-    out.served = np.isfinite(total) & ~stalled
-    return out
+        err = _ratio_estimate(term, r, weighted, total, x_err)
+    return total, err, summed + 1
+
+
+def _nan_lanes(size: int) -> tuple[np.ndarray, ...]:
+    """(value, estimate, terms) of lanes that a route does not serve."""
+    nan = np.full(size, np.nan)
+    return nan, nan, np.zeros(size, dtype=np.int64)
 
 
 def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
              from_one: bool = False):
-    """_zb_sum at every (u, ell) pair, laid out as its result (arrays),
-    and the lanes out of terms."""
+    """_zb_sum at every (u, ell) pair, laid out as its result (arrays);
+    NaN sums where a lane runs out of terms."""
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
     # columns
     d_0 = specfun._ramanujan_r(a, b)
@@ -277,71 +260,66 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
         return rows, passed, False
 
     ones, zeros = np.ones(u.size), np.zeros(u.size)
-    (_, total, size, weighted, plain, term, part), summed, stalled = \
-        _lockstep(step, (u[None], ell[None]),
-                  (ones, start, size, zeros, zeros, start, size),
-                  MAX_TERMS_LOG)
-    return (total, term, part, size, weighted, plain, summed), stalled
+    (_, total, size, weighted, plain, term, part), summed = _lockstep(
+        step, (u[None], ell[None]),
+        (ones, start, size, zeros, zeros, start, size), MAX_TERMS_LOG)
+    return total, term, part, size, weighted, plain, summed
 
 
 def _zb_log_many(p: HypParams, u: np.ndarray, ell: np.ndarray,
-                 m: int) -> _Lanes:
-    """_zb_log at every (u, ell) pair: the lanes, where a lane that
-    hands over is not served, as every lane is where the scale is
-    infinite."""
+                 m: int) -> tuple[np.ndarray, ...]:
+    """_zb_log at every (u, ell) pair: a lane that hands over has a NaN
+    value, as every lane has where the scale is infinite."""
     a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
     scale, lg = _log_scale(a, b, abs(m))
     if scale == math.inf:
-        return _Lanes(u.size, served=False)
-    sums, stalled = _zb_many(a, b, u, ell, abs(m))
-    out = _Lanes(u.size)
+        return _nan_lanes(u.size)
+    sums = _zb_many(a, b, u, ell, abs(m))
     with np.errstate(all="ignore"):
-        out.value, out.err, serves = _log_series_result(
+        value, err, serves = _log_series_result(
             a, b, m, scale, lg, sums, u, ell)
-    out.terms = sums[-1] + 1
-    out.served = serves & ~stalled
-    return out
+    return np.where(serves, value, np.nan), err, sums[-1] + 1
 
 
 def _connection_many(p: HypParams, u: np.ndarray,
-                     log_u: np.ndarray) -> _Lanes:
-    """_connection at every point of u: the lanes, where a lane that
-    hands over is not served.  OverflowError where a prefactor
-    overflows."""
+                     log_u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_connection at every point of u: a lane that hands over has a NaN
+    value.  OverflowError where a prefactor overflows."""
     a, b = min(p.a, p.b), max(p.a, p.b)
     s = p.c - (a + b)
     coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, p.c, s)
     coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
-    f2 = _direct_many(p.c - a, p.c - b, 1.0 + s, u)
-    f1 = f2 if coef_a is None else _direct_many(a, b, 1.0 - s, u)
-    out = _Lanes(u.size)
+    f2, err_2, terms = _direct_many(p.c - a, p.c - b, 1.0 + s, u)
+    part_a = err_a = 0.0
     with np.errstate(all="ignore"):
-        part_a, err_a = ((0.0, 0.0) if coef_a is None
-                         else (coef_a * f1.value, abs(coef_a) * f1.err))
-        out.value, out.err, serves = _connection_result(
-            a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value, f2.err)
-    out.terms = f2.terms + (0 if coef_a is None else f1.terms)
-    out.served = f1.served & f2.served & serves
-    return out
+        if coef_a is not None:
+            f1, err_1, terms_1 = _direct_many(a, b, 1.0 - s, u)
+            part_a, err_a = coef_a * f1, abs(coef_a) * err_1
+            terms = terms + terms_1
+        # F1 or F2 not finite (overflowed, out of terms) makes F so, so
+        # that its point takes its scalar call: they need no masks
+        value, err, serves = _connection_result(
+            a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2, err_2)
+    return np.where(serves, value, np.nan), err, terms
 
 
 def _from_complement_many(p: HypParams, u: np.ndarray,
-                          ell: np.ndarray) -> _Lanes:
-    """_f21_from_complement at every (u, ell) pair with u < 1/2: the
-    lanes.  A lane whose route hands over, or whose direct route meets
-    1-u = 1, is not served, and the closed-form route (c = a or c = b)
-    serves none."""
+                          ell: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_f21_from_complement at every (u, ell) pair with u < 1/2.  A lane
+    whose route hands over, or whose direct route meets 1-u = 1, has a
+    value that is not finite, as every lane of the closed-form route (c
+    = a or c = b) has."""
     route, m = _route(p)
     if not u.size or route == "power":  # its scalar _binomial serves
-        return _Lanes(u.size, served=False)
+        return _nan_lanes(u.size)
     if route == "connection":
         return _connection_many(p, u, -ell)
     if route == "log":
         return _zb_log_many(p, u, ell, m)
     x = 1.0 - u  # a lane at 1-u = 1 sums x = 0 instead
-    out = _direct_many(p.a, p.b, p.c, np.where(x < 1.0, x, 0.0), _x_err(x, u))
-    out.served &= x < 1.0
-    return out
+    value, err, terms = _direct_many(
+        p.a, p.b, p.c, np.where(x < 1.0, x, 0.0), _x_err(x, u))
+    return np.where(x < 1.0, value, np.nan), err, terms
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
@@ -355,14 +333,15 @@ def f21_many(p: HypParams, xs) -> EvalResults:
         "log": METHOD_ZB_LOG}.get(_route(p)[0], METHOD_DIRECT)], dtype=object)
 
     def lanes_of(xs):
-        out = _Lanes(xs.size)
         near = xs > X_SWITCH
         u = 1.0 - xs[near]  # exact: x >= 1/2
-        out.take(near, _from_complement_many(
-            p, u, -specfun.pointwise(math.log, u)))
-        out.take(~near, _direct_many(p.a, p.b, p.c, xs[~near]))
-        return (out.value, out.err, out.terms,
-                methods[near.view(np.int8)], out.served)
+        above = _from_complement_many(p, u, -specfun.pointwise(math.log, u))
+        out = []
+        for hi, lo in zip(above, _direct_many(p.a, p.b, p.c, xs[~near])):
+            lane = np.empty(xs.size, lo.dtype)
+            lane[near], lane[~near] = hi, lo
+            out.append(lane)
+        return (*out, methods[near.view(np.int8)])
 
     return EvalResults(*_array_form(
         (xs,), (0.0 <= xs) & (xs < 1.0), lanes_of,
@@ -384,16 +363,11 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
     def lanes_of(lo, ell):
         near = lo < X_SWITCH
         values, his = [], []
-        served = np.ones(lo.size, dtype=bool)
         for p in ps:
-            below = _direct_many(p.a, p.b, p.c, lo)
-            above = _from_complement_many(p, lo[near], ell[near])
-            values.append(below.value)
-            his.append(below.value.copy())
-            his[-1][near] = above.value
-            served &= below.served
-            served[near] &= above.served
-        return (*values, *his, served)
+            values.append(_direct_many(p.a, p.b, p.c, lo)[0])
+            his.append(values[-1].copy())
+            his[-1][near] = _from_complement_many(p, lo[near], ell[near])[0]
+        return (*values, *his)
 
     return _array_form(
         (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),
@@ -418,9 +392,8 @@ def zb_complement_sums_many(a: float, b: float,
     u = as_points(us)
 
     def lanes_of(u):
-        sums, stalled = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
-        return (sums[5], sums[0],
-                ~stalled & np.isfinite(sums[5]) & np.isfinite(sums[0]))
+        sums = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
+        return sums[5], sums[0]
 
     return tuple(_array_form(
         (u,), (0.0 <= u) & (u <= 0.75), lanes_of,
@@ -433,8 +406,7 @@ def f21_minus_one_many(a: float, b: float, c: float, xs) -> np.ndarray:
     x = as_points(xs)
 
     def lanes_of(x):
-        (total, *_), stalled = _ratio_many(a, b, c, x, np.zeros(x.size))
-        return total, np.isfinite(total) & ~stalled
+        return _ratio_many(a, b, c, x, np.zeros(x.size))[:1]
 
     return _array_form((x,), (0.0 <= x) & (x <= 0.75), lanes_of,
                        lambda x: (hyp2f1.f21_minus_one(a, b, c, x),))[0]

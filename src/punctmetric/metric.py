@@ -30,9 +30,9 @@ return.
 h, H, H' and varphi have array forms (``*_many``) that give every point
 of a 1-d array the bits of its float call: both forms run one formula,
 and only the AGM loop is per form, a masked numpy loop at an array.
-They run through specfun's one array-form driver, so a point out of
-range takes its float call, and a batch raises what a loop of float
-calls raises first.  They live in ``_arrays`` and load it, and numpy,
+They run through the one array-form driver, ``_arrays._array_form``,
+so a point out of range, or whose array result is not finite, takes its
+float call, and a batch raises what a loop of float calls raises first.  They live in ``_arrays`` and load it, and numpy,
 on first use.
 """
 

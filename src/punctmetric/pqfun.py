@@ -24,9 +24,10 @@ Every quantity has an array form, ``*_many``, taking a 1-d array of t
 (or x).  Both forms run the same code: the helpers below act on a float
 or pointwise on an array, calling the hyp2f1 array kernels for arrays,
 so each point comes out as its float call would, to the bit.  The array
-forms run through specfun's one array-form driver: the array code runs
-on the points in the domain (t finite, and nonzero for slope_g; t >= 0
-for q_excess; 0 < x < 1 for N and M), and every other point, or every
+forms run through the one array-form driver, ``_arrays._array_form``:
+the array code runs on the points in the domain (t finite, and nonzero
+for slope_g; t >= 0 for q_excess; 0 < x < 1 for N and M), and every
+other point, every point whose array result is not finite, and every
 point where the array code raises, takes its float call in index order.
 So a batch returns what a loop of float calls returns, and raises that
 loop's first error.  The array forms live in ``_arrays``, which loads

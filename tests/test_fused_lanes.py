@@ -8,6 +8,7 @@ The entry points key points on their bits, so repeated points, 0.0 and
 does, and a batch must raise what its first failing point raises.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -39,9 +40,17 @@ def _sums_bits(sums):
 
 def _scalar_sums(results, fields):
     """The scalar loops' results laid out as a lockstep run's: a list per
-    field, zeros where a loop ran out of terms, and the stalled lanes."""
-    rows = [r or (0.0,) * fields for r in results]
+    field, NaN sums and 0 terms where a loop ran out of terms, and the
+    stalled lanes."""
+    rows = [r or (math.nan,) * (fields - 1) + (0,) for r in results]
     return [list(col) for col in zip(*rows)], [r is None for r in results]
+
+
+def _stalled(sums):
+    """The lanes of a lockstep run that ran out of terms: no term summed
+    and NaN state."""
+    return [n == 0 and all(math.isnan(f[i]) for f in sums[:-1])
+            for i, n in enumerate(sums[-1].tolist())]
 
 
 _param = st.floats(0.05, 6.0)
@@ -64,13 +73,13 @@ def test_mixed_parameter_ratio_run_matches_scalar_loops(data):
         at = pick == g
         if not at.any():
             continue
-        got, stalled = _hyp2f1_arrays._ratio_many(*triple, xs[at], total[at])
+        got = _hyp2f1_arrays._ratio_many(*triple, xs[at], total[at])
         want, want_stalled = _scalar_sums(
             [hyp2f1._ratio_sum(*triple, float(x), float(t))
              for x, t in zip(xs[at], total[at])], 5)
         assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
         assert got[-1].tolist() == want[-1]
-        assert stalled.tolist() == want_stalled
+        assert _stalled(got) == want_stalled
 
 
 def test_ratio_run_with_negative_lower_parameters_matches_scalar_loops():
@@ -81,14 +90,13 @@ def test_ratio_run_with_negative_lower_parameters_matches_scalar_loops():
                (0.5, 0.5, -19.5), (1.5, 2.0, 3.0)]
     xs = np.array([0.4971, 0.3, 0.1, 1e-10])
     for triple in triples:
-        got, stalled = _hyp2f1_arrays._ratio_many(*triple, xs,
-                                                  np.ones(xs.size))
+        got = _hyp2f1_arrays._ratio_many(*triple, xs, np.ones(xs.size))
         want, want_stalled = _scalar_sums(
             [hyp2f1._ratio_sum(*triple, float(x), 1.0) for x in xs], 5)
         assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
         assert got[-1].tolist() == want[-1]
         assert all(n > -triple[2] for n in want[-1])
-        assert not any(stalled)
+        assert not any(_stalled(got))
 
 
 @settings(deadline=None)
@@ -103,14 +111,13 @@ def test_mixed_m_log_run_matches_scalar_loops(data):
     ms = np.array([data.draw(st.integers(0, 6)) for _ in range(size)])
     for m in set(ms.tolist()):
         at = ms == m
-        got, stalled = _hyp2f1_arrays._zb_many(a, b, u[at], ell[at], m,
-                                               from_one)
+        got = _hyp2f1_arrays._zb_many(a, b, u[at], ell[at], m, from_one)
         want, want_stalled = _scalar_sums(
             [hyp2f1._zb_sum(a, b, float(v), float(e), m, from_one)
              for v, e in zip(u[at], ell[at])], 7)
         assert _sums_bits(got[:-1]) == _sums_bits(want[:-1])
         assert got[-1].tolist() == want[-1]
-        assert stalled.tolist() == want_stalled
+        assert _stalled(got) == want_stalled
 
 
 def test_distinct_keys_points_on_their_bits():
@@ -262,3 +269,65 @@ def test_verify_suites_run_no_lockstep_under_four_lanes(lanes):
     for suite in ("default", "strict"):
         verify.run_suite(suite)
     assert lanes and min(lanes) >= 4
+
+
+_key = st.sampled_from((0.0, -0.0, 0.5, 1.0, math.inf, -1e-300, 5e-324))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[_key] * n), min_size=1, max_size=12)))
+def test_distinct_matches_a_dict_of_bit_tuples(rows):
+    # a point is the bits of all its keys: +-0.0 apart, and equal first
+    # keys with other later keys two points
+    keys = [np.array(col) for col in zip(*rows)]
+    seen = {}
+    for i, row in enumerate(rows):
+        seen.setdefault(tuple(_bits(row)), i)
+    want_first = list(seen.values())
+    want_group = [want_first.index(seen[tuple(_bits(row))]) for row in rows]
+    first, group = _arrays._distinct(*keys)
+    if isinstance(first, slice):
+        assert group == slice(None)
+        assert want_first == list(range(len(rows)))
+    else:
+        assert first.tolist() == want_first
+        assert group.tolist() == want_group
+
+
+def test_array_form_keeps_only_finite_results():
+    # a point keeps its array results where every float one is finite;
+    # each other point, in index order, takes its scalar call, and the
+    # batch raises the first error of those calls
+    xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 1.0, 5.0])
+    value = np.array([10.0, math.inf, 12.0, 13.0, -0.0, 15.0])
+    err = np.array([0.5, 0.5, math.nan, 0.5, 0.5, 0.5])
+    terms = np.arange(6) * 2**40
+    calls = []
+
+    def lanes_of(x):
+        assert x.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        return value, err, terms
+
+    def scalar(x):
+        calls.append(x)
+        return -x, 0.25, 7
+
+    got = _arrays._array_form((xs,), np.full(xs.size, True), lanes_of,
+                              scalar, (float, float, np.int64))
+    assert calls == [1.0, 2.0, 1.0]
+    assert _bits(got[0]) == _bits([10.0, -1.0, -2.0, 13.0, -0.0, -1.0, 15.0])
+    assert _bits(got[1]) == _bits([0.5, 0.25, 0.25, 0.5, 0.5, 0.25, 0.5])
+    assert got[2].tolist() == [0, 7, 7, 3 * 2**40, 4 * 2**40, 7, 5 * 2**40]
+
+    def failing(x):
+        calls.append(x)
+        if x == 2.0:
+            raise PunctMetricError(f"no value at {x}")
+        return scalar(x)
+
+    calls.clear()
+    with pytest.raises(PunctMetricError, match="no value at 2.0"):
+        _arrays._array_form((xs,), np.full(xs.size, True), lanes_of,
+                            failing, (float, float, np.int64))
+    assert calls == [1.0, 1.0, 2.0]

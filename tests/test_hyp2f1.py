@@ -750,7 +750,7 @@ def test_ratio_sum_stops_at_the_first_term_that_overflows():
     total = np.tile([1.0, 0.0], lanes.size // 2)
     overflowed = 0
     for triple in triples:  # a run per triple
-        got, _ = _hyp2f1_arrays._ratio_many(*triple, lanes, total)
+        got = _hyp2f1_arrays._ratio_many(*triple, lanes, total)
         for i, (x, t) in enumerate(zip(lanes.tolist(), total.tolist())):
             want = hyp2f1._ratio_sum(*triple, x, t)
             if math.isfinite(want[0]):
@@ -823,8 +823,8 @@ def test_ratio_run_at_zero_x_leaves_only_overflowing_lanes_unsummed():
     total = np.array([1.0, 0.0, 0.0, 1.0])
     overflowed = summed = 0
     for triple in _zero_x_triples():
-        got, stalled = _hyp2f1_arrays._ratio_many(*triple, xs, total)
-        assert not stalled.any()
+        got = _hyp2f1_arrays._ratio_many(*triple, xs, total)
+        assert (got[-1] > 0).all()  # no lane ran out of terms
         for i, (x, t) in enumerate(zip(xs.tolist(), total.tolist())):
             case = (*triple, x, t)
             lane = tuple(float(f[i]) for f in got[:-1]) + (int(got[-1][i]),)

@@ -10,8 +10,13 @@ parser tokens in CHANGES.md.
 
 A module's parser tokens are counted as its tokenize tokens less
 COMMENT, NL and ENCODING, which the parser never sees.
+
+``python tests/test_module_size.py`` prints each module's parser tokens
+and code lines (lines that hold a parser token, docstrings left out),
+and the totals over the package.
 """
 
+import ast
 import io
 import pathlib
 import tokenize
@@ -26,6 +31,24 @@ def parser_tokens(source: bytes) -> int:
     return sum(tok.type not in (tokenize.COMMENT, tokenize.NL,
                                 tokenize.ENCODING)
                for tok in tokenize.tokenize(io.BytesIO(source).readline))
+
+
+def code_lines(source: bytes) -> int:
+    """The lines that hold a parser token other than NEWLINE, INDENT,
+    DEDENT or ENDMARKER, less the lines of docstrings."""
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING,
+                            tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENDMARKER):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(
+                                 node, clean=False) is not None:
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -45,3 +68,15 @@ def test_comments_and_blank_lines_are_not_parser_tokens():
     # the parentheses (NL) are not counted
     source = b"x = (1,\n     2)  # a tuple\n\nif x:\n    pass\n"
     assert parser_tokens(source) == 17
+
+
+if __name__ == "__main__":
+    total_tokens = total_lines = 0
+    print(f"{'module':<20} {'tokens':>7} {'lines':>6}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_bytes()
+        tokens, lines = parser_tokens(source), code_lines(source)
+        total_tokens += tokens
+        total_lines += lines
+        print(f"{path.name:<20} {tokens:>7} {lines:>6}")
+    print(f"{'src/ total':<20} {total_tokens:>7} {total_lines:>6}")
