@@ -66,8 +66,7 @@ def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
     1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
     distinct points where ``valid`` holds, each once, and a point keeps
     them where its float results are all finite; where lanes_of raises
-    a typed error, or math's OverflowError (as a connection prefactor
-    may), no point keeps any.  Every other point, in index order, takes
+    a typed error, no point keeps any.  Every other point, in index order, takes
     what scalar(*point) returns at Python floats, or raises its error.
     So a batch returns what a loop of scalar calls returns, and raises
     that loop's first error."""
@@ -79,7 +78,7 @@ def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
     if points[0].size:
         try:
             lanes = lanes_of(*(p[first] for p in points))
-        except (PunctMetricError, OverflowError):
+        except PunctMetricError:
             pass  # no point keeps its results
         else:
             kept[at] = np.logical_and.reduce(

@@ -18,19 +18,14 @@ from ._arrays import _array_form, as_points
 from .hyp2f1 import (
     MAX_TERMS_DIRECT,
     MAX_TERMS_LOG,
-    METHOD_CONNECTION,
     METHOD_DIRECT,
-    METHOD_ZB_LOG,
     SERIES_RTOL,
     X_SWITCH,
     HypParams,
-    _connection_prefactors,
-    _connection_result,
     _derivative,
     _exp_or_inf,
     _falling,
-    _log_scale,
-    _log_series_result,
+    _METHODS,
     _ratio_estimate,
     _route,
     _TINY,
@@ -42,10 +37,11 @@ from .hyp2f1 import (
 # stops where the scalar rule stops it.  A block is a (terms, lanes)
 # array, so that each term's row is contiguous; per-term factors enter
 # as columns.  A run sums one series, for one parameter set, at the
-# points of its lanes, and each route's array form takes one parameter
-# set and follows its scalar route step by step: _direct_many the
-# direct series, _zb_log_many the log series, _connection_many DLMF
-# 15.8.4 (F2, then F1) and _from_complement_many the choice among them.
+# points of its lanes: _ratio_many and _direct_many the direct series,
+# _zb_many the log family.  _from_complement_many chooses among the
+# routes as _f21_from_complement does, and runs the one body of the
+# log series (hyp2f1._zb_log) and of DLMF 15.8.4 (hyp2f1._connection,
+# F2, then F1) on arrays, with those summers and a pointwise exp.
 # Every run is the lockstep, at any lane count.
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
@@ -55,13 +51,13 @@ from .hyp2f1 import (
 # domain, keyed on its bits, is summed once, and a point keeps its
 # results where they are all finite.  The lockstep sums routes only, so
 # a lane that hands over gets a value that is not finite: NaN where a
-# log sum stalls or cancels, a connection formula cancels, 1-u = 1 on
-# the direct route, a series runs out of terms, or the route is the
-# closed form u^-a at c = b (u^-b at c = a) or a log route whose B(a, b)
-# is past the float range; inf or NaN where a series overflows, among
-# them a step ratio that overflows at x = +-0, where inf * 0 makes it
-# NaN.  Where a connection prefactor overflows the run raises and no
-# point keeps its results.
+# log sum stalls or cancels, a connection formula cancels or its
+# estimate reaches |F|, 1-u = 1 on the direct route, a series runs out
+# of terms, or the route is the closed form u^-a at c = b (u^-b at c =
+# a), a log route whose B(a, b) is past the float range or a connection
+# route whose prefactor overflows; inf or NaN where a series overflows,
+# among them a step ratio that overflows at x = +-0, where inf * 0
+# makes it NaN.
 # Every other point, and every point out of range, takes its scalar
 # call's result, point by point in index order.  So a batch returns,
 # and raises first, what a loop of scalar calls would.
@@ -220,9 +216,10 @@ def _nan_lanes(size: int) -> tuple[np.ndarray, ...]:
 
 
 def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
-             from_one: bool = False):
+             from_one: bool = False, cap=None):
     """_zb_sum at every (u, ell) pair, laid out as its result (arrays);
-    NaN sums where a lane runs out of terms."""
+    NaN sums where a lane runs out of terms.  A lane sums on past the
+    scalar loop's cap: its end hands over too (see hyp2f1._CAP_SLACK)."""
     # c_n, d_n, f_m(n) and f_m'(n) as the scalar loop forms them, as
     # columns
     d_0 = specfun._ramanujan_r(a, b)
@@ -266,60 +263,34 @@ def _zb_many(a: float, b: float, u: np.ndarray, ell: np.ndarray, m: int,
     return total, term, part, size, weighted, plain, summed
 
 
-def _zb_log_many(p: HypParams, u: np.ndarray, ell: np.ndarray,
-                 m: int) -> tuple[np.ndarray, ...]:
-    """_zb_log at every (u, ell) pair: a lane that hands over has a NaN
-    value, as every lane has where the scale is infinite."""
-    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
-    scale, lg = _log_scale(a, b, abs(m))
-    if scale == math.inf:
-        return _nan_lanes(u.size)
-    sums = _zb_many(a, b, u, ell, abs(m))
-    with np.errstate(all="ignore"):
-        value, err, serves = _log_series_result(
-            a, b, m, scale, lg, sums, u, ell)
-    return np.where(serves, value, np.nan), err, sums[-1] + 1
-
-
-def _connection_many(p: HypParams, u: np.ndarray,
-                     log_u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_connection at every point of u: a lane that hands over has a NaN
-    value.  OverflowError where a prefactor overflows."""
-    a, b = min(p.a, p.b), max(p.a, p.b)
-    s = p.c - (a + b)
-    coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, p.c, s)
-    coef_b = sg_ms * specfun.pointwise(_exp_or_inf, log_b + s * log_u)
-    f2, err_2, terms = _direct_many(p.c - a, p.c - b, 1.0 + s, u)
-    part_a = err_a = 0.0
-    with np.errstate(all="ignore"):
-        if coef_a is not None:
-            f1, err_1, terms_1 = _direct_many(a, b, 1.0 - s, u)
-            part_a, err_a = coef_a * f1, abs(coef_a) * err_1
-            terms = terms + terms_1
-        # F1 or F2 not finite (overflowed, out of terms) makes F so, so
-        # that its point takes its scalar call: they need no masks
-        value, err, serves = _connection_result(
-            a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2, err_2)
-    return np.where(serves, value, np.nan), err, terms
+def _exp_many(v: np.ndarray) -> np.ndarray:
+    """hyp2f1._exp_or_inf at every point of v."""
+    return specfun.pointwise(_exp_or_inf, v)
 
 
 def _from_complement_many(p: HypParams, u: np.ndarray,
                           ell: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_f21_from_complement at every (u, ell) pair with u < 1/2.  A lane
-    whose route hands over, or whose direct route meets 1-u = 1, has a
-    value that is not finite, as every lane of the closed-form route (c
-    = a or c = b) has."""
+    """_f21_from_complement at every (u, ell) pair with u < 1/2: the
+    route bodies of hyp2f1, looked up there at call time, run on the
+    arrays with the lockstep's summers.  A lane whose route hands over,
+    or whose direct route meets 1-u = 1, has a value that is not finite,
+    as every lane of the closed-form route (c = a or c = b) has."""
     route, m = _route(p)
     if not u.size or route == "power":  # its scalar _binomial serves
         return _nan_lanes(u.size)
-    if route == "connection":
-        return _connection_many(p, u, -ell)
-    if route == "log":
-        return _zb_log_many(p, u, ell, m)
-    x = 1.0 - u  # a lane at 1-u = 1 sums x = 0 instead
-    value, err, terms = _direct_many(
-        p.a, p.b, p.c, np.where(x < 1.0, x, 0.0), _x_err(x, u))
-    return np.where(x < 1.0, value, np.nan), err, terms
+    if route == "direct":
+        x = 1.0 - u  # a lane at 1-u = 1 sums x = 0 instead
+        value, err, terms = _direct_many(
+            p.a, p.b, p.c, np.where(x < 1.0, x, 0.0), _x_err(x, u))
+        return np.where(x < 1.0, value, np.nan), err, terms
+    with np.errstate(all="ignore"):
+        r = (hyp2f1._connection(p.a, p.b, p.c, u, -ell, _direct_many,
+                                _exp_many) if route == "connection" else
+             hyp2f1._zb_log(p, u, ell, m, _zb_many, _exp_many))
+    if r is None:
+        return _nan_lanes(u.size)
+    value, err, serves, terms = r
+    return np.where(serves, value, np.nan), err, terms
 
 
 def f21_many(p: HypParams, xs) -> EvalResults:
@@ -328,9 +299,9 @@ def f21_many(p: HypParams, xs) -> EvalResults:
     the bit, and the batch raises what the first failing point would."""
     xs = as_points(xs)
     # objects, so that each point's method is a reference to a shared name
-    methods = np.array([METHOD_DIRECT, {
-        "connection": METHOD_CONNECTION,
-        "log": METHOD_ZB_LOG}.get(_route(p)[0], METHOD_DIRECT)], dtype=object)
+    methods = np.array([METHOD_DIRECT, _METHODS.get(_route(p)[0],
+                                                    METHOD_DIRECT)],
+                       dtype=object)
 
     def lanes_of(xs):
         near = xs > X_SWITCH

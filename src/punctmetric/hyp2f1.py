@@ -41,8 +41,9 @@ c > b; s not an integer takes DLMF 15.8.4,
     A = G(c)G(s)/(G(c-a)G(c-b)),   B = G(c)G(-s)/(G(a)G(b)),
 
 two direct series at u < 1/2 (A = 0 at a pole of G(c-a) or G(c-b)).
-Where a part overflows or runs out of terms, or the parts cancel by
-more than MAX_CANCEL (sum T~_n/|S|, or (|A F1| + |B u^s F2|)/|F|), the
+Where a part overflows or runs out of terms, the parts cancel by more
+than MAX_CANCEL (sum T~_n/|S|, or (|A F1| + |B u^s F2|)/|F|), or DLMF
+15.8.4's estimate reaches |F| (F2 cancelling within itself), the
 direct series serves at x = 1-u, as it does at once for the other
 integer s, as in F(2,2;1;x); at c = b it is the binomial series of
 F(a,b;b;1-u) = u^-a (a, b swapped at c = a), summed in closed form.
@@ -56,15 +57,17 @@ Given u exactly (u = e^{-t}/(1+e^{-t})) and -log(u) finite, nothing is
 lost to cancellation, even where u underflows to 0.  The ``*_many``
 forms give each point of a 1-d array the bits of its float call; they
 live in ``_hyp2f1_arrays``, whose lockstep sums one series for one
-parameter set a run, each route step by step as its float form here
-does, and load it, and numpy, on first use.
+parameter set a run, and load it, and numpy, on first use.  Each
+route past x = 1/2 has one body, ``_zb_log`` and ``_connection``: it
+runs at a float u, and at every point of an array where the array
+form passes the lockstep's summers and a pointwise exp.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, RangeError
@@ -90,7 +93,7 @@ MAX_CANCEL = 1e3
 #     (ell < 745), and T~_N r/(1-r) at m >= 2 is taken as small;
 # and the cap itself falls short of MAX_CANCEL u^-min(a,b) times the
 # exact 1/scale by at most B's and the Pochhammer products' error, eps (6
-# lg + 64 + 4k) (see _log_scale and _log_series_result), an ulp of the
+# lg + 64 + 4k) (see _log_scale and _zb_log), an ulp of the
 # pow (u and the exponent are exact) and 4 roundings: 6 eps lg + 1e-13.
 # The slack is over twice the 3.7e-10 left when 6 eps lg is set apart.
 _CAP_SLACK = 1e-9
@@ -107,6 +110,8 @@ _TINY = math.ulp(0.0)
 METHOD_DIRECT = "direct_series"
 METHOD_ZB_LOG = "zb_log_series"
 METHOD_CONNECTION = "connection_series"
+# the method of a complement route's result, where it serves
+_METHODS = {"connection": METHOD_CONNECTION, "log": METHOD_ZB_LOG}
 
 
 class HypParams(NamedTuple("HypParams", [("a", float), ("b", float),
@@ -385,15 +390,24 @@ def _log_scale(a: float, b: float, k: int) -> tuple[float, float]:
             sum(map(abs, lgs)))
 
 
-def _log_series_result(a: float, b: float, m: int, scale: float, lg: float,
-                       sums, u, ell):
-    """(value, estimate, whether it serves) of the log series for c-a-b =
-    m from _log_scale's (scale, lg) and the sums of _zb_sum at a = c-a, b
-    = c-b if m < 0, at a float u or arrays.  To B's error (see
-    _log_scale) the sum of its log-gammas, exp(), the factor and the
-    product add eps lg + 4 eps, and the Pochhammer products of m >= 2 4
-    eps per step past the first."""
+def _zb_log(p: HypParams, u, ell, m: int, zb_sum=None, exp=_exp_or_inf):
+    """F(p; 1-u) at c-a-b = m by the log series: (value, estimate,
+    whether it serves, terms) at a float u, or at every (u, ell) pair of
+    arrays where the caller passes the lockstep's zb_sum and a pointwise
+    exp; None where it hands over to the direct series at every point.
+    To B's error (see _log_scale) the sum of its log-gammas, exp(), the
+    factor and the product add eps lg + 4 eps, and the Pochhammer
+    products of m >= 2 4 eps per step past the first."""
+    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
     k = abs(m)
+    scale, lg = _log_scale(a, b, k)
+    if scale == math.inf:
+        return None
+    cap = MAX_CANCEL * (1.0 + _CAP_SLACK + 6.0 * _EPS * lg) * _pow_or_inf(
+        u, -min(a, b)) / scale
+    sums = (zb_sum or _zb_sum)(a, b, u, ell, k, False, cap)
+    if sums is None:
+        return None
     total, term, part, size, weighted, _, terms = sums
     value = (-scale if k % 2 else scale) * total
     if k == 0:
@@ -413,29 +427,11 @@ def _log_series_result(a: float, b: float, m: int, scale: float, lg: float,
     if m < 0:
         # u^-k = e^{k ell}; u^s scales the rounding of c-a-b = -k, eps
         # (a+b+c) = eps (2(c-a + c-b) + 3k), by ell as well
-        factor = specfun.pointwise(_exp_or_inf, k * ell)
+        factor = exp(k * ell)
         value, err = value * factor, err * factor
         err += _EPS * (2.0 + (2.0 * (a + b) + 4.0 * k) * ell) * abs(value)
     serves = (size <= MAX_CANCEL * abs(total)) & (err < math.inf)
-    return value, err, serves
-
-
-def _zb_log(p: HypParams, u: float, ell: float,
-            m: int) -> Optional[EvalResult]:
-    """F(p; 1-u) at c-a-b = m by the log series, or None where it hands
-    over to the direct series."""
-    a, b = (p.a, p.b) if m >= 0 else (p.c - p.a, p.c - p.b)
-    scale, lg = _log_scale(a, b, abs(m))
-    if scale == math.inf:
-        return None
-    cap = MAX_CANCEL * (1.0 + _CAP_SLACK + 6.0 * _EPS * lg) * _pow_or_inf(
-        u, -min(a, b)) / scale
-    sums = _zb_sum(a, b, u, ell, abs(m), False, cap)
-    if sums is None:
-        return None
-    value, err, serves = _log_series_result(a, b, m, scale, lg, sums, u, ell)
-    return EvalResult(value, err, sums[-1] + 1, METHOD_ZB_LOG) if serves \
-        else None
+    return value, err, serves, terms + 1
 
 
 def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
@@ -463,29 +459,47 @@ def zb_complement_sums(a: float, b: float, u: float) -> tuple[float, float]:
     return sums[5], sums[0]
 
 
-def _connection_prefactors(a: float, b: float, c: float, s: float):
-    """For DLMF 15.8.4 at a <= b: A (None at a pole of G(c-a) G(c-b)), the
-    sign and log of B/u^s, and the sum of |log G| in A and B; OverflowError
-    where a log-gamma or A overflows."""
-    lg_c = math.lgamma(c)
-    lg_s, sg_s = specfun._log_abs_gamma(s)
-    lg_ms, sg_ms = specfun._log_abs_gamma(-s)
-    lg_ca, sg_ca = specfun._log_abs_gamma(c - a)
-    lg_cb, sg_cb = specfun._log_abs_gamma(c - b)
-    lg_a, lg_b = math.lgamma(a), math.lgamma(b)
-    coef_a = None
-    lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
-    if sg_ca and sg_cb:
-        coef_a = sg_s * sg_ca * sg_cb * math.exp(lg_c + lg_s - lg_ca - lg_cb)
-        if coef_a:
-            lg_sum += abs(lg_ca) + abs(lg_cb)
-    return coef_a, sg_ms, lg_c + lg_ms - lg_a - lg_b, lg_sum
-
-
-def _connection_result(a: float, b: float, s: float, log_u, lg_sum: float,
-                       part_a, err_a, coef_b, f2, err_2):
-    """(value, estimate, whether DLMF 15.8.4 serves) from A F1, B u^s and
-    F2 and their errors, at a float u or an array."""
+def _connection(a: float, b: float, c: float, u, log_u, direct=None,
+                exp=math.exp):
+    """F(a,b;c;1-u) by DLMF 15.8.4 for s = c-a-b not an integer and u <
+    1/2: (value, estimate, whether it serves, terms) at a float u, or at
+    every point of arrays u, log_u where the caller passes the
+    lockstep's direct series and a pointwise exp; None where it hands
+    over to the direct series at every point.  It serves only where
+    the parts cancel by at most MAX_CANCEL and the estimate is below
+    |F|, so that F2 cancelling within itself cannot flip F's sign."""
+    a, b = min(a, b), max(a, b)  # so F(a,b;..) and F(b,a;..) agree to the bit
+    s = c - (a + b)
+    direct = direct or _direct_series
+    part_a = err_a = 0.0
+    try:
+        lg_c = math.lgamma(c)
+        lg_s, sg_s = specfun._log_abs_gamma(s)
+        lg_ms, sg_ms = specfun._log_abs_gamma(-s)
+        lg_ca, sg_ca = specfun._log_abs_gamma(c - a)
+        lg_cb, sg_cb = specfun._log_abs_gamma(c - b)
+        lg_a, lg_b = math.lgamma(a), math.lgamma(b)
+        lg_sum = abs(lg_c) + abs(lg_s) + abs(lg_ms) + abs(lg_a) + abs(lg_b)
+        coef_a = None  # at a pole of G(c-a) G(c-b), A = 0
+        if sg_ca and sg_cb:
+            coef_a = sg_s * sg_ca * sg_cb * math.exp(
+                lg_c + lg_s - lg_ca - lg_cb)
+            if coef_a:
+                lg_sum += abs(lg_ca) + abs(lg_cb)
+        coef_b = sg_ms * exp(lg_c + lg_ms - lg_a - lg_b + s * log_u)
+        # F2 first: where it overflows, in a few terms at large s, the
+        # route hands over before F1 sums its ~s terms
+        f2, err_2, terms = direct(c - a, c - b, 1.0 + s, u)[:3]
+        if coef_a is not None:
+            f1, err_1, terms_1 = direct(a, b, 1.0 - s, u)[:3]
+            part_a, err_a = coef_a * f1, abs(coef_a) * err_1
+            terms = terms + terms_1
+    except (OverflowError, RangeError, ConvergenceError):
+        # a series out of terms: where s - 1 passes MAX_TERMS_DIRECT, the
+        # first one cannot reach its tail tests
+        return None
+    # at an array, F1 or F2 not finite (overflowed, out of terms) makes
+    # F so, which does not serve: the lanes need no masks
     part_b = coef_b * f2
     value = part_a + part_b
     size = abs(part_a) + abs(part_b)
@@ -494,39 +508,8 @@ def _connection_result(a: float, b: float, s: float, log_u, lg_sum: float,
     rounding = CONNECTION_ROUNDING + _EPS * (
         lg_sum + (a + b + 2.0 * abs(s)) * abs(log_u))
     err = err_a + abs(coef_b) * err_2 + rounding * size
-    serves = (size <= MAX_CANCEL * abs(value)) & (abs(err) < math.inf)
-    return value, err, serves
-
-
-def _connection(a: float, b: float, c: float, u: float,
-                log_u: float) -> Optional[EvalResult]:
-    """F(a,b;c;1-u) by DLMF 15.8.4 for s = c-a-b not an integer and
-    u < 1/2, or None where it hands over to the direct series."""
-    a, b = min(a, b), max(a, b)  # so F(a,b;..) and F(b,a;..) agree to the bit
-    s = c - (a + b)
-    part_a = err_a = 0.0
-    terms = 0
-    try:
-        coef_a, sg_ms, log_b, lg_sum = _connection_prefactors(a, b, c, s)
-        coef_b = sg_ms * math.exp(log_b + s * log_u)
-        # F2 first: where it overflows, in a few terms at large s, the
-        # route hands over before F1 sums its ~s terms
-        f2 = _direct_series(c - a, c - b, 1.0 + s, u)
-        if coef_a is not None:
-            f1 = _direct_series(a, b, 1.0 - s, u)
-            part_a = coef_a * f1.value
-            err_a = abs(coef_a) * f1.abs_err_estimate
-            terms = f1.terms_used
-    except (OverflowError, RangeError, ConvergenceError):
-        # a series out of terms: where s - 1 passes MAX_TERMS_DIRECT, the
-        # first one cannot reach its tail tests
-        return None
-    value, err, serves = _connection_result(
-        a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
-        f2.abs_err_estimate)
-    if not serves:
-        return None
-    return EvalResult(value, err, terms + f2.terms_used, METHOD_CONNECTION)
+    serves = (size <= MAX_CANCEL * abs(value)) & (abs(err) < abs(value))
+    return value, err, serves, terms
 
 
 def _x_err(x, u):
@@ -557,8 +540,8 @@ def _f21_from_complement(p: HypParams, u: float, ell: float) -> EvalResult:
         route, m = _route(p)
         r = (_connection(p.a, p.b, p.c, u, -ell) if route == "connection"
              else _zb_log(p, u, ell, m) if route == "log" else None)
-        if r is not None:
-            return r
+        if r is not None and r[2]:
+            return EvalResult(r[0], r[1], r[3], _METHODS[route])
         if route == "power" and u > 0.0:
             value, err = _binomial(p, u)
             if value == math.inf:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import _hyp2f1_arrays, hyp2f1, pqfun
+from punctmetric import _hyp2f1_arrays, hyp2f1, pqfun, specfun
 from punctmetric.errors import ConvergenceError, DomainError, RangeError
 from punctmetric.hyp2f1 import (
     HypParams,
@@ -132,7 +132,8 @@ def test_zb_near_one_agrees_with_direct():
     p = HypParams(1.2, 0.8, 2.0)
     for x in (0.3, 0.45, 0.5):
         direct = f21(p, x).value
-        logexp = hyp2f1._zb_log(p, 1.0 - x, -math.log1p(-x), 0).value
+        logexp, _, serves, _ = hyp2f1._zb_log(p, 1.0 - x, -math.log1p(-x), 0)
+        assert serves
         assert logexp == pytest.approx(direct, rel=1e-13)
 
 
@@ -841,32 +842,23 @@ def test_ratio_run_at_zero_x_leaves_only_overflowing_lanes_unsummed():
     assert overflowed and summed
 
 
+_REAL_CONNECTION = hyp2f1._connection
+
+
 def _connection_f1_first(a, b, c, u, log_u):
-    """hyp2f1._connection as it was before F2 came first: F1 is summed in
-    full before F2 can hand the route over."""
+    """hyp2f1._connection as it was before F2 came first: F1, where the
+    body sums it (A has no pole), is summed in full, and its error
+    raised, before F2 can hand the route over."""
     a, b = min(a, b), max(a, b)
     s = c - (a + b)
-    part_a = err_a = 0.0
-    terms = 0
-    try:
-        coef_a, sg_ms, log_b, lg_sum = hyp2f1._connection_prefactors(
-            a, b, c, s)
-        coef_b = sg_ms * math.exp(log_b + s * log_u)
-        if coef_a is not None:
-            f1 = hyp2f1._direct_series(a, b, 1.0 - s, u)
-            part_a = coef_a * f1.value
-            err_a = abs(coef_a) * f1.abs_err_estimate
-            terms = f1.terms_used
-        f2 = hyp2f1._direct_series(c - a, c - b, 1.0 + s, u)
-    except (OverflowError, RangeError, ConvergenceError):
-        return None
-    value, err, serves = hyp2f1._connection_result(
-        a, b, s, log_u, lg_sum, part_a, err_a, coef_b, f2.value,
-        f2.abs_err_estimate)
-    if not serves:
-        return None
-    return hyp2f1.EvalResult(value, err, terms + f2.terms_used,
-                             hyp2f1.METHOD_CONNECTION)
+
+    def f1_first(*args):  # the body's direct series, F2 (c = 1+s) first
+        if args[2] == 1.0 + s and all(
+                specfun._log_abs_gamma(v)[1] for v in (c - a, c - b)):
+            hyp2f1._direct_series(a, b, 1.0 - s, u)
+        return hyp2f1._direct_series(*args)
+
+    return _REAL_CONNECTION(a, b, c, u, log_u, f1_first)
 
 
 def _outcome(p, x):
@@ -949,3 +941,63 @@ def test_connection_series_leaves_before_its_first_series(c):
     assert r.method == "direct_series"
     s = c - 1.0
     assert 1.0 - s not in lower and 1.0 + s in lower
+
+
+def _connection_sign_cases():
+    """The known case, then seeded draws with a, b log-uniform on [0.01,
+    300], s = c-a-b uniform on (-400, -20) and x uniform on (0.5, 0.8),
+    where DLMF 15.8.4's F2 can cancel within itself."""
+    rng = random.Random("connection-sign")
+    cases = [(HypParams(200.25, 150.5, 50.3), 0.6)]
+    while len(cases) < 300:
+        a = math.exp(rng.uniform(math.log(0.01), math.log(300.0)))
+        b = math.exp(rng.uniform(math.log(0.01), math.log(300.0)))
+        c = a + b + rng.uniform(-400.0, -20.0)
+        x = rng.uniform(0.5, 0.8)
+        if c > 0.0:
+            cases.append((HypParams(a, b, c), x))
+    return cases
+
+
+def test_positive_parameters_give_f_at_least_one():
+    # for a, b, c > 0 every Maclaurin coefficient is positive, so F >= 1
+    # on [0, 1): DLMF 15.8.4 served F(200.25, 150.5; 50.3; 0.6) as
+    # -1.48e152 where F2 cancelled within itself, with an estimate above
+    # |F|, where the direct series gives 8.927e150
+    served = 0
+    for p, x in _connection_sign_cases():
+        r = f21(p, x)
+        assert r.value > 0.0 and r.value + r.abs_err_estimate >= 1.0, (p, x)
+        many = tuple(f.tolist()[0] for f in f21_many(p, [x]))
+        assert _bits(many) == _bits(tuple(r)), (p, x)
+        served += r.method == "connection_series"
+    assert served > 100
+
+
+def test_route_bodies_run_at_a_float_and_at_an_array():
+    # hyp2f1._zb_log and hyp2f1._connection are the one body of their
+    # routes: f21 runs them at a float u, the array forms at an array
+    seen = {"_zb_log": [], "_connection": []}
+
+    def recording(name):
+        real = getattr(hyp2f1, name)
+
+        def body(*args):
+            # u: _zb_log(p, u, ell, m, ...), _connection(a, b, c, u, ...)
+            seen[name].append(type(args[1 if name == "_zb_log" else 3]))
+            return real(*args)
+        return body
+
+    log_p, conn_p = HypParams(0.5, 0.5, 1.0), HypParams(0.3, 0.7, 1.1)
+    with mock.patch.object(hyp2f1, "_zb_log", recording("_zb_log")), \
+            mock.patch.object(hyp2f1, "_connection",
+                              recording("_connection")):
+        for p in (log_p, conn_p):
+            f21(p, 0.7)
+        assert seen == {"_zb_log": [float], "_connection": [float]}
+        for p in (log_p, conn_p):
+            f21_many(p, [0.6, 0.7])
+        pqfun.p_func_many(pqfun.ZeroBalancedPair(0.5, 0.5), [1.0, 2.0])
+        pqfun.m_func_many(0.3, 0.7, 1.1, [0.2, 0.3])
+    assert seen["_zb_log"][1:] == [np.ndarray] * 2
+    assert seen["_connection"][1:] == [np.ndarray] * 3

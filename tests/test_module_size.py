@@ -13,7 +13,10 @@ COMMENT, NL and ENCODING, which the parser never sees.
 
 ``python tests/test_module_size.py`` prints each module's parser tokens
 and code lines (lines that hold a parser token, docstrings left out),
-and the totals over the package.
+the next power of two its tokens reach and the headroom to it, and the
+totals over the package.  Each power of two is a step of the array:
+the 4096 step costs ~0.3 MB of compile peak (ROADMAP's loose ends).
+Both CI jobs run it, so each change's size shows in their logs.
 """
 
 import ast
@@ -72,11 +75,14 @@ def test_comments_and_blank_lines_are_not_parser_tokens():
 
 if __name__ == "__main__":
     total_tokens = total_lines = 0
-    print(f"{'module':<20} {'tokens':>7} {'lines':>6}")
+    print(f"{'module':<20} {'tokens':>7} {'lines':>6} {'step':>6} "
+          f"{'headroom':>8}")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_bytes()
         tokens, lines = parser_tokens(source), code_lines(source)
         total_tokens += tokens
         total_lines += lines
-        print(f"{path.name:<20} {tokens:>7} {lines:>6}")
+        step = 1 << tokens.bit_length()  # the next power of two
+        print(f"{path.name:<20} {tokens:>7} {lines:>6} {step:>6} "
+              f"{step - tokens:>8}")
     print(f"{'src/ total':<20} {total_tokens:>7} {total_lines:>6}")
