@@ -12,10 +12,13 @@ script front all of it.
 
 The package and its scalar calls run without numpy.  numpy loads with
 the first array form, the first domain of ``bounds._LISTS_BELOW``
-punctures or more, and ``verify``.  This package hands out ``bounds``
-and ``verify``, and the names it takes from them, on first use (see
-``__getattr__``), so ``import punctmetric`` compiles neither: a process
-loads ``bounds`` only where it makes a domain or a ring bound.
+punctures or more, and ``verify``.  One rule loads the package's
+modules: ``import punctmetric`` imports only ``errors``, and hands out
+every other module, and the names it takes from each, on first use
+(see ``__getattr__``).  So a process compiles only what it runs: one
+that makes domains and bounds loads ``bounds``, ``metric``,
+``elliptic`` and ``specfun``, never the hypergeometric code
+(``hyp2f1``, ``pqfun``).
 
 No module imports ``dataclasses``, which would load ``inspect``,
 ``ast`` and ``dis`` at import: the records are
@@ -27,8 +30,6 @@ class with ``__slots__``.
 
 import sys
 
-from . import elliptic, hyp2f1, metric, pqfun, specfun
-from .elliptic import agm, ellip_k, mu
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -38,24 +39,16 @@ from .errors import (
     RangeError,
     UnknownCheckError,
 )
-from .hyp2f1 import EvalResult, HypParams, f21, f21_at_one
-from .metric import (
-    big_h,
-    big_h_prime,
-    c0,
-    d01_lower,
-    d01_neg,
-    h,
-    lambda01_lower,
-    lambda01_neg,
-    phi_func,
-    varphi,
-)
-from .pqfun import ZeroBalancedPair, p_func, p_prime, q_func, q_log
 
 # the modules this package hands out on first use, with the names it
 # takes from each
 _LAZY = {
+    "elliptic": ("agm", "ellip_k", "mu"),
+    "hyp2f1": ("EvalResult", "HypParams", "f21", "f21_at_one"),
+    "metric": ("big_h", "big_h_prime", "c0", "d01_lower", "d01_neg", "h",
+               "lambda01_lower", "lambda01_neg", "phi_func", "varphi"),
+    "pqfun": ("ZeroBalancedPair", "p_func", "p_prime", "q_func", "q_log"),
+    "specfun": (),
     "bounds": ("BaselineBounds", "PuncturedDomain", "RhoBounds",
                "RingBoundParams", "baseline_bounds", "rho_bounds",
                "ring_coefficients", "ring_gap", "ring_lower_bound",
@@ -127,11 +120,12 @@ __all__ = [
 
 
 def _bind(name: str) -> None:
-    """Bind the module ``name`` (bounds or verify), and the names this
-    package takes from it, here.  Each of the two calls this at the end
-    of its own import, however it is imported (``import
-    punctmetric.bounds``, a first lookup here, unpickling a domain), so
-    anything that reads this module's namespace finds all of them."""
+    """Bind the module ``name`` (one of ``_LAZY``), and the names this
+    package takes from it, here.  Each calls this at the end of its own
+    import, however it is imported (``import punctmetric.bounds``, a
+    first lookup here, another module's import, unpickling a record or a
+    domain), so anything that reads this module's namespace finds all
+    of them."""
     module = name.rpartition(".")[2]
     loaded = sys.modules[name]
     names = globals()
@@ -141,8 +135,8 @@ def _bind(name: str) -> None:
 
 
 def __getattr__(name: str):
-    """bounds and verify, and the names taken from them, on first use
-    (PEP 562): the first lookup of any of a module's names imports it,
+    """The modules of ``_LAZY``, and the names taken from them, on first
+    use (PEP 562): the first lookup of any of a module's names imports it,
     and its import binds all of them here (see ``_bind``)."""
     module = _MODULE_OF.get(name)
     if module is None:

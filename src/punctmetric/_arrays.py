@@ -129,7 +129,8 @@ def big_h_many(ts) -> np.ndarray:
 
 def big_h_prime_many(ts) -> np.ndarray:
     """big_h_prime at every point of the 1-d array ts, to the bit."""
-    return 2.0 * math.pi * pqfun.p_prime_many(metric._HALF, ts)
+    half = pqfun.ZeroBalancedPair(0.5, 0.5)
+    return 2.0 * math.pi * pqfun.p_prime_many(half, ts)
 
 
 def varphi_many(ts) -> np.ndarray:

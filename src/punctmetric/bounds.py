@@ -114,7 +114,7 @@ class PuncturedDomain:
     distances to the others, sorted, as Python lists; from there on the
     punctures' coordinates as numpy arrays and, up to ``_TABLE_CELLS``
     distances, the same sorted rows as one read-only (N, N-1) array (at
-    most 128 KB; ~0.3 ms to build at N = 100, ~0.5 ms at N = 128).  Past
+    most 128 KB; ~0.12 ms to build at N = 100, ~0.24 ms at N = 128).  Past
     that budget, as at N = 1000, where the rows would take 8 MB, it
     keeps none."""
 
@@ -481,6 +481,13 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
     row at a time.
     """
     n = len(x)
+    # one workspace per query, thread-safe: each chunk's differences,
+    # squares, quotients and mask are views of it, so the chunks reuse
+    # its pages where fresh arrays would fault in new ones.  A chunk
+    # holds at most _BLOCK cells, or one column of every live row
+    size = max(_BLOCK, n)
+    spare_x, spare_y, spare_tiny = (np.empty(size), np.empty(size),
+                                    np.empty(size, dtype=bool))
     gaps = {}
     d2 = d * d
     d2[d2 < _TINY] = np.nan
@@ -506,11 +513,16 @@ def _neighbours(x: np.ndarray, y: np.ndarray,
                  if w is not None and w >= c + k][:k]
         t = c + k - len(extra)
         # a column of the chunk per visited puncture, live rows along
-        # its length: numpy's loops then run over the long axis
-        dx = xl - np.append(x[c:t], x[extra])[:, None]
-        dy = yl - np.append(y[c:t], y[extra])[:, None]
+        # its length: numpy's loops then run over the long axis.  The
+        # last chunk can hold fewer than k columns, as x[c:t] stops at n
+        cx, cy = np.append(x[c:t], x[extra]), np.append(y[c:t], y[extra])
+        shape = (cx.size, live.size)
+        cells = cx.size * live.size
+        dx = np.subtract(xl, cx[:, None], out=spare_x[:cells].reshape(shape))
+        dy = np.subtract(yl, cy[:, None], out=spare_y[:cells].reshape(shape))
         s = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-        s[s < _TINY] = np.nan
+        tiny = np.less(s, _TINY, out=spare_tiny[:cells].reshape(shape))
+        s[tiny] = np.nan
         np.divide(d2l, s, out=dy)
         np.fmax(np.divide(s, d2l, out=s), dy, out=s)
         p = np.fmin(p, np.fmin.reduce(s, axis=0))
@@ -601,9 +613,10 @@ _LISTS_BELOW = 22
 # of _LISTS_BELOW punctures or more keeps its sorted rows as one array;
 # past it the queries search the pairs from z outward.  A table query
 # beats the search at every N measured (up to 400), but its build grows
-# as N^2: at N = 128 the ~0.5 ms it adds is repaid by about four
-# rho_bounds queries or thirty sigma_lower ones, at N = 400 by some
-# sixty or a thousand (CHANGES.md holds the timings).
+# as N^2: at N = 128 the ~0.24 ms it adds is repaid by about three
+# rho_bounds queries or twenty sigma_lower ones, at N = 400 by some
+# forty or six hundred (CHANGES.md holds the timings; these counts
+# scale them to the build that takes each pair's hypot once).
 _TABLE_CELLS = 2 ** 14
 
 
@@ -631,10 +644,18 @@ def _sorted_rows(pts: tuple[complex, ...], xy: tuple | None):
     if n * (n - 1) > _TABLE_CELLS:
         return None
     x, y = xy
+    # hypot on the strict lower triangle, and its transpose above: each
+    # pair's distance once.  x_i - x_j is -(x_j - x_i) exactly and hypot
+    # is even, so the bits are those of the full table; each row sorts
+    # its 0 (the diagonal) first, and the rows keep the rest, C-ordered
+    # for _table_upper's flat take
+    r = np.zeros((n, n))
     with np.errstate(over="ignore"):
-        r = np.hypot(x[:, None] - x, y[:, None] - y)
-    rows = r[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    rows.sort(axis=1)
+        np.hypot(x[:, None] - x, y[:, None] - y, out=r,
+                 where=np.tri(n, n, -1, dtype=bool))
+    r += r.T
+    r.sort(axis=1)
+    rows = np.ascontiguousarray(r[:, 1:])
     rows.flags.writeable = False
     return rows
 

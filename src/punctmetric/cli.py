@@ -10,9 +10,11 @@ all checks passed, 1 computation or check failure, 2 usage.  JSON has
 no infinity, so an infinite upper bound is emitted as the string
 "inf".  eval, constants, bounds ring, and rho and sigma on fewer than
 ``bounds._LISTS_BELOW`` punctures run without numpy; verify, figure1 and
-larger domains load it.  Only the bounds subcommand imports the bounds
-module, where it runs: verify, eval, constants and figure1 never load
-it.
+larger domains load it.  This module imports nothing of the package
+but ``errors``: each handler imports the modules it calls when it
+runs, and ``eval NAME`` only NAME's.  So only the bounds subcommand
+loads ``bounds``, and it, ``constants`` and ``eval h`` never compile
+the hypergeometric code (``hyp2f1``, ``pqfun``).
 
 Both readers of a command line take ``_GRAMMAR``, the one table of
 subcommand paths, each with its arguments and its handler.  A plain
@@ -35,9 +37,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
-from . import elliptic, metric, pqfun, specfun
 from .errors import PunctMetricError, UnknownCheckError
-from .hyp2f1 import HypParams, f21
 
 if TYPE_CHECKING:
     import argparse
@@ -72,34 +72,25 @@ def _parse_complex(text: str) -> complex:
 
 
 # evaluator table: name -> (required flags, optional flags with defaults,
-# callable on the collected values, which returns the value or, for f21,
-# the JSON object)
-
-def _ev_f21(v: dict) -> dict:
-    r = f21(HypParams(v["a"], v["b"], v["c"]), v["x"])
-    return {"value": r.value, "abs_err_estimate": r.abs_err_estimate,
-            "terms_used": r.terms_used, "method": r.method}
-
-
-def _pair(v: dict) -> pqfun.ZeroBalancedPair:
-    return pqfun.ZeroBalancedPair(v["a"], v["b"])
-
-
+# the package's module and its function that gives the value).  The
+# function takes the required flags' values in order, after the pair
+# (a, b) where the defaults give one; f21 takes HypParams(a, b, c) and
+# x, and its whole result goes out.
 _PAIR = {"a": 0.5, "b": 0.5}
-_EVALUATORS: dict[str, tuple[str, dict[str, float], object]] = {
-    "f21": ("abcx", {}, _ev_f21),
-    "K": ("r", {}, lambda v: elliptic.ellip_k(v["r"])),
-    "mu": ("r", {}, lambda v: elliptic.mu(v["r"])),
-    "lambda": ("x", {}, lambda v: metric.lambda01_neg(v["x"])),
-    "phi": ("x", {}, lambda v: metric.phi_func(v["x"])),
-    "h": ("t", {}, lambda v: metric.h(v["t"])),
-    "H": ("t", {}, lambda v: metric.big_h(v["t"])),
-    "varphi": ("t", {}, lambda v: metric.varphi(v["t"])),
-    "P": ("t", _PAIR, lambda v: pqfun.p_func(_pair(v), v["t"])),
-    "Q": ("t", _PAIR, lambda v: pqfun.q_func(_pair(v), v["t"])),
-    "q": ("t", _PAIR, lambda v: pqfun.q_log(_pair(v), v["t"])),
-    "N": ("abcx", {}, lambda v: pqfun.n_func(v["a"], v["b"], v["c"], v["x"])),
-    "M": ("abcx", {}, lambda v: pqfun.m_func(v["a"], v["b"], v["c"], v["x"])),
+_EVALUATORS: dict[str, tuple[str, dict[str, float], str, str]] = {
+    "f21": ("abcx", {}, "hyp2f1", "f21"),
+    "K": ("r", {}, "elliptic", "ellip_k"),
+    "mu": ("r", {}, "elliptic", "mu"),
+    "lambda": ("x", {}, "metric", "lambda01_neg"),
+    "phi": ("x", {}, "metric", "phi_func"),
+    "h": ("t", {}, "metric", "h"),
+    "H": ("t", {}, "metric", "big_h"),
+    "varphi": ("t", {}, "metric", "varphi"),
+    "P": ("t", _PAIR, "pqfun", "p_func"),
+    "Q": ("t", _PAIR, "pqfun", "q_func"),
+    "q": ("t", _PAIR, "pqfun", "q_log"),
+    "N": ("abcx", {}, "pqfun", "n_func"),
+    "M": ("abcx", {}, "pqfun", "m_func"),
 }
 
 
@@ -108,7 +99,7 @@ def _cmd_eval(args: Args) -> int:
     if spec is None:
         _usage_error(f"unknown function {args.function!r}; "
                      f"known: {', '.join(sorted(_EVALUATORS))}")
-    required, defaults, fn = spec
+    required, defaults, module, function = spec
     values = dict(defaults)
     for name in "abcxtr":
         given = getattr(args, name)
@@ -117,8 +108,17 @@ def _cmd_eval(args: Args) -> int:
     missing = [n for n in required if n not in values]
     if missing:
         _usage_error(f"eval {args.function} needs --" + " --".join(missing))
-    out = fn(values)
-    _emit(out if type(out) is dict else {"value": out})
+    # the function's module alone, through the package's lazy rule
+    mod = getattr(sys.modules[__package__], module)
+    inputs = [values[n] for n in required]
+    if function == "f21":
+        r = mod.f21(mod.HypParams(*inputs[:3]), inputs[3])
+        _emit({"value": r.value, "abs_err_estimate": r.abs_err_estimate,
+               "terms_used": r.terms_used, "method": r.method})
+        return 0
+    if defaults:
+        inputs.insert(0, mod.ZeroBalancedPair(values["a"], values["b"]))
+    _emit({"value": getattr(mod, function)(*inputs)})
     return 0
 
 
@@ -182,6 +182,8 @@ def _cmd_bounds(args: Args) -> int:
 
 
 def _cmd_constants(args: Args) -> int:
+    from . import metric, specfun
+
     c0 = metric.c0()
     _emit({
         "C0": c0,
@@ -203,6 +205,8 @@ _FIGURE1_ROWS = 4096
 
 
 def _cmd_figure1(args: Args) -> int:
+    from . import metric
+
     lo, hi, count = args.lo, args.hi, args.count
     if not (0.0 < lo < hi < math.inf) or count < 2:
         _usage_error("need 0 < --lo < --hi < inf and --count >= 2")

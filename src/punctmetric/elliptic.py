@@ -73,3 +73,9 @@ def mu(r: float) -> float:
         raise DomainError(f"mu(r) requires 0 < r < 1, got {r!r}")
     r_comp = math.sqrt((1.0 - r) * (1.0 + r))
     return 0.5 * math.pi * _agm(1.0, r_comp) / _agm(1.0, r)
+
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

@@ -610,3 +610,8 @@ __getattr__ = specfun.lazy_names(
     globals(), "._hyp2f1_arrays",
     ("EvalResults", "f21_many", "f21_derivative_many",
      "zb_complement_sums_many", "f21_minus_one_many", "_lo_hi_many"))
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

@@ -41,15 +41,13 @@ from __future__ import annotations
 import math
 import sys
 
-from . import pqfun, specfun
+from . import specfun
 from .elliptic import _agm
 from .errors import DomainError, RangeError
 
 # Largest |t| accepted by h / big_h; e^700 is still finite and the
 # complement modulus e^{-350} is a healthy normal float.
 T_CAP = 700.0
-
-_HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
 
 # varphi switches to a closed form at s = t/2 >= VARPHI_CLOSED_S.  There
 # m_S < e^{-s/2} < 6e-17 and agm(1, m_S) = pi/(2 (log 4 + s/2 +
@@ -177,9 +175,12 @@ def big_h_prime(t: float) -> float:
     """H'(t) = 2 pi P'(t) at a = b = 1/2; odd, range (-2, 2).
 
     Evaluated through the analytic P' formula, not differenced, so it is
-    exactly 0 at t = 0 and exactly odd.
+    exactly 0 at t = 0 and exactly odd.  The one call here that needs
+    the hypergeometric code, so the only one that imports it.
     """
-    return 2.0 * math.pi * pqfun.p_prime(_HALF, t)
+    from .pqfun import ZeroBalancedPair, p_prime
+
+    return 2.0 * math.pi * p_prime(ZeroBalancedPair(0.5, 0.5), t)
 
 
 def varphi(t: float) -> float:
@@ -323,3 +324,8 @@ def d01_lower(z: complex, w: complex) -> float:
 __getattr__ = specfun.lazy_names(
     globals(), "._arrays",
     ("h_many", "big_h_many", "big_h_prime_many", "varphi_many"))
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

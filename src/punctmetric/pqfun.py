@@ -316,3 +316,8 @@ __getattr__ = specfun.lazy_names(
     ("p_func_many", "p_prime_many", "slope_g_many", "p_excess_many",
      "q_func_many", "q_log_many", "q_excess_many", "n_func_many",
      "m_func_many"))
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

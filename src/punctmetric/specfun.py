@@ -262,3 +262,8 @@ def lazy_names(namespace: dict, module: str, names):
 
 # the array half of this module, which loads numpy
 __getattr__ = lazy_names(globals(), "._arrays", ("as_points",))
+
+# bind this module's names into the package, however it was imported
+from . import _bind  # noqa: E402
+
+_bind(__name__)

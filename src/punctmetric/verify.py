@@ -45,14 +45,19 @@ import numbers
 import random
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
+# the package's modules before numpy: compiled after numpy's pages are
+# resident, they would raise the process's peak resident set
 from . import hyp2f1, metric, pqfun, specfun
 from .errors import BracketError, DomainError, HypothesisError, PunctMetricError, UnknownCheckError
+
+import numpy as np
 
 # Strictness floor for sampled strict inequalities: a difference that
 # small is treated as "not strictly positive at this resolution".
 STRICT_FLOOR = 1e-12
+
+# the pair a = b = 1/2, whose P is H/(2 pi)
+_HALF = pqfun.ZeroBalancedPair(0.5, 0.5)
 
 T0_BRACKET = (2.0, 3.0)
 T0_ABS_TOL = 1e-10
@@ -686,7 +691,7 @@ def _run_big_h_shape(params: dict, grid: GridSpec) -> Outcome:
     ps = np.array(pos)
     m, lin = _midpoints(ts[:-2], ts[2:])
     ex, pe_s, pe_t, pe_m = _sampled(
-        functools.partial(pqfun.p_excess_many, metric._HALF),
+        functools.partial(pqfun.p_excess_many, _HALF),
         ps, ts[:-2], ts[2:], m)
     return _outcome(
         "H h = 1 (dev {ident}); H(0)/2C0 - 1 = {h0_dev:.3e}; even (dev "
@@ -742,7 +747,7 @@ def _run_weighted_extremum(params: dict, grid: GridSpec) -> Outcome:
 def _run_hempel_sandwich(params: dict, grid: GridSpec) -> Outcome:
     gap = metric.c0() - math.log(16.0)
     ts = _points_inside(grid, math.inf)
-    pe = pqfun.p_excess_many(metric._HALF, ts)
+    pe = pqfun.p_excess_many(_HALF, ts)
     return _outcome(
         "1/(t+C0) < 2h(t) < 1/(t+log 16) as H between 2(t+log 16) and "
         "2(t+C0); min lower margin {lo} (decays like t e^-t, computed "

@@ -23,8 +23,10 @@
 # imports: each subcommand once, with PYTHONPROFILEIMPORTTIME=1, and
 # the sorted punctmetric.* modules that it loads, punctmetric.cli left
 # out (python -m runs it as __main__), and argparse if it loads, against
-# cli_imports.txt: only the bounds subcommand loads bounds, and only
-# help loads argparse (and punctmetric._usage, which builds the parser).
+# cli_imports.txt: only the bounds subcommand loads bounds, eval NAME
+# only NAME's module and what that imports, and only help and a value
+# that starts with "-" load argparse (and punctmetric._usage, which
+# builds the parser).
 # usage: help at each level, abbreviated, repeated and unknown options,
 # option values that start with "-", "--", missing and bad values,
 # each with its exit code, its stdout and whether it wrote to stderr,
@@ -159,6 +161,7 @@ EOF
 
 imports() {
   for argv in "eval f21 --a 0.5 --b 0.5 --c 1 --x 0.3" "eval h --t 1.5" \
+      "eval H --t -2" "eval varphi --t 3" "eval P --t 2" \
       "verify --check thm_c212_1" "verify --suite default" "constants" \
       "figure1 --count 9" "bounds ring --c 0.5 --r1 1 --r2 8 --compare" \
       "bounds rho --domain tests/data/domain_ten.json --z=3,2" \

@@ -7,6 +7,7 @@ not against the oracle.
 """
 
 import cmath
+import concurrent.futures
 import itertools
 import math
 import random
@@ -1108,6 +1109,47 @@ def test_rho_search_without_a_drop_stays_in_its_chunks():
     assert max(sizes) <= bounds._BLOCK
     assert cells and max(cells) <= bounds._BLOCK
     assert peak < 8 * (10 * bounds._BLOCK + 32 * len(d))
+
+
+@pytest.mark.parametrize("block", (7, 64))
+@pytest.mark.parametrize("n", (30, 100))
+def test_rho_search_chunks_fit_their_workspace_views(block, n):
+    # each chunk's arrays are views of one workspace, shaped by the
+    # chunk's own columns: at _BLOCK 64 the search on either circle ends
+    # on a chunk that x[c:t] cuts short of its k columns, and at 7 its
+    # chunks hold one column of more live rows than _BLOCK; the clouds
+    # drop rows as they go
+    rng = np.random.default_rng(n)
+    cloud = [complex(u, v) for u, v in rng.standard_normal((n, 2))]
+    cells = []
+    square = np.square
+
+    def squared(*args, **kwargs):
+        r = square(*args, **kwargs)
+        cells.append(r.size)
+        return r
+
+    with mock.patch.object(bounds, "_BLOCK", block), \
+            mock.patch.object(np, "square", squared):
+        _assert_matches_the_exact_search(_polygon(n, 0.25 + 0.5j, 3.0),
+                                         [0.25 + 0.5j, 4.0 - 1.0j])
+        _assert_matches_the_exact_search(cloud, [0.1 + 0.2j, 3.0 + 0.2j])
+    assert (max(cells) > block) == (block < n)
+
+
+def test_rho_queries_from_four_threads_match_serial_ones():
+    # each query has a workspace of its own
+    rng = np.random.default_rng(20261018)
+    dom = bounds.PuncturedDomain(_layout("uniform", 1000, rng))
+    zs = [complex(u, v) for u, v in rng.uniform(-1.2, 1.2, (40, 2))]
+
+    def bits(z):
+        return tuple(map(float.hex, bounds.rho_bounds(dom, z)))
+
+    serial = list(map(bits, zs))
+    with concurrent.futures.ThreadPoolExecutor(4) as pool:
+        for _ in range(3):
+            assert list(pool.map(bits, zs)) == serial
 
 
 def test_h_stays_below_the_walk_ceiling():

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punctmetric import bounds, cli, elliptic, metric, verify
+from punctmetric.hyp2f1 import HypParams
+from punctmetric.pqfun import ZeroBalancedPair
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -231,14 +233,22 @@ def test_figure1_leaves_the_lockstep_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+# what ``import punctmetric, punctmetric.cli`` loads of the package:
+# every other module loads on first use
+BARE = {"punctmetric", "punctmetric.cli", "punctmetric.errors"}
+
+
 def _fresh(script):
     """Run script in a fresh interpreter that imports punctmetric from
-    this checkout, after checking that nothing has loaded bounds yet."""
+    this checkout, after checking that nothing but BARE has loaded:
+    ``package()`` is the set of the package's modules loaded so far."""
     script = ("import io, sys, contextlib, pickle\n"
               "import punctmetric, punctmetric.cli\n"
               "from punctmetric.cli import main\n"
+              "package = lambda: {name for name in sys.modules\n"
+              "                   if name.partition('.')[0] == 'punctmetric'}\n"
               "loaded = lambda: 'punctmetric.bounds' in sys.modules\n"
-              "assert not loaded()\n" + script)
+              f"assert package() == {BARE!r}, package()\n" + script)
     proc = subprocess.run([sys.executable, "-c", script],
                           stderr=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
@@ -269,24 +279,77 @@ def test_bounds_loads_where_it_is_used(use):
            "assert loaded()\n")
 
 
-@pytest.mark.parametrize("first", ["rho_bounds", "bounds", "RhoBounds"])
-def test_the_first_lookup_binds_all_of_bounds_names(first):
+def test_the_package_and_the_cli_load_only_errors():
+    # _fresh checks what its import loads, BARE, before any script: the
+    # hypergeometric code, the largest, compiles only where it runs
+    _fresh("")
+
+
+def test_a_bounds_process_never_loads_the_hypergeometric_code():
+    # domains on the list rows (10) and on the table (40), their density
+    # queries and a ring bound, through the package and the CLI
+    _fresh("ten = [complex(k, k * k % 7) for k in range(10)]\n"
+           "forty = [complex(k, k * k % 11) for k in range(40)]\n"
+           "for pts in (ten, forty):\n"
+           "    dom = punctmetric.PuncturedDomain(pts)\n"
+           "    punctmetric.rho_bounds(dom, 0.5 + 0.25j)\n"
+           "    punctmetric.sigma_lower(dom, 3 - 1j)\n"
+           "punctmetric.ring_lower_bound(0.5, 1.0, 8.0)\n"
+           f"for domain in ({os.path.join(DATA, 'domain_ten.json')!r},\n"
+           f"               {os.path.join(DATA, 'domain_forty.json')!r}):\n"
+           "    for query in ('rho', 'sigma'):\n"
+           "        argv = ['bounds', query, '--domain', domain, '--z=3,2']\n"
+           "        with contextlib.redirect_stdout(io.StringIO()):\n"
+           "            assert main(argv) == 0, argv\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert main(['bounds', 'ring', '--c', '0.5', '--r1', '1',\n"
+           "                 '--r2', '8', '--compare']) == 0\n"
+           "assert package() == {'punctmetric', 'punctmetric.cli',\n"
+           "                     'punctmetric.errors', 'punctmetric.specfun',\n"
+           "                     'punctmetric.elliptic', 'punctmetric.metric',\n"
+           "                     'punctmetric.bounds'}, package()\n")
+
+
+@pytest.mark.parametrize("function, modules", [
+    ("K", {"elliptic", "specfun"}),
+    ("h", {"metric", "elliptic", "specfun"}),
+    ("f21", {"hyp2f1", "specfun"}),
+    ("P", {"pqfun", "hyp2f1", "specfun"}),
+])
+def test_eval_loads_only_its_functions_module(function, modules):
+    argv = ["eval", function, "--t", "1.5", "--r", "0.5", "--x", "0.3",
+            "--a", "0.5", "--b", "0.5", "--c", "1"]
+    want = BARE | {f"punctmetric.{name}" for name in modules}
+    _fresh("with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    assert main({argv!r}) == 0\n"
+           f"assert package() == {want!r}, package()\n")
+
+
+@pytest.mark.parametrize("first", [
+    "rho_bounds", "bounds", "RhoBounds", "f21", "hyp2f1", "ZeroBalancedPair",
+    "pqfun", "h", "metric", "ellip_k", "elliptic", "specfun", "run_suite"])
+def test_the_first_lookup_binds_all_of_its_modules_names(first):
     # a namespace scan after any one lookup, as of a tracer that wraps
-    # what it finds there, meets every name
+    # what it finds there, meets every name of every module loaded,
+    # and none of a module not loaded
     _fresh(f"getattr(punctmetric, {first!r})\n"
-           "from punctmetric import bounds\n"
-           "for name in ('BaselineBounds', 'PuncturedDomain', 'RhoBounds',\n"
-           "             'RingBoundParams', 'baseline_bounds', 'rho_bounds',\n"
-           "             'ring_coefficients', 'ring_gap', 'ring_lower_bound',\n"
-           "             'sigma_lower'):\n"
-           "    assert vars(punctmetric)[name] is getattr(bounds, name)\n"
-           "assert 'run_suite' not in vars(punctmetric)\n")
+           "for module, names in punctmetric._LAZY.items():\n"
+           "    loaded = sys.modules.get(f'punctmetric.{module}')\n"
+           "    assert vars(punctmetric).get(module) is loaded, module\n"
+           "    for name in names:\n"
+           "        want = None if loaded is None else getattr(loaded, name)\n"
+           "        assert vars(punctmetric).get(name) is want, name\n"
+           "assert ('punctmetric.hyp2f1' in sys.modules) == \\\n"
+           f"    ({first!r} in ('f21', 'hyp2f1', 'ZeroBalancedPair', 'pqfun',\n"
+           "                   'run_suite'))\n")
 
 
 def test_star_import_binds_every_public_name():
     _fresh("names = {}\n"
            "exec('from punctmetric import *', names)\n"
            "assert set(punctmetric.__all__) <= set(names)\n"
+           "for name in punctmetric.__all__:\n"
+           "    assert names[name] is getattr(punctmetric, name), name\n"
            "assert names['PuncturedDomain'] is punctmetric.bounds."
            "PuncturedDomain\n")
 
@@ -296,6 +359,19 @@ def test_a_pickled_domain_loads_before_bounds_is_imported():
     _fresh(f"dom = pickle.loads({pickle.dumps(dom)!r})\n"
            "assert dom.punctures == (0j, 1 + 0j, 2 + 1j)\n"
            "assert type(dom) is punctmetric.PuncturedDomain\n")
+
+
+@pytest.mark.parametrize("record", [
+    HypParams(0.5, 0.25, 1.5), ZeroBalancedPair(0.5, 0.7)],
+    ids=lambda record: type(record).__name__)
+def test_a_pickled_record_loads_where_only_the_package_is(record):
+    # unpickling imports the record's module, which binds its names, as
+    # a domain's does (above)
+    module = type(record).__module__
+    _fresh(f"record = pickle.loads({pickle.dumps(record)!r})\n"
+           f"assert repr(record) == {repr(record)!r}\n"
+           f"assert {module!r} in package()\n"
+           "assert vars(punctmetric)[type(record).__name__] is type(record)\n")
 
 
 def test_verify_unknown_check_rc2(capsys):
@@ -889,6 +965,13 @@ def test_a_plain_command_line_leaves_argparse_unloaded():
     ("from punctmetric.bounds import rho_bounds", "bounds"),
     ("import punctmetric.verify", "verify"),
     ("pickle.loads(DOMAIN)", "bounds"),
+    ("import punctmetric.specfun", "specfun"),
+    ("from punctmetric.elliptic import agm", "elliptic"),
+    ("import punctmetric.hyp2f1", "hyp2f1"),
+    ("import punctmetric.pqfun", "pqfun"),
+    ("from punctmetric import metric", "metric"),
+    ("import punctmetric.bounds", "metric"),
+    ("import punctmetric.pqfun", "hyp2f1"),
 ])
 def test_a_lazy_module_binds_its_names_on_import(load, module):
     # a namespace scan right after the import, as of perfbench's tracer,
