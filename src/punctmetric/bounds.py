@@ -14,7 +14,7 @@ Two families of certified estimates:
 Both density queries find the lower end by walking the punctures
 outward from z until no farther one can raise it, so each makes a few
 scalar ``h`` calls, not N; ``sigma_lower`` needs nothing else, and
-takes only the visited punctures' rows of distances.
+takes only the visited punctures' rows.
 
 For each puncture a they need the bracket of d_a = |z-a| among a's
 distances to the other punctures, and those distances belong to the
@@ -22,8 +22,10 @@ domain, not to z: the domain sorts each puncture's row of them once,
 when it is made, where they fit (``_sorted_rows``).  So the queries
 take one of three routes by the number N of punctures:
 
-* below ``_LISTS_BELOW``, sorted Python lists, where a query bisects
-  each row it needs; they, and the ring bounds, run without numpy;
+* below ``_LISTS_BELOW``, sorted Python lists of the distances' logs,
+  each taken once per pair when the domain is made, where a query
+  bisects each row it needs at log d_a, and so takes one log a row;
+  they, and the ring bounds, run without numpy;
 * from there on up to ``_TABLE_CELLS`` distances (N <= 128), one
   sorted (N, N-1) array, where one comparison with d brackets every
   row at once;
@@ -42,8 +44,9 @@ take one of three routes by the number N of punctures:
   pairs (1-14%, under 7% in nine queries of ten) and takes a hypot of
   fewer (0.1-1.8%), and it holds one chunk of scratch memory.
 
-Every distance is the libm hypot's, as abs(complex) or np.hypot, so
-the three routes give the same bits.  From ``_LISTS_BELOW`` punctures on
+Every distance is the libm hypot's, as abs(complex) or np.hypot, and
+every log that decides a bound is math.log's, so the three routes give
+the same bits.  From ``_LISTS_BELOW`` punctures on
 the domain also keeps its coordinates as numpy arrays (so numpy loads
 when such a domain is made, not in a query).
 
@@ -110,11 +113,12 @@ class PuncturedDomain:
 
     Immutable; equality and hash are those of ``punctures``.  It holds,
     built once when it is made, what the density queries read of the
-    punctures alone: below ``_LISTS_BELOW`` punctures each one's
-    distances to the others, sorted, as Python lists; from there on the
-    punctures' coordinates as numpy arrays and, up to ``_TABLE_CELLS``
-    distances, the same sorted rows as one read-only (N, N-1) array (at
-    most 128 KB; ~0.12 ms to build at N = 100, ~0.24 ms at N = 128).  Past
+    punctures alone: below ``_LISTS_BELOW`` punctures the logs of each
+    one's distances to the others, sorted, as Python lists; from there
+    on the punctures' coordinates as numpy arrays and, up to
+    ``_TABLE_CELLS`` distances, each one's sorted distances as one
+    read-only (N, N-1) array (at most 128 KB; ~0.12 ms to build at
+    N = 100, ~0.24 ms at N = 128).  Past
     that budget, as at N = 1000, where the rows would take 8 MB, it
     keeps none."""
 
@@ -123,7 +127,8 @@ class PuncturedDomain:
     # the punctures' coordinates x, y as read-only arrays for the array
     # routes, built once from _LISTS_BELOW punctures on, else None
     _xy: tuple | None
-    # each puncture's sorted distances to the others (_sorted_rows)
+    # each puncture's sorted log-distances (lists) or distances (array)
+    # to the others (_sorted_rows)
     _rows: list | np.ndarray | None
 
     def __init__(self, punctures: Sequence[complex]):
@@ -603,10 +608,15 @@ def _row_gaps(x: np.ndarray, y: np.ndarray, d: np.ndarray,
 
 
 # Below this many punctures both queries run on Python lists, where the
-# fixed cost of a table query's numpy calls (~45 us) outweighs a
-# bisection of every row in Python: rho_bounds costs the same on both
-# at N = 20-24, while sigma_lower stays cheaper on lists up to N ~ 56
-# (CHANGES.md holds the timings).
+# fixed cost of a table query's numpy calls (~31 us a rho_bounds query)
+# outweighs a bisection of every log row in Python.  On log rows
+# rho_bounds costs the same on both at N ~ 40 (15, 19, 28 and 32 us at
+# N = 16, 22, 34 and 40), and sigma_lower stays cheaper on lists past
+# N = 48; but the lists are built in Python, a hypot and a log per pair,
+# so their build grows as N^2, and faster than the table's: ~76 against
+# ~27 us at N = 22, ~0.17 against ~0.036 ms at N = 34, where a domain
+# would need ~35 rho_bounds queries to repay it (CHANGES.md holds the
+# timings).
 _LISTS_BELOW = 22
 
 # Up to this many distances, N(N-1) <= 2^14 (N <= 128, 128 KB), a domain
@@ -621,25 +631,40 @@ _TABLE_CELLS = 2 ** 14
 
 
 def _sorted_rows(pts: tuple[complex, ...], xy: tuple | None):
-    """Each puncture's distances to the others, sorted: a list of Python
-    lists below ``_LISTS_BELOW`` punctures, a read-only (N, N-1) array up
-    to ``_TABLE_CELLS`` distances, None past them.
+    """Each puncture's distances to the others, sorted: below
+    ``_LISTS_BELOW`` punctures a list of Python lists of their logs,
+    each ended by one NaN; a read-only (N, N-1) array of the distances
+    up to ``_TABLE_CELLS`` distances; None past them.
 
     Each distance is abs(b - a) (``_distances``) on the lists, np.hypot
     of the coordinates' differences in the array, the same libm hypot,
     and hypot is even: the rows hold the bits that the neighbour search
-    compares, whichever route holds them."""
+    compares, whichever route holds them.  A list row's logs are the
+    math.log values that ``_log_gap`` takes of its distances, each
+    taken once for the two rows of its pair, so a list query takes
+    only log d a row (``_list_gap``)."""
     n = len(pts)
     if n < _LISTS_BELOW:
         rows = [[] for _ in pts]
-        # each unordered pair's distance once, for the rows of both
+        log = math.log
+        # each unordered pair's distance, and its log, once for the rows
+        # of both; abs raises where a distance overflows, and
+        # _distances then gives it as inf
         for i in range(1, n):
-            row = _distances(pts[i], pts[:i])
-            rows[i].extend(row)
+            a = pts[i]
+            try:
+                row = [log(abs(b - a)) for b in pts[:i]]
+            except OverflowError:
+                row = [*map(log, _distances(a, pts[:i]))]
+            rows[i] += row
             for other, r in zip(rows, row):
                 other.append(r)
+        # one NaN after the sorted logs, outside every bisection: a side
+        # with no neighbour reads it, as row[i] past the last log or as
+        # row[-1] before the first, so it is NaN, as _bracket gives it
         for row in rows:
             row.sort()
+            row.append(math.nan)
         return rows
     if n * (n - 1) > _TABLE_CELLS:
         return None
@@ -667,6 +692,17 @@ def _bracket(row, d: float) -> tuple[float, float]:
     i = bisect.bisect_left(row, d)
     return (float(row[i - 1]) if i else math.nan,
             float(row[i]) if i < len(row) else math.nan)
+
+
+def _list_gap(row: list[float], d: float) -> float:
+    """``_log_gap`` of d and its bracket in a log row of the list route
+    (``_sorted_rows``), by one bisection of the row's logs.  log is
+    monotone, so the bracket of log d among the logs is that of d among
+    the distances, or, where a distance below d shares log d, gives
+    m = 0 as that bracket does."""
+    s = math.log(d)
+    i = bisect.bisect_left(row, s, 0, len(row) - 1)
+    return min(math.inf, s - row[i - 1], row[i] - s)
 
 
 def _check_off_punctures(z: complex, nearest: float) -> None:
@@ -781,19 +817,21 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
 
     log is monotone, so m comes from just two other punctures: the
     one with the largest |b-a| <= d and the one with the smallest
-    |b-a| >= d, and only they go through ``math.log``.  The lower end
+    |b-a| >= d, and only their logs enter m.  The lower end
     walks the punctures outward from z, as ``sigma_lower`` does, and
     stops once no farther one can raise it, so h (``metric._h``) runs on
     typically one to three of them.
 
-    Where the domain keeps its sorted rows of distances, the bracket
-    of each d is a bisection of its row: on the lists, below
-    ``_LISTS_BELOW`` punctures, one ``bisect`` a row; on the table, up
-    to ``_TABLE_CELLS`` distances, one comparison of the whole table
-    with d, after which only the rows whose np.log bound on 4 m d can
-    reach the best take exact values (``_table_upper``).  A query then
-    costs N distances to z, a sort of them, the brackets and the walk's
-    h calls.
+    Where the domain keeps its sorted rows, the bracket of each d is a
+    bisection of its row: on the lists, below ``_LISTS_BELOW``
+    punctures, which hold the distances' logs, one ``bisect`` a row at
+    log d, in one pass that takes m and 4 m d of every row with one
+    log each (``_list_gap``); on the table of distances, up to
+    ``_TABLE_CELLS`` of them, one comparison of the whole table with
+    d, after which only the rows whose np.log bound on 4 m d can reach
+    the best take exact values (``_table_upper``).  A query then costs
+    N distances to z, a sort of them, the brackets and the walk's h
+    calls.
 
     Past the budget the upper end's search (``_neighbours``) visits the
     pairs nearest to z first, as squared distances, with the last slots
@@ -824,9 +862,20 @@ def rho_bounds(dom: PuncturedDomain, z: complex) -> RhoBounds:
             lower = _lower_end(range(len(d)), d, _row_gaps(x, y, d, gaps))
     elif type(rows) is list:
         d, order = _list_nearest_first(dom.punctures, z)
-        lo, hi = zip(*map(_bracket, rows, d))
-        m = list(map(_log_gap, d, lo, hi))
-        q = max(map(_upper_candidate, d, m, hi))
+        m = []
+        q = 0.0
+        end = len(d) - 1
+        # _list_gap and _upper_candidate, inlined: one pass over the
+        # rows (hi = inf is the log of a distance that overflowed)
+        for da, row in zip(d, rows):
+            s = math.log(da)
+            i = bisect.bisect_left(row, s, 0, end)
+            hi = row[i]
+            ma = min(math.inf, s - row[i - 1], hi - s)
+            m.append(ma)
+            qa = 4.0 * ma * da
+            if q < qa < math.inf and hi != math.inf:
+                q = qa
         lower = _lower_end(order, d, m.__getitem__)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -855,10 +904,11 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
     is therefore exactly the lower end of ``rho_bounds``, and it is
     found by the same outward walk.  Only the punctures the walk visits
     need their m: where the domain keeps its sorted rows, a bisection
-    of each visited row, Python's ``bisect`` on the lists and on the
-    table's rows alike, so a query costs N distances to z, their sort
-    and one call of h (``metric._h``) for each visited puncture,
-    typically one to three.  Past ``_TABLE_CELLS`` distances each
+    of each visited row, Python's ``bisect`` on the lists' logs at
+    log d (``_list_gap``) and on the table's distances at d alike, so
+    a query costs N distances to z, their sort and one call of h
+    (``metric._h``) for each visited puncture, typically one to
+    three.  Past ``_TABLE_CELLS`` distances each
     visited puncture scans its own row (``_row_gaps``): O(N) per visited
     row, and O(N^2) where the walk visits every puncture, as on 1000
     punctures on a circle about z.  The pairwise search never runs.
@@ -871,10 +921,10 @@ def sigma_lower(dom: PuncturedDomain, z: complex) -> float:
             return _lower_end(range(len(d)), d, _row_gaps(x, y, d, {}))
     if type(rows) is list:
         d, order = _list_nearest_first(dom.punctures, z)
-    else:
-        with np.errstate(over="ignore"):
-            d, perm = _array_distances(dom, z)
-        d, order = d.tolist(), perm.tolist()
+        return _lower_end(order, d, lambda a: _list_gap(rows[a], d[a]))
+    with np.errstate(over="ignore"):
+        d, perm = _array_distances(dom, z)
+    d, order = d.tolist(), perm.tolist()
     return _lower_end(order, d,
                       lambda a: _log_gap(d[a], *_bracket(rows[a], d[a])))
 

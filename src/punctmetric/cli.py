@@ -19,12 +19,14 @@ the hypergeometric code (``hyp2f1``, ``pqfun``).
 Both readers of a command line take ``_GRAMMAR``, the one table of
 subcommand paths, each with its arguments and its handler.  A plain
 command line (see ``_parse``) is read in one pass over the table.
-Anything else, help, abbreviations, repeated options, ``--``, values
-that start with "-" and every usage error, goes to the argparse parser
-that ``_build_parser`` makes from the same table, so help text, usage
-messages and exit code 2 are argparse's.  A plain request neither
-imports argparse nor compiles the module (``_usage``) that builds the
-parser.
+A value word may be a negative number, as argparse reads it
+(``_NEGATIVE_NUMBER``), so ``eval H --t -2`` is plain.  Anything else,
+help, abbreviations, repeated options, ``--``, other values that start
+with "-" (``-1e-3``, ``-inf``, ``--z -1,0``) and every usage error, goes
+to the argparse parser that ``_build_parser`` makes from the same table,
+so help text, usage messages and exit code 2 are argparse's.  A plain
+request neither imports argparse nor compiles the module (``_usage``)
+that builds the parser.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
@@ -279,6 +282,18 @@ _GRAMMAR = {
 }
 
 
+# argparse's pattern of a negative number (Python 3.10-3.12): a parser
+# with no option that looks like one, as none of _GRAMMAR's has, reads a
+# word it matches as a value, never as an option.  tests/test_cli.py
+# checks the copy against the running argparse
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_value(word: str) -> bool:
+    """Whether argparse reads word as a value, not an option or "--"."""
+    return word[:1] != "-" or _NEGATIVE_NUMBER.match(word) is not None
+
+
 def _parse(argv: list[str]) -> SimpleNamespace | None:
     """What _build_parser().parse_args(argv) returns, read in one pass
     over _GRAMMAR, where argv is plain; else None.
@@ -286,11 +301,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     A plain argv is the subcommand words, its positionals, then its
     options under their full names, each at most once: a flag bare, any
     other option with its value joined by "=" or as the next word, which
-    does not start with "-".  Every required option is there, and every
-    value converts by its option's type to one of its choices.  Any
-    other argv (help, abbreviations, repeats, "--", values that start
-    with "-", unknown words, bad values) is argparse's to read or
-    refuse."""
+    does not start with "-" or is a negative number (``_is_value``).
+    Every required option is there, and every value converts by its
+    option's type to one of its choices.  Any other argv (help,
+    abbreviations, repeats, "--", other values that start with "-",
+    unknown words, bad values) is argparse's to read or refuse."""
     path = tuple(argv[:2])
     if path not in _GRAMMAR:
         path = path[:1]
@@ -306,7 +321,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             values[name[2:]] = kw.get("default")
         else:
             values[name] = next(words, "-")
-            if values[name][:1] == "-":
+            if not _is_value(values[name]):
                 return None
     for word in words:
         name, eq, value = word.partition("=")
@@ -318,7 +333,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         else:
             if not eq:
                 value = next(words, "-")
-                if value[:1] == "-":
+                if not _is_value(value):
                     return None
             try:
                 value = kw.get("type", str)(value)

@@ -25,8 +25,9 @@
 # out (python -m runs it as __main__), and argparse if it loads, against
 # cli_imports.txt: only the bounds subcommand loads bounds, eval NAME
 # only NAME's module and what that imports, and only help and a value
-# that starts with "-" load argparse (and punctmetric._usage, which
-# builds the parser).
+# that starts with "-" but is no negative number as argparse reads one
+# (-2 and -1.5 are, -1e-3, -inf and -1,0 are not) load argparse (and
+# punctmetric._usage, which builds the parser).
 # usage: help at each level, abbreviated, repeated and unknown options,
 # option values that start with "-", "--", missing and bad values,
 # each with its exit code, its stdout and whether it wrote to stderr,

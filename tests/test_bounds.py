@@ -585,6 +585,47 @@ def test_table_takes_exact_values_of_few_rows():
         assert 1 <= exact.call_count <= 4
 
 
+def _shared_log():
+    """Punctures 0, r1 and r2, two distances from 0 two ulps apart whose
+    math.logs are equal, and z at a distance d between them from 0."""
+    r1 = 1e10
+    d = math.nextafter(r1, math.inf)
+    r2 = math.nextafter(d, math.inf)
+    assert r1 < d < r2 and math.log(r1) == math.log(r2)
+    return [0j, complex(r1), complex(r2), 1j, 2.0 - 3.0j], -d
+
+
+@pytest.mark.parametrize("pts, z", [
+    _shared_log(),
+    # d = 5 from 0 is the row entry |3+4j|, so m = 0 there
+    ([0j, 3.0 + 4.0j, 7.0 - 1.0j, -2.0j], -5.0),
+    ([0j, 3.0 + 4.0j, 7.0 - 1.0j, -2.0j], 5.0j),
+])
+def test_log_rows_match_the_pair_loop_where_m_is_zero(pts, z):
+    # the list rows hold logs, and log is monotone but not one to one:
+    # where d's log is a row entry, m = 0 on every route
+    _assert_matches_pair_loop(pts, z)
+
+
+def test_the_list_route_reads_its_log_rows_alone():
+    # one bisection of each log row: no bracket of distances, no logs of
+    # the domain's own distances and no helper call per row
+    rng = np.random.default_rng(20261021)
+    for n in (2, 10, bounds._LISTS_BELOW - 1):
+        dom = bounds.PuncturedDomain(_layout("uniform", n, rng))
+        with mock.patch.object(bounds, "_bracket",
+                               wraps=bounds._bracket) as brackets, \
+                mock.patch.object(bounds, "_log_gap",
+                                  wraps=bounds._log_gap) as gaps, \
+                mock.patch.object(bounds, "_upper_candidate",
+                                  wraps=bounds._upper_candidate) as exact:
+            for z in (0.3 - 0.2j, 0.9 + 0.1j, 2.0):
+                bounds.rho_bounds(dom, z)
+                bounds.sigma_lower(dom, z)
+        assert type(dom._rows) is list
+        assert brackets.call_count == gaps.call_count == exact.call_count == 0
+
+
 def _near_ties(rng, count):
     """Domains of near-tied rows and their point z: punctures on, or a
     few ulps off, the circle |b-a| = |z-a| about a puncture a."""

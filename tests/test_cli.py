@@ -4,6 +4,7 @@ Exit-code contract: 0 success / all checks pass, 1 computation or check
 failure, 2 usage errors (argparse exits via SystemExit).
 """
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -802,7 +803,7 @@ _NAMES = ["--a", "--b", "--c", "--x", "--t", "--r", "--suite", "--check",
 _VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-10 ** 6, 10 ** 6).map(str),
-    st.sampled_from(["-1.5", "-1e5", "-x", "", "a,b", "1,2", "-1,0",
+    st.sampled_from(["-1.5", "-.5", "-1e5", "-x", "", "a,b", "1,2", "-1,0",
                      "0.5,-2", "1e-320", "x", "3.5", "default", "strict",
                      "lax", "h", "f21", "P", "thm_c212_1", "=", "a=b",
                      "ring", "eval"]))
@@ -853,6 +854,10 @@ def test_a_plain_argv_is_read_in_one_pass(path, data):
     ["verify", "--json", "--suite=default"], ["verify", "--check", ""],
     ["eval", "h", "--t", "1.5"], ["eval", "f21", "--a=0.5", "--b", "0.5",
                                   "--c", "1", "--x", "0.3"],
+    # negative numbers, as argparse's pattern reads them, are values
+    ["eval", "h", "--t", "-1.5"], ["eval", "H", "--t", "-2"],
+    ["eval", "H", "--t", "-.5"], ["eval", "-2", "--t", "1"],
+    ["bounds", "rho", "--domain", "dom.json", "--z", "-1"],
     ["eval", "frobnicate", "--t", "1"], ["eval", "h"],
     ["bounds", "ring", "--c", "0.5", "--r1", "1", "--r2", "8",
      "--compare"],
@@ -868,7 +873,8 @@ def test_plain_argv_forms_take_the_one_pass_path(argv):
 
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["eval", "-h"], ["bounds"], ["bounds", "ring", "--help"],
-    ["verify", "--suit", "strict"], ["eval", "h", "--t", "-1.5"],
+    ["verify", "--suit", "strict"], ["eval", "H", "--t", "-1e-3"],
+    ["eval", "H", "--t", "-inf"],
     ["bounds", "rho", "--domain", "d.json", "--z", "-1,0"],
     ["eval", "h", "--t", "1", "--t", "2"], ["eval", "--", "h"],
     ["eval", "--t", "1", "h"], ["verify", "--json=1"],
@@ -880,6 +886,12 @@ def test_plain_argv_forms_take_the_one_pass_path(argv):
 def test_other_argv_go_to_argparse(argv):
     assert cli._parse(argv) is None
     _assert_twins(argv)
+
+
+def test_the_negative_number_pattern_is_argparses():
+    # the one-pass reader takes a word as a value where argparse does
+    assert (cli._NEGATIVE_NUMBER.pattern
+            == argparse.ArgumentParser()._negative_number_matcher.pattern)
 
 
 def _perfbench_cli_argv():
