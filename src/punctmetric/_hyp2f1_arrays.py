@@ -167,14 +167,23 @@ def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
                 total: np.ndarray):
     """_ratio_sum at every point of xs onto the sums ``total``, laid out
     as its result (arrays); NaN sums where a lane runs out of terms."""
+    # a, b, c and the counter in each lane's unit, its scalar loop's:
+    # 1.0 at x = +-0, where that loop sums (0, 0; c).  A run that holds
+    # both units carries them as a row beside x.
+    unit = hyp2f1._unit(a, b, c, float(MAX_TERMS_DIRECT))
+    fixed = (xs[None],)
+    if unit != 1.0 and not xs.all():
+        unit = np.where(xs, unit, 1.0)
+        fixed += (unit[None],)
 
     def step(n, k, fixed, state):
-        (x,) = fixed
+        x, one = fixed if len(fixed) == 2 else (*fixed, unit)
         term, total, weighted, comp, _ = state
-        # term n+j takes factor j, and its stop test the ratio factor j+1
-        m = np.arange(n, n + k + 1.0)[:, None]  # a + m rounds as a + n
-        cm = c + m
-        mult = (a + m) * (b + m) / (cm * (m + 1.0)) * x
+        # term n+j takes factor j, and its stop test the ratio factor j+1;
+        # a + m rounds as a + n, and m = (n + j) one exactly
+        m = np.arange(n, n + k + 1.0)[:, None] * one
+        cm = c * one + m
+        mult = (a * one + m) * (b * one + m) / (cm * (m + one)) * x
         (terms,) = _scan(np.multiply, (term, mult[:k]))
         sizes = np.abs(terms)
         sums, weights = _scan(np.add, (total, terms),
@@ -191,10 +200,9 @@ def _ratio_many(a: float, b: float, c: float, xs: np.ndarray,
 
     ones, zeros = np.ones(xs.size), np.zeros(xs.size)
     (term, total, weighted, comp, r), summed = _lockstep(
-        step, (xs[None],), (ones, total, zeros, zeros, ones),
-        MAX_TERMS_DIRECT)
+        step, fixed, (ones, total, zeros, zeros, ones), MAX_TERMS_DIRECT)
     with np.errstate(all="ignore"):
-        return total + comp, term, r, weighted, summed
+        return total + comp, term, r, weighted / unit, summed
 
 
 def _direct_many(a: float, b: float, c: float, xs: np.ndarray,

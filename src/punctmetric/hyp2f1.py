@@ -17,6 +17,14 @@ Sums from n = 1 are views of the same loops: ``f21_minus_one`` gives
 F - 1, ``zb_complement_sums`` the m = 0 sum at ell = 0 and, beside it,
 C - 1 = sum_{n>=1} c_n u^n.
 
+Where a product of the ratio family's step ratio, (a+n)(b+n) or
+(c+n)(n+1), could pass the float range within MAX_TERMS_DIRECT terms
+(it would read inf, or make the ratio read 0 and end the sum early), the
+loop runs on a, b, c and n scaled by one power of two (``_unit``), which
+moves no rounding: wherever the products stay finite unscaled the sum
+keeps its bits.  Where a scaled value would come near the subnormals
+the loop keeps its unscaled form.
+
 One running error bound (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed.): each loop reports its tail bound plus eps
 (SERIES_ROUNDINGS sum_n n T~_n + k |S|), T~_n the term with each part in
@@ -175,7 +183,29 @@ def _route(p: HypParams) -> tuple[str, int]:
     return ("power" if power else "direct"), 0
 
 
-def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
+def _unit(a, b, c, end):
+    """The ratio family's unit: 2^-k, k >= 0 the least that keeps the
+    step ratio's products (a+n)(b+n) and (c+n)(n+1), n up to ``end``,
+    below 2^1023, as their factors' exponents bound them, once a, b, c
+    and n are scaled by it; but 1.0 where a scaled a, b or c, or a
+    product at n = 0, would come within a binade of the subnormals.  A
+    power of two that keeps every value normal moves no rounding, so
+    the ratio keeps its bits."""
+    if a + b + c <= 1e140:  # no product passes 1e281 within 1e140 terms
+        return 1.0
+    frexp = math.frexp
+    one = 2.0 ** min(0, (1023 - max(
+        frexp(a + end)[1] + frexp(b + end)[1],
+        frexp(c + end)[1] + frexp(end + 1.0)[1])) // 2)
+    # min(a, b) bounds a*b where the other is >= 1 (where both are below
+    # 1, c is past 2^1003 and the ratio at n = 0 underflows either way),
+    # and one <= 1 bounds c*one by c
+    if min(abs(a), abs(b), abs(c)) * one * one < 2.0 ** -1021:
+        return 1.0
+    return one
+
+
+def _ratio_sum(a, b, c, x, total):
     """The ratio family at x summed onto ``total`` (1.0 holds T_0, 0.0
     starts at n = 1): (sum, last term, tail ratio r, sum of n |T_n|,
     terms after T_0), or None when out of terms.  At the first term
@@ -191,10 +221,16 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
         a = b = 0.0
     rtol, tiny, inf = SERIES_RTOL, _TINY, math.inf
     end = float(MAX_TERMS_DIRECT)
+    # a, b, c and n in units of one (1.0 unless a product could
+    # overflow); the test is _unit's first, here to spare a call
+    one = 1.0
+    if a + b + c > 1e140:
+        one = _unit(a, b, c, end)
+        a, b, c, end = a * one, b * one, c * one, end * one
     term = 1.0
     comp = weighted = n = 0.0
     small_count = 0
-    ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+    ratio = (a + n) * (b + n) / ((c + n) * (n + one)) * x
     while n < end:
         term *= ratio
         # Knuth's TwoSum: comp gathers each addition's exact error
@@ -203,7 +239,7 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
         comp += (total - (t - back)) + (term - back)
         total = t
         size = term if term > 0.0 else 0.0 - term
-        n += 1.0
+        n += one
         weighted += n * size
         # Stop on the geometric tail: once c + n > 0 the step ratio
         # crosses x at most once (their difference has sign
@@ -216,7 +252,7 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
         # zero b), and the right side is at least the smallest
         # subnormal, where the terms of a subnormal sum may stick (a
         # step ratio above 1/2 rounds an ulp back to an ulp).
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        ratio = (a + n) * (b + n) / ((c + n) * (n + one)) * x
         r = 0.0
         if size:  # r = max(|ratio|, x)
             r = ratio if ratio > 0.0 else 0.0 - ratio
@@ -228,12 +264,14 @@ def _ratio_sum(a: float, b: float, c: float, x: float, total: float):
             small_count += 1
             # inf <= inf passes a term that overflowed onto a total that did
             if small_count == 3 or size == inf:
-                return total + comp, term, r, weighted, int(n)
+                break
         elif size < inf:
             small_count = 0
         else:
-            return total + comp, term, r, weighted, int(n)
-    return None
+            break
+    else:
+        return None
+    return total + comp, term, r, weighted / one, int(n / one)
 
 
 def _ratio_estimate(term, r, weighted, total, x_err):
@@ -243,8 +281,7 @@ def _ratio_estimate(term, r, weighted, total, x_err):
             + x_err * weighted)
 
 
-def _direct_series(a: float, b: float, c: float, x: float,
-                   x_err: float = 0.0) -> EvalResult:
+def _direct_series(a, b, c, x, x_err=0.0):
     """F(a,b;c;x) by its Maclaurin series, x_err bounding the relative
     rounding of x."""
     s = _ratio_sum(a, b, c, x, 1.0)

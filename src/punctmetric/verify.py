@@ -931,14 +931,49 @@ def _override(default, value, name: str):
 # Each check's outcome, by its name and the reprs of its parameters and
 # grid: repr keeps 0.0 and -0.0 apart, which GridSpec's tuple equality
 # does not.  Tolerance and profile are no part of the key, since the
-# runner sees neither.  Past _HELD outcomes it starts over.
+# runner sees neither.  Past _HELD outcomes it starts over.  A request
+# without overrides resolves once per process: _resolved keeps what
+# _resolve made of it, by name and profile, and never the runner, which
+# each run looks up in _REGISTRY.
 _outcomes: dict = {}
 _HELD = 256
+_resolved: dict = {}
 
 
 def check_names() -> list[str]:
     """Registry names, sorted."""
     return sorted(_REGISTRY)
+
+
+def _resolve(name, params, grid, tol, tol_profile):
+    """run_check's arguments, checked and merged with the registry's:
+    (parameters, grid, tolerance, the outcome's key)."""
+    if tol_profile not in ("default", "strict"):
+        raise DomainError(
+            f"tol_profile must be 'default' or 'strict', got {tol_profile!r}")
+    try:
+        cd = _REGISTRY[name]
+    except KeyError:
+        raise UnknownCheckError(
+            f"unknown check {name!r}; known: {', '.join(sorted(_REGISTRY))}"
+        ) from None
+    merged = dict(cd.params)
+    for key, value in (params or {}).items():
+        if key not in merged:
+            raise DomainError(
+                f"check {name!r} has no parameter {key!r}; known: "
+                f"{', '.join(sorted(merged)) or 'none'}")
+        merged[key] = _override(cd.params[key], value, key)
+    g = cd.grid if grid is None else grid
+    tolerance = cd.tol if tol is None else _override(cd.tol, tol, "tol")
+    if not (0.0 <= tolerance < math.inf):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    if tol_profile == "strict":
+        if grid is None:
+            g = g._replace(count=4 * g.count)
+        if tol is None:
+            tolerance /= 10.0
+    return merged, g, tolerance, (name, repr(merged), repr(g))
 
 
 def run_check(name: str, params: Optional[dict] = None,
@@ -962,50 +997,31 @@ def run_check(name: str, params: Optional[dict] = None,
     Anything else raises DomainError, and so does a tol that is not a
     real number.
 
+    A request without params, grid or tol resolves its check's
+    parameters, grid, tolerance and cache key once per process, per
+    name and profile; one with overrides resolves them on every call.
     A check runs once per process for its name, parameters and grid;
     a repeat judges the kept outcome against its own tolerance.  A run
     that raises keeps nothing.
     """
-    if tol_profile not in ("default", "strict"):
-        raise DomainError(
-            f"tol_profile must be 'default' or 'strict', got {tol_profile!r}")
+    # a request with overrides resolves into a dict of its own
+    memo = _resolved if params is grid is tol is None else {}
     try:
-        cd = _REGISTRY[name]
-    except KeyError:
-        raise UnknownCheckError(
-            f"unknown check {name!r}; known: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    merged = dict(cd.params)
-    for key, value in (params or {}).items():
-        if key not in merged:
-            raise DomainError(
-                f"check {name!r} has no parameter {key!r}; known: "
-                f"{', '.join(sorted(merged)) or 'none'}")
-        merged[key] = _override(cd.params[key], value, key)
-    g = cd.grid if grid is None else grid
-    tolerance = cd.tol if tol is None else _override(cd.tol, tol, "tol")
-    if not (0.0 <= tolerance < math.inf):
-        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
-    if tol_profile == "strict":
-        if grid is None:
-            g = GridSpec(g.lo, g.hi, 4 * g.count, g.scale)
-        if tol is None:
-            tolerance = tolerance / 10.0
-    key = name, repr(merged), repr(g)
-    if key not in _outcomes:
+        resolved = memo.get((name, tol_profile))
+    except TypeError:  # an unhashable name or profile: _resolve says which
+        resolved = None
+    if resolved is None:  # outside the handler: its errors chain nothing
+        resolved = memo[name, tol_profile] = _resolve(
+            name, params, grid, tol, tol_profile)
+    merged, g, tolerance, key = resolved
+    outcome = _outcomes.get(key)
+    if outcome is None:
         if len(_outcomes) >= _HELD:
             _outcomes.clear()
-        _outcomes[key] = cd.runner(merged, g)
-    worst_point, worst_margin, notes = _outcomes[key]
-    return PropertyReport(
-        name=name,
-        passed=bool(worst_margin > -tolerance),
-        grid=g,
-        worst_point=worst_point,
-        worst_margin=float(worst_margin),
-        tolerance=tolerance,
-        notes=notes,
-    )
+        outcome = _outcomes[key] = _REGISTRY[name].runner(merged, g)
+    worst_point, worst_margin, notes = outcome
+    return PropertyReport(name, bool(worst_margin > -tolerance), g,
+                          worst_point, float(worst_margin), tolerance, notes)
 
 
 def run_suite(tol_profile: str = "default") -> list[PropertyReport]:

@@ -12,13 +12,14 @@ settings.register_profile("ci", max_examples=500)
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """Each test starts with no kept check outcome and no extremum in
-    verify, so that a kernel it patches runs.  Loads no module that is
-    not loaded."""
+    """Each test starts with no kept check outcome, no resolved request
+    and no extremum in verify, so that a kernel it patches runs.  Loads
+    no module that is not loaded."""
     yield
     verify = sys.modules.get("punctmetric.verify")
     if verify is not None:
         verify._outcomes.clear()
+        verify._resolved.clear()
         verify.max_weighted_h.cache_clear()
 
 

@@ -463,6 +463,10 @@ def _edge_params():
             cs = [a + b + m for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
             cs += [a, b, float(np.exp(rng.uniform(-5.0, 7.0)))]
             out += [HypParams(a, b, c) for c in cs if c > 0.0]
+    # the direct series' step ratio has a product past the float range
+    # by its term cap: (c+n)(n+1), (a+n)(b+n), or both
+    out += [HypParams(1e154, 1e154, 9e307), HypParams(1e200, 1e200, 1e300),
+            HypParams(1e200, 3.0, 1.7e308), HypParams(0.5, 2.0, 1e305)]
     return out
 
 

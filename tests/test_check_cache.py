@@ -1,11 +1,12 @@
 """verify's one cache: each check's outcome (worst point, margin and
 notes), kept per process under its name and the reprs of its parameters
-and grid.
+and grid; and the memo of what a request without overrides resolves to,
+kept per process under its name and profile.
 
 A repeat of a check must return the report a cold run returns, judged
 against its own tolerance, and run neither the check's runner nor any
-array form; a run that raises keeps nothing.  conftest.py empties the
-cache after each test.
+array form; a run that raises keeps nothing.  A repeat without overrides
+must resolve nothing again.  conftest.py empties both after each test.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import pytest
 
 from punctmetric import _arrays, _hyp2f1_arrays, verify
-from punctmetric.errors import HypothesisError
+from punctmetric.errors import DomainError, HypothesisError, UnknownCheckError
 
 
 @pytest.fixture
@@ -114,3 +115,80 @@ def test_the_cache_starts_over_past_its_entries(monkeypatch, runs):
         (names[2], "{}", repr(verify._REGISTRY[names[2]].grid))]
     assert [verify.run_check(name) for name in names] == cold
     assert runs == names * 2
+
+
+@pytest.fixture
+def resolving(monkeypatch):
+    """One entry per repr that verify forms, and per GridSpec built, from
+    here on."""
+    calls = []
+    new, make = verify.GridSpec.__new__, verify.GridSpec._make.__func__
+
+    def spy_repr(value):
+        calls.append("repr")
+        return repr(value)
+
+    def spy_new(cls, *args, **kwargs):
+        calls.append("GridSpec")
+        return new(cls, *args, **kwargs)
+
+    def spy_make(cls, iterable):
+        calls.append("GridSpec")
+        return make(cls, iterable)
+
+    monkeypatch.setattr(verify, "repr", spy_repr, raising=False)
+    monkeypatch.setattr(verify.GridSpec, "__new__", staticmethod(spy_new))
+    monkeypatch.setattr(verify.GridSpec, "_make", classmethod(spy_make))
+    return calls
+
+
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_a_warm_request_resolves_nothing_again(resolving, profile):
+    for name in verify.check_names():
+        cold = verify.run_check(name, tol_profile=profile)
+        assert "repr" in resolving
+        assert ("GridSpec" in resolving) == (profile == "strict")
+        del resolving[:]
+        for _ in range(2):
+            assert verify.run_check(name, tol_profile=profile) == cold
+        assert resolving == [], name
+    assert len(verify._resolved) == len(verify.check_names())
+    # the memo holds registry-derived values, never a runner
+    assert not any(callable(v) for entry in verify._resolved.values()
+                   for v in entry)
+
+
+def test_a_request_with_overrides_resolves_on_every_call(resolving):
+    name = "thm_main_parity"
+    grid = verify._REGISTRY[name].grid
+    for kwargs in ({"params": {"a": 0.5}}, {"grid": grid}, {"tol": 1e-13}):
+        del resolving[:]
+        report = verify.run_check(name, **kwargs)
+        assert resolving and report == verify.run_check(name)
+    assert list(verify._resolved) == [(name, "default")]
+
+
+def test_a_filled_memo_keeps_the_typed_errors():
+    for profile in ("default", "strict"):
+        verify.run_suite(profile)
+        with pytest.raises(UnknownCheckError, match="unknown check 'nope'"):
+            verify.run_check("nope", tol_profile=profile)
+    for profile in ("lax", None, ["default"]):
+        with pytest.raises(DomainError, match="tol_profile must be") as err:
+            verify.run_check("thm_main_parity", tol_profile=profile)
+        assert err.value.__context__ is None  # no lookup shows through
+    with pytest.raises(DomainError, match="has no parameter") as err:
+        verify.run_check("thm_main_parity", params={"z": 1.0})
+    assert err.value.__context__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        verify.run_check(["thm_main_parity"])
+    assert len(verify._resolved) == 44
+
+
+def test_a_replaced_runner_runs_on_a_cold_request_after_the_memo(request):
+    name = "thm_main_parity"
+    warm = verify.run_check(name)
+    verify._outcomes.clear()
+    runs = request.getfixturevalue("runs")
+    assert verify.run_check(name) == warm and runs == [name]
+    assert verify.run_check(name) == warm and runs == [name]

@@ -4,6 +4,7 @@ and the hypergeometric ODE as a three-way consistency check.
 Frozen literals are 17-digit truncations of 50-digit evaluations.
 """
 
+import fractions
 import functools
 import math
 import random
@@ -554,6 +555,108 @@ def test_direct_series_stops_on_subnormal_and_zero_terms():
     with mpmath.workdps(400):
         want = mpmath.hyp2f1(mpmath.mpf(1e-310), 2, 4, mpmath.mpf(0.75)) - 1
         assert abs(mpmath.mpf(got[0]) - want) <= 8 * 2.0 ** -1074
+
+
+def _fraction_f21(a, b, c, x):
+    """F(a,b;c;x) for positive a, b, c and 0 <= x <= 1/2, summed in
+    exact rationals until the tail is below 1e-20 of the sum.
+
+    Past term n every step ratio is at most (1 + g) x: f(m) = (a+m)(b+m)
+    / ((c+m)(m+1)) is 1 + L(m)/D(m), L(m) = alpha m + beta with alpha =
+    a+b-c-1 and beta = ab-c, D(m) = (c+m)(m+1) rising.  At alpha < 0,
+    L(m) <= L(n); else L(m)/D(m) = alpha/(c+m) + (beta-alpha)/D(m), each
+    part at most its value at n or 0."""
+    a, b, c, x = map(fractions.Fraction, (a, b, c, x))
+    alpha, beta = a + b - c - 1, a * b - c
+    term = total = fractions.Fraction(1)
+    n = 0
+    while True:
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
+        total += term
+        n += 1
+        d = (c + n) * (n + 1)
+        g = (max(alpha * n + beta, 0) / d if alpha < 0
+             else alpha / (c + n) + max(beta - alpha, 0) / d)
+        r = (1 + g) * x
+        if r < 1 and term * r / (1 - r) <= total / 10 ** 20:
+            return total
+
+
+# the step ratio's products past the float range: (c+n)(n+1) overflowed
+# to a ratio of 0, and (a+n)(b+n) to inf, where F is finite
+_OVERFLOW_EXAMPLES = [(1e154, 1e154, 9e307, 0.5), (1e154, 1e154, 9e307, 0.25),
+                      (1e200, 1e200, 1e300, 1e-300)]
+
+
+def _overflow_draws(count):
+    """The examples, then seeded (a, b, c, x) with a, b from 1e100 to
+    1e200, c from 1e250 to 1.7e308 and x in (0, 1/2] where a b x / c is
+    0.05 to 30, so that F is finite and its terms matter."""
+    rng = random.Random("ratio-products-past-the-float-range")
+
+    def log_u(lo, hi):
+        return rng.uniform(math.log(lo), math.log(hi))
+
+    draws = list(_OVERFLOW_EXAMPLES)
+    while len(draws) < count:
+        la, lb, lc = log_u(1e100, 1e200), log_u(1e100, 1e200), log_u(
+            1e250 if rng.random() < 0.5 else 2e302, 1.7e308)
+        x = math.exp(log_u(0.05, 30.0) + lc - la - lb)
+        if 0.0 < x <= 0.5:
+            draws.append((math.exp(la), math.exp(lb), math.exp(lc), x))
+    return draws
+
+
+def test_direct_series_past_an_overflowing_product_within_its_estimate():
+    # the standard library's reference, so that it runs without mpmath
+    draws = _overflow_draws(16)
+    end = float(hyp2f1.MAX_TERMS_DIRECT)
+    assert sum(hyp2f1._unit(a, b, c, end) < 1.0
+               for a, b, c, _ in draws) >= 12
+    for a, b, c, x in draws:
+        p = HypParams(a, b, c)
+        want = _fraction_f21(a, b, c, x)
+        got = f21(p, x)
+        assert got.method == "direct_series"
+        assert abs(fractions.Fraction(got.value) - want) \
+            <= got.abs_err_estimate, (p, x)
+        minus_one = f21_minus_one(a, b, c, x)
+        assert abs(fractions.Fraction(minus_one) - (want - 1)) \
+            <= got.abs_err_estimate, (p, x)
+        many = f21_many(p, [x, x])
+        assert [tuple(f[i] for f in many) for i in range(2)] \
+            == [tuple(got)] * 2
+        assert f21_minus_one_many(a, b, c, [x]).tolist() == [minus_one]
+    # where no product overflows, the unit is 1.0: the loop is unchanged
+    assert hyp2f1._unit(0.5, 0.5, 1.0, end) == 1.0
+    assert hyp2f1._unit(1e150, 1e150, 1e300, end) == 1.0
+
+
+def test_direct_series_past_an_overflowing_product_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, c, x in _overflow_draws(16):
+        got = f21(HypParams(a, b, c), x)
+        # 50 digits past those of x: below them mpmath reads a tiny x as
+        # 0 whatever a b / c (at 50 digits F(3e191, 1e184; 7e307; 3e-67)
+        # reads 1.0, where F is 5.6e6)
+        with mpmath.workdps(50 - math.floor(math.log10(x))):
+            want = mpmath.hyp2f1(a, b, c, x)
+        assert abs(got.value - want) <= got.abs_err_estimate, (a, b, c, x)
+
+
+def test_unit_keeps_every_value_normal_or_stays_one():
+    end = float(hyp2f1.MAX_TERMS_DIRECT)
+    # (9e307 + n)(n + 1) < 2^1024 2^20 = 2^1044 by the factors' exponents,
+    # below 2^1023 once scaled by 2^-2k, k = 11
+    one = hyp2f1._unit(1e154, 1e154, 9e307, end)
+    assert one == 2.0 ** -11
+    assert (9e307 * one + end * one) * (end * one + one) < 2.0 ** 1023
+    # a scaled c, or c*1 at n = 0, would lose bits: the loop keeps its
+    # unit, and its overflowing products, as before
+    for c in (5e-324, 1e-310, 1e-300):
+        assert hyp2f1._unit(1e306, 1e306, c, end) == 1.0
+    with pytest.raises(RangeError, match="direct series"):
+        f21(HypParams(1e306, 1e306, 5e-324), 0.3)
 
 
 def test_c_equal_to_b_is_read_as_given():
