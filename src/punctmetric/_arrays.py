@@ -3,12 +3,13 @@ numpy.  Those modules hand out these names on first use (PEP 562), so
 ``import punctmetric`` and the scalar calls run without numpy.
 
 ``_array_form`` is the one driver of every array form of ``hyp2f1``,
-``pqfun`` and ``metric``: the array computation runs at each distinct
-point of a call once (``_distinct`` keys points on their bits), a point
-keeps its array results where they are all finite, and every other
-point takes its scalar call.  It keeps nothing between calls: the one
-cache of repeated work is verify's, of whole checks
-(``verify.run_check``).
+``pqfun`` and ``metric``: the array computation runs once on the points
+of a call in its domain, a point keeps its array results where they are
+all finite, and every other point takes its scalar call.  pqfun's array
+code takes hyp2f1's lanes raw, NaN where a lane is not finite, so that
+its own driver is the one that sends a point to its scalar call.  The
+driver keeps nothing between calls: the one cache of repeated work is
+verify's, of whole reports (``verify.run_check``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from .errors import ConvergenceError, DomainError, PunctMetricError
 
 
 def as_points(xs) -> np.ndarray:
-    """xs as a 1-d float array, the input of every array form."""
+    """xs as a 1-d float array, the input of every array form; where an
+    entry is no real number in the float range, a DomainError that
+    names the first such."""
     try:
         arr = np.asarray(xs, dtype=float)
-    except OverflowError:  # an int past the float range: name the first
-        for i, x in enumerate(xs):
+    except (OverflowError, TypeError, ValueError):
+        for i, x in enumerate(np.asarray(xs, dtype=object).ravel()):
             specfun.to_float(x, "points", i)
         raise
     if arr.ndim != 1:
@@ -36,55 +39,32 @@ def as_points(xs) -> np.ndarray:
     return arr
 
 
-def _distinct(*keys: np.ndarray):
-    """(first, group): the indices of the first occurrences of the
-    distinct points of 1-d float arrays of one length, in the caller's
-    order, a point being its values in ``keys``, and for each point the
-    index in ``first`` of its own; slice(None) for both where no point
-    repeats.  Points are keyed on their bits, so 0.0 and -0.0 stay
-    apart."""
-    bits = [np.ascontiguousarray(k).view(np.uint64) for k in keys]
-    # np.unique finds first occurrences by a stable sort; all keys are
-    # sorted only where a later key splits a group of the first
-    _, first, group = np.unique(bits[0], return_index=True,
-                                return_inverse=True)
-    if any((b[first[group.ravel()]] != b).any() for b in bits[1:]):
-        _, first, group = np.unique(np.stack(bits, 1), axis=0,
-                                    return_index=True, return_inverse=True)
-    if first.size == bits[0].size:
-        return slice(None), slice(None)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[group.ravel()]
-
-
 def _array_form(keys, valid: np.ndarray, lanes_of, scalar,
                 dtypes=(float,)) -> list[np.ndarray]:
     """The one driver of the array forms: arrays of the given dtypes
     with the results at every point, a point being its values in the
-    1-d float arrays ``keys``.  lanes_of(*keys) gives the results at the
-    distinct points where ``valid`` holds, each once, and a point keeps
-    them where its float results are all finite; where lanes_of raises
-    a typed error, no point keeps any.  Every other point, in index order, takes
-    what scalar(*point) returns at Python floats, or raises its error.
-    So a batch returns what a loop of scalar calls returns, and raises
-    that loop's first error."""
+    1-d float arrays ``keys``.  lanes_of(*keys) runs once, on the points
+    where ``valid`` holds, and a point keeps its results where its float
+    results are all finite; where lanes_of raises a typed error, no
+    point keeps any.  Every other point, in index order, takes what
+    scalar(*point) returns at Python floats, or raises its error.  So a
+    batch returns what a loop of scalar calls returns, and raises that
+    loop's first error."""
     full = [np.zeros(valid.size, dtype) for dtype in dtypes]
     kept = np.zeros(valid.size, dtype=bool)
     at = slice(None) if valid.all() else np.flatnonzero(valid)
     points = [k[at] for k in keys]
-    first, group = _distinct(*points)
     if points[0].size:
         try:
-            lanes = lanes_of(*(p[first] for p in points))
+            with np.errstate(all="ignore"):
+                lanes = lanes_of(*points)
         except PunctMetricError:
             pass  # no point keeps its results
         else:
             kept[at] = np.logical_and.reduce(
-                [np.isfinite(v) for v in lanes if v.dtype.kind == "f"])[group]
+                [np.isfinite(v) for v in lanes if v.dtype.kind == "f"])
             for out, lane in zip(full, lanes):
-                out[at] = lane[group]
+                out[at] = lane
     for i in np.flatnonzero(~kept).tolist():
         for out, v in zip(full, scalar(*(k[i].item() for k in keys))):
             out[i] = v

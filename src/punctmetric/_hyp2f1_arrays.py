@@ -46,11 +46,14 @@ from .hyp2f1 import (
 # Running products and sums are scans down the rows, applied in
 # sequence as the scalar loop does; numpy's + - * / round as Python's
 # do; log and exp come from math point by point.  So each lane gets its
-# scalar call's bits.  Every entry point runs through the one array-form
-# driver (``_arrays._array_form``): each distinct point of a call in its
-# domain, keyed on its bits, is summed once, and a point keeps its
-# results where they are all finite.  The lockstep sums routes only, so
-# a lane that hands over gets a value that is not finite: NaN where a
+# scalar call's bits.  Every public entry point runs through the one
+# array-form driver (``_arrays._array_form``): the points of a call in
+# its domain are summed once, and a point keeps its results where they
+# are all finite.  pqfun's array code takes the lanes raw instead
+# (_lo_hi_many, _defect_sums_many), NaN wherever a lane is not finite,
+# so that its own driver sends such a point to its scalar call.  The
+# lockstep sums routes only, so a lane that hands over gets a value that
+# is not finite: NaN where a
 # log sum stalls or cancels, a connection formula cancels or its
 # estimate reaches |F|, 1-u = 1 on the direct route, a series runs out
 # of terms, or the route is the closed form u^-a at c = b (u^-b at c =
@@ -328,33 +331,37 @@ def f21_many(p: HypParams, xs) -> EvalResults:
         (float, float, np.int64, object)))
 
 
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v with NaN at every lane that is not finite, so that no overflowed
+    value vanishes into a finite quotient."""
+    return np.where(np.isfinite(v), v, np.nan)
+
+
 def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
                 ell: np.ndarray) -> list[np.ndarray]:
     """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, as
-    f21 and f21_from_complement give them at (lo, ell = -log(lo)): at
-    each distinct pair with 0 <= lo <= 1/2 and ell finite, for each p in
-    turn, the direct series at every lo and the complement route at lo <
-    1/2; at lo = 1/2 both are the direct series at 1/2, so F(p; 1-lo) is
-    a copy of F(p; lo).  A point that a route hands over, or out of that
-    range, takes the values of its scalar calls, in that order, or
-    raises their first error."""
+    f21 and f21_from_complement give them at (lo, ell = -log(lo)) with 0
+    <= lo <= 1/2 and ell finite, or NaN where a route hands the point
+    over: for each p in turn, the direct series at every lo and the
+    complement route at lo < 1/2; at lo = 1/2 both are the direct series
+    at 1/2, so F(p; 1-lo) is a copy of F(p; lo)."""
+    near = lo < X_SWITCH
+    values, his = [], []
+    for p in ps:
+        values.append(_direct_many(p.a, p.b, p.c, lo)[0])
+        his.append(values[-1].copy())
+        his[-1][near] = _from_complement_many(p, lo[near], ell[near])[0]
+    return [_finite(v) for v in values + his]
 
-    def lanes_of(lo, ell):
-        near = lo < X_SWITCH
-        values, his = [], []
-        for p in ps:
-            values.append(_direct_many(p.a, p.b, p.c, lo)[0])
-            his.append(values[-1].copy())
-            his[-1][near] = _from_complement_many(p, lo[near], ell[near])[0]
-        return (*values, *his)
 
-    return _array_form(
-        (lo, ell), (0.0 <= lo) & (lo <= X_SWITCH) & np.isfinite(ell),
-        lanes_of,
-        lambda lo, ell: ([hyp2f1.f21(p, lo).value for p in ps]
-                         + [hyp2f1.f21_from_complement(p, lo, ell).value
-                            for p in ps]),
-        (float,) * (2 * len(ps)))
+def _defect_sums_many(a: float, b: float,
+                      u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(C-1, D1, v-1) at every u in [0, 3/4], v = F(a,b;a+b;.), as
+    zb_complement_sums and f21_minus_one give them, or NaN where a sum
+    overflows or runs out of terms."""
+    sums = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
+    vm1 = _ratio_many(a, b, a + b, u, np.zeros(u.size))[0]
+    return _finite(sums[5]), _finite(sums[0]), _finite(vm1)
 
 
 def f21_derivative_many(p: HypParams, xs) -> np.ndarray:

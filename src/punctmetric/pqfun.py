@@ -104,8 +104,9 @@ def _split(s):
 def _lo_hi(ps, lo, ell) -> list:
     """F(p; lo) for each p in ps, then F(p; hi) for each, hi = 1-lo
     reached from lo and ell = -log(lo) by hyp2f1's complement routes: at
-    a float lo, or at every point of an array, once per distinct
-    point."""
+    a float lo, or at every point of an array, NaN where a route hands
+    the point over, so that the array form's driver gives it its float
+    call."""
     if _is_array(lo):
         return hyp2f1._lo_hi_many(ps, lo, ell)
     return ([hyp2f1.f21(p, lo).value for p in ps]
@@ -134,9 +135,9 @@ def _complement_sums(pr: ZeroBalancedPair, t):
     e = specfun.pointwise(math.exp, -t)
     u = e / (1.0 + e)
     lam = specfun.pointwise(math.log1p, e)
-    if _is_array(t):
-        cm1, d1 = hyp2f1.zb_complement_sums_many(pr.a, pr.b, u)
-        vm1 = hyp2f1.f21_minus_one_many(pr.a, pr.b, pr.c, u)
+    if _is_array(t):  # NaN where a sum fails, as in _lo_hi
+        from ._hyp2f1_arrays import _defect_sums_many
+        cm1, d1, vm1 = _defect_sums_many(pr.a, pr.b, u)
     else:
         cm1, d1 = hyp2f1.zb_complement_sums(pr.a, pr.b, u)
         vm1 = hyp2f1.f21_minus_one(pr.a, pr.b, pr.c, u)

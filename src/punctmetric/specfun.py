@@ -23,7 +23,7 @@ an ulp, and an array form must match its scalar form to the bit.  None
 of them loads numpy, and ``lazy_names`` lets a module hand out its array
 half, which does, on first use.  This module's array half, in
 ``_arrays``, holds ``as_points`` and ``_array_form``, the one driver of
-every array form, which sums each distinct point of a call once.
+every array form, which runs its array code once per call.
 """
 
 from __future__ import annotations

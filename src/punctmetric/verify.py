@@ -928,16 +928,10 @@ def _override(default, value, name: str):
     raise DomainError(f"{name} must take the form of {default!r}, got {value!r}")
 
 
-# Each check's outcome, by its name and the reprs of its parameters and
-# grid: repr keeps 0.0 and -0.0 apart, which GridSpec's tuple equality
-# does not.  Tolerance and profile are no part of the key, since the
-# runner sees neither.  Past _HELD outcomes it starts over.  A request
-# without overrides resolves once per process: _resolved keeps what
-# _resolve made of it, by name and profile, and never the runner, which
-# each run looks up in _REGISTRY.
-_outcomes: dict = {}
-_HELD = 256
-_resolved: dict = {}
+# The report of each request without params, grid or tol, by its name
+# and profile: a repeat is one lookup.  A request with overrides runs
+# every time and keeps nothing.
+_reports: dict = {}
 
 
 def check_names() -> list[str]:
@@ -945,18 +939,49 @@ def check_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _resolve(name, params, grid, tol, tol_profile):
-    """run_check's arguments, checked and merged with the registry's:
-    (parameters, grid, tolerance, the outcome's key)."""
+def run_check(name: str, params: Optional[dict] = None,
+              grid: Optional[GridSpec] = None,
+              tol: Optional[float] = None,
+              tol_profile: str = "default") -> PropertyReport:
+    """Run one named check, overriding parameters, grid, or tolerance.
+
+    The 'strict' profile densifies the grid 4x and divides the tolerance
+    by 10, each only where no explicit override is given.  Raises
+    UnknownCheckError for names outside the registry and HypothesisError
+    when the parameters violate the claim's hypothesis, and DomainError
+    for a tol that is negative, NaN or infinite, a params that is not a
+    dict and a grid that is not a GridSpec.
+
+    A parameter override must name a registry parameter, and it takes
+    the type of the default: a real number where that is a float, a
+    whole number >= 0 where it is an int (6.0 serves as 6), a string
+    where it is a string.  A list of entries may hold any number of
+    them, each shaped as the default's entries: a record of as many
+    fields, or a dict with the keys of the default case of its "kind".
+    Anything else raises DomainError, and so does a tol that is not a
+    real number.
+
+    The report of a request without params, grid or tol is kept once
+    per process, per name and profile, and a repeat returns it.  A
+    request with overrides runs every time and keeps nothing, and
+    neither does a run that raises.
+    """
     if tol_profile not in ("default", "strict"):
         raise DomainError(
             f"tol_profile must be 'default' or 'strict', got {tol_profile!r}")
-    try:
-        cd = _REGISTRY[name]
-    except KeyError:
+    plain = params is grid is tol is None
+    report = _reports.get((name, tol_profile)) if plain else None
+    if report is not None:
+        return report
+    cd = _REGISTRY.get(name)
+    if cd is None:
         raise UnknownCheckError(
-            f"unknown check {name!r}; known: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+            f"unknown check {name!r}; known: {', '.join(sorted(_REGISTRY))}")
+    for arg, value, kind in (("params", params, dict),
+                             ("grid", grid, GridSpec)):
+        if not (value is None or isinstance(value, kind)):
+            raise DomainError(
+                f"{arg} must be a {kind.__name__} or None, got {value!r}")
     merged = dict(cd.params)
     for key, value in (params or {}).items():
         if key not in merged:
@@ -973,55 +998,13 @@ def _resolve(name, params, grid, tol, tol_profile):
             g = g._replace(count=4 * g.count)
         if tol is None:
             tolerance /= 10.0
-    return merged, g, tolerance, (name, repr(merged), repr(g))
-
-
-def run_check(name: str, params: Optional[dict] = None,
-              grid: Optional[GridSpec] = None,
-              tol: Optional[float] = None,
-              tol_profile: str = "default") -> PropertyReport:
-    """Run one named check, overriding parameters, grid, or tolerance.
-
-    The 'strict' profile densifies the grid 4x and divides the tolerance
-    by 10, each only where no explicit override is given.  Raises
-    UnknownCheckError for names outside the registry and HypothesisError
-    when the parameters violate the claim's hypothesis, and DomainError
-    for a tol that is negative, NaN or infinite.
-
-    A parameter override must name a registry parameter, and it takes
-    the type of the default: a real number where that is a float, a
-    whole number >= 0 where it is an int (6.0 serves as 6), a string
-    where it is a string.  A list of entries may hold any number of
-    them, each shaped as the default's entries: a record of as many
-    fields, or a dict with the keys of the default case of its "kind".
-    Anything else raises DomainError, and so does a tol that is not a
-    real number.
-
-    A request without params, grid or tol resolves its check's
-    parameters, grid, tolerance and cache key once per process, per
-    name and profile; one with overrides resolves them on every call.
-    A check runs once per process for its name, parameters and grid;
-    a repeat judges the kept outcome against its own tolerance.  A run
-    that raises keeps nothing.
-    """
-    # a request with overrides resolves into a dict of its own
-    memo = _resolved if params is grid is tol is None else {}
-    try:
-        resolved = memo.get((name, tol_profile))
-    except TypeError:  # an unhashable name or profile: _resolve says which
-        resolved = None
-    if resolved is None:  # outside the handler: its errors chain nothing
-        resolved = memo[name, tol_profile] = _resolve(
-            name, params, grid, tol, tol_profile)
-    merged, g, tolerance, key = resolved
-    outcome = _outcomes.get(key)
-    if outcome is None:
-        if len(_outcomes) >= _HELD:
-            _outcomes.clear()
-        outcome = _outcomes[key] = _REGISTRY[name].runner(merged, g)
-    worst_point, worst_margin, notes = outcome
-    return PropertyReport(name, bool(worst_margin > -tolerance), g,
-                          worst_point, float(worst_margin), tolerance, notes)
+    worst_point, worst_margin, notes = cd.runner(merged, g)
+    report = PropertyReport(name, bool(worst_margin > -tolerance), g,
+                            worst_point, float(worst_margin), tolerance,
+                            notes)
+    if plain:
+        _reports[name, tol_profile] = report
+    return report
 
 
 def run_suite(tol_profile: str = "default") -> list[PropertyReport]:

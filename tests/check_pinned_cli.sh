@@ -9,8 +9,8 @@
 # punctmetric.cli.main on every check alone under each suite (verify
 # --check NAME), as perfbench's verify operations run them, then on
 # default, strict, default and strict, then on every check alone again,
-# so that verify's kept check outcomes are filled in both orders and
-# read by the later runs, each line against its row.
+# so that the later runs read the reports that verify kept from the
+# first ones, each line against its row.
 # scalar: eval of every evaluator (f21 on each
 # of its routes), constants, bounds ring --compare and a short figure1;
 # then, warm, one interpreter running punctmetric.cli.main on that

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctmetric import _arrays, hyp2f1, metric, pqfun
+from punctmetric import _arrays, _hyp2f1_arrays, hyp2f1, metric, pqfun
 from punctmetric.errors import (ConvergenceError, DomainError,
                                 PunctMetricError, RangeError)
 from punctmetric.hyp2f1 import HypParams
@@ -161,14 +161,6 @@ def test_f21_many_raises_the_first_typed_error():
         for c in (2.0 * a, 2.0 * a + 1.0):
             _assert_f21_many(HypParams(a, a, c), [0.9, 0.95])
             _assert_f21_many(HypParams(a, a, c), [0.05, 0.9])
-    # lo = 0.999 is past _lo_hi_many's range: that point takes its scalar
-    # calls, past 1/2 the direct series at 1 - lo
-    p = HALF.params()
-    _assert_loop_parity(
-        lambda lo, ell: hyp2f1._lo_hi_many([p], lo, ell),
-        lambda lo, ell: [hyp2f1.f21(p, lo).value,
-                         hyp2f1.f21_from_complement(p, lo, ell).value],
-        [(lo, -math.log(lo)) for lo in [0.1] * 30 + [0.999]])
 
 
 # F(400, 300; 10; x) overflows at x = 0.5 and 0.9
@@ -184,19 +176,20 @@ def test_batches_return_or_raise_as_the_scalar_loop(xs):
 
 
 def test_a_point_is_the_bits_of_all_its_keys(lanes):
-    # 0.0 and -0.0 are two points, each summed once
+    # every point of a call is summed in one run, repeats, 0.0 and -0.0
+    # among them, and gets its scalar bits
     p = HypParams(2.0, 3.0, 4.5)
     got = hyp2f1.f21_many(p, [-0.0, 0.0, -0.0])
-    assert lanes == [2]
+    assert lanes == [3]
     assert _bits(got.value) == _bits([hyp2f1.f21(p, 0.0).value] * 3)
-    # equal lo with another ell is another point: (0.1, 3.0) is summed
-    # beside (0.1, 2.0), each once
+    # equal lo with another ell is another point: (0.1, 3.0) and (0.1,
+    # 2.0) each get their own complement value
     del lanes[:]
     ps = (HypParams(0.5, 0.5, 1.0),)
     lo = np.array([0.1, 0.2, 0.1, 0.1])
     ell = np.array([3.0, 1.5, 2.0, 3.0])
     got = hyp2f1._lo_hi_many(ps, lo, ell)
-    assert lanes and set(lanes) == {3}
+    assert lanes and set(lanes) == {4}
     assert [_bits(g) for g in got] == [
         _bits(hyp2f1.f21(ps[0], x).value for x in lo),
         _bits(hyp2f1.f21_from_complement(ps[0], x, e).value
@@ -302,11 +295,9 @@ def test_complement_kernels_match(a, b, us):
         if c <= max(a, b):
             continue
         p = HypParams(a, b, c)
-        _assert_loop_parity(
-            lambda lo, ell: hyp2f1._lo_hi_many([p], lo, ell),
-            lambda lo, ell: [hyp2f1.f21(p, lo).value,
-                             hyp2f1.f21_from_complement(p, lo, ell).value],
-            list(zip(us, ells)))
+        _assert_raw_lanes([p], [(u, e) for u, e in zip(us, ells)
+                                if u <= 0.5])
+    _assert_raw_defect_sums(a, b, us)
     for part in (0, 1):
         _assert_pointwise(
             lambda arr: hyp2f1.zb_complement_sums_many(a, b, arr)[part],
@@ -437,6 +428,39 @@ def test_n_and_m_many_match(abc, xs):
                       lambda x: pqfun.m_func(*abc, x), xs)
 
 
+# every public array form, at points given by the test
+_PUBLIC_FORMS = {
+    "f21_many": lambda xs: hyp2f1.f21_many(HALF.params(), xs),
+    "f21_derivative_many": lambda xs: hyp2f1.f21_derivative_many(
+        HALF.params(), xs),
+    "zb_complement_sums_many": lambda xs: hyp2f1.zb_complement_sums_many(
+        0.5, 0.5, xs),
+    "f21_minus_one_many": lambda xs: hyp2f1.f21_minus_one_many(
+        0.5, 0.5, 1.0, xs),
+    **{name: getattr(metric, name) for name in (
+        "h_many", "big_h_many", "big_h_prime_many", "varphi_many")},
+    **{name: lambda xs, many=getattr(pqfun, name): many(HALF, xs)
+       for name in ("p_func_many", "p_prime_many", "slope_g_many",
+                    "p_excess_many", "q_func_many", "q_log_many",
+                    "q_excess_many")},
+    "n_func_many": lambda xs: pqfun.n_func_many(0.5, 0.5, 1.0, xs),
+    "m_func_many": lambda xs: pqfun.m_func_many(0.5, 0.5, 1.0, xs),
+}
+
+
+@pytest.mark.parametrize("xs, shown", [
+    ("abc", r"points\[0\] .* got 'abc'"),
+    ([1 + 2j], r"points\[0\] .* got \(1\+2j\)"),
+    ([0.25, object()], r"points\[1\] .* got <object"),
+    ([0.25, 0.5, 10**400], r"points\[2\] .* got 1000"),
+], ids=["str", "complex", "object", "big_int"])
+@pytest.mark.parametrize("name", sorted(_PUBLIC_FORMS))
+def test_a_point_that_is_no_real_number_is_a_domain_error(name, xs, shown):
+    # as the scalar forms refuse it, naming the first such entry
+    with pytest.raises(DomainError, match=shown):
+        _PUBLIC_FORMS[name](xs)
+
+
 def test_many_forms_reject_non_1d_input():
     with pytest.raises(PunctMetricError):
         hyp2f1.f21_many(HALF.params(), np.zeros((2, 2)))
@@ -501,6 +525,40 @@ def _assert_loop_parity(many, scalar, points):
         tuple(map(_key, _fields(w))) for w in want]
 
 
+def _assert_raw_lanes(ps, points):
+    """_lo_hi_many(ps, lo, ell), whose lanes pqfun takes raw, at (lo,
+    ell) points with 0 <= lo <= 1/2 and ell finite: every lane that is
+    not finite is NaN, and every finite one has the bits of its scalar
+    call, F(p; lo) for each p and then F(p; 1-lo) for each."""
+    got = hyp2f1._lo_hi_many(ps, np.array([lo for lo, _ in points]),
+                             np.array([ell for _, ell in points]))
+    for i, (lo, ell) in enumerate(points):
+        calls = ([lambda q=q: hyp2f1.f21(q, lo).value for q in ps]
+                 + [lambda q=q: hyp2f1.f21_from_complement(q, lo, ell).value
+                    for q in ps])
+        for lane, call in zip(got, calls):
+            if math.isfinite(lane[i]):
+                assert _bits([lane[i]]) == _bits([call()])
+            else:
+                assert math.isnan(lane[i])
+
+
+def _assert_raw_defect_sums(a, b, us):
+    """_defect_sums_many(a, b, us), whose lanes pqfun takes raw: every
+    lane that is not finite is NaN; where C-1 and D1 are finite, they
+    are zb_complement_sums' bits, and where v-1 is, f21_minus_one's."""
+    cm1, d1, vm1 = _hyp2f1_arrays._defect_sums_many(a, b, np.array(us))
+    for lanes in (cm1, d1, vm1):
+        assert not np.isinf(lanes).any()
+    for i, u in enumerate(us):
+        if math.isfinite(cm1[i]) and math.isfinite(d1[i]):
+            assert _bits([cm1[i], d1[i]]) == _bits(
+                hyp2f1.zb_complement_sums(a, b, u))
+        if math.isfinite(vm1[i]):
+            assert _bits([vm1[i]]) == _bits(
+                [hyp2f1.f21_minus_one(a, b, a + b, u)])
+
+
 _EDGE_X = [0.0, 0.5, ABOVE_HALF, 0.9, 0.99, 1e-300, 1.0, -0.25, math.nan]
 _EDGE_U = [0.0, 5e-324, 1e-300, 0.3, 0.5, 0.75, 0.9, -0.25, math.inf]
 
@@ -519,14 +577,17 @@ def test_array_forms_match_a_scalar_loop(p):
     us = _edge_points(rng, 0.5, _EDGE_U)
     with np.errstate(all="ignore"):
         ells = np.where(us == math.inf, math.inf, -np.log(np.abs(us)))
-    pairs = list(zip(us.tolist(), ells.tolist()))
-    ps = [p, HypParams(p.a, p.b, p.c + 1.0)]
-    _assert_loop_parity(
-        lambda lo, ell: hyp2f1._lo_hi_many(ps, lo, ell),
-        lambda lo, ell: ([hyp2f1.f21(q, lo).value for q in ps]
-                         + [hyp2f1.f21_from_complement(q, lo, ell).value
-                            for q in ps]),
-        pairs)
+    pairs = [(u, e) for u, e in zip(us.tolist(), ells.tolist())
+             if 0.0 <= u <= 0.5 and e < math.inf]
+    _assert_raw_lanes([p, HypParams(p.a, p.b, p.c + 1.0)], pairs)
+    if p.c == p.a + p.b:
+        _assert_raw_defect_sums(p.a, p.b, [u for u, _ in pairs])
+    # pqfun, which takes those lanes raw, at the same points
+    for many, scalar in ((pqfun.n_func_many, pqfun.n_func),
+                         (pqfun.m_func_many, pqfun.m_func)):
+        _assert_loop_parity(lambda x: many(p.a, p.b, p.c, x),
+                            lambda x: scalar(p.a, p.b, p.c, x),
+                            [(u,) for u in us])
     _assert_loop_parity(
         lambda u: hyp2f1.zb_complement_sums_many(p.a, p.b, u),
         lambda u: hyp2f1.zb_complement_sums(p.a, p.b, u), [(u,) for u in us])

@@ -101,6 +101,18 @@ def test_bad_tolerance(tol):
         verify.run_check("thm_main2_qq", tol=tol)
 
 
+@pytest.mark.parametrize("kwargs, arg", [
+    ({"params": [1]}, "params"), ({"params": 0}, "params"),
+    ({"params": ""}, "params"), ({"params": ()}, "params"),
+    ({"grid": (0.0, 20.0, 81, "linear")}, "grid"), ({"grid": 0}, "grid"),
+    ({"grid": ""}, "grid"), ({"grid": {}}, "grid"),
+])
+def test_params_and_grid_of_the_wrong_type_are_refused(kwargs, arg):
+    # falsy ones too: none of them is taken for an absent override
+    with pytest.raises(DomainError, match=f"^{arg} must be a "):
+        verify.run_check("thm_main_parity", **kwargs)
+
+
 def test_tolerance_takes_any_real_number():
     r = verify.run_check("thm_main2_qq", tol=1e-6)
     assert verify.run_check("thm_main2_qq", tol=np.float64(1e-6)) == r
