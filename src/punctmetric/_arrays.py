@@ -8,8 +8,9 @@ of a call in its domain, a point keeps its array results where they are
 all finite, and every other point takes its scalar call.  pqfun's array
 code takes hyp2f1's lanes raw, NaN where a lane is not finite, so that
 its own driver is the one that sends a point to its scalar call.  The
-driver keeps nothing between calls: the one cache of repeated work is
-verify's, of whole reports (``verify.run_check``).
+driver keeps nothing between calls: repeated work is kept a layer up,
+as verify's whole reports (``verify.run_check``) and the CLI's reply
+line beside each.
 """
 
 from __future__ import annotations

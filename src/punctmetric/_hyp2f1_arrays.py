@@ -50,8 +50,9 @@ from .hyp2f1 import (
 # array-form driver (``_arrays._array_form``): the points of a call in
 # its domain are summed once, and a point keeps its results where they
 # are all finite.  pqfun's array code takes the lanes raw instead
-# (_lo_hi_many, _defect_sums_many), NaN wherever a lane is not finite,
-# so that its own driver sends such a point to its scalar call.  The
+# (_lo_hi_many, _defect_sums_many), each distinct point summed once and
+# NaN wherever a lane is not finite, so that its own driver sends such
+# a point to its scalar call.  The
 # lockstep sums routes only, so a lane that hands over gets a value that
 # is not finite: NaN where a
 # log sum stalls or cancels, a connection formula cancels or its
@@ -337,6 +338,26 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(v), v, np.nan)
 
 
+def _folded(sums, *keys: np.ndarray) -> list[np.ndarray]:
+    """sums(*keys), a list of 1-d arrays with one entry per point, the
+    points those of the 1-d float arrays keys, with each distinct point
+    summed once: a point is the bits of all its keys, so that 0.0 and
+    -0.0 are two.  pqfun works at s = |t|, so a +-t grid sums each |t|
+    once."""
+    bits = [k.view(np.int64) for k in keys]
+    order = np.lexsort(bits)
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    new[1:] = np.logical_or.reduce(
+        [b[order[1:]] != b[order[:-1]] for b in bits])
+    if new.all():
+        return sums(*keys)
+    back = np.empty(order.size, dtype=np.intp)
+    back[order] = np.cumsum(new) - 1
+    first = order[new]
+    return [v[back] for v in sums(*(k[first] for k in keys))]
+
+
 def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
                 ell: np.ndarray) -> list[np.ndarray]:
     """The values F(p; lo) for each p in ps, then F(p; 1-lo) for each, as
@@ -344,24 +365,33 @@ def _lo_hi_many(ps: Sequence[HypParams], lo: np.ndarray,
     <= lo <= 1/2 and ell finite, or NaN where a route hands the point
     over: for each p in turn, the direct series at every lo and the
     complement route at lo < 1/2; at lo = 1/2 both are the direct series
-    at 1/2, so F(p; 1-lo) is a copy of F(p; lo)."""
-    near = lo < X_SWITCH
-    values, his = [], []
-    for p in ps:
-        values.append(_direct_many(p.a, p.b, p.c, lo)[0])
-        his.append(values[-1].copy())
-        his[-1][near] = _from_complement_many(p, lo[near], ell[near])[0]
-    return [_finite(v) for v in values + his]
+    at 1/2, so F(p; 1-lo) is a copy of F(p; lo).  Each distinct (lo,
+    ell) is summed once (``_folded``)."""
+
+    def sums(lo, ell):
+        near = lo < X_SWITCH
+        values, his = [], []
+        for p in ps:
+            values.append(_direct_many(p.a, p.b, p.c, lo)[0])
+            his.append(values[-1].copy())
+            his[-1][near] = _from_complement_many(p, lo[near], ell[near])[0]
+        return [_finite(v) for v in values + his]
+
+    return _folded(sums, lo, ell)
 
 
 def _defect_sums_many(a: float, b: float,
                       u: np.ndarray) -> tuple[np.ndarray, ...]:
     """(C-1, D1, v-1) at every u in [0, 3/4], v = F(a,b;a+b;.), as
     zb_complement_sums and f21_minus_one give them, or NaN where a sum
-    overflows or runs out of terms."""
-    sums = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
-    vm1 = _ratio_many(a, b, a + b, u, np.zeros(u.size))[0]
-    return _finite(sums[5]), _finite(sums[0]), _finite(vm1)
+    overflows or runs out of terms.  Each distinct u is summed once."""
+
+    def sums(u):
+        parts = _zb_many(a, b, u, np.zeros(u.size), 0, from_one=True)
+        vm1 = _ratio_many(a, b, a + b, u, np.zeros(u.size))[0]
+        return [_finite(parts[5]), _finite(parts[0]), _finite(vm1)]
+
+    return tuple(_folded(sums, u))
 
 
 def f21_derivative_many(p: HypParams, xs) -> np.ndarray:

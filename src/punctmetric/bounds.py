@@ -560,9 +560,13 @@ def _log_gap(d: float, lo: float, hi: float) -> float:
 # one-sided slack the ordering lower <= rho would be a coin flip.
 _EVAL_SLACK = 4e-15
 
-# No computed h(m) exceeds this: h is even and decreasing in |m|, and
-# the factor covers the few ulps of rounding in h's agm chain.
-_H_CEILING = metric.h(0.0) * (1.0 + 1e-12)
+# Every computed h(m) lies within a relative 1e-12 of h(m): h's agm
+# chain rounds to a few ulps (tests/test_bounds.py checks it against
+# Hempel's upper bound on h).  So no computed h(m) exceeds this
+# ceiling, as h is even and decreasing in |m|.
+_H_SLACK = 1.0 + 1e-12
+_H_CEILING = metric.h(0.0) * _H_SLACK
+_LOG16 = math.log(16.0)
 
 
 def _lower_end(order: Sequence[int], d, gap) -> float:
@@ -573,20 +577,36 @@ def _lower_end(order: Sequence[int], d, gap) -> float:
     and is read up to the first puncture whose ceiling _H_CEILING/d is
     below the best value so far: no later one can beat it, as division
     rounds monotonically.  So only the one or few punctures that decide
-    the answer pay for gap and h, gap is asked for them in that order,
-    and the result is that of the full max to the bit.  No puncture is
-    skipped that could raise: h does not, for m in [0, T_CAP].
+    the answer pay for gap, gap is asked for them in that order, and a
+    visited puncture pays for h only where it may raise the best (the
+    two rules below); the result is that of the full max to the bit.
+    No puncture is skipped that could raise: h does not, for m in [0,
+    T_CAP].
     """
     best = 0.0
+    m_best = d_best = math.inf  # of the puncture that gave best
     for a in order:
         da = float(d[a])
         if _H_CEILING / da < best:
             break
         m = gap(a)
+        # Skip h where the real quotient h(m)/d, h(m) as computed, is at
+        # most best: rounded, it cannot pass best.  (i) h decreases in m
+        # >= 0, so a computed h(m) passes the computed h(m_best) by at
+        # most their few ulps of rounding, which d >= d_best * _H_SLACK
+        # (1e-12 above d_best, less one rounding) more than covers.
+        # (ii) Hempel's 2 h(m) < 1/(m + log 16) (verify's thm_c212_5):
+        # the ulps of the computed h(m), and the four roundings of the
+        # bound, sit far inside _H_SLACK; past T_CAP h(m) is taken as
+        # that bound without the slack
+        if (m >= m_best and da >= d_best * _H_SLACK
+                or _H_SLACK * 0.5 / (m + _LOG16) / da < best):
+            continue
         # past T_CAP, where h raises, H(m) = 2(m + log 16) up to a relative
         # O(m e^{-m}) < 1e-290 (the C0 floor would be ~2e-3 low there)
-        hm = metric._h(m) if m <= metric.T_CAP else 0.5 / (m + math.log(16.0))
-        best = max(best, hm / da)
+        hm = metric._h(m) if m <= metric.T_CAP else 0.5 / (m + _LOG16)
+        if hm / da > best:
+            best, m_best, d_best = hm / da, m, da
     # within ~1e-309 of a puncture h(m)/d overflows, but the density is
     # finite: the largest float is still below it
     return min(best, sys.float_info.max) * (1.0 - _EVAL_SLACK)

@@ -136,6 +136,16 @@ def _tol_profile(args: Args) -> str:
     return env
 
 
+# The reply line of each report verify gave, by check name and profile,
+# beside that report: a line is written again only while verify returns
+# the very report it was made from, so verify's kept reports
+# (``verify._reports``) alone decide what is kept, and a report made
+# afresh gets a fresh line.  A command line passes no params, grid or
+# tol, so every report verify gives it is one that verify keeps, and a
+# repeated request formats nothing.
+_replies: dict = {}
+
+
 def _cmd_verify(args: Args) -> int:
     from . import verify
 
@@ -147,8 +157,13 @@ def _cmd_verify(args: Args) -> int:
             reports = verify.run_suite(tol_profile=profile)
     except UnknownCheckError as exc:
         _usage_error(str(exc))
+    write = sys.stdout.write
     for r in reports:
-        _emit(r.to_dict())
+        kept = _replies.get((r.name, profile))
+        if kept is None or kept[0] is not r:
+            kept = _replies[r.name, profile] = (
+                r, json.dumps(r.to_dict()) + "\n")
+        write(kept[1])
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -8,9 +8,11 @@
 # PUNCTURED_METRIC_TOL; then, warm, one interpreter running
 # punctmetric.cli.main on every check alone under each suite (verify
 # --check NAME), as perfbench's verify operations run them, then on
-# default, strict, default and strict, then on every check alone again,
-# so that the later runs read the reports that verify kept from the
-# first ones, each line against its row.
+# default, strict through PUNCTURED_METRIC_TOL (verify with no --suite),
+# strict, default and strict, then on every check alone again, so that
+# the later runs read the reports that verify kept, and the reply lines
+# the CLI kept beside them, from the first ones, each line against its
+# row: a line kept for one profile never answers the other.
 # scalar: eval of every evaluator (f21 on each
 # of its routes), constants, bounds ring --compare and a short figure1;
 # then, warm, one interpreter running punctmetric.cli.main on that
@@ -62,24 +64,31 @@ verify() {
   trap 'rm -rf "$warm"' EXIT
   "${python[@]}" - "$warm" <<'EOF'
 import contextlib
+import os
 import sys
 
 from punctmetric import verify
 from punctmetric.cli import main
 
 # one file per suite run: each suite's checks one at a time, in the
-# pinned files' order, then four whole suites, then the checks again
+# pinned files' order, then five whole suites, the second of them
+# strict through PUNCTURED_METRIC_TOL, then the checks again
 alone = [[["verify", "--check", name, "--suite", suite]
           for name in verify.check_names()] for suite in ("default", "strict")]
-runs = alone + [[["verify", "--suite", suite]]
-                for suite in ("default", "strict") * 2] + alone
+suites = [[["verify", "--suite", suite]]
+          for suite in ("default", "strict") * 2]
+runs = alone + suites[:1] + [[["verify"]]] + suites[1:] + alone
 for i, argvs in enumerate(runs):
-    with open(f"{sys.argv[1]}/{i}_{argvs[0][-1]}", "w") as out, \
+    suite = argvs[0][-1]
+    if suite == "verify":
+        suite = os.environ["PUNCTURED_METRIC_TOL"] = "strict"
+    with open(f"{sys.argv[1]}/{i}_{suite}", "w") as out, \
             contextlib.redirect_stdout(out):
         for argv in argvs:
             if main(argv):
                 sys.exit(f"{' '.join(argv)} failed, run {i + 1} of "
                          f"{len(runs)}")
+    os.environ.pop("PUNCTURED_METRIC_TOL", None)
 EOF
   for out in "$warm"/*; do
     diff "$out" "tests/data/verify_${out##*_}.jsonl"

@@ -182,14 +182,15 @@ def test_a_point_is_the_bits_of_all_its_keys(lanes):
     got = hyp2f1.f21_many(p, [-0.0, 0.0, -0.0])
     assert lanes == [3]
     assert _bits(got.value) == _bits([hyp2f1.f21(p, 0.0).value] * 3)
-    # equal lo with another ell is another point: (0.1, 3.0) and (0.1,
-    # 2.0) each get their own complement value
+    # pqfun's raw lanes sum each distinct (lo, ell) once, and equal lo
+    # with another ell is another point: (0.1, 3.0) and (0.1, 2.0) each
+    # get their own complement value, the repeat of (0.1, 3.0) a copy
     del lanes[:]
     ps = (HypParams(0.5, 0.5, 1.0),)
     lo = np.array([0.1, 0.2, 0.1, 0.1])
     ell = np.array([3.0, 1.5, 2.0, 3.0])
     got = hyp2f1._lo_hi_many(ps, lo, ell)
-    assert lanes and set(lanes) == {4}
+    assert lanes and set(lanes) == {3}
     assert [_bits(g) for g in got] == [
         _bits(hyp2f1.f21(ps[0], x).value for x in lo),
         _bits(hyp2f1.f21_from_complement(ps[0], x, e).value
@@ -351,6 +352,30 @@ def _pq_forms(pr):
 def test_pq_many_match(pr, ts):
     for many, scalar in _pq_forms(pr):
         _assert_pointwise(many, scalar, ts)
+
+
+# a +-t grid: its t and -t are one lane of pqfun's sums, at s = |t|
+_HALF_T = [0.0, 1e-300, 1e-8, 0.5, 1.0, 2.5, 20.0, 300.0, 700.0]
+
+
+@pytest.mark.parametrize("pr", _PAIRS)
+def test_a_plus_minus_t_grid_sums_each_abs_t_once(pr, lanes):
+    # every form gets its scalar calls' bits at t and -t, +-0.0, +-1e-300
+    # and +-700 among them, and where a form serves both signs, the grid
+    # sums the lanes of its t >= 0 half alone
+    grid = _HALF_T + [-t for t in _HALF_T]
+    half = np.array(_HALF_T[1:])
+    for many, scalar in _pq_forms(pr):
+        _assert_loop_parity(many, scalar, [(t,) for t in grid])
+        del lanes[:]
+        try:
+            many(np.concatenate((half, -half)))
+        except DomainError:  # q_excess at t < 0
+            continue
+        both = list(lanes)
+        del lanes[:]
+        many(half)
+        assert both == lanes and both
 
 
 # ab >= a+b for (3, 3): the P-functions raise at every point, G after

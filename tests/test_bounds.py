@@ -1194,12 +1194,19 @@ def test_rho_queries_from_four_threads_match_serial_ones():
 
 
 def test_h_stays_below_the_walk_ceiling():
-    # the lower end's walk stops on h(m) <= _H_CEILING for every m
+    # the lower end's walk stops on h(m) <= _H_CEILING for every m, and
+    # skips h where Hempel's 1/(2(m + log 16)) (thm_c212_5's upper half),
+    # times _H_SLACK, cannot beat the best: every computed h(m) is below
     ts = np.concatenate((np.linspace(0.0, 2.0, 20001),
+                         np.linspace(0.0, metric.T_CAP, 200001),
                          np.geomspace(1e-300, metric.T_CAP, 20001)))
-    assert np.all(metric.h_many(ts) <= bounds._H_CEILING)
+    hs = metric.h_many(ts)
+    assert np.all(hs <= bounds._H_CEILING)
     assert metric.h(0.0) <= bounds._H_CEILING
     assert max(metric.h(t) for t in ts[::97].tolist()) <= bounds._H_CEILING
+    assert np.max(hs * (2.0 * (ts + math.log(16.0)))) <= 1.0 + 1e-12
+    assert max(metric._h(t) * 2.0 * (t + math.log(16.0))
+               for t in ts[::97].tolist()) <= 1.0 + 1e-12
 
 
 def test_sigma_visits_only_the_punctures_it_needs():
@@ -1284,38 +1291,63 @@ def test_sigma_scans_each_row_of_a_long_walk_once():
 @pytest.mark.parametrize("query", (bounds.rho_bounds, bounds.sigma_lower))
 def test_lower_walk_scans_the_rows_it_visits(query):
     # z a little outside a cluster of 50 punctures, whose distances to
-    # it are near-equal: the walk visits many of them, and scans exactly
-    # the rows it visits that the search did not complete, so
-    # sigma_lower scans one row per h call.  Only the search route scans
-    # rows, so the table is switched off
+    # it are near-equal: the walk visits many of them (one gap call
+    # each), and scans exactly the rows it visits that the search did
+    # not complete, so sigma_lower scans one row per visit; h runs on at
+    # most the visited punctures.  Only the search route scans rows, so
+    # the table is switched off
     rng = np.random.default_rng(20261018)
     pts = _layout("clustered", 100, rng)
     with mock.patch.object(bounds, "_TABLE_CELLS", 0):
         dom = bounds.PuncturedDomain(pts)
-    neighbours = bounds._neighbours
+    neighbours, row_gaps = bounds._neighbours, bounds._row_gaps
     long_walks = scans = 0
     for k in range(0, 100, 7):
         z = pts[k] + 0.2 * cmath.exp(1j * k)
         _assert_matches_pair_loop(pts, z)
-        searched = []
+        searched, visits = [], []
 
         def recorded(*args):
             q, gaps = neighbours(*args)
             searched.extend(gaps)
             return q, gaps
 
+        def counted_gaps(*args):
+            gap = row_gaps(*args)
+
+            def counted(a):
+                visits.append(a)
+                return gap(a)
+
+            return counted
+
         with mock.patch.object(bounds, "_neighbours", recorded), \
+                mock.patch.object(bounds, "_row_gaps", counted_gaps), \
                 mock.patch.object(bounds, "_row_bracket",
                                   wraps=bounds._row_bracket) as singles, \
                 mock.patch.object(metric, "_h", wraps=metric._h) as h:
             query(dom, z)
-        # the walk order is range(N): it visits the first h calls' rows
-        visited = set(range(h.call_count))
+        # the walk order is range(N): it visits the first rows, once each
+        assert visits == list(range(len(visits)))
         assert singles.call_count == len(searched) + len(
-            visited.difference(searched))
+            set(visits).difference(searched))
         if query is bounds.sigma_lower:
-            assert singles.call_count == h.call_count
-        long_walks += h.call_count >= 8
+            assert singles.call_count == len(visits)
+        assert 1 <= h.call_count <= len(visits)
+        long_walks += len(visits) >= 8
         scans += singles.call_count
     assert long_walks
     assert scans
+
+
+@pytest.mark.parametrize("query", (bounds.rho_bounds, bounds.sigma_lower))
+def test_a_far_two_puncture_query_calls_h_once(query):
+    # the walk visits both punctures, as the ceiling h(0)/1001 is above
+    # h(m_0)/1000; but m_1 >= m_0 and d_1 > d_0, so h runs on the nearer
+    # puncture alone
+    dom = bounds.PuncturedDomain((0, 1))
+    with mock.patch.object(metric, "_h", wraps=metric._h) as h:
+        got = query(dom, -1e3)
+    assert h.call_count == 1
+    lower = got.lower if query is bounds.rho_bounds else got
+    assert lower == _pair_loop_rho_bounds(dom, -1e3).lower

@@ -407,6 +407,80 @@ def test_verify_bad_env_profile_rc2(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+# -- verify's kept replies ---------------------------------------------------
+
+def _golden(suite):
+    with open(os.path.join(DATA, f"verify_{suite}.jsonl")) as fh:
+        return fh.read()
+
+
+def _both_passes(capsys):
+    """Each suite whole, then each of its checks alone: every output."""
+    outs = []
+    for suite in ("default", "strict"):
+        rc, out = run_cli(capsys, "verify", "--suite", suite)
+        assert rc == 0
+        outs.append(out)
+        for name in verify.check_names():
+            rc, out = run_cli(capsys, "verify", "--check", name,
+                              "--suite", suite)
+            assert rc == 0
+            outs.append(out)
+    return outs
+
+
+def test_a_warm_verify_request_formats_nothing(capsys, monkeypatch):
+    # the second pass writes the lines kept beside verify's kept
+    # reports, the pinned files byte for byte, without formatting one
+    cold = _both_passes(capsys)
+    dumps = []
+    real = json.dumps
+    monkeypatch.setattr(json, "dumps",
+                        lambda *args, **kw: dumps.append(args) or real(
+                            *args, **kw))
+    warm = _both_passes(capsys)
+    assert dumps == []
+    assert warm == cold
+    n = len(verify.check_names())
+    for i, suite in enumerate(("default", "strict")):
+        assert warm[i * (n + 1)] == _golden(suite)
+        assert "".join(warm[i * (n + 1) + 1:(i + 1) * (n + 1)]) == _golden(
+            suite)
+    assert set(cli._replies) == {(name, suite) for name in verify.check_names()
+                                 for suite in ("default", "strict")}
+    assert len(cli._replies) == 44
+
+
+def test_a_report_made_afresh_gets_a_fresh_reply(capsys, monkeypatch):
+    name = "thm_main_parity"
+    rc, first = run_cli(capsys, "verify", "--check", name)
+    verify._reports.clear()
+    cd = verify._REGISTRY[name]
+
+    def other(params, grid):
+        point, margin, notes = cd.runner(params, grid)
+        return point, margin, notes + " (run again)"
+
+    monkeypatch.setitem(verify._REGISTRY, name, cd._replace(runner=other))
+    rc, again = run_cli(capsys, "verify", "--check", name)
+    assert rc == 0
+    assert json.loads(again) == dict(json.loads(first), notes=json.loads(
+        first)["notes"] + " (run again)")
+    assert cli._replies[name, "default"][0] is verify._reports[
+        name, "default"]
+
+
+def test_the_environments_profile_gets_its_own_reply(capsys, monkeypatch):
+    name = "thm_main_parity"
+    rc, default = run_cli(capsys, "verify", "--check", name)
+    monkeypatch.setenv("PUNCTURED_METRIC_TOL", "strict")
+    rc, strict = run_cli(capsys, "verify", "--check", name)
+    assert rc == 0
+    want = [line + "\n" for line in _golden("strict").splitlines()
+            if json.loads(line)["name"] == name]
+    assert [strict] == want and strict != default
+
+
 # -- bounds ------------------------------------------------------------------
 
 def _write_domain(tmp_path, pts, name="dom.json"):
